@@ -12,6 +12,13 @@ Senders stage their own fresh path secrets and install them when they
 process their own control, so sender and receivers advance through the same
 epoch sequence: one control processed, epoch plus exactly one.
 
+A member holds private material only on its own direct path (its init key
+or leaf key, and the chained secrets above it), always as the KeyPair that
+`pke_keygen` returned, so opening reuses the key object. A receiver looks
+for its entry among the keys on its own direct path, opens exactly one
+entry, and re-derives the path from the merge point up, checking each
+derived public key against the control.
+
 Adds place the newcomer at the leftmost blank leaf (doubling capacity in
 place when full), blank the newcomer's path, and embed an immediate update;
 the newcomer bootstraps from the public tree snapshot carried in the
@@ -142,7 +149,7 @@ class CgkaControl:
         elif kind == "remove":
             ctl.removed_leaf = r.u32()
             ctl.removed_id = r.text()
-        ctl.new_public_path = r.items(lambda rr: rr.field())
+        ctl.new_public_path = r.items(Reader.field)
         ctl.path_entries = r.items(lambda rr: (rr.field(), rr.field()))
         r.finish()
         return ctl
@@ -271,7 +278,7 @@ class CgkaState:
             node = t.nodes[x]
             node.public_key = kp.public_key
             node.secret = None
-            node.private_key = None
+            node.key_pair = None
         ctl.new_public_path = [kp.public_key for kp in pairs]
 
         entries: list[PathEntry] = []
@@ -338,7 +345,7 @@ class CgkaState:
         own = t.nodes[treemod.leaf_node(self.own_leaf)]
         if own.public_key != self.init_key.public_key:
             raise MalformedControl("roster carries a different init key for me")
-        own.private_key = self.init_key.secret_key
+        own.key_pair = self.init_key
         self.group_id = control.group_id
         self.epoch = control.epoch
         return self._apply_update_path(control)
@@ -350,7 +357,7 @@ class CgkaState:
         own = t.nodes[treemod.leaf_node(control.new_leaf)]
         if own.public_key != self.init_key.public_key:
             raise MalformedControl("welcome carries a different init key for me")
-        own.private_key = self.init_key.secret_key
+        own.key_pair = self.init_key
         self.tree = t
         self.own_leaf = control.new_leaf
         self.group_id = control.group_id
@@ -379,7 +386,7 @@ class CgkaState:
             node = self.tree.nodes[x]
             node.public_key = kp.public_key
             node.secret = secret
-            node.private_key = kp.secret_key
+            node.key_pair = kp
         self.group_secret, self.group_key_pair = staged.secrets[root]
         self.epoch += 1
         return self.group_secret
@@ -392,18 +399,19 @@ class CgkaState:
         if control.sender_leaf == self.own_leaf:
             raise MalformedControl("unexpected control from own leaf")
 
-        held = {
-            t.nodes[x].public_key: x
-            for x in range(len(t.nodes))
-            if t.nodes[x].private_key is not None and t.nodes[x].public_key is not None
-        }
+        # Private keys live only on the receiver's own direct path.
+        held: dict[bytes, int] = {}
+        for x in treemod.direct_path(self.own_leaf, t.capacity):
+            own = t.nodes[x].key_pair
+            if own is not None:
+                held[own.public_key] = x
         opened: bytes | None = None
         opened_at: int | None = None
         for target_pk, box in control.path_entries:
             x = held.get(target_pk)
             if x is None:
                 continue
-            opened = pke_open(t.nodes[x].private_key, box)
+            opened = pke_open(t.nodes[x].key_pair, box)
             opened_at = x
             break
         if opened is None:
@@ -423,20 +431,19 @@ class CgkaState:
             node = t.nodes[x]
             node.public_key = pk
             node.secret = None
-            node.private_key = None
+            node.key_pair = None
             if i >= merge_idx:
                 kp = pke_keygen(opened)
                 if kp.public_key != pk:
                     raise MalformedControl("chained secret does not match path key")
                 node.secret = opened
-                node.private_key = kp.secret_key
+                node.key_pair = kp
                 if i + 1 < len(path):
                     opened = derive(opened)
 
         root_node = t.nodes[t.root]
         self.group_secret = root_node.secret
-        self.group_key_pair = KeyPair(secret_key=root_node.private_key,
-                                      public_key=root_node.public_key)
+        self.group_key_pair = root_node.key_pair
         self.epoch = control.epoch + 1
         return self.group_secret
 
@@ -472,7 +479,8 @@ class CgkaState:
                     {
                         "public_key": hx(n.public_key),
                         "secret": hx(n.secret),
-                        "private_key": hx(n.private_key),
+                        "private_key": None if n.key_pair is None
+                        else hx(n.key_pair.secret_key),
                     }
                     for n in self.tree.nodes
                 ],

@@ -59,7 +59,8 @@ class Reader:
     """Consumes a Writer's output field by field.
 
     Any shortfall, overrun or trailing garbage raises MalformedControl, so
-    decoders never need their own bounds checks.
+    decoders never need their own bounds checks. Each read makes one bounds
+    check and unpacks straight from the original buffer.
     """
 
     def __init__(self, data: bytes, expect_type: int | None = None):
@@ -68,21 +69,32 @@ class Reader:
         if expect_type is not None and self.u8() != expect_type:
             raise MalformedControl("unexpected type byte")
 
-    def _take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
-            raise MalformedControl("truncated input")
-        out = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return out
-
     def u8(self) -> int:
-        return self._take(1)[0]
+        pos = self._pos
+        if pos >= len(self._data):
+            raise MalformedControl("truncated input")
+        self._pos = pos + 1
+        return self._data[pos]
 
     def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+        try:
+            (value,) = _U32.unpack_from(self._data, self._pos)
+        except struct.error:
+            raise MalformedControl("truncated input") from None
+        self._pos += 4
+        return value
 
     def field(self) -> bytes:
-        return self._take(self.u32())
+        data = self._data
+        start = self._pos + 4
+        try:
+            end = start + _U32.unpack_from(data, self._pos)[0]
+        except struct.error:
+            raise MalformedControl("truncated input") from None
+        if end > len(data):
+            raise MalformedControl("truncated input")
+        self._pos = end
+        return data[start:end]
 
     def text(self) -> str:
         try:

@@ -120,7 +120,7 @@ class ChatbotRecord:
     """A user's per-chatbot bookkeeping: O(1) per chatbot."""
 
     trigger: TriggerSpec
-    channel_secret_key: bytes | None  # group secret key at last addressing
+    channel_secret_key: KeyPair | None  # group key pair at last addressing
     bot_public_key: bytes             # the chatbot's current channel key
 
 
@@ -429,7 +429,7 @@ class UserState:
         sealed = pke_seal(reg.enc_public_key, seed)
         self.records[chatbot_id] = ChatbotRecord(
             trigger=reg.trigger,
-            channel_secret_key=self.cgka.group_key_pair.secret_key,
+            channel_secret_key=self.cgka.group_key_pair,
             bot_public_key=node.public_key)
         return AddBotControl(group_id=self.group_id, chatbot_id=chatbot_id,
                              group_public_key=self.cgka.group_key_pair.public_key,
@@ -446,7 +446,7 @@ class UserState:
             raise BadTriggerSignature(f"registration for {ctl.chatbot_id!r}")
         self.records[ctl.chatbot_id] = ChatbotRecord(
             trigger=reg.trigger,
-            channel_secret_key=self.cgka.group_key_pair.secret_key,
+            channel_secret_key=self.cgka.group_key_pair,
             bot_public_key=ctl.node_public_key)
 
     def remove_chatbot(self, chatbot_id: str) -> bytes:
@@ -517,7 +517,7 @@ class UserState:
             if address_all or (trigger_message is not None
                                and record.trigger.matches(trigger_message)):
                 entries.append((cid, pke_seal(record.bot_public_key, message_key)))
-                record.channel_secret_key = pair.secret_key
+                record.channel_secret_key = pair
                 addressed.append(cid)
             elif conceal:
                 entries.append((cid, random_bytes(SEALED_LEN)))
@@ -563,7 +563,7 @@ class UserState:
                 isinstance(result, ReceivedMessage)
                 and record.trigger.matches(result.message))
             if fired:
-                record.channel_secret_key = pair.secret_key
+                record.channel_secret_key = pair
         return result
 
     def receive_from_chatbot(self, data: bytes) -> bytes:
@@ -601,7 +601,8 @@ class UserState:
             "records": {
                 cid: {
                     "trigger": rec.trigger.canonical_bytes().hex(),
-                    "channel_secret_key": hx(rec.channel_secret_key),
+                    "channel_secret_key": None if rec.channel_secret_key is None
+                    else hx(rec.channel_secret_key.secret_key),
                     "bot_public_key": hx(rec.bot_public_key),
                 }
                 for cid, rec in sorted(self.records.items())
@@ -652,7 +653,7 @@ class ChatbotState:
         ctl = AddBotControl.from_bytes(data)
         if ctl.chatbot_id != self.chatbot_id:
             raise MalformedControl("add control for a different chatbot")
-        seed = pke_open(self.enc_identity.secret_key, ctl.sealed_seed)
+        seed = pke_open(self.enc_identity, ctl.sealed_seed)
         node = pke_keygen(seed)
         if node.public_key != ctl.node_public_key:
             raise MalformedControl("channel key disagrees with sealed seed")
@@ -687,7 +688,7 @@ class ChatbotState:
         if my_entry is None:
             return NOT_ADDRESSED
         try:
-            message_key = pke_open(self.node_key.secret_key, my_entry)
+            message_key = pke_open(self.node_key, my_entry)
         except DecryptFailed:
             return NOT_ADDRESSED
 

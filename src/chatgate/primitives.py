@@ -11,6 +11,8 @@ Instantiation choices (all frozen into tests):
 * Key pairs derive deterministically from a 32-byte seed. The X25519 scalar
   is a hash of the seed rather than the seed itself, so a derived key pair
   never carries the seed's byte pattern into serialized state.
+* An X25519 KeyPair carries the key object it was built with, so a party
+  that keeps its KeyPair opens boxes without rebuilding the key from bytes.
 * Signatures are Ed25519 (64 bytes, deterministic).
 * Symmetric encryption is AESGCM with a random 12-byte nonce prepended;
   overhead is a constant SYM_OVERHEAD = 28 bytes.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -63,10 +65,17 @@ HANDLE = b"handle"      # pseudonym handle from an identity public key
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A raw-bytes key pair; which algorithm it belongs to is contextual."""
+    """A raw-bytes key pair; which algorithm it belongs to is contextual.
+
+    X25519 pairs built here also carry their key object, so `pke_open`
+    skips rebuilding it. The object belongs to the party holding the pair;
+    it is left out of equality and repr, and dropping the pair drops it.
+    """
 
     secret_key: bytes
     public_key: bytes
+    key_object: X25519PrivateKey | None = field(
+        default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +173,19 @@ def derive(seed: bytes, label: bytes = CHAIN) -> bytes:
 # public-key encryption (sealed boxes)
 # ---------------------------------------------------------------------------
 
+def x25519_key_pair(scalar: bytes) -> KeyPair:
+    """The X25519 key pair, with its key object, of a raw 32-byte scalar.
+
+    Not a counted op: it is the shared step of `pke_keygen` and of opening
+    with raw bytes, and the adversary uses it to name a candidate's public
+    key. Raises ValueError if the scalar is not 32 bytes.
+    """
+    private = X25519PrivateKey.from_private_bytes(scalar)
+    return KeyPair(secret_key=scalar,
+                   public_key=private.public_key().public_bytes_raw(),
+                   key_object=private)
+
+
 def pke_keygen(seed: bytes) -> KeyPair:
     """Deterministic X25519 key pair from a 32-byte seed.
 
@@ -172,45 +194,34 @@ def pke_keygen(seed: bytes) -> KeyPair:
     seed's byte pattern (the seed is typically a group key).
     """
     counters.record("pke_keygen")
-    scalar = _kdf(b"pke-keygen", _check_secret(seed))
-    private = X25519PrivateKey.from_private_bytes(scalar)
-    public = private.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    return KeyPair(secret_key=scalar, public_key=public)
+    return x25519_key_pair(_kdf(b"pke-keygen", _check_secret(seed)))
 
 
 def pke_seal(public_key: bytes, payload: bytes) -> bytes:
     """Seal payload to a recipient public key; fresh ephemeral per call."""
     counters.record("pke_seal")
     recipient = X25519PublicKey.from_public_bytes(public_key)
-    eph_private = X25519PrivateKey.from_private_bytes(
-        _kdf(b"pke-eph", random_bytes(SECRET_LEN))
-    )
-    eph_public = eph_private.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    shared = eph_private.exchange(recipient)
-    key = _kdf(b"seal-key", shared, eph_public, public_key)
+    eph = x25519_key_pair(_kdf(b"pke-eph", random_bytes(SECRET_LEN)))
+    shared = eph.key_object.exchange(recipient)
+    key = _kdf(b"seal-key", shared, eph.public_key, public_key)
     ct = AESGCM(key).encrypt(_ZERO_NONCE, payload, None)
-    return eph_public + ct
+    return eph.public_key + ct
 
 
-def pke_open(secret_key: bytes, box: bytes) -> bytes:
-    """Open a sealed box. Any failure is the single error DecryptFailed."""
+def pke_open(key: KeyPair | bytes, box: bytes) -> bytes:
+    """Open a sealed box with a KeyPair from `pke_keygen`, or with raw
+    secret-key bytes (any candidate scalar). Any failure is the single
+    error DecryptFailed."""
     counters.record("pke_open")
     if len(box) < PUBLIC_KEY_LEN + 16:
         raise DecryptFailed("sealed box too short")
     eph_public = box[:PUBLIC_KEY_LEN]
     ct = box[PUBLIC_KEY_LEN:]
     try:
-        private = X25519PrivateKey.from_private_bytes(secret_key)
-        shared = private.exchange(X25519PublicKey.from_public_bytes(eph_public))
-        my_public = private.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-        key = _kdf(b"seal-key", shared, eph_public, my_public)
-        return AESGCM(key).decrypt(_ZERO_NONCE, ct, None)
+        pair = key if isinstance(key, KeyPair) else x25519_key_pair(key)
+        shared = pair.key_object.exchange(X25519PublicKey.from_public_bytes(eph_public))
+        box_key = _kdf(b"seal-key", shared, eph_public, pair.public_key)
+        return AESGCM(box_key).decrypt(_ZERO_NONCE, ct, None)
     except (InvalidTag, ValueError) as exc:
         raise DecryptFailed("sealed box did not open") from exc
 

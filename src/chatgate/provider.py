@@ -49,6 +49,7 @@ from .primitives import (
     pke_keygen,
     pke_open,
     sym_decrypt,
+    x25519_key_pair,
 )
 from .triggers import BotRegistration
 
@@ -333,7 +334,7 @@ def adversary_decrypt(snapshot: bytes, transcript,
         frontier = set()
         new: set[bytes] = set()
         for key in fresh:
-            pk_of[key] = _scalar_pk(key)
+            pk_of[key] = x25519_key_pair(key).public_key
         for key in sorted(secrets):
             for hint, box in boxes:
                 if hint is not None and pk_of.get(key) != hint:
@@ -362,19 +363,6 @@ def adversary_decrypt(snapshot: bytes, transcript,
                            secrets=frozenset(secrets),
                            boxes_opened=boxes_opened,
                            ciphertexts_opened=cts_opened)
-
-
-def _scalar_pk(candidate: bytes) -> bytes | None:
-    """Public key of a candidate interpreted directly as an X25519 scalar."""
-    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-    from cryptography.hazmat.primitives.serialization import (
-        Encoding, PublicFormat)
-
-    try:
-        priv = X25519PrivateKey.from_private_bytes(candidate)
-    except Exception:
-        return None
-    return priv.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
 
 def _payload_message(payload: bytes) -> bytes:

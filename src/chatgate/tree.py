@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .encoding import Reader, Writer
 from .errors import MalformedControl
+from .primitives import KeyPair
 
 
 # node index arithmetic -----------------------------------------------------
@@ -67,9 +68,12 @@ def sibling(x: int, capacity: int) -> int:
 def direct_path(leaf: int, capacity: int) -> list[int]:
     """Node indices from the leaf up to and including the root."""
     x = leaf_node(leaf)
+    root = root_index(capacity)
     path = [x]
-    while x != root_index(capacity):
-        x = parent(x, capacity)
+    k = 0  # level of x: `parent` without recounting it, one level per step
+    while x != root:
+        x = (x | (1 << k)) ^ (((x >> (k + 1)) & 1) << (k + 1))
+        k += 1
         path.append(x)
     return path
 
@@ -97,15 +101,16 @@ def is_ancestor(a: int, x: int) -> bool:
 class Node:
     """A tree node. Blank means no key at all.
 
-    secret is the 32-byte seed this party holds for the node (only on its
-    own direct path); private_key is the decryption key (derived from the
-    seed, or an init key for a leaf joined by init key, where no seed
-    exists).
+    A member holds private material only on its own direct path: secret is
+    the 32-byte seed for the node, and key_pair the decryption key pair
+    (derived from the seed, or the member's init key at a leaf joined by
+    init key, where no seed exists). key_pair is the pair `pke_keygen`
+    returned, so it carries its X25519 key object for opening.
     """
 
     public_key: bytes | None = None
     secret: bytes | None = None
-    private_key: bytes | None = None
+    key_pair: KeyPair | None = None
 
     @property
     def is_blank(self) -> bool:
@@ -114,7 +119,7 @@ class Node:
     def blank(self) -> None:
         self.public_key = None
         self.secret = None
-        self.private_key = None
+        self.key_pair = None
 
 
 @dataclass
@@ -189,7 +194,7 @@ class RatchetTree:
         capacity = r.u32()
         if capacity < 1 or capacity & (capacity - 1):
             raise MalformedControl("bad tree capacity")
-        pks = r.items(lambda rr: rr.field())
+        pks = r.items(Reader.field)
         if len(pks) != node_count(capacity):
             raise MalformedControl("bad tree node count")
         members = dict(r.items(lambda rr: (rr.u32(), rr.text())))

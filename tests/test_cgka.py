@@ -168,11 +168,60 @@ def test_each_member_opens_exactly_one_entry():
         held = {
             s.tree.nodes[x].public_key
             for x in range(len(s.tree.nodes))
-            if s.tree.nodes[x].private_key is not None
+            if s.tree.nodes[x].key_pair is not None
         }
         openable = [e for e in ctl.path_entries if e[0] in held]
         assert len(openable) == 1
     broadcast(states, states[2], ctl)
+
+
+def assert_private_only_on_own_path(states):
+    """The receive path looks up its key only on its own direct path; that
+    is complete only if no member holds private material anywhere else."""
+    for s in states:
+        own = set(treemod.direct_path(s.own_leaf, s.tree.capacity))
+        for x, node in enumerate(s.tree.nodes):
+            if node.secret is None and node.key_pair is None:
+                continue
+            assert x in own, (s.member_id, x)
+            assert node.key_pair.public_key == node.public_key
+            assert node.key_pair.key_object is not None
+        assert s.group_key_pair is s.tree.nodes[s.tree.root].key_pair
+
+
+def test_private_material_only_on_own_direct_path():
+    states, directory = warm_group(16)
+    assert_private_only_on_own_path(states)
+
+    def apply(sender, ctl, newcomer=None):
+        broadcast(states, sender, ctl)
+        if newcomer is not None:
+            newcomer.process(ctl)
+            states.append(newcomer)
+        assert_private_only_on_own_path(states)
+
+    apply(states[5], states[5].update())
+    apply(states[9], states[9].update())
+
+    for victim in ("user-03", "user-12"):
+        ctl = states[0].remove(victim)
+        states = [s for s in states if s.member_id != victim]
+        apply(states[0], ctl)
+
+    # the last add finds the tree full again and doubles its capacity
+    for uid, adder in (("user-16", 7), ("user-17", 2), ("user-18", 4)):
+        assert states[0].tree.capacity == 16
+        newcomer = cgka.init(uid, directory)
+        apply(states[adder], states[adder].add(uid), newcomer)
+    assert all(s.tree.capacity == 32 for s in states)
+
+    apply(states[-1], states[-1].update())
+    newest = states[-1]
+    ctl = newest.remove("user-01")
+    states = [s for s in states if s.member_id != "user-01"]
+    apply(newest, ctl)
+    apply(states[1], states[1].update())
+    assert_agreement(states)
 
 
 def test_update_without_group_fails():

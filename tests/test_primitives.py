@@ -136,6 +136,46 @@ def test_open_garbage_box_fails_uniformly():
         primitives.pke_open(kp.secret_key, b"")
 
 
+def test_open_with_key_pair_matches_raw_secret_key():
+    kp = primitives.pke_keygen(primitives.random_secret())
+    payload = primitives.random_secret()
+    box = primitives.pke_seal(kp.public_key, payload)
+    assert kp.key_object is not None
+    assert primitives.pke_open(kp, box) == payload
+    assert primitives.pke_open(kp.secret_key, box) == payload
+
+
+def test_open_with_key_pair_or_raw_bytes_rejects_wrong_key_and_tamper():
+    kp = primitives.pke_keygen(primitives.random_secret())
+    other = primitives.pke_keygen(primitives.random_secret())
+    box = primitives.pke_seal(kp.public_key, primitives.random_secret())
+    tampered = bytearray(box)
+    tampered[-1] ^= 1
+    for wrong, good in ((other, kp), (other.secret_key, kp.secret_key)):
+        with pytest.raises(DecryptFailed):
+            primitives.pke_open(wrong, box)
+        with pytest.raises(DecryptFailed):
+            primitives.pke_open(good, bytes(tampered))
+
+
+def test_keygen_key_object_is_outside_equality_and_repr():
+    kp = primitives.pke_keygen(primitives.random_secret())
+    bare = primitives.KeyPair(secret_key=kp.secret_key, public_key=kp.public_key)
+    assert kp == bare
+    assert repr(kp) == repr(bare)
+    assert "key_object" not in repr(kp) and "X25519" not in repr(kp)
+
+
+def test_x25519_key_pair_is_not_a_counted_op():
+    scalar = primitives.pke_keygen(primitives.random_secret()).secret_key
+    tally = counters.OpCounters()
+    with counters.collect(tally):
+        with counters.attribute("adversary"):
+            kp = primitives.x25519_key_pair(scalar)
+    assert kp.secret_key == scalar
+    assert tally.by_party == {}
+
+
 @settings(max_examples=50)
 @given(seed=secrets32, payload=secrets32)
 def test_seal_roundtrip_property(seed, payload):

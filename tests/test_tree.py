@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from chatgate import tree
+from chatgate import primitives, tree
 from chatgate.errors import MalformedControl
 
 CAPACITIES = [1, 2, 4, 8, 16, 32, 64]
@@ -154,7 +154,8 @@ def test_public_snapshot_roundtrip():
     t = tree.RatchetTree.blank_tree(4)
     t.nodes[0].public_key = b"\x07" * 32
     t.nodes[0].secret = b"\x08" * 32
-    t.nodes[0].private_key = b"\x09" * 32
+    t.nodes[0].key_pair = primitives.KeyPair(secret_key=b"\x09" * 32,
+                                             public_key=b"\x07" * 32)
     t.nodes[3].public_key = b"\x0a" * 32
     t.members[0] = "alice"
     blob = t.to_public_bytes()
