@@ -35,7 +35,10 @@ class OpCounters:
         self.by_party: dict[str, Counter] = {}
 
     def add(self, party: str, op: str) -> None:
-        self.by_party.setdefault(party, Counter())[op] += 1
+        counts = self.by_party.get(party)
+        if counts is None:
+            counts = self.by_party[party] = Counter()
+        counts[op] += 1
 
     def party(self, party: str) -> Counter:
         return self.by_party.get(party, Counter())

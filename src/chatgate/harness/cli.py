@@ -30,10 +30,7 @@ def _probe_fns(names: list[str]):
         if name not in probes.PROBES:
             raise SystemExit(f"unknown probe {name!r}; "
                              f"choose from {sorted(probes.PROBES)}")
-        if name == "anonymity":
-            fns.append((name, lambda r: probes.probe_anonymity(r)))
-        else:
-            fns.append((name, probes.PROBES[name]))
+        fns.append((name, probes.PROBES[name]))
     return fns
 
 
@@ -74,12 +71,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 _CANNED_PROBES = {
-    "fs": ("fs", lambda r: probes.probe_forward_secrecy(r)),
-    "pcs": ("pcs", lambda r: probes.probe_post_compromise(r)),
-    "selective": ("selective", lambda r: probes.probe_selective_access(r)),
-    "anonymity": ("anonymity",
-                  lambda r: probes.probe_anonymity(r, expect_uniform=True)),
-    "concealment": ("concealment", lambda r: probes.probe_concealment(r)),
+    "fs": probes.probe_forward_secrecy,
+    "pcs": probes.probe_post_compromise,
+    "selective": probes.probe_selective_access,
+    "anonymity": lambda r: probes.probe_anonymity(r, expect_uniform=True),
+    "concealment": probes.probe_concealment,
 }
 
 
@@ -89,7 +85,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     for name in names:
         text = canned.ALL[name]
         result = run_text(text, seed=args.seed)
-        _, fn = _CANNED_PROBES[name]
+        fn = _CANNED_PROBES[name]
         agreement = probes.probe_agreement(result)
         ok = _print_verdict(agreement) and ok
         try:

@@ -9,6 +9,7 @@ transcript, and the expectations come from the runner's send log.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 
 from ..errors import ProbeFailed
@@ -179,8 +180,6 @@ def probe_anonymity(result: RunResult, expect_uniform: bool = False) -> Verdict:
     member_ids = {uid.encode() for uid in result.users}
     rows = [row for row in result.provider.transcript
             if row["recipient_class"] == "chatbot"]
-    import base64
-
     seen_views = set()
     for row in rows:
         view = base64.b64decode(row["view_b64"])
@@ -210,8 +209,6 @@ def probe_anonymity(result: RunResult, expect_uniform: bool = False) -> Verdict:
 def probe_concealment(result: RunResult) -> Verdict:
     """Concealed sends carry one fixed-size entry per attached chatbot, and
     every chatbot not addressed reported the uniform not-addressed outcome."""
-    import base64
-
     views_by_seq = {}
     for row in result.provider.transcript:
         if row["recipient_class"] == "chatbot":

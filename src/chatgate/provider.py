@@ -23,6 +23,7 @@ from .cgka import CgkaControl, InitKeyDirectory
 from .encoding import peek_type
 from .errors import (
     BadSignature,
+    DecryptFailed,
     DuplicateChatbot,
     DuplicateId,
     MalformedControl,
@@ -146,27 +147,31 @@ class Provider:
         self._seq += 1
         seq = self._seq
         if user_view is not None:
+            view_b64 = base64.b64encode(user_view).decode("ascii")
             for uid in sorted(ch.members):
                 if uid != sender:
-                    self._deliver(seq, group_id, "user", uid, user_view)
+                    self._deliver(seq, group_id, "user", uid, user_view, view_b64)
         if bot_view is not None:
+            view_b64 = base64.b64encode(bot_view).decode("ascii")
             targets = sorted(ch.bots) if bot_targets is None else list(bot_targets)
             for cid in targets:
                 if cid == sender:
                     continue
                 if cid not in self._bots:
                     raise UnknownChatbot(f"no registration for {cid!r}")
-                self._deliver(seq, group_id, "chatbot", cid, bot_view)
+                self._deliver(seq, group_id, "chatbot", cid, bot_view, view_b64)
         return seq
 
     def _deliver(self, seq: int, group_id: str, recipient_class: str,
-                 recipient: str, view: bytes) -> None:
+                 recipient: str, view: bytes, view_b64: str) -> None:
+        """One transcript row per recipient; every row of a view shares
+        the one `view_b64` string encoded by `publish`."""
         self.transcript.append({
             "seq": seq,
             "group_id": group_id,
             "recipient_class": recipient_class,
             "recipient": recipient,
-            "view_b64": base64.b64encode(view).decode("ascii"),
+            "view_b64": view_b64,
         })
         self._inboxes.setdefault(recipient, []).append(view)
 
@@ -308,48 +313,41 @@ def adversary_decrypt(snapshot: bytes, transcript,
     for seed in seeds:
         frontier |= _expand(seed, max_chain)
 
+    # A seal binds its recipient key pair, so a candidate can only open the
+    # boxes hinted with its own public key, plus the unhinted ones. Pairing
+    # it with exactly those is the same exhaustive search minus certain
+    # misses.
+    by_hint: dict[bytes, list[bytes]] = {}
+    unhinted: list[bytes] = []
+    for hint, box in boxes:
+        if hint is None:
+            unhinted.append(box)
+        else:
+            by_hint.setdefault(hint, []).append(box)
+
     payloads: set[bytes] = set()
-    pk_of: dict[bytes, bytes] = {}  # candidate -> its X25519 public key
-    tried_boxes: set[tuple[bytes, bytes]] = set()
-    tried_cts: set[tuple[bytes, bytes]] = set()
     boxes_opened = 0
     cts_opened = 0
-
-    def try_open(key: bytes, box: bytes) -> bytes | None:
-        nonlocal boxes_opened
-        pair = (key, box)
-        if pair in tried_boxes:
-            return None
-        tried_boxes.add(pair)
-        try:
-            opened = pke_open(key, box)
-        except Exception:
-            return None
-        boxes_opened += 1
-        return opened
-
+    # Boxes and ciphertexts are fixed, so trying each candidate only in the
+    # round it first appears tries every (candidate, box) and (candidate,
+    # ciphertext) pair exactly once.
     while frontier:
         secrets |= frontier
-        fresh = sorted(frontier)
-        frontier = set()
         new: set[bytes] = set()
-        for key in fresh:
-            pk_of[key] = x25519_key_pair(key).public_key
-        for key in sorted(secrets):
-            for hint, box in boxes:
-                if hint is not None and pk_of.get(key) != hint:
-                    continue  # seal binds the recipient key: certain miss
-                opened = try_open(key, box)
-                if opened is not None and len(opened) == 32 and opened not in secrets:
+        for key in sorted(frontier):
+            pair = x25519_key_pair(key)
+            for box in (*by_hint.get(pair.public_key, ()), *unhinted):
+                try:
+                    opened = pke_open(pair, box)
+                except DecryptFailed:
+                    continue
+                boxes_opened += 1
+                if len(opened) == 32 and opened not in secrets:
                     new |= _expand(opened, max_chain)
             for ct in ciphertexts:
-                pair = (key, ct)
-                if pair in tried_cts:
-                    continue
-                tried_cts.add(pair)
                 try:
                     payload = sym_decrypt(key, ct)
-                except Exception:
+                except DecryptFailed:
                     continue
                 cts_opened += 1
                 payloads.add(payload)

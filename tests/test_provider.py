@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from chatgate import cgka
+from chatgate import cgka, counters
 from chatgate.errors import (
     BadSignature,
     DuplicateId,
@@ -14,7 +14,19 @@ from chatgate.errors import (
     UnknownMember,
 )
 from chatgate.group import chatbot_init, user_init
-from chatgate.provider import Provider, adversary_decrypt
+from chatgate.harness import canned
+from chatgate.harness.probes import ADVERSARY_CHAIN
+from chatgate.harness.runner import run_text
+from chatgate.primitives import pke_open, sym_decrypt, x25519_key_pair
+from chatgate.provider import (
+    AdversaryReport,
+    Provider,
+    _collect_material,
+    _expand,
+    _harvest_hex,
+    _payload_message,
+    adversary_decrypt,
+)
 from chatgate.triggers import rules_from_text
 
 
@@ -169,6 +181,23 @@ def test_transcript_rows_carry_no_sender():
                                "seq", "view_b64"]
 
 
+def test_publish_shares_one_view_string_per_recipient_class():
+    provider, users, bots = make_world(3)
+    out = users["user-00"].send(b"@echo shared")
+    seq = provider.publish("grp-main", "user-00", user_view=out.user_view,
+                           bot_view=out.chatbot_view)
+    rows = [r for r in provider.transcript if r["seq"] == seq]
+    views = {"user": out.user_view, "chatbot": out.chatbot_view}
+    for cls, view in views.items():
+        strings = [r["view_b64"] for r in rows if r["recipient_class"] == cls]
+        assert strings and all(s is strings[0] for s in strings)
+        assert base64.b64decode(strings[0]) == view
+    for row in rows:
+        inbox = provider.inbox(row["recipient"])
+        assert inbox == [base64.b64decode(row["view_b64"])]
+    assert {r["recipient"] for r in rows} == {"user-01", "user-02", "echo-bot-01"}
+
+
 def test_transcript_file_roundtrip(tmp_path):
     provider, users, bots = make_world(2)
     user_send(provider, users, bots, "user-00", b"@echo hi")
@@ -242,6 +271,88 @@ def test_concealment_dummies_do_not_decrypt():
     snap = provider.snapshot_state("log-bot-02")
     report = adversary_decrypt(snap, provider.transcript, max_chain=8)
     assert b"@echo only you" not in report.plaintexts
+
+
+def _all_pairs_adversary(snapshot, transcript, max_chain):
+    """Reference oracle: the all-pairs fixpoint loop the indexed adversary
+    replaced. Each round tries every held secret against every box and
+    ciphertext, skips pairs already tried and boxes whose hint names
+    another key, and opens with raw secret bytes."""
+    seeds = _harvest_hex(json.loads(snapshot))
+    boxes, ciphertexts = _collect_material(transcript)
+    secrets = set()
+    frontier = set()
+    for seed in seeds:
+        frontier |= _expand(seed, max_chain)
+    payloads = set()
+    pk_of = {}
+    tried_boxes = set()
+    tried_cts = set()
+    boxes_opened = cts_opened = 0
+    while frontier:
+        secrets |= frontier
+        for key in frontier:
+            pk_of[key] = x25519_key_pair(key).public_key
+        new = set()
+        for key in sorted(secrets):
+            for hint, box in boxes:
+                if hint is not None and pk_of[key] != hint:
+                    continue
+                if (key, box) in tried_boxes:
+                    continue
+                tried_boxes.add((key, box))
+                try:
+                    opened = pke_open(key, box)
+                except Exception:
+                    continue
+                boxes_opened += 1
+                if len(opened) == 32 and opened not in secrets:
+                    new |= _expand(opened, max_chain)
+            for ct in ciphertexts:
+                if (key, ct) in tried_cts:
+                    continue
+                tried_cts.add((key, ct))
+                try:
+                    payloads.add(sym_decrypt(key, ct))
+                except Exception:
+                    continue
+                cts_opened += 1
+        frontier = new - secrets
+    return AdversaryReport(
+        plaintexts=frozenset(_payload_message(p) for p in payloads),
+        payloads=frozenset(payloads), secrets=frozenset(secrets),
+        boxes_opened=boxes_opened, ciphertexts_opened=cts_opened)
+
+
+def _attacked_snapshots(result):
+    """Every snapshot a probe hands the adversary: each chatbot's final
+    state and every compromise capture."""
+    for cid in sorted(result.bots):
+        history = result.snapshots.get(cid)
+        if history:
+            yield cid, history[-1][1]
+    for label, event in sorted(result.compromises.items()):
+        yield label, event.snapshot
+
+
+@pytest.mark.parametrize("name", sorted(canned.ALL))
+def test_indexed_adversary_matches_all_pairs_loop(name):
+    result = run_text(canned.ALL[name], seed=7)
+    transcript = result.provider.transcript
+    opened = set()
+    for who, snapshot in _attacked_snapshots(result):
+        with counters.collect(counters.OpCounters()) as ref_ops:
+            expected = _all_pairs_adversary(snapshot, transcript,
+                                            ADVERSARY_CHAIN)
+        with counters.collect(counters.OpCounters()) as ops:
+            report = adversary_decrypt(snapshot, transcript,
+                                       max_chain=ADVERSARY_CHAIN)
+        assert report == expected, who
+        opened.add((report.boxes_opened > 0, report.ciphertexts_opened > 0))
+        for op in ("pke_open", "sym_decrypt"):
+            assert ops.total(op) == ref_ops.total(op), (who, op)
+        assert ops.as_dict() == ref_ops.as_dict(), who
+    assert (True, True) in opened  # the comparison covered real recoveries
 
 
 if __name__ == "__main__":
