@@ -167,9 +167,10 @@ def _write_path_entry(w: Writer, entry: PathEntry) -> None:
 
 @dataclass
 class _Pending:
-    """Sender-side staged path secrets, installed on processing own control."""
+    """Sender-side staged path secrets, installed when the very control
+    object they were built for is processed."""
 
-    control_bytes: bytes
+    control: CgkaControl
     secrets: dict[int, tuple[bytes, KeyPair]]
 
 
@@ -290,7 +291,7 @@ class CgkaState:
         ctl.path_entries = entries
 
         self._pending = _Pending(
-            control_bytes=ctl.to_bytes(),
+            control=ctl,
             secrets={x: (s, kp) for x, s, kp in zip(path, secrets, pairs)},
         )
 
@@ -311,7 +312,7 @@ class CgkaState:
         if control.epoch > self.epoch:
             raise FutureEpoch(f"control epoch {control.epoch} > local {self.epoch}")
 
-        if self._pending is not None and control.to_bytes() == self._pending.control_bytes:
+        if self._pending is not None and control is self._pending.control:
             return self._install_pending()
         self._pending = None
 
@@ -327,7 +328,7 @@ class CgkaState:
 
     def _process_create(self, control: CgkaControl) -> bytes:
         if self.tree is not None:
-            if self._pending is not None and control.to_bytes() == self._pending.control_bytes:
+            if self._pending is not None and control is self._pending.control:
                 return self._install_pending()
             raise AlreadyMember(f"{self.member_id!r} is already in a group")
         ids = [mid for mid, _ in control.roster]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, Union
 
 from .cgka import CgkaControl, CgkaState
-from .encoding import Reader, Writer
+from .encoding import Reader, Writer, peek_type
 from .errors import (
     BadPseudonymSignature,
     BadTriggerSignature,
@@ -72,6 +72,21 @@ _PSEUDONYM_CONTEXT = 0x30
 
 _FLAG_ADDRESS_ALL = 0x01
 
+# type byte -> name of the handler each party kind runs on a delivered view;
+# looked up on the instance, so a handler replaced on the class is called
+_USER_HANDLERS = {
+    GROUP_CONTROL: "process_group_control",
+    VIEW_USER_MESSAGE: "process_user_message",
+    ADD_BOT: "process_add_chatbot",
+    REMOVE_BOT: "process_remove_chatbot",
+    BOT_MESSAGE: "receive_from_chatbot",
+}
+_BOT_HANDLERS = {
+    VIEW_CHATBOT_MESSAGE: "receive",
+    ADD_BOT: "process_add",
+    REMOVE_BOT: "process_remove",
+}
+
 
 class BotLookup(Protocol):
     """Where registrations come from; the provider implements this."""
@@ -113,6 +128,14 @@ class PseudonymRegistration:
 
 
 ReceiveResult = Union[ReceivedMessage, PseudonymRegistration, _NotAddressed]
+
+
+def _dispatch(party, handlers: dict[int, str], view: bytes):
+    kind = peek_type(view)
+    name = handlers.get(kind)
+    if name is None:
+        raise MalformedControl(f"no handler for view type 0x{kind:02x}")
+    return getattr(party, name)(view)
 
 
 @dataclass
@@ -371,6 +394,12 @@ class UserState:
     @property
     def epoch(self) -> int:
         return self.cgka.epoch
+
+    def process(self, view: bytes) -> ReceiveResult | bytes | None:
+        """Apply one delivered view, routed by its type byte. Returns the
+        handler's result: the ReceiveResult of a user message, the plaintext
+        of a chatbot reply, None for a control."""
+        return _dispatch(self, _USER_HANDLERS, view)
 
     # -- group membership (tree controls pass through) ----------------------
 
@@ -648,6 +677,11 @@ class ChatbotState:
     group_public_key: bytes | None = None
     node_key: KeyPair | None = None
     pseudonyms: dict[bytes, bytes] = field(default_factory=dict)
+
+    def process(self, view: bytes) -> ReceiveResult | None:
+        """Apply one delivered view, routed by its type byte. Returns the
+        ReceiveResult of a user message view, None for a control."""
+        return _dispatch(self, _BOT_HANDLERS, view)
 
     def process_add(self, data: bytes) -> None:
         ctl = AddBotControl.from_bytes(data)

@@ -94,32 +94,13 @@ class World:
         self.drain()
 
     def drain(self) -> None:
-        from ..encoding import peek_type
-        from .. import group as g
-
         for uid in self.ids:
             user = self.users[uid]
             for view in self.provider.inbox(uid):
-                kind = peek_type(view)
-                if kind == g.GROUP_CONTROL:
-                    user.process_group_control(view)
-                elif kind == g.VIEW_USER_MESSAGE:
-                    user.process_user_message(view)
-                elif kind == g.ADD_BOT:
-                    user.process_add_chatbot(view)
-                elif kind == g.REMOVE_BOT:
-                    user.process_remove_chatbot(view)
-                elif kind == g.BOT_MESSAGE:
-                    user.receive_from_chatbot(view)
+                user.process(view)
         for cid, bot in self.bots.items():
             for view in self.provider.inbox(cid):
-                kind = peek_type(view)
-                if kind == g.VIEW_CHATBOT_MESSAGE:
-                    bot.receive(view)
-                elif kind == g.ADD_BOT:
-                    bot.process_add(view)
-                elif kind == g.REMOVE_BOT:
-                    bot.process_remove(view)
+                bot.process(view)
 
     def send_end_to_end(self, sender: str, message: bytes) -> None:
         out = self.users[sender].send(message)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass
 
+from ..encoding import peek_type
 from ..errors import ProbeFailed
-from ..group import ChatbotMessageView, chatbot_view_shape
+from ..group import VIEW_CHATBOT_MESSAGE, ChatbotMessageView, chatbot_view_shape
 from ..provider import adversary_decrypt
 from ..primitives import SEALED_LEN
 from .runner import RunResult
@@ -183,13 +184,10 @@ def probe_anonymity(result: RunResult, expect_uniform: bool = False) -> Verdict:
     seen_views = set()
     for row in rows:
         view = base64.b64decode(row["view_b64"])
-        if view in seen_views:
-            continue
+        if view in seen_views or peek_type(view) != VIEW_CHATBOT_MESSAGE:
+            continue  # seen already, or an add/remove control
         seen_views.add(view)
-        try:
-            shape = chatbot_view_shape(view)
-        except Exception:
-            continue  # add/remove controls are not message views
+        shape = chatbot_view_shape(view)
         for uid in sorted(member_ids):
             if uid in view:
                 violations.append({"seq": row["seq"],

@@ -21,16 +21,10 @@ from .. import cgka, counters
 from ..encoding import peek_type
 from ..errors import BadPseudonymSignature, DecryptFailed
 from ..group import (
-    ADD_BOT,
     BOT_MESSAGE,
-    GROUP_CONTROL,
-    REMOVE_BOT,
-    VIEW_CHATBOT_MESSAGE,
-    VIEW_USER_MESSAGE,
     NOT_ADDRESSED,
     ChatbotState,
     PseudonymRegistration,
-    ReceivedMessage,
     UserState,
     chatbot_init,
     user_init,
@@ -334,55 +328,27 @@ class Runner:
 
     def _deliver_to_user(self, seq: int, uid: str, user: UserState,
                          view: bytes) -> None:
-        kind = peek_type(view)
-        if kind == GROUP_CONTROL:
-            user.process_group_control(view)
-        elif kind == VIEW_USER_MESSAGE:
-            result = user.process_user_message(view)
-            label = ("registration"
-                     if isinstance(result, PseudonymRegistration)
-                     else "message")
+        try:
+            label = _outcome(user.process(view))
+        except DecryptFailed:
+            if peek_type(view) != BOT_MESSAGE:
+                raise
+            # a newcomer that has never been in an addressed epoch for
+            # this chatbot cannot read its replies yet; that is the point
+            label = "unreadable"
+        if label is not None:
             self.result.user_outcomes[(seq, uid)] = label
-        elif kind == ADD_BOT:
-            user.process_add_chatbot(view)
-        elif kind == REMOVE_BOT:
-            user.process_remove_chatbot(view)
-        elif kind == BOT_MESSAGE:
-            try:
-                user.receive_from_chatbot(view)
-            except DecryptFailed:
-                # a newcomer that has never been in an addressed epoch for
-                # this chatbot cannot read its replies yet; that is the point
-                self.result.user_outcomes[(seq, uid)] = "unreadable"
-            else:
-                self.result.user_outcomes[(seq, uid)] = "message"
-        else:
-            raise TypeError(f"unroutable view type 0x{kind:02x} for {uid!r}")
 
     def _deliver_to_bot(self, seq: int, cid: str, bot: ChatbotState,
                         view: bytes) -> None:
-        kind = peek_type(view)
-        if kind == VIEW_CHATBOT_MESSAGE:
-            try:
-                result = bot.receive(view)
-            except BadPseudonymSignature:
-                # a bot attached after the handle's registration never saw
-                # it and refuses to act on the payload
-                self.result.bot_outcomes[(seq, cid)] = "rejected"
-                return
-            if result is NOT_ADDRESSED:
-                label = "not_addressed"
-            elif isinstance(result, PseudonymRegistration):
-                label = "registration"
-            else:
-                label = "message"
+        try:
+            label = _outcome(bot.process(view))
+        except BadPseudonymSignature:
+            # a bot attached after the handle's registration never saw
+            # it and refuses to act on the payload
+            label = "rejected"
+        if label is not None:
             self.result.bot_outcomes[(seq, cid)] = label
-        elif kind == ADD_BOT:
-            bot.process_add(view)
-        elif kind == REMOVE_BOT:
-            bot.process_remove(view)
-        else:
-            raise TypeError(f"unroutable view type 0x{kind:02x} for {cid!r}")
 
     # -- bookkeeping ---------------------------------------------------------------
 
@@ -419,6 +385,17 @@ class Runner:
 
     def _event(self, source: Op, seq: int | None, **detail) -> None:
         self.result.events.append({"seq": seq, "line": source.line_no, **detail})
+
+
+def _outcome(result) -> str | None:
+    """The outcome label of a delivered view's result; controls have none."""
+    if result is None:
+        return None
+    if result is NOT_ADDRESSED:
+        return "not_addressed"
+    if isinstance(result, PseudonymRegistration):
+        return "registration"
+    return "message"  # a ReceivedMessage or a chatbot reply's plaintext
 
 
 def _node_secrets(snapshot: bytes) -> dict[int, str | None]:

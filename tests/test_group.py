@@ -33,7 +33,7 @@ from chatgate.group import (
     chatbot_view_shape,
     user_init,
 )
-from chatgate.primitives import SEALED_LEN
+from chatgate.primitives import SEALED_LEN, seeded
 from chatgate.triggers import rules_from_text
 
 
@@ -500,6 +500,90 @@ def test_snapshots_have_expected_shape():
     assert usnap["kind"] == "user"
     assert "echo-bot-01" in usnap["records"]
 
+
+
+# -- one delivery dispatch ------------------------------------------------------
+
+# type byte -> the handler each party kind must route it to, written out
+# here rather than read from the module under test
+USER_ROUTES = {0x15: "process_group_control", 0x10: "process_user_message",
+               0x13: "process_add_chatbot", 0x14: "process_remove_chatbot",
+               0x12: "receive_from_chatbot"}
+BOT_ROUTES = {0x11: "receive", 0x13: "process_add", 0x14: "process_remove"}
+
+
+def _bare_user():
+    return user_init(cgka.init("user-00", InitKeyDirectory()), DictRegistry())
+
+
+def _bare_bot():
+    return chatbot_init("echo-bot-01", rules_from_text("always"))
+
+
+@pytest.mark.parametrize("make,cls,kind,name",
+                         [(_bare_user, UserState, k, n) for k, n in USER_ROUTES.items()]
+                         + [(_bare_bot, ChatbotState, k, n) for k, n in BOT_ROUTES.items()])
+def test_process_routes_each_type_to_its_handler(monkeypatch, make, cls, kind, name):
+    # the handler is replaced on the class, as the traced benchmark does,
+    # so this also checks that `process` looks it up at call time
+    monkeypatch.setattr(cls, name, lambda self, view: (name, view))
+    view = bytes([kind]) + b"body"
+    assert make().process(view) == (name, view)
+
+
+@pytest.mark.parametrize("make,view", [
+    (_bare_user, b""), (_bare_user, b"\x7f"), (_bare_user, b"\x00body"),
+    (_bare_user, b"\x11body"),  # a chatbot view is not for users
+    (_bare_bot, b""), (_bare_bot, b"\x7f"), (_bare_bot, b"\x00body"),
+    (_bare_bot, b"\x10body"), (_bare_bot, b"\x12body"),  # user-only views
+])
+def test_process_rejects_unroutable_views(make, view):
+    with pytest.raises(MalformedControl):
+        make().process(view)
+
+
+def _twin_history(deliver):
+    """One seeded history that delivers every view type each party kind
+    accepts, each through `deliver(party, view)`. Returns every result in
+    order plus the final snapshot of every party."""
+    results = []
+
+    def to(parties, view):
+        for party in parties:
+            results.append((view[0], deliver(party, view)))
+
+    with seeded(b"one-dispatch"):
+        users, bots, registry = build_group(3, bots=[("echo-bot-01", "always")])
+        u0, u1, u2 = users.values()
+        to([u1, u2], u0.update_keys())
+        out = u1.send(b"hello bots")
+        to([u0, u2], out.user_view)
+        to(bots.values(), out.chatbot_view)
+        to([u0, u1, u2], bots["echo-bot-01"].send(b"a reply"))
+        memo = chatbot_init("memo-bot-02", rules_from_text("contains:note"))
+        registry.register(memo.registration)
+        bots["memo-bot-02"] = memo
+        add = u0.add_chatbot("memo-bot-02")
+        to([u1, u2, memo], add)
+        out = u2.send(b"plain chat only")
+        to([u0, u1], out.user_view)
+        to(bots.values(), out.chatbot_view)
+        to([u1, u2, memo], u0.remove_chatbot("memo-bot-02"))
+    snaps = [p.snapshot() for p in (*users.values(), *bots.values())]
+    return results, snaps
+
+
+def test_process_matches_calling_the_named_handler():
+    def direct(party, view):
+        routes = USER_ROUTES if isinstance(party, UserState) else BOT_ROUTES
+        return getattr(party, routes[view[0]])(view)
+
+    dispatched = _twin_history(lambda party, view: party.process(view))
+    assert dispatched == _twin_history(direct)
+    results, _ = dispatched
+    assert {kind for kind, _ in results} == set(USER_ROUTES) | set(BOT_ROUTES)
+    assert NOT_ADDRESSED in [r for _, r in results]
+    assert b"a reply" in [r for _, r in results]
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

@@ -3,10 +3,12 @@ benches at toy sizes, and the CLI."""
 
 import base64
 import json
+from pathlib import Path
 
 import pytest
 
-from chatgate.errors import ProbeFailed, ScenarioParseError
+from chatgate.errors import MalformedControl, ProbeFailed, ScenarioParseError
+from chatgate.group import VIEW_CHATBOT_MESSAGE
 from chatgate.harness import bench, canned, probes
 from chatgate.harness.runner import Supersession, run_scenario, run_text
 from chatgate.harness.scenario import (
@@ -255,6 +257,17 @@ def test_unhealed_compromise_is_actually_readable():
     assert b"leaks to the stale state" in report.plaintexts
 
 
+def test_anonymity_probe_raises_on_a_malformed_message_view():
+    result = run_text(canned.ANONYMITY, seed=9)
+    row = next(r for r in result.provider.transcript
+               if r["recipient_class"] == "chatbot"
+               and base64.b64decode(r["view_b64"])[0] == VIEW_CHATBOT_MESSAGE)
+    view = base64.b64decode(row["view_b64"])
+    row["view_b64"] = base64.b64encode(view[:-1]).decode("ascii")
+    with pytest.raises(MalformedControl):
+        probes.probe_anonymity(result)
+
+
 def test_anonymity_probe_flags_shape_differences():
     text = ("group g user-00 user-01\n"
             "bot echo-bot-01 always\n"
@@ -292,6 +305,13 @@ def test_bench_add_bot_rows():
     assert variants == {"plain", "reference_send"}
     plain = next(r for r in rows if r.variant == "plain")
     assert plain.pke_seal >= 1
+
+
+def test_world_drain_raises_on_an_unroutable_view():
+    world = bench.World(2, 0)
+    world.provider.publish(world.group_id, world.ids[0], user_view=b"\x7fjunk")
+    with pytest.raises(MalformedControl):
+        world.drain()
 
 
 def test_fit_helpers():
@@ -349,6 +369,23 @@ def test_cli_probe_all(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 10
+
+
+
+# -- traced benchmark hook points ----------------------------------------------
+
+def test_traced_benchmark_hook_points_resolve(monkeypatch):
+    # `perfbench/tracing.py` wraps these names when a run is traced; a
+    # rename in the library must fail here, not only in a traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    missing = []
+    for owner, attr, _key, _after in tracing._targets():
+        found = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
+        if not found:
+            missing.append(f"{getattr(owner, '__name__', owner)}.{attr}")
+    assert not missing
 
 
 if __name__ == "__main__":

@@ -63,32 +63,13 @@ def make_world(n=3, bots=(("echo-bot-01", "mention:@echo"),), group_id="grp-main
 
 
 def drain(provider, users, bots):
-    """Deliver every pending view to its party, dispatching on type byte."""
-    from chatgate.encoding import peek_type
-    from chatgate import group as g
-
+    """Deliver every pending view to its party."""
     for uid, user in users.items():
         for view in provider.inbox(uid):
-            kind = peek_type(view)
-            if kind == g.GROUP_CONTROL:
-                user.process_group_control(view)
-            elif kind == g.VIEW_USER_MESSAGE:
-                user.process_user_message(view)
-            elif kind == g.ADD_BOT:
-                user.process_add_chatbot(view)
-            elif kind == g.REMOVE_BOT:
-                user.process_remove_chatbot(view)
-            elif kind == g.BOT_MESSAGE:
-                user.receive_from_chatbot(view)
+            user.process(view)
     for cid, bot in bots.items():
         for view in provider.inbox(cid):
-            kind = peek_type(view)
-            if kind == g.VIEW_CHATBOT_MESSAGE:
-                bot.receive(view)
-            elif kind == g.ADD_BOT:
-                bot.process_add(view)
-            elif kind == g.REMOVE_BOT:
-                bot.process_remove(view)
+            bot.process(view)
 
 
 def user_send(provider, users, bots, sender, message, **kw):
