@@ -8,23 +8,29 @@ the path up to the root. The root secret of the current epoch is the group
 secret; the key pair generated from it is the group key pair that the
 chatbot layer shares with addressed chatbots.
 
-Senders stage their own fresh path secrets and install them when they
-process their own control, so sender and receivers advance through the same
-epoch sequence: one control processed, epoch plus exactly one.
+Senders stage their own fresh path secrets and install them, as their new
+`path`, when they process their own control, so sender and receivers
+advance through the same epoch sequence: one control processed, epoch plus
+exactly one.
 
-A member holds private material only on its own direct path (its init key
-or leaf key, and the chained secrets above it), always as the KeyPair that
-`pke_keygen` returned, so opening reuses the key object. A receiver looks
-for its entry among the keys on its own direct path, opens exactly one
-entry, and re-derives the path from the merge point up, checking each
-derived public key against the control.
+The tree itself is public. A member's private material sits in one map,
+`CgkaState.path`, and only for the nodes on its own direct path: its init
+key or leaf key, and the chained secrets above it, each with the KeyPair
+that `pke_keygen` returned, so opening reuses the key object. The group
+secret and group key pair are read from the root's entry. A receiver looks
+for its entry among the keys in `path`, opens exactly one entry, and
+re-derives the path from the merge point up, checking each derived public
+key against the control. A node that an add or remove blanks leaves `path`
+too.
 
 Adds place the newcomer at the leftmost blank leaf (doubling capacity in
 place when full), blank the newcomer's path, and embed an immediate update;
 the newcomer bootstraps from the public tree snapshot carried in the
 control and opens the ordinary path entry addressed to its init key.
 Removes blank the target's leaf and path before the embedded update, so
-sealed entries can no longer reach the removed member.
+sealed entries can no longer reach the removed member. Every tree index a
+control carries (sender leaf, removed leaf, create capacity) is checked
+before it is used.
 """
 
 from __future__ import annotations
@@ -155,6 +161,11 @@ class CgkaControl:
         return ctl
 
 
+def _capacity_for(members: int) -> int:
+    """The smallest power of two that seats every member."""
+    return 1 << max(members - 1, 0).bit_length()
+
+
 def _write_roster_entry(w: Writer, entry: tuple[str, bytes]) -> None:
     w.text(entry[0])
     w.field(entry[1])
@@ -183,9 +194,23 @@ class CgkaState:
     epoch: int = 0
     tree: treemod.RatchetTree | None = None
     own_leaf: int | None = None
-    group_secret: bytes | None = None
-    group_key_pair: KeyPair | None = None
+    # node -> (chained secret, key pair), on the own direct path only; the
+    # secret is None at a leaf joined by init key
+    path: dict[int, tuple[bytes | None, KeyPair]] = field(default_factory=dict)
     _pending: _Pending | None = None
+
+    @property
+    def group_secret(self) -> bytes | None:
+        return self._root_entry()[0]
+
+    @property
+    def group_key_pair(self) -> KeyPair | None:
+        return self._root_entry()[1]
+
+    def _root_entry(self) -> tuple[bytes | None, KeyPair | None]:
+        if self.tree is None:
+            return None, None
+        return self.path.get(self.tree.root, (None, None))
 
     # -- senders ------------------------------------------------------------
 
@@ -198,15 +223,13 @@ class CgkaState:
             raise AlreadyMember("duplicate ids in member list")
         roster = [(mid, self.directory.lookup(mid)) for mid in member_ids]
 
-        capacity = 1
-        while capacity < len(member_ids):
-            capacity *= 2
+        capacity = _capacity_for(len(member_ids))
         t = treemod.RatchetTree.blank_tree(capacity)
         own_leaf = member_ids.index(self.member_id)
         for leaf, (mid, init_pk) in enumerate(roster):
             t.members[leaf] = mid
             if leaf != own_leaf:
-                t.nodes[treemod.leaf_node(leaf)].public_key = init_pk
+                t.nodes[treemod.leaf_node(leaf)] = init_pk
         self.tree = t
         self.own_leaf = own_leaf
         self.group_id = group_id
@@ -227,7 +250,7 @@ class CgkaState:
         if leaf is None:
             self.tree.grow()
             leaf = self.tree.leftmost_blank_leaf()
-        self.tree.nodes[treemod.leaf_node(leaf)].public_key = init_pk
+        self.tree.nodes[treemod.leaf_node(leaf)] = init_pk
         self.tree.members[leaf] = member_id
         self.tree.blank_path(leaf)
 
@@ -245,7 +268,7 @@ class CgkaState:
         leaf = self.tree.leaf_of(member_id)
         if leaf is None:
             raise NotMember(f"{member_id!r} occupies no leaf")
-        self.tree.nodes[treemod.leaf_node(leaf)].blank()
+        self.tree.nodes[treemod.leaf_node(leaf)] = None
         del self.tree.members[leaf]
         self.tree.blank_path(leaf)
 
@@ -274,19 +297,15 @@ class CgkaState:
         for _ in path[1:]:
             secrets.append(derive(secrets[-1]))
         pairs = [pke_keygen(s) for s in secrets]
-
-        for x, kp in zip(path, pairs):
-            node = t.nodes[x]
-            node.public_key = kp.public_key
-            node.secret = None
-            node.key_pair = None
         ctl.new_public_path = [kp.public_key for kp in pairs]
+        for x, pk in zip(path, ctl.new_public_path):
+            t.nodes[x] = pk
 
         entries: list[PathEntry] = []
         for i, c in enumerate(treemod.copath(self.own_leaf, t.capacity)):
             chained = secrets[i + 1]
             for r in t.resolution(c):
-                target_pk = t.nodes[r].public_key
+                target_pk = t.nodes[r]
                 entries.append((target_pk, pke_seal(target_pk, chained)))
         ctl.path_entries = entries
 
@@ -319,11 +338,13 @@ class CgkaState:
         if control.kind == "add":
             self._place_newcomer(control)
         elif control.kind == "remove":
+            if self.tree.members.get(control.removed_leaf) != control.removed_id:
+                raise MalformedControl("removed leaf does not seat the removed member")
             if control.removed_id == self.member_id:
                 raise NotMember("removed from the group")
-            self.tree.nodes[treemod.leaf_node(control.removed_leaf)].blank()
-            self.tree.members.pop(control.removed_leaf, None)
-            self.tree.blank_path(control.removed_leaf)
+            self.tree.nodes[treemod.leaf_node(control.removed_leaf)] = None
+            del self.tree.members[control.removed_leaf]
+            self._blank_path(control.removed_leaf)
         return self._apply_update_path(control)
 
     def _process_create(self, control: CgkaControl) -> bytes:
@@ -334,33 +355,29 @@ class CgkaState:
         ids = [mid for mid, _ in control.roster]
         if self.member_id not in ids:
             raise NotMember(f"create roster does not include {self.member_id!r}")
-        if control.capacity < len(control.roster):
-            raise MalformedControl("roster exceeds capacity")
+        if control.capacity != _capacity_for(len(control.roster)):
+            raise MalformedControl("capacity is not the smallest that seats the roster")
         t = treemod.RatchetTree.blank_tree(control.capacity)
         for leaf, (mid, init_pk) in enumerate(control.roster):
             t.members[leaf] = mid
             if leaf != control.sender_leaf:
-                t.nodes[treemod.leaf_node(leaf)].public_key = init_pk
-        self.tree = t
-        self.own_leaf = ids.index(self.member_id)
-        own = t.nodes[treemod.leaf_node(self.own_leaf)]
-        if own.public_key != self.init_key.public_key:
-            raise MalformedControl("roster carries a different init key for me")
-        own.key_pair = self.init_key
-        self.group_id = control.group_id
-        self.epoch = control.epoch
-        return self._apply_update_path(control)
+                t.nodes[treemod.leaf_node(leaf)] = init_pk
+        return self._join(control, t, ids.index(self.member_id))
 
     def _process_welcome(self, control: CgkaControl) -> bytes:
         t = treemod.RatchetTree.from_public_bytes(control.welcome)
         if t.members.get(control.new_leaf) != self.member_id:
             raise MalformedControl("welcome does not seat me at the stated leaf")
-        own = t.nodes[treemod.leaf_node(control.new_leaf)]
-        if own.public_key != self.init_key.public_key:
-            raise MalformedControl("welcome carries a different init key for me")
-        own.key_pair = self.init_key
+        return self._join(control, t, control.new_leaf)
+
+    def _join(self, control: CgkaControl, t: treemod.RatchetTree, leaf: int) -> bytes:
+        """Take a seat at `leaf` of a create's or welcome's tree."""
+        own = treemod.leaf_node(leaf)
+        if t.nodes[own] != self.init_key.public_key:
+            raise MalformedControl("my leaf carries a different init key")
         self.tree = t
-        self.own_leaf = control.new_leaf
+        self.own_leaf = leaf
+        self.path = {own: (None, self.init_key)}
         self.group_id = control.group_id
         self.epoch = control.epoch
         return self._apply_update_path(control)
@@ -372,28 +389,28 @@ class CgkaState:
             self.tree.grow()
         if control.new_leaf >= self.tree.capacity:
             raise MalformedControl("newcomer leaf beyond doubled capacity")
-        node = self.tree.nodes[treemod.leaf_node(control.new_leaf)]
-        if not node.is_blank or control.new_leaf in self.tree.members:
+        x = treemod.leaf_node(control.new_leaf)
+        if self.tree.nodes[x] is not None or control.new_leaf in self.tree.members:
             raise MalformedControl("newcomer leaf is occupied")
-        node.public_key = control.new_member_init_pk
+        self.tree.nodes[x] = control.new_member_init_pk
         self.tree.members[control.new_leaf] = control.new_member_id
-        self.tree.blank_path(control.new_leaf)
+        self._blank_path(control.new_leaf)
+
+    def _blank_path(self, leaf: int) -> None:
+        """Blank the nodes above a leaf, dropping any secrets held there."""
+        for x in self.tree.blank_path(leaf):
+            self.path.pop(x, None)
 
     def _install_pending(self) -> bytes:
-        staged = self._pending
+        self.path = self._pending.secrets
         self._pending = None
-        root = self.tree.root
-        for x, (secret, kp) in staged.secrets.items():
-            node = self.tree.nodes[x]
-            node.public_key = kp.public_key
-            node.secret = secret
-            node.key_pair = kp
-        self.group_secret, self.group_key_pair = staged.secrets[root]
         self.epoch += 1
         return self.group_secret
 
     def _apply_update_path(self, control: CgkaControl) -> bytes:
         t = self.tree
+        if control.sender_leaf not in t.members:
+            raise MalformedControl("sender leaf seats no member")
         path = treemod.direct_path(control.sender_leaf, t.capacity)
         if len(control.new_public_path) != len(path):
             raise MalformedControl("path length does not match tree shape")
@@ -401,18 +418,14 @@ class CgkaState:
             raise MalformedControl("unexpected control from own leaf")
 
         # Private keys live only on the receiver's own direct path.
-        held: dict[bytes, int] = {}
-        for x in treemod.direct_path(self.own_leaf, t.capacity):
-            own = t.nodes[x].key_pair
-            if own is not None:
-                held[own.public_key] = x
+        held = {kp.public_key: x for x, (_, kp) in self.path.items()}
         opened: bytes | None = None
         opened_at: int | None = None
         for target_pk, box in control.path_entries:
             x = held.get(target_pk)
             if x is None:
                 continue
-            opened = pke_open(t.nodes[x].key_pair, box)
+            opened = pke_open(self.path[x][1], box)
             opened_at = x
             break
         if opened is None:
@@ -429,22 +442,15 @@ class CgkaState:
             raise MalformedControl("opened entry does not sit under the path")
 
         for i, (x, pk) in enumerate(zip(path, control.new_public_path)):
-            node = t.nodes[x]
-            node.public_key = pk
-            node.secret = None
-            node.key_pair = None
+            t.nodes[x] = pk
             if i >= merge_idx:
                 kp = pke_keygen(opened)
                 if kp.public_key != pk:
                     raise MalformedControl("chained secret does not match path key")
-                node.secret = opened
-                node.key_pair = kp
+                self.path[x] = (opened, kp)
                 if i + 1 < len(path):
                     opened = derive(opened)
 
-        root_node = t.nodes[t.root]
-        self.group_secret = root_node.secret
-        self.group_key_pair = root_node.key_pair
         self.epoch = control.epoch + 1
         return self.group_secret
 
@@ -464,27 +470,20 @@ class CgkaState:
             "group_id": self.group_id,
             "epoch": self.epoch,
             "own_leaf": self.own_leaf,
-            "group_secret": hx(self.group_secret),
-            "group_public_key": hx(self.group_key_pair.public_key) if self.group_key_pair else None,
-            "group_secret_key": hx(self.group_key_pair.secret_key) if self.group_key_pair else None,
             "init_public_key": hx(self.init_key.public_key),
             "init_secret_key": hx(self.init_key.secret_key),
             "tree": None,
+            "path": {
+                str(x): {"secret": hx(s), "private_key": kp.secret_key.hex()}
+                for x, (s, kp) in sorted(self.path.items())
+            },
             "pending": None,
         }
         if self.tree is not None:
             state["tree"] = {
                 "capacity": self.tree.capacity,
                 "members": {str(k): v for k, v in sorted(self.tree.members.items())},
-                "nodes": [
-                    {
-                        "public_key": hx(n.public_key),
-                        "secret": hx(n.secret),
-                        "private_key": None if n.key_pair is None
-                        else hx(n.key_pair.secret_key),
-                    }
-                    for n in self.tree.nodes
-                ],
+                "nodes": [hx(pk) for pk in self.tree.nodes],
             }
         if self._pending is not None:
             state["pending"] = {

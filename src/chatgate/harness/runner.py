@@ -13,7 +13,6 @@ details. Two runs with the same seed produce byte-identical transcripts.
 
 from __future__ import annotations
 
-import json
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
@@ -373,7 +372,7 @@ class Runner:
             res.snapshots.setdefault(pid, []).append((seq, snap))
             if pid in res.bots:
                 continue
-            current = _node_secrets(snap)
+            current = _node_secrets(res.users[pid].cgka)
             previous = self._prev_secrets.get(pid, {})
             for idx, old in previous.items():
                 if old is not None and current.get(idx) != old:
@@ -398,11 +397,9 @@ def _outcome(result) -> str | None:
     return "message"  # a ReceivedMessage or a chatbot reply's plaintext
 
 
-def _node_secrets(snapshot: bytes) -> dict[int, str | None]:
-    """node index -> chain secret hex, from a user snapshot."""
-    data = json.loads(snapshot)
-    nodes = data["group"]["tree"]["nodes"]
-    return {i: node["secret"] for i, node in enumerate(nodes)}
+def _node_secrets(state: cgka.CgkaState) -> dict[int, str]:
+    """node index -> chained secret hex, over a member's own direct path."""
+    return {x: s.hex() for x, (s, _) in sorted(state.path.items()) if s is not None}
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None,

@@ -6,7 +6,9 @@ trailing one bits in its index. Capacity doubles in place: the old array is
 a prefix of the new one (the old root becomes the new root's left child),
 so node indices never move.
 
-The tree stores key material but never derives it; chaining and key
+The tree is public: each node is a public key, or None when blank, plus
+the leaf -> member id roster. Private keys never live here; each member
+keeps those for its own direct path in `CgkaState.path`. Chaining and key
 generation belong to the CGKA layer.
 """
 
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .encoding import Reader, Writer
 from .errors import MalformedControl
-from .primitives import KeyPair
 
 
 # node index arithmetic -----------------------------------------------------
@@ -95,51 +96,25 @@ def is_ancestor(a: int, x: int) -> bool:
     return a != x and lo <= x <= hi
 
 
-# nodes ----------------------------------------------------------------------
-
-@dataclass
-class Node:
-    """A tree node. Blank means no key at all.
-
-    A member holds private material only on its own direct path: secret is
-    the 32-byte seed for the node, and key_pair the decryption key pair
-    (derived from the seed, or the member's init key at a leaf joined by
-    init key, where no seed exists). key_pair is the pair `pke_keygen`
-    returned, so it carries its X25519 key object for opening.
-    """
-
-    public_key: bytes | None = None
-    secret: bytes | None = None
-    key_pair: KeyPair | None = None
-
-    @property
-    def is_blank(self) -> bool:
-        return self.public_key is None
-
-    def blank(self) -> None:
-        self.public_key = None
-        self.secret = None
-        self.key_pair = None
-
+# tree -----------------------------------------------------------------------
 
 @dataclass
 class RatchetTree:
     capacity: int
-    nodes: list[Node] = field(default_factory=list)
+    nodes: list[bytes | None] = field(default_factory=list)  # public keys
     members: dict[int, str] = field(default_factory=dict)  # leaf -> member id
 
     @classmethod
     def blank_tree(cls, capacity: int) -> "RatchetTree":
         if capacity < 1 or capacity & (capacity - 1):
             raise ValueError("capacity must be a power of two")
-        return cls(capacity=capacity,
-                   nodes=[Node() for _ in range(node_count(capacity))])
+        return cls(capacity=capacity, nodes=[None] * node_count(capacity))
 
     @property
     def root(self) -> int:
         return root_index(self.capacity)
 
-    def node(self, x: int) -> Node:
+    def node(self, x: int) -> bytes | None:
         return self.nodes[x]
 
     def leaf_of(self, member_id: str) -> int | None:
@@ -150,7 +125,7 @@ class RatchetTree:
 
     def leftmost_blank_leaf(self) -> int | None:
         for leaf in range(self.capacity):
-            if self.nodes[leaf_node(leaf)].is_blank and leaf not in self.members:
+            if self.nodes[leaf_node(leaf)] is None and leaf not in self.members:
                 return leaf
         return None
 
@@ -158,32 +133,35 @@ class RatchetTree:
         """Double capacity in place; existing node indices are unchanged."""
         old_count = node_count(self.capacity)
         self.capacity *= 2
-        self.nodes.extend(Node() for _ in range(node_count(self.capacity) - old_count))
+        self.nodes.extend([None] * (node_count(self.capacity) - old_count))
 
     def resolution(self, x: int) -> list[int]:
         """Minimal non-blank cover of the subtree at x; blank leaves vanish."""
-        if not self.nodes[x].is_blank:
+        if self.nodes[x] is not None:
             return [x]
         if is_leaf(x):
             return []
         return self.resolution(left(x)) + self.resolution(right(x))
 
-    def blank_path(self, leaf: int) -> None:
-        """Blank the internal nodes above a leaf (the leaf itself stays)."""
-        for x in direct_path(leaf, self.capacity)[1:]:
-            self.nodes[x].blank()
+    def blank_path(self, leaf: int) -> list[int]:
+        """Blank the internal nodes above a leaf (the leaf itself stays);
+        returns their indices."""
+        above = direct_path(leaf, self.capacity)[1:]
+        for x in above:
+            self.nodes[x] = None
+        return above
 
     # public snapshot ---------------------------------------------------------
 
     def to_public_bytes(self) -> bytes:
-        """Public keys and membership only; secrets never serialize here."""
+        """Public keys and membership: the whole tree."""
         def write_member(wr: Writer, kv: tuple[int, str]) -> None:
             wr.u32(kv[0])
             wr.text(kv[1])
 
         w = Writer()
         w.u32(self.capacity)
-        w.items([n.public_key or b"" for n in self.nodes],
+        w.items([pk or b"" for pk in self.nodes],
                 lambda wr, pk: wr.field(pk))
         w.items(sorted(self.members.items()), write_member)
         return w.done()
@@ -199,10 +177,7 @@ class RatchetTree:
             raise MalformedControl("bad tree node count")
         members = dict(r.items(lambda rr: (rr.u32(), rr.text())))
         r.finish()
-        tree = cls.blank_tree(capacity)
-        for x, pk in enumerate(pks):
-            if pk:
-                tree.nodes[x].public_key = pk
+        tree = cls(capacity=capacity, nodes=[pk or None for pk in pks])
         for leaf, mid in members.items():
             if leaf >= capacity:
                 raise MalformedControl("member leaf out of range")

@@ -76,7 +76,7 @@ def test_create_three_members_capacity_four():
     states, _ = make_group(3)
     t = states[0].tree
     assert t.capacity == 4
-    blank_leaves = [l for l in range(4) if t.nodes[treemod.leaf_node(l)].is_blank]
+    blank_leaves = [l for l in range(4) if t.nodes[treemod.leaf_node(l)] is None]
     assert blank_leaves == [3]
     assert_agreement(states)
     assert states[0].epoch == 1
@@ -165,11 +165,7 @@ def test_each_member_opens_exactly_one_entry():
     for s in states:
         if s is states[2]:
             continue
-        held = {
-            s.tree.nodes[x].public_key
-            for x in range(len(s.tree.nodes))
-            if s.tree.nodes[x].key_pair is not None
-        }
+        held = {s.tree.nodes[x] for x in s.path}
         openable = [e for e in ctl.path_entries if e[0] in held]
         assert len(openable) == 1
     broadcast(states, states[2], ctl)
@@ -180,13 +176,15 @@ def assert_private_only_on_own_path(states):
     is complete only if no member holds private material anywhere else."""
     for s in states:
         own = set(treemod.direct_path(s.own_leaf, s.tree.capacity))
-        for x, node in enumerate(s.tree.nodes):
-            if node.secret is None and node.key_pair is None:
-                continue
+        for x, (secret, kp) in s.path.items():
             assert x in own, (s.member_id, x)
-            assert node.key_pair.public_key == node.public_key
-            assert node.key_pair.key_object is not None
-        assert s.group_key_pair is s.tree.nodes[s.tree.root].key_pair
+            # a node blanked by an add or remove has left `path` as well
+            assert kp.public_key == s.tree.nodes[x], (s.member_id, x)
+            assert kp.key_object is not None
+            if secret is None:
+                assert x == treemod.leaf_node(s.own_leaf)
+        assert s.group_key_pair is s.path[s.tree.root][1]
+        assert s.group_secret is s.path[s.tree.root][0]
 
 
 def test_private_material_only_on_own_direct_path():
@@ -221,6 +219,47 @@ def test_private_material_only_on_own_direct_path():
     states = [s for s in states if s.member_id != "user-01"]
     apply(newest, ctl)
     apply(states[1], states[1].update())
+    assert_agreement(states)
+
+
+def test_path_secrets_never_reach_the_public_tree():
+    states, directory = warm_group(8)
+
+    def private_values(s):
+        out = [s.init_key.secret_key]
+        staged = s._pending.secrets.values() if s._pending is not None else ()
+        for secret, kp in (*s.path.values(), *staged):
+            out.append(kp.secret_key)
+            if secret is not None:
+                out.append(secret)
+        return out
+
+    def check(s, blob):
+        for value in private_values(s):
+            assert value not in blob, s.member_id
+
+    def churn(sender, ctl, newcomer=None):
+        # the sender's pending secrets are staged but not yet installed
+        assert sender._pending is not None
+        check(sender, sender.tree.to_public_bytes())
+        if ctl.welcome:
+            check(sender, ctl.welcome)
+        broadcast(states, sender, ctl)
+        if newcomer is not None:
+            newcomer.process(ctl)
+            states.append(newcomer)
+        for s in states:
+            assert s.path
+            check(s, s.tree.to_public_bytes())
+
+    churn(states[3], states[3].update())
+    ctl = states[0].remove("user-05")
+    states = [s for s in states if s.member_id != "user-05"]
+    churn(states[0], ctl)
+    for uid in ("user-08", "user-09"):
+        newcomer = cgka.init(uid, directory)
+        churn(states[2], states[2].add(uid), newcomer)
+    churn(states[-1], states[-1].update())
     assert_agreement(states)
 
 
@@ -417,6 +456,66 @@ def test_wrong_group_control_rejected():
     foreign = states_b[0].update()
     with pytest.raises(MalformedControl):
         states_a[1].process(foreign)
+
+
+def state_view(s):
+    return (s.tree.to_public_bytes(), dict(s.path), s.epoch)
+
+
+@pytest.fixture
+def bounded_direct_path(monkeypatch):
+    """Unchecked, a leaf past the capacity makes `direct_path` climb
+    forever; fail instead of hanging if a check goes missing."""
+    real = treemod.direct_path
+
+    def bounded(leaf, capacity):
+        assert leaf < capacity, "direct_path would never reach the root"
+        return real(leaf, capacity)
+
+    monkeypatch.setattr(treemod, "direct_path", bounded)
+
+
+@pytest.mark.parametrize("n,leaf", [(3, 3), (4, 4), (8, 9), (8, 1 << 20)])
+def test_sender_leaf_without_a_member_is_malformed(bounded_direct_path, n, leaf):
+    states, _ = make_group(n)
+    ctl = states[0].update()
+    ctl.sender_leaf = leaf
+    before = state_view(states[1])
+    with pytest.raises(MalformedControl, match="sender leaf"):
+        states[1].process(ctl)
+    assert state_view(states[1]) == before
+
+
+@pytest.mark.parametrize("leaf", [3, 4, 9])
+def test_create_sender_leaf_without_a_member_is_malformed(bounded_direct_path, leaf):
+    states, _ = make_states(3)
+    ctl = states[0].create("g", [s.member_id for s in states])
+    ctl.sender_leaf = leaf
+    with pytest.raises(MalformedControl, match="sender leaf"):
+        states[1].process(ctl)
+
+
+@pytest.mark.parametrize("removed_leaf", [2, 4, 1 << 20])
+def test_removed_leaf_must_seat_the_removed_member(removed_leaf):
+    states, _ = make_group(4)
+    ctl = states[0].remove("user-03")
+    ctl.removed_leaf = removed_leaf  # user-02's leaf, or past the capacity
+    before = state_view(states[1])
+    with pytest.raises(MalformedControl, match="removed leaf"):
+        states[1].process(ctl)
+    assert state_view(states[1]) == before
+    assert states[1].members() == ["user-00", "user-01", "user-02", "user-03"]
+
+
+@pytest.mark.parametrize("capacity", [2, 8, 16])
+def test_create_capacity_must_be_the_smallest_that_seats_the_roster(capacity):
+    states, _ = make_states(3)
+    ctl = states[0].create("g", [s.member_id for s in states])
+    assert ctl.capacity == 4
+    ctl.capacity = capacity
+    with pytest.raises(MalformedControl, match="capacity"):
+        states[1].process(ctl)
+    assert states[1].tree is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 benches at toy sizes, and the CLI."""
 
 import base64
+import hashlib
 import json
 from pathlib import Path
 
@@ -174,6 +175,47 @@ def test_same_seed_same_transcript():
     b = run_text(canned.DEMO, seed=42)
     assert a.provider.transcript == b.provider.transcript
     assert a.report() == b.report()
+
+
+# SHA-256 of (report JSON, transcript JSONL, supersession list) for every
+# canned scenario at seed 7. A refactor that keeps the protocol's behaviour
+# keeps all three; change them only with a change the transcripts show.
+PINNED_SEED_7 = {
+    "anonymity": ("5f42c32fa2e03b4d1426550f356b44055537a570af8bdf27bbca1b1c8b3a63a7",
+                  "b8d37efbbbc4ea58f5d4edeb17ad1a528e88e3ff2ea48982e8830cceba1e2a97",
+                  "e257861a55862a74b2e4f5f90621a322fa28828f11ac487e0d3a7d5763ef4aa3"),
+    "concealment": ("8ac5a1c3339295553a23d75da5f8c3776fa3b6699fe8cbba45eecfbc2451f40b",
+                    "ea8b550f0f8e45612228ee0a0aea2f983a23bb3d4eb3a49a7e7f37dcc88c26d5",
+                    "b36f9213e0c23068a79546637abc03d0955a4c8f49227649cd3648cf146b2554"),
+    "demo": ("61d28f56d3b6e95e0897eecb6576630cd53ab319cc3eff0d228204b6489e02b4",
+             "7657379ff18c5b0a6d26bcf6c73fd2a706026911849c5ca7207e115c2a9d298b",
+             "4bc0e5a34dc49cbd70ce7d10039a531ecdeb27ee16dc11490fc61ad440458ab9"),
+    "fs": ("963b57d141b33d654fbe13e86ef38340d1085fa54213c23b2d03cf11ac5f6f79",
+           "fae4c67db3fbc666a8175d6847cd00ad1c2e19c8ff10fc6a8fb61a83435495a0",
+           "10ccd803596c1f0b506e7728ab58f531d8735d6e99b5856535de1f1e2c59e0e0"),
+    "pcs": ("6ac3fd38d7e68878a9e7b1014ea2ab5a10e5c6c365390bd936c2c6ef5a86bfb5",
+            "fc7d854dfae82b759da5bcf5d7c01aa294b4599b534158bd7e550f9939d6f2f7",
+            "d020f0ce11eb98925d0609cee325b437e61ce3f277a17bdc66871d6ce4a15a9a"),
+    "selective": ("eeb9470cf3ad523b6fb1e8ebd620e1c380cae5942c9ca5598efd6bd5ceca9161",
+                  "0ce011a285a886f6be072896575e94d2d29a3b482bbcd62214120bc3d418bf1b",
+                  "51d8d645a522e7e4f97e4beb7556d047d481b2805329d79968a53c303372dbbf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(canned.ALL))
+def test_seeded_artifacts_are_pinned(name):
+    assert sorted(PINNED_SEED_7) == sorted(canned.ALL)
+    result = run_text(canned.ALL[name], seed=7)
+
+    def sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    report = sha(json.dumps(result.report(), sort_keys=True))
+    transcript = sha("".join(json.dumps(row, sort_keys=True) + "\n"
+                             for row in result.provider.transcript))
+    supersessions = sha(json.dumps([[s.value_hex, s.dead_from]
+                                    for s in result.supersessions]))
+    assert (report, transcript, supersessions) == PINNED_SEED_7[name]
 
 
 # -- probes: positive ------------------------------------------------------------

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from chatgate import primitives, tree
+from chatgate import tree
 from chatgate.errors import MalformedControl
 
 CAPACITIES = [1, 2, 4, 8, 16, 32, 64]
@@ -95,10 +95,10 @@ def test_resolution_blank_semantics():
             t = tree.RatchetTree.blank_tree(capacity)
             for x in range(tree.node_count(capacity)):
                 if rng.random() < 0.5:
-                    t.nodes[x].public_key = bytes([x]) * 32
+                    t.nodes[x] = bytes([x]) * 32
             res = t.resolution(t.root)
             # all non-blank, mutually non-overlapping
-            assert all(not t.nodes[x].is_blank for x in res)
+            assert all(t.nodes[x] is not None for x in res)
             for a in res:
                 for b in res:
                     if a != b:
@@ -106,14 +106,14 @@ def test_resolution_blank_semantics():
             # every non-blank leaf is covered exactly once
             for leaf in range(capacity):
                 x = tree.leaf_node(leaf)
-                if not t.nodes[x].is_blank:
+                if t.nodes[x] is not None:
                     covering = [a for a in res if a == x or tree.is_ancestor(a, x)]
                     assert len(covering) == 1
 
 
 def test_resolution_of_nonblank_node_is_itself():
     t = tree.RatchetTree.blank_tree(4)
-    t.nodes[3].public_key = b"\x01" * 32
+    t.nodes[3] = b"\x01" * 32
     assert t.resolution(3) == [3]
 
 
@@ -125,15 +125,15 @@ def test_resolution_all_blank_is_empty():
 def test_grow_preserves_indices():
     t = tree.RatchetTree.blank_tree(4)
     for x in range(7):
-        t.nodes[x].public_key = bytes([x + 1]) * 32
+        t.nodes[x] = bytes([x + 1]) * 32
     t.members[0] = "alice"
     t.members[3] = "dora"
     t.grow()
     assert t.capacity == 8
     assert len(t.nodes) == 15
     for x in range(7):
-        assert t.nodes[x].public_key == bytes([x + 1]) * 32
-    assert all(t.nodes[x].is_blank for x in range(7, 15))
+        assert t.nodes[x] == bytes([x + 1]) * 32
+    assert all(t.nodes[x] is None for x in range(7, 15))
     assert t.members == {0: "alice", 3: "dora"}
     # old root is now the left child of the new root
     assert tree.left(t.root) == 3
@@ -141,32 +141,34 @@ def test_grow_preserves_indices():
 
 def test_leftmost_blank_leaf_skips_occupied():
     t = tree.RatchetTree.blank_tree(4)
-    t.nodes[0].public_key = b"\x01" * 32
+    t.nodes[0] = b"\x01" * 32
     t.members[0] = "a"
     assert t.leftmost_blank_leaf() == 1
     for leaf in range(1, 4):
-        t.nodes[tree.leaf_node(leaf)].public_key = b"\x02" * 32
+        t.nodes[tree.leaf_node(leaf)] = b"\x02" * 32
         t.members[leaf] = f"m{leaf}"
     assert t.leftmost_blank_leaf() is None
 
 
+def test_blank_path_blanks_and_returns_the_nodes_above_a_leaf():
+    t = tree.RatchetTree.blank_tree(8)
+    t.nodes = [bytes([x + 1]) * 32 for x in range(15)]
+    above = t.blank_path(2)
+    assert above == tree.direct_path(2, 8)[1:] == [5, 3, 7]
+    assert [x for x in range(15) if t.nodes[x] is None] == [3, 5, 7]
+
+
 def test_public_snapshot_roundtrip():
     t = tree.RatchetTree.blank_tree(4)
-    t.nodes[0].public_key = b"\x07" * 32
-    t.nodes[0].secret = b"\x08" * 32
-    t.nodes[0].key_pair = primitives.KeyPair(secret_key=b"\x09" * 32,
-                                             public_key=b"\x07" * 32)
-    t.nodes[3].public_key = b"\x0a" * 32
+    t.nodes[0] = b"\x07" * 32
+    t.nodes[3] = b"\x0a" * 32
     t.members[0] = "alice"
     blob = t.to_public_bytes()
-    # secrets must not appear in the public snapshot
-    assert b"\x08" * 32 not in blob
-    assert b"\x09" * 32 not in blob
     back = tree.RatchetTree.from_public_bytes(blob)
     assert back.capacity == 4
-    assert back.nodes[0].public_key == b"\x07" * 32
-    assert back.nodes[0].secret is None
-    assert back.nodes[3].public_key == b"\x0a" * 32
+    assert back.nodes[0] == b"\x07" * 32
+    assert back.nodes[3] == b"\x0a" * 32
+    assert back.nodes == t.nodes
     assert back.members == {0: "alice"}
     # byte-stable
     assert back.to_public_bytes() == blob
