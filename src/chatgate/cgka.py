@@ -385,13 +385,12 @@ class CgkaState:
     def _place_newcomer(self, control: CgkaControl) -> None:
         if self.tree.leaf_of(control.new_member_id) is not None:
             raise AlreadyMember(f"{control.new_member_id!r} already present")
-        if control.new_leaf >= self.tree.capacity:
+        leaf = self.tree.leftmost_blank_leaf()
+        if control.new_leaf != (self.tree.capacity if leaf is None else leaf):
+            raise MalformedControl("newcomer leaf is not the one add picks")
+        if leaf is None:
             self.tree.grow()
-        if control.new_leaf >= self.tree.capacity:
-            raise MalformedControl("newcomer leaf beyond doubled capacity")
         x = treemod.leaf_node(control.new_leaf)
-        if self.tree.nodes[x] is not None or control.new_leaf in self.tree.members:
-            raise MalformedControl("newcomer leaf is occupied")
         self.tree.nodes[x] = control.new_member_init_pk
         self.tree.members[control.new_leaf] = control.new_member_id
         self._blank_path(control.new_leaf)

@@ -4,7 +4,8 @@ Each probe turns one of the protocol's guarantees into a checkable statement
 about runner artifacts (snapshots, transcript, supersession records) and
 returns a Verdict. Probes never re-derive ground truth from the parties
 being tested: the adversary gets exactly a captured state plus the wire
-transcript, and the expectations come from the runner's send log.
+transcript and the public PKI, and the expectations come from the runner's
+send log.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def probe_selective_access(result: RunResult) -> Verdict:
             continue
         snapshot = history[-1][1]
         report = adversary_decrypt(snapshot, result.provider.transcript,
-                                   max_chain=ADVERSARY_CHAIN)
+                                   result.provider, max_chain=ADVERSARY_CHAIN)
         allowed = {ev.message for ev in result.sends
                    if ev.kind in ("user", "registration") and cid in ev.addressed}
         extra = report.plaintexts - allowed
@@ -154,7 +155,7 @@ def probe_post_compromise(result: RunResult, label: str | None = None) -> Verdic
                 f"post_compromise: no healing op for {event.party!r} "
                 f"after label {lab!r}")
         report = adversary_decrypt(event.snapshot, result.provider.transcript,
-                                   max_chain=ADVERSARY_CHAIN)
+                                   result.provider, max_chain=ADVERSARY_CHAIN)
         for ev in result.sends:
             if ev.seq > heal and ev.message in report.plaintexts:
                 violations.append({"label": lab, "seq": ev.seq,

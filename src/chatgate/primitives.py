@@ -15,7 +15,8 @@ Instantiation choices (all frozen into tests):
   that keeps its KeyPair opens boxes without rebuilding the key from bytes.
 * Signatures are Ed25519 (64 bytes, deterministic).
 * Symmetric encryption is AESGCM with a random 12-byte nonce prepended;
-  overhead is a constant SYM_OVERHEAD = 28 bytes.
+  overhead is a constant SYM_OVERHEAD = 28 bytes. `sym_key` builds the
+  AEAD object of a key once, for a caller that tries one key many times.
 
 All randomness flows through a swappable module-level source so a harness
 run under a fixed seed is byte-for-byte reproducible. Every public operation
@@ -265,13 +266,21 @@ def sym_encrypt(key: bytes, message: bytes) -> bytes:
     return nonce + AESGCM(_check_secret(key, "key")).encrypt(nonce, message, None)
 
 
-def sym_decrypt(key: bytes, ciphertext: bytes) -> bytes:
+def sym_key(key: bytes) -> AESGCM:
+    """The AEAD key object of a 32-byte key, for a caller that decrypts
+    many ciphertexts under one key. Not a counted op. Raises ValueError if
+    the key is not 32 bytes."""
+    return AESGCM(_check_secret(key, "key"))
+
+
+def sym_decrypt(key: bytes | AESGCM, ciphertext: bytes) -> bytes:
+    """Decrypt under raw key bytes or a `sym_key` object; one counted op
+    either way."""
     counters.record("sym_decrypt")
     if len(ciphertext) < SYM_OVERHEAD:
         raise DecryptFailed("ciphertext too short")
+    aead = key if isinstance(key, AESGCM) else sym_key(key)
     try:
-        return AESGCM(_check_secret(key, "key")).decrypt(
-            ciphertext[:12], ciphertext[12:], None
-        )
+        return aead.decrypt(ciphertext[:12], ciphertext[12:], None)
     except InvalidTag as exc:
         raise DecryptFailed("ciphertext did not authenticate") from exc

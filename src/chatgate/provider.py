@@ -6,10 +6,16 @@ its own view. It never sees plaintext or secret keys; everything it stores
 (the transcript) is exactly what a network observer would capture.
 
 `adversary_decrypt` plays the compromise game: given one party's serialized
-state and the public transcript, it exhaustively combines every 32-byte
-value it can see or derive (chains, message keys, key pairs) against every
-sealed box and ciphertext until nothing new falls out. Security claims in
-the probes are statements about its output.
+state, the public transcript and the public PKI, it exhaustively combines
+every 32-byte value it can see or derive (chains, message keys, key pairs)
+against every sealed box and ciphertext until nothing new falls out. A
+sealed box opens only under the secret of the public key it was sealed to,
+and public data names that key for every box the protocol seals: tree
+controls list it, chatbot entries name a bot whose node key is on the wire,
+bot replies go to a group key that some chatbot view or attach control
+carries, and attach seeds go to the bot's registered key. So each candidate
+meets only the boxes it could open, and the search stays exhaustive.
+Security claims in the probes are statements about its output.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .group import (
     VIEW_CHATBOT_MESSAGE,
     VIEW_USER_MESSAGE,
     AddBotControl,
+    BotLookup,
     BotMessage,
     ChatbotMessageView,
     GroupControl,
@@ -50,6 +57,7 @@ from .primitives import (
     pke_keygen,
     pke_open,
     sym_decrypt,
+    sym_key,
     x25519_key_pair,
 )
 from .triggers import BotRegistration
@@ -228,30 +236,49 @@ def _harvest_hex(node) -> set[bytes]:
     return found
 
 
-def _collect_material(transcript) -> tuple[list[tuple[bytes | None, bytes]], list[bytes]]:
+def _collect_material(transcript, registry: BotLookup) -> tuple[
+        list[tuple[frozenset[bytes], bytes]], list[bytes]]:
     """All sealed boxes and symmetric ciphertexts visible on the wire.
 
-    Boxes come back as (recipient_pk_hint, box). A seal binds the recipient
-    key pair, so when the wire names the target public key the adversary
-    only needs to try matching secrets: everything else fails with
-    certainty. Tree controls name their targets directly; chatbot entries
-    name a chatbot id whose current node key is itself wire-visible (attach
-    controls announce it, every chatbot reply announces the rotated one), so
-    those are tracked in transcript order. Boxes without a hint are tried
+    Boxes come back once each, as (hints, box): the public keys that public
+    data names as the box's possible recipient. A seal binds the recipient
+    key pair, so the adversary only needs to try secrets whose public key
+    is a hint; everything else fails with certainty. The hints come from:
+
+    * tree controls, which list the target public key of each path entry;
+    * chatbot entries, which name a chatbot id whose current node key is on
+      the wire (attach controls announce it, every chatbot reply announces
+      the rotated one), tracked in transcript order;
+    * bot replies, sealed to the bot's group public key, which it only ever
+      takes from an attach control or a chatbot view: every such key on the
+      transcript is a hint;
+    * attach seeds, sealed to the named chatbot's registered encryption
+      key, which the registry publishes.
+
+    A box whose recipient public data cannot name has no hints and is tried
     against every candidate.
     """
-    boxes: dict[bytes, bytes | None] = {}
+    hints: dict[bytes, set[bytes]] = {}
     ciphertexts: list[bytes] = []
     seen: set[bytes] = set()
     bot_pk: dict[str, bytes] = {}
+    group_keys: set[bytes] = set()
+    replies: list[bytes] = []
 
     def add_box(box: bytes, hint: bytes | None) -> None:
-        if box not in boxes or boxes[box] is None:
-            boxes[box] = hint
+        named = hints.setdefault(box, set())
+        if hint is not None:
+            named.add(hint)
 
     def control_boxes(control: CgkaControl) -> None:
         for target_pk, box in control.path_entries:
             add_box(box, target_pk)
+
+    def enc_key(chatbot_id: str) -> bytes | None:
+        try:
+            return registry.lookup_bot(chatbot_id).enc_public_key
+        except UnknownChatbot:
+            return None
 
     for row in transcript:
         view = base64.b64decode(row["view_b64"])
@@ -268,20 +295,25 @@ def _collect_material(transcript) -> tuple[list[tuple[bytes | None, bytes]], lis
         elif kind == VIEW_CHATBOT_MESSAGE:
             v = ChatbotMessageView.from_bytes(view)
             ciphertexts.append(v.ciphertext)
+            group_keys.add(v.group_public_key)
             for cid, box in v.entries:
                 add_box(box, bot_pk.get(cid))
         elif kind == BOT_MESSAGE:
             v = BotMessage.from_bytes(view)
             ciphertexts.append(v.ciphertext)
-            add_box(v.sealed_key, None)
+            replies.append(v.sealed_key)
             bot_pk[v.chatbot_id] = v.node_public_key
         elif kind == ADD_BOT:
             v = AddBotControl.from_bytes(view)
-            add_box(v.sealed_seed, None)
+            group_keys.add(v.group_public_key)
+            add_box(v.sealed_seed, enc_key(v.chatbot_id))
             bot_pk[v.chatbot_id] = v.node_public_key
         elif kind == GROUP_CONTROL:
             control_boxes(CgkaControl.from_bytes(GroupControl.from_bytes(view).control))
-    return [(hint, box) for box, hint in boxes.items()], list(dict.fromkeys(ciphertexts))
+    for box in replies:
+        hints.setdefault(box, set()).update(group_keys)
+    return ([(frozenset(named), box) for box, named in hints.items()],
+            list(dict.fromkeys(ciphertexts)))
 
 
 def _expand(secret: bytes, max_chain: int) -> set[bytes]:
@@ -300,13 +332,18 @@ def _expand(secret: bytes, max_chain: int) -> set[bytes]:
     return out
 
 
-def adversary_decrypt(snapshot: bytes, transcript,
+def adversary_decrypt(snapshot: bytes, transcript, registry: BotLookup,
                       max_chain: int = 12) -> AdversaryReport:
     """Exhaustive key-recovery attack from one compromised state plus the
     wire transcript. Runs to a fixpoint: every recovered value is fed back
-    as a candidate key until nothing new opens."""
+    as a candidate key until nothing new opens.
+
+    Like the honest-but-curious provider, the adversary knows the public
+    PKI: `registry` (anything with `lookup_bot`) gives each chatbot's
+    registered encryption key, which names the recipient of its attach
+    seed."""
     seeds = _harvest_hex(json.loads(snapshot))
-    boxes, ciphertexts = _collect_material(transcript)
+    boxes, ciphertexts = _collect_material(transcript, registry)
 
     secrets: set[bytes] = set()
     frontier: set[bytes] = set()
@@ -319,10 +356,10 @@ def adversary_decrypt(snapshot: bytes, transcript,
     # misses.
     by_hint: dict[bytes, list[bytes]] = {}
     unhinted: list[bytes] = []
-    for hint, box in boxes:
-        if hint is None:
+    for hints, box in boxes:
+        if not hints:
             unhinted.append(box)
-        else:
+        for hint in hints:
             by_hint.setdefault(hint, []).append(box)
 
     payloads: set[bytes] = set()
@@ -344,9 +381,10 @@ def adversary_decrypt(snapshot: bytes, transcript,
                 boxes_opened += 1
                 if len(opened) == 32 and opened not in secrets:
                     new |= _expand(opened, max_chain)
+            aead = sym_key(key)
             for ct in ciphertexts:
                 try:
-                    payload = sym_decrypt(key, ct)
+                    payload = sym_decrypt(aead, ct)
                 except DecryptFailed:
                     continue
                 cts_opened += 1

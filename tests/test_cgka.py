@@ -8,6 +8,7 @@ seal one entry per non-creator member because every internal node is blank.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -505,6 +506,21 @@ def test_removed_leaf_must_seat_the_removed_member(removed_leaf):
         states[1].process(ctl)
     assert state_view(states[1]) == before
     assert states[1].members() == ["user-00", "user-01", "user-02", "user-03"]
+
+
+@pytest.mark.parametrize("n,new_leaf", [(3, 4), (3, 2), (4, 3), (4, 5), (4, 1 << 20)])
+def test_newcomer_leaf_must_be_the_one_add_picks(n, new_leaf):
+    # capacity 4: with 3 members add picks the blank leaf 3 (4 would grow
+    # the tree although a leaf is still blank), with 4 it grows to leaf 4
+    states, directory = make_group(n)
+    cgka.init("user-99", directory)
+    ctl = states[0].add("user-99")
+    assert ctl.new_leaf == n
+    ctl.new_leaf = new_leaf
+    before = json.dumps(states[1].snapshot(), sort_keys=True)
+    with pytest.raises(MalformedControl, match="newcomer leaf"):
+        states[1].process(ctl)
+    assert json.dumps(states[1].snapshot(), sort_keys=True) == before
 
 
 @pytest.mark.parametrize("capacity", [2, 8, 16])

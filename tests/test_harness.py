@@ -158,7 +158,7 @@ def test_wire_boxes_match_seal_counts():
     # Every sealed box on the wire is either a counted pke_seal or a
     # concealment dummy; nothing else may produce box-shaped bytes.
     result = run_text(canned.CONCEALMENT, seed=5)
-    boxes, _cts = _collect_material(result.provider.transcript)
+    boxes, _cts = _collect_material(result.provider.transcript, result.provider)
     dummies = sum(len(ev.concealed) for ev in result.sends)
     assert len(boxes) == result.counters.total("pke_seal") + dummies
 
@@ -295,7 +295,7 @@ def test_unhealed_compromise_is_actually_readable():
     result = run_text(text, seed=9)
     event = result.compromises["stolen"]
     report = adversary_decrypt(event.snapshot, result.provider.transcript,
-                               max_chain=8)
+                               result.provider, max_chain=8)
     assert b"leaks to the stale state" in report.plaintexts
 
 

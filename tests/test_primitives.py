@@ -236,6 +236,28 @@ def test_sym_wrong_key_and_tamper_fail():
         primitives.sym_decrypt(key, b"")
 
 
+def test_sym_key_object_decrypts_like_raw_bytes():
+    key = primitives.random_secret()
+    ct = primitives.sym_encrypt(key, b"hello group")
+    wrong = primitives.random_secret()
+    for k, w in ((key, wrong), (primitives.sym_key(key), primitives.sym_key(wrong))):
+        tally = counters.OpCounters()
+        with counters.collect(tally):
+            assert primitives.sym_decrypt(k, ct) == b"hello group"
+            for bad_key, bad_ct in ((w, ct), (k, ct[:-1]), (k, ct[:10])):
+                with pytest.raises(DecryptFailed):
+                    primitives.sym_decrypt(bad_key, bad_ct)
+        assert tally.total("sym_decrypt") == 4
+        assert tally.as_dict() == {"_unattributed": {"sym_decrypt": 4}}
+
+
+@pytest.mark.parametrize("key", [b"", bytes(16), bytes(31), bytes(33), "x" * 32],
+                         ids=["empty", "16", "31", "33", "str"])
+def test_sym_key_rejects_a_key_that_is_not_32_bytes(key):
+    with pytest.raises(ValueError):
+        primitives.sym_key(key)
+
+
 # ---------------------------------------------------------------------------
 # randomness control
 # ---------------------------------------------------------------------------

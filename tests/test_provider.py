@@ -2,10 +2,12 @@
 
 import base64
 import json
+import random
+from pathlib import Path
 
 import pytest
 
-from chatgate import cgka, counters
+from chatgate import cgka, counters, group, primitives
 from chatgate.errors import (
     BadSignature,
     DuplicateId,
@@ -13,7 +15,21 @@ from chatgate.errors import (
     UnknownChatbot,
     UnknownMember,
 )
-from chatgate.group import chatbot_init, user_init
+from chatgate.encoding import peek_type
+from chatgate.group import (
+    ADD_BOT,
+    BOT_MESSAGE,
+    GROUP_CONTROL,
+    VIEW_CHATBOT_MESSAGE,
+    VIEW_USER_MESSAGE,
+    AddBotControl,
+    BotMessage,
+    ChatbotMessageView,
+    GroupControl,
+    UserMessageView,
+    chatbot_init,
+    user_init,
+)
 from chatgate.harness import canned
 from chatgate.harness.probes import ADVERSARY_CHAIN
 from chatgate.harness.runner import run_text
@@ -211,7 +227,7 @@ def test_adversary_with_empty_state_recovers_nothing():
     provider, users, bots = make_world(3)
     for i, msg in enumerate([b"@echo alpha", b"plain beta", b"@echo gamma"]):
         user_send(provider, users, bots, f"user-{i:02d}", msg)
-    report = adversary_decrypt(b"{}", provider.transcript)
+    report = adversary_decrypt(b"{}", provider.transcript, provider)
     assert report.plaintexts == frozenset()
     assert report.secrets == frozenset()
 
@@ -228,7 +244,7 @@ def test_compromised_chatbot_reads_exactly_addressed_messages():
         user_send(provider, users, bots, f"user-{i % 3:02d}", msg)
 
     snap = provider.snapshot_state("echo-bot-01")
-    report = adversary_decrypt(snap, provider.transcript, max_chain=8)
+    report = adversary_decrypt(snap, provider.transcript, provider, max_chain=8)
     triggered = {m for m, hit in sent.items() if hit}
     assert triggered <= report.plaintexts
     hidden = {m for m, hit in sent.items() if not hit}
@@ -240,7 +256,7 @@ def test_compromised_user_reads_group_traffic():
     user_send(provider, users, bots, "user-00", b"@echo alpha")
     user_send(provider, users, bots, "user-01", b"plain beta")
     snap = provider.snapshot_state("user-02")
-    report = adversary_decrypt(snap, provider.transcript, max_chain=8)
+    report = adversary_decrypt(snap, provider.transcript, provider, max_chain=8)
     # current group secret decrypts the latest message directly
     assert b"plain beta" in report.plaintexts
 
@@ -250,17 +266,92 @@ def test_concealment_dummies_do_not_decrypt():
         2, bots=(("echo-bot-01", "mention:@echo"), ("log-bot-02", "never")))
     user_send(provider, users, bots, "user-00", b"@echo only you", conceal=True)
     snap = provider.snapshot_state("log-bot-02")
-    report = adversary_decrypt(snap, provider.transcript, max_chain=8)
+    report = adversary_decrypt(snap, provider.transcript, provider, max_chain=8)
     assert b"@echo only you" not in report.plaintexts
+
+
+def test_unnamed_recipient_leaves_box_unhinted_and_tried():
+    # Without the bot's registration, public data cannot name who its
+    # attach seed was sealed to: that box meets every candidate instead,
+    # and the adversary recovers exactly the same.
+    provider, users, bots = make_world(3)
+    user_send(provider, users, bots, "user-00", b"@echo alpha")
+    provider.publish("grp-main", "echo-bot-01",
+                     user_view=bots["echo-bot-01"].send(b"echo reply"))
+    drain(provider, users, bots)
+    unknown = Provider()
+    named = {box: hints for hints, box in
+             _collect_material(provider.transcript, provider)[0]}
+    unhinted = [box for hints, box in
+                _collect_material(provider.transcript, unknown)[0] if not hints]
+    assert [named[box] for box in unhinted] == [
+        {bots["echo-bot-01"].registration.enc_public_key}]
+    snap = provider.snapshot_state("echo-bot-01")
+    report = adversary_decrypt(snap, provider.transcript, unknown, max_chain=8)
+    assert report == adversary_decrypt(snap, provider.transcript, provider,
+                                       max_chain=8)
+    assert b"@echo alpha" in report.plaintexts
+
+
+def _reference_material(transcript):
+    """Reference boxes and ciphertexts as (hint or None, box), independent
+    of the adversary's own scrape. Tree entries carry their listed target
+    and chatbot entries the bot's node key tracked in transcript order; bot
+    replies and attach seeds stay unhinted, so the oracle below tries them
+    against every candidate."""
+    boxes = {}
+    ciphertexts = []
+    seen = set()
+    bot_pk = {}
+
+    def add_box(box, hint):
+        if box not in boxes or boxes[box] is None:
+            boxes[box] = hint
+
+    def control_boxes(control):
+        for target_pk, box in control.path_entries:
+            add_box(box, target_pk)
+
+    for row in transcript:
+        view = base64.b64decode(row["view_b64"])
+        if view in seen:
+            continue
+        seen.add(view)
+        kind = peek_type(view)
+        if kind == VIEW_USER_MESSAGE:
+            v = UserMessageView.from_bytes(view)
+            ciphertexts.append(v.ciphertext)
+            for cid, box in v.entries:
+                add_box(box, bot_pk.get(cid))
+            control_boxes(cgka.CgkaControl.from_bytes(v.control))
+        elif kind == VIEW_CHATBOT_MESSAGE:
+            v = ChatbotMessageView.from_bytes(view)
+            ciphertexts.append(v.ciphertext)
+            for cid, box in v.entries:
+                add_box(box, bot_pk.get(cid))
+        elif kind == BOT_MESSAGE:
+            v = BotMessage.from_bytes(view)
+            ciphertexts.append(v.ciphertext)
+            add_box(v.sealed_key, None)
+            bot_pk[v.chatbot_id] = v.node_public_key
+        elif kind == ADD_BOT:
+            v = AddBotControl.from_bytes(view)
+            add_box(v.sealed_seed, None)
+            bot_pk[v.chatbot_id] = v.node_public_key
+        elif kind == GROUP_CONTROL:
+            control_boxes(cgka.CgkaControl.from_bytes(
+                GroupControl.from_bytes(view).control))
+    return [(hint, box) for box, hint in boxes.items()], list(dict.fromkeys(ciphertexts))
 
 
 def _all_pairs_adversary(snapshot, transcript, max_chain):
     """Reference oracle: the all-pairs fixpoint loop the indexed adversary
-    replaced. Each round tries every held secret against every box and
-    ciphertext, skips pairs already tried and boxes whose hint names
-    another key, and opens with raw secret bytes."""
+    replaced, over `_reference_material`. Each round tries every held
+    secret against every box and ciphertext, skips pairs already tried and
+    boxes whose hint names another key, and opens with raw secret bytes.
+    Returns the report and every (candidate public key, box) it tried."""
     seeds = _harvest_hex(json.loads(snapshot))
-    boxes, ciphertexts = _collect_material(transcript)
+    boxes, ciphertexts = _reference_material(transcript)
     secrets = set()
     frontier = set()
     for seed in seeds:
@@ -299,10 +390,11 @@ def _all_pairs_adversary(snapshot, transcript, max_chain):
                     continue
                 cts_opened += 1
         frontier = new - secrets
-    return AdversaryReport(
+    report = AdversaryReport(
         plaintexts=frozenset(_payload_message(p) for p in payloads),
         payloads=frozenset(payloads), secrets=frozenset(secrets),
         boxes_opened=boxes_opened, ciphertexts_opened=cts_opened)
+    return report, [(pk_of[key], box) for key, box in tried_boxes]
 
 
 def _attacked_snapshots(result):
@@ -320,20 +412,72 @@ def _attacked_snapshots(result):
 def test_indexed_adversary_matches_all_pairs_loop(name):
     result = run_text(canned.ALL[name], seed=7)
     transcript = result.provider.transcript
+    hints = {box: named for named, box in
+             _collect_material(transcript, result.provider)[0]}
     opened = set()
     for who, snapshot in _attacked_snapshots(result):
         with counters.collect(counters.OpCounters()) as ref_ops:
-            expected = _all_pairs_adversary(snapshot, transcript,
-                                            ADVERSARY_CHAIN)
+            expected, trials = _all_pairs_adversary(snapshot, transcript,
+                                                    ADVERSARY_CHAIN)
         with counters.collect(counters.OpCounters()) as ops:
-            report = adversary_decrypt(snapshot, transcript,
+            report = adversary_decrypt(snapshot, transcript, result.provider,
                                        max_chain=ADVERSARY_CHAIN)
         assert report == expected, who
         opened.add((report.boxes_opened > 0, report.ciphertexts_opened > 0))
-        for op in ("pke_open", "sym_decrypt"):
-            assert ops.total(op) == ref_ops.total(op), (who, op)
-        assert ops.as_dict() == ref_ops.as_dict(), who
+        assert ops.total("sym_decrypt") == ref_ops.total("sym_decrypt"), who
+        # The hints only drop trials whose candidate is not the named
+        # recipient: the adversary makes exactly the oracle's trials on
+        # boxes it leaves unhinted or hints with the candidate's key.
+        kept = sum(1 for pk, box in trials if not hints[box] or pk in hints[box])
+        assert ops.total("pke_open") == kept, who
+        for op in counters.COUNTED_OPS:
+            if op != "pke_open":
+                assert ops.total(op) == ref_ops.total(op), (who, op)
     assert (True, True) in opened  # the comparison covered real recoveries
+
+
+def _audit_scenario_text(monkeypatch, seed):
+    """One scenario shaped like the benchmark's audit workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    ops = workloads.audit_blocks(random.Random(f"audit:{seed}"), 2)
+    return workloads.scenario_text(workloads.AUDIT, ops)
+
+
+@pytest.fixture
+def seal_log(monkeypatch):
+    """Every box `pke_seal` makes during the test, mapped to the public key
+    it was sealed to."""
+    log = {}
+    real = primitives.pke_seal
+
+    def logged(public_key, payload):
+        box = real(public_key, payload)
+        log[box] = public_key
+        return box
+
+    for module in (primitives, cgka, group):
+        monkeypatch.setattr(module, "pke_seal", logged)
+    return log
+
+
+@pytest.mark.parametrize("name,seed", [
+    *((name, seed) for name in sorted(canned.ALL) for seed in (7, 23)),
+    ("audit", 301)])
+def test_hints_name_the_true_recipient(monkeypatch, seal_log, name, seed):
+    text = (_audit_scenario_text(monkeypatch, seed) if name == "audit"
+            else canned.ALL[name])
+    result = run_text(text, seed=seed)
+    boxes, _cts = _collect_material(result.provider.transcript, result.provider)
+    dummies = 0
+    for hints, box in boxes:
+        if box not in seal_log:
+            dummies += 1  # a concealment dummy, sealed to no one
+            continue
+        assert hints, "public data names the recipient of every seal"
+        assert seal_log[box] in hints
+    assert dummies == sum(len(ev.concealed) for ev in result.sends)
 
 
 if __name__ == "__main__":
