@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .. import cgka, counters
 from ..encoding import peek_type
-from ..errors import BadPseudonymSignature, DecryptFailed
+from ..errors import BadPseudonymSignature, ChatGateError, DecryptFailed
 from ..group import (
     BOT_MESSAGE,
     NOT_ADDRESSED,
@@ -156,7 +156,11 @@ class Runner:
                 stack.enter_context(seeded(self.seed))
             stack.enter_context(counters.collect(self.result.counters))
             for op in self.scenario.ops:
-                self._apply(op)
+                try:
+                    self._apply(op)
+                except ChatGateError as exc:
+                    exc.add_note(_where(op))
+                    raise
         return self.result
 
     def _apply(self, op: Op) -> None:
@@ -384,6 +388,23 @@ class Runner:
 
     def _event(self, source: Op, seq: int | None, **detail) -> None:
         self.result.events.append({"seq": seq, "line": source.line_no, **detail})
+
+
+# op type -> its scenario keyword, for error notes
+_OP_NAMES = {GroupOp: "group", BotDecl: "bot", AddBot: "add_bot",
+             RemBot: "rem_bot", AddUser: "add_user", RemUser: "rem_user",
+             Send: "send", BotSend: "bot_send", Update: "update",
+             RegisterPseudonym: "register_pseudonym", Compromise: "compromise"}
+
+
+def _where(op: Op) -> str:
+    """The scenario line, op and acting party of `op`, for an error note."""
+    if isinstance(op, GroupOp):
+        party = op.members[0]
+    else:
+        party = next(getattr(op, a) for a in ("actor", "sender", "party",
+                                                 "chatbot_id") if hasattr(op, a))
+    return f"scenario line {op.line_no}: {_OP_NAMES[type(op)]} by {party}"
 
 
 def _outcome(result) -> str | None:

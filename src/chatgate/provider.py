@@ -13,9 +13,15 @@ sealed box opens only under the secret of the public key it was sealed to,
 and public data names that key for every box the protocol seals: tree
 controls list it, chatbot entries name a bot whose node key is on the wire,
 bot replies go to a group key that some chatbot view or attach control
-carries, and attach seeds go to the bot's registered key. So each candidate
-meets only the boxes it could open, and the search stays exhaustive.
-Security claims in the probes are statements about its output.
+carries, and attach seeds go to the bot's registered key. Ciphertexts are
+named too: every AEAD key is `derive(x, MSG_KEY)`, and the view carrying
+the ciphertext names `pke_keygen(x).public_key` (message views their group
+key, bot replies their node key). Derivation domains are disjoint, so a
+chain link or `pke_keygen` scalar is never a message key, and a message key
+or chain link is never a recipient scalar. So each candidate meets only the
+boxes and ciphertexts it could open, and the search stays exhaustive,
+barring a SHA-256 or X25519 clamping collision. Security claims in the
+probes are statements about its output.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from .group import (
 from .primitives import (
     CHAIN,
     MSG_KEY,
+    KeyPair,
     derive,
     pke_keygen,
     pke_open,
@@ -237,13 +244,14 @@ def _harvest_hex(node) -> set[bytes]:
 
 
 def _collect_material(transcript, registry: BotLookup) -> tuple[
-        list[tuple[frozenset[bytes], bytes]], list[bytes]]:
-    """All sealed boxes and symmetric ciphertexts visible on the wire.
+        list[tuple[frozenset[bytes], bytes]], list[tuple[frozenset[bytes], bytes]]]:
+    """All sealed boxes and symmetric ciphertexts visible on the wire, each
+    once, as (hints, box) and (hints, ciphertext).
 
-    Boxes come back once each, as (hints, box): the public keys that public
-    data names as the box's possible recipient. A seal binds the recipient
-    key pair, so the adversary only needs to try secrets whose public key
-    is a hint; everything else fails with certainty. The hints come from:
+    A box's hints are the public keys that public data names as its
+    possible recipient. A seal binds the recipient key pair, so the
+    adversary only needs to try secrets whose public key is a hint;
+    everything else fails with certainty. The hints come from:
 
     * tree controls, which list the target public key of each path entry;
     * chatbot entries, which name a chatbot id whose current node key is on
@@ -257,9 +265,14 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
 
     A box whose recipient public data cannot name has no hints and is tried
     against every candidate.
+
+    A ciphertext's hints are the `pke_keygen` public keys of the seed its
+    key was derived from (`derive(seed, MSG_KEY)`): a message view names
+    the group key pair of the group secret it was sent under, a bot reply
+    the node key of its fresh seed.
     """
     hints: dict[bytes, set[bytes]] = {}
-    ciphertexts: list[bytes] = []
+    ct_hints: dict[bytes, set[bytes]] = {}
     seen: set[bytes] = set()
     bot_pk: dict[str, bytes] = {}
     group_keys: set[bytes] = set()
@@ -288,19 +301,19 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
         kind = peek_type(view)
         if kind == VIEW_USER_MESSAGE:
             v = UserMessageView.from_bytes(view)
-            ciphertexts.append(v.ciphertext)
+            ct_hints.setdefault(v.ciphertext, set()).add(v.group_public_key)
             for cid, box in v.entries:
                 add_box(box, bot_pk.get(cid))
             control_boxes(CgkaControl.from_bytes(v.control))
         elif kind == VIEW_CHATBOT_MESSAGE:
             v = ChatbotMessageView.from_bytes(view)
-            ciphertexts.append(v.ciphertext)
+            ct_hints.setdefault(v.ciphertext, set()).add(v.group_public_key)
             group_keys.add(v.group_public_key)
             for cid, box in v.entries:
                 add_box(box, bot_pk.get(cid))
         elif kind == BOT_MESSAGE:
             v = BotMessage.from_bytes(view)
-            ciphertexts.append(v.ciphertext)
+            ct_hints.setdefault(v.ciphertext, set()).add(v.node_public_key)
             replies.append(v.sealed_key)
             bot_pk[v.chatbot_id] = v.node_public_key
         elif kind == ADD_BOT:
@@ -313,23 +326,38 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     for box in replies:
         hints.setdefault(box, set()).update(group_keys)
     return ([(frozenset(named), box) for box, named in hints.items()],
-            list(dict.fromkeys(ciphertexts)))
+            [(frozenset(named), ct) for ct, named in ct_hints.items()])
 
 
-def _expand(secret: bytes, max_chain: int) -> set[bytes]:
-    """Everything derivable from one 32-byte value: the chain above it (as a
-    possible tree path secret), each link's message key, and each link's
-    asymmetric secret key."""
-    out: set[bytes] = set()
+def _by_hint(material: list[tuple[frozenset[bytes], bytes]]) -> tuple[
+        dict[bytes, list[bytes]], list[bytes]]:
+    """Index (hints, item) pairs: item lists per hint, and the unhinted."""
+    by_hint: dict[bytes, list[bytes]] = {}
+    unhinted: list[bytes] = []
+    for hints, item in material:
+        if not hints:
+            unhinted.append(item)
+        for hint in hints:
+            by_hint.setdefault(hint, []).append(item)
+    return by_hint, unhinted
+
+
+def _expand(secret: bytes, max_chain: int) -> list[tuple[bytes, bytes, KeyPair]]:
+    """The chain above one 32-byte value (as a possible tree path secret),
+    starting at the value itself: each link with its message key and its
+    `pke_keygen` key pair."""
+    links: list[tuple[bytes, bytes, KeyPair]] = []
+    seen: set[bytes] = set()
     s = secret
     for _ in range(max_chain):
-        if s in out:
+        if s in seen:
             break
-        out.add(s)
-        out.add(derive(s, MSG_KEY))
-        out.add(pke_keygen(s).secret_key)
+        message_key = derive(s, MSG_KEY)
+        pair = pke_keygen(s)
+        links.append((s, message_key, pair))
+        seen.update((s, message_key, pair.secret_key))
         s = derive(s, CHAIN)
-    return out
+    return links
 
 
 def adversary_decrypt(snapshot: bytes, transcript, registry: BotLookup,
@@ -342,54 +370,64 @@ def adversary_decrypt(snapshot: bytes, transcript, registry: BotLookup,
     PKI: `registry` (anything with `lookup_bot`) gives each chatbot's
     registered encryption key, which names the recipient of its attach
     seed."""
-    seeds = _harvest_hex(json.loads(snapshot))
     boxes, ciphertexts = _collect_material(transcript, registry)
+    boxes_for, unhinted = _by_hint(boxes)
+    cts_for, _ = _by_hint(ciphertexts)  # every ciphertext names a key
+    all_cts = [ct for _, ct in ciphertexts]
 
+    # Each candidate meets only what it could open. A raw value (harvested,
+    # or the plaintext of an opened box) could be any key: it meets every
+    # ciphertext, and as a scalar the boxes hinted with its public key plus
+    # the unhinted ones. A link's message key `derive(s, MSG_KEY)` opens
+    # only ciphertexts that name `pke_keygen(s)`; the link's key pair only
+    # boxes hinted with its public key, or unhinted. Chain links above a
+    # raw value and `pke_keygen` scalars are neither keys nor recipient
+    # scalars in any other domain, so they meet nothing more.
     secrets: set[bytes] = set()
-    frontier: set[bytes] = set()
-    for seed in seeds:
-        frontier |= _expand(seed, max_chain)
-
-    # A seal binds its recipient key pair, so a candidate can only open the
-    # boxes hinted with its own public key, plus the unhinted ones. Pairing
-    # it with exactly those is the same exhaustive search minus certain
-    # misses.
-    by_hint: dict[bytes, list[bytes]] = {}
-    unhinted: list[bytes] = []
-    for hints, box in boxes:
-        if not hints:
-            unhinted.append(box)
-        for hint in hints:
-            by_hint.setdefault(hint, []).append(box)
-
+    raw = _harvest_hex(json.loads(snapshot))
     payloads: set[bytes] = set()
     boxes_opened = 0
     cts_opened = 0
     # Boxes and ciphertexts are fixed, so trying each candidate only in the
-    # round it first appears tries every (candidate, box) and (candidate,
-    # ciphertext) pair exactly once.
-    while frontier:
+    # round it first appears tries every pair it could open exactly once.
+    while raw:
+        pairs: dict[bytes, KeyPair | None] = dict.fromkeys(raw)
+        message_keys: dict[bytes, bytes] = {}  # message key -> link public key
+        frontier: set[bytes] = set()
+        for value in raw:
+            for s, message_key, pair in _expand(value, max_chain):
+                frontier.update((s, message_key, pair.secret_key))
+                message_keys[message_key] = pair.public_key
+                pairs[pair.secret_key] = pair
+        frontier -= secrets
         secrets |= frontier
         new: set[bytes] = set()
         for key in sorted(frontier):
-            pair = x25519_key_pair(key)
-            for box in (*by_hint.get(pair.public_key, ()), *unhinted):
-                try:
-                    opened = pke_open(pair, box)
-                except DecryptFailed:
-                    continue
-                boxes_opened += 1
-                if len(opened) == 32 and opened not in secrets:
-                    new |= _expand(opened, max_chain)
+            if key in pairs:
+                pair = pairs[key] or x25519_key_pair(key)
+                for box in (*boxes_for.get(pair.public_key, ()), *unhinted):
+                    try:
+                        opened = pke_open(pair, box)
+                    except DecryptFailed:
+                        continue
+                    boxes_opened += 1
+                    if len(opened) == 32 and opened not in secrets:
+                        new.add(opened)
+            if key in raw:
+                cts = all_cts
+            elif key in message_keys:
+                cts = cts_for.get(message_keys[key], ())
+            else:
+                continue
             aead = sym_key(key)
-            for ct in ciphertexts:
+            for ct in cts:
                 try:
                     payload = sym_decrypt(aead, ct)
                 except DecryptFailed:
                     continue
                 cts_opened += 1
                 payloads.add(payload)
-        frontier = new - secrets
+        raw = new
 
     plaintexts: set[bytes] = set()
     for payload in payloads:

@@ -3,21 +3,30 @@
 Every decoder reads through `encoding.Reader`, so one set of inputs covers
 its bounds checks: each strict prefix of a valid encoding, the encoding with
 one byte appended, and a length prefix pointing past the end must all raise
-MalformedControl, never decode and never raise anything else.
+MalformedControl, never decode and never raise anything else. Hypothesis then
+feeds every decoder arbitrary bytes and byte-mutated real encodings, and a
+sweep edits each byte of every decoder's shortest real encoding: each
+decoder must return or raise a ChatGateError.
 """
 
 from __future__ import annotations
 
+import base64
+import functools
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatgate import cgka, group, tree
-from chatgate.encoding import Reader
-from chatgate.errors import MalformedControl
+from chatgate.encoding import Reader, peek_type
+from chatgate.errors import ChatGateError, MalformedControl
+from chatgate.harness import canned
+from chatgate.harness.runner import run_text
 from chatgate.primitives import PUBLIC_KEY_LEN, SEALED_LEN
 from chatgate.provider import Provider
-from chatgate.triggers import rules_from_text
+from chatgate.triggers import BotRegistration, TriggerSpec, rules_from_text
 
 GROUP_ID = "grp-main"
 NAMES = ("control-create", "control-add", "control-remove", "control-update",
@@ -127,3 +136,97 @@ def test_each_read_checks_its_own_bounds():
                        (b"\x00\x00\x00\x03ab", Reader.field)):
         with pytest.raises(MalformedControl):
             read(Reader(data))
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+DECODERS = (cgka.CgkaControl.from_bytes, group.AddBotControl.from_bytes,
+            group.BotMessage.from_bytes, group.ChatbotMessageView.from_bytes,
+            group.GroupControl.from_bytes, group.RemoveBotControl.from_bytes,
+            group.UserMessageView.from_bytes, tree.RatchetTree.from_public_bytes,
+            BotRegistration.from_bytes, TriggerSpec.from_bytes)
+
+
+@functools.cache
+def _real_encodings() -> tuple[bytes, ...]:
+    """Every distinct wire object of a seeded demo run, and the encodings
+    nested in them: tree controls, welcome trees, registrations, triggers."""
+    result = run_text(canned.DEMO, seed=7)
+    out = {bot.registration.to_bytes() for bot in result.bots.values()}
+    out |= {bot.registration.trigger.canonical_bytes()
+            for bot in result.bots.values()}
+    for row in result.provider.transcript:
+        view = base64.b64decode(row["view_b64"])
+        out.add(view)
+        if peek_type(view) == group.GROUP_CONTROL:
+            out.add(group.GroupControl.from_bytes(view).control)
+        elif peek_type(view) == group.VIEW_USER_MESSAGE:
+            out.add(group.UserMessageView.from_bytes(view).control)
+    for blob in list(out):
+        try:
+            out.add(cgka.CgkaControl.from_bytes(blob).welcome)
+        except MalformedControl:
+            continue
+    out.discard(b"")
+    return tuple(sorted(out))
+
+
+@st.composite
+def _mutated_encodings(draw) -> bytes:
+    """A real encoding with a few bytes overwritten, inserted or deleted."""
+    blob = bytearray(draw(st.sampled_from(_real_encodings())))
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(blob)))
+        edit = draw(st.sampled_from(("set", "insert", "delete")))
+        if edit == "insert" or at == len(blob):
+            blob.insert(at, draw(st.integers(0, 255)))
+        elif edit == "set":
+            blob[at] = draw(st.integers(0, 255))
+        else:
+            del blob[at]
+    return bytes(blob)
+
+
+def _decode_everywhere(data: bytes) -> None:
+    for decode in DECODERS:
+        try:
+            decode(data)
+        except ChatGateError:
+            pass  # anything else fails the test
+
+
+def _shortest_real_encoding(decode) -> bytes:
+    """The shortest real encoding that `decode` accepts."""
+    decoded = []
+    for blob in _real_encodings():
+        try:
+            decode(blob)
+        except ChatGateError:
+            continue
+        decoded.append(blob)
+    return min(decoded, key=len)
+
+
+@pytest.mark.parametrize("decode", DECODERS, ids=lambda d: d.__qualname__)
+def test_decoders_raise_only_chatgate_errors_on_one_byte_edits(decode):
+    # Random edits rarely land on the one byte a semantic check reads (a
+    # rule kind, a capacity), so every byte of the shortest real encoding
+    # is also set in turn to a few values that flip such checks.
+    blob = _shortest_real_encoding(decode)
+    for at in range(len(blob)):
+        for value in (0, 1, 4, 5, 0xFF, blob[at] ^ 0x80):
+            edited = bytearray(blob)
+            edited[at] = value
+            _decode_everywhere(bytes(edited))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=512))
+def test_decoders_raise_only_chatgate_errors_on_arbitrary_bytes(data):
+    _decode_everywhere(data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=_mutated_encodings())
+def test_decoders_raise_only_chatgate_errors_on_mutated_views(data):
+    _decode_everywhere(data)

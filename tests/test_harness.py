@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from chatgate.errors import MalformedControl, ProbeFailed, ScenarioParseError
+from chatgate.errors import (
+    MalformedControl,
+    NotMember,
+    ProbeFailed,
+    ScenarioParseError,
+)
 from chatgate.group import VIEW_CHATBOT_MESSAGE
 from chatgate.harness import bench, canned, probes
 from chatgate.harness.runner import Supersession, run_scenario, run_text
@@ -125,6 +130,18 @@ def test_runner_readd_after_removal():
             "send user-02 \"back again\"\n")
     result = run_text(text, seed=5)
     assert result.report()["final"]["members"] == ["user-00", "user-01", "user-02"]
+
+
+def test_runner_error_notes_line_op_and_party():
+    # The parser rejects a send from a removed member, so append it by
+    # hand: the provider refuses it, and the error names where it happened.
+    scenario = parse_scenario("group g user-00 user-01 user-02\n"
+                              "rem_user user-00 user-02\n")
+    scenario.ops.append(Send(3, "user-02", b"still here?"))
+    with pytest.raises(NotMember) as info:
+        run_scenario(scenario, seed=5)
+    assert str(info.value) == "'user-02' may not publish to 'g'"
+    assert info.value.__notes__ == ["scenario line 3: send by user-02"]
 
 
 def test_runner_newcomer_cannot_read_stale_bot_channel():

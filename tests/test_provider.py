@@ -3,6 +3,7 @@
 import base64
 import json
 import random
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -33,12 +34,19 @@ from chatgate.group import (
 from chatgate.harness import canned
 from chatgate.harness.probes import ADVERSARY_CHAIN
 from chatgate.harness.runner import run_text
-from chatgate.primitives import pke_open, sym_decrypt, x25519_key_pair
+from chatgate.primitives import (
+    CHAIN,
+    MSG_KEY,
+    derive,
+    pke_keygen,
+    pke_open,
+    sym_decrypt,
+    x25519_key_pair,
+)
 from chatgate.provider import (
     AdversaryReport,
     Provider,
     _collect_material,
-    _expand,
     _harvest_hex,
     _payload_message,
     adversary_decrypt,
@@ -344,31 +352,64 @@ def _reference_material(transcript):
     return [(hint, box) for box, hint in boxes.items()], list(dict.fromkeys(ciphertexts))
 
 
+@dataclass
+class _OracleLog:
+    """What the all-pairs oracle tried, and the class of each candidate."""
+
+    box_trials: list = field(default_factory=list)   # (candidate, box)
+    ct_trials: list = field(default_factory=list)    # (candidate, ciphertext)
+    raw: set = field(default_factory=set)            # harvested or opened
+    scalars: set = field(default_factory=set)        # pke_keygen secret keys
+    links: dict = field(default_factory=dict)        # message key -> link pk
+    pk_of: dict = field(default_factory=dict)        # candidate -> X25519 pk
+
+
+def _reference_expand(secret, max_chain, log):
+    """The set-valued expansion the oracle feeds on: the chain above one
+    value, each link's message key and `pke_keygen` secret key. Logs the
+    class of each value it derives."""
+    out = set()
+    s = secret
+    for _ in range(max_chain):
+        if s in out:
+            break
+        out.add(s)
+        message_key = derive(s, MSG_KEY)
+        pair = pke_keygen(s)
+        out.add(message_key)
+        out.add(pair.secret_key)
+        log.links[message_key] = pair.public_key
+        log.scalars.add(pair.secret_key)
+        s = derive(s, CHAIN)
+    return out
+
+
 def _all_pairs_adversary(snapshot, transcript, max_chain):
     """Reference oracle: the all-pairs fixpoint loop the indexed adversary
     replaced, over `_reference_material`. Each round tries every held
     secret against every box and ciphertext, skips pairs already tried and
     boxes whose hint names another key, and opens with raw secret bytes.
-    Returns the report and every (candidate public key, box) it tried."""
+    Returns the report and an `_OracleLog` of every trial."""
+    log = _OracleLog()
     seeds = _harvest_hex(json.loads(snapshot))
     boxes, ciphertexts = _reference_material(transcript)
     secrets = set()
     frontier = set()
     for seed in seeds:
-        frontier |= _expand(seed, max_chain)
+        log.raw.add(seed)
+        frontier |= _reference_expand(seed, max_chain, log)
     payloads = set()
-    pk_of = {}
     tried_boxes = set()
     tried_cts = set()
     boxes_opened = cts_opened = 0
     while frontier:
         secrets |= frontier
         for key in frontier:
-            pk_of[key] = x25519_key_pair(key).public_key
+            log.pk_of[key] = x25519_key_pair(key).public_key
         new = set()
         for key in sorted(secrets):
             for hint, box in boxes:
-                if hint is not None and pk_of[key] != hint:
+                if hint is not None and log.pk_of[key] != hint:
                     continue
                 if (key, box) in tried_boxes:
                     continue
@@ -379,7 +420,8 @@ def _all_pairs_adversary(snapshot, transcript, max_chain):
                     continue
                 boxes_opened += 1
                 if len(opened) == 32 and opened not in secrets:
-                    new |= _expand(opened, max_chain)
+                    log.raw.add(opened)
+                    new |= _reference_expand(opened, max_chain, log)
             for ct in ciphertexts:
                 if (key, ct) in tried_cts:
                     continue
@@ -394,7 +436,9 @@ def _all_pairs_adversary(snapshot, transcript, max_chain):
         plaintexts=frozenset(_payload_message(p) for p in payloads),
         payloads=frozenset(payloads), secrets=frozenset(secrets),
         boxes_opened=boxes_opened, ciphertexts_opened=cts_opened)
-    return report, [(pk_of[key], box) for key, box in tried_boxes]
+    log.box_trials = list(tried_boxes)
+    log.ct_trials = list(tried_cts)
+    return report, log
 
 
 def _attacked_snapshots(result):
@@ -412,26 +456,35 @@ def _attacked_snapshots(result):
 def test_indexed_adversary_matches_all_pairs_loop(name):
     result = run_text(canned.ALL[name], seed=7)
     transcript = result.provider.transcript
-    hints = {box: named for named, box in
-             _collect_material(transcript, result.provider)[0]}
+    boxes, ciphertexts = _collect_material(transcript, result.provider)
+    box_hints = {box: named for named, box in boxes}
+    ct_hints = {ct: named for named, ct in ciphertexts}
     opened = set()
     for who, snapshot in _attacked_snapshots(result):
         with counters.collect(counters.OpCounters()) as ref_ops:
-            expected, trials = _all_pairs_adversary(snapshot, transcript,
-                                                    ADVERSARY_CHAIN)
+            expected, log = _all_pairs_adversary(snapshot, transcript,
+                                                 ADVERSARY_CHAIN)
         with counters.collect(counters.OpCounters()) as ops:
             report = adversary_decrypt(snapshot, transcript, result.provider,
                                        max_chain=ADVERSARY_CHAIN)
         assert report == expected, who
         opened.add((report.boxes_opened > 0, report.ciphertexts_opened > 0))
-        assert ops.total("sym_decrypt") == ref_ops.total("sym_decrypt"), who
-        # The hints only drop trials whose candidate is not the named
-        # recipient: the adversary makes exactly the oracle's trials on
-        # boxes it leaves unhinted or hints with the candidate's key.
-        kept = sum(1 for pk, box in trials if not hints[box] or pk in hints[box])
-        assert ops.total("pke_open") == kept, who
+        # The types only drop trials that fail with certainty. The
+        # adversary makes exactly the oracle's ciphertext trials whose
+        # candidate is a raw value, or a message key whose link's public
+        # key the ciphertext names...
+        kept_cts = sum(1 for key, ct in log.ct_trials
+                       if key in log.raw
+                       or (key in log.links and log.links[key] in ct_hints[ct]))
+        assert ops.total("sym_decrypt") == kept_cts, who
+        # ...and exactly its box trials whose candidate is a raw value or a
+        # link's scalar, on boxes left unhinted or hinted with its key.
+        kept_boxes = sum(1 for key, box in log.box_trials
+                         if (key in log.raw or key in log.scalars)
+                         and (not box_hints[box] or log.pk_of[key] in box_hints[box]))
+        assert ops.total("pke_open") == kept_boxes, who
         for op in counters.COUNTED_OPS:
-            if op != "pke_open":
+            if op not in ("pke_open", "sym_decrypt"):
                 assert ops.total(op) == ref_ops.total(op), (who, op)
     assert (True, True) in opened  # the comparison covered real recoveries
 
@@ -479,6 +532,49 @@ def test_hints_name_the_true_recipient(monkeypatch, seal_log, name, seed):
         assert seal_log[box] in hints
     assert dummies == sum(len(ev.concealed) for ev in result.sends)
 
+
+
+@pytest.fixture
+def key_log(monkeypatch):
+    """Every message key `group` derives, mapped to its seed, and every
+    ciphertext `group` encrypts, mapped to its key."""
+    seeds, keys = {}, {}
+    real_derive, real_encrypt = primitives.derive, primitives.sym_encrypt
+
+    def logged_derive(seed, label=CHAIN):
+        out = real_derive(seed, label)
+        if label == MSG_KEY:
+            seeds[out] = seed
+        return out
+
+    def logged_encrypt(key, message):
+        ct = real_encrypt(key, message)
+        keys[ct] = key
+        return ct
+
+    monkeypatch.setattr(group, "derive", logged_derive)
+    monkeypatch.setattr(group, "sym_encrypt", logged_encrypt)
+    return seeds, keys
+
+
+@pytest.mark.parametrize("name,seed", [
+    *((name, seed) for name in sorted(canned.ALL) for seed in (7, 23)),
+    ("audit", 301)])
+def test_ciphertext_hints_name_the_message_key_seed(monkeypatch, key_log,
+                                                    name, seed):
+    # Every AEAD key is `derive(x, MSG_KEY)`, and the view carrying the
+    # ciphertext names `pke_keygen(x).public_key`: the adversary tries a
+    # link's message key only on ciphertexts that name that link.
+    seeds, keys = key_log
+    text = (_audit_scenario_text(monkeypatch, seed) if name == "audit"
+            else canned.ALL[name])
+    result = run_text(text, seed=seed)
+    _boxes, ciphertexts = _collect_material(result.provider.transcript,
+                                            result.provider)
+    assert ciphertexts
+    for hints, ct in ciphertexts:
+        key = keys[ct]
+        assert pke_keygen(seeds[key]).public_key in hints
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
