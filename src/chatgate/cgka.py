@@ -8,10 +8,15 @@ the path up to the root. The root secret of the current epoch is the group
 secret; the key pair generated from it is the group key pair that the
 chatbot layer shares with addressed chatbots.
 
-Senders stage their own fresh path secrets and install them, as their new
-`path`, when they process their own control, so sender and receivers
-advance through the same epoch sequence: one control processed, epoch plus
-exactly one.
+A control takes effect in two steps. `_stage` works out, on copies, what
+it leaves behind: the tree after its membership edit and new path, the own
+leaf, and the own `path`. `_commit` installs that `_Next` and is the only
+writer of the tree, own leaf, path, group id and epoch, so a control that
+fails any check changes nothing. A sender builds its control over the same
+membership edit and keeps the resulting `_Next` as pending; processing a
+control equal to it commits it, so sender and receivers advance through the
+same epoch sequence (one control processed, epoch plus exactly one), and a
+control that is never processed leaves the sender as it was.
 
 The tree itself is public. A member's private material sits in one map,
 `CgkaState.path`, and only for the nodes on its own direct path: its init
@@ -176,13 +181,22 @@ def _write_path_entry(w: Writer, entry: PathEntry) -> None:
     w.field(entry[1])
 
 
+def _newcomer_leaf(t: treemod.RatchetTree) -> int:
+    """The leaf an add seats its newcomer at: the leftmost blank one, or the
+    first leaf past the capacity when the tree is full and must grow."""
+    leaf = t.leftmost_blank_leaf()
+    return t.capacity if leaf is None else leaf
+
+
 @dataclass
-class _Pending:
-    """Sender-side staged path secrets, installed when the very control
-    object they were built for is processed."""
+class _Next:
+    """What one control leaves behind, computed on copies; `_commit`
+    installs it. The group id and epoch follow from the control."""
 
     control: CgkaControl
-    secrets: dict[int, tuple[bytes, KeyPair]]
+    tree: treemod.RatchetTree
+    own_leaf: int
+    path: dict[int, tuple[bytes | None, KeyPair]]
 
 
 @dataclass
@@ -197,7 +211,7 @@ class CgkaState:
     # node -> (chained secret, key pair), on the own direct path only; the
     # secret is None at a leaf joined by init key
     path: dict[int, tuple[bytes | None, KeyPair]] = field(default_factory=dict)
-    _pending: _Pending | None = None
+    _pending: _Next | None = None
 
     @property
     def group_secret(self) -> bytes | None:
@@ -222,44 +236,18 @@ class CgkaState:
         if len(set(member_ids)) != len(member_ids):
             raise AlreadyMember("duplicate ids in member list")
         roster = [(mid, self.directory.lookup(mid)) for mid in member_ids]
-
-        capacity = _capacity_for(len(member_ids))
-        t = treemod.RatchetTree.blank_tree(capacity)
-        own_leaf = member_ids.index(self.member_id)
-        for leaf, (mid, init_pk) in enumerate(roster):
-            t.members[leaf] = mid
-            if leaf != own_leaf:
-                t.nodes[treemod.leaf_node(leaf)] = init_pk
-        self.tree = t
-        self.own_leaf = own_leaf
-        self.group_id = group_id
-        self.epoch = 0
-
-        ctl = CgkaControl(kind="create", group_id=group_id, epoch=0,
-                          sender_leaf=own_leaf, capacity=capacity, roster=roster)
-        self._build_update_path(ctl)
-        return ctl
+        return self._build(CgkaControl(
+            kind="create", group_id=group_id, epoch=0,
+            sender_leaf=member_ids.index(self.member_id),
+            capacity=_capacity_for(len(member_ids)), roster=roster))
 
     def add(self, member_id: str) -> CgkaControl:
         self._require_group()
-        if self.tree.leaf_of(member_id) is not None:
-            raise AlreadyMember(f"{member_id!r} already occupies a leaf")
-        init_pk = self.directory.lookup(member_id)
-
-        leaf = self.tree.leftmost_blank_leaf()
-        if leaf is None:
-            self.tree.grow()
-            leaf = self.tree.leftmost_blank_leaf()
-        self.tree.nodes[treemod.leaf_node(leaf)] = init_pk
-        self.tree.members[leaf] = member_id
-        self.tree.blank_path(leaf)
-
-        ctl = CgkaControl(kind="add", group_id=self.group_id, epoch=self.epoch,
-                          sender_leaf=self.own_leaf, new_member_id=member_id,
-                          new_member_init_pk=init_pk, new_leaf=leaf,
-                          welcome=self.tree.to_public_bytes())
-        self._build_update_path(ctl)
-        return ctl
+        return self._build(CgkaControl(
+            kind="add", group_id=self.group_id, epoch=self.epoch,
+            sender_leaf=self.own_leaf, new_member_id=member_id,
+            new_member_init_pk=self.directory.lookup(member_id),
+            new_leaf=_newcomer_leaf(self.tree)))
 
     def remove(self, member_id: str) -> CgkaControl:
         self._require_group()
@@ -268,31 +256,28 @@ class CgkaState:
         leaf = self.tree.leaf_of(member_id)
         if leaf is None:
             raise NotMember(f"{member_id!r} occupies no leaf")
-        self.tree.nodes[treemod.leaf_node(leaf)] = None
-        del self.tree.members[leaf]
-        self.tree.blank_path(leaf)
-
-        ctl = CgkaControl(kind="remove", group_id=self.group_id, epoch=self.epoch,
-                          sender_leaf=self.own_leaf, removed_leaf=leaf,
-                          removed_id=member_id)
-        self._build_update_path(ctl)
-        return ctl
+        return self._build(CgkaControl(
+            kind="remove", group_id=self.group_id, epoch=self.epoch,
+            sender_leaf=self.own_leaf, removed_leaf=leaf, removed_id=member_id))
 
     def update(self) -> CgkaControl:
         self._require_group()
-        ctl = CgkaControl(kind="update", group_id=self.group_id, epoch=self.epoch,
-                          sender_leaf=self.own_leaf)
-        self._build_update_path(ctl)
-        return ctl
+        return self._build(CgkaControl(
+            kind="update", group_id=self.group_id, epoch=self.epoch,
+            sender_leaf=self.own_leaf))
 
     def _require_group(self) -> None:
         if self.tree is None or self.own_leaf is None:
             raise NoGroup(f"{self.member_id!r} has no established group")
 
-    def _build_update_path(self, ctl: CgkaControl) -> None:
-        """Fresh leaf secret, chained path, sealed entries; stages pending."""
-        t = self.tree
-        path = treemod.direct_path(self.own_leaf, t.capacity)
+    def _build(self, ctl: CgkaControl) -> CgkaControl:
+        """Fresh leaf secret, chained path and sealed entries over the
+        control's membership edit; the outcome is staged in `_pending`, and
+        nothing else changes."""
+        t, own_leaf = self._seat(ctl)
+        if ctl.kind == "add":
+            ctl.welcome = t.to_public_bytes()
+        path = treemod.direct_path(own_leaf, t.capacity)
         secrets = [random_secret()]
         for _ in path[1:]:
             secrets.append(derive(secrets[-1]))
@@ -302,156 +287,102 @@ class CgkaState:
             t.nodes[x] = pk
 
         entries: list[PathEntry] = []
-        for i, c in enumerate(treemod.copath(self.own_leaf, t.capacity)):
+        for i, c in enumerate(treemod.copath(own_leaf, t.capacity)):
             chained = secrets[i + 1]
             for r in t.resolution(c):
                 target_pk = t.nodes[r]
                 entries.append((target_pk, pke_seal(target_pk, chained)))
         ctl.path_entries = entries
 
-        self._pending = _Pending(
-            control=ctl,
-            secrets={x: (s, kp) for x, s, kp in zip(path, secrets, pairs)},
-        )
+        self._pending = _Next(ctl, t, own_leaf,
+                              {x: (s, kp) for x, s, kp in zip(path, secrets, pairs)})
+        return ctl
+
+    def _seat(self, control: CgkaControl) -> tuple[treemod.RatchetTree, int]:
+        """The control's membership edit, on a copy of the tree: seat the
+        create roster, seat an add's newcomer, or blank a removed leaf.
+        Returns the edited tree and the own leaf in it."""
+        if control.kind == "create":
+            ids = [mid for mid, _ in control.roster]
+            if self.member_id not in ids:
+                raise NotMember(f"create roster does not include {self.member_id!r}")
+            if control.capacity != _capacity_for(len(ids)):
+                raise MalformedControl("capacity is not the smallest that seats the roster")
+            t = treemod.RatchetTree.blank_tree(control.capacity)
+            for leaf, (mid, init_pk) in enumerate(control.roster):
+                t.members[leaf] = mid
+                if leaf != control.sender_leaf:
+                    t.nodes[treemod.leaf_node(leaf)] = init_pk
+            return t, ids.index(self.member_id)
+        if self.tree is None:  # the newcomer joins from the add's welcome
+            t = treemod.RatchetTree.from_public_bytes(control.welcome)
+            if t.members.get(control.new_leaf) != self.member_id:
+                raise MalformedControl("welcome does not seat me at the stated leaf")
+            return t, control.new_leaf
+        t = self.tree.copy()
+        if control.kind == "add":
+            if t.leaf_of(control.new_member_id) is not None:
+                raise AlreadyMember(f"{control.new_member_id!r} already present")
+            if control.new_leaf != _newcomer_leaf(t):
+                raise MalformedControl("newcomer leaf is not the one add picks")
+            if control.new_leaf == t.capacity:
+                t.grow()
+            t.nodes[treemod.leaf_node(control.new_leaf)] = control.new_member_init_pk
+            t.members[control.new_leaf] = control.new_member_id
+            t.blank_path(control.new_leaf)
+        elif control.kind == "remove":
+            if t.members.get(control.removed_leaf) != control.removed_id:
+                raise MalformedControl("removed leaf does not seat the removed member")
+            if control.removed_id == self.member_id:
+                raise NotMember("removed from the group")
+            t.nodes[treemod.leaf_node(control.removed_leaf)] = None
+            del t.members[control.removed_leaf]
+            t.blank_path(control.removed_leaf)
+        return t, self.own_leaf
 
     # -- receivers ------------------------------------------------------------
 
     def process(self, control: CgkaControl) -> bytes:
-        """Apply one control; returns the new group secret."""
-        if control.kind == "create":
-            return self._process_create(control)
+        """Apply one control; returns the new group secret. A control equal
+        to the pending one commits what its sender staged."""
+        if self._pending is not None and control == self._pending.control:
+            return self._commit(self._pending)
+        return self._commit(self._stage(control))
+
+    def _commit(self, nxt: _Next) -> bytes:
+        self.tree, self.own_leaf, self.path = nxt.tree, nxt.own_leaf, nxt.path
+        self.group_id = nxt.control.group_id
+        self.epoch = nxt.control.epoch + 1
+        self._pending = None
+        return self.group_secret
+
+    def _stage(self, control: CgkaControl) -> _Next:
+        """What another member's control leaves behind; a failed check
+        raises having changed nothing."""
         if self.tree is None:
-            if control.kind == "add" and control.new_member_id == self.member_id:
-                return self._process_welcome(control)
-            raise NoGroup(f"{self.member_id!r} has no group to apply control to")
-        if control.group_id != self.group_id:
+            if control.kind != "create" and not (
+                    control.kind == "add" and control.new_member_id == self.member_id):
+                raise NoGroup(f"{self.member_id!r} has no group to apply control to")
+        elif control.kind == "create":
+            raise AlreadyMember(f"{self.member_id!r} is already in a group")
+        elif control.group_id != self.group_id:
             raise MalformedControl("control for a different group")
-        if control.epoch < self.epoch:
+        elif control.epoch < self.epoch:
             raise StaleEpoch(f"control epoch {control.epoch} < local {self.epoch}")
-        if control.epoch > self.epoch:
+        elif control.epoch > self.epoch:
             raise FutureEpoch(f"control epoch {control.epoch} > local {self.epoch}")
 
-        if self._pending is not None and control is self._pending.control:
-            return self._install_pending()
-        self._pending = None
-
-        if control.kind == "add":
-            self._place_newcomer(control)
-        elif control.kind == "remove":
-            if self.tree.members.get(control.removed_leaf) != control.removed_id:
-                raise MalformedControl("removed leaf does not seat the removed member")
-            if control.removed_id == self.member_id:
-                raise NotMember("removed from the group")
-            self.tree.nodes[treemod.leaf_node(control.removed_leaf)] = None
-            del self.tree.members[control.removed_leaf]
-            self._blank_path(control.removed_leaf)
-        return self._apply_update_path(control)
-
-    def _process_create(self, control: CgkaControl) -> bytes:
-        if self.tree is not None:
-            if self._pending is not None and control is self._pending.control:
-                return self._install_pending()
-            raise AlreadyMember(f"{self.member_id!r} is already in a group")
-        ids = [mid for mid, _ in control.roster]
-        if self.member_id not in ids:
-            raise NotMember(f"create roster does not include {self.member_id!r}")
-        if control.capacity != _capacity_for(len(control.roster)):
-            raise MalformedControl("capacity is not the smallest that seats the roster")
-        t = treemod.RatchetTree.blank_tree(control.capacity)
-        for leaf, (mid, init_pk) in enumerate(control.roster):
-            t.members[leaf] = mid
-            if leaf != control.sender_leaf:
-                t.nodes[treemod.leaf_node(leaf)] = init_pk
-        return self._join(control, t, ids.index(self.member_id))
-
-    def _process_welcome(self, control: CgkaControl) -> bytes:
-        t = treemod.RatchetTree.from_public_bytes(control.welcome)
-        if t.members.get(control.new_leaf) != self.member_id:
-            raise MalformedControl("welcome does not seat me at the stated leaf")
-        return self._join(control, t, control.new_leaf)
-
-    def _join(self, control: CgkaControl, t: treemod.RatchetTree, leaf: int) -> bytes:
-        """Take a seat at `leaf` of a create's or welcome's tree."""
-        own = treemod.leaf_node(leaf)
-        if t.nodes[own] != self.init_key.public_key:
-            raise MalformedControl("my leaf carries a different init key")
-        self.tree = t
-        self.own_leaf = leaf
-        self.path = {own: (None, self.init_key)}
-        self.group_id = control.group_id
-        self.epoch = control.epoch
-        return self._apply_update_path(control)
-
-    def _place_newcomer(self, control: CgkaControl) -> None:
-        if self.tree.leaf_of(control.new_member_id) is not None:
-            raise AlreadyMember(f"{control.new_member_id!r} already present")
-        leaf = self.tree.leftmost_blank_leaf()
-        if control.new_leaf != (self.tree.capacity if leaf is None else leaf):
-            raise MalformedControl("newcomer leaf is not the one add picks")
-        if leaf is None:
-            self.tree.grow()
-        x = treemod.leaf_node(control.new_leaf)
-        self.tree.nodes[x] = control.new_member_init_pk
-        self.tree.members[control.new_leaf] = control.new_member_id
-        self._blank_path(control.new_leaf)
-
-    def _blank_path(self, leaf: int) -> None:
-        """Blank the nodes above a leaf, dropping any secrets held there."""
-        for x in self.tree.blank_path(leaf):
-            self.path.pop(x, None)
-
-    def _install_pending(self) -> bytes:
-        self.path = self._pending.secrets
-        self._pending = None
-        self.epoch += 1
-        return self.group_secret
-
-    def _apply_update_path(self, control: CgkaControl) -> bytes:
-        t = self.tree
-        if control.sender_leaf not in t.members:
-            raise MalformedControl("sender leaf seats no member")
-        path = treemod.direct_path(control.sender_leaf, t.capacity)
-        if len(control.new_public_path) != len(path):
-            raise MalformedControl("path length does not match tree shape")
-        if control.sender_leaf == self.own_leaf:
-            raise MalformedControl("unexpected control from own leaf")
-
-        # Private keys live only on the receiver's own direct path.
-        held = {kp.public_key: x for x, (_, kp) in self.path.items()}
-        opened: bytes | None = None
-        opened_at: int | None = None
-        for target_pk, box in control.path_entries:
-            x = held.get(target_pk)
-            if x is None:
-                continue
-            opened = pke_open(self.path[x][1], box)
-            opened_at = x
-            break
-        if opened is None:
-            raise DecryptFailed("no path entry addressed to this member")
-        if len(opened) != 32:
-            raise MalformedControl("path entry payload has wrong size")
-
-        merge_idx = None
-        for i, p in enumerate(path):
-            if treemod.is_ancestor(p, opened_at):
-                merge_idx = i
-                break
-        if merge_idx is None:
-            raise MalformedControl("opened entry does not sit under the path")
-
-        for i, (x, pk) in enumerate(zip(path, control.new_public_path)):
-            t.nodes[x] = pk
-            if i >= merge_idx:
-                kp = pke_keygen(opened)
-                if kp.public_key != pk:
-                    raise MalformedControl("chained secret does not match path key")
-                self.path[x] = (opened, kp)
-                if i + 1 < len(path):
-                    opened = derive(opened)
-
-        self.epoch = control.epoch + 1
-        return self.group_secret
+        t, own_leaf = self._seat(control)
+        if self.tree is None:
+            own = treemod.leaf_node(own_leaf)
+            if t.nodes[own] != self.init_key.public_key:
+                raise MalformedControl("my leaf carries a different init key")
+            path = {own: (None, self.init_key)}
+        else:
+            # a node the membership edit blanked leaves `path` too
+            path = {x: v for x, v in self.path.items() if t.nodes[x] is not None}
+        _apply_update_path(control, t, own_leaf, path)
+        return _Next(control, t, own_leaf, path)
 
     # -- inspection -------------------------------------------------------------
 
@@ -487,9 +418,56 @@ class CgkaState:
         if self._pending is not None:
             state["pending"] = {
                 str(x): {"secret": s.hex(), "private_key": kp.secret_key.hex()}
-                for x, (s, kp) in sorted(self._pending.secrets.items())
+                for x, (s, kp) in sorted(self._pending.path.items())
             }
         return state
+
+
+def _apply_update_path(control: CgkaControl, t: treemod.RatchetTree,
+                       own_leaf: int, path: dict[int, tuple[bytes | None, KeyPair]]) -> None:
+    """Open the one entry sealed to a key in `path` and re-derive the
+    sender's path from the merge point up, into the staged `t` and `path`."""
+    if control.sender_leaf not in t.members:
+        raise MalformedControl("sender leaf seats no member")
+    sender_path = treemod.direct_path(control.sender_leaf, t.capacity)
+    if len(control.new_public_path) != len(sender_path):
+        raise MalformedControl("path length does not match tree shape")
+    if control.sender_leaf == own_leaf:
+        raise MalformedControl("unexpected control from own leaf")
+
+    # Private keys live only on the receiver's own direct path.
+    held = {kp.public_key: x for x, (_, kp) in path.items()}
+    opened: bytes | None = None
+    opened_at: int | None = None
+    for target_pk, box in control.path_entries:
+        x = held.get(target_pk)
+        if x is None:
+            continue
+        opened = pke_open(path[x][1], box)
+        opened_at = x
+        break
+    if opened is None:
+        raise DecryptFailed("no path entry addressed to this member")
+    if len(opened) != 32:
+        raise MalformedControl("path entry payload has wrong size")
+
+    merge_idx = None
+    for i, p in enumerate(sender_path):
+        if treemod.is_ancestor(p, opened_at):
+            merge_idx = i
+            break
+    if merge_idx is None:
+        raise MalformedControl("opened entry does not sit under the path")
+
+    for i, (x, pk) in enumerate(zip(sender_path, control.new_public_path)):
+        t.nodes[x] = pk
+        if i >= merge_idx:
+            kp = pke_keygen(opened)
+            if kp.public_key != pk:
+                raise MalformedControl("chained secret does not match path key")
+            path[x] = (opened, kp)
+            if i + 1 < len(sender_path):
+                opened = derive(opened)
 
 
 def init(member_id: str, directory: InitKeyDirectory) -> CgkaState:

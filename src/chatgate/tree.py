@@ -129,6 +129,9 @@ class RatchetTree:
                 return leaf
         return None
 
+    def copy(self) -> "RatchetTree":
+        return RatchetTree(self.capacity, list(self.nodes), dict(self.members))
+
     def grow(self) -> None:
         """Double capacity in place; existing node indices are unchanged."""
         old_count = node_count(self.capacity)
@@ -143,13 +146,10 @@ class RatchetTree:
             return []
         return self.resolution(left(x)) + self.resolution(right(x))
 
-    def blank_path(self, leaf: int) -> list[int]:
-        """Blank the internal nodes above a leaf (the leaf itself stays);
-        returns their indices."""
-        above = direct_path(leaf, self.capacity)[1:]
-        for x in above:
+    def blank_path(self, leaf: int) -> None:
+        """Blank the internal nodes above a leaf (the leaf itself stays)."""
+        for x in direct_path(leaf, self.capacity)[1:]:
             self.nodes[x] = None
-        return above
 
     # public snapshot ---------------------------------------------------------
 

@@ -8,15 +8,18 @@ seal one entry per non-creator member because every internal node is blank.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chatgate import cgka, counters, tree as treemod
 from chatgate.errors import (
     AlreadyMember,
     CannotRemoveSelf,
+    ChatGateError,
     DecryptFailed,
     FutureEpoch,
     MalformedControl,
@@ -228,7 +231,7 @@ def test_path_secrets_never_reach_the_public_tree():
 
     def private_values(s):
         out = [s.init_key.secret_key]
-        staged = s._pending.secrets.values() if s._pending is not None else ()
+        staged = s._pending.path.values() if s._pending is not None else ()
         for secret, kp in (*s.path.values(), *staged):
             out.append(kp.secret_key)
             if secret is not None:
@@ -240,9 +243,11 @@ def test_path_secrets_never_reach_the_public_tree():
             assert value not in blob, s.member_id
 
     def churn(sender, ctl, newcomer=None):
-        # the sender's pending secrets are staged but not yet installed
+        # the sender's new path is staged, with the tree it leaves, but
+        # not yet installed
         assert sender._pending is not None
         check(sender, sender.tree.to_public_bytes())
+        check(sender, sender._pending.tree.to_public_bytes())
         if ctl.welcome:
             check(sender, ctl.welcome)
         broadcast(states, sender, ctl)
@@ -532,6 +537,136 @@ def test_create_capacity_must_be_the_smallest_that_seats_the_roster(capacity):
     with pytest.raises(MalformedControl, match="capacity"):
         states[1].process(ctl)
     assert states[1].tree is None
+
+
+def snapshot_text(s):
+    return json.dumps(s.snapshot(), sort_keys=True)
+
+
+def tamper_boxes(ctl):
+    ctl.path_entries = [(pk, box[:-1] + bytes([box[-1] ^ 1]))
+                        for pk, box in ctl.path_entries]
+
+
+def rejected_remove():
+    states, _ = make_group(4)
+    ctl = states[0].remove("user-03")
+    tamper_boxes(ctl)
+    return states[1], ctl
+
+
+def rejected_add():
+    states, directory = make_group(3)
+    cgka.init("user-03", directory)
+    ctl = states[0].add("user-03")
+    tamper_boxes(ctl)
+    return states[1], ctl
+
+
+def rejected_root_key():
+    # the receiver re-derives the key at its merge point, which matches,
+    # before the root's, which does not
+    states, _ = make_group(4)
+    ctl = states[0].update()
+    ctl.new_public_path[-1] = ctl.new_public_path[0]
+    return states[1], ctl
+
+
+@pytest.mark.parametrize("build", [rejected_remove, rejected_add, rejected_root_key],
+                         ids=["remove", "add", "root-key"])
+def test_rejected_control_leaves_state_unchanged(build):
+    receiver, ctl = build()
+    before = snapshot_text(receiver)
+    with pytest.raises(ChatGateError):
+        receiver.process(cgka.CgkaControl.from_bytes(ctl.to_bytes()))
+    assert snapshot_text(receiver) == before
+
+
+@pytest.mark.parametrize("kind", ["update", "add", "remove"])
+def test_dropped_own_control_leaves_sender_in_agreement(kind):
+    states, directory = make_group(4)  # capacity 4, no blank leaf
+    dropper = states[1]
+    if kind == "update":
+        dropper.update()
+    elif kind == "add":
+        cgka.init("user-04", directory)
+        dropper.add("user-04")  # would grow the tree
+    else:
+        dropper.remove("user-03")
+
+    def agreed():
+        views = {(s.group_secret, tuple(s.members()), s.tree.to_public_bytes())
+                 for s in states}
+        return len(views) == 1
+
+    broadcast(states, states[2], states[2].update())
+    assert agreed()
+    broadcast(states, dropper, dropper.update())
+    assert agreed()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: a mutated control is rejected without a trace, or applies
+# ---------------------------------------------------------------------------
+
+_MUTATION_CASES: dict = {}
+
+
+def mutation_cases():
+    """kind -> (encoded control, receivers, each with its snapshot text).
+    One 5-member group (capacity 8) builds a valid add, remove and update
+    from the same state, none of them processed; the add's receivers
+    include its newcomer, the remove's its removed member."""
+    if not _MUTATION_CASES:
+        states, directory = make_group(5)
+        newcomer = cgka.init("user-05", directory)
+        controls = {"add": states[0].add("user-05"),
+                    "remove": states[0].remove("user-04"),
+                    "update": states[0].update()}
+        for kind, ctl in controls.items():
+            receivers = states[1:] + ([newcomer] if kind == "add" else [])
+            _MUTATION_CASES[kind] = (ctl.to_bytes(),
+                                     [(r, snapshot_text(r)) for r in receivers])
+    return _MUTATION_CASES
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_control_is_rejected_unchanged_or_applies(data):
+    blob, receivers = mutation_cases()[data.draw(st.sampled_from(["add", "remove", "update"]))]
+    base, base_text = data.draw(st.sampled_from(receivers))
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                         st.integers(1, 255)),
+                               min_size=1, max_size=3))
+    mutated = bytearray(blob)
+    for i, flip in edits:
+        mutated[i] ^= flip
+    # `process` replaces the tree, path and pending instead of changing
+    # them, so a shallow copy is a receiver independent of `base`
+    receiver = copy.copy(base)
+    try:
+        ctl = cgka.CgkaControl.from_bytes(bytes(mutated))
+        receiver.process(ctl)
+    except ChatGateError:
+        assert snapshot_text(receiver) == base_text
+    else:
+        # a newcomer cannot check the epoch it is welcomed at
+        assert receiver.epoch == ctl.epoch + 1
+        assert receiver.group_secret is not None
+    assert snapshot_text(base) == base_text
+
+
+def test_unmutated_fuzz_controls_apply():
+    for kind, (blob, receivers) in mutation_cases().items():
+        for base, _ in receivers:
+            receiver = copy.copy(base)
+            if kind == "remove" and base.member_id == "user-04":
+                with pytest.raises(NotMember):
+                    receiver.process(cgka.CgkaControl.from_bytes(blob))
+            else:
+                receiver.process(cgka.CgkaControl.from_bytes(blob))
+                assert receiver.epoch == 2
 
 
 # ---------------------------------------------------------------------------

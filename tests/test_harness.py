@@ -8,13 +8,21 @@ from pathlib import Path
 
 import pytest
 
+from chatgate.cgka import CgkaControl
+from chatgate.encoding import peek_type
 from chatgate.errors import (
     MalformedControl,
     NotMember,
     ProbeFailed,
     ScenarioParseError,
 )
-from chatgate.group import VIEW_CHATBOT_MESSAGE
+from chatgate.group import (
+    GROUP_CONTROL,
+    VIEW_CHATBOT_MESSAGE,
+    VIEW_USER_MESSAGE,
+    GroupControl,
+    UserMessageView,
+)
 from chatgate.harness import bench, canned, probes
 from chatgate.harness.runner import Supersession, run_scenario, run_text
 from chatgate.harness.scenario import (
@@ -445,6 +453,34 @@ def test_traced_benchmark_hook_points_resolve(monkeypatch):
         if not found:
             missing.append(f"{getattr(owner, '__name__', owner)}.{attr}")
     assert not missing
+
+
+def test_traced_demo_run_counts_every_built_control(monkeypatch):
+    # a traced smoke run: the `built` hook reads the control each sender
+    # returns, so a changed return type must fail here too
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.op():
+            result = run_text(canned.ALL["demo"], seed=7)
+    finally:
+        tracer.uninstall()
+
+    controls = set()
+    for row in result.provider.transcript:
+        view = base64.b64decode(row["view_b64"])
+        if peek_type(view) == VIEW_USER_MESSAGE:
+            controls.add(UserMessageView.from_bytes(view).control)
+        elif peek_type(view) == GROUP_CONTROL:
+            controls.add(GroupControl.from_bytes(view).control)
+    entries = sum(len(CgkaControl.from_bytes(c).path_entries) for c in controls)
+    # group, add_user, rem_user, register_pseudonym and six sends
+    assert len(controls) == 10
+    assert tracer.counts["cgka.controls"] == len(controls)
+    assert tracer.counts["cgka.path_entries"] == entries
 
 
 if __name__ == "__main__":
