@@ -405,86 +405,57 @@ class UserState:
 
     def create_group(self, group_id: str, member_ids: list[str]) -> bytes:
         ctl = self.cgka.create(group_id, member_ids)
-        self.cgka.process(ctl)
-        return GroupControl(group_id=group_id, control=ctl.to_bytes()).to_bytes()
+        return self._apply(GroupControl(group_id=group_id, control=ctl.to_bytes()))
 
     def add_user(self, member_id: str) -> bytes:
-        self._require_group()
         ctl = self.cgka.add(member_id)
-        self.cgka.process(ctl)
         roster = tuple((cid, self.records[cid].bot_public_key)
                        for cid in sorted(self.records))
-        return GroupControl(group_id=self.group_id, control=ctl.to_bytes(),
-                            roster=roster).to_bytes()
+        return self._apply(GroupControl(group_id=self.group_id,
+                                        control=ctl.to_bytes(), roster=roster))
 
     def remove_user(self, member_id: str) -> bytes:
-        self._require_group()
         ctl = self.cgka.remove(member_id)
-        self.cgka.process(ctl)
-        return GroupControl(group_id=self.group_id, control=ctl.to_bytes()).to_bytes()
+        return self._apply(GroupControl(group_id=self.group_id, control=ctl.to_bytes()))
 
     def update_keys(self) -> bytes:
-        self._require_group()
         ctl = self.cgka.update()
-        self.cgka.process(ctl)
-        return GroupControl(group_id=self.group_id, control=ctl.to_bytes()).to_bytes()
+        return self._apply(GroupControl(group_id=self.group_id, control=ctl.to_bytes()))
 
     def process_group_control(self, data: bytes) -> None:
         wrapped = GroupControl.from_bytes(data)
-        joining = self.cgka.tree is None
+        roster = {}
+        if self.cgka.tree is None:
+            # Newcomer: admit the chatbot roster before joining. No channel
+            # key yet; the next message addressing each chatbot refreshes it.
+            roster = {cid: self._admit(cid, bot_pk, None)
+                      for cid, bot_pk in wrapped.roster}
         self.cgka.process(CgkaControl.from_bytes(wrapped.control))
-        if joining:
-            # Newcomer: adopt the chatbot roster. No channel key yet; the
-            # next message addressing each chatbot refreshes every record.
-            for cid, bot_pk in wrapped.roster:
-                reg = self.registry.lookup_bot(cid)
-                if not reg.verify_signature():
-                    raise BadTriggerSignature(f"registration for {cid!r}")
-                self.records[cid] = ChatbotRecord(
-                    trigger=reg.trigger, channel_secret_key=None,
-                    bot_public_key=bot_pk)
+        self.records.update(roster)
 
     # -- chatbot membership ---------------------------------------------------
 
     def add_chatbot(self, chatbot_id: str) -> bytes:
         self._require_group()
-        if chatbot_id in self.records:
-            raise DuplicateChatbot(f"{chatbot_id!r} already attached")
         reg = self.registry.lookup_bot(chatbot_id)
-        if not reg.verify_signature():
-            raise BadTriggerSignature(f"registration for {chatbot_id!r}")
         seed = random_secret()
         node = pke_keygen(seed)
         sealed = pke_seal(reg.enc_public_key, seed)
-        self.records[chatbot_id] = ChatbotRecord(
-            trigger=reg.trigger,
-            channel_secret_key=self.cgka.group_key_pair,
-            bot_public_key=node.public_key)
-        return AddBotControl(group_id=self.group_id, chatbot_id=chatbot_id,
-                             group_public_key=self.cgka.group_key_pair.public_key,
-                             node_public_key=node.public_key,
-                             sealed_seed=sealed).to_bytes()
+        return self._apply(AddBotControl(
+            group_id=self.group_id, chatbot_id=chatbot_id,
+            group_public_key=self.cgka.group_key_pair.public_key,
+            node_public_key=node.public_key, sealed_seed=sealed))
 
     def process_add_chatbot(self, data: bytes) -> None:
         ctl = AddBotControl.from_bytes(data)
         self._check_group(ctl.group_id)
-        if ctl.chatbot_id in self.records:
-            raise DuplicateChatbot(f"{ctl.chatbot_id!r} already attached")
-        reg = self.registry.lookup_bot(ctl.chatbot_id)
-        if not reg.verify_signature():
-            raise BadTriggerSignature(f"registration for {ctl.chatbot_id!r}")
-        self.records[ctl.chatbot_id] = ChatbotRecord(
-            trigger=reg.trigger,
-            channel_secret_key=self.cgka.group_key_pair,
-            bot_public_key=ctl.node_public_key)
+        self.records[ctl.chatbot_id] = self._admit(
+            ctl.chatbot_id, ctl.node_public_key, self.cgka.group_key_pair)
 
     def remove_chatbot(self, chatbot_id: str) -> bytes:
         self._require_group()
-        if chatbot_id not in self.records:
-            raise NotPresent(f"{chatbot_id!r} is not attached")
-        del self.records[chatbot_id]
-        return RemoveBotControl(group_id=self.group_id,
-                                chatbot_id=chatbot_id).to_bytes()
+        return self._apply(RemoveBotControl(group_id=self.group_id,
+                                            chatbot_id=chatbot_id))
 
     def process_remove_chatbot(self, data: bytes) -> None:
         ctl = RemoveBotControl.from_bytes(data)
@@ -492,6 +463,25 @@ class UserState:
         if ctl.chatbot_id not in self.records:
             raise NotPresent(f"{ctl.chatbot_id!r} is not attached")
         del self.records[ctl.chatbot_id]
+
+    def _apply(self, bundle: GroupControl | AddBotControl | RemoveBotControl) -> bytes:
+        """Apply a control this user built through `process`, the handler
+        its receivers run; returns the bytes to publish."""
+        data = bundle.to_bytes()
+        self.process(data)
+        return data
+
+    def _admit(self, chatbot_id: str, bot_public_key: bytes,
+               channel_secret_key: KeyPair | None) -> ChatbotRecord:
+        """The one chatbot admission: not yet attached, registered, and its
+        registration signed."""
+        if chatbot_id in self.records:
+            raise DuplicateChatbot(f"{chatbot_id!r} already attached")
+        reg = self.registry.lookup_bot(chatbot_id)
+        if not reg.verify_signature():
+            raise BadTriggerSignature(f"registration for {chatbot_id!r}")
+        return ChatbotRecord(trigger=reg.trigger, channel_secret_key=channel_secret_key,
+                             bot_public_key=bot_public_key)
 
     # -- messaging --------------------------------------------------------------
 
@@ -531,6 +521,9 @@ class UserState:
 
     def _send_raw(self, build_payload, trigger_message: bytes | None,
                   conceal: bool, address_all: bool) -> SendOutcome:
+        # A send commits when it is built rather than through `process`:
+        # decoding its own view would add one counted `derive` and one
+        # counted `sym_decrypt` per send.
         ctl = self.cgka.update()
         group_key = self.cgka.process(ctl)
         epoch = self.cgka.epoch
@@ -538,15 +531,13 @@ class UserState:
         message_key = derive(group_key, MSG_KEY)
         ciphertext = sym_encrypt(message_key, build_payload(epoch))
 
+        fired = self._rotate(trigger_message, address_all, pair)
         addressed: list[str] = []
         concealed: list[str] = []
         entries: list[Entry] = []
-        for cid in sorted(self.records):
-            record = self.records[cid]
-            if address_all or (trigger_message is not None
-                               and record.trigger.matches(trigger_message)):
+        for cid, record in sorted(self.records.items()):
+            if cid in fired:
                 entries.append((cid, pke_seal(record.bot_public_key, message_key)))
-                record.channel_secret_key = pair
                 addressed.append(cid)
             elif conceal:
                 entries.append((cid, random_bytes(SEALED_LEN)))
@@ -571,29 +562,35 @@ class UserState:
         (senders' entry lists are never trusted for that)."""
         view = UserMessageView.from_bytes(data)
         self._check_group(view.group_id)
-        group_key = self.cgka.process(CgkaControl.from_bytes(view.control))
-        if view.epoch != self.cgka.epoch:
+        control = CgkaControl.from_bytes(view.control)
+        if view.epoch != control.epoch + 1:
             raise MalformedControl("bundle epoch disagrees with control")
-        pair = self.cgka.group_key_pair
-        if view.group_public_key != pair.public_key:
-            raise MalformedControl("bundle group key disagrees with tree")
         for cid, _ in view.entries:
             if cid not in self.records:
                 raise UnknownChatbotId(f"entry for unknown chatbot {cid!r}")
+        group_key = self.cgka.process(control)
+        pair = self.cgka.group_key_pair
+        if view.group_public_key != pair.public_key:
+            raise MalformedControl("bundle group key disagrees with tree")
 
         message_key = derive(group_key, MSG_KEY)
         payload = sym_decrypt(message_key, view.ciphertext)
         result, _signature = _parse_payload(payload)
-
-        address_all = bool(view.flags & _FLAG_ADDRESS_ALL)
-        for cid in sorted(self.records):
-            record = self.records[cid]
-            fired = address_all or (
-                isinstance(result, ReceivedMessage)
-                and record.trigger.matches(result.message))
-            if fired:
-                record.channel_secret_key = pair
+        message = result.message if isinstance(result, ReceivedMessage) else None
+        self._rotate(message, bool(view.flags & _FLAG_ADDRESS_ALL), pair)
         return result
+
+    def _rotate(self, message: bytes | None, address_all: bool,
+                pair: KeyPair) -> set[str]:
+        """The one addressing rule, shared by the sender and its receivers:
+        `address_all`, or the record's trigger fires on the message. Moves
+        each addressed record's channel to `pair`; returns their ids."""
+        fired = {cid for cid, record in self.records.items()
+                 if address_all or (message is not None
+                                    and record.trigger.matches(message))}
+        for cid in fired:
+            self.records[cid].channel_secret_key = pair
+        return fired
 
     def receive_from_chatbot(self, data: bytes) -> bytes:
         msg = BotMessage.from_bytes(data)

@@ -112,18 +112,23 @@ class World:
         self.users[sender].send(message)
 
 
-def _measure(action, iterations: int, warmups: int) -> tuple[list[float], counters.OpCounters]:
-    for _ in range(warmups):
-        action()
-    times: list[float] = []
-    ops = counters.OpCounters()
-    for i in range(iterations):
-        with counters.collect(ops if i == iterations - 1 else counters.OpCounters()):
-            start = time.perf_counter_ns()
+def _measure(actions: list, iterations: int,
+             warmups: int) -> list[tuple[list[float], counters.OpCounters]]:
+    """Warm every action, then time them round-robin, one call each per
+    round, so drift in the host's speed lands on every action alike.
+    Returns per action its times (ms) and the op counts of its last call."""
+    for action in actions:
+        for _ in range(warmups):
             action()
-            elapsed = time.perf_counter_ns() - start
-        times.append(elapsed / 1e6)
-    return times, ops
+    out = [([], counters.OpCounters()) for _ in actions]
+    for i in range(iterations):
+        for action, (times, ops) in zip(actions, out):
+            with counters.collect(ops if i == iterations - 1 else counters.OpCounters()):
+                start = time.perf_counter_ns()
+                action()
+                elapsed = time.perf_counter_ns() - start
+            times.append(elapsed / 1e6)
+    return out
 
 
 def _row(bench: str, n: int, m: int, variant: str, times: list[float],
@@ -142,32 +147,24 @@ def _row(bench: str, n: int, m: int, variant: str, times: list[float],
 def bench_send_m_sweep(n: int = 50, m_values: tuple[int, ...] = (0, 4, 8, 16, 32),
                        iterations: int = 30, warmups: int = 5) -> list[BenchRow]:
     """End-to-end delivery time as the chatbot roster grows."""
-    rows = []
     message = b"benchmark message payload, forty-two bytes"
-    for m in m_values:
-        world = World(n, m)
-        sender = world.ids[0]
-        times, ops = _measure(
-            lambda: world.send_end_to_end(sender, message),
-            iterations, warmups)
-        rows.append(_row("send_m", n, m, "end_to_end", times, ops))
-    return rows
+    worlds = [World(n, m) for m in m_values]
+    measured = _measure([lambda w=w: w.send_end_to_end(w.ids[0], message)
+                         for w in worlds], iterations, warmups)
+    return [_row("send_m", n, m, "end_to_end", times, ops)
+            for m, (times, ops) in zip(m_values, measured)]
 
 
 def bench_send_n_sweep(n_values: tuple[int, ...] = (8, 16, 32, 64, 128),
                        m: int = 4, iterations: int = 30,
                        warmups: int = 5) -> list[BenchRow]:
     """Sender-side cost of one message as the group grows."""
-    rows = []
     message = b"benchmark message payload, forty-two bytes"
-    for n in n_values:
-        world = World(n, m)
-        sender = world.ids[0]
-        times, ops = _measure(
-            lambda: world.send_sender_only(sender, message),
-            iterations, warmups)
-        rows.append(_row("send_n", n, m, "sender", times, ops))
-    return rows
+    worlds = [World(n, m) for n in n_values]
+    measured = _measure([lambda w=w: w.send_sender_only(w.ids[0], message)
+                         for w in worlds], iterations, warmups)
+    return [_row("send_n", n, m, "sender", times, ops)
+            for n, (times, ops) in zip(n_values, measured)]
 
 
 def bench_add_bot(n: int = 50, m: int = 4, iterations: int = 30,
@@ -204,13 +201,13 @@ def bench_add_bot(n: int = 50, m: int = 4, iterations: int = 30,
 
     action = attach_with_pseudonyms if pseudonym else attach_plain
     variant = "with_pseudonyms" if pseudonym else "plain"
-    times, ops = _measure(action, iterations, warmups)
+    [(times, ops)] = _measure([action], iterations, warmups)
     rows = [_row("add_bot", n, m, variant, times, ops)]
 
     message = b"benchmark message payload, forty-two bytes"
     sender = world.ids[0]
-    ref_times, ref_ops = _measure(
-        lambda: world.send_end_to_end(sender, message), iterations, warmups)
+    [(ref_times, ref_ops)] = _measure(
+        [lambda: world.send_end_to_end(sender, message)], iterations, warmups)
     rows.append(_row("add_bot", n, m, "reference_send", ref_times, ref_ops))
     return rows
 

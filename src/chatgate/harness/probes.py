@@ -11,6 +11,7 @@ send log.
 from __future__ import annotations
 
 import base64
+import re
 from dataclasses import dataclass
 
 from ..encoding import peek_type
@@ -86,27 +87,42 @@ def probe_selective_access(result: RunResult) -> Verdict:
 
 # -- forward secrecy ---------------------------------------------------------------
 
+_HEX_RUN = re.compile(r"[0-9a-f]{64,}")
+
+
+def _hex_windows(snapshot: bytes) -> set[str]:
+    """Every 64-character window of each maximal lowercase-hex run in the
+    snapshot's text. The hex of a 32-byte secret occurs in the text exactly
+    when it is in this set, also when it sits inside a longer hex string."""
+    out = set()
+    for run in _HEX_RUN.findall(snapshot.decode("ascii")):
+        out.update(run[i:i + 64] for i in range(len(run) - 63))
+    return out
+
+
 def probe_forward_secrecy(result: RunResult) -> Verdict:
     """Byte-scan: once an op supersedes a chain secret or message key, the
     value never appears in any in-scope party state again. Chatbot states
-    must never contain any group chain secret, current or old."""
+    must never contain any group chain secret, current or old. Every value
+    is the hex of a 32-byte secret, so each snapshot is scanned once, into
+    its set of hex windows."""
     violations = []
     scanned = 0
     dead = result.supersessions
     for pid, history in sorted(result.snapshots.items()):
         for snap_seq, snapshot in history:
             scanned += 1
-            text = snapshot.decode("ascii")
+            windows = _hex_windows(snapshot)
             for item in dead:
-                if item.dead_from <= snap_seq and item.value_hex in text:
+                if item.dead_from <= snap_seq and item.value_hex in windows:
                     violations.append({"party": pid, "seq": snap_seq,
                                        "value": item.value_hex[:16]})
     all_group_secrets = set(result.group_secrets.values())
     for cid in sorted(result.bots):
         for snap_seq, snapshot in result.snapshots.get(cid, []):
-            text = snapshot.decode("ascii")
+            windows = _hex_windows(snapshot)
             for value in sorted(all_group_secrets):
-                if value in text:
+                if value in windows:
                     violations.append({"party": cid, "seq": snap_seq,
                                        "value": value[:16], "kind": "chain"})
     return _verdict("forward_secrecy", violations,

@@ -72,7 +72,8 @@ class CompromiseEvent:
 
 @dataclass(frozen=True)
 class Supersession:
-    """`value` must not appear in any in-scope snapshot at seq >= dead_from."""
+    """`value_hex`, the hex of a 32-byte secret, must not appear in any
+    in-scope snapshot at seq >= dead_from."""
     value_hex: str
     dead_from: int
 

@@ -114,7 +114,6 @@ Op = (GroupOp | BotDecl | AddBot | RemBot | AddUser | RemUser
 class Scenario:
     group_id: str
     ops: list[Op] = field(default_factory=list)
-    declared_bots: dict[str, str] = field(default_factory=dict)  # cid -> rules
 
     @property
     def initial_members(self) -> tuple[str, ...]:
@@ -197,7 +196,6 @@ def _parse_op(line_no: int, op_name: str, args: list[str],
         except ValueError as exc:
             raise ScenarioParseError(line_no, str(exc)) from None
         check.bots_declared.add(cid)
-        scenario.declared_bots[cid] = rules_text
         return BotDecl(line_no, cid, rules_text)
 
     if op_name == "add_bot":

@@ -49,10 +49,8 @@ from .errors import DecryptFailed
 SECRET_LEN = 32
 PUBLIC_KEY_LEN = 32
 SEALED_LEN = 80          # eph pk (32) + ct of 32-byte payload (32) + tag (16)
-SEAL_OVERHEAD = SEALED_LEN - SECRET_LEN
 SYM_OVERHEAD = 28        # nonce (12) + tag (16)
 SIG_LEN = 64
-HANDLE_LEN = 32
 
 _DOMAIN = b"chatgate.v1:"
 _ZERO_NONCE = bytes(12)
@@ -102,11 +100,6 @@ def set_random_source(source: RandomSource) -> RandomSource:
     previous = _random_source
     _random_source = source
     return previous
-
-
-def reset_random_source() -> None:
-    global _random_source
-    _random_source = secrets.token_bytes
 
 
 class DeterministicRandom:

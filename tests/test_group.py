@@ -6,6 +6,9 @@ chatbot can decrypt exactly the messages whose triggers its registration
 fires on (or that were explicitly addressed to everyone).
 """
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from chatgate import cgka
@@ -25,6 +28,7 @@ from chatgate.errors import (
 from chatgate.group import (
     NOT_ADDRESSED,
     ChatbotState,
+    GroupControl,
     PseudonymRegistration,
     ReceivedMessage,
     UserMessageView,
@@ -363,6 +367,32 @@ def test_newcomer_cannot_read_bot_reply_to_older_epoch():
 
 # -- pseudonyms ---------------------------------------------------------------
 
+def test_forged_roster_is_rejected_before_the_newcomer_joins():
+    users, bots, registry = build_group(2, bots=[("echo-bot-01", "mention:@echo")])
+    newcomer = user_init(cgka.init("user-77", users["user-00"].cgka.directory), registry)
+    wrapped = GroupControl.from_bytes(users["user-00"].add_user("user-77"))
+    forged = replace(wrapped, roster=wrapped.roster + (("ghost-bot-99", bytes(32)),))
+    before = json.dumps(newcomer.snapshot(), sort_keys=True)
+    with pytest.raises(UnknownChatbot):
+        newcomer.process_group_control(forged.to_bytes())
+    assert json.dumps(newcomer.snapshot(), sort_keys=True) == before
+
+
+@pytest.mark.parametrize("forge,error", [
+    (lambda v: replace(v, epoch=v.epoch + 1), MalformedControl),
+    (lambda v: replace(v, entries=v.entries + (("ghost-bot-99", bytes(SEALED_LEN)),)),
+     UnknownChatbotId),
+], ids=["epoch_off_by_one", "unknown_chatbot_entry"])
+def test_bad_message_header_is_rejected_before_the_control_commits(forge, error):
+    users, bots, _ = build_group(3, bots=[("echo-bot-01", "mention:@echo")])
+    out = users["user-00"].send(b"@echo hi")
+    forged = forge(UserMessageView.from_bytes(out.user_view)).to_bytes()
+    before = json.dumps(users["user-01"].snapshot(), sort_keys=True)
+    with pytest.raises(error):
+        users["user-01"].process_user_message(forged)
+    assert json.dumps(users["user-01"].snapshot(), sort_keys=True) == before
+
+
 def test_pseudonym_roundtrip():
     users, bots, _ = build_group(3, bots=[("echo-bot-01", "mention:@echo")])
     reg_out = users["user-01"].register_pseudonym()
@@ -500,6 +530,84 @@ def test_snapshots_have_expected_shape():
     assert usnap["kind"] == "user"
     assert "echo-bot-01" in usnap["records"]
 
+
+
+# -- one handler per edit ---------------------------------------------------------
+
+def test_sender_and_receivers_agree_on_records_and_addressing():
+    """A seeded history through every control builder and every kind of
+    send. After each op, every member holds the same chatbot records; after
+    each send, the records whose channel moved to the new group key pair
+    are exactly the addressed ones, at the sender and at every receiver."""
+    registry = DictRegistry()
+    directory = InitKeyDirectory()
+    users, bots, attached, addressed = {}, {}, [], []
+    members = ["user-00", "user-01", "user-02"]
+
+    def check_records():
+        held = [{cid: r.bot_public_key for cid, r in users[m].records.items()}
+                for m in members]
+        assert all(h == held[0] for h in held)
+        assert sorted(held[0]) == sorted(attached)
+
+    def control(sender, blob, bot=None):
+        for m in members:
+            if m != sender:
+                users[m].process(blob)
+        if bot is not None:
+            bots[bot].process(blob)
+        check_records()
+
+    def send(sender, *args, **flags):
+        user = users[sender]
+        out = user.send(*args, **flags) if args else user.register_pseudonym()
+        for m in members:
+            if m != sender:
+                users[m].process(out.user_view)
+        for cid in attached:
+            bots[cid].process(out.chatbot_view)
+        for m in members:
+            pair = users[m].cgka.group_key_pair
+            moved = {cid for cid, r in users[m].records.items()
+                     if r.channel_secret_key == pair}
+            assert moved == set(out.addressed), m
+        check_records()
+        addressed.append(out.addressed)
+
+    with seeded(b"one-handler-per-edit"):
+        for uid in [*members, "user-03"]:
+            users[uid] = user_init(cgka.init(uid, directory), registry)
+        for cid, rules in (("echo-bot-01", "mention:@echo"),
+                           ("memo-bot-02", "contains:note"), ("audit-bot-03", "never")):
+            bots[cid] = chatbot_init(cid, rules_from_text(rules))
+            registry.register(bots[cid].registration)
+
+        control("user-00", users["user-00"].create_group("grp-main", list(members)))
+        for actor, cid in (("user-00", "echo-bot-01"), ("user-01", "memo-bot-02"),
+                           ("user-02", "audit-bot-03")):
+            attached.append(cid)
+            control(actor, users[actor].add_chatbot(cid), bot=cid)
+        send("user-00", b"@echo hello")
+        send("user-01", b"note the figures", conceal=True)
+        send("user-02")  # pseudonym registration, addressed to every chatbot
+        send("user-02", b"@echo note this for both", pseudonymous=True)
+        control("user-01", users["user-01"].update_keys())
+        members.append("user-03")
+        control("user-00", users["user-00"].add_user("user-03"))
+        send("user-03", b"a note from the newcomer")
+        send("user-01", b"nothing fires here", address_all=True)
+        members.remove("user-02")
+        control("user-00", users["user-00"].remove_user("user-02"))
+        attached.remove("audit-bot-03")
+        control("user-03", users["user-03"].remove_chatbot("audit-bot-03"),
+                bot="audit-bot-03")
+        send("user-01", b"@echo after the removals", conceal=True)
+        send("user-00", b"plain chat only")
+
+    all_three = ("audit-bot-03", "echo-bot-01", "memo-bot-02")
+    assert addressed == [("echo-bot-01",), ("memo-bot-02",), all_three,
+                         ("echo-bot-01", "memo-bot-02"), ("memo-bot-02",),
+                         all_three, ("echo-bot-01",), ()]
 
 
 # -- one delivery dispatch ------------------------------------------------------

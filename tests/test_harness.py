@@ -4,6 +4,7 @@ benches at toy sizes, and the CLI."""
 import base64
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,72 @@ def test_fs_probe_flags_a_retained_secret():
     assert not verdict.passed
     with pytest.raises(ProbeFailed):
         verdict.check()
+
+
+def _fs_substring_scan(result):
+    """The forward-secrecy probe as a plain substring scan of every
+    snapshot for every value: the reference the indexed probe must match."""
+    violations = []
+    scanned = 0
+    dead = result.supersessions
+    for pid, history in sorted(result.snapshots.items()):
+        for snap_seq, snapshot in history:
+            scanned += 1
+            text = snapshot.decode("ascii")
+            for item in dead:
+                if item.dead_from <= snap_seq and item.value_hex in text:
+                    violations.append({"party": pid, "seq": snap_seq,
+                                       "value": item.value_hex[:16]})
+    for cid in sorted(result.bots):
+        for snap_seq, snapshot in result.snapshots.get(cid, []):
+            text = snapshot.decode("ascii")
+            for value in sorted(set(result.group_secrets.values())):
+                if value in text:
+                    violations.append({"party": cid, "seq": snap_seq,
+                                       "value": value[:16], "kind": "chain"})
+    return probes.Verdict("forward_secrecy", not violations,
+                          {"snapshots_scanned": scanned, "dead_values": len(dead),
+                           "violations": violations[:10]})
+
+
+def test_fs_probe_matches_the_substring_scan(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    results = [run_text(text, seed=seed) for seed in (7, 23)
+               for _, text in sorted(canned.ALL.items())]
+    rng = random.Random("fs-reference")
+    results += [run_text(workloads.scenario_text(
+                    workloads.AUDIT, workloads.audit_blocks(rng, 1)), seed=seed)
+                for seed in (301, 302)]
+    for result in results:
+        assert probes.probe_forward_secrecy(result) == _fs_substring_scan(result)
+        # every group secret declared dead from the start: members still
+        # hold the live one, so both scans must report the same violations
+        result.supersessions += [Supersession(value, 0)
+                                 for value in sorted(result.group_secrets.values())]
+        verdict = probes.probe_forward_secrecy(result)
+        assert not verdict.passed
+        assert verdict == _fs_substring_scan(result)
+
+
+def test_fs_probe_finds_a_value_inside_a_longer_hex_string():
+    result = run_text(canned.FORWARD_SECRECY, seed=9)
+    dead = "5a" * 32
+    secret = result.group_secrets[min(result.group_secrets)]
+    seq = result.snapshots["user-01"][-1][0]
+    # odd offsets, so only a window that does not start a run matches
+    result.snapshots["user-01"].append(
+        (seq + 1, json.dumps({"blob": "f" + dead + "0e"}).encode()))
+    result.snapshots["memo-bot-01"].append(
+        (seq + 1, json.dumps({"blob": "abc" + secret + "d"}).encode()))
+    result.supersessions.append(Supersession(dead, seq + 1))
+    verdict = probes.probe_forward_secrecy(result)
+    assert verdict == _fs_substring_scan(result)
+    found = verdict.detail["violations"]
+    assert {"party": "user-01", "seq": seq + 1, "value": dead[:16]} in found
+    assert {"party": "memo-bot-01", "seq": seq + 1, "value": secret[:16],
+            "kind": "chain"} in found
 
 
 def test_selective_probe_flags_a_leaked_group_key():
