@@ -8,15 +8,17 @@ the path up to the root. The root secret of the current epoch is the group
 secret; the key pair generated from it is the group key pair that the
 chatbot layer shares with addressed chatbots.
 
-A control takes effect in two steps. `_stage` works out, on copies, what
+A control takes effect in two steps. `stage` works out, on copies, what
 it leaves behind: the tree after its membership edit and new path, the own
-leaf, and the own `path`. `_commit` installs that `_Next` and is the only
+leaf, and the own `path`. `commit` installs that `Staged` and is the only
 writer of the tree, own leaf, path, group id and epoch, so a control that
-fails any check changes nothing. A sender builds its control over the same
-membership edit and keeps the resulting `_Next` as pending; processing a
-control equal to it commits it, so sender and receivers advance through the
-same epoch sequence (one control processed, epoch plus exactly one), and a
-control that is never processed leaves the sender as it was.
+fails any check changes nothing, and a caller can check more (the group
+layer opens the message sealed under the staged root) before it commits.
+A sender builds its control over the same membership edit and keeps the
+resulting `Staged` as pending; staging a control equal to it returns it,
+so sender and receivers advance through the same epoch sequence (one
+control processed, epoch plus exactly one), and a control that is never
+processed leaves the sender as it was.
 
 The tree itself is public. A member's private material sits in one map,
 `CgkaState.path`, and only for the nodes on its own direct path: its init
@@ -41,9 +43,11 @@ before it is used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 
 from . import tree as treemod
-from .encoding import Reader, Writer, peek_type
+from .encoding import FixedRecord, Reader, Writer, peek_type
 from .errors import (
     AlreadyMember,
     CannotRemoveSelf,
@@ -56,6 +60,8 @@ from .errors import (
     UnknownMember,
 )
 from .primitives import (
+    PUBLIC_KEY_LEN,
+    SEALED_LEN,
     KeyPair,
     derive,
     pke_keygen,
@@ -79,6 +85,9 @@ _TYPE_BY_KIND = {v: k for k, v in _KIND_BY_TYPE.items()}
 
 # (target public key, sealed chained secret)
 PathEntry = tuple[bytes, bytes]
+
+_PATH_KEY = FixedRecord(PUBLIC_KEY_LEN)
+_PATH_ENTRY = FixedRecord(PUBLIC_KEY_LEN, SEALED_LEN)
 
 
 class InitKeyDirectory:
@@ -160,8 +169,8 @@ class CgkaControl:
         elif kind == "remove":
             ctl.removed_leaf = r.u32()
             ctl.removed_id = r.text()
-        ctl.new_public_path = r.items(Reader.field)
-        ctl.path_entries = r.items(lambda rr: (rr.field(), rr.field()))
+        ctl.new_public_path = [pk for (pk,) in r.fixed_items(_PATH_KEY)]
+        ctl.path_entries = r.fixed_items(_PATH_ENTRY)
         r.finish()
         return ctl
 
@@ -189,14 +198,22 @@ def _newcomer_leaf(t: treemod.RatchetTree) -> int:
 
 
 @dataclass
-class _Next:
-    """What one control leaves behind, computed on copies; `_commit`
+class Staged:
+    """What one control leaves behind, computed on copies; `commit`
     installs it. The group id and epoch follow from the control."""
 
     control: CgkaControl
     tree: treemod.RatchetTree
     own_leaf: int
     path: dict[int, tuple[bytes | None, KeyPair]]
+
+    @property
+    def group_secret(self) -> bytes:
+        return self.path[self.tree.root][0]
+
+    @property
+    def group_key_pair(self) -> KeyPair:
+        return self.path[self.tree.root][1]
 
 
 @dataclass
@@ -211,7 +228,7 @@ class CgkaState:
     # node -> (chained secret, key pair), on the own direct path only; the
     # secret is None at a leaf joined by init key
     path: dict[int, tuple[bytes | None, KeyPair]] = field(default_factory=dict)
-    _pending: _Next | None = None
+    _pending: Staged | None = None
 
     @property
     def group_secret(self) -> bytes | None:
@@ -294,8 +311,8 @@ class CgkaState:
                 entries.append((target_pk, pke_seal(target_pk, chained)))
         ctl.path_entries = entries
 
-        self._pending = _Next(ctl, t, own_leaf,
-                              {x: (s, kp) for x, s, kp in zip(path, secrets, pairs)})
+        self._pending = Staged(ctl, t, own_leaf,
+                               {x: (s, kp) for x, s, kp in zip(path, secrets, pairs)})
         return ctl
 
     def _seat(self, control: CgkaControl) -> tuple[treemod.RatchetTree, int]:
@@ -343,22 +360,24 @@ class CgkaState:
     # -- receivers ------------------------------------------------------------
 
     def process(self, control: CgkaControl) -> bytes:
-        """Apply one control; returns the new group secret. A control equal
-        to the pending one commits what its sender staged."""
-        if self._pending is not None and control == self._pending.control:
-            return self._commit(self._pending)
-        return self._commit(self._stage(control))
+        """Apply one control; returns the new group secret."""
+        return self.commit(self.stage(control))
 
-    def _commit(self, nxt: _Next) -> bytes:
-        self.tree, self.own_leaf, self.path = nxt.tree, nxt.own_leaf, nxt.path
-        self.group_id = nxt.control.group_id
-        self.epoch = nxt.control.epoch + 1
+    def commit(self, staged: Staged) -> bytes:
+        """Install what `stage` returned, with no other commit in between;
+        returns the new group secret."""
+        self.tree, self.own_leaf, self.path = staged.tree, staged.own_leaf, staged.path
+        self.group_id = staged.control.group_id
+        self.epoch = staged.control.epoch + 1
         self._pending = None
         return self.group_secret
 
-    def _stage(self, control: CgkaControl) -> _Next:
-        """What another member's control leaves behind; a failed check
-        raises having changed nothing."""
+    def stage(self, control: CgkaControl) -> Staged:
+        """What a control leaves behind, changing nothing: what its sender
+        staged, for a control equal to the pending one; else the outcome of
+        another member's control, which raises if any check fails."""
+        if self._pending is not None and control == self._pending.control:
+            return self._pending
         if self.tree is None:
             if control.kind != "create" and not (
                     control.kind == "add" and control.new_member_id == self.member_id):
@@ -382,7 +401,7 @@ class CgkaState:
             # a node the membership edit blanked leaves `path` too
             path = {x: v for x, v in self.path.items() if t.nodes[x] is not None}
         _apply_update_path(control, t, own_leaf, path)
-        return _Next(control, t, own_leaf, path)
+        return Staged(control, t, own_leaf, path)
 
     # -- inspection -------------------------------------------------------------
 
@@ -435,19 +454,18 @@ def _apply_update_path(control: CgkaControl, t: treemod.RatchetTree,
     if control.sender_leaf == own_leaf:
         raise MalformedControl("unexpected control from own leaf")
 
-    # Private keys live only on the receiver's own direct path.
+    # Private keys live only on the receiver's own direct path. The entry
+    # opened is the first on the wire sealed to one of them; the lazy scan
+    # runs in C and stops there, so the Python work grows with the depth.
     held = {kp.public_key: x for x, (_, kp) in path.items()}
-    opened: bytes | None = None
-    opened_at: int | None = None
-    for target_pk, box in control.path_entries:
-        x = held.get(target_pk)
-        if x is None:
-            continue
-        opened = pke_open(path[x][1], box)
-        opened_at = x
-        break
-    if opened is None:
+    entries = control.path_entries
+    addressed = map(held.__contains__, map(itemgetter(0), entries))
+    entry = next(compress(entries, addressed), None)
+    if entry is None:
         raise DecryptFailed("no path entry addressed to this member")
+    target_pk, box = entry
+    opened_at = held[target_pk]
+    opened = pke_open(path[opened_at][1], box)
     if len(opened) != 32:
         raise MalformedControl("path entry payload has wrong size")
 

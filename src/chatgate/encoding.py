@@ -4,6 +4,13 @@ Every wire object is a type byte followed by length-prefixed fields in a
 fixed order. Lengths are 32-bit big-endian. The encoding is byte-stable:
 the same logical object always serializes to the same bytes, which is what
 makes transcripts reproducible and signatures well-defined.
+
+A list is a 32-bit item count followed by its items. Where every field of
+every item has one fixed width (a control's path keys and sealed path
+entries), `Reader.fixed_items` decodes the whole list in one step: one
+bounds check, then C-level unpacking and width checks over all items, so
+the Python work of a decode does not grow with the list. A field of any
+other width is malformed. The bytes are the same as `Writer.items` writes.
 """
 
 from __future__ import annotations
@@ -108,9 +115,34 @@ class Reader:
             raise MalformedControl("implausible item count")
         return [read_one(self) for _ in range(count)]
 
+    def fixed_items(self, record: "FixedRecord") -> list[tuple[bytes, ...]]:
+        """An `items` list whose every item is `record`'s fields, each
+        length-prefixed and exactly its width; one tuple of fields per item."""
+        count = self.u32()
+        start = self._pos
+        end = start + count * record.fields.size
+        if end > len(self._data):
+            raise MalformedControl("truncated input")
+        data = self._data[start:end]
+        if list(record.lengths.iter_unpack(data)).count(record.widths) != count:
+            raise MalformedControl("field of the wrong width")
+        self._pos = end
+        return list(record.fields.iter_unpack(data))
+
     def finish(self) -> None:
         if self._pos != len(self._data):
             raise MalformedControl("trailing bytes")
+
+
+class FixedRecord:
+    """The layout of one item of a fixed-width list: length-prefixed fields
+    of the given widths. `lengths` reads only the prefixes, `fields` only
+    the field bytes."""
+
+    def __init__(self, *widths: int):
+        self.widths = widths
+        self.lengths = struct.Struct(">" + "".join(f"I{w}x" for w in widths))
+        self.fields = struct.Struct(">" + "".join(f"4x{w}s" for w in widths))
 
 
 def peek_type(data: bytes) -> int:

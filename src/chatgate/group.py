@@ -559,7 +559,9 @@ class UserState:
     def process_user_message(self, data: bytes) -> ReceiveResult:
         """Apply another user's message: advance the tree, read the payload,
         and refresh exactly the records whose triggers the message fires
-        (senders' entry lists are never trusted for that)."""
+        (senders' entry lists are never trusted for that). The control
+        commits only once the message has been read under its staged root,
+        so a message that fails any check changes nothing."""
         view = UserMessageView.from_bytes(data)
         self._check_group(view.group_id)
         control = CgkaControl.from_bytes(view.control)
@@ -568,14 +570,15 @@ class UserState:
         for cid, _ in view.entries:
             if cid not in self.records:
                 raise UnknownChatbotId(f"entry for unknown chatbot {cid!r}")
-        group_key = self.cgka.process(control)
-        pair = self.cgka.group_key_pair
+        staged = self.cgka.stage(control)
+        pair = staged.group_key_pair
         if view.group_public_key != pair.public_key:
             raise MalformedControl("bundle group key disagrees with tree")
 
-        message_key = derive(group_key, MSG_KEY)
+        message_key = derive(staged.group_secret, MSG_KEY)
         payload = sym_decrypt(message_key, view.ciphertext)
         result, _signature = _parse_payload(payload)
+        self.cgka.commit(staged)
         message = result.message if isinstance(result, ReceivedMessage) else None
         self._rotate(message, bool(view.flags & _FLAG_ADDRESS_ALL), pair)
         return result

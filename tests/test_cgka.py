@@ -8,6 +8,7 @@ seal one entry per non-creator member because every internal node is blank.
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import random
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chatgate import cgka, counters, tree as treemod
+from chatgate.encoding import Reader, peek_type
 from chatgate.errors import (
     AlreadyMember,
     CannotRemoveSelf,
@@ -28,6 +30,10 @@ from chatgate.errors import (
     StaleEpoch,
     UnknownMember,
 )
+from chatgate.group import GROUP_CONTROL, VIEW_USER_MESSAGE, GroupControl, UserMessageView
+from chatgate.harness import canned
+from chatgate.harness.runner import run_text
+from chatgate.primitives import PUBLIC_KEY_LEN, SEALED_LEN
 
 
 def make_states(n: int, directory=None):
@@ -667,6 +673,171 @@ def test_unmutated_fuzz_controls_apply():
             else:
                 receiver.process(cgka.CgkaControl.from_bytes(blob))
                 assert receiver.epoch == 2
+
+
+# ---------------------------------------------------------------------------
+# decoder: fixed-width path lists against the per-field reference
+# ---------------------------------------------------------------------------
+
+def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
+    """The per-field decoder that `CgkaControl.from_bytes` replaced: every
+    path key, target and box goes through `Reader.field`, at any width."""
+    kind = cgka._KIND_BY_TYPE.get(peek_type(data))
+    if kind is None:
+        raise MalformedControl("unknown control type")
+    r = Reader(data, expect_type=cgka._TYPE_BY_KIND[kind])
+    ctl = cgka.CgkaControl(kind=kind, group_id=r.text(), epoch=r.u32(),
+                           sender_leaf=r.u32())
+    if kind == "create":
+        ctl.capacity = r.u32()
+        ctl.roster = r.items(lambda rr: (rr.text(), rr.field()))
+    elif kind == "add":
+        ctl.new_member_id = r.text()
+        ctl.new_member_init_pk = r.field()
+        ctl.new_leaf = r.u32()
+        ctl.welcome = r.field()
+    elif kind == "remove":
+        ctl.removed_leaf = r.u32()
+        ctl.removed_id = r.text()
+    ctl.new_public_path = r.items(Reader.field)
+    ctl.path_entries = r.items(lambda rr: (rr.field(), rr.field()))
+    r.finish()
+    return ctl
+
+
+def has_wrong_width(ctl: cgka.CgkaControl) -> bool:
+    return (any(len(pk) != PUBLIC_KEY_LEN for pk in ctl.new_public_path)
+            or any(len(pk) != PUBLIC_KEY_LEN or len(box) != SEALED_LEN
+                   for pk, box in ctl.path_entries))
+
+
+def transcript_controls(seed: int) -> list[bytes]:
+    controls = []
+    for name in sorted(canned.ALL):
+        for row in run_text(canned.ALL[name], seed=seed).provider.transcript:
+            view = base64.b64decode(row["view_b64"])
+            if peek_type(view) == VIEW_USER_MESSAGE:
+                controls.append(UserMessageView.from_bytes(view).control)
+            elif peek_type(view) == GROUP_CONTROL:
+                controls.append(GroupControl.from_bytes(view).control)
+    return controls
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+def test_decoder_matches_reference_on_canned_transcripts(seed):
+    controls = transcript_controls(seed)
+    assert len({peek_type(c) for c in controls}) == 4  # every kind
+    for blob in controls:
+        ctl = cgka.CgkaControl.from_bytes(blob)
+        assert ctl == reference_from_bytes(blob)
+        assert ctl.to_bytes() == blob
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_decoder_agrees_with_reference_on_mutated_controls(data):
+    blob, _ = mutation_cases()[data.draw(st.sampled_from(["add", "remove", "update"]))]
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                         st.integers(1, 255)),
+                               min_size=1, max_size=3))
+    mutated = bytearray(blob)
+    for i, flip in edits:
+        mutated[i] ^= flip
+    mutated = bytes(mutated)
+    try:
+        expected = reference_from_bytes(mutated)
+    except MalformedControl:
+        expected = None
+    try:
+        got = cgka.CgkaControl.from_bytes(mutated)
+    except MalformedControl:
+        # the one difference: a key or box of the wrong width
+        assert expected is None or has_wrong_width(expected)
+    else:
+        assert got == expected
+
+
+def resize(value: bytes, width: int) -> bytes:
+    return value[:width].ljust(width, b"\x00")
+
+
+def resize_entry(ctl, i, target_width, box_width):
+    target, box = ctl.path_entries[i]
+    ctl.path_entries[i] = (resize(target, target_width), resize(box, box_width))
+
+
+def resize_key(ctl, i, width):
+    ctl.new_public_path[i] = resize(ctl.new_public_path[i], width)
+
+
+WRONG_WIDTHS = {
+    "target_31": lambda c: resize_entry(c, 0, 31, SEALED_LEN),
+    "target_33": lambda c: resize_entry(c, 0, 33, SEALED_LEN),
+    "box_short": lambda c: resize_entry(c, -1, 32, SEALED_LEN - 1),
+    "box_long": lambda c: resize_entry(c, -1, 32, SEALED_LEN + 1),
+    "path_key_31": lambda c: resize_key(c, 0, 31),
+    "path_key_33": lambda c: resize_key(c, -1, 33),
+    # these keep the list's total length, so only the width check sees them
+    "target_33_box_short": lambda c: resize_entry(c, 0, 33, SEALED_LEN - 1),
+    "path_keys_33_31": lambda c: (resize_key(c, 0, 33), resize_key(c, 1, 31)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(WRONG_WIDTHS))
+def test_wrong_width_is_malformed(edit):
+    states, _ = make_group(3)
+    ctl = states[0].update()
+    WRONG_WIDTHS[edit](ctl)
+    blob = ctl.to_bytes()
+    assert has_wrong_width(reference_from_bytes(blob))
+    with pytest.raises(MalformedControl):
+        cgka.CgkaControl.from_bytes(blob)
+
+
+def update_after_create(n: int):
+    """The second member's update right after an n-member create. Every
+    internal node off the creator's path is still blank, so it seals one
+    entry per other leaf: n - 1 in all. Returns (create, update, states)."""
+    states, _ = make_states(n)
+    create = states[0].create("grp-main", [s.member_id for s in states])
+    states[1].process(create)
+    return create, states[1].update(), states
+
+
+def test_decode_reader_calls_do_not_grow_with_entries(monkeypatch):
+    calls = {"field": 0, "u32": 0}
+    for name in calls:
+        original = getattr(Reader, name)
+
+        def counted(self, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self)
+        monkeypatch.setattr(Reader, name, counted)
+
+    seen = []
+    for n in (2, 8, 128):
+        blob = update_after_create(n)[1].to_bytes()
+        for name in calls:
+            calls[name] = 0
+        ctl = cgka.CgkaControl.from_bytes(blob)
+        seen.append((len(ctl.path_entries), dict(calls)))
+    assert [entries for entries, _ in seen] == [1, 7, 127]
+    assert seen[0][1] == seen[1][1] == seen[2][1]
+
+
+def test_warm_up_receiver_opens_one_of_127_entries():
+    create, ctl, states = update_after_create(128)
+    receiver = states[-1]  # its entry is the last on the wire
+    receiver.process(create)
+    ctl = cgka.CgkaControl.from_bytes(ctl.to_bytes())
+    assert len(ctl.path_entries) == 127
+    assert ctl.path_entries[-1][0] == receiver.init_key.public_key
+    ops = counters.OpCounters()
+    with counters.collect(ops):
+        receiver.process(ctl)
+    assert ops.total("pke_open") == 1
+    assert receiver.epoch == 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from chatgate import cgka
-from chatgate.cgka import InitKeyDirectory
+from chatgate.cgka import CgkaControl, InitKeyDirectory
 from chatgate.errors import (
     BadPseudonymSignature,
     DecryptFailed,
@@ -39,6 +39,7 @@ from chatgate.group import (
 )
 from chatgate.primitives import SEALED_LEN, seeded
 from chatgate.triggers import rules_from_text
+from test_cgka import WRONG_WIDTHS
 
 
 class DictRegistry:
@@ -378,19 +379,48 @@ def test_forged_roster_is_rejected_before_the_newcomer_joins():
     assert json.dumps(newcomer.snapshot(), sort_keys=True) == before
 
 
+def flip_last_byte(data: bytes) -> bytes:
+    return data[:-1] + bytes([data[-1] ^ 1])
+
+
 @pytest.mark.parametrize("forge,error", [
     (lambda v: replace(v, epoch=v.epoch + 1), MalformedControl),
     (lambda v: replace(v, entries=v.entries + (("ghost-bot-99", bytes(SEALED_LEN)),)),
      UnknownChatbotId),
-], ids=["epoch_off_by_one", "unknown_chatbot_entry"])
+    (lambda v: replace(v, ciphertext=flip_last_byte(v.ciphertext)), DecryptFailed),
+    (lambda v: replace(v, group_public_key=bytes(32)), MalformedControl),
+], ids=["epoch_off_by_one", "unknown_chatbot_entry", "flipped_ciphertext",
+        "zeroed_group_key"])
 def test_bad_message_header_is_rejected_before_the_control_commits(forge, error):
     users, bots, _ = build_group(3, bots=[("echo-bot-01", "mention:@echo")])
     out = users["user-00"].send(b"@echo hi")
     forged = forge(UserMessageView.from_bytes(out.user_view)).to_bytes()
-    before = json.dumps(users["user-01"].snapshot(), sort_keys=True)
+    receiver = users["user-01"]
+    before = json.dumps(receiver.snapshot(), sort_keys=True)
     with pytest.raises(error):
-        users["user-01"].process_user_message(forged)
-    assert json.dumps(users["user-01"].snapshot(), sort_keys=True) == before
+        receiver.process_user_message(forged)
+    assert json.dumps(receiver.snapshot(), sort_keys=True) == before
+    assert receiver.process_user_message(out.user_view) == ReceivedMessage(b"@echo hi")
+    assert receiver.cgka.group_secret == users["user-00"].cgka.group_secret
+    assert receiver.records["echo-bot-01"].channel_secret_key == \
+        users["user-00"].records["echo-bot-01"].channel_secret_key
+
+
+@pytest.mark.parametrize("edit", sorted(WRONG_WIDTHS))
+def test_wrong_width_control_leaves_user_unchanged(edit):
+    users, _, _ = build_group(3)
+    genuine = users["user-00"].update_keys()
+    wrapped = GroupControl.from_bytes(genuine)
+    ctl = CgkaControl.from_bytes(wrapped.control)
+    WRONG_WIDTHS[edit](ctl)
+    forged = replace(wrapped, control=ctl.to_bytes()).to_bytes()
+    receiver = users["user-01"]
+    before = json.dumps(receiver.snapshot(), sort_keys=True)
+    with pytest.raises(MalformedControl):
+        receiver.process(forged)
+    assert json.dumps(receiver.snapshot(), sort_keys=True) == before
+    receiver.process(genuine)
+    assert receiver.cgka.group_secret == users["user-00"].cgka.group_secret
 
 
 def test_pseudonym_roundtrip():
