@@ -31,9 +31,13 @@ key against the control. A node that an add or remove blanks leaves `path`
 too.
 
 Adds place the newcomer at the leftmost blank leaf (doubling capacity in
-place when full), blank the newcomer's path, and embed an immediate update;
-the newcomer bootstraps from the public tree snapshot carried in the
-control and opens the ordinary path entry addressed to its init key.
+place when full), blank the newcomer's path, and embed an immediate update.
+The control carries no tree. The newcomer gets, separately, its welcome:
+the sender's public tree of the add's epoch, which only the newcomer is
+sent (the group layer wraps it apart from the control, and the provider
+delivers it to the newcomer alone). It makes the add's membership edit on
+that tree as every member does on its own, and opens the ordinary path
+entry addressed to its init key.
 Removes blank the target's leaf and path before the embedded update, so
 sealed entries can no longer reach the removed member. Every tree index a
 control carries (sender leaf, removed leaf, create capacity) is checked
@@ -126,7 +130,6 @@ class CgkaControl:
     new_member_id: str = ""
     new_member_init_pk: bytes = b""
     new_leaf: int = 0
-    welcome: bytes = b""
     # remove
     removed_leaf: int = 0
     removed_id: str = ""
@@ -143,7 +146,6 @@ class CgkaControl:
             w.text(self.new_member_id)
             w.field(self.new_member_init_pk)
             w.u32(self.new_leaf)
-            w.field(self.welcome)
         elif self.kind == "remove":
             w.u32(self.removed_leaf)
             w.text(self.removed_id)
@@ -161,11 +163,12 @@ class CgkaControl:
         if kind == "create":
             ctl.capacity = r.u32()
             ctl.roster = r.items(lambda rr: (rr.text(), rr.field()))
+            if any(len(pk) != PUBLIC_KEY_LEN for _, pk in ctl.roster):
+                raise MalformedControl("roster init key of the wrong width")
         elif kind == "add":
             ctl.new_member_id = r.text()
             ctl.new_member_init_pk = r.field()
             ctl.new_leaf = r.u32()
-            ctl.welcome = r.field()
         elif kind == "remove":
             ctl.removed_leaf = r.u32()
             ctl.removed_id = r.text()
@@ -292,8 +295,6 @@ class CgkaState:
         control's membership edit; the outcome is staged in `_pending`, and
         nothing else changes."""
         t, own_leaf = self._seat(ctl)
-        if ctl.kind == "add":
-            ctl.welcome = t.to_public_bytes()
         path = treemod.direct_path(own_leaf, t.capacity)
         secrets = [random_secret()]
         for _ in path[1:]:
@@ -315,10 +316,12 @@ class CgkaState:
                                {x: (s, kp) for x, s, kp in zip(path, secrets, pairs)})
         return ctl
 
-    def _seat(self, control: CgkaControl) -> tuple[treemod.RatchetTree, int]:
+    def _seat(self, control: CgkaControl,
+              welcome: bytes = b"") -> tuple[treemod.RatchetTree, int]:
         """The control's membership edit, on a copy of the tree: seat the
-        create roster, seat an add's newcomer, or blank a removed leaf.
-        Returns the edited tree and the own leaf in it."""
+        create roster, seat an add's newcomer, or blank a removed leaf. The
+        newcomer of an add makes the edit on its welcome instead. Returns
+        the edited tree and the own leaf in it."""
         if control.kind == "create":
             ids = [mid for mid, _ in control.roster]
             if self.member_id not in ids:
@@ -331,12 +334,12 @@ class CgkaState:
                 if leaf != control.sender_leaf:
                     t.nodes[treemod.leaf_node(leaf)] = init_pk
             return t, ids.index(self.member_id)
-        if self.tree is None:  # the newcomer joins from the add's welcome
-            t = treemod.RatchetTree.from_public_bytes(control.welcome)
-            if t.members.get(control.new_leaf) != self.member_id:
-                raise MalformedControl("welcome does not seat me at the stated leaf")
-            return t, control.new_leaf
-        t = self.tree.copy()
+        if self.tree is not None:
+            t, own_leaf = self.tree.copy(), self.own_leaf
+        elif welcome:
+            t, own_leaf = treemod.RatchetTree.from_public_bytes(welcome), control.new_leaf
+        else:
+            raise MalformedControl("the newcomer has no welcome to join from")
         if control.kind == "add":
             if t.leaf_of(control.new_member_id) is not None:
                 raise AlreadyMember(f"{control.new_member_id!r} already present")
@@ -355,13 +358,14 @@ class CgkaState:
             t.nodes[treemod.leaf_node(control.removed_leaf)] = None
             del t.members[control.removed_leaf]
             t.blank_path(control.removed_leaf)
-        return t, self.own_leaf
+        return t, own_leaf
 
     # -- receivers ------------------------------------------------------------
 
-    def process(self, control: CgkaControl) -> bytes:
-        """Apply one control; returns the new group secret."""
-        return self.commit(self.stage(control))
+    def process(self, control: CgkaControl, welcome: bytes = b"") -> bytes:
+        """Apply one control; returns the new group secret. `welcome` is
+        read only by the newcomer of an add."""
+        return self.commit(self.stage(control, welcome))
 
     def commit(self, staged: Staged) -> bytes:
         """Install what `stage` returned, with no other commit in between;
@@ -372,10 +376,12 @@ class CgkaState:
         self._pending = None
         return self.group_secret
 
-    def stage(self, control: CgkaControl) -> Staged:
+    def stage(self, control: CgkaControl, welcome: bytes = b"") -> Staged:
         """What a control leaves behind, changing nothing: what its sender
         staged, for a control equal to the pending one; else the outcome of
-        another member's control, which raises if any check fails."""
+        another member's control, which raises if any check fails. The
+        newcomer of an add stages it on `welcome`, the public tree the add
+        was built on."""
         if self._pending is not None and control == self._pending.control:
             return self._pending
         if self.tree is None:
@@ -391,7 +397,7 @@ class CgkaState:
         elif control.epoch > self.epoch:
             raise FutureEpoch(f"control epoch {control.epoch} > local {self.epoch}")
 
-        t, own_leaf = self._seat(control)
+        t, own_leaf = self._seat(control, welcome)
         if self.tree is None:
             own = treemod.leaf_node(own_leaf)
             if t.nodes[own] != self.init_key.public_key:

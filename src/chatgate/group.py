@@ -16,6 +16,12 @@ Wire layout (type byte first, all fields length-prefixed):
     0x10 user message, user view      0x11 user message, chatbot view
     0x12 chatbot message              0x13 add-chatbot control
     0x14 remove-chatbot control       0x15 wrapped tree control
+
+A wrapped tree control ends in a list of at most one newcomer section;
+only an add's has one: the welcome (the public tree the add was built on)
+and the chatbot roster. The provider delivers that section to the newcomer
+alone; every other member gets the same control with an empty list, so
+what an add costs each of them is its path entries, not the whole tree.
 """
 
 from __future__ import annotations
@@ -349,27 +355,49 @@ class RemoveBotControl:
 
 
 @dataclass(frozen=True)
+class Welcome:
+    """An add's newcomer section: the public tree the add was built on,
+    and the chatbot roster (id, current channel key) to admit."""
+
+    tree: bytes
+    roster: tuple[tuple[str, bytes], ...] = ()
+
+
+@dataclass(frozen=True)
 class GroupControl:
-    """A tree control for users, plus the chatbot roster for a newcomer."""
+    """A tree control for users. An add's also carries the welcome for its
+    newcomer, which the provider delivers to the newcomer alone."""
 
     group_id: str
     control: bytes
-    roster: tuple[tuple[str, bytes], ...] = ()
+    welcome: Welcome | None = None
 
     def to_bytes(self) -> bytes:
         w = Writer(GROUP_CONTROL)
         w.text(self.group_id)
         w.field(self.control)
-        w.items(list(self.roster), _write_entry)
+        w.items([] if self.welcome is None else [self.welcome], _write_welcome)
         return w.done()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "GroupControl":
         r = Reader(data, expect_type=GROUP_CONTROL)
-        out = cls(group_id=r.text(), control=r.field(),
-                  roster=tuple(r.items(_read_entry)))
+        group_id, control = r.text(), r.field()
+        welcomes = r.items(_read_welcome)
         r.finish()
-        return out
+        if len(welcomes) > 1:
+            raise MalformedControl("more than one welcome")
+        return cls(group_id=group_id, control=control,
+                   welcome=welcomes[0] if welcomes else None)
+
+
+def _write_welcome(w: Writer, welcome: Welcome) -> None:
+    w.field(welcome.tree)
+    w.items(list(welcome.roster), _write_entry)
+
+
+def _read_welcome(r: Reader) -> Welcome:
+    return Welcome(tree=r.field(), roster=tuple(r.items(_read_entry)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +439,9 @@ class UserState:
         ctl = self.cgka.add(member_id)
         roster = tuple((cid, self.records[cid].bot_public_key)
                        for cid in sorted(self.records))
+        welcome = Welcome(tree=self.cgka.tree.to_public_bytes(), roster=roster)
         return self._apply(GroupControl(group_id=self.group_id,
-                                        control=ctl.to_bytes(), roster=roster))
+                                        control=ctl.to_bytes(), welcome=welcome))
 
     def remove_user(self, member_id: str) -> bytes:
         ctl = self.cgka.remove(member_id)
@@ -424,13 +453,14 @@ class UserState:
 
     def process_group_control(self, data: bytes) -> None:
         wrapped = GroupControl.from_bytes(data)
+        welcome = wrapped.welcome or Welcome(tree=b"")
         roster = {}
         if self.cgka.tree is None:
             # Newcomer: admit the chatbot roster before joining. No channel
             # key yet; the next message addressing each chatbot refreshes it.
             roster = {cid: self._admit(cid, bot_pk, None)
-                      for cid, bot_pk in wrapped.roster}
-        self.cgka.process(CgkaControl.from_bytes(wrapped.control))
+                      for cid, bot_pk in welcome.roster}
+        self.cgka.process(CgkaControl.from_bytes(wrapped.control), welcome.tree)
         self.records.update(roster)
 
     # -- chatbot membership ---------------------------------------------------

@@ -2,8 +2,12 @@
 
 The provider is honest-but-curious infrastructure. It validates registrations,
 assigns a total order to published bundles, and routes each recipient class
-its own view. It never sees plaintext or secret keys; everything it stores
-(the transcript) is exactly what a network observer would capture.
+its own view. Users get the user view, except that an add's welcome goes
+to the newcomer the add names and no one else: every other member gets the
+same wrapped control without it (RFC 9420 sends a Commit to the group and
+a Welcome to new members only). It never sees plaintext or secret keys;
+everything it stores (the transcript) is exactly what a network observer
+would capture.
 
 `adversary_decrypt` plays the compromise game: given one party's serialized
 state, the public transcript and the public PKI, it exhaustively combines
@@ -29,9 +33,9 @@ from __future__ import annotations
 import base64
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .cgka import CgkaControl, InitKeyDirectory
+from .cgka import CONTROL_ADD, CgkaControl, InitKeyDirectory
 from .encoding import peek_type
 from .errors import (
     BadSignature,
@@ -154,18 +158,30 @@ class Provider:
                 bot_view: bytes | None = None,
                 bot_targets: tuple[str, ...] | None = None) -> int:
         """Broadcast one logical bundle. Users other than the sender get
-        `user_view`; attached chatbots (or exactly `bot_targets`) get
-        `bot_view`. Returns the sequence number."""
+        `user_view`, but only the newcomer of an add gets its welcome;
+        attached chatbots (or exactly `bot_targets`) get `bot_view`. Returns
+        the sequence number."""
         ch = self._channel(group_id)
         if sender not in ch.members and sender not in ch.bots:
             raise NotMember(f"{sender!r} may not publish to {group_id!r}")
+        newcomer = None
+        if user_view is not None:
+            newcomer, member_view = _split_welcome(user_view)
+            if newcomer is not None and (newcomer == sender
+                                         or newcomer not in ch.members):
+                raise NotMember(f"the add's newcomer {newcomer!r} is not "
+                                f"routed in {group_id!r}")
         self._seq += 1
         seq = self._seq
         if user_view is not None:
-            view_b64 = base64.b64encode(user_view).decode("ascii")
+            member_b64 = base64.b64encode(member_view).decode("ascii")
             for uid in sorted(ch.members):
-                if uid != sender:
-                    self._deliver(seq, group_id, "user", uid, user_view, view_b64)
+                if uid == newcomer:
+                    self._deliver(seq, group_id, "user", uid, user_view,
+                                  base64.b64encode(user_view).decode("ascii"))
+                elif uid != sender:
+                    self._deliver(seq, group_id, "user", uid, member_view,
+                                  member_b64)
         if bot_view is not None:
             view_b64 = base64.b64encode(bot_view).decode("ascii")
             targets = sorted(ch.bots) if bot_targets is None else list(bot_targets)
@@ -212,6 +228,23 @@ class Provider:
         party = self._parties[party_id]
         return json.dumps(party.snapshot(), sort_keys=True,
                           separators=(",", ":")).encode("ascii")
+
+
+def _split_welcome(user_view: bytes) -> tuple[str | None, bytes]:
+    """The newcomer an add's user view names, and the view every other
+    member gets: the same wrapped control without the welcome. Any other
+    view names no newcomer and goes to every member unchanged. A welcome
+    without an add, or an add without a welcome, is malformed."""
+    if peek_type(user_view) != GROUP_CONTROL:
+        return None, user_view
+    wrapped = GroupControl.from_bytes(user_view)
+    is_add = peek_type(wrapped.control) == CONTROL_ADD
+    if is_add != (wrapped.welcome is not None):
+        raise MalformedControl("a welcome goes with an add, and only with one")
+    if not is_add:
+        return None, user_view
+    newcomer = CgkaControl.from_bytes(wrapped.control).new_member_id
+    return newcomer, replace(wrapped, welcome=None).to_bytes()
 
 
 # ---------------------------------------------------------------------------

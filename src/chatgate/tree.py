@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .encoding import Reader, Writer
 from .errors import MalformedControl
+from .primitives import PUBLIC_KEY_LEN
 
 
 # node index arithmetic -----------------------------------------------------
@@ -154,7 +155,8 @@ class RatchetTree:
     # public snapshot ---------------------------------------------------------
 
     def to_public_bytes(self) -> bytes:
-        """Public keys and membership: the whole tree."""
+        """Public keys and membership: the whole tree. A blank node is an
+        empty field, any other a key of `PUBLIC_KEY_LEN` bytes."""
         def write_member(wr: Writer, kv: tuple[int, str]) -> None:
             wr.u32(kv[0])
             wr.text(kv[1])
@@ -175,6 +177,8 @@ class RatchetTree:
         pks = r.items(Reader.field)
         if len(pks) != node_count(capacity):
             raise MalformedControl("bad tree node count")
+        if any(len(pk) not in (0, PUBLIC_KEY_LEN) for pk in pks):
+            raise MalformedControl("node key of the wrong width")
         members = dict(r.items(lambda rr: (rr.u32(), rr.text())))
         r.finish()
         tree = cls(capacity=capacity, nodes=[pk or None for pk in pks])

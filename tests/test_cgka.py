@@ -60,11 +60,17 @@ def assert_agreement(states):
     assert len(rosters) == 1
 
 
-def broadcast(states, sender, ctl):
+def broadcast(states, sender, ctl, newcomer=None):
+    """Every member but the sender processes `ctl`, then the sender; an
+    add's newcomer then joins from its welcome, the public tree the sender
+    built the add on."""
+    welcome = sender.tree.to_public_bytes() if newcomer is not None else b""
     for s in states:
         if s is not sender and s.tree is not None:
             s.process(ctl)
     sender.process(ctl)
+    if newcomer is not None:
+        newcomer.process(ctl, welcome)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +208,8 @@ def test_private_material_only_on_own_direct_path():
     assert_private_only_on_own_path(states)
 
     def apply(sender, ctl, newcomer=None):
-        broadcast(states, sender, ctl)
+        broadcast(states, sender, ctl, newcomer)
         if newcomer is not None:
-            newcomer.process(ctl)
             states.append(newcomer)
         assert_private_only_on_own_path(states)
 
@@ -254,11 +259,8 @@ def test_path_secrets_never_reach_the_public_tree():
         assert sender._pending is not None
         check(sender, sender.tree.to_public_bytes())
         check(sender, sender._pending.tree.to_public_bytes())
-        if ctl.welcome:
-            check(sender, ctl.welcome)
-        broadcast(states, sender, ctl)
+        broadcast(states, sender, ctl, newcomer)
         if newcomer is not None:
-            newcomer.process(ctl)
             states.append(newcomer)
         for s in states:
             assert s.path
@@ -290,8 +292,7 @@ def test_add_fills_leftmost_blank_leaf():
     newcomer = cgka.init("user-03", directory)
     ctl = states[0].add("user-03")
     assert ctl.new_leaf == 3
-    broadcast(states, states[0], ctl)
-    newcomer.process(ctl)
+    broadcast(states, states[0], ctl, newcomer)
     states.append(newcomer)
     assert_agreement(states)
     assert states[1].members() == ["user-00", "user-01", "user-02", "user-03"]
@@ -302,8 +303,7 @@ def test_add_grows_full_tree():
     newcomer = cgka.init("user-02", directory)
     ctl = states[0].add("user-02")
     assert ctl.new_leaf == 2
-    broadcast(states, states[0], ctl)
-    newcomer.process(ctl)
+    broadcast(states, states[0], ctl, newcomer)
     states.append(newcomer)
     assert all(s.tree.capacity == 4 for s in states)
     assert_agreement(states)
@@ -325,8 +325,7 @@ def test_newcomer_added_by_nonowner_and_can_update():
     states, directory = make_group(4)
     newcomer = cgka.init("user-99", directory)
     ctl = states[2].add("user-99")
-    broadcast(states, states[2], ctl)
-    newcomer.process(ctl)
+    broadcast(states, states[2], ctl, newcomer)
     states.append(newcomer)
     assert_agreement(states)
     broadcast(states, newcomer, newcomer.update())
@@ -386,11 +385,12 @@ def test_removed_then_readded_with_fresh_init_key():
 
     rejoin = cgka.init("user-02", directory)  # re-publishes a fresh init key
     assert rejoin.init_key.public_key != old_init_pk
+    welcome = states[1].tree.to_public_bytes()
     ctl = states[1].add("user-02")
     assert ctl.new_member_init_pk == rejoin.init_key.public_key
     states[0].process(ctl)
     states[1].process(ctl)
-    rejoin.process(ctl)
+    rejoin.process(ctl, welcome)
     assert_agreement([states[0], states[1], rejoin])
 
 
@@ -418,8 +418,7 @@ def test_control_roundtrip_all_kinds():
 
     controls = []
     controls.append(states[0].add("user-07"))
-    broadcast(states, states[0], controls[-1])
-    newcomer.process(controls[-1])
+    broadcast(states, states[0], controls[-1], newcomer)
     states.append(newcomer)
     controls.append(states[1].update())
     broadcast(states, states[1], controls[-1])
@@ -619,41 +618,51 @@ _MUTATION_CASES: dict = {}
 
 
 def mutation_cases():
-    """kind -> (encoded control, receivers, each with its snapshot text).
-    One 5-member group (capacity 8) builds a valid add, remove and update
-    from the same state, none of them processed; the add's receivers
-    include its newcomer, the remove's its removed member."""
+    """kind -> (encoded control, receivers, each with its snapshot text,
+    welcome). One 5-member group (capacity 8) builds a valid add, remove
+    and update from the same state, none of them processed; the add's
+    receivers include its newcomer, the remove's its removed member. The
+    welcome is the tree they were built on; only the newcomer reads it."""
     if not _MUTATION_CASES:
         states, directory = make_group(5)
         newcomer = cgka.init("user-05", directory)
+        welcome = states[0].tree.to_public_bytes()
         controls = {"add": states[0].add("user-05"),
                     "remove": states[0].remove("user-04"),
                     "update": states[0].update()}
         for kind, ctl in controls.items():
             receivers = states[1:] + ([newcomer] if kind == "add" else [])
             _MUTATION_CASES[kind] = (ctl.to_bytes(),
-                                     [(r, snapshot_text(r)) for r in receivers])
+                                     [(r, snapshot_text(r)) for r in receivers],
+                                     welcome)
     return _MUTATION_CASES
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_mutated_control_is_rejected_unchanged_or_applies(data):
-    blob, receivers = mutation_cases()[data.draw(st.sampled_from(["add", "remove", "update"]))]
-    base, base_text = data.draw(st.sampled_from(receivers))
+def flip_bytes(data, blob: bytes) -> bytes:
+    """`blob` with one to three bytes XORed with nonzero values."""
     edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
                                          st.integers(1, 255)),
                                min_size=1, max_size=3))
     mutated = bytearray(blob)
     for i, flip in edits:
         mutated[i] ^= flip
+    return bytes(mutated)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_control_is_rejected_unchanged_or_applies(data):
+    blob, receivers, welcome = mutation_cases()[
+        data.draw(st.sampled_from(["add", "remove", "update"]))]
+    base, base_text = data.draw(st.sampled_from(receivers))
+    mutated = flip_bytes(data, blob)
     # `process` replaces the tree, path and pending instead of changing
     # them, so a shallow copy is a receiver independent of `base`
     receiver = copy.copy(base)
     try:
-        ctl = cgka.CgkaControl.from_bytes(bytes(mutated))
-        receiver.process(ctl)
+        ctl = cgka.CgkaControl.from_bytes(mutated)
+        receiver.process(ctl, welcome)
     except ChatGateError:
         assert snapshot_text(receiver) == base_text
     else:
@@ -663,15 +672,32 @@ def test_mutated_control_is_rejected_unchanged_or_applies(data):
     assert snapshot_text(base) == base_text
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_welcome_is_rejected_unchanged_or_applies(data):
+    blob, receivers, welcome = mutation_cases()["add"]
+    base, base_text = receivers[-1]  # the newcomer
+    receiver = copy.copy(base)
+    try:
+        receiver.process(cgka.CgkaControl.from_bytes(blob), flip_bytes(data, welcome))
+    except ChatGateError:
+        assert snapshot_text(receiver) == base_text
+    else:
+        assert receiver.epoch == 2
+        assert receiver.group_secret is not None
+    assert snapshot_text(base) == base_text
+
+
 def test_unmutated_fuzz_controls_apply():
-    for kind, (blob, receivers) in mutation_cases().items():
+    for kind, (blob, receivers, welcome) in mutation_cases().items():
         for base, _ in receivers:
             receiver = copy.copy(base)
             if kind == "remove" and base.member_id == "user-04":
                 with pytest.raises(NotMember):
                     receiver.process(cgka.CgkaControl.from_bytes(blob))
             else:
-                receiver.process(cgka.CgkaControl.from_bytes(blob))
+                receiver.process(cgka.CgkaControl.from_bytes(blob), welcome)
                 assert receiver.epoch == 2
 
 
@@ -681,7 +707,8 @@ def test_unmutated_fuzz_controls_apply():
 
 def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
     """The per-field decoder that `CgkaControl.from_bytes` replaced: every
-    path key, target and box goes through `Reader.field`, at any width."""
+    path key, target, box and create init key goes through `Reader.field`,
+    at any width."""
     kind = cgka._KIND_BY_TYPE.get(peek_type(data))
     if kind is None:
         raise MalformedControl("unknown control type")
@@ -695,7 +722,6 @@ def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
         ctl.new_member_id = r.text()
         ctl.new_member_init_pk = r.field()
         ctl.new_leaf = r.u32()
-        ctl.welcome = r.field()
     elif kind == "remove":
         ctl.removed_leaf = r.u32()
         ctl.removed_id = r.text()
@@ -707,6 +733,7 @@ def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
 
 def has_wrong_width(ctl: cgka.CgkaControl) -> bool:
     return (any(len(pk) != PUBLIC_KEY_LEN for pk in ctl.new_public_path)
+            or any(len(pk) != PUBLIC_KEY_LEN for _, pk in ctl.roster)
             or any(len(pk) != PUBLIC_KEY_LEN or len(box) != SEALED_LEN
                    for pk, box in ctl.path_entries))
 
@@ -737,14 +764,8 @@ def test_decoder_matches_reference_on_canned_transcripts(seed):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_decoder_agrees_with_reference_on_mutated_controls(data):
-    blob, _ = mutation_cases()[data.draw(st.sampled_from(["add", "remove", "update"]))]
-    edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
-                                         st.integers(1, 255)),
-                               min_size=1, max_size=3))
-    mutated = bytearray(blob)
-    for i, flip in edits:
-        mutated[i] ^= flip
-    mutated = bytes(mutated)
+    blob, _, _ = mutation_cases()[data.draw(st.sampled_from(["add", "remove", "update"]))]
+    mutated = flip_bytes(data, blob)
     try:
         expected = reference_from_bytes(mutated)
     except MalformedControl:
@@ -789,6 +810,18 @@ def test_wrong_width_is_malformed(edit):
     states, _ = make_group(3)
     ctl = states[0].update()
     WRONG_WIDTHS[edit](ctl)
+    blob = ctl.to_bytes()
+    assert has_wrong_width(reference_from_bytes(blob))
+    with pytest.raises(MalformedControl):
+        cgka.CgkaControl.from_bytes(blob)
+
+
+@pytest.mark.parametrize("width", [31, 33])
+def test_create_roster_init_key_of_the_wrong_width_is_malformed(width):
+    states, _ = make_states(3)
+    ctl = states[0].create("g", [s.member_id for s in states])
+    mid, init_pk = ctl.roster[1]
+    ctl.roster[1] = (mid, (init_pk * 2)[:width])
     blob = ctl.to_bytes()
     assert has_wrong_width(reference_from_bytes(blob))
     with pytest.raises(MalformedControl):
@@ -859,8 +892,7 @@ def test_fuzz_key_agreement_small():
                 newcomer = cgka.init(f"user-{next_id:02d}", directory)
                 next_id += 1
                 ctl = sender.add(newcomer.member_id)
-                broadcast(live, sender, ctl)
-                newcomer.process(ctl)
+                broadcast(live, sender, ctl, newcomer)
                 states.append(newcomer)
             elif op == "remove" and len(live) > 2:
                 target = rng.choice([s for s in live if s is not sender])

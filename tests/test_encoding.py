@@ -51,7 +51,7 @@ def samples() -> dict[str, tuple]:
     users[1].process_group_control(create)
     to_others(users[0], users[0].add_chatbot("echo-bot-01"), "process_add_chatbot")
     add = users[0].add_user("user-02")
-    assert group.GroupControl.from_bytes(add).roster  # the chatbot roster
+    assert group.GroupControl.from_bytes(add).welcome.roster  # the chatbot roster
     to_others(users[0], add, "process_group_control")
     users[2].process_group_control(add)
     update = users[1].update_keys()
@@ -159,15 +159,12 @@ def _real_encodings() -> tuple[bytes, ...]:
         view = base64.b64decode(row["view_b64"])
         out.add(view)
         if peek_type(view) == group.GROUP_CONTROL:
-            out.add(group.GroupControl.from_bytes(view).control)
+            wrapped = group.GroupControl.from_bytes(view)
+            out.add(wrapped.control)
+            if wrapped.welcome is not None:
+                out.add(wrapped.welcome.tree)
         elif peek_type(view) == group.VIEW_USER_MESSAGE:
             out.add(group.UserMessageView.from_bytes(view).control)
-    for blob in list(out):
-        try:
-            out.add(cgka.CgkaControl.from_bytes(blob).welcome)
-        except MalformedControl:
-            continue
-    out.discard(b"")
     return tuple(sorted(out))
 
 

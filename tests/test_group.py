@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from chatgate import cgka
+from chatgate import cgka, tree as treemod
 from chatgate.cgka import CgkaControl, InitKeyDirectory
 from chatgate.errors import (
     BadPseudonymSignature,
@@ -372,11 +372,33 @@ def test_forged_roster_is_rejected_before_the_newcomer_joins():
     users, bots, registry = build_group(2, bots=[("echo-bot-01", "mention:@echo")])
     newcomer = user_init(cgka.init("user-77", users["user-00"].cgka.directory), registry)
     wrapped = GroupControl.from_bytes(users["user-00"].add_user("user-77"))
-    forged = replace(wrapped, roster=wrapped.roster + (("ghost-bot-99", bytes(32)),))
+    welcome = wrapped.welcome
+    forged = replace(wrapped, welcome=replace(
+        welcome, roster=welcome.roster + (("ghost-bot-99", bytes(32)),)))
     before = json.dumps(newcomer.snapshot(), sort_keys=True)
     with pytest.raises(UnknownChatbot):
         newcomer.process_group_control(forged.to_bytes())
     assert json.dumps(newcomer.snapshot(), sort_keys=True) == before
+
+
+def test_welcome_key_of_the_wrong_width_leaves_the_newcomer_unchanged():
+    users, bots, registry = build_group(5, bots=[("echo-bot-01", "mention:@echo")])
+    newcomer = user_init(cgka.init("user-77", users["user-00"].cgka.directory), registry)
+    genuine = users["user-00"].add_user("user-77")
+    wrapped = GroupControl.from_bytes(genuine)
+    add = CgkaControl.from_bytes(wrapped.control)
+    tree = treemod.RatchetTree.from_public_bytes(wrapped.welcome.tree)
+    node = treemod.copath(add.new_leaf, tree.capacity)[0]
+    assert tree.nodes[node] is not None
+    tree.nodes[node] = tree.nodes[node][:5]
+    forged = replace(wrapped, welcome=replace(wrapped.welcome, tree=tree.to_public_bytes()))
+    before = json.dumps(newcomer.snapshot(), sort_keys=True)
+    with pytest.raises(MalformedControl):
+        newcomer.process_group_control(forged.to_bytes())
+    assert json.dumps(newcomer.snapshot(), sort_keys=True) == before
+    newcomer.process_group_control(genuine)
+    assert newcomer.cgka.group_secret == users["user-00"].cgka.group_secret
+    newcomer.update_keys()
 
 
 def flip_last_byte(data: bytes) -> bytes:

@@ -3,8 +3,10 @@ benches at toy sizes, and the CLI."""
 
 import base64
 import hashlib
+import inspect
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,7 +216,7 @@ PINNED_SEED_7 = {
                     "ea8b550f0f8e45612228ee0a0aea2f983a23bb3d4eb3a49a7e7f37dcc88c26d5",
                     "b36f9213e0c23068a79546637abc03d0955a4c8f49227649cd3648cf146b2554"),
     "demo": ("61d28f56d3b6e95e0897eecb6576630cd53ab319cc3eff0d228204b6489e02b4",
-             "7657379ff18c5b0a6d26bcf6c73fd2a706026911849c5ca7207e115c2a9d298b",
+             "d38035e84e9780b0b127b5f3637d58e98d798d2fd6fa8851c710422ef555ced8",
              "4bc0e5a34dc49cbd70ce7d10039a531ecdeb27ee16dc11490fc61ad440458ab9"),
     "fs": ("963b57d141b33d654fbe13e86ef38340d1085fa54213c23b2d03cf11ac5f6f79",
            "fae4c67db3fbc666a8175d6847cd00ad1c2e19c8ff10fc6a8fb61a83435495a0",
@@ -508,26 +510,36 @@ def test_cli_probe_all(capsys):
 
 # -- traced benchmark hook points ----------------------------------------------
 
-def test_traced_benchmark_hook_points_resolve(monkeypatch):
-    # `perfbench/tracing.py` wraps these names when a run is traced; a
-    # rename in the library must fail here, not only in a traced run
+@pytest.fixture
+def tracing(monkeypatch):
+    """`perfbench/tracing.py`, imported without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
+    return tracing
 
+
+def test_traced_benchmark_hook_points_resolve(tracing):
+    # `perfbench/tracing.py` wraps these names when a run is traced, and
+    # looks a class's up in its `__dict__`: a rename or deletion in the
+    # library must fail here, not only as a KeyError in a traced run
     missing = []
-    for owner, attr, _key, _after in tracing._targets():
-        found = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
-        if not found:
-            missing.append(f"{getattr(owner, '__name__', owner)}.{attr}")
+    for owner, attr, _key, after in tracing._targets():
+        name = f"{getattr(owner, '__name__', owner)}.{attr}"
+        if isinstance(owner, type):
+            raw = owner.__dict__.get(attr)
+            if not (isinstance(raw, classmethod) or inspect.isfunction(raw)):
+                missing.append(name)
+        elif not callable(getattr(owner, attr, None)):
+            missing.append(name)
+        if after is not None and not hasattr(tracing.Tracer, f"_{after}"):
+            missing.append(f"{name} -> Tracer._{after}")
     assert not missing
 
 
-def test_traced_demo_run_counts_every_built_control(monkeypatch):
+def test_traced_demo_run_counts_every_built_control(tracing):
     # a traced smoke run: the `built` hook reads the control each sender
     # returns, so a changed return type must fail here too
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import tracing
-
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -3,7 +3,7 @@
 import base64
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +12,7 @@ from chatgate import cgka, counters, group, primitives
 from chatgate.errors import (
     BadSignature,
     DuplicateId,
+    MalformedControl,
     NotMember,
     UnknownChatbot,
     UnknownMember,
@@ -31,7 +32,7 @@ from chatgate.group import (
     chatbot_init,
     user_init,
 )
-from chatgate.harness import canned
+from chatgate.harness import bench, canned
 from chatgate.harness.probes import ADVERSARY_CHAIN
 from chatgate.harness.runner import run_text
 from chatgate.primitives import (
@@ -219,6 +220,109 @@ def test_inbox_drains_once():
                      bot_view=out.chatbot_view)
     assert provider.inbox("user-01")
     assert provider.inbox("user-01") == []
+
+
+# -- an add's welcome goes to its newcomer only ------------------------------------
+
+def add_newcomer(provider, users, adder, uid, group_id="grp-main"):
+    """A fresh `uid`, routed in the group; returns the add's user view."""
+    users[uid] = user_init(cgka.init(uid, provider.directory), provider)
+    blob = users[adder].add_user(uid)
+    provider.add_member(group_id, uid)
+    return blob
+
+
+def member_view(blob):
+    return replace(GroupControl.from_bytes(blob), welcome=None).to_bytes()
+
+
+def test_welcome_reaches_the_newcomer_alone():
+    provider, users, bots = make_world(3)
+    blob = add_newcomer(provider, users, "user-00", "user-03")
+    assert GroupControl.from_bytes(blob).welcome is not None
+    seq = provider.publish("grp-main", "user-00", user_view=blob)
+    rows = {r["recipient"]: r for r in provider.transcript if r["seq"] == seq}
+    assert sorted(rows) == ["user-01", "user-02", "user-03"]
+    for uid, row in rows.items():
+        want = blob if uid == "user-03" else member_view(blob)
+        assert row["recipient_class"] == "user"
+        assert base64.b64decode(row["view_b64"]) == want
+        assert provider.inbox(uid) == [want]
+        users[uid].process(want)
+    secrets = {u.cgka.group_secret for u in users.values()}
+    assert len(secrets) == 1
+    assert sorted(users["user-03"].records) == ["echo-bot-01"]
+
+
+def test_member_view_leaves_a_member_as_the_full_view_does():
+    snapshots = []
+    for view_of in (member_view, lambda blob: blob):
+        with primitives.seeded(b"welcome routing"):
+            provider, users, bots = make_world(3)
+            blob = add_newcomer(provider, users, "user-00", "user-03")
+        users["user-01"].process(view_of(blob))
+        snapshots.append(json.dumps(users["user-01"].snapshot(), sort_keys=True))
+    assert snapshots[0] == snapshots[1]
+
+
+def test_add_naming_an_unrouted_newcomer_is_refused():
+    provider, users, bots = make_world(3)
+    users["user-03"] = user_init(cgka.init("user-03", provider.directory), provider)
+    blob = users["user-00"].add_user("user-03")  # never routed in the group
+    rows = len(provider.transcript)
+    with pytest.raises(NotMember):
+        provider.publish("grp-main", "user-00", user_view=blob)
+    assert len(provider.transcript) == rows
+    assert all(provider.inbox(uid) == [] for uid in users)
+    provider.add_member("grp-main", "user-03")
+    seq = provider.publish("grp-main", "user-00", user_view=blob)
+    assert seq == provider.transcript[rows - 1]["seq"] + 1
+    assert provider.inbox("user-03") == [blob]
+
+
+def test_welcome_goes_with_an_add_and_only_with_one():
+    provider, users, bots = make_world(3)
+    update = GroupControl.from_bytes(users["user-01"].update_keys())
+    add = GroupControl.from_bytes(add_newcomer(provider, users, "user-00", "user-03"))
+    for forged in (replace(add, welcome=None), replace(update, welcome=add.welcome)):
+        with pytest.raises(MalformedControl):
+            provider.publish("grp-main", "user-00", user_view=forged.to_bytes())
+    assert provider.transcript[-1]["seq"] == provider._seq
+
+
+def test_add_bytes_to_members_grow_with_the_path_not_the_tree():
+    # Counts, not times: a warm group of n members adds one; the n - 1
+    # members other than the newcomer get the control only, whose bytes
+    # grow with the sender's path (log n), so summed over them an add
+    # costs O(n log n) bytes instead of the O(n^2) of a broadcast tree.
+    per_member = {}
+    for n in (16, 32, 64):
+        world = bench.World(n, m=4)
+        adder, uid = world.ids[0], "user-new"
+        tree = world.users[adder].cgka.tree.to_public_bytes()
+        blob = add_newcomer(world.provider, world.users, adder, uid, world.group_id)
+        seq = world.provider.publish(world.group_id, adder, user_view=blob)
+        views = {r["recipient"]: base64.b64decode(r["view_b64"])
+                 for r in world.provider.transcript if r["seq"] == seq}
+        welcome = GroupControl.from_bytes(views.pop(uid)).welcome
+        assert welcome.tree == tree
+        assert [cid for cid, _ in welcome.roster] == sorted(world.bots)
+        assert len(views) == n - 1
+        assert all(GroupControl.from_bytes(v).welcome is None for v in views.values())
+        per_member[n] = sum(map(len, views.values())) / n
+
+        world.ids.append(uid)
+        world.drain()
+        newcomer, sender = world.users[uid], world.users[world.ids[1]]
+        assert newcomer.epoch == sender.epoch
+        assert newcomer.cgka.group_secret == sender.cgka.group_secret
+        out = sender.send(b"hello newcomer")
+        world.provider.publish(world.group_id, world.ids[1],
+                               user_view=out.user_view, bot_view=out.chatbot_view)
+        [view] = world.provider.inbox(uid)
+        assert newcomer.process(view) == group.ReceivedMessage(b"hello newcomer")
+        world.drain()
+    assert max(per_member.values()) < 1.6 * min(per_member.values()), per_member
 
 
 def test_snapshot_state_is_canonical():
