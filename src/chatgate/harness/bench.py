@@ -68,8 +68,7 @@ class World:
         self.bots = {}
         creator = self.users[self.ids[0]]
         self.provider.create_group(group_id, self.ids)
-        self._publish_user_control(self.ids[0],
-                                   creator.create_group(group_id, self.ids))
+        self.publish(self.ids[0], creator.create_group(group_id, self.ids))
 
         for i in range(m):
             self.attach_bot(f"bench-bot-{i:03d}")
@@ -77,7 +76,7 @@ class World:
         # Warm the tree: one self-update per member fills every internal
         # node, so a sender's path costs exactly one box per level.
         for uid in self.ids:
-            self._publish_user_control(uid, self.users[uid].update_keys())
+            self.publish(uid, self.users[uid].update_keys())
 
     def attach_bot(self, cid: str, rules_text: str = "always") -> None:
         bot = chatbot_init(cid, rules_from_text(rules_text))
@@ -85,12 +84,20 @@ class World:
         self.provider.register_bot(bot.registration)
         blob = self.users[self.ids[0]].add_chatbot(cid)
         self.provider.attach_chatbot(self.group_id, cid)
-        self.provider.publish(self.group_id, self.ids[0], user_view=blob,
-                              bot_view=blob, bot_targets=(cid,))
-        self.drain()
+        self.publish(self.ids[0], blob, blob, (cid,))
 
-    def _publish_user_control(self, sender: str, blob: bytes) -> None:
-        self.provider.publish(self.group_id, sender, user_view=blob)
+    def register_pseudonyms(self) -> None:
+        """Every member, in order, registers a fresh pseudonym."""
+        for uid in self.ids:
+            out = self.users[uid].register_pseudonym()
+            self.publish(uid, out.user_view, out.chatbot_view)
+
+    def publish(self, sender: str, user_view: bytes,
+                bot_view: bytes | None = None,
+                bot_targets: tuple[str, ...] | None = None) -> None:
+        """Sequence one bundle, then deliver it to every member and bot."""
+        self.provider.publish(self.group_id, sender, user_view=user_view,
+                              bot_view=bot_view, bot_targets=bot_targets)
         self.drain()
 
     def drain(self) -> None:
@@ -104,9 +111,7 @@ class World:
 
     def send_end_to_end(self, sender: str, message: bytes) -> None:
         out = self.users[sender].send(message)
-        self.provider.publish(self.group_id, sender, user_view=out.user_view,
-                              bot_view=out.chatbot_view)
-        self.drain()
+        self.publish(sender, out.user_view, out.chatbot_view)
 
     def send_sender_only(self, sender: str, message: bytes) -> None:
         self.users[sender].send(message)
@@ -178,12 +183,7 @@ def bench_add_bot(n: int = 50, m: int = 4, iterations: int = 30,
     """
     world = World(n, m)
     if pseudonym:
-        for uid in world.ids:
-            out = world.users[uid].register_pseudonym()
-            world.provider.publish(world.group_id, uid,
-                                   user_view=out.user_view,
-                                   bot_view=out.chatbot_view)
-            world.drain()
+        world.register_pseudonyms()
 
     counter = iter(range(10_000))
 
@@ -192,12 +192,7 @@ def bench_add_bot(n: int = 50, m: int = 4, iterations: int = 30,
 
     def attach_with_pseudonyms() -> None:
         attach_plain()
-        for uid in world.ids:
-            out = world.users[uid].register_pseudonym()
-            world.provider.publish(world.group_id, uid,
-                                   user_view=out.user_view,
-                                   bot_view=out.chatbot_view)
-            world.drain()
+        world.register_pseudonyms()
 
     action = attach_with_pseudonyms if pseudonym else attach_plain
     variant = "with_pseudonyms" if pseudonym else "plain"

@@ -19,22 +19,17 @@ import sys
 
 from ..errors import ProbeFailed, ScenarioParseError
 from . import bench, canned, probes
-from .runner import run_text
+from .runner import run_scenario, run_text
 from .scenario import load_scenario
-from .runner import run_scenario
 
 
-def _probe_fns(names: list[str]):
-    fns = []
-    for name in names:
-        if name not in probes.PROBES:
-            raise SystemExit(f"unknown probe {name!r}; "
-                             f"choose from {sorted(probes.PROBES)}")
-        fns.append((name, probes.PROBES[name]))
-    return fns
-
-
-def _print_verdict(verdict: probes.Verdict) -> bool:
+def _check(name: str, fn, result) -> bool:
+    """Run probe `fn` on `result` and print its one PASS/FAIL line."""
+    try:
+        verdict = fn(result)
+    except ProbeFailed as exc:
+        print(f"FAIL {name} {exc}")
+        return False
     status = "PASS" if verdict.passed else "FAIL"
     detail = json.dumps(verdict.detail, sort_keys=True)
     print(f"{status} {verdict.probe} {detail}")
@@ -59,14 +54,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(text)
 
     ok = True
-    for name, fn in _probe_fns(args.probe or []):
-        try:
-            verdict = fn(result)
-        except ProbeFailed as exc:
-            print(f"FAIL {name} {exc}")
-            ok = False
-            continue
-        ok = _print_verdict(verdict) and ok
+    for name in args.probe or []:
+        ok = _check(name, probes.PROBES[name], result) and ok
     return 0 if ok else 1
 
 
@@ -85,16 +74,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     for name in names:
         text = canned.ALL[name]
         result = run_text(text, seed=args.seed)
-        fn = _CANNED_PROBES[name]
-        agreement = probes.probe_agreement(result)
-        ok = _print_verdict(agreement) and ok
-        try:
-            verdict = fn(result)
-        except ProbeFailed as exc:
-            print(f"FAIL {name} {exc}")
-            ok = False
-            continue
-        ok = _print_verdict(verdict) and ok
+        ok = _check("agreement", probes.probe_agreement, result) and ok
+        ok = _check(name, _CANNED_PROBES[name], result) and ok
     return 0 if ok else 1
 
 
@@ -140,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--transcript", help="write delivered views as JSONL")
     p_run.add_argument("--report", help="write the run report JSON here")
     p_run.add_argument("--probe", action="append",
+                       choices=sorted(probes.PROBES),
                        help="probe to run afterwards (repeatable)")
     p_run.set_defaults(fn=_cmd_run)
 

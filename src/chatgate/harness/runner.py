@@ -1,11 +1,15 @@
 """Executes a scenario against a fresh provider, one op at a time.
 
-The runner is the measurement boundary: every party action runs inside a
-counter-attribution span, every published bundle is drained to all its
-recipients before the next op starts, and after each op the runner captures
-party snapshots plus the set of secrets that op superseded. Probes consume
-those records; the runner itself asserts only basic sanity (all current
-members agree on the epoch and group secret after every op).
+The runner is the measurement boundary. Every op that publishes takes one
+path: its party builds a bundle inside a counter-attribution span, the
+provider sequences it, and the runner drains it to all its recipients
+before the next op starts. Routing edits come before the publish, except a
+chatbot's detach, which comes after delivery so that the chatbot still
+receives its removal. After each op the runner captures party snapshots
+plus the set of secrets that op superseded. Probes consume those records;
+the runner itself asserts only basic sanity (all current members agree on
+the epoch and group secret after every op), and its errors name the
+scenario line, op and party.
 
 Reports are pure function-of-the-scenario: no wall-clock times, no host
 details. Two runs with the same seed produce byte-identical transcripts.
@@ -14,11 +18,11 @@ details. Two runs with the same seed produce byte-identical transcripts.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import cgka, counters
 from ..encoding import peek_type
-from ..errors import BadPseudonymSignature, ChatGateError, DecryptFailed
+from ..errors import BadPseudonymSignature, DecryptFailed
 from ..group import (
     BOT_MESSAGE,
     NOT_ADDRESSED,
@@ -76,6 +80,20 @@ class Supersession:
     in-scope snapshot at seq >= dead_from."""
     value_hex: str
     dead_from: int
+
+
+@dataclass(frozen=True)
+class _Bundle:
+    """What one op publishes: `Runner._apply` sequences it, logs it and
+    delivers it, the same way for every op kind."""
+    sender: str
+    user_view: bytes
+    event: dict                    # the op's report fields
+    bot_view: bytes | None = None
+    bot_targets: tuple[str, ...] | None = None
+    send: SendEvent | None = None  # its seq is filled in once sequenced
+    secret: bytes | None = None    # group secret whose message key dies
+    detach: str | None = None      # chatbot to detach after delivery
 
 
 @dataclass
@@ -159,162 +177,164 @@ class Runner:
             for op in self.scenario.ops:
                 try:
                     self._apply(op)
-                except ChatGateError as exc:
+                except Exception as exc:
                     exc.add_note(_where(op))
                     raise
         return self.result
 
     def _apply(self, op: Op) -> None:
+        out = self._act(op)
+        if out is None:
+            return
+        res = self.result
+        seq = res.provider.publish(self.scenario.group_id, out.sender,
+                                   user_view=out.user_view,
+                                   bot_view=out.bot_view,
+                                   bot_targets=out.bot_targets)
+        if out.send is not None:
+            res.sends.append(replace(out.send, seq=seq))
+        if out.secret is not None:
+            with counters.paused():
+                key = derive(out.secret, MSG_KEY)
+            res.supersessions.append(Supersession(key.hex(), seq))
+        self._event(op, seq, **out.event)
+        self._finish(seq, detach=out.detach)
+
+    def _act(self, op: Op) -> _Bundle | None:
+        """Act as `op`'s party: make its routing edit, then build the bundle
+        it publishes. Ops that publish nothing record their event here."""
         res = self.result
         gid = self.scenario.group_id
 
         if isinstance(op, GroupOp):
-            for uid in op.members:
-                with counters.attribute(uid):
-                    res.users[uid] = user_init(
-                        cgka.init(uid, res.provider.directory), res.provider)
-                res.provider.register_party(uid, res.users[uid])
-            res.provider.create_group(gid, list(op.members))
-            creator = op.members[0]
+            members = list(op.members)
+            for uid in members:
+                self._join(uid)
+            res.provider.create_group(gid, members)
+            creator = members[0]
             with counters.attribute(creator):
-                blob = res.users[creator].create_group(gid, list(op.members))
-            seq = res.provider.publish(gid, creator, user_view=blob)
-            self._event(op, seq, op="group", actor=creator,
-                        members=list(op.members))
-            self._finish(seq)
+                blob = res.users[creator].create_group(gid, members)
+            return _Bundle(creator, blob, {"actor": creator, "members": members})
 
-        elif isinstance(op, BotDecl):
+        if isinstance(op, BotDecl):
             with counters.attribute(op.chatbot_id):
                 bot = chatbot_init(op.chatbot_id, rules_from_text(op.rules_text))
             res.bots[op.chatbot_id] = bot
             res.provider.register_bot(bot.registration)
             res.provider.register_party(op.chatbot_id, bot)
-            self._event(op, None, op="bot", chatbot=op.chatbot_id,
-                        rules=op.rules_text)
+            self._event(op, None, chatbot=op.chatbot_id, rules=op.rules_text)
+            return None
 
-        elif isinstance(op, AddBot):
+        if isinstance(op, AddBot):
             with counters.attribute(op.actor):
                 blob = res.users[op.actor].add_chatbot(op.chatbot_id)
             res.provider.attach_chatbot(gid, op.chatbot_id)
-            seq = res.provider.publish(gid, op.actor, user_view=blob,
-                                       bot_view=blob,
-                                       bot_targets=(op.chatbot_id,))
-            self._event(op, seq, op="add_bot", actor=op.actor,
-                        chatbot=op.chatbot_id)
-            self._finish(seq)
+            return _Bundle(op.actor, blob,
+                           {"actor": op.actor, "chatbot": op.chatbot_id},
+                           bot_view=blob, bot_targets=(op.chatbot_id,))
 
-        elif isinstance(op, RemBot):
+        if isinstance(op, RemBot):
+            # delivered while the bot is still routed, so it wipes its
+            # state; detached after delivery, before the snapshot pass
             with counters.attribute(op.actor):
                 blob = res.users[op.actor].remove_chatbot(op.chatbot_id)
-            seq = res.provider.publish(gid, op.actor, user_view=blob,
-                                       bot_view=blob,
-                                       bot_targets=(op.chatbot_id,))
-            self._event(op, seq, op="rem_bot", actor=op.actor,
-                        chatbot=op.chatbot_id)
-            # deliver while the bot is still routed so it wipes its state,
-            # then drop it from the roster before the snapshot pass
-            self._last_seq = seq
-            self._drain(seq)
-            res.provider.detach_chatbot(gid, op.chatbot_id)
-            self._post_op(seq)
+            return _Bundle(op.actor, blob,
+                           {"actor": op.actor, "chatbot": op.chatbot_id},
+                           bot_view=blob, bot_targets=(op.chatbot_id,),
+                           detach=op.chatbot_id)
 
-        elif isinstance(op, AddUser):
-            with counters.attribute(op.member_id):
-                newcomer = user_init(
-                    cgka.init(op.member_id, res.provider.directory), res.provider)
-            res.users[op.member_id] = newcomer
-            res.provider.register_party(op.member_id, newcomer)
+        if isinstance(op, AddUser):
+            self._join(op.member_id)
             with counters.attribute(op.actor):
                 blob = res.users[op.actor].add_user(op.member_id)
             res.provider.add_member(gid, op.member_id)
-            seq = res.provider.publish(gid, op.actor, user_view=blob)
-            self._event(op, seq, op="add_user", actor=op.actor,
-                        member=op.member_id)
-            self._finish(seq)
+            return _Bundle(op.actor, blob,
+                           {"actor": op.actor, "member": op.member_id})
 
-        elif isinstance(op, RemUser):
+        if isinstance(op, RemUser):
             with counters.attribute(op.actor):
                 blob = res.users[op.actor].remove_user(op.member_id)
             res.provider.remove_member(gid, op.member_id)
-            seq = res.provider.publish(gid, op.actor, user_view=blob)
-            self._event(op, seq, op="rem_user", actor=op.actor,
-                        member=op.member_id)
-            self._finish(seq)
+            return _Bundle(op.actor, blob,
+                           {"actor": op.actor, "member": op.member_id})
 
-        elif isinstance(op, Update):
+        if isinstance(op, Update):
             with counters.attribute(op.actor):
                 blob = res.users[op.actor].update_keys()
-            seq = res.provider.publish(gid, op.actor, user_view=blob)
-            self._event(op, seq, op="update", actor=op.actor)
-            self._finish(seq)
+            return _Bundle(op.actor, blob, {"actor": op.actor})
 
-        elif isinstance(op, Send):
+        if isinstance(op, Send):
             sender = res.users[op.sender]
             with counters.attribute(op.sender):
                 out = sender.send(op.message, conceal=op.conceal,
                                   address_all=op.address_all,
                                   pseudonymous=op.pseudonymous)
-            seq = res.provider.publish(gid, op.sender, user_view=out.user_view,
-                                       bot_view=out.chatbot_view)
-            res.sends.append(SendEvent(
-                seq=seq, line_no=op.line_no, kind="user", sender=op.sender,
-                epoch=out.epoch, message=op.message, addressed=out.addressed,
-                concealed=out.concealed, pseudonymous=op.pseudonymous))
-            with counters.paused():
-                key = derive(sender.cgka.group_secret, MSG_KEY)
-            res.supersessions.append(Supersession(key.hex(), seq))
-            self._event(op, seq, op="send", sender=op.sender,
-                        addressed=list(out.addressed),
-                        concealed=list(out.concealed),
-                        pseudonymous=op.pseudonymous, epoch=out.epoch)
-            self._finish(seq)
+            return _Bundle(
+                op.sender, out.user_view,
+                {"sender": op.sender, "addressed": list(out.addressed),
+                 "concealed": list(out.concealed),
+                 "pseudonymous": op.pseudonymous, "epoch": out.epoch},
+                bot_view=out.chatbot_view,
+                send=SendEvent(
+                    seq=0, line_no=op.line_no, kind="user", sender=op.sender,
+                    epoch=out.epoch, message=op.message,
+                    addressed=out.addressed, concealed=out.concealed,
+                    pseudonymous=op.pseudonymous),
+                secret=sender.cgka.group_secret)
 
-        elif isinstance(op, BotSend):
+        if isinstance(op, BotSend):
             with counters.attribute(op.chatbot_id):
                 blob = res.bots[op.chatbot_id].send(op.message)
-            seq = res.provider.publish(gid, op.chatbot_id, user_view=blob)
-            res.sends.append(SendEvent(
-                seq=seq, line_no=op.line_no, kind="bot",
-                sender=op.chatbot_id, epoch=None, message=op.message,
-                addressed=tuple(self.result.current_members())))
-            self._event(op, seq, op="bot_send", sender=op.chatbot_id)
-            self._finish(seq)
+            return _Bundle(
+                op.chatbot_id, blob, {"sender": op.chatbot_id},
+                send=SendEvent(
+                    seq=0, line_no=op.line_no, kind="bot",
+                    sender=op.chatbot_id, epoch=None, message=op.message,
+                    addressed=tuple(res.current_members())))
 
-        elif isinstance(op, RegisterPseudonym):
+        if isinstance(op, RegisterPseudonym):
             user = res.users[op.actor]
             with counters.attribute(op.actor):
                 out = user.register_pseudonym()
-            seq = res.provider.publish(gid, op.actor, user_view=out.user_view,
-                                       bot_view=out.chatbot_view)
-            # the payload the group sees is the fresh pseudonym public key
-            res.sends.append(SendEvent(
-                seq=seq, line_no=op.line_no, kind="registration",
-                sender=op.actor, epoch=out.epoch,
-                message=user.pseudonym.key.public_key,
-                addressed=out.addressed))
-            with counters.paused():
-                key = derive(user.cgka.group_secret, MSG_KEY)
-            res.supersessions.append(Supersession(key.hex(), seq))
-            self._event(op, seq, op="register_pseudonym", actor=op.actor,
-                        handle=user.pseudonym.handle.hex(), epoch=out.epoch)
-            self._finish(seq)
+            return _Bundle(
+                op.actor, out.user_view,
+                {"actor": op.actor, "handle": user.pseudonym.handle.hex(),
+                 "epoch": out.epoch},
+                bot_view=out.chatbot_view,
+                # the payload the group sees is the fresh pseudonym public key
+                send=SendEvent(
+                    seq=0, line_no=op.line_no, kind="registration",
+                    sender=op.actor, epoch=out.epoch,
+                    message=user.pseudonym.key.public_key,
+                    addressed=out.addressed),
+                secret=user.cgka.group_secret)
 
-        elif isinstance(op, Compromise):
+        if isinstance(op, Compromise):
             snap = res.provider.snapshot_state(op.party)
             res.compromises[op.label] = CompromiseEvent(
                 label=op.label, party=op.party, seq=self._last_seq,
                 snapshot=snap)
-            self._event(op, None, op="compromise", party=op.party,
-                        label=op.label)
+            self._event(op, None, party=op.party, label=op.label)
+            return None
 
-        else:  # pragma: no cover - the parser only emits the types above
-            raise TypeError(f"unhandled op {op!r}")
+        # the parser only emits the types above
+        raise TypeError(f"unhandled op {op!r}")  # pragma: no cover
+
+    def _join(self, uid: str) -> None:
+        """A fresh user, initialised as itself, that the provider can route to."""
+        res = self.result
+        with counters.attribute(uid):
+            res.users[uid] = user_init(cgka.init(uid, res.provider.directory),
+                                       res.provider)
+        res.provider.register_party(uid, res.users[uid])
 
     # -- delivery ---------------------------------------------------------------
 
-    def _finish(self, seq: int) -> None:
+    def _finish(self, seq: int, detach: str | None = None) -> None:
         self._last_seq = seq
         self._drain(seq)
+        if detach is not None:
+            self.result.provider.detach_chatbot(self.scenario.group_id, detach)
         self._post_op(seq)
 
     def _drain(self, seq: int) -> None:
@@ -388,10 +408,11 @@ class Runner:
                 del self._prev_secrets[uid]
 
     def _event(self, source: Op, seq: int | None, **detail) -> None:
-        self.result.events.append({"seq": seq, "line": source.line_no, **detail})
+        self.result.events.append({"seq": seq, "line": source.line_no,
+                                   "op": _OP_NAMES[type(source)], **detail})
 
 
-# op type -> its scenario keyword, for error notes
+# op type -> its scenario keyword, for events and error notes
 _OP_NAMES = {GroupOp: "group", BotDecl: "bot", AddBot: "add_bot",
              RemBot: "rem_bot", AddUser: "add_user", RemUser: "rem_user",
              Send: "send", BotSend: "bot_send", Update: "update",

@@ -369,10 +369,7 @@ def _sender_seals(world: bench.World, message: bytes) -> int:
     ops = counters.OpCounters()
     with counters.collect(ops), counters.attribute("sender"):
         out = world.users["user-000"].send(message)
-    world.provider.publish(world.group_id, "user-000",
-                           user_view=out.user_view,
-                           bot_view=out.chatbot_view)
-    world.drain()
+    world.publish("user-000", out.user_view, out.chatbot_view)
     return ops.party("sender")["pke_seal"]
 
 

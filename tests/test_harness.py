@@ -7,6 +7,7 @@ import inspect
 import json
 import random
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -25,14 +26,21 @@ from chatgate.group import (
     VIEW_USER_MESSAGE,
     GroupControl,
     UserMessageView,
+    UserState,
 )
 from chatgate.harness import bench, canned, probes
-from chatgate.harness.runner import Supersession, run_scenario, run_text
+from chatgate.harness.runner import (
+    _OP_NAMES,
+    Supersession,
+    run_scenario,
+    run_text,
+)
 from chatgate.harness.scenario import (
     AddUser,
     BotDecl,
     Compromise,
     GroupOp,
+    Op,
     RemUser,
     Send,
     parse_scenario,
@@ -153,6 +161,50 @@ def test_runner_error_notes_line_op_and_party():
         run_scenario(scenario, seed=5)
     assert str(info.value) == "'user-02' may not publish to 'g'"
     assert info.value.__notes__ == ["scenario line 3: send by user-02"]
+
+
+def test_runner_notes_a_divergence_with_line_op_and_party(monkeypatch):
+    # user-02 drops user-00's update, so the members disagree after it:
+    # the runner's own agreement check raises, and names the op
+    process = UserState.process_group_control
+
+    def dropping(self, data):
+        ctl = CgkaControl.from_bytes(GroupControl.from_bytes(data).control)
+        if self.member_id == "user-02" and ctl.kind == "update":
+            return None
+        return process(self, data)
+
+    monkeypatch.setattr(UserState, "process_group_control", dropping)
+    with pytest.raises(RuntimeError) as info:
+        run_text("group g user-00 user-01 user-02\nupdate user-00\n", seed=5)
+    assert str(info.value).startswith("group diverged after seq 2: ")
+    assert info.value.__notes__ == ["scenario line 2: update by user-00"]
+
+
+def test_runner_detaches_a_removed_bot_after_delivering_its_removal():
+    text = ("group g user-00 user-01\n"
+            "bot memo-bot-01 contains:note\n"
+            "add_bot user-00 memo-bot-01\n"
+            "register_pseudonym user-01\n"
+            "send user-00 \"note this\"\n"
+            "rem_bot user-00 memo-bot-01\n")
+    result = run_text(text, seed=5)
+    snap = result.bots["memo-bot-01"].snapshot()
+    assert snap["group_id"] is None
+    assert snap["group_public_key"] is None
+    assert snap["node"] is None
+    assert snap["pseudonyms"] == {}
+    assert result.provider.inbox("memo-bot-01") == []
+    assert "memo-bot-01" not in result.scopes[-1][1]
+
+
+def test_report_ops_name_their_scenario_keyword():
+    assert set(_OP_NAMES) == set(typing.get_args(Op))
+    for name, text in sorted(canned.ALL.items()):
+        lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
+        keywords = [tokens[0] for tokens in lines if tokens]
+        ops = run_text(text, seed=7).report()["ops"]
+        assert [ev["op"] for ev in ops] == keywords, name
 
 
 def test_runner_newcomer_cannot_read_stale_bot_channel():
@@ -496,6 +548,18 @@ def test_cli_rejects_bad_scenario(tmp_path):
     scen = tmp_path / "bad.scenario"
     scen.write_text("send user-00 hi\n")
     assert main(["run", str(scen)]) == 2
+
+
+def test_cli_rejects_an_unknown_probe_before_running(tmp_path):
+    from chatgate.harness.cli import main
+
+    scen = tmp_path / "demo.scenario"
+    scen.write_text(canned.CONCEALMENT)
+    report_path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(scen), "--probe", "nope", "--report", str(report_path)])
+    assert info.value.code == 2
+    assert not report_path.exists()
 
 
 def test_cli_probe_all(capsys):
