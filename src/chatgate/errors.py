@@ -122,3 +122,7 @@ class ScenarioParseError(ChatGateError):
 
 class ProbeFailed(ChatGateError):
     """A security probe found a counterexample."""
+
+
+class GroupDiverged(ChatGateError):
+    """After an op, the current members disagree on epoch or group secret."""

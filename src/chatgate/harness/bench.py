@@ -58,8 +58,8 @@ def write_csv(rows: list[BenchRow], path: str) -> None:
 class World:
     """A warm provider-mediated group sized for measurements."""
 
-    def __init__(self, n: int, m: int, group_id: str = "grp-bench") -> None:
-        self.group_id = group_id
+    def __init__(self, n: int, m: int) -> None:
+        self.group_id = "grp-bench"
         self.provider = Provider()
         self.ids = [f"user-{i:03d}" for i in range(n)]
         self.users = {uid: user_init(cgka.init(uid, self.provider.directory),
@@ -67,8 +67,8 @@ class World:
                       for uid in self.ids}
         self.bots = {}
         creator = self.users[self.ids[0]]
-        self.provider.create_group(group_id, self.ids)
-        self.publish(self.ids[0], creator.create_group(group_id, self.ids))
+        self.provider.create_group(self.group_id, self.ids)
+        self.publish(self.ids[0], creator.create_group(self.group_id, self.ids))
 
         for i in range(m):
             self.attach_bot(f"bench-bot-{i:03d}")
@@ -224,8 +224,8 @@ def fit_linear(xs: list[float], ys: list[float]) -> tuple[float, float, float, f
     return a, b, r2, rss
 
 
-def aic(rss: float, nobs: int, k: int = 2) -> float:
-    return 2 * k + nobs * math.log(max(rss / nobs, 1e-12))
+def aic(rss: float, nobs: int) -> float:
+    return 2 * 2 + nobs * math.log(max(rss / nobs, 1e-12))  # 2 fitted parameters
 
 
 def compare_growth(ns: list[int], times_ms: list[float]) -> dict:

@@ -21,10 +21,6 @@ from ..provider import adversary_decrypt
 from ..primitives import SEALED_LEN
 from .runner import RunResult
 
-# Chain length the adversary explores above any captured value. Trees at
-# desk scale are at most 2^7 leaves deep; anything longer buys nothing.
-ADVERSARY_CHAIN = 10
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -72,7 +68,7 @@ def probe_selective_access(result: RunResult) -> Verdict:
             continue
         snapshot = history[-1][1]
         report = adversary_decrypt(snapshot, result.provider.transcript,
-                                   result.provider, max_chain=ADVERSARY_CHAIN)
+                                   result.provider)
         allowed = {ev.message for ev in result.sends
                    if ev.kind in ("user", "registration") and cid in ev.addressed}
         extra = report.plaintexts - allowed
@@ -155,15 +151,14 @@ def _attached_at(result: RunResult, seq: int) -> set[str]:
     return set(result.current_bots())
 
 
-def probe_post_compromise(result: RunResult, label: str | None = None) -> Verdict:
-    """After a compromised party heals, nothing sent later is recoverable
-    from the captured state, and no later group secret leaks."""
+def probe_post_compromise(result: RunResult) -> Verdict:
+    """After every compromised party heals, nothing sent later is
+    recoverable from its captured state, and no later group secret leaks."""
     if not result.compromises:
         raise ProbeFailed("post_compromise: scenario has no compromise op")
-    labels = [label] if label is not None else sorted(result.compromises)
     violations = []
     checked = 0
-    for lab in labels:
+    for lab in sorted(result.compromises):
         event = result.compromises[lab]
         heal = _heal_seq(result, event.party, event.seq)
         if heal is None:
@@ -171,7 +166,7 @@ def probe_post_compromise(result: RunResult, label: str | None = None) -> Verdic
                 f"post_compromise: no healing op for {event.party!r} "
                 f"after label {lab!r}")
         report = adversary_decrypt(event.snapshot, result.provider.transcript,
-                                   result.provider, max_chain=ADVERSARY_CHAIN)
+                                   result.provider)
         for ev in result.sends:
             if ev.seq > heal and ev.message in report.plaintexts:
                 violations.append({"label": lab, "seq": ev.seq,

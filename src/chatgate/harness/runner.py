@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from .. import cgka, counters
 from ..encoding import peek_type
-from ..errors import BadPseudonymSignature, DecryptFailed
+from ..errors import BadPseudonymSignature, DecryptFailed, GroupDiverged
 from ..group import (
     BOT_MESSAGE,
     NOT_ADDRESSED,
@@ -156,11 +156,9 @@ class RunResult:
 
 
 class Runner:
-    def __init__(self, scenario: Scenario, seed: int | None = None,
-                 keep_snapshots: bool = True) -> None:
+    def __init__(self, scenario: Scenario, seed: int | None = None) -> None:
         self.scenario = scenario
         self.seed = seed
-        self.keep_snapshots = keep_snapshots
         self.result = RunResult(scenario=scenario, seed=seed,
                                 provider=Provider(), users={}, bots={},
                                 counters=counters.OpCounters())
@@ -385,13 +383,11 @@ class Runner:
         epochs = {res.users[m].epoch for m in members}
         secrets = {res.users[m].cgka.group_secret for m in members}
         if len(epochs) != 1 or len(secrets) != 1 or None in secrets:
-            raise RuntimeError(f"group diverged after seq {seq}: epochs={epochs}")
+            raise GroupDiverged(f"group diverged after seq {seq}: epochs={epochs}")
         epoch = epochs.pop()
         res.group_secrets[epoch] = secrets.pop().hex()
         res.seq_epoch[seq] = epoch
 
-        if not self.keep_snapshots:
-            return
         for pid in members + bots:
             snap = res.provider.snapshot_state(pid)
             res.snapshots.setdefault(pid, []).append((seq, snap))
@@ -445,12 +441,9 @@ def _node_secrets(state: cgka.CgkaState) -> dict[int, str]:
     return {x: s.hex() for x, (s, _) in sorted(state.path.items()) if s is not None}
 
 
-def run_scenario(scenario: Scenario, seed: int | None = None,
-                 keep_snapshots: bool = True) -> RunResult:
-    return Runner(scenario, seed=seed, keep_snapshots=keep_snapshots).run()
+def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
+    return Runner(scenario, seed=seed).run()
 
 
-def run_text(text: str, seed: int | None = None,
-             keep_snapshots: bool = True) -> RunResult:
-    return run_scenario(parse_scenario(text), seed=seed,
-                        keep_snapshots=keep_snapshots)
+def run_text(text: str, seed: int | None = None) -> RunResult:
+    return run_scenario(parse_scenario(text), seed=seed)

@@ -11,21 +11,22 @@ would capture.
 
 `adversary_decrypt` plays the compromise game: given one party's serialized
 state, the public transcript and the public PKI, it exhaustively combines
-every 32-byte value it can see or derive (chains, message keys, key pairs)
-against every sealed box and ciphertext until nothing new falls out. A
-sealed box opens only under the secret of the public key it was sealed to,
-and public data names that key for every box the protocol seals: tree
-controls list it, chatbot entries name a bot whose node key is on the wire,
-bot replies go to a group key that some chatbot view or attach control
-carries, and attach seeds go to the bot's registered key. Ciphertexts are
-named too: every AEAD key is `derive(x, MSG_KEY)`, and the view carrying
-the ciphertext names `pke_keygen(x).public_key` (message views their group
-key, bot replies their node key). Derivation domains are disjoint, so a
-chain link or `pke_keygen` scalar is never a message key, and a message key
-or chain link is never a recipient scalar. So each candidate meets only the
-boxes and ciphertexts it could open, and the search stays exhaustive,
-barring a SHA-256 or X25519 clamping collision. Security claims in the
-probes are statements about its output.
+every 32-byte value it can see or derive (chains as long as the deepest
+tree path on the wire, message keys, key pairs) against every sealed box
+and ciphertext until nothing new falls out. A sealed box opens only under
+the secret of the public key it was sealed to, and public data names that
+key for every box the protocol seals: tree controls list it, chatbot
+entries name a bot whose node key is on the wire, bot replies go to a group
+key that some chatbot view or attach control carries, and attach seeds go
+to the bot's registered key. Ciphertexts are named too: every AEAD key is
+`derive(x, MSG_KEY)`, and the view carrying the ciphertext names
+`pke_keygen(x).public_key` (message views their group key, bot replies
+their node key). Derivation domains are disjoint, so a chain link or
+`pke_keygen` scalar is never a message key, and a message key or chain link
+is never a recipient scalar. So each candidate meets only the boxes and
+ciphertexts it could open, and the search stays exhaustive, barring a
+SHA-256 or X25519 clamping collision. Security claims in the probes are
+statements about its output.
 """
 
 from __future__ import annotations
@@ -171,6 +172,12 @@ class Provider:
                                          or newcomer not in ch.members):
                 raise NotMember(f"the add's newcomer {newcomer!r} is not "
                                 f"routed in {group_id!r}")
+        if bot_view is not None:
+            targets = [cid for cid in (sorted(ch.bots) if bot_targets is None
+                                       else bot_targets) if cid != sender]
+            for cid in targets:
+                if cid not in self._bots:
+                    raise UnknownChatbot(f"no registration for {cid!r}")
         self._seq += 1
         seq = self._seq
         if user_view is not None:
@@ -184,12 +191,7 @@ class Provider:
                                   member_b64)
         if bot_view is not None:
             view_b64 = base64.b64encode(bot_view).decode("ascii")
-            targets = sorted(ch.bots) if bot_targets is None else list(bot_targets)
             for cid in targets:
-                if cid == sender:
-                    continue
-                if cid not in self._bots:
-                    raise UnknownChatbot(f"no registration for {cid!r}")
                 self._deliver(seq, group_id, "chatbot", cid, bot_view, view_b64)
         return seq
 
@@ -277,9 +279,10 @@ def _harvest_hex(node) -> set[bytes]:
 
 
 def _collect_material(transcript, registry: BotLookup) -> tuple[
-        list[tuple[frozenset[bytes], bytes]], list[tuple[frozenset[bytes], bytes]]]:
+        list[tuple[frozenset[bytes], bytes]], list[tuple[frozenset[bytes], bytes]], int]:
     """All sealed boxes and symmetric ciphertexts visible on the wire, each
-    once, as (hints, box) and (hints, ciphertext).
+    once, as (hints, box) and (hints, ciphertext), and the length of the
+    longest `new_public_path` on the wire (at least 1).
 
     A box's hints are the public keys that public data names as its
     possible recipient. A seal binds the recipient key pair, so the
@@ -310,6 +313,7 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     bot_pk: dict[str, bytes] = {}
     group_keys: set[bytes] = set()
     replies: list[bytes] = []
+    path_lengths = {1}
 
     def add_box(box: bytes, hint: bytes | None) -> None:
         named = hints.setdefault(box, set())
@@ -317,6 +321,7 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
             named.add(hint)
 
     def control_boxes(control: CgkaControl) -> None:
+        path_lengths.add(len(control.new_public_path))
         for target_pk, box in control.path_entries:
             add_box(box, target_pk)
 
@@ -359,7 +364,8 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     for box in replies:
         hints.setdefault(box, set()).update(group_keys)
     return ([(frozenset(named), box) for box, named in hints.items()],
-            [(frozenset(named), ct) for ct, named in ct_hints.items()])
+            [(frozenset(named), ct) for ct, named in ct_hints.items()],
+            max(path_lengths))
 
 
 def _by_hint(material: list[tuple[frozenset[bytes], bytes]]) -> tuple[
@@ -375,14 +381,14 @@ def _by_hint(material: list[tuple[frozenset[bytes], bytes]]) -> tuple[
     return by_hint, unhinted
 
 
-def _expand(secret: bytes, max_chain: int) -> list[tuple[bytes, bytes, KeyPair]]:
+def _expand(secret: bytes, depth: int) -> list[tuple[bytes, bytes, KeyPair]]:
     """The chain above one 32-byte value (as a possible tree path secret),
-    starting at the value itself: each link with its message key and its
-    `pke_keygen` key pair."""
+    starting at the value itself and `depth` links long: each link with its
+    message key and its `pke_keygen` key pair."""
     links: list[tuple[bytes, bytes, KeyPair]] = []
     seen: set[bytes] = set()
     s = secret
-    for _ in range(max_chain):
+    for _ in range(depth):
         if s in seen:
             break
         message_key = derive(s, MSG_KEY)
@@ -393,17 +399,18 @@ def _expand(secret: bytes, max_chain: int) -> list[tuple[bytes, bytes, KeyPair]]
     return links
 
 
-def adversary_decrypt(snapshot: bytes, transcript, registry: BotLookup,
-                      max_chain: int = 12) -> AdversaryReport:
+def adversary_decrypt(snapshot: bytes, transcript, registry: BotLookup) -> AdversaryReport:
     """Exhaustive key-recovery attack from one compromised state plus the
     wire transcript. Runs to a fixpoint: every recovered value is fed back
-    as a candidate key until nothing new opens.
+    as a candidate key until nothing new opens. Each value's chain climbs
+    as far as the longest path on the transcript, which any path secret,
+    held or opened, needs to reach its root.
 
     Like the honest-but-curious provider, the adversary knows the public
     PKI: `registry` (anything with `lookup_bot`) gives each chatbot's
     registered encryption key, which names the recipient of its attach
     seed."""
-    boxes, ciphertexts = _collect_material(transcript, registry)
+    boxes, ciphertexts, depth = _collect_material(transcript, registry)
     boxes_for, unhinted = _by_hint(boxes)
     cts_for, _ = _by_hint(ciphertexts)  # every ciphertext names a key
     all_cts = [ct for _, ct in ciphertexts]
@@ -428,7 +435,7 @@ def adversary_decrypt(snapshot: bytes, transcript, registry: BotLookup,
         message_keys: dict[bytes, bytes] = {}  # message key -> link public key
         frontier: set[bytes] = set()
         for value in raw:
-            for s, message_key, pair in _expand(value, max_chain):
+            for s, message_key, pair in _expand(value, depth):
                 frontier.update((s, message_key, pair.secret_key))
                 message_keys[message_key] = pair.public_key
                 pairs[pair.secret_key] = pair

@@ -215,7 +215,7 @@ def test_criterion_01_key_agreement():
         mirror = _fuzz_scenario(seed, n_start=(2, 8), n_max=16, bots=(0, 8),
                                 n_ops=10)
         # the runner asserts equal epoch and group secret after every op
-        result = run_text(mirror.text(), seed=seed, keep_snapshots=False)
+        result = run_text(mirror.text(), seed=seed)
         probes.probe_agreement(result).check()
         sequences += 1
     elapsed = time.monotonic() - started

@@ -15,6 +15,8 @@ import pytest
 from chatgate.cgka import CgkaControl
 from chatgate.encoding import peek_type
 from chatgate.errors import (
+    ChatGateError,
+    GroupDiverged,
     MalformedControl,
     NotMember,
     ProbeFailed,
@@ -175,8 +177,9 @@ def test_runner_notes_a_divergence_with_line_op_and_party(monkeypatch):
         return process(self, data)
 
     monkeypatch.setattr(UserState, "process_group_control", dropping)
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(GroupDiverged) as info:
         run_text("group g user-00 user-01 user-02\nupdate user-00\n", seed=5)
+    assert isinstance(info.value, ChatGateError)
     assert str(info.value).startswith("group diverged after seq 2: ")
     assert info.value.__notes__ == ["scenario line 2: update by user-00"]
 
@@ -238,7 +241,8 @@ def test_wire_boxes_match_seal_counts():
     # Every sealed box on the wire is either a counted pke_seal or a
     # concealment dummy; nothing else may produce box-shaped bytes.
     result = run_text(canned.CONCEALMENT, seed=5)
-    boxes, _cts = _collect_material(result.provider.transcript, result.provider)
+    boxes, _cts, _depth = _collect_material(result.provider.transcript,
+                                            result.provider)
     dummies = sum(len(ev.concealed) for ev in result.sends)
     assert len(boxes) == result.counters.total("pke_seal") + dummies
 
@@ -441,7 +445,7 @@ def test_unhealed_compromise_is_actually_readable():
     result = run_text(text, seed=9)
     event = result.compromises["stolen"]
     report = adversary_decrypt(event.snapshot, result.provider.transcript,
-                               result.provider, max_chain=8)
+                               result.provider)
     assert b"leaks to the stale state" in report.plaintexts
 
 

@@ -33,7 +33,6 @@ from chatgate.group import (
     user_init,
 )
 from chatgate.harness import bench, canned
-from chatgate.harness.probes import ADVERSARY_CHAIN
 from chatgate.harness.runner import run_text
 from chatgate.primitives import (
     CHAIN,
@@ -280,6 +279,21 @@ def test_add_naming_an_unrouted_newcomer_is_refused():
     assert provider.inbox("user-03") == [blob]
 
 
+def test_send_to_an_unregistered_bot_target_is_refused_before_sequencing():
+    world = bench.World(3, 1)
+    provider = world.provider
+    rows, seq = len(provider.transcript), provider._seq
+    out = world.users["user-000"].send(b"hello ghost")
+    with pytest.raises(UnknownChatbot):
+        provider.publish(world.group_id, "user-000", user_view=out.user_view,
+                         bot_view=out.chatbot_view, bot_targets=("ghost-bot",))
+    assert len(provider.transcript) == rows
+    assert provider._seq == seq
+    assert all(provider.inbox(pid) == [] for pid in [*world.ids, *world.bots])
+    assert provider.publish(world.group_id, "user-000", user_view=out.user_view,
+                            bot_view=out.chatbot_view) == seq + 1
+
+
 def test_welcome_goes_with_an_add_and_only_with_one():
     provider, users, bots = make_world(3)
     update = GroupControl.from_bytes(users["user-01"].update_keys())
@@ -356,7 +370,7 @@ def test_compromised_chatbot_reads_exactly_addressed_messages():
         user_send(provider, users, bots, f"user-{i % 3:02d}", msg)
 
     snap = provider.snapshot_state("echo-bot-01")
-    report = adversary_decrypt(snap, provider.transcript, provider, max_chain=8)
+    report = adversary_decrypt(snap, provider.transcript, provider)
     triggered = {m for m, hit in sent.items() if hit}
     assert triggered <= report.plaintexts
     hidden = {m for m, hit in sent.items() if not hit}
@@ -368,7 +382,7 @@ def test_compromised_user_reads_group_traffic():
     user_send(provider, users, bots, "user-00", b"@echo alpha")
     user_send(provider, users, bots, "user-01", b"plain beta")
     snap = provider.snapshot_state("user-02")
-    report = adversary_decrypt(snap, provider.transcript, provider, max_chain=8)
+    report = adversary_decrypt(snap, provider.transcript, provider)
     # current group secret decrypts the latest message directly
     assert b"plain beta" in report.plaintexts
 
@@ -378,7 +392,7 @@ def test_concealment_dummies_do_not_decrypt():
         2, bots=(("echo-bot-01", "mention:@echo"), ("log-bot-02", "never")))
     user_send(provider, users, bots, "user-00", b"@echo only you", conceal=True)
     snap = provider.snapshot_state("log-bot-02")
-    report = adversary_decrypt(snap, provider.transcript, provider, max_chain=8)
+    report = adversary_decrypt(snap, provider.transcript, provider)
     assert b"@echo only you" not in report.plaintexts
 
 
@@ -399,28 +413,68 @@ def test_unnamed_recipient_leaves_box_unhinted_and_tried():
     assert [named[box] for box in unhinted] == [
         {bots["echo-bot-01"].registration.enc_public_key}]
     snap = provider.snapshot_state("echo-bot-01")
-    report = adversary_decrypt(snap, provider.transcript, unknown, max_chain=8)
-    assert report == adversary_decrypt(snap, provider.transcript, provider,
-                                       max_chain=8)
+    report = adversary_decrypt(snap, provider.transcript, unknown)
+    assert report == adversary_decrypt(snap, provider.transcript, provider)
     assert b"@echo alpha" in report.plaintexts
 
 
+@pytest.mark.parametrize("carrier", ["group_control", "user_message"])
+def test_adversary_climbs_as_far_as_the_longest_path_on_the_wire(carrier):
+    # A 14-node path: the state's one value opens the path's bottom secret,
+    # and only the top of its chain, 13 links up, keys the message. The
+    # path rides in a tree control or in the message view's own control.
+    scalar = primitives.random_secret()
+    chain = [primitives.random_secret()]
+    for _ in range(13):
+        chain.append(derive(chain[-1], CHAIN))
+    top = chain[-1]
+    target = x25519_key_pair(scalar).public_key
+    deep = cgka.CgkaControl(
+        kind="update", group_id="grp-deep", epoch=0, sender_leaf=0,
+        new_public_path=[pke_keygen(s).public_key for s in chain],
+        path_entries=[(target, primitives.pke_seal(target, chain[0]))])
+    shallow = cgka.CgkaControl(kind="update", group_id="grp-deep", epoch=0,
+                               sender_leaf=0)
+    message = UserMessageView(
+        group_id="grp-deep", epoch=1, flags=0,
+        control=(deep if carrier == "user_message" else shallow).to_bytes(),
+        ciphertext=primitives.sym_encrypt(derive(top, MSG_KEY),
+                                          group._encode_plain(b"deep message")),
+        group_public_key=pke_keygen(top).public_key, entries=())
+    views = [message.to_bytes()]
+    if carrier == "group_control":
+        views.insert(0, GroupControl(group_id="grp-deep",
+                                     control=deep.to_bytes()).to_bytes())
+    transcript = [{"seq": seq, "group_id": "grp-deep", "recipient_class": "user",
+                   "recipient": "user-01",
+                   "view_b64": base64.b64encode(view).decode("ascii")}
+                  for seq, view in enumerate(views, 1)]
+    snapshot = json.dumps({"scalar": scalar.hex()}).encode("ascii")
+    report = adversary_decrypt(snapshot, transcript, Provider())
+    assert report.plaintexts == {b"deep message"}
+    assert report.boxes_opened == 1
+    assert _collect_material(transcript, Provider())[2] == 14
+
+
 def _reference_material(transcript):
-    """Reference boxes and ciphertexts as (hint or None, box), independent
-    of the adversary's own scrape. Tree entries carry their listed target
-    and chatbot entries the bot's node key tracked in transcript order; bot
-    replies and attach seeds stay unhinted, so the oracle below tries them
-    against every candidate."""
+    """Reference boxes and ciphertexts as (hint or None, box), and the
+    longest tree path (at least 1), independent of the adversary's own
+    scrape. Tree entries carry their listed target and chatbot entries the
+    bot's node key tracked in transcript order; bot replies and attach
+    seeds stay unhinted, so the oracle below tries them against every
+    candidate."""
     boxes = {}
     ciphertexts = []
     seen = set()
     bot_pk = {}
+    depths = [1]
 
     def add_box(box, hint):
         if box not in boxes or boxes[box] is None:
             boxes[box] = hint
 
     def control_boxes(control):
+        depths.append(len(control.new_public_path))
         for target_pk, box in control.path_entries:
             add_box(box, target_pk)
 
@@ -453,7 +507,8 @@ def _reference_material(transcript):
         elif kind == GROUP_CONTROL:
             control_boxes(cgka.CgkaControl.from_bytes(
                 GroupControl.from_bytes(view).control))
-    return [(hint, box) for box, hint in boxes.items()], list(dict.fromkeys(ciphertexts))
+    return ([(hint, box) for box, hint in boxes.items()],
+            list(dict.fromkeys(ciphertexts)), max(depths))
 
 
 @dataclass
@@ -468,13 +523,13 @@ class _OracleLog:
     pk_of: dict = field(default_factory=dict)        # candidate -> X25519 pk
 
 
-def _reference_expand(secret, max_chain, log):
+def _reference_expand(secret, depth, log):
     """The set-valued expansion the oracle feeds on: the chain above one
     value, each link's message key and `pke_keygen` secret key. Logs the
     class of each value it derives."""
     out = set()
     s = secret
-    for _ in range(max_chain):
+    for _ in range(depth):
         if s in out:
             break
         out.add(s)
@@ -488,20 +543,21 @@ def _reference_expand(secret, max_chain, log):
     return out
 
 
-def _all_pairs_adversary(snapshot, transcript, max_chain):
+def _all_pairs_adversary(snapshot, transcript):
     """Reference oracle: the all-pairs fixpoint loop the indexed adversary
-    replaced, over `_reference_material`. Each round tries every held
-    secret against every box and ciphertext, skips pairs already tried and
-    boxes whose hint names another key, and opens with raw secret bytes.
-    Returns the report and an `_OracleLog` of every trial."""
+    replaced, over `_reference_material`, with chains as long as its
+    longest path. Each round tries every held secret against every box and
+    ciphertext, skips pairs already tried and boxes whose hint names
+    another key, and opens with raw secret bytes. Returns the report and
+    an `_OracleLog` of every trial."""
     log = _OracleLog()
     seeds = _harvest_hex(json.loads(snapshot))
-    boxes, ciphertexts = _reference_material(transcript)
+    boxes, ciphertexts, depth = _reference_material(transcript)
     secrets = set()
     frontier = set()
     for seed in seeds:
         log.raw.add(seed)
-        frontier |= _reference_expand(seed, max_chain, log)
+        frontier |= _reference_expand(seed, depth, log)
     payloads = set()
     tried_boxes = set()
     tried_cts = set()
@@ -525,7 +581,7 @@ def _all_pairs_adversary(snapshot, transcript, max_chain):
                 boxes_opened += 1
                 if len(opened) == 32 and opened not in secrets:
                     log.raw.add(opened)
-                    new |= _reference_expand(opened, max_chain, log)
+                    new |= _reference_expand(opened, depth, log)
             for ct in ciphertexts:
                 if (key, ct) in tried_cts:
                     continue
@@ -560,17 +616,15 @@ def _attacked_snapshots(result):
 def test_indexed_adversary_matches_all_pairs_loop(name):
     result = run_text(canned.ALL[name], seed=7)
     transcript = result.provider.transcript
-    boxes, ciphertexts = _collect_material(transcript, result.provider)
+    boxes, ciphertexts, _depth = _collect_material(transcript, result.provider)
     box_hints = {box: named for named, box in boxes}
     ct_hints = {ct: named for named, ct in ciphertexts}
     opened = set()
     for who, snapshot in _attacked_snapshots(result):
         with counters.collect(counters.OpCounters()) as ref_ops:
-            expected, log = _all_pairs_adversary(snapshot, transcript,
-                                                 ADVERSARY_CHAIN)
+            expected, log = _all_pairs_adversary(snapshot, transcript)
         with counters.collect(counters.OpCounters()) as ops:
-            report = adversary_decrypt(snapshot, transcript, result.provider,
-                                       max_chain=ADVERSARY_CHAIN)
+            report = adversary_decrypt(snapshot, transcript, result.provider)
         assert report == expected, who
         opened.add((report.boxes_opened > 0, report.ciphertexts_opened > 0))
         # The types only drop trials that fail with certainty. The
@@ -626,7 +680,8 @@ def test_hints_name_the_true_recipient(monkeypatch, seal_log, name, seed):
     text = (_audit_scenario_text(monkeypatch, seed) if name == "audit"
             else canned.ALL[name])
     result = run_text(text, seed=seed)
-    boxes, _cts = _collect_material(result.provider.transcript, result.provider)
+    boxes, _cts, _depth = _collect_material(result.provider.transcript,
+                                            result.provider)
     dummies = 0
     for hints, box in boxes:
         if box not in seal_log:
@@ -673,8 +728,8 @@ def test_ciphertext_hints_name_the_message_key_seed(monkeypatch, key_log,
     text = (_audit_scenario_text(monkeypatch, seed) if name == "audit"
             else canned.ALL[name])
     result = run_text(text, seed=seed)
-    _boxes, ciphertexts = _collect_material(result.provider.transcript,
-                                            result.provider)
+    _boxes, ciphertexts, _depth = _collect_material(result.provider.transcript,
+                                                    result.provider)
     assert ciphertexts
     for hints, ct in ciphertexts:
         key = keys[ct]
