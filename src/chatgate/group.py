@@ -17,6 +17,10 @@ Wire layout (type byte first, all fields length-prefixed):
     0x12 chatbot message              0x13 add-chatbot control
     0x14 remove-chatbot control       0x15 wrapped tree control
 
+A member reads each group fact (group id, epoch, group public key) from
+the tree control alone: its user views and wrapped controls carry no copy.
+The chatbot view, which has no control, states them itself.
+
 A wrapped tree control ends in a list of at most one newcomer section;
 only an add's has one: the welcome (the public tree the add was built on)
 and the chatbot roster. The provider delivers that section to the newcomer
@@ -216,31 +220,27 @@ def _read_entry(r: Reader) -> Entry:
 
 @dataclass(frozen=True)
 class UserMessageView:
-    group_id: str
-    epoch: int
+    """A member's view of a message. The group id, epoch and group public
+    key are the embedded control's: its group id, its epoch plus one, and
+    the root of its `new_public_path`."""
+
     flags: int
     control: bytes
     ciphertext: bytes
-    group_public_key: bytes
     entries: tuple[Entry, ...]
 
     def to_bytes(self) -> bytes:
         w = Writer(VIEW_USER_MESSAGE)
-        w.text(self.group_id)
-        w.u32(self.epoch)
         w.u8(self.flags)
         w.field(self.control)
         w.field(self.ciphertext)
-        w.field(self.group_public_key)
         w.items(list(self.entries), _write_entry)
         return w.done()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "UserMessageView":
         r = Reader(data, expect_type=VIEW_USER_MESSAGE)
-        out = cls(group_id=r.text(), epoch=r.u32(), flags=r.u8(),
-                  control=r.field(), ciphertext=r.field(),
-                  group_public_key=r.field(),
+        out = cls(flags=r.u8(), control=r.field(), ciphertext=r.field(),
                   entries=tuple(r.items(_read_entry)))
         r.finish()
         return out
@@ -368,13 +368,11 @@ class GroupControl:
     """A tree control for users. An add's also carries the welcome for its
     newcomer, which the provider delivers to the newcomer alone."""
 
-    group_id: str
     control: bytes
     welcome: Welcome | None = None
 
     def to_bytes(self) -> bytes:
         w = Writer(GROUP_CONTROL)
-        w.text(self.group_id)
         w.field(self.control)
         w.items([] if self.welcome is None else [self.welcome], _write_welcome)
         return w.done()
@@ -382,13 +380,12 @@ class GroupControl:
     @classmethod
     def from_bytes(cls, data: bytes) -> "GroupControl":
         r = Reader(data, expect_type=GROUP_CONTROL)
-        group_id, control = r.text(), r.field()
+        control = r.field()
         welcomes = r.items(_read_welcome)
         r.finish()
         if len(welcomes) > 1:
             raise MalformedControl("more than one welcome")
-        return cls(group_id=group_id, control=control,
-                   welcome=welcomes[0] if welcomes else None)
+        return cls(control=control, welcome=welcomes[0] if welcomes else None)
 
 
 def _write_welcome(w: Writer, welcome: Welcome) -> None:
@@ -433,23 +430,22 @@ class UserState:
 
     def create_group(self, group_id: str, member_ids: list[str]) -> bytes:
         ctl = self.cgka.create(group_id, member_ids)
-        return self._apply(GroupControl(group_id=group_id, control=ctl.to_bytes()))
+        return self._apply(GroupControl(control=ctl.to_bytes()))
 
     def add_user(self, member_id: str) -> bytes:
         ctl = self.cgka.add(member_id)
         roster = tuple((cid, self.records[cid].bot_public_key)
                        for cid in sorted(self.records))
         welcome = Welcome(tree=self.cgka.tree.to_public_bytes(), roster=roster)
-        return self._apply(GroupControl(group_id=self.group_id,
-                                        control=ctl.to_bytes(), welcome=welcome))
+        return self._apply(GroupControl(control=ctl.to_bytes(), welcome=welcome))
 
     def remove_user(self, member_id: str) -> bytes:
         ctl = self.cgka.remove(member_id)
-        return self._apply(GroupControl(group_id=self.group_id, control=ctl.to_bytes()))
+        return self._apply(GroupControl(control=ctl.to_bytes()))
 
     def update_keys(self) -> bytes:
         ctl = self.cgka.update()
-        return self._apply(GroupControl(group_id=self.group_id, control=ctl.to_bytes()))
+        return self._apply(GroupControl(control=ctl.to_bytes()))
 
     def process_group_control(self, data: bytes) -> None:
         wrapped = GroupControl.from_bytes(data)
@@ -574,10 +570,8 @@ class UserState:
                 concealed.append(cid)
 
         flags = _FLAG_ADDRESS_ALL if address_all else 0
-        user_view = UserMessageView(
-            group_id=self.group_id, epoch=epoch, flags=flags,
-            control=ctl.to_bytes(), ciphertext=ciphertext,
-            group_public_key=pair.public_key, entries=tuple(entries))
+        user_view = UserMessageView(flags=flags, control=ctl.to_bytes(),
+                                    ciphertext=ciphertext, entries=tuple(entries))
         chatbot_view = ChatbotMessageView(
             group_id=self.group_id, epoch=epoch, ciphertext=ciphertext,
             group_public_key=pair.public_key, entries=tuple(entries))
@@ -593,17 +587,14 @@ class UserState:
         commits only once the message has been read under its staged root,
         so a message that fails any check changes nothing."""
         view = UserMessageView.from_bytes(data)
-        self._check_group(view.group_id)
-        control = CgkaControl.from_bytes(view.control)
-        if view.epoch != control.epoch + 1:
-            raise MalformedControl("bundle epoch disagrees with control")
+        self._require_group()
         for cid, _ in view.entries:
             if cid not in self.records:
                 raise UnknownChatbotId(f"entry for unknown chatbot {cid!r}")
-        staged = self.cgka.stage(control)
+        # `stage` refuses another group or epoch, and checks every key the
+        # control's path derives, up to the group key pair at its root
+        staged = self.cgka.stage(CgkaControl.from_bytes(view.control))
         pair = staged.group_key_pair
-        if view.group_public_key != pair.public_key:
-            raise MalformedControl("bundle group key disagrees with tree")
 
         message_key = derive(staged.group_secret, MSG_KEY)
         payload = sym_decrypt(message_key, view.ciphertext)
@@ -729,6 +720,8 @@ class ChatbotState:
         ctl = RemoveBotControl.from_bytes(data)
         if ctl.chatbot_id != self.chatbot_id:
             raise MalformedControl("remove control for a different chatbot")
+        if ctl.group_id != self.group_id:
+            raise MalformedControl("remove control for a different group")
         self.group_id = None
         self.group_public_key = None
         self.node_key = None

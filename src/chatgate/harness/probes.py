@@ -103,8 +103,10 @@ def probe_forward_secrecy(result: RunResult) -> Verdict:
     is the hex of a 32-byte secret, so each snapshot is scanned once, into
     its set of hex windows."""
     violations = []
+    chain = []  # reported after the dead values, in the same party order
     scanned = 0
     dead = result.supersessions
+    all_group_secrets = sorted(set(result.group_secrets.values()))
     for pid, history in sorted(result.snapshots.items()):
         for snap_seq, snapshot in history:
             scanned += 1
@@ -113,14 +115,11 @@ def probe_forward_secrecy(result: RunResult) -> Verdict:
                 if item.dead_from <= snap_seq and item.value_hex in windows:
                     violations.append({"party": pid, "seq": snap_seq,
                                        "value": item.value_hex[:16]})
-    all_group_secrets = set(result.group_secrets.values())
-    for cid in sorted(result.bots):
-        for snap_seq, snapshot in result.snapshots.get(cid, []):
-            windows = _hex_windows(snapshot)
-            for value in sorted(all_group_secrets):
-                if value in windows:
-                    violations.append({"party": cid, "seq": snap_seq,
-                                       "value": value[:16], "kind": "chain"})
+            if pid in result.bots:
+                chain.extend({"party": pid, "seq": snap_seq,
+                              "value": value[:16], "kind": "chain"}
+                             for value in all_group_secrets if value in windows)
+    violations += chain
     return _verdict("forward_secrecy", violations,
                     snapshots_scanned=scanned, dead_values=len(dead))
 

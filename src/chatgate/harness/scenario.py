@@ -233,8 +233,6 @@ def _parse_op(line_no: int, op_name: str, args: list[str],
         check.member(line_no, uid)
         if actor == uid:
             raise ScenarioParseError(line_no, "members cannot remove themselves")
-        if len(check.members) == 1:
-            raise ScenarioParseError(line_no, "cannot empty the group")
         check.members.discard(uid)
         check.pseudonym_holders.discard(uid)
         return RemUser(line_no, actor, uid)

@@ -20,13 +20,13 @@ entries name a bot whose node key is on the wire, bot replies go to a group
 key that some chatbot view or attach control carries, and attach seeds go
 to the bot's registered key. Ciphertexts are named too: every AEAD key is
 `derive(x, MSG_KEY)`, and the view carrying the ciphertext names
-`pke_keygen(x).public_key` (message views their group key, bot replies
-their node key). Derivation domains are disjoint, so a chain link or
-`pke_keygen` scalar is never a message key, and a message key or chain link
-is never a recipient scalar. So each candidate meets only the boxes and
-ciphertexts it could open, and the search stays exhaustive, barring a
-SHA-256 or X25519 clamping collision. Security claims in the probes are
-statements about its output.
+`pke_keygen(x).public_key` (chatbot views their group key, member views
+the root key of their control, bot replies their node key). Derivation
+domains are disjoint, so a chain link or `pke_keygen` scalar is never a
+message key, and a message key or chain link is never a recipient scalar.
+So each candidate meets only the boxes and ciphertexts it could open, and
+the search stays exhaustive, barring a SHA-256 or X25519 clamping
+collision. Security claims in the probes are statements about its output.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import (
     DuplicateId,
     MalformedControl,
     NotMember,
+    NotPresent,
     UnknownChatbot,
     UnknownMember,
 )
@@ -160,8 +161,8 @@ class Provider:
                 bot_targets: tuple[str, ...] | None = None) -> int:
         """Broadcast one logical bundle. Users other than the sender get
         `user_view`, but only the newcomer of an add gets its welcome;
-        attached chatbots (or exactly `bot_targets`) get `bot_view`. Returns
-        the sequence number."""
+        attached chatbots (or exactly `bot_targets`, each registered and
+        attached) get `bot_view`. Returns the sequence number."""
         ch = self._channel(group_id)
         if sender not in ch.members and sender not in ch.bots:
             raise NotMember(f"{sender!r} may not publish to {group_id!r}")
@@ -178,6 +179,8 @@ class Provider:
             for cid in targets:
                 if cid not in self._bots:
                     raise UnknownChatbot(f"no registration for {cid!r}")
+                if cid not in ch.bots:
+                    raise NotPresent(f"{cid!r} is not attached to {group_id!r}")
         self._seq += 1
         seq = self._seq
         if user_view is not None:
@@ -304,8 +307,9 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
 
     A ciphertext's hints are the `pke_keygen` public keys of the seed its
     key was derived from (`derive(seed, MSG_KEY)`): a message view names
-    the group key pair of the group secret it was sent under, a bot reply
-    the node key of its fresh seed.
+    the group key pair of the group secret it was sent under (a member's
+    view as the root key of its control's path), a bot reply the node key
+    of its fresh seed.
     """
     hints: dict[bytes, set[bytes]] = {}
     ct_hints: dict[bytes, set[bytes]] = {}
@@ -339,10 +343,11 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
         kind = peek_type(view)
         if kind == VIEW_USER_MESSAGE:
             v = UserMessageView.from_bytes(view)
-            ct_hints.setdefault(v.ciphertext, set()).add(v.group_public_key)
+            control = CgkaControl.from_bytes(v.control)
+            ct_hints.setdefault(v.ciphertext, set()).update(control.new_public_path[-1:])
             for cid, box in v.entries:
                 add_box(box, bot_pk.get(cid))
-            control_boxes(CgkaControl.from_bytes(v.control))
+            control_boxes(control)
         elif kind == VIEW_CHATBOT_MESSAGE:
             v = ChatbotMessageView.from_bytes(view)
             ct_hints.setdefault(v.ciphertext, set()).add(v.group_public_key)

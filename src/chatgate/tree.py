@@ -54,25 +54,12 @@ def right(x: int) -> int:
     return x ^ (0b11 << (level(x) - 1))
 
 
-def parent(x: int, capacity: int) -> int:
-    if x == root_index(capacity):
-        raise ValueError("root has no parent")
-    k = level(x)
-    b = (x >> (k + 1)) & 1
-    return (x | (1 << k)) ^ (b << (k + 1))
-
-
-def sibling(x: int, capacity: int) -> int:
-    p = parent(x, capacity)
-    return right(p) if x < p else left(p)
-
-
 def direct_path(leaf: int, capacity: int) -> list[int]:
     """Node indices from the leaf up to and including the root."""
     x = leaf_node(leaf)
     root = root_index(capacity)
     path = [x]
-    k = 0  # level of x: `parent` without recounting it, one level per step
+    k = 0  # level of x, one level per step
     while x != root:
         x = (x | (1 << k)) ^ (((x >> (k + 1)) & 1) << (k + 1))
         k += 1
@@ -81,9 +68,9 @@ def direct_path(leaf: int, capacity: int) -> list[int]:
 
 
 def copath(leaf: int, capacity: int) -> list[int]:
-    """copath[i] is the sibling of direct_path[i]; empty for capacity 1."""
-    path = direct_path(leaf, capacity)
-    return [sibling(x, capacity) for x in path[:-1]]
+    """copath[i] is the sibling of direct_path[i], which sits at level i;
+    empty for capacity 1."""
+    return [x ^ (2 << i) for i, x in enumerate(direct_path(leaf, capacity)[:-1])]
 
 
 def subtree_range(x: int) -> tuple[int, int]:

@@ -24,7 +24,7 @@ from chatgate.encoding import Reader, peek_type
 from chatgate.errors import ChatGateError, MalformedControl
 from chatgate.harness import canned
 from chatgate.harness.runner import run_text
-from chatgate.primitives import PUBLIC_KEY_LEN, SEALED_LEN
+from chatgate.primitives import SEALED_LEN
 from chatgate.provider import Provider
 from chatgate.triggers import BotRegistration, TriggerSpec, rules_from_text
 
@@ -75,13 +75,15 @@ def samples() -> dict[str, tuple]:
     }
 
 
-def _overruns(blob: bytes, typed: bool) -> list[bytes]:
+# where the first field's length sits: after the type byte (and a user
+# view's flags byte), or after the tree's capacity and node count
+FIRST_FIELD = {"user-view": 2, "public-tree": 8}
+
+
+def _overruns(blob: bytes, first: int) -> list[bytes]:
     """Copies whose first, and where present last, field length points past
     the end of the input."""
-    # typed objects open with the group id; the tree with capacity and count
-    first = 1 if typed else 8
-    assert struct.unpack_from(">I", blob, first)[0] == (
-        len(GROUP_ID) if typed else PUBLIC_KEY_LEN)
+    assert first + 4 + struct.unpack_from(">I", blob, first)[0] <= len(blob)
     spots = [first]
     last = len(blob) - 4 - SEALED_LEN  # trailing sealed box, if any
     if struct.unpack_from(">I", blob, last)[0] == SEALED_LEN:
@@ -121,7 +123,7 @@ def test_appended_byte_is_rejected(samples, name):
 @pytest.mark.parametrize("name", NAMES)
 def test_field_length_past_the_end_is_rejected(samples, name):
     decode, blob = samples[name]
-    bad_copies = _overruns(blob, typed=name != "public-tree")
+    bad_copies = _overruns(blob, FIRST_FIELD.get(name, 1))
     if name.startswith("control") or name == "user-view":
         assert len(bad_copies) == 4  # both the first and the last field
     for bad in bad_copies:

@@ -261,28 +261,41 @@ def test_same_seed_same_transcript():
     assert a.report() == b.report()
 
 
-# SHA-256 of (report JSON, transcript JSONL, supersession list) for every
-# canned scenario at seed 7. A refactor that keeps the protocol's behaviour
-# keeps all three; change them only with a change the transcripts show.
+# SHA-256 of the report JSON, the transcript JSONL and the supersession list
+# for every canned scenario at seed 7. A refactor that keeps the protocol's
+# behaviour keeps all three; change them only with a change the transcripts
+# show, and say which one moved.
 PINNED_SEED_7 = {
-    "anonymity": ("5f42c32fa2e03b4d1426550f356b44055537a570af8bdf27bbca1b1c8b3a63a7",
-                  "b8d37efbbbc4ea58f5d4edeb17ad1a528e88e3ff2ea48982e8830cceba1e2a97",
-                  "e257861a55862a74b2e4f5f90621a322fa28828f11ac487e0d3a7d5763ef4aa3"),
-    "concealment": ("8ac5a1c3339295553a23d75da5f8c3776fa3b6699fe8cbba45eecfbc2451f40b",
-                    "ea8b550f0f8e45612228ee0a0aea2f983a23bb3d4eb3a49a7e7f37dcc88c26d5",
-                    "b36f9213e0c23068a79546637abc03d0955a4c8f49227649cd3648cf146b2554"),
-    "demo": ("61d28f56d3b6e95e0897eecb6576630cd53ab319cc3eff0d228204b6489e02b4",
-             "d38035e84e9780b0b127b5f3637d58e98d798d2fd6fa8851c710422ef555ced8",
-             "4bc0e5a34dc49cbd70ce7d10039a531ecdeb27ee16dc11490fc61ad440458ab9"),
-    "fs": ("963b57d141b33d654fbe13e86ef38340d1085fa54213c23b2d03cf11ac5f6f79",
-           "fae4c67db3fbc666a8175d6847cd00ad1c2e19c8ff10fc6a8fb61a83435495a0",
-           "10ccd803596c1f0b506e7728ab58f531d8735d6e99b5856535de1f1e2c59e0e0"),
-    "pcs": ("6ac3fd38d7e68878a9e7b1014ea2ab5a10e5c6c365390bd936c2c6ef5a86bfb5",
-            "fc7d854dfae82b759da5bcf5d7c01aa294b4599b534158bd7e550f9939d6f2f7",
-            "d020f0ce11eb98925d0609cee325b437e61ce3f277a17bdc66871d6ce4a15a9a"),
-    "selective": ("eeb9470cf3ad523b6fb1e8ebd620e1c380cae5942c9ca5598efd6bd5ceca9161",
-                  "0ce011a285a886f6be072896575e94d2d29a3b482bbcd62214120bc3d418bf1b",
-                  "51d8d645a522e7e4f97e4beb7556d047d481b2805329d79968a53c303372dbbf"),
+    "anonymity": {
+        "report": "5f42c32fa2e03b4d1426550f356b44055537a570af8bdf27bbca1b1c8b3a63a7",
+        "transcript": "4fa3253d53f264867faf4ea6711e91447b4b17bf46756229a39fc74628aed403",
+        "supersessions": "e257861a55862a74b2e4f5f90621a322fa28828f11ac487e0d3a7d5763ef4aa3",
+    },
+    "concealment": {
+        "report": "8ac5a1c3339295553a23d75da5f8c3776fa3b6699fe8cbba45eecfbc2451f40b",
+        "transcript": "91ec0ab0d50f2e03b9056dbef8701fbeff109cfa973edf5d499f4cb28d2b9ed6",
+        "supersessions": "b36f9213e0c23068a79546637abc03d0955a4c8f49227649cd3648cf146b2554",
+    },
+    "demo": {
+        "report": "61d28f56d3b6e95e0897eecb6576630cd53ab319cc3eff0d228204b6489e02b4",
+        "transcript": "e53e107587a1ddc953cb84779be771fa51ab9222915d5e9330c0655bee610c8b",
+        "supersessions": "4bc0e5a34dc49cbd70ce7d10039a531ecdeb27ee16dc11490fc61ad440458ab9",
+    },
+    "fs": {
+        "report": "963b57d141b33d654fbe13e86ef38340d1085fa54213c23b2d03cf11ac5f6f79",
+        "transcript": "beae694a74c1761ee586b3f52e35a664d64337e204fcf2a4dd69b9a2b2bdec6f",
+        "supersessions": "10ccd803596c1f0b506e7728ab58f531d8735d6e99b5856535de1f1e2c59e0e0",
+    },
+    "pcs": {
+        "report": "6ac3fd38d7e68878a9e7b1014ea2ab5a10e5c6c365390bd936c2c6ef5a86bfb5",
+        "transcript": "a4bb8d7f225ad2c15e7d15e55f6c3060814829f3e06573c98b6eb774b7e8acba",
+        "supersessions": "d020f0ce11eb98925d0609cee325b437e61ce3f277a17bdc66871d6ce4a15a9a",
+    },
+    "selective": {
+        "report": "eeb9470cf3ad523b6fb1e8ebd620e1c380cae5942c9ca5598efd6bd5ceca9161",
+        "transcript": "541d196fd11fa89fd19ebb3b8b3cdf70aac3069426f4e717a0fa64023fc2cc9c",
+        "supersessions": "51d8d645a522e7e4f97e4beb7556d047d481b2805329d79968a53c303372dbbf",
+    },
 }
 
 
@@ -294,12 +307,14 @@ def test_seeded_artifacts_are_pinned(name):
     def sha(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
 
-    report = sha(json.dumps(result.report(), sort_keys=True))
-    transcript = sha("".join(json.dumps(row, sort_keys=True) + "\n"
-                             for row in result.provider.transcript))
-    supersessions = sha(json.dumps([[s.value_hex, s.dead_from]
-                                    for s in result.supersessions]))
-    assert (report, transcript, supersessions) == PINNED_SEED_7[name]
+    digests = {
+        "report": sha(json.dumps(result.report(), sort_keys=True)),
+        "transcript": sha("".join(json.dumps(row, sort_keys=True) + "\n"
+                                  for row in result.provider.transcript)),
+        "supersessions": sha(json.dumps([[s.value_hex, s.dead_from]
+                                         for s in result.supersessions])),
+    }
+    assert digests == PINNED_SEED_7[name]
 
 
 # -- probes: positive ------------------------------------------------------------

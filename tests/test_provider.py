@@ -14,6 +14,7 @@ from chatgate.errors import (
     DuplicateId,
     MalformedControl,
     NotMember,
+    NotPresent,
     UnknownChatbot,
     UnknownMember,
 )
@@ -28,6 +29,8 @@ from chatgate.group import (
     BotMessage,
     ChatbotMessageView,
     GroupControl,
+    ReceivedMessage,
+    RemoveBotControl,
     UserMessageView,
     chatbot_init,
     user_init,
@@ -294,6 +297,41 @@ def test_send_to_an_unregistered_bot_target_is_refused_before_sequencing():
                             bot_view=out.chatbot_view) == seq + 1
 
 
+def test_a_bot_target_not_attached_to_the_group_is_refused_before_sequencing():
+    # memo-bot is attached to grp-bbb only; a member of grp-main names it as
+    # the target of a removal in grp-main, which would wipe its state
+    provider, users, _ = make_world(2, bots=())
+    others = {uid: user_init(cgka.init(uid, provider.directory), provider)
+              for uid in ("user-10", "user-11")}
+    memo = chatbot_init("memo-bot", rules_from_text("always"))
+    provider.register_bot(memo.registration)
+    provider.create_group("grp-bbb", list(others))
+    provider.publish("grp-bbb", "user-10",
+                     user_view=others["user-10"].create_group("grp-bbb", list(others)))
+    provider.attach_chatbot("grp-bbb", "memo-bot")
+    blob = others["user-10"].add_chatbot("memo-bot")
+    provider.publish("grp-bbb", "user-10", user_view=blob, bot_view=blob,
+                     bot_targets=("memo-bot",))
+    drain(provider, others, {"memo-bot": memo})
+
+    rows, seq = len(provider.transcript), provider._seq
+    before = json.dumps(memo.snapshot(), sort_keys=True)
+    forged = RemoveBotControl(group_id="grp-main", chatbot_id="memo-bot").to_bytes()
+    with pytest.raises(NotPresent):
+        provider.publish("grp-main", "user-00", user_view=forged, bot_view=forged,
+                         bot_targets=("memo-bot",))
+    assert len(provider.transcript) == rows
+    assert provider._seq == seq
+    assert all(provider.inbox(pid) == [] for pid in [*users, *others, "memo-bot"])
+    assert json.dumps(memo.snapshot(), sort_keys=True) == before
+
+    out = others["user-11"].send(b"still attached")
+    assert provider.publish("grp-bbb", "user-11", user_view=out.user_view,
+                            bot_view=out.chatbot_view) == seq + 1
+    assert [memo.process(view) for view in provider.inbox("memo-bot")] == [
+        ReceivedMessage(b"still attached")]
+
+
 def test_welcome_goes_with_an_add_and_only_with_one():
     provider, users, bots = make_world(3)
     update = GroupControl.from_bytes(users["user-01"].update_keys())
@@ -435,16 +473,17 @@ def test_adversary_climbs_as_far_as_the_longest_path_on_the_wire(carrier):
         path_entries=[(target, primitives.pke_seal(target, chain[0]))])
     shallow = cgka.CgkaControl(kind="update", group_id="grp-deep", epoch=0,
                                sender_leaf=0)
+    if carrier == "group_control":
+        # the message's own control names the deep path's top as its root
+        shallow.new_public_path = [deep.new_public_path[-1]]
     message = UserMessageView(
-        group_id="grp-deep", epoch=1, flags=0,
-        control=(deep if carrier == "user_message" else shallow).to_bytes(),
+        flags=0, control=(deep if carrier == "user_message" else shallow).to_bytes(),
         ciphertext=primitives.sym_encrypt(derive(top, MSG_KEY),
                                           group._encode_plain(b"deep message")),
-        group_public_key=pke_keygen(top).public_key, entries=())
+        entries=())
     views = [message.to_bytes()]
     if carrier == "group_control":
-        views.insert(0, GroupControl(group_id="grp-deep",
-                                     control=deep.to_bytes()).to_bytes())
+        views.insert(0, GroupControl(control=deep.to_bytes()).to_bytes())
     transcript = [{"seq": seq, "group_id": "grp-deep", "recipient_class": "user",
                    "recipient": "user-01",
                    "view_b64": base64.b64encode(view).decode("ascii")}
@@ -457,14 +496,16 @@ def test_adversary_climbs_as_far_as_the_longest_path_on_the_wire(carrier):
 
 
 def _reference_material(transcript):
-    """Reference boxes and ciphertexts as (hint or None, box), and the
-    longest tree path (at least 1), independent of the adversary's own
-    scrape. Tree entries carry their listed target and chatbot entries the
-    bot's node key tracked in transcript order; bot replies and attach
-    seeds stay unhinted, so the oracle below tries them against every
-    candidate."""
+    """Reference boxes as (hint or None, box), ciphertexts mapped to the
+    keys their views name, and the longest tree path (at least 1),
+    independent of the adversary's own scrape. Tree entries carry their
+    listed target and chatbot entries the bot's node key tracked in
+    transcript order; bot replies and attach seeds stay unhinted, so the
+    oracle below tries them against every candidate. A member's view names
+    the root key of its control's path, a chatbot view its group key and a
+    bot reply its node key."""
     boxes = {}
-    ciphertexts = []
+    ciphertexts = {}
     seen = set()
     bot_pk = {}
     depths = [1]
@@ -486,18 +527,19 @@ def _reference_material(transcript):
         kind = peek_type(view)
         if kind == VIEW_USER_MESSAGE:
             v = UserMessageView.from_bytes(view)
-            ciphertexts.append(v.ciphertext)
+            control = cgka.CgkaControl.from_bytes(v.control)
+            ciphertexts.setdefault(v.ciphertext, set()).add(control.new_public_path[-1])
             for cid, box in v.entries:
                 add_box(box, bot_pk.get(cid))
-            control_boxes(cgka.CgkaControl.from_bytes(v.control))
+            control_boxes(control)
         elif kind == VIEW_CHATBOT_MESSAGE:
             v = ChatbotMessageView.from_bytes(view)
-            ciphertexts.append(v.ciphertext)
+            ciphertexts.setdefault(v.ciphertext, set()).add(v.group_public_key)
             for cid, box in v.entries:
                 add_box(box, bot_pk.get(cid))
         elif kind == BOT_MESSAGE:
             v = BotMessage.from_bytes(view)
-            ciphertexts.append(v.ciphertext)
+            ciphertexts.setdefault(v.ciphertext, set()).add(v.node_public_key)
             add_box(v.sealed_key, None)
             bot_pk[v.chatbot_id] = v.node_public_key
         elif kind == ADD_BOT:
@@ -507,8 +549,8 @@ def _reference_material(transcript):
         elif kind == GROUP_CONTROL:
             control_boxes(cgka.CgkaControl.from_bytes(
                 GroupControl.from_bytes(view).control))
-    return ([(hint, box) for box, hint in boxes.items()],
-            list(dict.fromkeys(ciphertexts)), max(depths))
+    return ([(hint, box) for box, hint in boxes.items()], ciphertexts,
+            max(depths))
 
 
 @dataclass
@@ -521,6 +563,7 @@ class _OracleLog:
     scalars: set = field(default_factory=set)        # pke_keygen secret keys
     links: dict = field(default_factory=dict)        # message key -> link pk
     pk_of: dict = field(default_factory=dict)        # candidate -> X25519 pk
+    ct_hints: dict = field(default_factory=dict)     # ciphertext -> named pks
 
 
 def _reference_expand(secret, depth, log):
@@ -552,7 +595,7 @@ def _all_pairs_adversary(snapshot, transcript):
     an `_OracleLog` of every trial."""
     log = _OracleLog()
     seeds = _harvest_hex(json.loads(snapshot))
-    boxes, ciphertexts, depth = _reference_material(transcript)
+    boxes, log.ct_hints, depth = _reference_material(transcript)
     secrets = set()
     frontier = set()
     for seed in seeds:
@@ -582,7 +625,7 @@ def _all_pairs_adversary(snapshot, transcript):
                 if len(opened) == 32 and opened not in secrets:
                     log.raw.add(opened)
                     new |= _reference_expand(opened, depth, log)
-            for ct in ciphertexts:
+            for ct in log.ct_hints:
                 if (key, ct) in tried_cts:
                     continue
                 tried_cts.add((key, ct))
@@ -618,7 +661,8 @@ def test_indexed_adversary_matches_all_pairs_loop(name):
     transcript = result.provider.transcript
     boxes, ciphertexts, _depth = _collect_material(transcript, result.provider)
     box_hints = {box: named for named, box in boxes}
-    ct_hints = {ct: named for named, ct in ciphertexts}
+    # the oracle names each ciphertext's key from its own decode
+    assert {ct: named for named, ct in ciphertexts} == _reference_material(transcript)[1]
     opened = set()
     for who, snapshot in _attacked_snapshots(result):
         with counters.collect(counters.OpCounters()) as ref_ops:
@@ -633,7 +677,7 @@ def test_indexed_adversary_matches_all_pairs_loop(name):
         # key the ciphertext names...
         kept_cts = sum(1 for key, ct in log.ct_trials
                        if key in log.raw
-                       or (key in log.links and log.links[key] in ct_hints[ct]))
+                       or (key in log.links and log.links[key] in log.ct_hints[ct]))
         assert ops.total("sym_decrypt") == kept_cts, who
         # ...and exactly its box trials whose candidate is a raw value or a
         # link's scalar, on boxes left unhinted or hinted with its key.
