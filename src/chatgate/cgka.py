@@ -39,9 +39,11 @@ delivers it to the newcomer alone). It makes the add's membership edit on
 that tree as every member does on its own, and opens the ordinary path
 entry addressed to its init key.
 Removes blank the target's leaf and path before the embedded update, so
-sealed entries can no longer reach the removed member. Every tree index a
-control carries (sender leaf, removed leaf, create capacity) is checked
-before it is used.
+sealed entries can no longer reach the removed member. The only tree index
+a control carries is the sender leaf, checked before it is used; the
+create's capacity, the add's newcomer leaf and the remove's removed leaf
+are derived in `_seat` by every party from the tree it holds (the newcomer
+from its welcome).
 """
 
 from __future__ import annotations
@@ -124,14 +126,11 @@ class CgkaControl:
     new_public_path: list[bytes] = field(default_factory=list)
     path_entries: list[PathEntry] = field(default_factory=list)
     # create
-    capacity: int = 0
     roster: list[tuple[str, bytes]] = field(default_factory=list)
     # add
     new_member_id: str = ""
     new_member_init_pk: bytes = b""
-    new_leaf: int = 0
     # remove
-    removed_leaf: int = 0
     removed_id: str = ""
 
     def to_bytes(self) -> bytes:
@@ -140,14 +139,11 @@ class CgkaControl:
         w.u32(self.epoch)
         w.u32(self.sender_leaf)
         if self.kind == "create":
-            w.u32(self.capacity)
             w.items(self.roster, _write_roster_entry)
         elif self.kind == "add":
             w.text(self.new_member_id)
             w.field(self.new_member_init_pk)
-            w.u32(self.new_leaf)
         elif self.kind == "remove":
-            w.u32(self.removed_leaf)
             w.text(self.removed_id)
         w.items(self.new_public_path, lambda wr, pk: wr.field(pk))
         w.items(self.path_entries, _write_path_entry)
@@ -161,16 +157,13 @@ class CgkaControl:
         r = Reader(data, expect_type=_TYPE_BY_KIND[kind])
         ctl = cls(kind=kind, group_id=r.text(), epoch=r.u32(), sender_leaf=r.u32())
         if kind == "create":
-            ctl.capacity = r.u32()
             ctl.roster = r.items(lambda rr: (rr.text(), rr.field()))
             if any(len(pk) != PUBLIC_KEY_LEN for _, pk in ctl.roster):
                 raise MalformedControl("roster init key of the wrong width")
         elif kind == "add":
             ctl.new_member_id = r.text()
             ctl.new_member_init_pk = r.field()
-            ctl.new_leaf = r.u32()
         elif kind == "remove":
-            ctl.removed_leaf = r.u32()
             ctl.removed_id = r.text()
         ctl.new_public_path = [pk for (pk,) in r.fixed_items(_PATH_KEY)]
         ctl.path_entries = r.fixed_items(_PATH_ENTRY)
@@ -253,32 +246,25 @@ class CgkaState:
             raise AlreadyMember(f"{self.member_id!r} is already in a group")
         if self.member_id not in member_ids:
             raise NotMember("creator must be in the member list")
-        if len(set(member_ids)) != len(member_ids):
-            raise AlreadyMember("duplicate ids in member list")
         roster = [(mid, self.directory.lookup(mid)) for mid in member_ids]
         return self._build(CgkaControl(
             kind="create", group_id=group_id, epoch=0,
-            sender_leaf=member_ids.index(self.member_id),
-            capacity=_capacity_for(len(member_ids)), roster=roster))
+            sender_leaf=member_ids.index(self.member_id), roster=roster))
 
     def add(self, member_id: str) -> CgkaControl:
         self._require_group()
         return self._build(CgkaControl(
             kind="add", group_id=self.group_id, epoch=self.epoch,
             sender_leaf=self.own_leaf, new_member_id=member_id,
-            new_member_init_pk=self.directory.lookup(member_id),
-            new_leaf=_newcomer_leaf(self.tree)))
+            new_member_init_pk=self.directory.lookup(member_id)))
 
     def remove(self, member_id: str) -> CgkaControl:
         self._require_group()
         if member_id == self.member_id:
             raise CannotRemoveSelf("use a second member to leave")
-        leaf = self.tree.leaf_of(member_id)
-        if leaf is None:
-            raise NotMember(f"{member_id!r} occupies no leaf")
         return self._build(CgkaControl(
             kind="remove", group_id=self.group_id, epoch=self.epoch,
-            sender_leaf=self.own_leaf, removed_leaf=leaf, removed_id=member_id))
+            sender_leaf=self.own_leaf, removed_id=member_id))
 
     def update(self) -> CgkaControl:
         self._require_group()
@@ -321,14 +307,18 @@ class CgkaState:
         """The control's membership edit, on a copy of the tree: seat the
         create roster, seat an add's newcomer, or blank a removed leaf. The
         newcomer of an add makes the edit on its welcome instead. Returns
-        the edited tree and the own leaf in it."""
+        the edited tree and the own leaf in it. Sender, receivers and
+        newcomer all run it, so it alone works out the tree indices a
+        control does not carry and enforces the membership rules."""
         if control.kind == "create":
+            if control.epoch != 0:
+                raise MalformedControl("create at an epoch other than 0")
             ids = [mid for mid, _ in control.roster]
+            if len(set(ids)) != len(ids):
+                raise AlreadyMember("create roster lists an id twice")
             if self.member_id not in ids:
                 raise NotMember(f"create roster does not include {self.member_id!r}")
-            if control.capacity != _capacity_for(len(ids)):
-                raise MalformedControl("capacity is not the smallest that seats the roster")
-            t = treemod.RatchetTree.blank_tree(control.capacity)
+            t = treemod.RatchetTree.blank_tree(_capacity_for(len(ids)))
             for leaf, (mid, init_pk) in enumerate(control.roster):
                 t.members[leaf] = mid
                 if leaf != control.sender_leaf:
@@ -337,27 +327,29 @@ class CgkaState:
         if self.tree is not None:
             t, own_leaf = self.tree.copy(), self.own_leaf
         elif welcome:
-            t, own_leaf = treemod.RatchetTree.from_public_bytes(welcome), control.new_leaf
+            t, own_leaf = treemod.RatchetTree.from_public_bytes(welcome), None
         else:
             raise MalformedControl("the newcomer has no welcome to join from")
         if control.kind == "add":
             if t.leaf_of(control.new_member_id) is not None:
                 raise AlreadyMember(f"{control.new_member_id!r} already present")
-            if control.new_leaf != _newcomer_leaf(t):
-                raise MalformedControl("newcomer leaf is not the one add picks")
-            if control.new_leaf == t.capacity:
+            leaf = _newcomer_leaf(t)
+            if leaf == t.capacity:
                 t.grow()
-            t.nodes[treemod.leaf_node(control.new_leaf)] = control.new_member_init_pk
-            t.members[control.new_leaf] = control.new_member_id
-            t.blank_path(control.new_leaf)
+            t.nodes[treemod.leaf_node(leaf)] = control.new_member_init_pk
+            t.members[leaf] = control.new_member_id
+            t.blank_path(leaf)
+            if own_leaf is None:  # the newcomer, seated on its welcome
+                own_leaf = leaf
         elif control.kind == "remove":
-            if t.members.get(control.removed_leaf) != control.removed_id:
-                raise MalformedControl("removed leaf does not seat the removed member")
+            leaf = t.leaf_of(control.removed_id)
+            if leaf is None:
+                raise NotMember(f"{control.removed_id!r} occupies no leaf")
             if control.removed_id == self.member_id:
                 raise NotMember("removed from the group")
-            t.nodes[treemod.leaf_node(control.removed_leaf)] = None
-            del t.members[control.removed_leaf]
-            t.blank_path(control.removed_leaf)
+            t.nodes[treemod.leaf_node(leaf)] = None
+            del t.members[leaf]
+            t.blank_path(leaf)
         return t, own_leaf
 
     # -- receivers ------------------------------------------------------------

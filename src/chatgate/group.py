@@ -708,6 +708,8 @@ class ChatbotState:
         ctl = AddBotControl.from_bytes(data)
         if ctl.chatbot_id != self.chatbot_id:
             raise MalformedControl("add control for a different chatbot")
+        if self.group_id is not None:
+            raise DuplicateChatbot(f"{self.chatbot_id!r} already holds {self.group_id!r}")
         seed = pke_open(self.enc_identity, ctl.sealed_seed)
         node = pke_keygen(seed)
         if node.public_key != ctl.node_public_key:

@@ -134,8 +134,9 @@ class Provider:
         ch = self._channel(group_id)
         if chatbot_id not in self._bots:
             raise UnknownChatbot(f"no registration for {chatbot_id!r}")
-        if chatbot_id in ch.bots:
-            raise DuplicateChatbot(f"{chatbot_id!r} already attached")
+        # a chatbot holds one group at a time
+        if any(chatbot_id in c.bots for c in self._channels.values()):
+            raise DuplicateChatbot(f"{chatbot_id!r} already attached to a group")
         ch.bots.add(chatbot_id)
 
     def detach_chatbot(self, group_id: str, chatbot_id: str) -> None:

@@ -166,11 +166,11 @@ class RatchetTree:
             raise MalformedControl("bad tree node count")
         if any(len(pk) not in (0, PUBLIC_KEY_LEN) for pk in pks):
             raise MalformedControl("node key of the wrong width")
-        members = dict(r.items(lambda rr: (rr.u32(), rr.text())))
+        seats = r.items(lambda rr: (rr.u32(), rr.text()))
         r.finish()
-        tree = cls(capacity=capacity, nodes=[pk or None for pk in pks])
-        for leaf, mid in members.items():
-            if leaf >= capacity:
-                raise MalformedControl("member leaf out of range")
-            tree.members[leaf] = mid
-        return tree
+        members = dict(seats)
+        if len(members) != len(seats) or len(set(members.values())) != len(seats):
+            raise MalformedControl("a member leaf or id listed twice")
+        if any(leaf >= capacity for leaf in members):
+            raise MalformedControl("member leaf out of range")
+        return cls(capacity=capacity, nodes=[pk or None for pk in pks], members=members)

@@ -423,11 +423,15 @@ def test_criterion_08_send_performance():
     growth = bench.compare_growth([r.n for r in n_rows],
                                   [r.p50_ms for r in n_rows])
 
+    def p50s(rows, key):
+        return ", ".join(f"{getattr(r, key)}: {r.p50_ms:.2f}" for r in rows)
+
     ok = p50 < 100.0 and r2 >= 0.9 and growth["prefers_log"]
     _announce(8, "send performance", ok,
               f"n=50 m=10 p50 {p50:.1f}ms < 100ms, m-sweep r2 {r2:.3f} "
               f">= 0.9, n-sweep AIC log {growth['aic_log']:.1f} vs linear "
-              f"{growth['aic_linear']:.1f}")
+              f"{growth['aic_linear']:.1f}; p50 ms by m {{{p50s(m_rows, 'm')}}}, "
+              f"by n {{{p50s(n_rows, 'n')}}}")
 
 
 def test_criterion_09_chatbot_add():

@@ -80,9 +80,10 @@ def broadcast(states, sender, ctl, newcomer=None):
 def test_create_group_of_one():
     states, _ = make_states(1)
     ctl = states[0].create("solo", [states[0].member_id])
-    assert ctl.capacity == 1
     assert ctl.path_entries == []
     key = states[0].process(ctl)
+    assert states[0].tree.capacity == 1
+    assert states[0].tree.leaf_of("user-00") == 0
     assert key == states[0].group_secret
     assert states[0].epoch == 1
     assert states[0].members() == ["user-00"]
@@ -291,9 +292,10 @@ def test_add_fills_leftmost_blank_leaf():
     states, directory = make_group(3)  # capacity 4, leaf 3 blank
     newcomer = cgka.init("user-03", directory)
     ctl = states[0].add("user-03")
-    assert ctl.new_leaf == 3
     broadcast(states, states[0], ctl, newcomer)
     states.append(newcomer)
+    assert all(s.tree.leaf_of("user-03") == 3 for s in states)
+    assert newcomer.own_leaf == 3
     assert_agreement(states)
     assert states[1].members() == ["user-00", "user-01", "user-02", "user-03"]
 
@@ -302,9 +304,10 @@ def test_add_grows_full_tree():
     states, directory = make_group(2)
     newcomer = cgka.init("user-02", directory)
     ctl = states[0].add("user-02")
-    assert ctl.new_leaf == 2
     broadcast(states, states[0], ctl, newcomer)
     states.append(newcomer)
+    assert all(s.tree.leaf_of("user-02") == 2 for s in states)
+    assert newcomer.own_leaf == 2
     assert all(s.tree.capacity == 4 for s in states)
     assert_agreement(states)
 
@@ -506,42 +509,40 @@ def test_create_sender_leaf_without_a_member_is_malformed(bounded_direct_path, l
         states[1].process(ctl)
 
 
-@pytest.mark.parametrize("removed_leaf", [2, 4, 1 << 20])
-def test_removed_leaf_must_seat_the_removed_member(removed_leaf):
-    states, _ = make_group(4)
-    ctl = states[0].remove("user-03")
-    ctl.removed_leaf = removed_leaf  # user-02's leaf, or past the capacity
-    before = state_view(states[1])
-    with pytest.raises(MalformedControl, match="removed leaf"):
-        states[1].process(ctl)
-    assert state_view(states[1]) == before
-    assert states[1].members() == ["user-00", "user-01", "user-02", "user-03"]
+def test_create_roster_listing_an_id_twice_is_refused_by_receivers():
+    states, _ = make_states(3)
+    ctl = states[0].create("g", [s.member_id for s in states])
+    ctl.roster.append(ctl.roster[2])  # user-02 seated at leaves 2 and 3
+    for receiver in states[1:]:
+        before = json.dumps(receiver.snapshot(), sort_keys=True)
+        with pytest.raises(AlreadyMember):
+            receiver.process(cgka.CgkaControl.from_bytes(ctl.to_bytes()))
+        assert receiver.tree is None
+        assert json.dumps(receiver.snapshot(), sort_keys=True) == before
 
 
-@pytest.mark.parametrize("n,new_leaf", [(3, 4), (3, 2), (4, 3), (4, 5), (4, 1 << 20)])
-def test_newcomer_leaf_must_be_the_one_add_picks(n, new_leaf):
-    # capacity 4: with 3 members add picks the blank leaf 3 (4 would grow
-    # the tree although a leaf is still blank), with 4 it grows to leaf 4
-    states, directory = make_group(n)
-    cgka.init("user-99", directory)
-    ctl = states[0].add("user-99")
-    assert ctl.new_leaf == n
-    ctl.new_leaf = new_leaf
+@pytest.mark.parametrize("epoch", [1, 7])
+def test_create_at_an_epoch_other_than_zero_is_malformed(epoch):
+    states, _ = make_states(3)
+    ctl = states[0].create("g", [s.member_id for s in states])
+    ctl.epoch = epoch
     before = json.dumps(states[1].snapshot(), sort_keys=True)
-    with pytest.raises(MalformedControl, match="newcomer leaf"):
+    with pytest.raises(MalformedControl, match="epoch"):
         states[1].process(ctl)
+    assert states[1].tree is None
     assert json.dumps(states[1].snapshot(), sort_keys=True) == before
 
 
-@pytest.mark.parametrize("capacity", [2, 8, 16])
-def test_create_capacity_must_be_the_smallest_that_seats_the_roster(capacity):
-    states, _ = make_states(3)
-    ctl = states[0].create("g", [s.member_id for s in states])
-    assert ctl.capacity == 4
-    ctl.capacity = capacity
-    with pytest.raises(MalformedControl, match="capacity"):
+def test_remove_naming_a_non_member_is_refused_by_receivers():
+    states, directory = make_group(4)
+    cgka.init("user-99", directory)
+    ctl = states[0].remove("user-03")
+    ctl.removed_id = "user-99"
+    before = json.dumps(states[1].snapshot(), sort_keys=True)
+    with pytest.raises(NotMember):
         states[1].process(ctl)
-    assert states[1].tree is None
+    assert json.dumps(states[1].snapshot(), sort_keys=True) == before
+    assert states[1].members() == ["user-00", "user-01", "user-02", "user-03"]
 
 
 def snapshot_text(s):
@@ -716,14 +717,11 @@ def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
     ctl = cgka.CgkaControl(kind=kind, group_id=r.text(), epoch=r.u32(),
                            sender_leaf=r.u32())
     if kind == "create":
-        ctl.capacity = r.u32()
         ctl.roster = r.items(lambda rr: (rr.text(), rr.field()))
     elif kind == "add":
         ctl.new_member_id = r.text()
         ctl.new_member_init_pk = r.field()
-        ctl.new_leaf = r.u32()
     elif kind == "remove":
-        ctl.removed_leaf = r.u32()
         ctl.removed_id = r.text()
     ctl.new_public_path = r.items(Reader.field)
     ctl.path_entries = r.items(lambda rr: (rr.field(), rr.field()))

@@ -11,8 +11,9 @@ from dataclasses import replace
 
 import pytest
 
-from chatgate import cgka, tree as treemod
+from chatgate import cgka, counters, tree as treemod
 from chatgate.cgka import CgkaControl, InitKeyDirectory
+from chatgate.encoding import Writer
 from chatgate.errors import (
     BadPseudonymSignature,
     DecryptFailed,
@@ -326,6 +327,23 @@ def test_removal_for_another_group_leaves_the_bot_unchanged():
     assert bot.receive(out.chatbot_view) == ReceivedMessage(b"still attached")
 
 
+def test_add_while_the_bot_holds_a_group_leaves_it_unchanged():
+    users, bots, _ = build_group(2, bots=[("echo-bot-01", "always")])
+    bot = bots["echo-bot-01"]
+    others, _, registry = build_group(2, group_id="grp-bbb")
+    registry.register(bot.registration)
+    second = others["user-00"].add_chatbot("echo-bot-01")
+    before = json.dumps(bot.snapshot(), sort_keys=True)
+    ops = counters.OpCounters()
+    with counters.collect(ops), counters.attribute("bot"):
+        with pytest.raises(DuplicateChatbot):
+            bot.process(second)
+    assert ops.total("pke_open") == 0
+    assert json.dumps(bot.snapshot(), sort_keys=True) == before
+    out = users["user-00"].send(b"still attached")
+    assert bot.receive(out.chatbot_view) == ReceivedMessage(b"still attached")
+
+
 def test_chatbot_membership_errors():
     users, bots, registry = build_group(2, bots=[("echo-bot-01", "always")])
     with pytest.raises(DuplicateChatbot):
@@ -400,9 +418,8 @@ def test_welcome_key_of_the_wrong_width_leaves_the_newcomer_unchanged():
     newcomer = user_init(cgka.init("user-77", users["user-00"].cgka.directory), registry)
     genuine = users["user-00"].add_user("user-77")
     wrapped = GroupControl.from_bytes(genuine)
-    add = CgkaControl.from_bytes(wrapped.control)
     tree = treemod.RatchetTree.from_public_bytes(wrapped.welcome.tree)
-    node = treemod.copath(add.new_leaf, tree.capacity)[0]
+    node = treemod.copath(users["user-00"].cgka.tree.leaf_of("user-77"), tree.capacity)[0]
     assert tree.nodes[node] is not None
     tree.nodes[node] = tree.nodes[node][:5]
     forged = replace(wrapped, welcome=replace(wrapped.welcome, tree=tree.to_public_bytes()))
@@ -413,6 +430,37 @@ def test_welcome_key_of_the_wrong_width_leaves_the_newcomer_unchanged():
     newcomer.process_group_control(genuine)
     assert newcomer.cgka.group_secret == users["user-00"].cgka.group_secret
     newcomer.update_keys()
+
+
+def welcome_tree_seating(tree, seats):
+    """`tree`'s public bytes with its member list written as `seats`, a
+    list of (leaf, member id) in any order, repeats included."""
+    w = Writer()
+    w.u32(tree.capacity)
+    w.items([pk or b"" for pk in tree.nodes], lambda wr, pk: wr.field(pk))
+    w.items(seats, lambda wr, seat: (wr.u32(seat[0]), wr.text(seat[1])))
+    return w.done()
+
+
+@pytest.mark.parametrize("extra", [(4, "user-78"), (5, "user-00")],
+                         ids=["leaf_listed_twice", "id_at_two_leaves"])
+def test_welcome_listing_a_leaf_or_id_twice_leaves_the_newcomer_unchanged(extra):
+    users, bots, registry = build_group(5, bots=[("echo-bot-01", "mention:@echo")])
+    newcomer = user_init(cgka.init("user-77", users["user-00"].cgka.directory), registry)
+    genuine = users["user-00"].add_user("user-77")
+    wrapped = GroupControl.from_bytes(genuine)
+    tree = treemod.RatchetTree.from_public_bytes(wrapped.welcome.tree)
+    seats = sorted(tree.members.items())
+    assert welcome_tree_seating(tree, seats) == wrapped.welcome.tree
+    forged = replace(wrapped, welcome=replace(
+        wrapped.welcome, tree=welcome_tree_seating(tree, sorted(seats + [extra]))))
+    before = json.dumps(newcomer.snapshot(), sort_keys=True)
+    with pytest.raises(MalformedControl, match="listed twice"):
+        newcomer.process_group_control(forged.to_bytes())
+    assert json.dumps(newcomer.snapshot(), sort_keys=True) == before
+    newcomer.process_group_control(genuine)
+    assert newcomer.cgka.group_secret == users["user-00"].cgka.group_secret
+    assert newcomer.cgka.members() == users["user-00"].cgka.members()
 
 
 def flip_last_byte(data: bytes) -> bytes:

@@ -11,6 +11,7 @@ import pytest
 from chatgate import cgka, counters, group, primitives
 from chatgate.errors import (
     BadSignature,
+    DuplicateChatbot,
     DuplicateId,
     MalformedControl,
     NotMember,
@@ -330,6 +331,31 @@ def test_a_bot_target_not_attached_to_the_group_is_refused_before_sequencing():
                             bot_view=out.chatbot_view) == seq + 1
     assert [memo.process(view) for view in provider.inbox("memo-bot")] == [
         ReceivedMessage(b"still attached")]
+
+
+def test_a_bot_attached_to_one_group_is_refused_by_another():
+    # echo-bot-01 is attached to grp-main; attached to grp-bbb as well, its
+    # add there would replace the group the bot holds
+    provider, users, bots = make_world(2)
+    others = {uid: user_init(cgka.init(uid, provider.directory), provider)
+              for uid in ("user-10", "user-11")}
+    provider.create_group("grp-bbb", list(others))
+    provider.publish("grp-bbb", "user-10",
+                     user_view=others["user-10"].create_group("grp-bbb", list(others)))
+    drain(provider, others, {})
+    with pytest.raises(DuplicateChatbot):
+        provider.attach_chatbot("grp-bbb", "echo-bot-01")
+    assert provider.chatbots("grp-bbb") == set()
+    assert provider.chatbots("grp-main") == {"echo-bot-01"}
+
+    out = users["user-00"].send(b"@echo still attached")
+    provider.publish("grp-main", "user-00", user_view=out.user_view,
+                     bot_view=out.chatbot_view)
+    assert [bots["echo-bot-01"].process(view) for view in provider.inbox("echo-bot-01")] == [
+        ReceivedMessage(b"@echo still attached")]
+    provider.detach_chatbot("grp-main", "echo-bot-01")
+    provider.attach_chatbot("grp-bbb", "echo-bot-01")
+    assert provider.chatbots("grp-bbb") == {"echo-bot-01"}
 
 
 def test_welcome_goes_with_an_add_and_only_with_one():
