@@ -51,6 +51,7 @@ from .errors import (
 from .primitives import (
     HANDLE,
     MSG_KEY,
+    PUBLIC_KEY_LEN,
     SEALED_LEN,
     KeyPair,
     derive,
@@ -218,6 +219,22 @@ def _read_entry(r: Reader) -> Entry:
     return (r.text(), r.field())
 
 
+def _read_entries(r: Reader) -> tuple[Entry, ...]:
+    """A message view's entries. Each box is `SEALED_LEN` bytes: a sealed
+    message key, or a concealment dummy of the same width."""
+    entries = tuple(r.items(_read_entry))
+    if any(len(box) != SEALED_LEN for _, box in entries):
+        raise MalformedControl("entry box of the wrong width")
+    return entries
+
+
+def _check_widths(*fields: tuple[bytes, int]) -> None:
+    """Each decoded (field, width) pair: a key or a sealed box of any
+    other width is malformed."""
+    if any(len(data) != width for data, width in fields):
+        raise MalformedControl("field of the wrong width")
+
+
 @dataclass(frozen=True)
 class UserMessageView:
     """A member's view of a message. The group id, epoch and group public
@@ -241,7 +258,7 @@ class UserMessageView:
     def from_bytes(cls, data: bytes) -> "UserMessageView":
         r = Reader(data, expect_type=VIEW_USER_MESSAGE)
         out = cls(flags=r.u8(), control=r.field(), ciphertext=r.field(),
-                  entries=tuple(r.items(_read_entry)))
+                  entries=_read_entries(r))
         r.finish()
         return out
 
@@ -267,9 +284,9 @@ class ChatbotMessageView:
     def from_bytes(cls, data: bytes) -> "ChatbotMessageView":
         r = Reader(data, expect_type=VIEW_CHATBOT_MESSAGE)
         out = cls(group_id=r.text(), epoch=r.u32(), ciphertext=r.field(),
-                  group_public_key=r.field(),
-                  entries=tuple(r.items(_read_entry)))
+                  group_public_key=r.field(), entries=_read_entries(r))
         r.finish()
+        _check_widths((out.group_public_key, PUBLIC_KEY_LEN))
         return out
 
 
@@ -308,6 +325,8 @@ class BotMessage:
         out = cls(group_id=r.text(), chatbot_id=r.text(), ciphertext=r.field(),
                   sealed_key=r.field(), node_public_key=r.field())
         r.finish()
+        _check_widths((out.sealed_key, SEALED_LEN),
+                      (out.node_public_key, PUBLIC_KEY_LEN))
         return out
 
 
@@ -335,6 +354,9 @@ class AddBotControl:
                   group_public_key=r.field(), node_public_key=r.field(),
                   sealed_seed=r.field())
         r.finish()
+        _check_widths((out.group_public_key, PUBLIC_KEY_LEN),
+                      (out.node_public_key, PUBLIC_KEY_LEN),
+                      (out.sealed_seed, SEALED_LEN))
         return out
 
 

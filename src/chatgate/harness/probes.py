@@ -11,13 +11,12 @@ send log.
 from __future__ import annotations
 
 import base64
-import re
 from dataclasses import dataclass
 
 from ..encoding import peek_type
 from ..errors import ProbeFailed
 from ..group import VIEW_CHATBOT_MESSAGE, ChatbotMessageView, chatbot_view_shape
-from ..provider import adversary_decrypt
+from ..provider import Adversary, adversary_decrypt
 from ..primitives import SEALED_LEN
 from .runner import RunResult
 
@@ -62,13 +61,12 @@ def probe_selective_access(result: RunResult) -> Verdict:
     violations = []
     recovered_total = 0
     allowed_total = 0
+    adversary = Adversary(result.provider.transcript, result.provider)
     for cid in sorted(result.bots):
         history = result.snapshots.get(cid)
         if not history:
             continue
-        snapshot = history[-1][1]
-        report = adversary_decrypt(snapshot, result.provider.transcript,
-                                   result.provider)
+        report = adversary_decrypt(history[-1][1], adversary)
         allowed = {ev.message for ev in result.sends
                    if ev.kind in ("user", "registration") and cid in ev.addressed}
         extra = report.plaintexts - allowed
@@ -83,16 +81,20 @@ def probe_selective_access(result: RunResult) -> Verdict:
 
 # -- forward secrecy ---------------------------------------------------------------
 
-_HEX_RUN = re.compile(r"[0-9a-f]{64,}")
+# every byte that is not a lowercase hex digit, mapped to a space
+_NOT_HEX = bytes(c if chr(c) in "0123456789abcdef" else 0x20 for c in range(256))
 
 
 def _hex_windows(snapshot: bytes) -> set[str]:
     """Every 64-character window of each maximal lowercase-hex run in the
     snapshot's text. The hex of a 32-byte secret occurs in the text exactly
     when it is in this set, also when it sits inside a longer hex string."""
-    out = set()
-    for run in _HEX_RUN.findall(snapshot.decode("ascii")):
-        out.update(run[i:i + 64] for i in range(len(run) - 63))
+    runs = snapshot.translate(_NOT_HEX).decode("ascii").split()
+    # nearly every run is one 64-character value, its own one window
+    out = {run for run in runs if len(run) == 64}
+    for run in runs:
+        if len(run) > 64:
+            out.update(run[i:i + 64] for i in range(len(run) - 63))
     return out
 
 
@@ -101,24 +103,30 @@ def probe_forward_secrecy(result: RunResult) -> Verdict:
     value never appears in any in-scope party state again. Chatbot states
     must never contain any group chain secret, current or old. Every value
     is the hex of a 32-byte secret, so each snapshot is scanned once, into
-    its set of hex windows."""
+    its set of hex windows, and only the values among them are checked. A
+    snapshot equal to its party's previous one reuses that one's set."""
     violations = []
     chain = []  # reported after the dead values, in the same party order
     scanned = 0
     dead = result.supersessions
-    all_group_secrets = sorted(set(result.group_secrets.values()))
+    dead_at: dict[str, list[int]] = {}  # value -> its places in `dead`
+    for i, item in enumerate(dead):
+        dead_at.setdefault(item.value_hex, []).append(i)
+    all_group_secrets = set(result.group_secrets.values())
     for pid, history in sorted(result.snapshots.items()):
+        previous, windows = None, set()
         for snap_seq, snapshot in history:
             scanned += 1
-            windows = _hex_windows(snapshot)
-            for item in dead:
-                if item.dead_from <= snap_seq and item.value_hex in windows:
-                    violations.append({"party": pid, "seq": snap_seq,
-                                       "value": item.value_hex[:16]})
+            if snapshot != previous:
+                previous, windows = snapshot, _hex_windows(snapshot)
+            hits = sorted(i for value in windows for i in dead_at.get(value, ())
+                          if dead[i].dead_from <= snap_seq)
+            violations.extend({"party": pid, "seq": snap_seq,
+                               "value": dead[i].value_hex[:16]} for i in hits)
             if pid in result.bots:
                 chain.extend({"party": pid, "seq": snap_seq,
                               "value": value[:16], "kind": "chain"}
-                             for value in all_group_secrets if value in windows)
+                             for value in sorted(windows & all_group_secrets))
     violations += chain
     return _verdict("forward_secrecy", violations,
                     snapshots_scanned=scanned, dead_values=len(dead))
@@ -157,6 +165,7 @@ def probe_post_compromise(result: RunResult) -> Verdict:
         raise ProbeFailed("post_compromise: scenario has no compromise op")
     violations = []
     checked = 0
+    adversary = Adversary(result.provider.transcript, result.provider)
     for lab in sorted(result.compromises):
         event = result.compromises[lab]
         heal = _heal_seq(result, event.party, event.seq)
@@ -164,8 +173,7 @@ def probe_post_compromise(result: RunResult) -> Verdict:
             raise ProbeFailed(
                 f"post_compromise: no healing op for {event.party!r} "
                 f"after label {lab!r}")
-        report = adversary_decrypt(event.snapshot, result.provider.transcript,
-                                   result.provider)
+        report = adversary_decrypt(event.snapshot, adversary)
         for ev in result.sends:
             if ev.seq > heal and ev.message in report.plaintexts:
                 violations.append({"label": lab, "seq": ev.seq,

@@ -10,10 +10,11 @@ everything it stores (the transcript) is exactly what a network observer
 would capture.
 
 `adversary_decrypt` plays the compromise game: given one party's serialized
-state, the public transcript and the public PKI, it exhaustively combines
-every 32-byte value it can see or derive (chains as long as the deepest
-tree path on the wire, message keys, key pairs) against every sealed box
-and ciphertext until nothing new falls out. A sealed box opens only under
+state and an `Adversary`, which holds the public transcript and the public
+PKI, it exhaustively combines every 32-byte value it can see or derive
+(chains as long as the deepest tree path on the wire, message keys, key
+pairs) against every sealed box and ciphertext until nothing new falls
+out. A sealed box opens only under
 the secret of the public key it was sealed to, and public data names that
 key for every box the protocol seals: tree controls list it, chatbot
 entries name a bot whose node key is on the wire, bot replies go to a group
@@ -27,6 +28,9 @@ message key, and a message key or chain link is never a recipient scalar.
 So each candidate meets only the boxes and ciphertexts it could open, and
 the search stays exhaustive, barring a SHA-256 or X25519 clamping
 collision. Security claims in the probes are statements about its output.
+One `Adversary` attacks any number of snapshots of its transcript: it
+decodes the wire once and does each candidate's chain, opens and decrypts
+once, so the snapshots of one probe share that work.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ import base64
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from .cgka import CONTROL_ADD, CgkaControl, InitKeyDirectory
 from .encoding import peek_type
@@ -405,22 +411,95 @@ def _expand(secret: bytes, depth: int) -> list[tuple[bytes, bytes, KeyPair]]:
     return links
 
 
-def adversary_decrypt(snapshot: bytes, transcript, registry: BotLookup) -> AdversaryReport:
-    """Exhaustive key-recovery attack from one compromised state plus the
-    wire transcript. Runs to a fixpoint: every recovered value is fed back
-    as a candidate key until nothing new opens. Each value's chain climbs
-    as far as the longest path on the transcript, which any path secret,
-    held or opened, needs to reach its root.
+class _Wire(NamedTuple):
+    """A transcript's boxes and ciphertexts, indexed for the attack."""
+
+    boxes_for: dict[bytes, list[bytes]]  # hint -> boxes
+    unhinted: list[bytes]                # boxes public data names no key for
+    cts_for: dict[bytes, list[bytes]]    # named key -> ciphertexts
+    all_cts: list[bytes]
+    depth: int                           # the longest path on the wire
+
+
+class Adversary:
+    """The wire side of the compromise game against one transcript, shared
+    by every snapshot attacked with it.
+
+    It collects the transcript's boxes and ciphertexts once, on the first
+    attack, and remembers each candidate's work, which is a pure function
+    of bytes: a value's chain, what a scalar opens, and what a key reads.
+    So snapshots that share candidates pay for them once. A fresh one per
+    snapshot makes exactly the trials of an unshared attack.
 
     Like the honest-but-curious provider, the adversary knows the public
     PKI: `registry` (anything with `lookup_bot`) gives each chatbot's
     registered encryption key, which names the recipient of its attach
     seed."""
-    boxes, ciphertexts, depth = _collect_material(transcript, registry)
-    boxes_for, unhinted = _by_hint(boxes)
-    cts_for, _ = _by_hint(ciphertexts)  # every ciphertext names a key
-    all_cts = [ct for _, ct in ciphertexts]
 
+    def __init__(self, transcript, registry: BotLookup) -> None:
+        self._source = (transcript, registry)
+        self._links: dict[bytes, list[tuple[bytes, bytes, KeyPair]]] = {}
+        self._opened: dict[bytes, tuple[bytes, ...]] = {}
+        self._read: dict[tuple[bytes, bytes | None], tuple[bytes, ...]] = {}
+
+    @cached_property
+    def _wire(self) -> _Wire:
+        """Collected on the first attack, so that a traced run books it
+        under `adversary_decrypt` as it books the rest of the attack."""
+        boxes, ciphertexts, depth = _collect_material(*self._source)
+        boxes_for, unhinted = _by_hint(boxes)
+        cts_for, _ = _by_hint(ciphertexts)  # every ciphertext names a key
+        return _Wire(boxes_for, unhinted, cts_for,
+                     [ct for _, ct in ciphertexts], depth)
+
+    def links(self, value: bytes) -> list[tuple[bytes, bytes, KeyPair]]:
+        """`_expand(value)`, as deep as the longest path on the wire."""
+        links = self._links.get(value)
+        if links is None:
+            links = self._links[value] = _expand(value, self._wire.depth)
+        return links
+
+    def opened(self, scalar: bytes, pair: KeyPair | None) -> tuple[bytes, ...]:
+        """The plaintexts of the boxes `scalar` opens, trying those hinted
+        with its public key and the unhinted ones. `pair` is its key pair
+        when a `pke_keygen` made it."""
+        opened = self._opened.get(scalar)
+        if opened is None:
+            wire = self._wire
+            pair = pair or x25519_key_pair(scalar)
+            out = []
+            for box in (*wire.boxes_for.get(pair.public_key, ()), *wire.unhinted):
+                try:
+                    out.append(pke_open(pair, box))
+                except DecryptFailed:
+                    continue
+            opened = self._opened[scalar] = tuple(out)
+        return opened
+
+    def read(self, key: bytes, link: bytes | None) -> tuple[bytes, ...]:
+        """The payloads `key` decrypts: from every ciphertext for a raw
+        value (`link` None), else from those that name `link`, the public
+        key of the chain link whose message key it is."""
+        payloads = self._read.get((key, link))
+        if payloads is None:
+            wire = self._wire
+            aead = sym_key(key)
+            out = []
+            for ct in wire.all_cts if link is None else wire.cts_for.get(link, ()):
+                try:
+                    out.append(sym_decrypt(aead, ct))
+                except DecryptFailed:
+                    continue
+            payloads = self._read[(key, link)] = tuple(out)
+        return payloads
+
+
+def adversary_decrypt(snapshot: bytes, adversary: Adversary) -> AdversaryReport:
+    """Exhaustive key-recovery attack from one compromised state plus the
+    wire transcript `adversary` holds. Runs to a fixpoint: every recovered
+    value is fed back as a candidate key until nothing new opens. Each
+    value's chain climbs as far as the longest path on the transcript,
+    which any path secret, held or opened, needs to reach its root."""
     # Each candidate meets only what it could open. A raw value (harvested,
     # or the plaintext of an opened box) could be any key: it meets every
     # ciphertext, and as a scalar the boxes hinted with its public key plus
@@ -441,7 +520,7 @@ def adversary_decrypt(snapshot: bytes, transcript, registry: BotLookup) -> Adver
         message_keys: dict[bytes, bytes] = {}  # message key -> link public key
         frontier: set[bytes] = set()
         for value in raw:
-            for s, message_key, pair in _expand(value, depth):
+            for s, message_key, pair in adversary.links(value):
                 frontier.update((s, message_key, pair.secret_key))
                 message_keys[message_key] = pair.public_key
                 pairs[pair.secret_key] = pair
@@ -450,29 +529,19 @@ def adversary_decrypt(snapshot: bytes, transcript, registry: BotLookup) -> Adver
         new: set[bytes] = set()
         for key in sorted(frontier):
             if key in pairs:
-                pair = pairs[key] or x25519_key_pair(key)
-                for box in (*boxes_for.get(pair.public_key, ()), *unhinted):
-                    try:
-                        opened = pke_open(pair, box)
-                    except DecryptFailed:
-                        continue
-                    boxes_opened += 1
-                    if len(opened) == 32 and opened not in secrets:
-                        new.add(opened)
+                opened = adversary.opened(key, pairs[key])
+                boxes_opened += len(opened)
+                new.update(plain for plain in opened
+                           if len(plain) == 32 and plain not in secrets)
             if key in raw:
-                cts = all_cts
+                link = None
             elif key in message_keys:
-                cts = cts_for.get(message_keys[key], ())
+                link = message_keys[key]
             else:
                 continue
-            aead = sym_key(key)
-            for ct in cts:
-                try:
-                    payload = sym_decrypt(aead, ct)
-                except DecryptFailed:
-                    continue
-                cts_opened += 1
-                payloads.add(payload)
+            read = adversary.read(key, link)
+            cts_opened += len(read)
+            payloads.update(read)
         raw = new
 
     plaintexts: set[bytes] = set()

@@ -22,7 +22,6 @@ from chatgate import counters
 from chatgate.group import ChatbotMessageView, UserMessageView, chatbot_view_shape
 from chatgate.harness import bench, canned, probes
 from chatgate.harness.runner import run_text
-from chatgate.provider import adversary_decrypt
 from chatgate.primitives import SEALED_LEN
 from chatgate.triggers import rules_from_text
 

@@ -12,6 +12,7 @@ decoder must return or raise a ChatGateError.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import functools
 import struct
 
@@ -217,6 +218,45 @@ def test_decoders_raise_only_chatgate_errors_on_one_byte_edits(decode):
             edited = bytearray(blob)
             edited[at] = value
             _decode_everywhere(bytes(edited))
+
+
+# every fixed-width field of the bot channel: (wire type, field); "entries"
+# is the box of a message view's first entry
+WIDTH_FIELDS = ((group.AddBotControl, "group_public_key"),
+                (group.AddBotControl, "node_public_key"),
+                (group.AddBotControl, "sealed_seed"),
+                (group.BotMessage, "sealed_key"),
+                (group.BotMessage, "node_public_key"),
+                (group.ChatbotMessageView, "group_public_key"),
+                (group.ChatbotMessageView, "entries"),
+                (group.UserMessageView, "entries"))
+
+
+@pytest.mark.parametrize("delta", (-1, 1))
+@pytest.mark.parametrize("cls,name", WIDTH_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in WIDTH_FIELDS])
+def test_fixed_width_fields_refuse_one_byte_more_or_less(cls, name, delta):
+    # the same one-byte width edit on each field, its length prefix kept
+    # consistent, so that only the width check can refuse it
+    decoded = []
+    for blob in _real_encodings():
+        try:
+            decoded.append(cls.from_bytes(blob))
+        except MalformedControl:
+            continue
+    genuine = next(obj for obj in decoded if name != "entries" or obj.entries)
+
+    def resized(value: bytes) -> bytes:
+        return value + b"\x00" if delta > 0 else value[:-1]
+
+    if name == "entries":
+        (cid, box), *rest = genuine.entries
+        edited = dataclasses.replace(genuine, entries=((cid, resized(box)), *rest))
+    else:
+        edited = dataclasses.replace(genuine, **{name: resized(getattr(genuine, name))})
+    assert cls.from_bytes(genuine.to_bytes()) == genuine
+    with pytest.raises(MalformedControl):
+        cls.from_bytes(edited.to_bytes())
 
 
 @settings(max_examples=300, deadline=None)

@@ -29,6 +29,8 @@ from chatgate.errors import (
 )
 from chatgate.group import (
     NOT_ADDRESSED,
+    BotMessage,
+    ChatbotMessageView,
     ChatbotState,
     GroupControl,
     PseudonymRegistration,
@@ -40,6 +42,7 @@ from chatgate.group import (
     chatbot_view_shape,
     user_init,
 )
+from chatgate.harness import bench
 from chatgate.primitives import SEALED_LEN, seeded
 from chatgate.triggers import rules_from_text
 from test_cgka import WRONG_WIDTHS
@@ -430,6 +433,39 @@ def test_welcome_key_of_the_wrong_width_leaves_the_newcomer_unchanged():
     newcomer.process_group_control(genuine)
     assert newcomer.cgka.group_secret == users["user-00"].cgka.group_secret
     newcomer.update_keys()
+
+
+def test_bot_reply_with_a_short_node_key_leaves_the_member_unchanged():
+    # A forged reply that names a 5-byte node key would set the member's
+    # key for the bot, and its next send would fail inside X25519.
+    world = bench.World(4, 1)
+    cid = "bench-bot-000"
+    genuine = world.bots[cid].send(b"a genuine reply")
+    msg = BotMessage.from_bytes(genuine)
+    forged = replace(msg, node_public_key=msg.node_public_key[:5]).to_bytes()
+    member = world.users["user-001"]
+    before = json.dumps(member.snapshot(), sort_keys=True)
+    with pytest.raises(MalformedControl):
+        member.receive_from_chatbot(forged)
+    assert json.dumps(member.snapshot(), sort_keys=True) == before
+    assert member.receive_from_chatbot(genuine) == b"a genuine reply"
+    member.send(b"still reaches the bot")
+
+
+def test_chatbot_view_with_a_short_group_key_leaves_the_bot_unchanged():
+    # A forged view that names a 5-byte group key would become the key the
+    # bot replies under, and its next send would fail inside X25519.
+    world = bench.World(4, 1)
+    bot = world.bots["bench-bot-000"]
+    genuine = world.users["user-001"].send(b"hello bot").chatbot_view
+    view = ChatbotMessageView.from_bytes(genuine)
+    forged = replace(view, group_public_key=view.group_public_key[:5]).to_bytes()
+    before = json.dumps(bot.snapshot(), sort_keys=True)
+    with pytest.raises(MalformedControl):
+        bot.receive(forged)
+    assert json.dumps(bot.snapshot(), sort_keys=True) == before
+    assert bot.receive(genuine) == ReceivedMessage(b"hello bot")
+    bot.send(b"a reply under the genuine key")
 
 
 def welcome_tree_seating(tree, seats):

@@ -6,11 +6,14 @@ import hashlib
 import inspect
 import json
 import random
+import re
 import sys
 import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatgate.cgka import CgkaControl
 from chatgate.encoding import peek_type
@@ -419,6 +422,82 @@ def test_fs_probe_finds_a_value_inside_a_longer_hex_string():
             "kind": "chain"} in found
 
 
+def _fs_window_scan(result):
+    """The forward-secrecy probe as it was before its index: a regex scan
+    of each snapshot into hex windows, then every dead value and, for a
+    bot, every group secret tested against them. Returns every violation
+    in order, and the counts."""
+    violations = []
+    chain = []
+    scanned = 0
+    dead = result.supersessions
+    all_group_secrets = sorted(set(result.group_secrets.values()))
+    for pid, history in sorted(result.snapshots.items()):
+        for snap_seq, snapshot in history:
+            scanned += 1
+            windows = _regex_hex_windows(snapshot)
+            for item in dead:
+                if item.dead_from <= snap_seq and item.value_hex in windows:
+                    violations.append({"party": pid, "seq": snap_seq,
+                                       "value": item.value_hex[:16]})
+            if pid in result.bots:
+                chain.extend({"party": pid, "seq": snap_seq,
+                              "value": value[:16], "kind": "chain"}
+                             for value in all_group_secrets if value in windows)
+    return violations + chain, {"snapshots_scanned": scanned,
+                                "dead_values": len(dead)}
+
+
+def _regex_hex_windows(snapshot: bytes) -> set[str]:
+    """`probes._hex_windows` as a regex over the snapshot's bytes."""
+    out = set()
+    for run in re.findall(rb"[0-9a-f]{64,}", snapshot):
+        run = run.decode("ascii")
+        out.update(run[i:i + 64] for i in range(len(run) - 63))
+    return out
+
+
+def _plant(result):
+    """Dead values and group secrets planted where the scan must find
+    them: values every party holds die at several points, some twice, and
+    each bot gains a snapshot holding every group secret, newest first,
+    then an identical one."""
+    held = sorted(_regex_hex_windows(result.snapshots["user-00"][-1][1]))
+    last = max(seq for history in result.snapshots.values() for seq, _ in history)
+    for k, value in enumerate(held[::3]):
+        result.supersessions.insert(k % 5, Supersession(value, k % (last + 1)))
+        if k % 2:
+            result.supersessions.append(Supersession(value, last))
+    secrets = sorted(result.group_secrets.values(), reverse=True)
+    blob = json.dumps({"stolen": secrets, "dead": held[:3]}).encode()
+    for cid in sorted(result.bots):
+        history = result.snapshots.setdefault(cid, [])
+        history += [(last + 1, blob), (last + 2, blob)]
+
+
+def test_fs_probe_matches_the_window_scan(monkeypatch):
+    # every violation and its order, not only the ten a verdict keeps
+    monkeypatch.setattr(probes, "_verdict",
+                        lambda _probe, violations, **detail: (violations, detail))
+    for seed in (7, 23):
+        for _, text in sorted(canned.ALL.items()):
+            result = run_text(text, seed=seed)
+            assert probes.probe_forward_secrecy(result) == _fs_window_scan(result)
+            _plant(result)
+            violations, detail = probes.probe_forward_secrecy(result)
+            assert len({v.get("kind") for v in violations}) == 2
+            assert (violations, detail) == _fs_window_scan(result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunks=st.lists(st.one_of(st.text("0123456789abcdef", max_size=150),
+                                 st.binary(max_size=3))))
+def test_hex_windows_match_the_regex_scan(chunks):
+    snapshot = b"".join(c.encode("ascii") if isinstance(c, str) else c
+                        for c in chunks)
+    assert probes._hex_windows(snapshot) == _regex_hex_windows(snapshot)
+
+
 def test_selective_probe_flags_a_leaked_group_key():
     result = run_text(canned.SELECTIVE_ACCESS, seed=9)
     cid = "echo-bot-01"
@@ -452,15 +531,15 @@ def test_pcs_probe_requires_a_compromise():
 def test_unhealed_compromise_is_actually_readable():
     # Sanity check that the adversary is not a paper tiger: without a heal,
     # the captured state reads everything that follows.
-    from chatgate.provider import adversary_decrypt
+    from chatgate.provider import Adversary, adversary_decrypt
 
     text = ("group g user-00 user-01\n"
             "compromise user-01 stolen\n"
             "send user-00 \"leaks to the stale state\"\n")
     result = run_text(text, seed=9)
     event = result.compromises["stolen"]
-    report = adversary_decrypt(event.snapshot, result.provider.transcript,
-                               result.provider)
+    report = adversary_decrypt(event.snapshot, Adversary(
+        result.provider.transcript, result.provider))
     assert b"leaks to the stale state" in report.plaintexts
 
 
@@ -643,6 +722,26 @@ def test_traced_demo_run_counts_every_built_control(tracing):
     assert len(controls) == 10
     assert tracer.counts["cgka.controls"] == len(controls)
     assert tracer.counts["cgka.path_entries"] == entries
+
+
+def test_traced_probes_book_every_attack_under_the_adversary(tracing):
+    # probes call `adversary_decrypt` by its module name, which a traced
+    # run rebinds: each attacked snapshot is one `provider.adversary` span
+    result = run_text(canned.POST_COMPROMISE, seed=7)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.op():
+            assert probes.probe_selective_access(result).passed
+            assert probes.probe_post_compromise(result).passed
+    finally:
+        tracer.uninstall()
+    attacked = (sum(1 for cid in result.bots if result.snapshots.get(cid))
+                + len(result.compromises))
+    assert attacked == 2
+    assert tracer.calls["provider.adversary"] == attacked
+    assert tracer.counts["provider.adversary.box_trials"] > 0
+    assert tracer.counts["provider.adversary.ct_trials"] > 0
 
 
 if __name__ == "__main__":

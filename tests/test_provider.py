@@ -48,6 +48,7 @@ from chatgate.primitives import (
     x25519_key_pair,
 )
 from chatgate.provider import (
+    Adversary,
     AdversaryReport,
     Provider,
     _collect_material,
@@ -417,7 +418,7 @@ def test_adversary_with_empty_state_recovers_nothing():
     provider, users, bots = make_world(3)
     for i, msg in enumerate([b"@echo alpha", b"plain beta", b"@echo gamma"]):
         user_send(provider, users, bots, f"user-{i:02d}", msg)
-    report = adversary_decrypt(b"{}", provider.transcript, provider)
+    report = adversary_decrypt(b"{}", Adversary(provider.transcript, provider))
     assert report.plaintexts == frozenset()
     assert report.secrets == frozenset()
 
@@ -434,7 +435,7 @@ def test_compromised_chatbot_reads_exactly_addressed_messages():
         user_send(provider, users, bots, f"user-{i % 3:02d}", msg)
 
     snap = provider.snapshot_state("echo-bot-01")
-    report = adversary_decrypt(snap, provider.transcript, provider)
+    report = adversary_decrypt(snap, Adversary(provider.transcript, provider))
     triggered = {m for m, hit in sent.items() if hit}
     assert triggered <= report.plaintexts
     hidden = {m for m, hit in sent.items() if not hit}
@@ -446,7 +447,7 @@ def test_compromised_user_reads_group_traffic():
     user_send(provider, users, bots, "user-00", b"@echo alpha")
     user_send(provider, users, bots, "user-01", b"plain beta")
     snap = provider.snapshot_state("user-02")
-    report = adversary_decrypt(snap, provider.transcript, provider)
+    report = adversary_decrypt(snap, Adversary(provider.transcript, provider))
     # current group secret decrypts the latest message directly
     assert b"plain beta" in report.plaintexts
 
@@ -456,7 +457,7 @@ def test_concealment_dummies_do_not_decrypt():
         2, bots=(("echo-bot-01", "mention:@echo"), ("log-bot-02", "never")))
     user_send(provider, users, bots, "user-00", b"@echo only you", conceal=True)
     snap = provider.snapshot_state("log-bot-02")
-    report = adversary_decrypt(snap, provider.transcript, provider)
+    report = adversary_decrypt(snap, Adversary(provider.transcript, provider))
     assert b"@echo only you" not in report.plaintexts
 
 
@@ -477,8 +478,9 @@ def test_unnamed_recipient_leaves_box_unhinted_and_tried():
     assert [named[box] for box in unhinted] == [
         {bots["echo-bot-01"].registration.enc_public_key}]
     snap = provider.snapshot_state("echo-bot-01")
-    report = adversary_decrypt(snap, provider.transcript, unknown)
-    assert report == adversary_decrypt(snap, provider.transcript, provider)
+    report = adversary_decrypt(snap, Adversary(provider.transcript, unknown))
+    assert report == adversary_decrypt(snap, Adversary(provider.transcript,
+                                                         provider))
     assert b"@echo alpha" in report.plaintexts
 
 
@@ -515,7 +517,7 @@ def test_adversary_climbs_as_far_as_the_longest_path_on_the_wire(carrier):
                    "view_b64": base64.b64encode(view).decode("ascii")}
                   for seq, view in enumerate(views, 1)]
     snapshot = json.dumps({"scalar": scalar.hex()}).encode("ascii")
-    report = adversary_decrypt(snapshot, transcript, Provider())
+    report = adversary_decrypt(snapshot, Adversary(transcript, Provider()))
     assert report.plaintexts == {b"deep message"}
     assert report.boxes_opened == 1
     assert _collect_material(transcript, Provider())[2] == 14
@@ -694,7 +696,7 @@ def test_indexed_adversary_matches_all_pairs_loop(name):
         with counters.collect(counters.OpCounters()) as ref_ops:
             expected, log = _all_pairs_adversary(snapshot, transcript)
         with counters.collect(counters.OpCounters()) as ops:
-            report = adversary_decrypt(snapshot, transcript, result.provider)
+            report = adversary_decrypt(snapshot, Adversary(transcript, result.provider))
         assert report == expected, who
         opened.add((report.boxes_opened > 0, report.ciphertexts_opened > 0))
         # The types only drop trials that fail with certainty. The
@@ -715,6 +717,32 @@ def test_indexed_adversary_matches_all_pairs_loop(name):
             if op not in ("pke_open", "sym_decrypt"):
                 assert ops.total(op) == ref_ops.total(op), (who, op)
     assert (True, True) in opened  # the comparison covered real recoveries
+
+
+@pytest.mark.parametrize("name,seed", [(name, seed) for name in sorted(canned.ALL)
+                                       for seed in (7, 23)])
+def test_shared_adversary_matches_a_fresh_one_per_snapshot(name, seed):
+    # One `Adversary` attacks every snapshot of the run, each party's
+    # whole history and every compromise, and reports what a fresh one per
+    # snapshot reports, with fewer keygens, opens and decrypts in all.
+    result = run_text(canned.ALL[name], seed=seed)
+    transcript = result.provider.transcript
+    snapshots = [snap for _, history in sorted(result.snapshots.items())
+                 for _, snap in history]
+    snapshots += [event.snapshot for _, event in sorted(result.compromises.items())]
+    shared = Adversary(transcript, result.provider)
+    with counters.collect(counters.OpCounters()) as fresh_ops:
+        fresh = [adversary_decrypt(snap, Adversary(transcript, result.provider))
+                 for snap in snapshots]
+    with counters.collect(counters.OpCounters()) as shared_ops:
+        reports = [adversary_decrypt(snap, shared) for snap in snapshots]
+    assert reports == fresh
+    assert any(report.plaintexts for report in reports)
+    work = ("pke_keygen", "pke_open", "sym_decrypt")
+    assert sum(shared_ops.total(op) for op in work) < sum(
+        fresh_ops.total(op) for op in work)
+    for op in work:
+        assert shared_ops.total(op) <= fresh_ops.total(op), op
 
 
 def _audit_scenario_text(monkeypatch, seed):
