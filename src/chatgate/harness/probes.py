@@ -17,7 +17,6 @@ from ..encoding import peek_type
 from ..errors import ProbeFailed
 from ..group import VIEW_CHATBOT_MESSAGE, ChatbotMessageView, chatbot_view_shape
 from ..provider import Adversary, adversary_decrypt
-from ..primitives import SEALED_LEN
 from .runner import RunResult
 
 
@@ -90,12 +89,8 @@ def _hex_windows(snapshot: bytes) -> set[str]:
     snapshot's text. The hex of a 32-byte secret occurs in the text exactly
     when it is in this set, also when it sits inside a longer hex string."""
     runs = snapshot.translate(_NOT_HEX).decode("ascii").split()
-    # nearly every run is one 64-character value, its own one window
-    out = {run for run in runs if len(run) == 64}
-    for run in runs:
-        if len(run) > 64:
-            out.update(run[i:i + 64] for i in range(len(run) - 63))
-    return out
+    return {run[i:i + 64] for run in runs if len(run) >= 64
+            for i in range(len(run) - 63)}
 
 
 def probe_forward_secrecy(result: RunResult) -> Verdict:
@@ -103,8 +98,7 @@ def probe_forward_secrecy(result: RunResult) -> Verdict:
     value never appears in any in-scope party state again. Chatbot states
     must never contain any group chain secret, current or old. Every value
     is the hex of a 32-byte secret, so each snapshot is scanned once, into
-    its set of hex windows, and only the values among them are checked. A
-    snapshot equal to its party's previous one reuses that one's set."""
+    its set of hex windows, and only the values among them are checked."""
     violations = []
     chain = []  # reported after the dead values, in the same party order
     scanned = 0
@@ -114,11 +108,9 @@ def probe_forward_secrecy(result: RunResult) -> Verdict:
         dead_at.setdefault(item.value_hex, []).append(i)
     all_group_secrets = set(result.group_secrets.values())
     for pid, history in sorted(result.snapshots.items()):
-        previous, windows = None, set()
         for snap_seq, snapshot in history:
             scanned += 1
-            if snapshot != previous:
-                previous, windows = snapshot, _hex_windows(snapshot)
+            windows = _hex_windows(snapshot)
             hits = sorted(i for value in windows for i in dead_at.get(value, ())
                           if dead[i].dead_from <= snap_seq)
             violations.extend({"party": pid, "seq": snap_seq,
@@ -225,7 +217,8 @@ def probe_anonymity(result: RunResult, expect_uniform: bool = False) -> Verdict:
 
 def probe_concealment(result: RunResult) -> Verdict:
     """Concealed sends carry one fixed-size entry per attached chatbot, and
-    every chatbot not addressed reported the uniform not-addressed outcome."""
+    every chatbot not addressed reported the uniform not-addressed outcome.
+    Decoding the view refuses any entry box that is not `SEALED_LEN` wide."""
     views_by_seq = {}
     for row in result.provider.transcript:
         if row["recipient_class"] == "chatbot":
@@ -241,8 +234,6 @@ def probe_concealment(result: RunResult) -> Verdict:
         expected = set(ev.addressed) | set(ev.concealed)
         if {cid for cid, _ in view.entries} != expected:
             violations.append({"seq": ev.seq, "kind": "roster"})
-        if any(len(box) != SEALED_LEN for _, box in view.entries):
-            violations.append({"seq": ev.seq, "kind": "length"})
         for cid in ev.concealed:
             outcome = result.bot_outcomes.get((ev.seq, cid))
             if outcome != "not_addressed":

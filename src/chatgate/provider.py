@@ -30,7 +30,8 @@ the search stays exhaustive, barring a SHA-256 or X25519 clamping
 collision. Security claims in the probes are statements about its output.
 One `Adversary` attacks any number of snapshots of its transcript: it
 decodes the wire once and does each candidate's chain, opens and decrypts
-once, so the snapshots of one probe share that work.
+once, so the snapshots of one probe share that work. The transcript must
+not grow while an `Adversary` over it is in use.
 """
 
 from __future__ import annotations
@@ -419,6 +420,7 @@ class _Wire(NamedTuple):
     cts_for: dict[bytes, list[bytes]]    # named key -> ciphertexts
     all_cts: list[bytes]
     depth: int                           # the longest path on the wire
+    rows: int                            # transcript rows collected
 
 
 class Adversary:
@@ -429,7 +431,9 @@ class Adversary:
     attack, and remembers each candidate's work, which is a pure function
     of bytes: a value's chain, what a scalar opens, and what a key reads.
     So snapshots that share candidates pay for them once. A fresh one per
-    snapshot makes exactly the trials of an unshared attack.
+    snapshot makes exactly the trials of an unshared attack. The transcript
+    must not grow while it is in use: an attack after it has grown raises
+    ValueError, since the memo would miss the new rows.
 
     Like the honest-but-curious provider, the adversary knows the public
     PKI: `registry` (anything with `lookup_bot`) gives each chatbot's
@@ -446,11 +450,19 @@ class Adversary:
     def _wire(self) -> _Wire:
         """Collected on the first attack, so that a traced run books it
         under `adversary_decrypt` as it books the rest of the attack."""
-        boxes, ciphertexts, depth = _collect_material(*self._source)
+        transcript, registry = self._source
+        boxes, ciphertexts, depth = _collect_material(transcript, registry)
         boxes_for, unhinted = _by_hint(boxes)
         cts_for, _ = _by_hint(ciphertexts)  # every ciphertext names a key
         return _Wire(boxes_for, unhinted, cts_for,
-                     [ct for _, ct in ciphertexts], depth)
+                     [ct for _, ct in ciphertexts], depth, len(transcript))
+
+    def check_current(self) -> None:
+        """Collect the wire if this is the first attack; refuse if the
+        transcript has grown since it was collected."""
+        if len(self._source[0]) != self._wire.rows:
+            raise ValueError("the transcript grew after this Adversary "
+                             "collected it; build a new one")
 
     def links(self, value: bytes) -> list[tuple[bytes, bytes, KeyPair]]:
         """`_expand(value)`, as deep as the longest path on the wire."""
@@ -508,6 +520,7 @@ def adversary_decrypt(snapshot: bytes, adversary: Adversary) -> AdversaryReport:
     # boxes hinted with its public key, or unhinted. Chain links above a
     # raw value and `pke_keygen` scalars are neither keys nor recipient
     # scalars in any other domain, so they meet nothing more.
+    adversary.check_current()
     secrets: set[bytes] = set()
     raw = _harvest_hex(json.loads(snapshot))
     payloads: set[bytes] = set()

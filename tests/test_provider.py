@@ -745,6 +745,19 @@ def test_shared_adversary_matches_a_fresh_one_per_snapshot(name, seed):
         assert shared_ops.total(op) <= fresh_ops.total(op), op
 
 
+def test_adversary_refuses_a_transcript_that_grew():
+    # its memo covers only the rows it collected on its first attack
+    result = run_text(canned.SELECTIVE_ACCESS, seed=7)
+    rows = list(result.provider.transcript)
+    snapshot = result.snapshots["user-00"][-1][1]
+    adversary = Adversary(rows, result.provider)
+    report = adversary_decrypt(snapshot, adversary)
+    assert adversary_decrypt(snapshot, adversary) == report
+    rows.append(rows[-1])
+    with pytest.raises(ValueError, match="grew"):
+        adversary_decrypt(snapshot, adversary)
+
+
 def _audit_scenario_text(monkeypatch, seed):
     """One scenario shaped like the benchmark's audit workload."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
