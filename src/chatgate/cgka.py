@@ -53,7 +53,7 @@ from itertools import compress
 from operator import itemgetter
 
 from . import tree as treemod
-from .encoding import FixedRecord, Reader, Writer, peek_type
+from .encoding import BOX, KEY, TEXT, U32, Record, items, wire_variants
 from .errors import (
     AlreadyMember,
     CannotRemoveSelf,
@@ -67,7 +67,6 @@ from .errors import (
 )
 from .primitives import (
     PUBLIC_KEY_LEN,
-    SEALED_LEN,
     KeyPair,
     derive,
     pke_keygen,
@@ -81,19 +80,20 @@ CONTROL_ADD = 0x02
 CONTROL_REMOVE = 0x03
 CONTROL_UPDATE = 0x04
 
-_KIND_BY_TYPE = {
-    CONTROL_CREATE: "create",
-    CONTROL_ADD: "add",
-    CONTROL_REMOVE: "remove",
-    CONTROL_UPDATE: "update",
-}
-_TYPE_BY_KIND = {v: k for k, v in _KIND_BY_TYPE.items()}
-
 # (target public key, sealed chained secret)
 PathEntry = tuple[bytes, bytes]
 
-_PATH_KEY = FixedRecord(PUBLIC_KEY_LEN)
-_PATH_ENTRY = FixedRecord(PUBLIC_KEY_LEN, SEALED_LEN)
+# The control's wire layout: the head, the middle of its type byte, the tail.
+_HEAD = (("group_id", TEXT), ("epoch", U32), ("sender_leaf", U32))
+_MIDDLES = {
+    CONTROL_CREATE: ("create", (
+        ("roster", items(Record(("member_id", TEXT), ("init_pk", KEY)))),)),
+    CONTROL_ADD: ("add", (("new_member_id", TEXT), ("new_member_init_pk", KEY))),
+    CONTROL_REMOVE: ("remove", (("removed_id", TEXT),)),
+    CONTROL_UPDATE: ("update", ()),
+}
+_TAIL = (("new_public_path", items(KEY)),
+         ("path_entries", items(Record(("target", KEY), ("box", BOX)))))
 
 
 class InitKeyDirectory:
@@ -103,6 +103,8 @@ class InitKeyDirectory:
         self._keys: dict[str, bytes] = {}
 
     def register(self, member_id: str, public_key: bytes) -> None:
+        if len(public_key) != PUBLIC_KEY_LEN:
+            raise MalformedControl("init key of the wrong width")
         self._keys[member_id] = public_key
 
     def lookup(self, member_id: str) -> bytes:
@@ -115,9 +117,11 @@ class InitKeyDirectory:
         return member_id in self._keys
 
 
+@wire_variants("kind", _HEAD, _MIDDLES, _TAIL)
 @dataclass
 class CgkaControl:
-    """One group operation on the wire. Canonical, byte-stable encoding."""
+    """One group operation on the wire, laid out as `_HEAD`, the middle of
+    its kind and `_TAIL`."""
 
     kind: str
     group_id: str
@@ -133,57 +137,10 @@ class CgkaControl:
     # remove
     removed_id: str = ""
 
-    def to_bytes(self) -> bytes:
-        w = Writer(_TYPE_BY_KIND[self.kind])
-        w.text(self.group_id)
-        w.u32(self.epoch)
-        w.u32(self.sender_leaf)
-        if self.kind == "create":
-            w.items(self.roster, _write_roster_entry)
-        elif self.kind == "add":
-            w.text(self.new_member_id)
-            w.field(self.new_member_init_pk)
-        elif self.kind == "remove":
-            w.text(self.removed_id)
-        w.items(self.new_public_path, lambda wr, pk: wr.field(pk))
-        w.items(self.path_entries, _write_path_entry)
-        return w.done()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CgkaControl":
-        kind = _KIND_BY_TYPE.get(peek_type(data))
-        if kind is None:
-            raise MalformedControl("unknown control type")
-        r = Reader(data, expect_type=_TYPE_BY_KIND[kind])
-        ctl = cls(kind=kind, group_id=r.text(), epoch=r.u32(), sender_leaf=r.u32())
-        if kind == "create":
-            ctl.roster = r.items(lambda rr: (rr.text(), rr.field()))
-            if any(len(pk) != PUBLIC_KEY_LEN for _, pk in ctl.roster):
-                raise MalformedControl("roster init key of the wrong width")
-        elif kind == "add":
-            ctl.new_member_id = r.text()
-            ctl.new_member_init_pk = r.field()
-        elif kind == "remove":
-            ctl.removed_id = r.text()
-        ctl.new_public_path = [pk for (pk,) in r.fixed_items(_PATH_KEY)]
-        ctl.path_entries = r.fixed_items(_PATH_ENTRY)
-        r.finish()
-        return ctl
-
 
 def _capacity_for(members: int) -> int:
     """The smallest power of two that seats every member."""
     return 1 << max(members - 1, 0).bit_length()
-
-
-def _write_roster_entry(w: Writer, entry: tuple[str, bytes]) -> None:
-    w.text(entry[0])
-    w.field(entry[1])
-
-
-def _write_path_entry(w: Writer, entry: PathEntry) -> None:
-    w.field(entry[0])
-    w.field(entry[1])
 
 
 def _newcomer_leaf(t: treemod.RatchetTree) -> int:

@@ -1,4 +1,5 @@
-"""Canonical byte encoding for controls, bundles and signed payloads.
+"""Canonical byte encoding for controls, bundles and signed payloads, and
+the field schema that declares each wire type once.
 
 Every wire object is a type byte followed by length-prefixed fields in a
 fixed order. Lengths are 32-bit big-endian. The encoding is byte-stable:
@@ -11,14 +12,23 @@ entries), `Reader.fixed_items` decodes the whole list in one step: one
 bounds check, then C-level unpacking and width checks over all items, so
 the Python work of a decode does not grow with the list. A field of any
 other width is malformed. The bytes are the same as `Writer.items` writes.
+
+A wire type's layout is one `Record`: its (name, kind) fields in wire
+order. Its encoder, decoder and width checks are compiled from that list;
+the `wire` class decorators install them. The layouts sit next to their
+classes, in `cgka`, `group`, `triggers` and `tree`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
+from functools import partial
+from operator import attrgetter
 from typing import Callable, TypeVar
 
 from .errors import MalformedControl
+from .primitives import PUBLIC_KEY_LEN, SEALED_LEN, SIG_LEN
 
 T = TypeVar("T")
 
@@ -149,3 +159,185 @@ def peek_type(data: bytes) -> int:
     if not data:
         raise MalformedControl("empty input")
     return data[0]
+
+
+# ---------------------------------------------------------------------------
+# field schema
+# ---------------------------------------------------------------------------
+
+def _wrong_width():
+    raise MalformedControl("field of the wrong width")
+
+
+def _at_most_one(values: list):
+    if len(values) > 1:
+        raise MalformedControl("more than one item in a list of at most one")
+    return values[0] if values else None
+
+
+# what the expressions of the kinds call
+_HELPERS = {"_wrong_width": _wrong_width, "_at_most_one": _at_most_one}
+
+
+class Kind:
+    """The kind of one field: the expressions that read one from Reader
+    `r` and write `{v}` to Writer `w`, where `{k}` is the kind itself. A
+    record inlines them. `width` is the field's only allowed width, if it
+    has one; `attrs` are what the expressions use."""
+
+    def __init__(self, read: str, write: str, width: int | None = None, **attrs):
+        self.read_expr, self.write_expr, self.width = read, write, width
+        self.__dict__.update(attrs)
+        env = {"k": self, **_HELPERS}
+        self.read = eval(f"lambda r: {read.format(k='k')}", env)
+        self.write = eval(f"lambda w, v: {write.format(k='k', v='v')}", env)
+
+
+def _fixed(width: int) -> Kind:
+    return Kind(f"_v if len(_v := r.field()) == {width} else _wrong_width()",
+                "w.field({v})", width)
+
+
+U8 = Kind("r.u8()", "w.u8({v})")
+U32 = Kind("r.u32()", "w.u32({v})")
+TEXT = Kind("r.text()", "w.text({v})")
+BYTES = Kind("r.field()", "w.field({v})")
+KEY = _fixed(PUBLIC_KEY_LEN)  # also a 32-byte handle
+BOX = _fixed(SEALED_LEN)
+SIGNATURE = _fixed(SIG_LEN)
+# a tree node: a key, or None written as an empty field
+TREE_NODE = Kind(f"(_v or None) if len(_v := r.field()) in (0, {PUBLIC_KEY_LEN}) "
+                 "else _wrong_width()", "w.field({v} or b'')")
+
+
+def nested(cls: type, encoder: str = "to_bytes") -> Kind:
+    """A field holding another wire type's whole encoding, written by its
+    `encoder` method and read by its `from_bytes`."""
+    return Kind("{k}.cls.from_bytes(r.field())", f"w.field({{v}}.{encoder}())", cls=cls)
+
+
+def items(item: "Kind | Record", into: type = list) -> Kind:
+    """A list of `item`, decoded `into` a list or a tuple: by
+    `Reader.fixed_items` when each of its fields has a fixed width and it
+    decodes to a value or a tuple, else by its reader once per item."""
+    kinds = item.kinds if isinstance(item, Record) else (item,)
+    fixed = None
+    if all(kind.width for kind in kinds) and not getattr(item, "build", None):
+        fixed = FixedRecord(*(kind.width for kind in kinds))
+        read = ("r.fixed_items({k}.fixed)" if isinstance(item, Record) else
+                "[value for (value,) in r.fixed_items({k}.fixed)]")
+    else:
+        read = "r.items({k}.item.read)"
+    if into is not list:
+        read = f"{{k}}.into({read})"
+    return Kind(read, "w.items({v}, {k}.item.write)", item=item, into=into, fixed=fixed)
+
+
+def at_most_one(item: "Record") -> Kind:
+    """A list of at most one `item`, decoded to that item or None."""
+    return Kind("_at_most_one(r.items({k}.item.read))",
+                "w.items([] if {v} is None else [{v}], {k}.item.write)", item=item)
+
+
+class Record:
+    """Fields in wire order, each (name, kind), after `type_byte` if given.
+    It decodes to `build(*values)`, or without `build` to the tuple of
+    values; it encodes such a tuple, or the object's attributes of the
+    fields' names. Its `read`, `write`, `decode` and `encode` are compiled
+    once, each kind's expressions inlined: no loop and no dispatch on
+    kinds, as a hand-written codec would be."""
+
+    def __init__(self, *fields: tuple[str, Kind], type_byte: int | None = None,
+                 build: Callable | None = None):
+        self.fields, self.type_byte, self.build = fields, type_byte, build
+        self.kinds = tuple(kind for _, kind in fields)
+        names = [name for name, _ in fields]
+        self.values = (None if build is None else attrgetter(*names) if len(names) > 1
+                       else lambda item: (getattr(item, names[0]),))
+        env = {"build": build, "values": self.values, "Reader": Reader, "Writer": Writer,
+               "type_byte": type_byte, **_HELPERS}
+        env.update((f"k{i}", kind) for i, kind in enumerate(self.kinds))
+        reads = "".join(kind.read_expr.format(k=f"k{i}") + ", "
+                        for i, kind in enumerate(self.kinds))
+        item = f"{'build' if build else ''}({reads})"
+        unpack = "".join(f"v{i}, " for i in range(len(fields)))
+        write = f"    {unpack}= {'values(item)' if build else 'item'}\n" + "".join(
+            f"    {kind.write_expr.format(k=f'k{i}', v=f'v{i}')}\n"
+            for i, kind in enumerate(self.kinds))
+        exec(f"def read(r):\n    return {item}\n"
+             f"def decode(data):\n    r = Reader(data, type_byte)\n"
+             f"    item = {item}\n    r.finish()\n    return item\n"
+             f"def write(w, item):\n{write}"
+             f"def encode(item):\n    w = Writer(type_byte)\n{write}    return w.done()\n",
+             env)
+        self.read, self.decode = env["read"], env["decode"]
+        self.write, self.encode = env["write"], env["encode"]
+
+    def shape(self, item) -> tuple:
+        """(name, shape) per field: the structure of an encoding, not its
+        content. A field's shape is its encoded length; a list's, the shape
+        of each item."""
+        values = self.values(item) if self.build else item
+        return tuple((name, _shape(kind, value))
+                     for (name, kind), value in zip(self.fields, values))
+
+
+def _shape(kind: "Kind | Record", value):
+    if isinstance(kind, Record):
+        return kind.shape(value)
+    if hasattr(kind, "into"):
+        return tuple(_shape(kind.item, item) for item in value)
+    w = Writer()
+    kind.write(w, value)
+    return len(w.done())
+
+
+def wire(type_byte: int, *fields: tuple[str, object], encoder: str = "to_bytes"):
+    """Class decorator declaring a dataclass as a wire type: its type byte,
+    then `fields` in wire order."""
+    return wire_variants(None, (), {type_byte: (None, fields)}, (), encoder)
+
+
+def wire_variants(tag: str | None, head: tuple, middles: dict[int, tuple[object, tuple]],
+                  tail: tuple, encoder: str = "to_bytes"):
+    """Class decorator declaring a dataclass as a wire type whose type byte
+    selects its layout: `head`, that type byte's middle fields, `tail`;
+    `middles` maps each type byte to (its value of the `tag` attribute,
+    middle fields). Installs the `encoder` method and the `from_bytes`
+    classmethod in the class's own namespace, and the layouts by type
+    byte in `wire_layouts`."""
+    def declare(cls: type) -> type:
+        arguments = [f.name for f in dataclasses.fields(cls)]
+        layouts, by_tag = {}, {}
+        for type_byte, (value, middle) in middles.items():
+            fields = head + middle + tail
+            names = [name for name, _ in fields]
+            tagged = {} if tag is None else {tag: value}
+            # positionally if the layout is in constructor order
+            if [*tagged, *names] == arguments[:len(tagged) + len(names)]:
+                build = partial(cls, *tagged.values())
+            else:
+                build = partial(_build_by_name, cls, tagged, names)
+            layouts[type_byte] = by_tag[value] = Record(
+                *fields, type_byte=type_byte, build=build)
+
+        def to_bytes(self) -> bytes:
+            return by_tag[tag and getattr(self, tag)].encode(self)
+
+        def from_bytes(_cls, data: bytes):
+            record = layouts.get(peek_type(data))
+            if record is None:
+                raise MalformedControl("unknown type byte")
+            return record.decode(data)
+
+        for fn, name in ((to_bytes, encoder), (from_bytes, "from_bytes")):
+            fn.__name__, fn.__qualname__ = name, f"{cls.__qualname__}.{name}"
+        setattr(cls, encoder, to_bytes)
+        cls.from_bytes = classmethod(from_bytes)
+        cls.wire_layouts = layouts
+        return cls
+    return declare
+
+
+def _build_by_name(cls: type, tagged: dict, names: list[str], *values):
+    return cls(**tagged, **dict(zip(names, values)))

@@ -12,7 +12,8 @@ the users' bookkeeping constant.
 Chatbot views carry no sender identity and no tree control: they are
 encoded independently of the user view, never sliced out of it.
 
-Wire layout (type byte first, all fields length-prefixed):
+Wire types, each declared once by its `wire` decorator below (field
+order and kinds), and the payloads inside the ciphertext as `Record`s:
     0x10 user message, user view      0x11 user message, chatbot view
     0x12 chatbot message              0x13 add-chatbot control
     0x14 remove-chatbot control       0x15 wrapped tree control
@@ -34,7 +35,20 @@ from dataclasses import dataclass, field
 from typing import Protocol, Union
 
 from .cgka import CgkaControl, CgkaState
-from .encoding import Reader, Writer, peek_type
+from .encoding import (
+    BOX,
+    BYTES,
+    KEY,
+    SIGNATURE,
+    TEXT,
+    U8,
+    U32,
+    Record,
+    at_most_one,
+    items,
+    peek_type,
+    wire,
+)
 from .errors import (
     BadPseudonymSignature,
     BadTriggerSignature,
@@ -51,7 +65,6 @@ from .errors import (
 from .primitives import (
     HANDLE,
     MSG_KEY,
-    PUBLIC_KEY_LEN,
     SEALED_LEN,
     KeyPair,
     derive,
@@ -74,12 +87,6 @@ BOT_MESSAGE = 0x12
 ADD_BOT = 0x13
 REMOVE_BOT = 0x14
 GROUP_CONTROL = 0x15
-
-_PAYLOAD_PLAIN = 0x01
-_PAYLOAD_PSEUDONYMOUS = 0x02
-_PAYLOAD_REGISTRATION = 0x03
-
-_PSEUDONYM_CONTEXT = 0x30
 
 _FLAG_ADDRESS_ALL = 0x01
 
@@ -179,28 +186,32 @@ class SendOutcome:
 # payloads (inside the symmetric ciphertext)
 # ---------------------------------------------------------------------------
 
+_PLAIN = Record(("message", BYTES), type_byte=0x01)
+_PSEUDONYMOUS = Record(("message", BYTES), ("handle", KEY), ("signature", SIGNATURE),
+                       type_byte=0x02)
+_REGISTRATION = Record(("public_key", KEY), type_byte=0x03)
+_PAYLOADS = {record.type_byte: record
+             for record in (_PLAIN, _PSEUDONYMOUS, _REGISTRATION)}
+
+# what a pseudonymous payload's signature covers
+_PSEUDONYM_CONTEXT = Record(("group_id", TEXT), ("epoch", U32), ("message", BYTES),
+                            type_byte=0x30)
+
+
 def _encode_plain(message: bytes) -> bytes:
-    return Writer().u8(_PAYLOAD_PLAIN).field(message).done()
+    return _PLAIN.encode((message,))
 
 def _encode_pseudonymous(message: bytes, handle: bytes, signature: bytes) -> bytes:
-    w = Writer().u8(_PAYLOAD_PSEUDONYMOUS)
-    w.field(message)
-    w.field(handle)
-    w.field(signature)
-    return w.done()
+    return _PSEUDONYMOUS.encode((message, handle, signature))
 
 def _encode_registration(public_key: bytes) -> bytes:
-    return Writer().u8(_PAYLOAD_REGISTRATION).field(public_key).done()
+    return _REGISTRATION.encode((public_key,))
 
 
 def pseudonym_context(group_id: str, epoch: int, message: bytes) -> bytes:
     """The signed binding for pseudonymous payloads; epoch is in it so a
     payload replayed into a different epoch cannot verify."""
-    w = Writer(_PSEUDONYM_CONTEXT)
-    w.text(group_id)
-    w.u32(epoch)
-    w.field(message)
-    return w.done()
+    return _PSEUDONYM_CONTEXT.encode((group_id, epoch, message))
 
 
 # ---------------------------------------------------------------------------
@@ -209,32 +220,13 @@ def pseudonym_context(group_id: str, epoch: int, message: bytes) -> bytes:
 
 Entry = tuple[str, bytes]  # (chatbot id, sealed key or dummy of equal length)
 
-
-def _write_entry(w: Writer, entry: Entry) -> None:
-    w.text(entry[0])
-    w.field(entry[1])
-
-
-def _read_entry(r: Reader) -> Entry:
-    return (r.text(), r.field())
+# A message view's entries: each box is a sealed message key, or a
+# concealment dummy of the same width.
+_ENTRIES = items(Record(("chatbot_id", TEXT), ("box", BOX)), into=tuple)
 
 
-def _read_entries(r: Reader) -> tuple[Entry, ...]:
-    """A message view's entries. Each box is `SEALED_LEN` bytes: a sealed
-    message key, or a concealment dummy of the same width."""
-    entries = tuple(r.items(_read_entry))
-    if any(len(box) != SEALED_LEN for _, box in entries):
-        raise MalformedControl("entry box of the wrong width")
-    return entries
-
-
-def _check_widths(*fields: tuple[bytes, int]) -> None:
-    """Each decoded (field, width) pair: a key or a sealed box of any
-    other width is malformed."""
-    if any(len(data) != width for data, width in fields):
-        raise MalformedControl("field of the wrong width")
-
-
+@wire(VIEW_USER_MESSAGE, ("flags", U8), ("control", BYTES), ("ciphertext", BYTES),
+      ("entries", _ENTRIES))
 @dataclass(frozen=True)
 class UserMessageView:
     """A member's view of a message. The group id, epoch and group public
@@ -246,23 +238,9 @@ class UserMessageView:
     ciphertext: bytes
     entries: tuple[Entry, ...]
 
-    def to_bytes(self) -> bytes:
-        w = Writer(VIEW_USER_MESSAGE)
-        w.u8(self.flags)
-        w.field(self.control)
-        w.field(self.ciphertext)
-        w.items(list(self.entries), _write_entry)
-        return w.done()
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "UserMessageView":
-        r = Reader(data, expect_type=VIEW_USER_MESSAGE)
-        out = cls(flags=r.u8(), control=r.field(), ciphertext=r.field(),
-                  entries=_read_entries(r))
-        r.finish()
-        return out
-
-
+@wire(VIEW_CHATBOT_MESSAGE, ("group_id", TEXT), ("epoch", U32),
+      ("ciphertext", BYTES), ("group_public_key", KEY), ("entries", _ENTRIES))
 @dataclass(frozen=True)
 class ChatbotMessageView:
     group_id: str
@@ -271,37 +249,15 @@ class ChatbotMessageView:
     group_public_key: bytes
     entries: tuple[Entry, ...]
 
-    def to_bytes(self) -> bytes:
-        w = Writer(VIEW_CHATBOT_MESSAGE)
-        w.text(self.group_id)
-        w.u32(self.epoch)
-        w.field(self.ciphertext)
-        w.field(self.group_public_key)
-        w.items(list(self.entries), _write_entry)
-        return w.done()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ChatbotMessageView":
-        r = Reader(data, expect_type=VIEW_CHATBOT_MESSAGE)
-        out = cls(group_id=r.text(), epoch=r.u32(), ciphertext=r.field(),
-                  group_public_key=r.field(), entries=_read_entries(r))
-        r.finish()
-        _check_widths((out.group_public_key, PUBLIC_KEY_LEN))
-        return out
-
 
 def chatbot_view_shape(data: bytes) -> tuple:
     """Field-length vector of a chatbot view, for structural comparison."""
-    v = ChatbotMessageView.from_bytes(data)
-    return (
-        ("group_id", len(v.group_id.encode())),
-        ("epoch", 4),
-        ("ciphertext", len(v.ciphertext)),
-        ("group_public_key", len(v.group_public_key)),
-        ("entries", tuple((len(cid.encode()), len(box)) for cid, box in v.entries)),
-    )
+    (layout,) = ChatbotMessageView.wire_layouts.values()
+    return layout.shape(ChatbotMessageView.from_bytes(data))
 
 
+@wire(BOT_MESSAGE, ("group_id", TEXT), ("chatbot_id", TEXT), ("ciphertext", BYTES),
+      ("sealed_key", BOX), ("node_public_key", KEY))
 @dataclass(frozen=True)
 class BotMessage:
     group_id: str
@@ -310,26 +266,9 @@ class BotMessage:
     sealed_key: bytes
     node_public_key: bytes
 
-    def to_bytes(self) -> bytes:
-        w = Writer(BOT_MESSAGE)
-        w.text(self.group_id)
-        w.text(self.chatbot_id)
-        w.field(self.ciphertext)
-        w.field(self.sealed_key)
-        w.field(self.node_public_key)
-        return w.done()
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BotMessage":
-        r = Reader(data, expect_type=BOT_MESSAGE)
-        out = cls(group_id=r.text(), chatbot_id=r.text(), ciphertext=r.field(),
-                  sealed_key=r.field(), node_public_key=r.field())
-        r.finish()
-        _check_widths((out.sealed_key, SEALED_LEN),
-                      (out.node_public_key, PUBLIC_KEY_LEN))
-        return out
-
-
+@wire(ADD_BOT, ("group_id", TEXT), ("chatbot_id", TEXT), ("group_public_key", KEY),
+      ("node_public_key", KEY), ("sealed_seed", BOX))
 @dataclass(frozen=True)
 class AddBotControl:
     group_id: str
@@ -338,42 +277,12 @@ class AddBotControl:
     node_public_key: bytes
     sealed_seed: bytes
 
-    def to_bytes(self) -> bytes:
-        w = Writer(ADD_BOT)
-        w.text(self.group_id)
-        w.text(self.chatbot_id)
-        w.field(self.group_public_key)
-        w.field(self.node_public_key)
-        w.field(self.sealed_seed)
-        return w.done()
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AddBotControl":
-        r = Reader(data, expect_type=ADD_BOT)
-        out = cls(group_id=r.text(), chatbot_id=r.text(),
-                  group_public_key=r.field(), node_public_key=r.field(),
-                  sealed_seed=r.field())
-        r.finish()
-        _check_widths((out.group_public_key, PUBLIC_KEY_LEN),
-                      (out.node_public_key, PUBLIC_KEY_LEN),
-                      (out.sealed_seed, SEALED_LEN))
-        return out
-
-
+@wire(REMOVE_BOT, ("group_id", TEXT), ("chatbot_id", TEXT))
 @dataclass(frozen=True)
 class RemoveBotControl:
     group_id: str
     chatbot_id: str
-
-    def to_bytes(self) -> bytes:
-        return Writer(REMOVE_BOT).text(self.group_id).text(self.chatbot_id).done()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "RemoveBotControl":
-        r = Reader(data, expect_type=REMOVE_BOT)
-        out = cls(group_id=r.text(), chatbot_id=r.text())
-        r.finish()
-        return out
 
 
 @dataclass(frozen=True)
@@ -385,6 +294,12 @@ class Welcome:
     roster: tuple[tuple[str, bytes], ...] = ()
 
 
+_WELCOME = Record(("tree", BYTES),
+                  ("roster", items(Record(("chatbot_id", TEXT), ("key", KEY)), into=tuple)),
+                  build=Welcome)
+
+
+@wire(GROUP_CONTROL, ("control", BYTES), ("welcome", at_most_one(_WELCOME)))
 @dataclass(frozen=True)
 class GroupControl:
     """A tree control for users. An add's also carries the welcome for its
@@ -392,31 +307,6 @@ class GroupControl:
 
     control: bytes
     welcome: Welcome | None = None
-
-    def to_bytes(self) -> bytes:
-        w = Writer(GROUP_CONTROL)
-        w.field(self.control)
-        w.items([] if self.welcome is None else [self.welcome], _write_welcome)
-        return w.done()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "GroupControl":
-        r = Reader(data, expect_type=GROUP_CONTROL)
-        control = r.field()
-        welcomes = r.items(_read_welcome)
-        r.finish()
-        if len(welcomes) > 1:
-            raise MalformedControl("more than one welcome")
-        return cls(control=control, welcome=welcomes[0] if welcomes else None)
-
-
-def _write_welcome(w: Writer, welcome: Welcome) -> None:
-    w.field(welcome.tree)
-    w.items(list(welcome.roster), _write_entry)
-
-
-def _read_welcome(r: Reader) -> Welcome:
-    return Welcome(tree=r.field(), roster=tuple(r.items(_read_entry)))
 
 
 # ---------------------------------------------------------------------------
@@ -690,20 +580,15 @@ class UserState:
 def _parse_payload(payload: bytes) -> tuple[ReceiveResult, bytes | None]:
     """Returns the decoded result and, for pseudonymous payloads, the
     signature over the pseudonym context."""
-    r = Reader(payload)
-    tag = r.u8()
-    signature = None
-    if tag == _PAYLOAD_PLAIN:
-        out: ReceiveResult = ReceivedMessage(message=r.field())
-    elif tag == _PAYLOAD_PSEUDONYMOUS:
-        out = ReceivedMessage(message=r.field(), pseudonym=r.field())
-        signature = r.field()
-    elif tag == _PAYLOAD_REGISTRATION:
-        out = PseudonymRegistration(public_key=r.field())
-    else:
+    record = _PAYLOADS.get(peek_type(payload))
+    if record is None:
         raise MalformedControl("unknown payload tag")
-    r.finish()
-    return out, signature
+    values = record.decode(payload)
+    if record is _REGISTRATION:
+        return PseudonymRegistration(*values), None
+    if record is _PSEUDONYMOUS:
+        return ReceivedMessage(*values[:2]), values[2]
+    return ReceivedMessage(*values), None
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,7 @@ class Provider:
     def register_bot(self, registration: BotRegistration) -> None:
         if registration.chatbot_id in self._bots:
             raise DuplicateId(f"chatbot {registration.chatbot_id!r} already registered")
+        BotRegistration.from_bytes(registration.to_bytes())  # its widths and rules
         if not registration.verify_signature():
             raise BadSignature("registration signature does not verify")
         self._bots[registration.chatbot_id] = registration

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .encoding import Reader, Writer
+from .encoding import TEXT, TREE_NODE, U32, Record, items
 from .errors import MalformedControl
-from .primitives import PUBLIC_KEY_LEN
 
 
 # node index arithmetic -----------------------------------------------------
@@ -86,6 +85,11 @@ def is_ancestor(a: int, x: int) -> bool:
 
 # tree -----------------------------------------------------------------------
 
+# The public tree's wire layout: node keys, then (leaf, member id) by leaf.
+_PUBLIC_TREE = Record(("capacity", U32), ("nodes", items(TREE_NODE)),
+                      ("members", items(Record(("leaf", U32), ("member_id", TEXT)))))
+
+
 @dataclass
 class RatchetTree:
     capacity: int
@@ -142,35 +146,20 @@ class RatchetTree:
     # public snapshot ---------------------------------------------------------
 
     def to_public_bytes(self) -> bytes:
-        """Public keys and membership: the whole tree. A blank node is an
-        empty field, any other a key of `PUBLIC_KEY_LEN` bytes."""
-        def write_member(wr: Writer, kv: tuple[int, str]) -> None:
-            wr.u32(kv[0])
-            wr.text(kv[1])
-
-        w = Writer()
-        w.u32(self.capacity)
-        w.items([pk or b"" for pk in self.nodes],
-                lambda wr, pk: wr.field(pk))
-        w.items(sorted(self.members.items()), write_member)
-        return w.done()
+        """Public keys and membership: the whole tree."""
+        return _PUBLIC_TREE.encode(
+            (self.capacity, self.nodes, sorted(self.members.items())))
 
     @classmethod
     def from_public_bytes(cls, data: bytes) -> "RatchetTree":
-        r = Reader(data)
-        capacity = r.u32()
+        capacity, nodes, seats = _PUBLIC_TREE.decode(data)
         if capacity < 1 or capacity & (capacity - 1):
             raise MalformedControl("bad tree capacity")
-        pks = r.items(Reader.field)
-        if len(pks) != node_count(capacity):
+        if len(nodes) != node_count(capacity):
             raise MalformedControl("bad tree node count")
-        if any(len(pk) not in (0, PUBLIC_KEY_LEN) for pk in pks):
-            raise MalformedControl("node key of the wrong width")
-        seats = r.items(lambda rr: (rr.u32(), rr.text()))
-        r.finish()
         members = dict(seats)
         if len(members) != len(seats) or len(set(members.values())) != len(seats):
             raise MalformedControl("a member leaf or id listed twice")
         if any(leaf >= capacity for leaf in members):
             raise MalformedControl("member leaf out of range")
-        return cls(capacity=capacity, nodes=[pk or None for pk in pks], members=members)
+        return cls(capacity=capacity, nodes=nodes, members=members)

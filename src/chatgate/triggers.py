@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encoding import Reader, Writer
+from .encoding import BYTES, KEY, SIGNATURE, TEXT, U8, Record, items, nested, wire
 from .errors import MalformedControl
 from .primitives import sign, verify
 
@@ -26,7 +26,6 @@ _RULE_KIND = {v: k for k, v in _RULE_TYPE.items()}
 
 _TRIGGER_TYPE = 0x20
 _REGISTRATION_TYPE = 0x21
-_REGISTRATION_CONTEXT = 0x22
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,18 @@ class TriggerRule:
         if self.kind in ("prefix", "contains", "mention") and not self.argument:
             raise ValueError(f"{self.kind} needs an argument")
 
+    @property
+    def type_byte(self) -> int:
+        return _RULE_TYPE[self.kind]
+
+    @classmethod
+    def from_wire(cls, type_byte: int, argument: bytes) -> "TriggerRule":
+        """A decoded rule: an unknown kind byte or a bad rule is malformed."""
+        try:
+            return cls(kind=_RULE_KIND.get(type_byte, type_byte), argument=argument)
+        except ValueError as exc:
+            raise MalformedControl(str(exc)) from exc
+
     def matches(self, message: bytes) -> bool:
         if self.kind == "prefix":
             return message.startswith(self.argument)
@@ -52,6 +63,10 @@ class TriggerRule:
         return self.kind == "always"
 
 
+@wire(_TRIGGER_TYPE, ("chatbot_id", TEXT),
+      ("rules", items(Record(("type_byte", U8), ("argument", BYTES),
+                             build=TriggerRule.from_wire), into=tuple)),
+      encoder="canonical_bytes")
 @dataclass(frozen=True)
 class TriggerSpec:
     chatbot_id: str
@@ -59,36 +74,6 @@ class TriggerSpec:
 
     def matches(self, message: bytes) -> bool:
         return any(rule.matches(message) for rule in self.rules)
-
-    def canonical_bytes(self) -> bytes:
-        w = Writer(_TRIGGER_TYPE)
-        w.text(self.chatbot_id)
-        w.items(list(self.rules), _write_rule)
-        return w.done()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TriggerSpec":
-        r = Reader(data, expect_type=_TRIGGER_TYPE)
-        chatbot_id = r.text()
-        rules = tuple(r.items(_read_rule))
-        r.finish()
-        return cls(chatbot_id=chatbot_id, rules=rules)
-
-
-def _write_rule(w: Writer, rule: TriggerRule) -> None:
-    w.u8(_RULE_TYPE[rule.kind])
-    w.field(rule.argument)
-
-
-def _read_rule(r: Reader) -> TriggerRule:
-    kind = _RULE_KIND.get(r.u8())
-    if kind is None:
-        raise MalformedControl("unknown rule kind byte")
-    argument = r.field()
-    try:
-        return TriggerRule(kind=kind, argument=argument)
-    except ValueError as exc:
-        raise MalformedControl(str(exc)) from exc
 
 
 def rule_from_text(text: str) -> TriggerRule:
@@ -109,6 +94,11 @@ def rules_from_text(text: str) -> tuple[TriggerRule, ...]:
 # registrations
 # ---------------------------------------------------------------------------
 
+_TRIGGER = nested(TriggerSpec, "canonical_bytes")
+
+
+@wire(_REGISTRATION_TYPE, ("chatbot_id", TEXT), ("enc_public_key", KEY),
+      ("sig_public_key", KEY), ("trigger", _TRIGGER), ("signature", SIGNATURE))
 @dataclass(frozen=True)
 class BotRegistration:
     """Immutable published identity of a chatbot."""
@@ -126,35 +116,15 @@ class BotRegistration:
     def verify_signature(self) -> bool:
         return verify(self.sig_public_key, self.signature, self.signing_context())
 
-    def to_bytes(self) -> bytes:
-        w = Writer(_REGISTRATION_TYPE)
-        w.text(self.chatbot_id)
-        w.field(self.enc_public_key)
-        w.field(self.sig_public_key)
-        w.field(self.trigger.canonical_bytes())
-        w.field(self.signature)
-        return w.done()
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BotRegistration":
-        r = Reader(data, expect_type=_REGISTRATION_TYPE)
-        chatbot_id = r.text()
-        enc_pk = r.field()
-        sig_pk = r.field()
-        trigger = TriggerSpec.from_bytes(r.field())
-        signature = r.field()
-        r.finish()
-        return cls(chatbot_id=chatbot_id, enc_public_key=enc_pk,
-                   sig_public_key=sig_pk, trigger=trigger, signature=signature)
+# what a registration's signature covers
+_REGISTRATION_CONTEXT = Record(("enc_public_key", KEY), ("sig_public_key", KEY),
+                               ("trigger", _TRIGGER), type_byte=0x22)
 
 
 def registration_context(enc_public_key: bytes, sig_public_key: bytes,
                          trigger: TriggerSpec) -> bytes:
-    w = Writer(_REGISTRATION_CONTEXT)
-    w.field(enc_public_key)
-    w.field(sig_public_key)
-    w.field(trigger.canonical_bytes())
-    return w.done()
+    return _REGISTRATION_CONTEXT.encode((enc_public_key, sig_public_key, trigger))
 
 
 def make_registration(chatbot_id: str, enc_public_key: bytes,

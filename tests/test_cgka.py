@@ -710,10 +710,10 @@ def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
     """The per-field decoder that `CgkaControl.from_bytes` replaced: every
     path key, target, box and create init key goes through `Reader.field`,
     at any width."""
-    kind = cgka._KIND_BY_TYPE.get(peek_type(data))
+    kind = cgka._MIDDLES.get(peek_type(data), (None,))[0]
     if kind is None:
         raise MalformedControl("unknown control type")
-    r = Reader(data, expect_type=cgka._TYPE_BY_KIND[kind])
+    r = Reader(data, expect_type=peek_type(data))
     ctl = cgka.CgkaControl(kind=kind, group_id=r.text(), epoch=r.u32(),
                            sender_leaf=r.u32())
     if kind == "create":
@@ -855,6 +855,8 @@ def test_decode_reader_calls_do_not_grow_with_entries(monkeypatch):
         seen.append((len(ctl.path_entries), dict(calls)))
     assert [entries for entries, _ in seen] == [1, 7, 127]
     assert seen[0][1] == seen[1][1] == seen[2][1]
+    # a decoder that bound the Reader methods ahead of time would count none
+    assert all(seen[0][1].values())
 
 
 def test_warm_up_receiver_opens_one_of_127_entries():

@@ -6,13 +6,14 @@ one byte appended, and a length prefix pointing past the end must all raise
 MalformedControl, never decode and never raise anything else. Hypothesis then
 feeds every decoder arbitrary bytes and byte-mutated real encodings, and a
 sweep edits each byte of every decoder's shortest real encoding: each
-decoder must return or raise a ChatGateError.
+decoder must return or raise a ChatGateError. Every fixed-width field that
+the wire declarations name must refuse one byte more or less, and every
+real encoding must re-encode byte for byte.
 """
 
 from __future__ import annotations
 
 import base64
-import dataclasses
 import functools
 import struct
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chatgate import cgka, group, tree
-from chatgate.encoding import Reader, peek_type
+from chatgate.encoding import TREE_NODE, Reader, Record, peek_type
 from chatgate.errors import ChatGateError, MalformedControl
 from chatgate.harness import canned
 from chatgate.harness.runner import run_text
@@ -220,43 +221,134 @@ def test_decoders_raise_only_chatgate_errors_on_one_byte_edits(decode):
             _decode_everywhere(bytes(edited))
 
 
-# every fixed-width field of the bot channel: (wire type, field); "entries"
-# is the box of a message view's first entry
-WIDTH_FIELDS = ((group.AddBotControl, "group_public_key"),
-                (group.AddBotControl, "node_public_key"),
-                (group.AddBotControl, "sealed_seed"),
-                (group.BotMessage, "sealed_key"),
-                (group.BotMessage, "node_public_key"),
-                (group.ChatbotMessageView, "group_public_key"),
-                (group.ChatbotMessageView, "entries"),
-                (group.UserMessageView, "entries"))
+ENCODERS = {cgka.CgkaControl.from_bytes: "to_bytes",
+            tree.RatchetTree.from_public_bytes: "to_public_bytes",
+            TriggerSpec.from_bytes: "canonical_bytes"}
+
+
+def test_every_real_encoding_roundtrips():
+    # each real encoding decodes, and every decoder that accepts it
+    # re-encodes it byte for byte
+    for blob in _real_encodings():
+        accepted = 0
+        for decode in DECODERS:
+            try:
+                obj = decode(blob)
+            except ChatGateError:
+                continue
+            accepted += 1
+            assert getattr(obj, ENCODERS.get(decode, "to_bytes"))() == blob
+        assert accepted, blob.hex()
+
+
+# -- widths --------------------------------------------------------------------
+
+def _declared() -> list[tuple[str, Record, object]]:
+    """(name, layout, decoder) for every declared wire layout: each wire
+    type's (one per tree-control kind), the public tree's, and the three
+    payloads inside the ciphertext."""
+    out = [("RatchetTree", tree._PUBLIC_TREE, tree.RatchetTree.from_public_bytes)]
+    for decode in DECODERS:
+        cls = decode.__self__
+        if cls is tree.RatchetTree:
+            continue
+        for type_byte, layout in cls.wire_layouts.items():
+            name = cls.__name__
+            if cls is cgka.CgkaControl:
+                name += "." + cgka._MIDDLES[type_byte][0]
+            out.append((name, layout, decode))
+    for payload in ("_PLAIN", "_PSEUDONYMOUS", "_REGISTRATION"):
+        out.append((f"payload{payload}", getattr(group, payload), group._parse_payload))
+    return out
+
+
+def _is_fixed(kind) -> bool:
+    return kind.width is not None or kind is TREE_NODE
+
+
+def _fixed_fields(kind, path=(), in_list=False):
+    """(path, name) of every fixed-width field under `kind`. The path names
+    each field on the way; the name leaves out a list item's field when it
+    is the item's only fixed-width one, so that a view's entry box is
+    named `entries`."""
+    if hasattr(kind, "item"):  # a list, or a list of at most one
+        yield from _fixed_fields(kind.item, path, in_list=True)
+    elif isinstance(kind, Record):
+        fixed = [name for name, sub in kind.fields if _is_fixed(sub)]
+        for name, sub in kind.fields:
+            for sub_path, sub_name in _fixed_fields(sub, (name,)):
+                shown = sub_name[1:] if in_list and fixed == [name] else sub_name
+                yield path + sub_path, path + shown
+    elif _is_fixed(kind):
+        yield path, path
+
+
+def _resized(kind, value, path, delta):
+    """`value` with the fixed-width field at `path` one byte longer or
+    shorter, in the first list item where that can be done; None if there
+    is no such field in `value`."""
+    if hasattr(kind, "item") and not hasattr(kind, "into"):  # at most one
+        return None if value is None else _resized(kind.item, value, path, delta)
+    if hasattr(kind, "item"):
+        for i, item in enumerate(value):
+            edited = _resized(kind.item, item, path, delta)
+            if edited is not None:
+                items = list(value)
+                items[i] = edited
+                return kind.into(items)
+        return None
+    if isinstance(kind, Record):
+        values = list(kind.values(value) if kind.build else value)
+        i = [name for name, _ in kind.fields].index(path[0])
+        edited = _resized(kind.kinds[i], values[i], path[1:], delta)
+        if edited is None:
+            return None
+        values[i] = edited
+        return kind.build(*values) if kind.build else tuple(values)
+    if value is None or (delta < 0 and not value):
+        return None  # a blank tree node
+    return value + b"\x00" if delta > 0 else value[:-1]
+
+
+def _payload_samples() -> list[bytes]:
+    return [group._encode_plain(b"hello"),
+            group._encode_pseudonymous(b"hello", bytes(32), bytes(64)),
+            group._encode_registration(bytes(32))]
+
+
+# every fixed-width field of every declared layout: (layout, decoder, path)
+WIDTH_FIELDS = {f"{name}.{'.'.join(shown)}": (layout, decode, path)
+                for name, layout, decode in _declared()
+                for path, shown in _fixed_fields(layout)}
 
 
 @pytest.mark.parametrize("delta", (-1, 1))
-@pytest.mark.parametrize("cls,name", WIDTH_FIELDS,
-                         ids=[f"{cls.__name__}.{name}" for cls, name in WIDTH_FIELDS])
-def test_fixed_width_fields_refuse_one_byte_more_or_less(cls, name, delta):
+@pytest.mark.parametrize("field", sorted(WIDTH_FIELDS))
+def test_fixed_width_fields_refuse_one_byte_more_or_less(field, delta):
     # the same one-byte width edit on each field, its length prefix kept
     # consistent, so that only the width check can refuse it
-    decoded = []
-    for blob in _real_encodings():
+    layout, decode, path = WIDTH_FIELDS[field]
+    for blob in _real_encodings() + tuple(_payload_samples()):
         try:
-            decoded.append(cls.from_bytes(blob))
+            genuine = layout.decode(blob)
         except MalformedControl:
             continue
-    genuine = next(obj for obj in decoded if name != "entries" or obj.entries)
-
-    def resized(value: bytes) -> bytes:
-        return value + b"\x00" if delta > 0 else value[:-1]
-
-    if name == "entries":
-        (cid, box), *rest = genuine.entries
-        edited = dataclasses.replace(genuine, entries=((cid, resized(box)), *rest))
+        edited = _resized(layout, genuine, path, delta)
+        if edited is not None:
+            break
     else:
-        edited = dataclasses.replace(genuine, **{name: resized(getattr(genuine, name))})
-    assert cls.from_bytes(genuine.to_bytes()) == genuine
+        raise AssertionError(f"no real encoding carries {field}")
+    assert layout.encode(genuine) == blob
+    decode(blob)
     with pytest.raises(MalformedControl):
-        cls.from_bytes(edited.to_bytes())
+        decode(layout.encode(edited))
+
+
+def test_width_fields_cover_every_declared_type():
+    assert {name.split(".")[0] for name in WIDTH_FIELDS} >= {
+        "CgkaControl", "UserMessageView", "ChatbotMessageView", "BotMessage",
+        "AddBotControl", "GroupControl", "BotRegistration", "RatchetTree",
+        "payload_PSEUDONYMOUS", "payload_REGISTRATION"}
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from chatgate import cgka, counters, tree as treemod
+from chatgate import cgka, counters, group as group_module, tree as treemod
 from chatgate.cgka import CgkaControl, InitKeyDirectory
 from chatgate.encoding import Writer
 from chatgate.errors import (
@@ -466,6 +466,77 @@ def test_chatbot_view_with_a_short_group_key_leaves_the_bot_unchanged():
     assert json.dumps(bot.snapshot(), sort_keys=True) == before
     assert bot.receive(genuine) == ReceivedMessage(b"hello bot")
     bot.send(b"a reply under the genuine key")
+
+
+def snapshot_text(party) -> str:
+    return json.dumps(party.snapshot(), sort_keys=True)
+
+
+def test_add_with_a_short_init_key_leaves_the_members_unchanged():
+    # Receivers seated a newcomer under a forged 5-byte init key, and each
+    # one's next update then failed inside X25519.
+    world = bench.World(4, 0)
+    cgka.init("user-77", world.provider.directory)
+    wrapped = GroupControl.from_bytes(world.users["user-000"].add_user("user-77"))
+    ctl = CgkaControl.from_bytes(wrapped.control)
+    short = replace(ctl, new_member_init_pk=ctl.new_member_init_pk[:5])
+    forged = GroupControl(control=short.to_bytes()).to_bytes()
+    for uid in ("user-001", "user-002", "user-003"):
+        user = world.users[uid]
+        before = snapshot_text(user)
+        with pytest.raises(MalformedControl):
+            user.process_group_control(forged)
+        assert snapshot_text(user) == before
+        user.process_group_control(replace(wrapped, welcome=None).to_bytes())
+    world.users["user-003"].update_keys()
+
+
+def test_welcome_with_a_short_roster_key_leaves_the_newcomer_unchanged():
+    # A newcomer admitted a bot under a 5-byte roster key, and its next
+    # send to every bot failed inside X25519.
+    world = bench.World(4, 1)
+    newcomer = user_init(cgka.init("user-77", world.provider.directory), world.provider)
+    wrapped = GroupControl.from_bytes(world.users["user-000"].add_user("user-77"))
+    ((cid, key),) = wrapped.welcome.roster
+    forged = replace(wrapped, welcome=replace(wrapped.welcome, roster=((cid, key[:5]),)))
+    before = snapshot_text(newcomer)
+    with pytest.raises(MalformedControl):
+        newcomer.process_group_control(forged.to_bytes())
+    assert snapshot_text(newcomer) == before
+    newcomer.process_group_control(wrapped.to_bytes())
+    newcomer.send(b"hello every bot", address_all=True)
+
+
+# payload encoder -> the same encoder with one field cut to 5 bytes
+SHORT_PAYLOAD_FIELDS = {
+    "registration_key": ("_encode_registration",
+                         lambda encode: lambda pk: encode(pk[:5])),
+    "pseudonym_handle": ("_encode_pseudonymous",
+                         lambda encode: lambda m, h, sig: encode(m, h[:5], sig)),
+    "pseudonym_signature": ("_encode_pseudonymous",
+                            lambda encode: lambda m, h, sig: encode(m, h, sig[:5])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_PAYLOAD_FIELDS))
+def test_payload_field_of_the_wrong_width_leaves_the_bot_unchanged(name, monkeypatch):
+    # A 5-byte pseudonym key made the bot's `derive` raise ValueError; a
+    # short handle or signature read as an unknown or bad pseudonym.
+    world = bench.World(3, 1)
+    bot, user = world.bots["bench-bot-000"], world.users["user-001"]
+    if name != "registration_key":
+        out = user.register_pseudonym()
+        world.publish("user-001", out.user_view, out.chatbot_view)
+    encoder, cut = SHORT_PAYLOAD_FIELDS[name]
+    monkeypatch.setattr(group_module, encoder, cut(getattr(group_module, encoder)))
+    if name == "registration_key":
+        view = user.register_pseudonym().chatbot_view
+    else:
+        view = user.send(b"hello bot", pseudonymous=True).chatbot_view
+    before = snapshot_text(bot)
+    with pytest.raises(MalformedControl):
+        bot.receive(view)
+    assert snapshot_text(bot) == before
 
 
 def welcome_tree_seating(tree, seats):

@@ -56,7 +56,7 @@ from chatgate.provider import (
     _payload_message,
     adversary_decrypt,
 )
-from chatgate.triggers import rules_from_text
+from chatgate.triggers import make_registration, rules_from_text
 
 
 def make_world(n=3, bots=(("echo-bot-01", "mention:@echo"),), group_id="grp-main"):
@@ -129,6 +129,30 @@ def test_bot_registration_checks():
         signature=b"\x00" * 64)
     with pytest.raises(BadSignature):
         provider.register_bot(forged)
+
+
+def test_init_key_directory_refuses_a_key_of_the_wrong_width():
+    # a 5-byte init key was published, and the adder's add then raised a
+    # bare ValueError inside X25519
+    provider = Provider()
+    with pytest.raises(MalformedControl):
+        provider.directory.register("user-00", bytes(5))
+    assert "user-00" not in provider.directory
+
+
+def test_register_bot_refuses_a_key_of_the_wrong_width():
+    # a registration signed over a 5-byte encryption key was accepted, and
+    # the attaching member's add_chatbot then raised a bare ValueError
+    provider = Provider()
+    bot = chatbot_init("short-bot-01", rules_from_text("always"))
+    short = make_registration("short-bot-01", bot.enc_identity.public_key[:5],
+                              bot.sig_identity.secret_key,
+                              bot.sig_identity.public_key, bot.registration.trigger.rules)
+    assert short.verify_signature()
+    with pytest.raises(MalformedControl):
+        provider.register_bot(short)
+    with pytest.raises(UnknownChatbot):
+        provider.lookup_bot("short-bot-01")
 
 
 def test_group_table_checks():
