@@ -366,9 +366,6 @@ class CgkaState:
 
     def snapshot(self) -> dict:
         """Full canonical state, secrets included (compromise model)."""
-        def hx(b: bytes | None) -> str | None:
-            return b.hex() if b is not None else None
-
         state: dict = {
             "member_id": self.member_id,
             "group_id": self.group_id,
@@ -395,6 +392,11 @@ class CgkaState:
                 for x, (s, kp) in sorted(self._pending.path.items())
             }
         return state
+
+
+def hx(b: bytes | None) -> str | None:
+    """`b` as hex, or None: the spelling of optional bytes in snapshots."""
+    return b.hex() if b is not None else None
 
 
 def _apply_update_path(control: CgkaControl, t: treemod.RatchetTree,

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Protocol, Union
 
-from .cgka import CgkaControl, CgkaState
+from .cgka import CgkaControl, CgkaState, hx
 from .encoding import (
     BOX,
     BYTES,
@@ -553,9 +553,6 @@ class UserState:
             raise MalformedControl("bundle for a different group")
 
     def snapshot(self) -> dict:
-        def hx(b: bytes | None):
-            return b.hex() if b is not None else None
-
         return {
             "kind": "user",
             "id": self.member_id,
@@ -694,9 +691,6 @@ class ChatbotState:
                           node_public_key=node.public_key).to_bytes()
 
     def snapshot(self) -> dict:
-        def hx(b: bytes | None):
-            return b.hex() if b is not None else None
-
         return {
             "kind": "chatbot",
             "id": self.chatbot_id,

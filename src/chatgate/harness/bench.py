@@ -20,15 +20,12 @@ import csv
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .. import cgka, counters
 from ..group import chatbot_init, user_init
 from ..provider import Provider
 from ..triggers import rules_from_text
-
-CSV_COLUMNS = ("bench", "n", "m", "variant", "iterations",
-               "p50_ms", "mean_ms", "pke_seal", "pke_open", "derive")
 
 
 @dataclass(frozen=True)
@@ -43,6 +40,9 @@ class BenchRow:
     pke_seal: int
     pke_open: int
     derive: int
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 def write_csv(rows: list[BenchRow], path: str) -> None:

@@ -35,22 +35,8 @@ from ..group import (
 from ..primitives import MSG_KEY, derive, seeded
 from ..provider import Provider
 from ..triggers import rules_from_text
-from .scenario import (
-    AddBot,
-    AddUser,
-    BotDecl,
-    BotSend,
-    Compromise,
-    GroupOp,
-    Op,
-    RegisterPseudonym,
-    RemBot,
-    RemUser,
-    Scenario,
-    Send,
-    Update,
-    parse_scenario,
-)
+from . import scenario as sc
+from .scenario import Op, Scenario, parse_scenario
 
 
 @dataclass(frozen=True)
@@ -176,7 +162,8 @@ class Runner:
                 try:
                     self._apply(op)
                 except Exception as exc:
-                    exc.add_note(_where(op))
+                    exc.add_note(f"scenario line {op.line_no}: "
+                                 f"{op.keyword} by {op.party}")
                     raise
         return self.result
 
@@ -203,117 +190,114 @@ class Runner:
         it publishes. Ops that publish nothing record their event here."""
         res = self.result
         gid = self.scenario.group_id
+        who = op.party
 
-        if isinstance(op, GroupOp):
-            members = list(op.members)
-            for uid in members:
-                self._join(uid)
-            res.provider.create_group(gid, members)
-            creator = members[0]
-            with counters.attribute(creator):
-                blob = res.users[creator].create_group(gid, members)
-            return _Bundle(creator, blob, {"actor": creator, "members": members})
+        match op:
+            case sc.GroupOp():
+                members = list(op.members)
+                for uid in members:
+                    self._join(uid)
+                res.provider.create_group(gid, members)
+                with counters.attribute(who):
+                    blob = res.users[who].create_group(gid, members)
+                return _Bundle(who, blob, {"actor": who, "members": members})
 
-        if isinstance(op, BotDecl):
-            with counters.attribute(op.chatbot_id):
-                bot = chatbot_init(op.chatbot_id, rules_from_text(op.rules_text))
-            res.bots[op.chatbot_id] = bot
-            res.provider.register_bot(bot.registration)
-            res.provider.register_party(op.chatbot_id, bot)
-            self._event(op, None, chatbot=op.chatbot_id, rules=op.rules_text)
-            return None
+            case sc.BotDecl():
+                with counters.attribute(who):
+                    bot = chatbot_init(who, rules_from_text(op.rules))
+                res.bots[who] = bot
+                res.provider.register_bot(bot.registration)
+                res.provider.register_party(who, bot)
+                self._event(op, None, chatbot=who, rules=op.rules)
+                return None
 
-        if isinstance(op, AddBot):
-            with counters.attribute(op.actor):
-                blob = res.users[op.actor].add_chatbot(op.chatbot_id)
-            res.provider.attach_chatbot(gid, op.chatbot_id)
-            return _Bundle(op.actor, blob,
-                           {"actor": op.actor, "chatbot": op.chatbot_id},
-                           bot_view=blob, bot_targets=(op.chatbot_id,))
+            case sc.AddBot():
+                with counters.attribute(who):
+                    blob = res.users[who].add_chatbot(op.chatbot)
+                res.provider.attach_chatbot(gid, op.chatbot)
+                return _Bundle(who, blob, {"actor": who, "chatbot": op.chatbot},
+                               bot_view=blob, bot_targets=(op.chatbot,))
 
-        if isinstance(op, RemBot):
-            # delivered while the bot is still routed, so it wipes its
-            # state; detached after delivery, before the snapshot pass
-            with counters.attribute(op.actor):
-                blob = res.users[op.actor].remove_chatbot(op.chatbot_id)
-            return _Bundle(op.actor, blob,
-                           {"actor": op.actor, "chatbot": op.chatbot_id},
-                           bot_view=blob, bot_targets=(op.chatbot_id,),
-                           detach=op.chatbot_id)
+            case sc.RemBot():
+                # delivered while the bot is still routed, so it wipes its
+                # state; detached after delivery, before the snapshot pass
+                with counters.attribute(who):
+                    blob = res.users[who].remove_chatbot(op.chatbot)
+                return _Bundle(who, blob, {"actor": who, "chatbot": op.chatbot},
+                               bot_view=blob, bot_targets=(op.chatbot,),
+                               detach=op.chatbot)
 
-        if isinstance(op, AddUser):
-            self._join(op.member_id)
-            with counters.attribute(op.actor):
-                blob = res.users[op.actor].add_user(op.member_id)
-            res.provider.add_member(gid, op.member_id)
-            return _Bundle(op.actor, blob,
-                           {"actor": op.actor, "member": op.member_id})
+            case sc.AddUser():
+                self._join(op.member)
+                with counters.attribute(who):
+                    blob = res.users[who].add_user(op.member)
+                res.provider.add_member(gid, op.member)
+                return _Bundle(who, blob, {"actor": who, "member": op.member})
 
-        if isinstance(op, RemUser):
-            with counters.attribute(op.actor):
-                blob = res.users[op.actor].remove_user(op.member_id)
-            res.provider.remove_member(gid, op.member_id)
-            return _Bundle(op.actor, blob,
-                           {"actor": op.actor, "member": op.member_id})
+            case sc.RemUser():
+                with counters.attribute(who):
+                    blob = res.users[who].remove_user(op.member)
+                res.provider.remove_member(gid, op.member)
+                return _Bundle(who, blob, {"actor": who, "member": op.member})
 
-        if isinstance(op, Update):
-            with counters.attribute(op.actor):
-                blob = res.users[op.actor].update_keys()
-            return _Bundle(op.actor, blob, {"actor": op.actor})
+            case sc.Update():
+                with counters.attribute(who):
+                    blob = res.users[who].update_keys()
+                return _Bundle(who, blob, {"actor": who})
 
-        if isinstance(op, Send):
-            sender = res.users[op.sender]
-            with counters.attribute(op.sender):
-                out = sender.send(op.message, conceal=op.conceal,
-                                  address_all=op.address_all,
-                                  pseudonymous=op.pseudonymous)
-            return _Bundle(
-                op.sender, out.user_view,
-                {"sender": op.sender, "addressed": list(out.addressed),
-                 "concealed": list(out.concealed),
-                 "pseudonymous": op.pseudonymous, "epoch": out.epoch},
-                bot_view=out.chatbot_view,
-                send=SendEvent(
-                    seq=0, line_no=op.line_no, kind="user", sender=op.sender,
-                    epoch=out.epoch, message=op.message,
-                    addressed=out.addressed, concealed=out.concealed,
-                    pseudonymous=op.pseudonymous),
-                secret=sender.cgka.group_secret)
+            case sc.Send():
+                sender = res.users[who]
+                with counters.attribute(who):
+                    out = sender.send(op.message, conceal=op.conceal,
+                                      address_all=op.address_all,
+                                      pseudonymous=op.pseudonymous)
+                return _Bundle(
+                    who, out.user_view,
+                    {"sender": who, "addressed": list(out.addressed),
+                     "concealed": list(out.concealed),
+                     "pseudonymous": op.pseudonymous, "epoch": out.epoch},
+                    bot_view=out.chatbot_view,
+                    send=SendEvent(
+                        seq=0, line_no=op.line_no, kind="user", sender=who,
+                        epoch=out.epoch, message=op.message,
+                        addressed=out.addressed, concealed=out.concealed,
+                        pseudonymous=op.pseudonymous),
+                    secret=sender.cgka.group_secret)
 
-        if isinstance(op, BotSend):
-            with counters.attribute(op.chatbot_id):
-                blob = res.bots[op.chatbot_id].send(op.message)
-            return _Bundle(
-                op.chatbot_id, blob, {"sender": op.chatbot_id},
-                send=SendEvent(
-                    seq=0, line_no=op.line_no, kind="bot",
-                    sender=op.chatbot_id, epoch=None, message=op.message,
-                    addressed=tuple(res.current_members())))
+            case sc.BotSend():
+                with counters.attribute(who):
+                    blob = res.bots[who].send(op.message)
+                return _Bundle(
+                    who, blob, {"sender": who},
+                    send=SendEvent(
+                        seq=0, line_no=op.line_no, kind="bot", sender=who,
+                        epoch=None, message=op.message,
+                        addressed=tuple(res.current_members())))
 
-        if isinstance(op, RegisterPseudonym):
-            user = res.users[op.actor]
-            with counters.attribute(op.actor):
-                out = user.register_pseudonym()
-            return _Bundle(
-                op.actor, out.user_view,
-                {"actor": op.actor, "handle": user.pseudonym.handle.hex(),
-                 "epoch": out.epoch},
-                bot_view=out.chatbot_view,
-                # the payload the group sees is the fresh pseudonym public key
-                send=SendEvent(
-                    seq=0, line_no=op.line_no, kind="registration",
-                    sender=op.actor, epoch=out.epoch,
-                    message=user.pseudonym.key.public_key,
-                    addressed=out.addressed),
-                secret=user.cgka.group_secret)
+            case sc.RegisterPseudonym():
+                user = res.users[who]
+                with counters.attribute(who):
+                    out = user.register_pseudonym()
+                return _Bundle(
+                    who, out.user_view,
+                    {"actor": who, "handle": user.pseudonym.handle.hex(),
+                     "epoch": out.epoch},
+                    bot_view=out.chatbot_view,
+                    # the payload the group sees is the fresh pseudonym public key
+                    send=SendEvent(
+                        seq=0, line_no=op.line_no, kind="registration",
+                        sender=who, epoch=out.epoch,
+                        message=user.pseudonym.key.public_key,
+                        addressed=out.addressed),
+                    secret=user.cgka.group_secret)
 
-        if isinstance(op, Compromise):
-            snap = res.provider.snapshot_state(op.party)
-            res.compromises[op.label] = CompromiseEvent(
-                label=op.label, party=op.party, seq=self._last_seq,
-                snapshot=snap)
-            self._event(op, None, party=op.party, label=op.label)
-            return None
+            case sc.Compromise():
+                snap = res.provider.snapshot_state(who)
+                res.compromises[op.label] = CompromiseEvent(
+                    label=op.label, party=who, seq=self._last_seq,
+                    snapshot=snap)
+                self._event(op, None, party=who, label=op.label)
+                return None
 
         # the parser only emits the types above
         raise TypeError(f"unhandled op {op!r}")  # pragma: no cover
@@ -405,24 +389,7 @@ class Runner:
 
     def _event(self, source: Op, seq: int | None, **detail) -> None:
         self.result.events.append({"seq": seq, "line": source.line_no,
-                                   "op": _OP_NAMES[type(source)], **detail})
-
-
-# op type -> its scenario keyword, for events and error notes
-_OP_NAMES = {GroupOp: "group", BotDecl: "bot", AddBot: "add_bot",
-             RemBot: "rem_bot", AddUser: "add_user", RemUser: "rem_user",
-             Send: "send", BotSend: "bot_send", Update: "update",
-             RegisterPseudonym: "register_pseudonym", Compromise: "compromise"}
-
-
-def _where(op: Op) -> str:
-    """The scenario line, op and acting party of `op`, for an error note."""
-    if isinstance(op, GroupOp):
-        party = op.members[0]
-    else:
-        party = next(getattr(op, a) for a in ("actor", "sender", "party",
-                                                 "chatbot_id") if hasattr(op, a))
-    return f"scenario line {op.line_no}: {_OP_NAMES[type(op)]} by {party}"
+                                   "op": source.keyword, **detail})
 
 
 def _outcome(result) -> str | None:

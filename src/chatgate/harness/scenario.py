@@ -17,63 +17,71 @@ ops imply, so a bad scenario fails before anything runs:
     add_user user-00 user-03
     rem_user user-00 user-01
     rem_bot user-00 echo-bot-01
+
+Each op is one class below. Its `keyword` starts the line, and its fields
+after `line_no` are the line's arguments in order: the acting `party`
+first, then the required fields, then any boolean fields as optional flags.
+`group` alone has its own form, `group <id> <member>...`.
 """
 
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
+from typing import ClassVar
 
 from ..errors import ScenarioParseError
 from ..triggers import rules_from_text
 
 
 @dataclass(frozen=True)
-class GroupOp:
+class Op:
+    keyword: ClassVar[str]
     line_no: int
+    party: str                     # who acts
+
+
+@dataclass(frozen=True)
+class GroupOp(Op):
+    keyword = "group"              # party: the creator, the first member
     group_id: str
     members: tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class BotDecl:
-    line_no: int
-    chatbot_id: str
-    rules_text: str
+class BotDecl(Op):
+    keyword = "bot"                # party: the declared chatbot
+    rules: str
 
 
 @dataclass(frozen=True)
-class AddBot:
-    line_no: int
-    actor: str
-    chatbot_id: str
+class AddBot(Op):
+    keyword = "add_bot"
+    chatbot: str
 
 
 @dataclass(frozen=True)
-class RemBot:
-    line_no: int
-    actor: str
-    chatbot_id: str
+class RemBot(Op):
+    keyword = "rem_bot"
+    chatbot: str
 
 
 @dataclass(frozen=True)
-class AddUser:
-    line_no: int
-    actor: str
-    member_id: str
+class AddUser(Op):
+    keyword = "add_user"
+    member: str
 
 
 @dataclass(frozen=True)
-class RemUser:
-    line_no: int
-    actor: str
-    member_id: str
+class RemUser(Op):
+    keyword = "rem_user"
+    member: str
 
 
 @dataclass(frozen=True)
-class Send:
-    line_no: int
-    sender: str
+class Send(Op):
+    keyword = "send"
     message: bytes
     conceal: bool = False
     pseudonymous: bool = False
@@ -81,46 +89,34 @@ class Send:
 
 
 @dataclass(frozen=True)
-class BotSend:
-    line_no: int
-    chatbot_id: str
+class BotSend(Op):
+    keyword = "bot_send"           # party: the replying chatbot
     message: bytes
 
 
 @dataclass(frozen=True)
-class Update:
-    line_no: int
-    actor: str
+class Update(Op):
+    keyword = "update"
 
 
 @dataclass(frozen=True)
-class RegisterPseudonym:
-    line_no: int
-    actor: str
+class RegisterPseudonym(Op):
+    keyword = "register_pseudonym"
 
 
 @dataclass(frozen=True)
-class Compromise:
-    line_no: int
-    party: str
+class Compromise(Op):
+    keyword = "compromise"         # party: whose state leaks
     label: str
 
 
-Op = (GroupOp | BotDecl | AddBot | RemBot | AddUser | RemUser
-      | Send | BotSend | Update | RegisterPseudonym | Compromise)
+OPS: dict[str, type[Op]] = {cls.keyword: cls for cls in Op.__subclasses__()}
 
 
 @dataclass
 class Scenario:
     group_id: str
     ops: list[Op] = field(default_factory=list)
-
-    @property
-    def initial_members(self) -> tuple[str, ...]:
-        return self.ops[0].members
-
-
-_SEND_FLAGS = ("conceal", "pseudonymous", "address_all")
 
 
 class _Checker:
@@ -141,150 +137,126 @@ class _Checker:
         if cid not in self.bots_attached:
             raise ScenarioParseError(line_no, f"{cid!r} is not attached here")
 
+    def apply(self, op: Op) -> None:
+        """Raise if `op` cannot happen in the state so far, else take it in."""
+        line_no, who = op.line_no, op.party
+        match op:
+            case GroupOp(members=members):
+                if len(set(members)) != len(members):
+                    raise ScenarioParseError(line_no, "duplicate member in group")
+                self.members = set(members)
+            case BotDecl(rules=rules):
+                if who in self.bots_declared:
+                    raise ScenarioParseError(line_no, f"bot {who!r} declared twice")
+                try:
+                    rules_from_text(rules)
+                except ValueError as exc:
+                    raise ScenarioParseError(line_no, str(exc)) from None
+                self.bots_declared.add(who)
+            case AddBot(chatbot=cid):
+                self.member(line_no, who)
+                if cid not in self.bots_declared:
+                    raise ScenarioParseError(line_no, f"bot {cid!r} was never declared")
+                if cid in self.bots_attached:
+                    raise ScenarioParseError(line_no, f"bot {cid!r} already attached")
+                self.bots_attached.add(cid)
+            case RemBot(chatbot=cid):
+                self.member(line_no, who)
+                self.attached(line_no, cid)
+                self.bots_attached.discard(cid)
+            case AddUser(member=uid):
+                self.member(line_no, who)
+                if uid in self.members:
+                    raise ScenarioParseError(line_no, f"{uid!r} is already a member")
+                self.members.add(uid)
+            case RemUser(member=uid):
+                self.member(line_no, who)
+                self.member(line_no, uid)
+                if who == uid:
+                    raise ScenarioParseError(line_no, "members cannot remove themselves")
+                self.members.discard(uid)
+                self.pseudonym_holders.discard(uid)
+            case Send():
+                self.member(line_no, who)
+                if op.pseudonymous and who not in self.pseudonym_holders:
+                    raise ScenarioParseError(
+                        line_no, f"{who!r} has no pseudonym registered here")
+            case BotSend():
+                self.attached(line_no, who)
+            case Update():
+                self.member(line_no, who)
+            case RegisterPseudonym():
+                self.member(line_no, who)
+                if not self.bots_attached:
+                    raise ScenarioParseError(line_no, "no chatbot attached to register with")
+                self.pseudonym_holders.add(who)
+            case Compromise(label=label):
+                if who not in self.members and who not in self.bots_attached:
+                    raise ScenarioParseError(line_no, f"{who!r} is not live here")
+                if label in self.labels:
+                    raise ScenarioParseError(line_no, f"label {label!r} reused")
+                self.labels.add(label)
+
+
+@cache
+def _form(cls: type[Op]) -> tuple[tuple[str, ...], tuple[str, ...], str]:
+    """`cls`'s positional argument names, its flag names and its usage text."""
+    own = fields(cls)[1:]  # after line_no
+    names = tuple(f.name for f in own if f.default is MISSING)
+    flags = tuple(f.name for f in own if f.default is False)
+    usage = " ".join([cls.keyword, *(f"<{n}>" for n in names),
+                      *(f"[{f}]" for f in flags)])
+    return names, flags, usage
+
+
+def _build(line_no: int, cls: type[Op], args: list[str]) -> Op:
+    names, flags, usage = _form(cls)
+    given, extra = args[:len(names)], args[len(names):]
+    if len(given) < len(names) or (extra and not flags):
+        raise ScenarioParseError(line_no, f"usage: {usage}")
+    for flag in extra:
+        if flag not in flags:
+            raise ScenarioParseError(line_no, f"unknown {cls.keyword} flag {flag!r}")
+    if len(set(extra)) != len(extra):
+        raise ScenarioParseError(line_no, f"repeated {cls.keyword} flag")
+    values: dict = dict(zip(names, given), **dict.fromkeys(extra, True))
+    if "message" in values:
+        values["message"] = values["message"].encode()
+    return cls(line_no, **values)
+
 
 def parse_scenario(text: str) -> Scenario:
     scenario: Scenario | None = None
     check = _Checker()
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
         try:
-            tokens = shlex.split(line)
+            tokens = shlex.split(line, comments=True)
         except ValueError as exc:
             raise ScenarioParseError(line_no, f"bad quoting: {exc}") from None
-        op_name, args = tokens[0], tokens[1:]
+        if not tokens:
+            continue
+        keyword, args = tokens[0], tokens[1:]
 
-        if scenario is None:
-            if op_name != "group":
-                raise ScenarioParseError(line_no, "first operation must be 'group'")
+        if keyword == GroupOp.keyword:
+            if scenario is not None:
+                raise ScenarioParseError(line_no, "only one group per scenario")
             if len(args) < 2:
                 raise ScenarioParseError(line_no, "group needs an id and members")
-            group_id, members = args[0], tuple(args[1:])
-            if len(set(members)) != len(members):
-                raise ScenarioParseError(line_no, "duplicate member in group")
-            scenario = Scenario(group_id=group_id)
-            scenario.ops.append(GroupOp(line_no, group_id, members))
-            check.members = set(members)
-            continue
-
-        op = _parse_op(line_no, op_name, args, scenario, check)
+            op: Op = GroupOp(line_no, args[1], args[0], tuple(args[1:]))
+            scenario = Scenario(group_id=args[0])
+        elif scenario is None:
+            raise ScenarioParseError(line_no, "first operation must be 'group'")
+        elif keyword not in OPS:
+            raise ScenarioParseError(line_no, f"unknown operation {keyword!r}")
+        else:
+            op = _build(line_no, OPS[keyword], args)
+        check.apply(op)
         scenario.ops.append(op)
 
     if scenario is None:
         raise ScenarioParseError(0, "empty scenario")
     return scenario
-
-
-def _parse_op(line_no: int, op_name: str, args: list[str],
-              scenario: Scenario, check: _Checker) -> Op:
-    def need(n: int, usage: str) -> None:
-        if len(args) != n:
-            raise ScenarioParseError(line_no, f"usage: {usage}")
-
-    if op_name == "group":
-        raise ScenarioParseError(line_no, "only one group per scenario")
-
-    if op_name == "bot":
-        need(2, "bot <id> <rules>")
-        cid, rules_text = args
-        if cid in check.bots_declared:
-            raise ScenarioParseError(line_no, f"bot {cid!r} declared twice")
-        try:
-            rules_from_text(rules_text)
-        except ValueError as exc:
-            raise ScenarioParseError(line_no, str(exc)) from None
-        check.bots_declared.add(cid)
-        return BotDecl(line_no, cid, rules_text)
-
-    if op_name == "add_bot":
-        need(2, "add_bot <actor> <bot-id>")
-        actor, cid = args
-        check.member(line_no, actor)
-        if cid not in check.bots_declared:
-            raise ScenarioParseError(line_no, f"bot {cid!r} was never declared")
-        if cid in check.bots_attached:
-            raise ScenarioParseError(line_no, f"bot {cid!r} already attached")
-        check.bots_attached.add(cid)
-        return AddBot(line_no, actor, cid)
-
-    if op_name == "rem_bot":
-        need(2, "rem_bot <actor> <bot-id>")
-        actor, cid = args
-        check.member(line_no, actor)
-        check.attached(line_no, cid)
-        check.bots_attached.discard(cid)
-        return RemBot(line_no, actor, cid)
-
-    if op_name == "add_user":
-        need(2, "add_user <actor> <member-id>")
-        actor, uid = args
-        check.member(line_no, actor)
-        if uid in check.members:
-            raise ScenarioParseError(line_no, f"{uid!r} is already a member")
-        check.members.add(uid)
-        return AddUser(line_no, actor, uid)
-
-    if op_name == "rem_user":
-        need(2, "rem_user <actor> <member-id>")
-        actor, uid = args
-        check.member(line_no, actor)
-        check.member(line_no, uid)
-        if actor == uid:
-            raise ScenarioParseError(line_no, "members cannot remove themselves")
-        check.members.discard(uid)
-        check.pseudonym_holders.discard(uid)
-        return RemUser(line_no, actor, uid)
-
-    if op_name == "send":
-        if len(args) < 2:
-            raise ScenarioParseError(line_no, "usage: send <sender> <message> [flags]")
-        sender, message, flags = args[0], args[1], args[2:]
-        check.member(line_no, sender)
-        for flag in flags:
-            if flag not in _SEND_FLAGS:
-                raise ScenarioParseError(line_no, f"unknown send flag {flag!r}")
-        if len(set(flags)) != len(flags):
-            raise ScenarioParseError(line_no, "repeated send flag")
-        if "pseudonymous" in flags and sender not in check.pseudonym_holders:
-            raise ScenarioParseError(
-                line_no, f"{sender!r} has no pseudonym registered here")
-        return Send(line_no, sender, message.encode(),
-                    conceal="conceal" in flags,
-                    pseudonymous="pseudonymous" in flags,
-                    address_all="address_all" in flags)
-
-    if op_name == "bot_send":
-        need(2, "bot_send <bot-id> <message>")
-        cid, message = args
-        check.attached(line_no, cid)
-        return BotSend(line_no, cid, message.encode())
-
-    if op_name == "update":
-        need(1, "update <actor>")
-        check.member(line_no, args[0])
-        return Update(line_no, args[0])
-
-    if op_name == "register_pseudonym":
-        need(1, "register_pseudonym <actor>")
-        check.member(line_no, args[0])
-        if not check.bots_attached:
-            raise ScenarioParseError(line_no, "no chatbot attached to register with")
-        check.pseudonym_holders.add(args[0])
-        return RegisterPseudonym(line_no, args[0])
-
-    if op_name == "compromise":
-        need(2, "compromise <party> <label>")
-        party, label = args
-        if party not in check.members and party not in check.bots_attached:
-            raise ScenarioParseError(line_no, f"{party!r} is not live here")
-        if label in check.labels:
-            raise ScenarioParseError(line_no, f"label {label!r} reused")
-        check.labels.add(label)
-        return Compromise(line_no, party, label)
-
-    raise ScenarioParseError(line_no, f"unknown operation {op_name!r}")
 
 
 def load_scenario(path: str) -> Scenario:

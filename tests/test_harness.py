@@ -8,7 +8,7 @@ import json
 import random
 import re
 import sys
-import typing
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -34,18 +34,13 @@ from chatgate.group import (
     UserState,
 )
 from chatgate.harness import bench, canned, probes
-from chatgate.harness.runner import (
-    _OP_NAMES,
-    Supersession,
-    run_scenario,
-    run_text,
-)
+from chatgate.harness.runner import Runner, Supersession, run_scenario, run_text
 from chatgate.harness.scenario import (
+    OPS,
     AddUser,
     BotDecl,
     Compromise,
     GroupOp,
-    Op,
     RemUser,
     Send,
     parse_scenario,
@@ -58,7 +53,8 @@ from chatgate.provider import _collect_material
 def test_parse_demo_scenario():
     scenario = parse_scenario(canned.DEMO)
     assert scenario.group_id == "grp-demo"
-    assert scenario.initial_members == ("user-00", "user-01", "user-02")
+    assert scenario.ops[0].members == ("user-00", "user-01", "user-02")
+    assert scenario.ops[0].party == "user-00"
     kinds = [type(op) for op in scenario.ops]
     assert kinds[0] is GroupOp
     assert BotDecl in kinds and AddUser in kinds and RemUser in kinds
@@ -74,6 +70,26 @@ def test_parse_send_flags():
     assert isinstance(send, Send)
     assert send.conceal and send.address_all and not send.pseudonymous
     assert send.message == b"hi there"
+
+
+def test_parse_hash_inside_quotes_is_message_text():
+    scenario = parse_scenario(
+        'group g user-00 user-01  # the group\n'
+        'send user-00 "fixed #5 today"\n'
+        'send user-01 done # not a flag\n')
+    assert [op.message for op in scenario.ops[1:]] == [b"fixed #5 today", b"done"]
+    assert not any(op.conceal or op.pseudonymous or op.address_all
+                   for op in scenario.ops[1:])
+
+
+def test_parse_usage_comes_from_the_op_fields():
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario("group g user-00\nsend user-00\n")
+    assert "usage: send <party> <message> [conceal] [pseudonymous] " \
+           "[address_all]" in str(exc.value)
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario("group g user-00\nupdate user-00 now\n")
+    assert "usage: update <party>" in str(exc.value)
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -187,6 +203,43 @@ def test_runner_notes_a_divergence_with_line_op_and_party(monkeypatch):
     assert info.value.__notes__ == ["scenario line 2: update by user-00"]
 
 
+# one line of every op kind, and the party each line names as acting
+EVERY_OP = [
+    ("group g user-00 user-01 user-02", "user-00"),
+    ("bot echo-bot-01 always", "echo-bot-01"),
+    ("add_bot user-01 echo-bot-01", "user-01"),
+    ("register_pseudonym user-02", "user-02"),
+    ('send user-02 "hi" pseudonymous', "user-02"),
+    ('bot_send echo-bot-01 "reply"', "echo-bot-01"),
+    ("update user-01", "user-01"),
+    ("add_user user-00 user-03", "user-00"),
+    ("rem_user user-03 user-01", "user-03"),
+    ("compromise echo-bot-01 leak", "echo-bot-01"),
+    ("rem_bot user-02 echo-bot-01", "user-02"),
+]
+
+
+def test_every_op_kind_is_exercised_once():
+    assert sorted(line.split()[0] for line, _ in EVERY_OP) == sorted(OPS)
+
+
+@pytest.mark.parametrize("line_no", range(1, len(EVERY_OP) + 1))
+def test_runner_error_notes_name_each_op_kind(monkeypatch, line_no):
+    act = Runner._act
+
+    def failing(self, op):
+        if op.line_no == line_no:
+            raise RuntimeError("boom")
+        return act(self, op)
+
+    monkeypatch.setattr(Runner, "_act", failing)
+    line, party = EVERY_OP[line_no - 1]
+    with pytest.raises(RuntimeError) as info:
+        run_text("\n".join(line for line, _ in EVERY_OP) + "\n", seed=5)
+    assert info.value.__notes__ == [
+        f"scenario line {line_no}: {line.split()[0]} by {party}"]
+
+
 def test_runner_detaches_a_removed_bot_after_delivering_its_removal():
     text = ("group g user-00 user-01\n"
             "bot memo-bot-01 contains:note\n"
@@ -204,8 +257,13 @@ def test_runner_detaches_a_removed_bot_after_delivering_its_removal():
     assert "memo-bot-01" not in result.scopes[-1][1]
 
 
+def test_readme_op_table_lists_every_op():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.findall(r"^\| `(\w+)` \| `", readme, flags=re.MULTILINE)
+    assert sorted(table) == sorted(OPS)
+
+
 def test_report_ops_name_their_scenario_keyword():
-    assert set(_OP_NAMES) == set(typing.get_args(Op))
     for name, text in sorted(canned.ALL.items()):
         lines = [raw.split("#", 1)[0].split() for raw in text.splitlines()]
         keywords = [tokens[0] for tokens in lines if tokens]
@@ -638,6 +696,36 @@ def test_cli_run_with_report_and_transcript(tmp_path):
     assert report["final"]["members"] == ["user-00", "user-01"]
     rows = [json.loads(l) for l in transcript_path.read_text().splitlines()]
     assert all("view_b64" in row for row in rows)
+
+
+def test_cli_bench_send_n_sweep(monkeypatch, capsys):
+    from chatgate.harness.cli import main
+
+    monkeypatch.setattr(bench, "bench_send_n_sweep", partial(
+        bench.bench_send_n_sweep, n_values=(4, 8, 16), m=1, warmups=0))
+    assert main(["bench-send", "--sweep", "n", "--iterations", "2"]) == 0
+    fit, header, *rows = capsys.readouterr().out.splitlines()
+    assert set(json.loads(fit)) == {"aic_linear", "aic_log", "r2_linear",
+                                    "r2_log", "prefers_log"}
+    assert header == ("bench,n,m,variant,iterations,p50_ms,mean_ms,"
+                      "pke_seal,pke_open,derive")
+    assert [row.split(",")[:4] for row in rows] == [
+        ["send_n", str(n), "1", "sender"] for n in (4, 8, 16)]
+
+
+def test_cli_bench_add_bot_writes_csv(monkeypatch, capsys, tmp_path):
+    from chatgate.harness.cli import main
+
+    monkeypatch.setattr(bench, "bench_add_bot", partial(
+        bench.bench_add_bot, n=4, m=1, warmups=0))
+    path = tmp_path / "add_bot.csv"
+    assert main(["bench-add-bot", "--pseudonym", "--iterations", "2",
+                 "--csv", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote 2 rows to {path}\n"
+    header, *rows = path.read_text().splitlines()
+    assert header == ",".join(bench.CSV_COLUMNS)
+    assert [row.split(",")[3] for row in rows] == ["with_pseudonyms",
+                                                   "reference_send"]
 
 
 def test_cli_rejects_bad_scenario(tmp_path):
