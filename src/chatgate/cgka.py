@@ -4,9 +4,12 @@ Every control (create, add, remove, update) rekeys the sender's direct path:
 a fresh leaf secret is chained upward (parent = derive(child)) and each
 chained secret is sealed to the resolution of the corresponding copath node,
 so exactly the members beneath that copath node can open it and re-derive
-the path up to the root. The root secret of the current epoch is the group
-secret; the key pair generated from it is the group key pair that the
-chatbot layer shares with addressed chatbots.
+the path up to the root. Each path entry names the node it was sealed to
+by its index, not by its key: every member holds that key in its public
+tree already (RFC 9420's UpdatePathNode carries no recipient key either).
+The root secret of the current epoch is the group secret; the key pair
+generated from it is the group key pair that the chatbot layer shares
+with addressed chatbots.
 
 A control takes effect in two steps. `stage` works out, on copies, what
 it leaves behind: the tree after its membership edit and new path, the own
@@ -25,10 +28,10 @@ The tree itself is public. A member's private material sits in one map,
 key or leaf key, and the chained secrets above it, each with the KeyPair
 that `pke_keygen` returned, so opening reuses the key object. The group
 secret and group key pair are read from the root's entry. A receiver looks
-for its entry among the keys in `path`, opens exactly one entry, and
-re-derives the path from the merge point up, checking each derived public
-key against the control. A node that an add or remove blanks leaves `path`
-too.
+for its entry among the node indices in `path`, opens exactly one entry,
+and re-derives the path from the merge point up, checking each derived
+public key against the control. A node that an add or remove blanks
+leaves `path` too.
 
 Adds place the newcomer at the leftmost blank leaf (doubling capacity in
 place when full), blank the newcomer's path, and embed an immediate update.
@@ -39,11 +42,13 @@ delivers it to the newcomer alone). It makes the add's membership edit on
 that tree as every member does on its own, and opens the ordinary path
 entry addressed to its init key.
 Removes blank the target's leaf and path before the embedded update, so
-sealed entries can no longer reach the removed member. The only tree index
-a control carries is the sender leaf, checked before it is used; the
-create's capacity, the add's newcomer leaf and the remove's removed leaf
-are derived in `_seat` by every party from the tree it holds (the newcomer
-from its welcome).
+sealed entries can no longer reach the removed member. The only tree
+indices a control carries are the sender leaf, checked before it is used,
+and the entries' target nodes, which a receiver only looks up in its own
+`path`; the create's capacity, the add's newcomer leaf and the remove's
+removed leaf are derived in `edit_membership` by every party from the tree
+it holds (the newcomer from its welcome), and by the adversary's follower
+in `provider`.
 """
 
 from __future__ import annotations
@@ -80,8 +85,8 @@ CONTROL_ADD = 0x02
 CONTROL_REMOVE = 0x03
 CONTROL_UPDATE = 0x04
 
-# (target public key, sealed chained secret)
-PathEntry = tuple[bytes, bytes]
+# (target node index, sealed chained secret)
+PathEntry = tuple[int, bytes]
 
 # The control's wire layout: the head, the middle of its type byte, the tail.
 _HEAD = (("group_id", TEXT), ("epoch", U32), ("sender_leaf", U32))
@@ -93,7 +98,7 @@ _MIDDLES = {
     CONTROL_UPDATE: ("update", ()),
 }
 _TAIL = (("new_public_path", items(KEY)),
-         ("path_entries", items(Record(("target", KEY), ("box", BOX)))))
+         ("path_entries", items(Record(("target", U32), ("box", BOX)))))
 
 
 class InitKeyDirectory:
@@ -251,8 +256,7 @@ class CgkaState:
         for i, c in enumerate(treemod.copath(own_leaf, t.capacity)):
             chained = secrets[i + 1]
             for r in t.resolution(c):
-                target_pk = t.nodes[r]
-                entries.append((target_pk, pke_seal(target_pk, chained)))
+                entries.append((r, pke_seal(t.nodes[r], chained)))
         ctl.path_entries = entries
 
         self._pending = Staged(ctl, t, own_leaf,
@@ -261,52 +265,27 @@ class CgkaState:
 
     def _seat(self, control: CgkaControl,
               welcome: bytes = b"") -> tuple[treemod.RatchetTree, int]:
-        """The control's membership edit, on a copy of the tree: seat the
-        create roster, seat an add's newcomer, or blank a removed leaf. The
-        newcomer of an add makes the edit on its welcome instead. Returns
-        the edited tree and the own leaf in it. Sender, receivers and
-        newcomer all run it, so it alone works out the tree indices a
-        control does not carry and enforces the membership rules."""
+        """The control's membership edit (`edit_membership`) on this
+        member's tree, or on its welcome for the newcomer of an add.
+        Returns the edited tree and the own leaf in it. Sender, receivers
+        and newcomer all run it."""
         if control.kind == "create":
-            if control.epoch != 0:
-                raise MalformedControl("create at an epoch other than 0")
-            ids = [mid for mid, _ in control.roster]
-            if len(set(ids)) != len(ids):
-                raise AlreadyMember("create roster lists an id twice")
-            if self.member_id not in ids:
+            t, _ = edit_membership(control, None)
+            own_leaf = t.leaf_of(self.member_id)
+            if own_leaf is None:
                 raise NotMember(f"create roster does not include {self.member_id!r}")
-            t = treemod.RatchetTree.blank_tree(_capacity_for(len(ids)))
-            for leaf, (mid, init_pk) in enumerate(control.roster):
-                t.members[leaf] = mid
-                if leaf != control.sender_leaf:
-                    t.nodes[treemod.leaf_node(leaf)] = init_pk
-            return t, ids.index(self.member_id)
+            return t, own_leaf
         if self.tree is not None:
-            t, own_leaf = self.tree.copy(), self.own_leaf
+            base, own_leaf = self.tree, self.own_leaf
         elif welcome:
-            t, own_leaf = treemod.RatchetTree.from_public_bytes(welcome), None
+            base, own_leaf = treemod.RatchetTree.from_public_bytes(welcome), None
         else:
             raise MalformedControl("the newcomer has no welcome to join from")
-        if control.kind == "add":
-            if t.leaf_of(control.new_member_id) is not None:
-                raise AlreadyMember(f"{control.new_member_id!r} already present")
-            leaf = _newcomer_leaf(t)
-            if leaf == t.capacity:
-                t.grow()
-            t.nodes[treemod.leaf_node(leaf)] = control.new_member_init_pk
-            t.members[leaf] = control.new_member_id
-            t.blank_path(leaf)
-            if own_leaf is None:  # the newcomer, seated on its welcome
-                own_leaf = leaf
-        elif control.kind == "remove":
-            leaf = t.leaf_of(control.removed_id)
-            if leaf is None:
-                raise NotMember(f"{control.removed_id!r} occupies no leaf")
-            if control.removed_id == self.member_id:
-                raise NotMember("removed from the group")
-            t.nodes[treemod.leaf_node(leaf)] = None
-            del t.members[leaf]
-            t.blank_path(leaf)
+        t, leaf = edit_membership(control, base)
+        if control.kind == "remove" and control.removed_id == self.member_id:
+            raise NotMember("removed from the group")
+        if own_leaf is None:  # the newcomer of an add, seated on its welcome
+            own_leaf = leaf
         return t, own_leaf
 
     # -- receivers ------------------------------------------------------------
@@ -399,29 +378,78 @@ def hx(b: bytes | None) -> str | None:
     return b.hex() if b is not None else None
 
 
-def _apply_update_path(control: CgkaControl, t: treemod.RatchetTree,
-                       own_leaf: int, path: dict[int, tuple[bytes | None, KeyPair]]) -> None:
-    """Open the one entry sealed to a key in `path` and re-derive the
-    sender's path from the merge point up, into the staged `t` and `path`."""
+def edit_membership(control: CgkaControl, t: treemod.RatchetTree | None) -> tuple[
+        treemod.RatchetTree, int | None]:
+    """The control's membership edit, on a copy of `t`: seat a create's
+    roster on a fresh tree, seat an add's newcomer, or blank a removed
+    leaf. Returns the edited tree and the leaf an add seated or a remove
+    blanked (None for a create or an update). Members and the adversary's
+    follower both run it, so it alone works out the tree indices a control
+    does not carry and enforces the membership rules."""
+    if control.kind == "create":
+        if control.epoch != 0:
+            raise MalformedControl("create at an epoch other than 0")
+        ids = [mid for mid, _ in control.roster]
+        if len(set(ids)) != len(ids):
+            raise AlreadyMember("create roster lists an id twice")
+        t = treemod.RatchetTree.blank_tree(_capacity_for(len(ids)))
+        for leaf, (mid, init_pk) in enumerate(control.roster):
+            t.members[leaf] = mid
+            if leaf != control.sender_leaf:
+                t.nodes[treemod.leaf_node(leaf)] = init_pk
+        return t, None
+    t = t.copy()
+    if control.kind == "add":
+        if t.leaf_of(control.new_member_id) is not None:
+            raise AlreadyMember(f"{control.new_member_id!r} already present")
+        leaf = _newcomer_leaf(t)
+        if leaf == t.capacity:
+            t.grow()
+        t.nodes[treemod.leaf_node(leaf)] = control.new_member_init_pk
+        t.members[leaf] = control.new_member_id
+        t.blank_path(leaf)
+        return t, leaf
+    if control.kind == "remove":
+        leaf = t.leaf_of(control.removed_id)
+        if leaf is None:
+            raise NotMember(f"{control.removed_id!r} occupies no leaf")
+        t.nodes[treemod.leaf_node(leaf)] = None
+        del t.members[leaf]
+        t.blank_path(leaf)
+        return t, leaf
+    return t, None
+
+
+def check_sender_path(control: CgkaControl, t: treemod.RatchetTree) -> list[int]:
+    """The sender's direct path in the edited `t`, once the control's
+    sender leaf seats a member and its new path fits that path."""
     if control.sender_leaf not in t.members:
         raise MalformedControl("sender leaf seats no member")
     sender_path = treemod.direct_path(control.sender_leaf, t.capacity)
     if len(control.new_public_path) != len(sender_path):
         raise MalformedControl("path length does not match tree shape")
+    return sender_path
+
+
+def _apply_update_path(control: CgkaControl, t: treemod.RatchetTree,
+                       own_leaf: int, path: dict[int, tuple[bytes | None, KeyPair]]) -> None:
+    """Open the one entry whose target node is in `path` and re-derive the
+    sender's path from the merge point up, into the staged `t` and `path`."""
+    sender_path = check_sender_path(control, t)
     if control.sender_leaf == own_leaf:
         raise MalformedControl("unexpected control from own leaf")
 
-    # Private keys live only on the receiver's own direct path. The entry
-    # opened is the first on the wire sealed to one of them; the lazy scan
-    # runs in C and stops there, so the Python work grows with the depth.
-    held = {kp.public_key: x for x, (_, kp) in path.items()}
+    # Private keys live only on the receiver's own direct path, keyed by
+    # node index, and each entry names the node it was sealed to. The
+    # entry opened is the first on the wire whose node is in `path`; the
+    # lazy scan runs in C and stops there, so the Python work grows with
+    # the depth. An index outside the tree is simply in no `path`.
     entries = control.path_entries
-    addressed = map(held.__contains__, map(itemgetter(0), entries))
+    addressed = map(path.__contains__, map(itemgetter(0), entries))
     entry = next(compress(entries, addressed), None)
     if entry is None:
         raise DecryptFailed("no path entry addressed to this member")
-    target_pk, box = entry
-    opened_at = held[target_pk]
+    opened_at, box = entry
     opened = pke_open(path[opened_at][1], box)
     if len(opened) != 32:
         raise MalformedControl("path entry payload has wrong size")

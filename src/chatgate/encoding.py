@@ -7,11 +7,13 @@ the same logical object always serializes to the same bytes, which is what
 makes transcripts reproducible and signatures well-defined.
 
 A list is a 32-bit item count followed by its items. Where every field of
-every item has one fixed width (a control's path keys and sealed path
-entries), `Reader.fixed_items` decodes the whole list in one step: one
-bounds check, then C-level unpacking and width checks over all items, so
-the Python work of a decode does not grow with the list. A field of any
-other width is malformed. The bytes are the same as `Writer.items` writes.
+every item has one fixed width, a bare u32 or a length-prefixed field of
+one allowed width (a control's path keys, and its path entries: target
+node index and sealed box), `Reader.fixed_items` decodes the whole list in
+one step: one bounds check, then C-level unpacking and width checks over
+all items, so the Python work of a decode does not grow with the list. A
+field of any other width is malformed. The bytes are the same as
+`Writer.items` writes.
 
 A wire type's layout is one `Record`: its (name, kind) fields in wire
 order. Its encoder, decoder and width checks are compiled from that list;
@@ -125,9 +127,10 @@ class Reader:
             raise MalformedControl("implausible item count")
         return [read_one(self) for _ in range(count)]
 
-    def fixed_items(self, record: "FixedRecord") -> list[tuple[bytes, ...]]:
-        """An `items` list whose every item is `record`'s fields, each
-        length-prefixed and exactly its width; one tuple of fields per item."""
+    def fixed_items(self, record: "FixedRecord") -> list[tuple]:
+        """An `items` list whose every item is `record`'s fields, each a
+        bare u32 or length-prefixed and exactly its width; one tuple of
+        fields per item."""
         count = self.u32()
         start = self._pos
         end = start + count * record.fields.size
@@ -145,14 +148,16 @@ class Reader:
 
 
 class FixedRecord:
-    """The layout of one item of a fixed-width list: length-prefixed fields
-    of the given widths. `lengths` reads only the prefixes, `fields` only
-    the field bytes."""
+    """The layout of one item of a fixed-width list: per field, a
+    length-prefixed field of the given width, or a bare u32 for None.
+    `lengths` reads only the prefixes, `fields` only the values."""
 
-    def __init__(self, *widths: int):
-        self.widths = widths
-        self.lengths = struct.Struct(">" + "".join(f"I{w}x" for w in widths))
-        self.fields = struct.Struct(">" + "".join(f"4x{w}s" for w in widths))
+    def __init__(self, *widths: int | None):
+        self.widths = tuple(w for w in widths if w is not None)
+        self.lengths = struct.Struct(">" + "".join(
+            "4x" if w is None else f"I{w}x" for w in widths))
+        self.fields = struct.Struct(">" + "".join(
+            "I" if w is None else f"4x{w}s" for w in widths))
 
 
 def peek_type(data: bytes) -> int:
@@ -182,11 +187,15 @@ _HELPERS = {"_wrong_width": _wrong_width, "_at_most_one": _at_most_one}
 class Kind:
     """The kind of one field: the expressions that read one from Reader
     `r` and write `{v}` to Writer `w`, where `{k}` is the kind itself. A
-    record inlines them. `width` is the field's only allowed width, if it
-    has one; `attrs` are what the expressions use."""
+    record inlines them. `width` is the only allowed width of a
+    length-prefixed field, if it has one; `fixed` says that every encoding
+    of the kind has one length (such a field, or a bare u32); `attrs` are
+    what the expressions use."""
 
-    def __init__(self, read: str, write: str, width: int | None = None, **attrs):
+    def __init__(self, read: str, write: str, width: int | None = None,
+                 fixed: bool = False, **attrs):
         self.read_expr, self.write_expr, self.width = read, write, width
+        self.fixed = fixed or width is not None
         self.__dict__.update(attrs)
         env = {"k": self, **_HELPERS}
         self.read = eval(f"lambda r: {read.format(k='k')}", env)
@@ -199,7 +208,7 @@ def _fixed(width: int) -> Kind:
 
 
 U8 = Kind("r.u8()", "w.u8({v})")
-U32 = Kind("r.u32()", "w.u32({v})")
+U32 = Kind("r.u32()", "w.u32({v})", fixed=True)
 TEXT = Kind("r.text()", "w.text({v})")
 BYTES = Kind("r.field()", "w.field({v})")
 KEY = _fixed(PUBLIC_KEY_LEN)  # also a 32-byte handle
@@ -218,19 +227,20 @@ def nested(cls: type, encoder: str = "to_bytes") -> Kind:
 
 def items(item: "Kind | Record", into: type = list) -> Kind:
     """A list of `item`, decoded `into` a list or a tuple: by
-    `Reader.fixed_items` when each of its fields has a fixed width and it
-    decodes to a value or a tuple, else by its reader once per item."""
+    `Reader.fixed_items` when each of its fields is fixed and it decodes to
+    a value or a tuple, else by its reader once per item."""
     kinds = item.kinds if isinstance(item, Record) else (item,)
-    fixed = None
-    if all(kind.width for kind in kinds) and not getattr(item, "build", None):
-        fixed = FixedRecord(*(kind.width for kind in kinds))
-        read = ("r.fixed_items({k}.fixed)" if isinstance(item, Record) else
-                "[value for (value,) in r.fixed_items({k}.fixed)]")
+    layout = None
+    if all(kind.fixed for kind in kinds) and not getattr(item, "build", None):
+        layout = FixedRecord(*(kind.width for kind in kinds))
+        read = ("r.fixed_items({k}.layout)" if isinstance(item, Record) else
+                "[value for (value,) in r.fixed_items({k}.layout)]")
     else:
         read = "r.items({k}.item.read)"
     if into is not list:
         read = f"{{k}}.into({read})"
-    return Kind(read, "w.items({v}, {k}.item.write)", item=item, into=into, fixed=fixed)
+    return Kind(read, "w.items({v}, {k}.item.write)", item=item, into=into,
+                layout=layout)
 
 
 def at_most_one(item: "Record") -> Kind:

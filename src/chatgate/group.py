@@ -495,17 +495,22 @@ class UserState:
     def process_user_message(self, data: bytes) -> ReceiveResult:
         """Apply another user's message: advance the tree, read the payload,
         and refresh exactly the records whose triggers the message fires
-        (senders' entry lists are never trusted for that). The control
-        commits only once the message has been read under its staged root,
-        so a message that fails any check changes nothing."""
+        (senders' entry lists are never trusted for that). A message embeds
+        an update and no other control: membership changes travel as tree
+        controls, which the provider routes by. The control commits only
+        once the message has been read under its staged root, so a message
+        that fails any check changes nothing."""
         view = UserMessageView.from_bytes(data)
         self._require_group()
         for cid, _ in view.entries:
             if cid not in self.records:
                 raise UnknownChatbotId(f"entry for unknown chatbot {cid!r}")
+        control = CgkaControl.from_bytes(view.control)
+        if control.kind != "update":
+            raise MalformedControl(f"a message embeds an update, not a {control.kind}")
         # `stage` refuses another group or epoch, and checks every key the
         # control's path derives, up to the group key pair at its root
-        staged = self.cgka.stage(CgkaControl.from_bytes(view.control))
+        staged = self.cgka.stage(control)
         pair = staged.group_key_pair
 
         message_key = derive(staged.group_secret, MSG_KEY)

@@ -16,10 +16,12 @@ PKI, it exhaustively combines every 32-byte value it can see or derive
 pairs) against every sealed box and ciphertext until nothing new falls
 out. A sealed box opens only under
 the secret of the public key it was sealed to, and public data names that
-key for every box the protocol seals: tree controls list it, chatbot
-entries name a bot whose node key is on the wire, bot replies go to a group
-key that some chatbot view or attach control carries, and attach seeds go
-to the bot's registered key. Ciphertexts are named too: every AEAD key is
+key for every box the protocol seals: a tree control's entries name their
+target nodes, whose keys sit in the group's public tree, which the
+adversary follows through the transcript as members do; chatbot entries
+name a bot whose node key is on the wire, bot replies go to a group key
+that some chatbot view or attach control carries, and attach seeds go to
+the bot's registered key. Ciphertexts are named too: every AEAD key is
 `derive(x, MSG_KEY)`, and the view carrying the ciphertext names
 `pke_keygen(x).public_key` (chatbot views their group key, member views
 the root key of their control, bot replies their node key). Derivation
@@ -43,10 +45,17 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from .cgka import CONTROL_ADD, CgkaControl, InitKeyDirectory
+from .cgka import (
+    CONTROL_ADD,
+    CgkaControl,
+    InitKeyDirectory,
+    check_sender_path,
+    edit_membership,
+)
 from .encoding import peek_type
 from .errors import (
     BadSignature,
+    ChatGateError,
     DecryptFailed,
     DuplicateChatbot,
     DuplicateId,
@@ -80,6 +89,7 @@ from .primitives import (
     sym_key,
     x25519_key_pair,
 )
+from .tree import RatchetTree
 from .triggers import BotRegistration
 
 
@@ -301,7 +311,9 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     adversary only needs to try secrets whose public key is a hint;
     everything else fails with certainty. The hints come from:
 
-    * tree controls, which list the target public key of each path entry;
+    * tree controls, whose path entries name their target nodes: each is
+      named by the key at that node in the group's public tree, which
+      `_entry_keys` follows through the transcript;
     * chatbot entries, which name a chatbot id whose current node key is on
       the wire (attach controls announce it, every chatbot reply announces
       the rotated one), tracked in transcript order;
@@ -312,7 +324,8 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
       key, which the registry publishes.
 
     A box whose recipient public data cannot name has no hints and is tried
-    against every candidate.
+    against every candidate: so is each entry of a control that the
+    follower cannot apply.
 
     A ciphertext's hints are the `pke_keygen` public keys of the seed its
     key was derived from (`derive(seed, MSG_KEY)`): a message view names
@@ -327,16 +340,24 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     group_keys: set[bytes] = set()
     replies: list[bytes] = []
     path_lengths = {1}
+    groups: dict[str, tuple[RatchetTree, int] | None] = {}
+    controls: set[bytes] = set()
 
     def add_box(box: bytes, hint: bytes | None) -> None:
         named = hints.setdefault(box, set())
         if hint is not None:
             named.add(hint)
 
-    def control_boxes(control: CgkaControl) -> None:
-        path_lengths.add(len(control.new_public_path))
-        for target_pk, box in control.path_entries:
-            add_box(box, target_pk)
+    def control_boxes(data: bytes, in_message: bool) -> CgkaControl:
+        # an add reaches its newcomer and the other members in two views
+        control = CgkaControl.from_bytes(data)
+        if data not in controls:
+            controls.add(data)
+            path_lengths.add(len(control.new_public_path))
+            keys = _entry_keys(groups, control, in_message)
+            for key, (_, box) in zip(keys, control.path_entries):
+                add_box(box, key)
+        return control
 
     def enc_key(chatbot_id: str) -> bytes | None:
         try:
@@ -352,11 +373,10 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
         kind = peek_type(view)
         if kind == VIEW_USER_MESSAGE:
             v = UserMessageView.from_bytes(view)
-            control = CgkaControl.from_bytes(v.control)
+            control = control_boxes(v.control, in_message=True)
             ct_hints.setdefault(v.ciphertext, set()).update(control.new_public_path[-1:])
             for cid, box in v.entries:
                 add_box(box, bot_pk.get(cid))
-            control_boxes(control)
         elif kind == VIEW_CHATBOT_MESSAGE:
             v = ChatbotMessageView.from_bytes(view)
             ct_hints.setdefault(v.ciphertext, set()).add(v.group_public_key)
@@ -374,12 +394,48 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
             add_box(v.sealed_seed, enc_key(v.chatbot_id))
             bot_pk[v.chatbot_id] = v.node_public_key
         elif kind == GROUP_CONTROL:
-            control_boxes(CgkaControl.from_bytes(GroupControl.from_bytes(view).control))
+            control_boxes(GroupControl.from_bytes(view).control, in_message=False)
     for box in replies:
         hints.setdefault(box, set()).update(group_keys)
     return ([(frozenset(named), box) for box, named in hints.items()],
             [(frozenset(named), ct) for ct, named in ct_hints.items()],
             max(path_lengths))
+
+
+def _entry_keys(groups: dict[str, tuple[RatchetTree, int] | None],
+                control: CgkaControl, in_message: bool) -> list[bytes | None]:
+    """The public key each path entry of `control` was sealed to, or None
+    where that cannot be read: the key at the entry's target node, in the
+    tree the control's membership edit leaves. `groups` follows each
+    group's public tree and epoch in transcript order, from its create, as
+    a member applies them: the same membership edit and path checks, then
+    the control's new path; a member's message view carries only an
+    update. A control that fails any of that names no key, and its group
+    is dropped (None) for the rest of the transcript, since the follower
+    can no longer tell which tree the group's members hold. The checks
+    that need a member's secrets (the opened box, the derived path keys)
+    it cannot make: a control that members refuse for those is followed,
+    and the group's next control, an epoch behind the follower, drops
+    the group."""
+    group_id = control.group_id
+    if control.kind == "create":
+        base, applies = None, group_id not in groups
+    else:
+        base, epoch = groups.get(group_id) or (None, None)
+        applies = base is not None and control.epoch == epoch
+    groups[group_id] = None  # dropped, unless the control applies
+    if not applies or (in_message and control.kind != "update"):
+        return [None] * len(control.path_entries)
+    try:
+        t, _ = edit_membership(control, base)
+        sender_path = check_sender_path(control, t)
+    except ChatGateError:
+        return [None] * len(control.path_entries)
+    keys = [t.nodes[x] if x < len(t.nodes) else None for x, _ in control.path_entries]
+    for x, pk in zip(sender_path, control.new_public_path):
+        t.nodes[x] = pk
+    groups[group_id] = (t, control.epoch + 1)
+    return keys
 
 
 def _by_hint(material: list[tuple[frozenset[bytes], bytes]]) -> tuple[

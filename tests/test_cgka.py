@@ -182,8 +182,7 @@ def test_each_member_opens_exactly_one_entry():
     for s in states:
         if s is states[2]:
             continue
-        held = {s.tree.nodes[x] for x in s.path}
-        openable = [e for e in ctl.path_entries if e[0] in held]
+        openable = [e for e in ctl.path_entries if e[0] in s.path]
         assert len(openable) == 1
     broadcast(states, states[2], ctl)
 
@@ -456,10 +455,10 @@ def test_malformed_controls_rejected():
 def test_tampered_entry_fails_decrypt():
     states, _ = make_group(2)
     ctl = states[0].update()
-    target_pk, box = ctl.path_entries[0]
+    target, box = ctl.path_entries[0]
     bad = bytearray(box)
     bad[-1] ^= 1
-    ctl.path_entries[0] = (target_pk, bytes(bad))
+    ctl.path_entries[0] = (target, bytes(bad))
     with pytest.raises(DecryptFailed):
         states[1].process(ctl)
 
@@ -550,8 +549,8 @@ def snapshot_text(s):
 
 
 def tamper_boxes(ctl):
-    ctl.path_entries = [(pk, box[:-1] + bytes([box[-1] ^ 1]))
-                        for pk, box in ctl.path_entries]
+    ctl.path_entries = [(target, box[:-1] + bytes([box[-1] ^ 1]))
+                        for target, box in ctl.path_entries]
 
 
 def rejected_remove():
@@ -708,8 +707,8 @@ def test_unmutated_fuzz_controls_apply():
 
 def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
     """The per-field decoder that `CgkaControl.from_bytes` replaced: every
-    path key, target, box and create init key goes through `Reader.field`,
-    at any width."""
+    path key, box and create init key goes through `Reader.field`, at any
+    width, and every entry's target node through `Reader.u32`."""
     kind = cgka._MIDDLES.get(peek_type(data), (None,))[0]
     if kind is None:
         raise MalformedControl("unknown control type")
@@ -724,7 +723,7 @@ def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
     elif kind == "remove":
         ctl.removed_id = r.text()
     ctl.new_public_path = r.items(Reader.field)
-    ctl.path_entries = r.items(lambda rr: (rr.field(), rr.field()))
+    ctl.path_entries = r.items(lambda rr: (rr.u32(), rr.field()))
     r.finish()
     return ctl
 
@@ -732,8 +731,7 @@ def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
 def has_wrong_width(ctl: cgka.CgkaControl) -> bool:
     return (any(len(pk) != PUBLIC_KEY_LEN for pk in ctl.new_public_path)
             or any(len(pk) != PUBLIC_KEY_LEN for _, pk in ctl.roster)
-            or any(len(pk) != PUBLIC_KEY_LEN or len(box) != SEALED_LEN
-                   for pk, box in ctl.path_entries))
+            or any(len(box) != SEALED_LEN for _, box in ctl.path_entries))
 
 
 def transcript_controls(seed: int) -> list[bytes]:
@@ -781,9 +779,9 @@ def resize(value: bytes, width: int) -> bytes:
     return value[:width].ljust(width, b"\x00")
 
 
-def resize_entry(ctl, i, target_width, box_width):
+def resize_box(ctl, i, width):
     target, box = ctl.path_entries[i]
-    ctl.path_entries[i] = (resize(target, target_width), resize(box, box_width))
+    ctl.path_entries[i] = (target, resize(box, width))
 
 
 def resize_key(ctl, i, width):
@@ -791,14 +789,13 @@ def resize_key(ctl, i, width):
 
 
 WRONG_WIDTHS = {
-    "target_31": lambda c: resize_entry(c, 0, 31, SEALED_LEN),
-    "target_33": lambda c: resize_entry(c, 0, 33, SEALED_LEN),
-    "box_short": lambda c: resize_entry(c, -1, 32, SEALED_LEN - 1),
-    "box_long": lambda c: resize_entry(c, -1, 32, SEALED_LEN + 1),
+    "box_short": lambda c: resize_box(c, -1, SEALED_LEN - 1),
+    "box_long": lambda c: resize_box(c, -1, SEALED_LEN + 1),
     "path_key_31": lambda c: resize_key(c, 0, 31),
     "path_key_33": lambda c: resize_key(c, -1, 33),
     # these keep the list's total length, so only the width check sees them
-    "target_33_box_short": lambda c: resize_entry(c, 0, 33, SEALED_LEN - 1),
+    "boxes_long_short": lambda c: (resize_box(c, 0, SEALED_LEN + 1),
+                                   resize_box(c, 1, SEALED_LEN - 1)),
     "path_keys_33_31": lambda c: (resize_key(c, 0, 33), resize_key(c, 1, 31)),
 }
 
@@ -865,7 +862,7 @@ def test_warm_up_receiver_opens_one_of_127_entries():
     receiver.process(create)
     ctl = cgka.CgkaControl.from_bytes(ctl.to_bytes())
     assert len(ctl.path_entries) == 127
-    assert ctl.path_entries[-1][0] == receiver.init_key.public_key
+    assert ctl.path_entries[-1][0] == treemod.leaf_node(receiver.own_leaf)
     ops = counters.OpCounters()
     with counters.collect(ops):
         receiver.process(ctl)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chatgate import cgka, group, tree
-from chatgate.encoding import TREE_NODE, Reader, Record, peek_type
+from chatgate.encoding import BOX, TREE_NODE, U32, Reader, Record, items, peek_type
 from chatgate.errors import ChatGateError, MalformedControl
 from chatgate.harness import canned
 from chatgate.harness.runner import run_text
@@ -342,6 +342,52 @@ def test_fixed_width_fields_refuse_one_byte_more_or_less(field, delta):
     decode(blob)
     with pytest.raises(MalformedControl):
         decode(layout.encode(edited))
+
+
+def test_width_sweep_covers_the_path_entry_box():
+    # an entry's target is a bare u32, so its box is the item's only
+    # fixed-width field, and the sweep names it by its list
+    for kind in ("create", "add", "remove", "update"):
+        _layout, _decode, path = WIDTH_FIELDS[f"CgkaControl.{kind}.path_entries"]
+        assert path == ("path_entries", "box")
+
+
+# -- a bare u32 in a fixed-width list -------------------------------------------
+
+# one entry: a node index written as a bare u32, then a sealed box
+U32_ENTRIES = Record(("entries", items(Record(("target", U32), ("box", BOX)))),
+                     ("indices", items(U32)))
+U32_SAMPLE = ([(0, bytes(SEALED_LEN)), (254, bytes(range(SEALED_LEN))),
+               (2**32 - 1, b"\xff" * SEALED_LEN)], [7, 0, 2**32 - 1])
+
+
+def test_bare_u32_list_roundtrips():
+    # both lists decode in one `Reader.fixed_items` pass
+    assert all(kind.layout is not None for kind in U32_ENTRIES.kinds)
+    blob = U32_ENTRIES.encode(U32_SAMPLE)
+    # count, then per entry u32 target, u32 length, box; count, u32s
+    assert len(blob) == 4 + 3 * (4 + 4 + SEALED_LEN) + 4 + 3 * 4
+    assert U32_ENTRIES.decode(blob) == U32_SAMPLE
+    assert U32_ENTRIES.encode(U32_ENTRIES.decode(blob)) == blob
+
+
+def test_bare_u32_list_refuses_every_strict_prefix():
+    blob = U32_ENTRIES.encode(U32_SAMPLE)
+    for k in range(len(blob)):
+        with pytest.raises(MalformedControl):
+            U32_ENTRIES.decode(blob[:k])
+
+
+def test_bare_u32_list_one_byte_edits_raise_only_chatgate_errors():
+    blob = U32_ENTRIES.encode(U32_SAMPLE)
+    for at in range(len(blob)):
+        for value in (0, 1, 0x30, 0xFF, blob[at] ^ 0x80):
+            edited = bytearray(blob)
+            edited[at] = value
+            try:
+                U32_ENTRIES.decode(bytes(edited))
+            except ChatGateError:
+                pass
 
 
 def test_width_fields_cover_every_declared_type():

@@ -16,6 +16,7 @@ from chatgate.cgka import CgkaControl, InitKeyDirectory
 from chatgate.encoding import Writer
 from chatgate.errors import (
     BadPseudonymSignature,
+    ChatGateError,
     DecryptFailed,
     DuplicateChatbot,
     FutureEpoch,
@@ -43,7 +44,7 @@ from chatgate.group import (
     user_init,
 )
 from chatgate.harness import bench
-from chatgate.primitives import SEALED_LEN, seeded
+from chatgate.primitives import MSG_KEY, SEALED_LEN, derive, seeded, sym_encrypt
 from chatgate.triggers import rules_from_text
 from test_cgka import WRONG_WIDTHS
 
@@ -609,6 +610,50 @@ def test_wrong_width_control_leaves_user_unchanged(edit):
     assert json.dumps(receiver.snapshot(), sort_keys=True) == before
     receiver.process(genuine)
     assert receiver.cgka.group_secret == users["user-00"].cgka.group_secret
+
+
+@pytest.mark.parametrize("kind", ["add", "remove"])
+def test_message_view_carrying_a_membership_control_leaves_members_unchanged(kind):
+    # Members accepted a message view whose control removed user-003 and
+    # dropped it from their trees, while the provider still routed to it.
+    world = bench.World(4, 0)
+    sender = world.users["user-000"].cgka
+    if kind == "add":
+        cgka.init("user-77", world.provider.directory)
+        ctl = sender.add("user-77")
+    else:
+        ctl = sender.remove("user-003")
+    message_key = derive(sender._pending.group_secret, MSG_KEY)
+    forged = UserMessageView(
+        flags=0, control=ctl.to_bytes(), entries=(),
+        ciphertext=sym_encrypt(message_key, group_module._encode_plain(b"hi"))).to_bytes()
+    for uid in ("user-001", "user-002", "user-003"):
+        user = world.users[uid]
+        before = snapshot_text(user)
+        with pytest.raises(MalformedControl):
+            user.process_user_message(forged)
+        assert snapshot_text(user) == before
+        assert user.cgka.members() == world.ids
+
+
+@pytest.mark.parametrize("target", ["past_the_tree", "u32_max"])
+def test_entries_naming_a_node_outside_the_tree_leave_members_unchanged(target):
+    world = bench.World(8, 0)
+    genuine = world.users["user-000"].update_keys()
+    wrapped = GroupControl.from_bytes(genuine)
+    ctl = CgkaControl.from_bytes(wrapped.control)
+    bad = {"past_the_tree": len(world.users["user-000"].cgka.tree.nodes),
+           "u32_max": 2**32 - 1}[target]
+    ctl.path_entries = [(bad, box) for _, box in ctl.path_entries]
+    forged = replace(wrapped, control=ctl.to_bytes()).to_bytes()
+    for uid in world.ids[1:]:
+        user = world.users[uid]
+        before = snapshot_text(user)
+        with pytest.raises(ChatGateError):
+            user.process(forged)
+        assert snapshot_text(user) == before
+        user.process(genuine)
+        assert user.cgka.group_secret == world.users["user-000"].cgka.group_secret
 
 
 def test_pseudonym_roundtrip():

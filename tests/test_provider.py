@@ -522,7 +522,7 @@ def test_adversary_climbs_as_far_as_the_longest_path_on_the_wire(carrier):
     deep = cgka.CgkaControl(
         kind="update", group_id="grp-deep", epoch=0, sender_leaf=0,
         new_public_path=[pke_keygen(s).public_key for s in chain],
-        path_entries=[(target, primitives.pke_seal(target, chain[0]))])
+        path_entries=[(0, primitives.pke_seal(target, chain[0]))])
     shallow = cgka.CgkaControl(kind="update", group_id="grp-deep", epoch=0,
                                sender_leaf=0)
     if carrier == "group_control":
@@ -547,13 +547,79 @@ def test_adversary_climbs_as_far_as_the_longest_path_on_the_wire(carrier):
     assert _collect_material(transcript, Provider())[2] == 14
 
 
+@pytest.mark.parametrize("target", ["past_the_tree", "u32_max"])
+def test_entry_naming_a_node_outside_the_tree_is_left_unhinted(target):
+    # the follower names every other entry of the control by its true key
+    world = bench.World(4, 0)
+    wrapped = GroupControl.from_bytes(world.users["user-000"].update_keys())
+    tree = world.users["user-000"].cgka.tree
+    ctl = cgka.CgkaControl.from_bytes(wrapped.control)
+    bad = {"past_the_tree": len(tree.nodes), "u32_max": 2**32 - 1}[target]
+    (_, forged_box), *rest = ctl.path_entries
+    ctl.path_entries[0] = (bad, forged_box)
+    world.provider.publish(world.group_id, "user-000",
+                           user_view=replace(wrapped, control=ctl.to_bytes()).to_bytes())
+    hints = {box: named for named, box in
+             _collect_material(world.provider.transcript, world.provider)[0]}
+    assert hints[forged_box] == frozenset()
+    assert rest
+    for x, box in rest:
+        assert hints[box] == {tree.nodes[x]}
+
+
+def test_follower_refuses_a_membership_control_in_a_message_view():
+    # Members refuse it, so the follower names none of its entries.
+    world = bench.World(4, 0)
+    ctl = world.users["user-000"].cgka.remove("user-003")
+    view = UserMessageView(flags=0, control=ctl.to_bytes(), ciphertext=b"",
+                           entries=()).to_bytes()
+    world.provider.publish(world.group_id, "user-000", user_view=view)
+    hints = {box: named for named, box in
+             _collect_material(world.provider.transcript, world.provider)[0]}
+    assert ctl.path_entries
+    for _, box in ctl.path_entries:
+        assert hints[box] == frozenset()
+
+
+@pytest.mark.parametrize("forgery", ["stale_epoch", "empty_sender_leaf"])
+def test_follower_drops_a_group_after_a_control_it_cannot_apply(forgery):
+    # Members refuse the forged control, so the follower can no longer tell
+    # which tree they hold: it names none of the forged control's entries,
+    # nor any of the group's later ones, which stay exhaustive.
+    world = bench.World(4, 0)
+    genuine = world.users["user-000"].update_keys()
+    wrapped = GroupControl.from_bytes(genuine)
+    ctl = cgka.CgkaControl.from_bytes(wrapped.control)
+    if forgery == "stale_epoch":
+        forged = replace(ctl, epoch=ctl.epoch - 1)
+    else:
+        forged = replace(ctl, sender_leaf=2**32 - 1)
+    for view in (replace(wrapped, control=forged.to_bytes()).to_bytes(), genuine):
+        world.provider.publish(world.group_id, "user-000", user_view=view)
+    hints = {box: named for named, box in
+             _collect_material(world.provider.transcript, world.provider)[0]}
+    assert ctl.path_entries
+    for _, box in ctl.path_entries:
+        assert hints[box] == frozenset()
+    # followed without the forgery, the same control names every entry
+    world = bench.World(4, 0)
+    tree = world.users["user-000"].cgka.tree
+    genuine = world.users["user-000"].update_keys()
+    world.provider.publish(world.group_id, "user-000", user_view=genuine)
+    hints = {box: named for named, box in
+             _collect_material(world.provider.transcript, world.provider)[0]}
+    for x, box in cgka.CgkaControl.from_bytes(
+            GroupControl.from_bytes(genuine).control).path_entries:
+        assert hints[box] == {tree.nodes[x]}
+
+
 def _reference_material(transcript):
     """Reference boxes as (hint or None, box), ciphertexts mapped to the
     keys their views name, and the longest tree path (at least 1),
-    independent of the adversary's own scrape. Tree entries carry their
-    listed target and chatbot entries the bot's node key tracked in
-    transcript order; bot replies and attach seeds stay unhinted, so the
-    oracle below tries them against every candidate. A member's view names
+    independent of the adversary's own scrape. Chatbot entries carry the
+    bot's node key tracked in transcript order; tree entries, bot replies
+    and attach seeds stay unhinted, so the oracle below tries them against
+    every candidate. A member's view names
     the root key of its control's path, a chatbot view its group key and a
     bot reply its node key."""
     boxes = {}
@@ -568,8 +634,8 @@ def _reference_material(transcript):
 
     def control_boxes(control):
         depths.append(len(control.new_public_path))
-        for target_pk, box in control.path_entries:
-            add_box(box, target_pk)
+        for _target, box in control.path_entries:
+            add_box(box, None)
 
     for row in transcript:
         view = base64.b64decode(row["view_b64"])
