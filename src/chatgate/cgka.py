@@ -11,12 +11,18 @@ The root secret of the current epoch is the group secret; the key pair
 generated from it is the group key pair that the chatbot layer shares
 with addressed chatbots.
 
+A control's public step is `advance`, on a copy of the tree: its
+membership edit (`edit_membership`), the checks that its sender leaf seats
+a member and its new path fits that leaf's direct path, and that path
+written into the tree. Receivers, the newcomer and the adversary's
+follower in `provider` all run it, so a check added there reaches each.
+
 A control takes effect in two steps. `stage` works out, on copies, what
-it leaves behind: the tree after its membership edit and new path, the own
-leaf, and the own `path`. `commit` installs that `Staged` and is the only
-writer of the tree, own leaf, path, group id and epoch, so a control that
-fails any check changes nothing, and a caller can check more (the group
-layer opens the message sealed under the staged root) before it commits.
+it leaves behind: the tree `advance` returns, the own leaf, and the own
+`path`. `commit` installs that `Staged` and is the only writer of the
+tree, own leaf, path, group id and epoch, so a control that fails any
+check changes nothing, and a caller can check more (the group layer opens
+the message sealed under the staged root) before it commits.
 A sender builds its control over the same membership edit and keeps the
 resulting `Staged` as pending; staging a control equal to it returns it,
 so sender and receivers advance through the same epoch sequence (one
@@ -30,8 +36,8 @@ that `pke_keygen` returned, so opening reuses the key object. The group
 secret and group key pair are read from the root's entry. A receiver looks
 for its entry among the node indices in `path`, opens exactly one entry,
 and re-derives the path from the merge point up, checking each derived
-public key against the control. A node that an add or remove blanks
-leaves `path` too.
+public key against the control. A node whose key the control blanks or
+replaces leaves `path` too.
 
 Adds place the newcomer at the leftmost blank leaf (doubling capacity in
 place when full), blank the newcomer's path, and embed an immediate update.
@@ -43,12 +49,11 @@ that tree as every member does on its own, and opens the ordinary path
 entry addressed to its init key.
 Removes blank the target's leaf and path before the embedded update, so
 sealed entries can no longer reach the removed member. The only tree
-indices a control carries are the sender leaf, checked before it is used,
-and the entries' target nodes, which a receiver only looks up in its own
-`path`; the create's capacity, the add's newcomer leaf and the remove's
-removed leaf are derived in `edit_membership` by every party from the tree
-it holds (the newcomer from its welcome), and by the adversary's follower
-in `provider`.
+indices a control carries are the sender leaf, checked in `advance`
+before it is used, and the entries' target nodes, which a receiver only
+looks up in its own `path`; the create's capacity, the add's newcomer
+leaf and the remove's removed leaf are derived in `edit_membership` by
+every party from the tree it holds (the newcomer from its welcome).
 """
 
 from __future__ import annotations
@@ -242,7 +247,8 @@ class CgkaState:
         """Fresh leaf secret, chained path and sealed entries over the
         control's membership edit; the outcome is staged in `_pending`, and
         nothing else changes."""
-        t, own_leaf = self._seat(ctl)
+        t, _ = edit_membership(ctl, self.tree)
+        own_leaf = ctl.sender_leaf
         path = treemod.direct_path(own_leaf, t.capacity)
         secrets = [random_secret()]
         for _ in path[1:]:
@@ -262,31 +268,6 @@ class CgkaState:
         self._pending = Staged(ctl, t, own_leaf,
                                {x: (s, kp) for x, s, kp in zip(path, secrets, pairs)})
         return ctl
-
-    def _seat(self, control: CgkaControl,
-              welcome: bytes = b"") -> tuple[treemod.RatchetTree, int]:
-        """The control's membership edit (`edit_membership`) on this
-        member's tree, or on its welcome for the newcomer of an add.
-        Returns the edited tree and the own leaf in it. Sender, receivers
-        and newcomer all run it."""
-        if control.kind == "create":
-            t, _ = edit_membership(control, None)
-            own_leaf = t.leaf_of(self.member_id)
-            if own_leaf is None:
-                raise NotMember(f"create roster does not include {self.member_id!r}")
-            return t, own_leaf
-        if self.tree is not None:
-            base, own_leaf = self.tree, self.own_leaf
-        elif welcome:
-            base, own_leaf = treemod.RatchetTree.from_public_bytes(welcome), None
-        else:
-            raise MalformedControl("the newcomer has no welcome to join from")
-        t, leaf = edit_membership(control, base)
-        if control.kind == "remove" and control.removed_id == self.member_id:
-            raise NotMember("removed from the group")
-        if own_leaf is None:  # the newcomer of an add, seated on its welcome
-            own_leaf = leaf
-        return t, own_leaf
 
     # -- receivers ------------------------------------------------------------
 
@@ -325,16 +306,29 @@ class CgkaState:
         elif control.epoch > self.epoch:
             raise FutureEpoch(f"control epoch {control.epoch} > local {self.epoch}")
 
-        t, own_leaf = self._seat(control, welcome)
-        if self.tree is None:
+        if self.tree is None and control.kind == "add":
+            if not welcome:
+                raise MalformedControl("the newcomer has no welcome to join from")
+            base = treemod.RatchetTree.from_public_bytes(welcome)
+        else:
+            base = self.tree
+        t, leaf, sender_path = advance(control, base)
+
+        if self.tree is None:  # joining, from a create's roster or an add's welcome
+            own_leaf = t.leaf_of(self.member_id) if control.kind == "create" else leaf
+            if own_leaf is None:
+                raise NotMember(f"create roster does not include {self.member_id!r}")
             own = treemod.leaf_node(own_leaf)
             if t.nodes[own] != self.init_key.public_key:
                 raise MalformedControl("my leaf carries a different init key")
             path = {own: (None, self.init_key)}
+        elif control.kind == "remove" and control.removed_id == self.member_id:
+            raise NotMember("removed from the group")
         else:
-            # a node the membership edit blanked leaves `path` too
-            path = {x: v for x, v in self.path.items() if t.nodes[x] is not None}
-        _apply_update_path(control, t, own_leaf, path)
+            own_leaf = self.own_leaf
+            # a node whose key the control blanked or replaced leaves `path`
+            path = {x: v for x, v in self.path.items() if t.nodes[x] == v[1].public_key}
+        _apply_update_path(control, sender_path, own_leaf, path)
         return Staged(control, t, own_leaf, path)
 
     # -- inspection -------------------------------------------------------------
@@ -383,9 +377,10 @@ def edit_membership(control: CgkaControl, t: treemod.RatchetTree | None) -> tupl
     """The control's membership edit, on a copy of `t`: seat a create's
     roster on a fresh tree, seat an add's newcomer, or blank a removed
     leaf. Returns the edited tree and the leaf an add seated or a remove
-    blanked (None for a create or an update). Members and the adversary's
-    follower both run it, so it alone works out the tree indices a control
-    does not carry and enforces the membership rules."""
+    blanked (None for a create or an update). Senders run it, and
+    receivers and the adversary's follower run it inside `advance`, so it
+    alone works out the tree indices a control does not carry and enforces
+    the membership rules."""
     if control.kind == "create":
         if control.epoch != 0:
             raise MalformedControl("create at an epoch other than 0")
@@ -420,22 +415,30 @@ def edit_membership(control: CgkaControl, t: treemod.RatchetTree | None) -> tupl
     return t, None
 
 
-def check_sender_path(control: CgkaControl, t: treemod.RatchetTree) -> list[int]:
-    """The sender's direct path in the edited `t`, once the control's
-    sender leaf seats a member and its new path fits that path."""
+def advance(control: CgkaControl, t: treemod.RatchetTree | None) -> tuple[
+        treemod.RatchetTree, int | None, list[int]]:
+    """The public step of a control, on a copy of `t`: its membership edit
+    (`edit_membership`), then its sender's new path, once the sender leaf
+    seats a member and the path fits that leaf's direct path. Returns the
+    new tree, the leaf an add seated or a remove blanked (None for a create
+    or an update), and the sender's direct path. Members and the
+    adversary's follower both run it."""
+    t, leaf = edit_membership(control, t)
     if control.sender_leaf not in t.members:
         raise MalformedControl("sender leaf seats no member")
     sender_path = treemod.direct_path(control.sender_leaf, t.capacity)
     if len(control.new_public_path) != len(sender_path):
         raise MalformedControl("path length does not match tree shape")
-    return sender_path
+    for x, pk in zip(sender_path, control.new_public_path):
+        t.nodes[x] = pk
+    return t, leaf, sender_path
 
 
-def _apply_update_path(control: CgkaControl, t: treemod.RatchetTree,
-                       own_leaf: int, path: dict[int, tuple[bytes | None, KeyPair]]) -> None:
+def _apply_update_path(control: CgkaControl, sender_path: list[int], own_leaf: int,
+                       path: dict[int, tuple[bytes | None, KeyPair]]) -> None:
     """Open the one entry whose target node is in `path` and re-derive the
-    sender's path from the merge point up, into the staged `t` and `path`."""
-    sender_path = check_sender_path(control, t)
+    sender's path from the merge point up into `path`, checking each key
+    against the control's new path."""
     if control.sender_leaf == own_leaf:
         raise MalformedControl("unexpected control from own leaf")
 
@@ -462,15 +465,13 @@ def _apply_update_path(control: CgkaControl, t: treemod.RatchetTree,
     if merge_idx is None:
         raise MalformedControl("opened entry does not sit under the path")
 
-    for i, (x, pk) in enumerate(zip(sender_path, control.new_public_path)):
-        t.nodes[x] = pk
-        if i >= merge_idx:
-            kp = pke_keygen(opened)
-            if kp.public_key != pk:
-                raise MalformedControl("chained secret does not match path key")
-            path[x] = (opened, kp)
-            if i + 1 < len(sender_path):
-                opened = derive(opened)
+    for i in range(merge_idx, len(sender_path)):
+        kp = pke_keygen(opened)
+        if kp.public_key != control.new_public_path[i]:
+            raise MalformedControl("chained secret does not match path key")
+        path[sender_path[i]] = (opened, kp)
+        if i + 1 < len(sender_path):
+            opened = derive(opened)
 
 
 def init(member_id: str, directory: InitKeyDirectory) -> CgkaState:

@@ -72,10 +72,6 @@ class NotPresent(ChatGateError):
     """The chatbot id is not attached to the group."""
 
 
-class BadTriggerSignature(ChatGateError):
-    """A trigger registration failed signature verification."""
-
-
 class UnknownChatbotId(ChatGateError):
     """A bundle references a chatbot this party has no record of."""
 

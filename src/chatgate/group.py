@@ -51,7 +51,7 @@ from .encoding import (
 )
 from .errors import (
     BadPseudonymSignature,
-    BadTriggerSignature,
+    BadSignature,
     DecryptFailed,
     DuplicateChatbot,
     MalformedControl,
@@ -417,7 +417,7 @@ class UserState:
             raise DuplicateChatbot(f"{chatbot_id!r} already attached")
         reg = self.registry.lookup_bot(chatbot_id)
         if not reg.verify_signature():
-            raise BadTriggerSignature(f"registration for {chatbot_id!r}")
+            raise BadSignature(f"registration for {chatbot_id!r} does not verify")
         return ChatbotRecord(trigger=reg.trigger, channel_secret_key=channel_secret_key,
                              bot_public_key=bot_public_key)
 

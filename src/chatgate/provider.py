@@ -45,13 +45,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
-from .cgka import (
-    CONTROL_ADD,
-    CgkaControl,
-    InitKeyDirectory,
-    check_sender_path,
-    edit_membership,
-)
+from .cgka import CONTROL_ADD, CgkaControl, InitKeyDirectory, advance
 from .encoding import peek_type
 from .errors import (
     BadSignature,
@@ -76,7 +70,9 @@ from .group import (
     BotMessage,
     ChatbotMessageView,
     GroupControl,
+    PseudonymRegistration,
     UserMessageView,
+    _parse_payload,
 )
 from .primitives import (
     CHAIN,
@@ -301,10 +297,10 @@ def _harvest_hex(node) -> set[bytes]:
 
 
 def _collect_material(transcript, registry: BotLookup) -> tuple[
-        list[tuple[frozenset[bytes], bytes]], list[tuple[frozenset[bytes], bytes]], int]:
+        dict[bytes, set[bytes]], dict[bytes, set[bytes]], int]:
     """All sealed boxes and symmetric ciphertexts visible on the wire, each
-    once, as (hints, box) and (hints, ciphertext), and the length of the
-    longest `new_public_path` on the wire (at least 1).
+    once, in wire order, as box -> hints and ciphertext -> hints, and the
+    length of the longest `new_public_path` on the wire (at least 1).
 
     A box's hints are the public keys that public data names as its
     possible recipient. A seal binds the recipient key pair, so the
@@ -397,26 +393,25 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
             control_boxes(GroupControl.from_bytes(view).control, in_message=False)
     for box in replies:
         hints.setdefault(box, set()).update(group_keys)
-    return ([(frozenset(named), box) for box, named in hints.items()],
-            [(frozenset(named), ct) for ct, named in ct_hints.items()],
-            max(path_lengths))
+    return hints, ct_hints, max(path_lengths)
 
 
 def _entry_keys(groups: dict[str, tuple[RatchetTree, int] | None],
                 control: CgkaControl, in_message: bool) -> list[bytes | None]:
     """The public key each path entry of `control` was sealed to, or None
     where that cannot be read: the key at the entry's target node, in the
-    tree the control's membership edit leaves. `groups` follows each
-    group's public tree and epoch in transcript order, from its create, as
-    a member applies them: the same membership edit and path checks, then
-    the control's new path; a member's message view carries only an
-    update. A control that fails any of that names no key, and its group
-    is dropped (None) for the rest of the transcript, since the follower
-    can no longer tell which tree the group's members hold. The checks
-    that need a member's secrets (the opened box, the derived path keys)
-    it cannot make: a control that members refuse for those is followed,
-    and the group's next control, an epoch behind the follower, drops
-    the group."""
+    tree the control leaves. `groups` follows each group's public tree and
+    epoch in transcript order, from its create, through the public step
+    members run (`advance`: the membership edit, the sender path checks
+    and the new path); a member's message view carries only an update. An
+    entry's target lies in a copath resolution, off the sender's path, so
+    its key is the same before and after the new path. A control that
+    fails any of that names no key, and its group is dropped (None) for
+    the rest of the transcript, since the follower can no longer tell
+    which tree the group's members hold. The checks that need a member's
+    secrets (the opened box, the derived path keys) it cannot make: a
+    control that members refuse for those is followed, and the group's
+    next control, an epoch behind the follower, drops the group."""
     group_id = control.group_id
     if control.kind == "create":
         base, applies = None, group_id not in groups
@@ -427,23 +422,19 @@ def _entry_keys(groups: dict[str, tuple[RatchetTree, int] | None],
     if not applies or (in_message and control.kind != "update"):
         return [None] * len(control.path_entries)
     try:
-        t, _ = edit_membership(control, base)
-        sender_path = check_sender_path(control, t)
+        t, _, _ = advance(control, base)
     except ChatGateError:
         return [None] * len(control.path_entries)
-    keys = [t.nodes[x] if x < len(t.nodes) else None for x, _ in control.path_entries]
-    for x, pk in zip(sender_path, control.new_public_path):
-        t.nodes[x] = pk
     groups[group_id] = (t, control.epoch + 1)
-    return keys
+    return [t.nodes[x] if x < len(t.nodes) else None for x, _ in control.path_entries]
 
 
-def _by_hint(material: list[tuple[frozenset[bytes], bytes]]) -> tuple[
+def _by_hint(material: dict[bytes, set[bytes]]) -> tuple[
         dict[bytes, list[bytes]], list[bytes]]:
-    """Index (hints, item) pairs: item lists per hint, and the unhinted."""
+    """Invert item -> hints: item lists per hint, and the unhinted."""
     by_hint: dict[bytes, list[bytes]] = {}
     unhinted: list[bytes] = []
-    for hints, item in material:
+    for item, hints in material.items():
         if not hints:
             unhinted.append(item)
         for hint in hints:
@@ -511,8 +502,8 @@ class Adversary:
         boxes, ciphertexts, depth = _collect_material(transcript, registry)
         boxes_for, unhinted = _by_hint(boxes)
         cts_for, _ = _by_hint(ciphertexts)  # every ciphertext names a key
-        return _Wire(boxes_for, unhinted, cts_for,
-                     [ct for _, ct in ciphertexts], depth, len(transcript))
+        return _Wire(boxes_for, unhinted, cts_for, list(ciphertexts), depth,
+                     len(transcript))
 
     def check_current(self) -> None:
         """Collect the wire if this is the first attack; refuse if the
@@ -626,8 +617,6 @@ def adversary_decrypt(snapshot: bytes, adversary: Adversary) -> AdversaryReport:
 
 def _payload_message(payload: bytes) -> bytes:
     """Best-effort message extraction from a decrypted payload."""
-    from .group import _parse_payload, PseudonymRegistration
-
     try:
         result, _sig = _parse_payload(payload)
     except MalformedControl:

@@ -6,8 +6,9 @@ group-public: every user can re-evaluate them locally, which is what keeps
 receivers' chatbot records in sync without trusting the sender's addressing
 list.
 
-A registration binds a chatbot id, its two long-term public keys
-(encryption and signing) and its trigger under one signature, so neither
+A registration binds its two long-term public keys (encryption and
+signing) and its trigger, which names the chatbot id, under one signature,
+and it verifies only if its own id is the trigger's, so neither the id,
 the trigger nor the keys can be swapped after publication.
 """
 
@@ -114,7 +115,9 @@ class BotRegistration:
                                     self.trigger)
 
     def verify_signature(self) -> bool:
-        return verify(self.sig_public_key, self.signature, self.signing_context())
+        """The signature verifies, and it is for this registration's id."""
+        return (self.chatbot_id == self.trigger.chatbot_id
+                and verify(self.sig_public_key, self.signature, self.signing_context()))
 
 
 # what a registration's signature covers

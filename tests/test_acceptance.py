@@ -403,6 +403,7 @@ def test_criterion_07_complexity_counts():
               f"({len(bad)} off), single stored group key {one_pk}")
 
 
+@pytest.mark.timing
 def test_criterion_08_send_performance():
     world = bench.World(n=50, m=10)
     times = []
@@ -433,6 +434,7 @@ def test_criterion_08_send_performance():
               f"by n {{{p50s(n_rows, 'n')}}}")
 
 
+@pytest.mark.timing
 def test_criterion_09_chatbot_add():
     world = bench.World(n=50, m=4)
     times = []

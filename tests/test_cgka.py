@@ -33,7 +33,13 @@ from chatgate.errors import (
 from chatgate.group import GROUP_CONTROL, VIEW_USER_MESSAGE, GroupControl, UserMessageView
 from chatgate.harness import canned
 from chatgate.harness.runner import run_text
-from chatgate.primitives import PUBLIC_KEY_LEN, SEALED_LEN
+from chatgate.primitives import (
+    PUBLIC_KEY_LEN,
+    SEALED_LEN,
+    pke_keygen,
+    pke_seal,
+    random_secret,
+)
 
 
 def make_states(n: int, directory=None):
@@ -577,13 +583,79 @@ def rejected_root_key():
     return states[1], ctl
 
 
-@pytest.mark.parametrize("build", [rejected_remove, rejected_add, rejected_root_key],
-                         ids=["remove", "add", "root-key"])
-def test_rejected_control_leaves_state_unchanged(build):
+def rejected_path_length():
+    states, _ = make_group(4)
+    ctl = states[0].update()
+    ctl.new_public_path.append(ctl.new_public_path[-1])
+    return states[1], ctl
+
+
+def rejected_own_leaf():
+    # another member's update, relabelled as sent from the receiver's leaf
+    states, _ = make_group(4)
+    ctl = states[0].update()
+    ctl.sender_leaf = states[1].own_leaf
+    return states[1], ctl
+
+
+def rejected_root_entry():
+    # An entry sealed to the root sits under no node of the sender's path.
+    # The control keeps the root key the receiver holds, so the receiver
+    # still looks the root up, and the entry comes first on the wire.
+    states, _ = make_group(4)
+    receiver = states[1]
+    root_key = receiver.tree.nodes[receiver.tree.root]
+    ctl = states[0].update()
+    ctl.new_public_path[-1] = root_key
+    ctl.path_entries.insert(0, (receiver.tree.root, pke_seal(root_key, random_secret())))
+    return receiver, ctl
+
+
+def rejected_replaced_key_entry():
+    # Leaves 0 and 1 of 8 meet at node 1; nodes 3 and 7 above it are on
+    # both paths. Opening an entry sealed to node 3's old key would let a
+    # forger choose the root secret while the receiver kept node 1's
+    # replaced secret. A receiver holds only the secrets whose keys the
+    # control leaves in its tree, so it opens its genuine entry instead
+    # and finds the forged root key.
+    states, _ = make_group(8)
+    receiver = states[1]
+    forged_root = random_secret()
+    ctl = states[0].update()
+    ctl.new_public_path[-1] = pke_keygen(forged_root).public_key
+    ctl.path_entries.insert(0, (3, pke_seal(receiver.tree.nodes[3], forged_root)))
+    return receiver, ctl
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (rejected_remove, DecryptFailed, None),
+    (rejected_add, DecryptFailed, None),
+    (rejected_root_key, MalformedControl, "does not match path key"),
+    (rejected_path_length, MalformedControl, "path length does not match tree shape"),
+    (rejected_own_leaf, MalformedControl, "unexpected control from own leaf"),
+    (rejected_root_entry, MalformedControl, "opened entry does not sit under the path"),
+    (rejected_replaced_key_entry, MalformedControl, "does not match path key"),
+], ids=["remove", "add", "root-key", "path-length", "own-leaf", "root-entry",
+        "replaced-key-entry"])
+def test_rejected_control_leaves_state_unchanged(build, error, match):
     receiver, ctl = build()
     before = snapshot_text(receiver)
-    with pytest.raises(ChatGateError):
+    with pytest.raises(error, match=match):
         receiver.process(cgka.CgkaControl.from_bytes(ctl.to_bytes()))
+    assert snapshot_text(receiver) == before
+
+
+def test_path_entry_payload_of_the_wrong_size_leaves_state_unchanged():
+    # A box sealed over 32 bytes is exactly as wide as the wire's box
+    # field, so only a control built in memory carries another payload.
+    states, _ = make_group(4)
+    receiver = states[1]
+    leaf = treemod.leaf_node(receiver.own_leaf)
+    ctl = states[0].update()
+    ctl.path_entries.insert(0, (leaf, pke_seal(receiver.tree.nodes[leaf], bytes(31))))
+    before = snapshot_text(receiver)
+    with pytest.raises(MalformedControl, match="path entry payload has wrong size"):
+        receiver.process(ctl)
     assert snapshot_text(receiver) == before
 
 

@@ -133,6 +133,17 @@ def test_field_length_past_the_end_is_rejected(samples, name):
             decode(bad)
 
 
+def test_two_welcomes_in_one_group_control_are_refused(samples):
+    # the welcome list after the control holds at most one welcome
+    decode, blob = samples["group-control"]
+    count_at = 1 + 4 + struct.unpack_from(">I", blob, 1)[0]
+    assert struct.unpack_from(">I", blob, count_at)[0] == 1
+    welcome = blob[count_at + 4:]
+    two = blob[:count_at] + struct.pack(">I", 2) + welcome + welcome
+    with pytest.raises(MalformedControl, match="more than one item"):
+        decode(two)
+
+
 def test_each_read_checks_its_own_bounds():
     # each read fails at once, before any later read or finish() could
     for data, read in ((b"", Reader.u8), (b"\x00\x00\x00", Reader.u32),

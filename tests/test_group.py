@@ -16,6 +16,7 @@ from chatgate.cgka import CgkaControl, InitKeyDirectory
 from chatgate.encoding import Writer
 from chatgate.errors import (
     BadPseudonymSignature,
+    BadSignature,
     ChatGateError,
     DecryptFailed,
     DuplicateChatbot,
@@ -30,6 +31,7 @@ from chatgate.errors import (
 )
 from chatgate.group import (
     NOT_ADDRESSED,
+    AddBotControl,
     BotMessage,
     ChatbotMessageView,
     ChatbotState,
@@ -346,6 +348,83 @@ def test_add_while_the_bot_holds_a_group_leaves_it_unchanged():
     assert json.dumps(bot.snapshot(), sort_keys=True) == before
     out = users["user-00"].send(b"still attached")
     assert bot.receive(out.chatbot_view) == ReceivedMessage(b"still attached")
+
+
+def _memo_add(users):
+    return AddBotControl.from_bytes(users["user-00"].add_chatbot("memo-bot-02"))
+
+
+def _reply(bots, **changes):
+    reply = BotMessage.from_bytes(bots["echo-bot-01"].send(b"a reply"))
+    return replace(reply, **changes).to_bytes()
+
+
+def _chatbot_view(users, **changes):
+    view = ChatbotMessageView.from_bytes(users["user-00"].send(b"hello").chatbot_view)
+    return replace(view, **changes).to_bytes()
+
+
+_OTHER_GROUP = (MalformedControl, "bundle for a different group")
+
+# name -> ((users, bots) -> (party, view), error, message fragment): one
+# fault each, in a group of two members with echo-bot-01 attached, and
+# memo-bot-02 and note-bot-03 registered but not attached
+MISADDRESSED = {
+    "member_add_bot_for_another_group": (
+        lambda users, bots: (users["user-01"], replace(
+            _memo_add(users), group_id="grp-other").to_bytes()), *_OTHER_GROUP),
+    "member_rem_bot_for_another_group": (
+        lambda users, bots: (users["user-01"], RemoveBotControl(
+            group_id="grp-other", chatbot_id="echo-bot-01").to_bytes()), *_OTHER_GROUP),
+    "member_reply_for_another_group": (
+        lambda users, bots: (users["user-01"], _reply(bots, group_id="grp-other")),
+        *_OTHER_GROUP),
+    "member_reply_from_an_unknown_bot": (
+        lambda users, bots: (users["user-01"], _reply(bots, chatbot_id="ghost-bot-99")),
+        UnknownChatbotId, "no record of 'ghost-bot-99'"),
+    "bot_add_for_another_chatbot": (
+        lambda users, bots: (bots["note-bot-03"], _memo_add(users).to_bytes()),
+        MalformedControl, "add control for a different chatbot"),
+    "bot_add_with_a_channel_key_off_its_seed": (
+        lambda users, bots: (bots["memo-bot-02"], replace(
+            _memo_add(users), node_public_key=bytes(32)).to_bytes()),
+        MalformedControl, "channel key disagrees with sealed seed"),
+    "bot_remove_for_another_chatbot": (
+        lambda users, bots: (bots["echo-bot-01"], RemoveBotControl(
+            group_id="grp-main", chatbot_id="memo-bot-02").to_bytes()),
+        MalformedControl, "remove control for a different chatbot"),
+    "bot_view_for_another_group": (
+        lambda users, bots: (bots["echo-bot-01"],
+                             _chatbot_view(users, group_id="grp-other")),
+        MalformedControl, "view for a different group"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISADDRESSED))
+def test_misaddressed_view_is_refused_and_leaves_its_party_unchanged(name):
+    users, bots, registry = build_group(2, bots=[("echo-bot-01", "always")])
+    for cid in ("memo-bot-02", "note-bot-03"):
+        bots[cid] = chatbot_init(cid, rules_from_text("always"))
+        registry.register(bots[cid].registration)
+    build, error, match = MISADDRESSED[name]
+    party, view = build(users, bots)
+    before = snapshot_text(party)
+    with pytest.raises(error, match=match):
+        party.process(view)
+    assert snapshot_text(party) == before
+
+
+def test_add_chatbot_refuses_a_registration_filed_under_another_id():
+    # The signature covers the trigger's chatbot id, not the registration's
+    # own: a copy filed under another id is not signed for that id.
+    users, _, registry = build_group(2)
+    bot = chatbot_init("echo-bot-01", rules_from_text("always"))
+    registry.register(replace(bot.registration, chatbot_id="other-bot-02"))
+    adder = users["user-00"]
+    before = snapshot_text(adder)
+    with pytest.raises(BadSignature):
+        adder.add_chatbot("other-bot-02")
+    assert snapshot_text(adder) == before
 
 
 def test_chatbot_membership_errors():

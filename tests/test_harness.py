@@ -99,6 +99,12 @@ def test_parse_usage_comes_from_the_op_fields():
     ("group g user-00\nsend user-99 hi\n", "not a group member"),
     ("group g user-00\nbot b-01 always\nbot b-01 always\n", "declared twice"),
     ("group g user-00\nadd_bot user-00 b-01\n", "never declared"),
+    ("group g user-00\nbot b-01 always\nrem_bot user-00 b-01\n", "not attached here"),
+    ("group g user-00\nbot b-01 always\nadd_bot user-00 b-01\nadd_bot user-00 b-01\n",
+     "already attached"),
+    ("group g user-00 user-01\nadd_user user-00 user-01\n", "already a member"),
+    ("group g user-00\nsend user-00 hi conceal conceal\n", "repeated send flag"),
+    ("group g\n", "group needs an id and members"),
     ("group g user-00\nbot b-01 regex:x\n", "unknown rule kind"),
     ("group g user-00 user-01\nrem_user user-00 user-00\n", "themselves"),
     ("group g user-00\nsend user-00 hi loudly\n", "unknown send flag"),

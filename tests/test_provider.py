@@ -131,6 +131,18 @@ def test_bot_registration_checks():
         provider.register_bot(forged)
 
 
+def test_register_bot_refuses_a_registration_filed_under_another_id():
+    # The signature covers the trigger's chatbot id; a copy of a genuine
+    # registration under another id verified and was filed under that id.
+    provider = Provider()
+    bot = chatbot_init("echo-bot-01", rules_from_text("always"))
+    with pytest.raises(BadSignature):
+        provider.register_bot(replace(bot.registration, chatbot_id="other-bot-02"))
+    with pytest.raises(UnknownChatbot):
+        provider.lookup_bot("other-bot-02")
+    provider.register_bot(bot.registration)
+
+
 def test_init_key_directory_refuses_a_key_of_the_wrong_width():
     # a 5-byte init key was published, and the adder's add then raised a
     # bare ValueError inside X25519
@@ -495,10 +507,9 @@ def test_unnamed_recipient_leaves_box_unhinted_and_tried():
                      user_view=bots["echo-bot-01"].send(b"echo reply"))
     drain(provider, users, bots)
     unknown = Provider()
-    named = {box: hints for hints, box in
-             _collect_material(provider.transcript, provider)[0]}
-    unhinted = [box for hints, box in
-                _collect_material(provider.transcript, unknown)[0] if not hints]
+    named = _collect_material(provider.transcript, provider)[0]
+    unhinted = [box for box, hints in
+                _collect_material(provider.transcript, unknown)[0].items() if not hints]
     assert [named[box] for box in unhinted] == [
         {bots["echo-bot-01"].registration.enc_public_key}]
     snap = provider.snapshot_state("echo-bot-01")
@@ -559,8 +570,7 @@ def test_entry_naming_a_node_outside_the_tree_is_left_unhinted(target):
     ctl.path_entries[0] = (bad, forged_box)
     world.provider.publish(world.group_id, "user-000",
                            user_view=replace(wrapped, control=ctl.to_bytes()).to_bytes())
-    hints = {box: named for named, box in
-             _collect_material(world.provider.transcript, world.provider)[0]}
+    hints = _collect_material(world.provider.transcript, world.provider)[0]
     assert hints[forged_box] == frozenset()
     assert rest
     for x, box in rest:
@@ -574,8 +584,7 @@ def test_follower_refuses_a_membership_control_in_a_message_view():
     view = UserMessageView(flags=0, control=ctl.to_bytes(), ciphertext=b"",
                            entries=()).to_bytes()
     world.provider.publish(world.group_id, "user-000", user_view=view)
-    hints = {box: named for named, box in
-             _collect_material(world.provider.transcript, world.provider)[0]}
+    hints = _collect_material(world.provider.transcript, world.provider)[0]
     assert ctl.path_entries
     for _, box in ctl.path_entries:
         assert hints[box] == frozenset()
@@ -596,8 +605,7 @@ def test_follower_drops_a_group_after_a_control_it_cannot_apply(forgery):
         forged = replace(ctl, sender_leaf=2**32 - 1)
     for view in (replace(wrapped, control=forged.to_bytes()).to_bytes(), genuine):
         world.provider.publish(world.group_id, "user-000", user_view=view)
-    hints = {box: named for named, box in
-             _collect_material(world.provider.transcript, world.provider)[0]}
+    hints = _collect_material(world.provider.transcript, world.provider)[0]
     assert ctl.path_entries
     for _, box in ctl.path_entries:
         assert hints[box] == frozenset()
@@ -606,8 +614,7 @@ def test_follower_drops_a_group_after_a_control_it_cannot_apply(forgery):
     tree = world.users["user-000"].cgka.tree
     genuine = world.users["user-000"].update_keys()
     world.provider.publish(world.group_id, "user-000", user_view=genuine)
-    hints = {box: named for named, box in
-             _collect_material(world.provider.transcript, world.provider)[0]}
+    hints = _collect_material(world.provider.transcript, world.provider)[0]
     for x, box in cgka.CgkaControl.from_bytes(
             GroupControl.from_bytes(genuine).control).path_entries:
         assert hints[box] == {tree.nodes[x]}
@@ -777,10 +784,9 @@ def _attacked_snapshots(result):
 def test_indexed_adversary_matches_all_pairs_loop(name):
     result = run_text(canned.ALL[name], seed=7)
     transcript = result.provider.transcript
-    boxes, ciphertexts, _depth = _collect_material(transcript, result.provider)
-    box_hints = {box: named for named, box in boxes}
+    box_hints, ciphertexts, _depth = _collect_material(transcript, result.provider)
     # the oracle names each ciphertext's key from its own decode
-    assert {ct: named for named, ct in ciphertexts} == _reference_material(transcript)[1]
+    assert ciphertexts == _reference_material(transcript)[1]
     opened = set()
     for who, snapshot in _attacked_snapshots(result):
         with counters.collect(counters.OpCounters()) as ref_ops:
@@ -884,7 +890,7 @@ def test_hints_name_the_true_recipient(monkeypatch, seal_log, name, seed):
     boxes, _cts, _depth = _collect_material(result.provider.transcript,
                                             result.provider)
     dummies = 0
-    for hints, box in boxes:
+    for box, hints in boxes.items():
         if box not in seal_log:
             dummies += 1  # a concealment dummy, sealed to no one
             continue
@@ -932,7 +938,7 @@ def test_ciphertext_hints_name_the_message_key_seed(monkeypatch, key_log,
     _boxes, ciphertexts, _depth = _collect_material(result.provider.transcript,
                                                     result.provider)
     assert ciphertexts
-    for hints, ct in ciphertexts:
+    for ct, hints in ciphertexts.items():
         key = keys[ct]
         assert pke_keygen(seeds[key]).public_key in hints
 

@@ -151,6 +151,12 @@ def test_tampered_registration_fails():
         signature=reg.signature)
     assert not swapped_trigger.verify_signature()
 
+    swapped_id = BotRegistration(
+        chatbot_id="other-bot-02", enc_public_key=reg.enc_public_key,
+        sig_public_key=reg.sig_public_key, trigger=reg.trigger,
+        signature=reg.signature)
+    assert not swapped_id.verify_signature()
+
 
 def test_context_binds_all_parts():
     reg = _fresh_registration()
