@@ -10,7 +10,10 @@ channel simply stays at the older key, which is what keeps its storage and
 the users' bookkeeping constant.
 
 Chatbot views carry no sender identity and no tree control: they are
-encoded independently of the user view, never sliced out of it.
+encoded independently of the user view, never sliced out of it. The sealed
+keys travel in the chatbot view alone; a member's view carries no chatbot
+boxes, since members never open them and work out the addressed set from
+the group-public triggers.
 
 Wire types, each declared once by its `wire` decorator below (field
 order and kinds), and the payloads inside the ciphertext as `Record`s:
@@ -218,36 +221,31 @@ def pseudonym_context(group_id: str, epoch: int, message: bytes) -> bytes:
 # bundle encodings
 # ---------------------------------------------------------------------------
 
-Entry = tuple[str, bytes]  # (chatbot id, sealed key or dummy of equal length)
-
-# A message view's entries: each box is a sealed message key, or a
-# concealment dummy of the same width.
-_ENTRIES = items(Record(("chatbot_id", TEXT), ("box", BOX)), into=tuple)
-
-
-@wire(VIEW_USER_MESSAGE, ("flags", U8), ("control", BYTES), ("ciphertext", BYTES),
-      ("entries", _ENTRIES))
+@wire(VIEW_USER_MESSAGE, ("flags", U8), ("control", BYTES), ("ciphertext", BYTES))
 @dataclass(frozen=True)
 class UserMessageView:
     """A member's view of a message. The group id, epoch and group public
     key are the embedded control's: its group id, its epoch plus one, and
-    the root of its `new_public_path`."""
+    the root of its `new_public_path`. It carries no chatbot boxes: members
+    work out the addressed chatbots from the group-public triggers."""
 
     flags: int
     control: bytes
     ciphertext: bytes
-    entries: tuple[Entry, ...]
 
 
+# A chatbot view's entries: each box is the message key sealed to the named
+# chatbot, or a concealment dummy of the same width.
 @wire(VIEW_CHATBOT_MESSAGE, ("group_id", TEXT), ("epoch", U32),
-      ("ciphertext", BYTES), ("group_public_key", KEY), ("entries", _ENTRIES))
+      ("ciphertext", BYTES), ("group_public_key", KEY),
+      ("entries", items(Record(("chatbot_id", TEXT), ("box", BOX)), into=tuple)))
 @dataclass(frozen=True)
 class ChatbotMessageView:
     group_id: str
     epoch: int
     ciphertext: bytes
     group_public_key: bytes
-    entries: tuple[Entry, ...]
+    entries: tuple[tuple[str, bytes], ...]  # (chatbot id, sealed key or dummy)
 
 
 def chatbot_view_shape(data: bytes) -> tuple:
@@ -431,16 +429,13 @@ class UserState:
         self._require_group()
         if pseudonymous and self.pseudonym is None:
             raise PseudonymNotRegistered("broadcast a pseudonym key first")
-
-        def build_payload(epoch: int) -> bytes:
-            if not pseudonymous:
-                return _encode_plain(message)
-            ctx = pseudonym_context(self.group_id, epoch, message)
-            return _encode_pseudonymous(
-                message, self.pseudonym.handle,
-                sign(self.pseudonym.key.secret_key, ctx))
-
-        return self._send_raw(build_payload, trigger_message=message,
+        if pseudonymous:
+            ctx = pseudonym_context(self.group_id, self.epoch + 1, message)
+            payload = _encode_pseudonymous(message, self.pseudonym.handle,
+                                           sign(self.pseudonym.key.secret_key, ctx))
+        else:
+            payload = _encode_plain(message)
+        return self._send_raw(payload, trigger_message=message,
                               conceal=conceal, address_all=address_all)
 
     def register_pseudonym(self) -> SendOutcome:
@@ -451,14 +446,15 @@ class UserState:
             raise NoChatbots("no chatbot to register a pseudonym with")
         key = sign_keygen(random_secret())
         handle = derive(key.public_key, HANDLE)
-        outcome = self._send_raw(lambda _epoch: _encode_registration(key.public_key),
+        outcome = self._send_raw(_encode_registration(key.public_key),
                                  trigger_message=None, conceal=False,
                                  address_all=True)
         self.pseudonym = Pseudonym(key=key, handle=handle)
         return outcome
 
-    def _send_raw(self, build_payload, trigger_message: bytes | None,
+    def _send_raw(self, payload: bytes, trigger_message: bytes | None,
                   conceal: bool, address_all: bool) -> SendOutcome:
+        """Publishable views of `payload`, sent at epoch `self.epoch + 1`."""
         # A send commits when it is built rather than through `process`:
         # decoding its own view would add one counted `derive` and one
         # counted `sym_decrypt` per send.
@@ -467,12 +463,12 @@ class UserState:
         epoch = self.cgka.epoch
         pair = self.cgka.group_key_pair
         message_key = derive(group_key, MSG_KEY)
-        ciphertext = sym_encrypt(message_key, build_payload(epoch))
+        ciphertext = sym_encrypt(message_key, payload)
 
         fired = self._rotate(trigger_message, address_all, pair)
         addressed: list[str] = []
         concealed: list[str] = []
-        entries: list[Entry] = []
+        entries = []
         for cid, record in sorted(self.records.items()):
             if cid in fired:
                 entries.append((cid, pke_seal(record.bot_public_key, message_key)))
@@ -483,7 +479,7 @@ class UserState:
 
         flags = _FLAG_ADDRESS_ALL if address_all else 0
         user_view = UserMessageView(flags=flags, control=ctl.to_bytes(),
-                                    ciphertext=ciphertext, entries=tuple(entries))
+                                    ciphertext=ciphertext)
         chatbot_view = ChatbotMessageView(
             group_id=self.group_id, epoch=epoch, ciphertext=ciphertext,
             group_public_key=pair.public_key, entries=tuple(entries))
@@ -495,16 +491,14 @@ class UserState:
     def process_user_message(self, data: bytes) -> ReceiveResult:
         """Apply another user's message: advance the tree, read the payload,
         and refresh exactly the records whose triggers the message fires
-        (senders' entry lists are never trusted for that). A message embeds
-        an update and no other control: membership changes travel as tree
-        controls, which the provider routes by. The control commits only
+        (the view names no chatbot, so no sender claim decides that). A
+        message embeds an update and no other control: membership changes
+        travel as tree controls, which the provider routes by. The control
+        commits only
         once the message has been read under its staged root, so a message
         that fails any check changes nothing."""
         view = UserMessageView.from_bytes(data)
         self._require_group()
-        for cid, _ in view.entries:
-            if cid not in self.records:
-                raise UnknownChatbotId(f"entry for unknown chatbot {cid!r}")
         control = CgkaControl.from_bytes(view.control)
         if control.kind != "update":
             raise MalformedControl(f"a message embeds an update, not a {control.kind}")

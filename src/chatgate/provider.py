@@ -14,11 +14,11 @@ state and an `Adversary`, which holds the public transcript and the public
 PKI, it exhaustively combines every 32-byte value it can see or derive
 (chains as long as the deepest tree path on the wire, message keys, key
 pairs) against every sealed box and ciphertext until nothing new falls
-out. A sealed box opens only under
-the secret of the public key it was sealed to, and public data names that
-key for every box the protocol seals: a tree control's entries name their
-target nodes, whose keys sit in the group's public tree, which the
-adversary follows through the transcript as members do; chatbot entries
+out. A sealed box opens only under the secret of the public key it was
+sealed to, and public data names that key for every box the protocol
+seals: a tree control's entries name their target nodes, whose keys sit in
+the group's public tree, which the adversary follows through the
+transcript as members do; chatbot entries, which only chatbot views carry,
 name a bot whose node key is on the wire, bot replies go to a group key
 that some chatbot view or attach control carries, and attach seeds go to
 the bot's registered key. Ciphertexts are named too: every AEAD key is
@@ -310,9 +310,10 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     * tree controls, whose path entries name their target nodes: each is
       named by the key at that node in the group's public tree, which
       `_entry_keys` follows through the transcript;
-    * chatbot entries, which name a chatbot id whose current node key is on
-      the wire (attach controls announce it, every chatbot reply announces
-      the rotated one), tracked in transcript order;
+    * chatbot entries, which travel in chatbot views only (a member's view
+      carries no chatbot boxes) and name a chatbot id whose current node key
+      is on the wire (attach controls announce it, every chatbot reply
+      announces the rotated one), tracked in transcript order;
     * bot replies, sealed to the bot's group public key, which it only ever
       takes from an attach control or a chatbot view: every such key on the
       transcript is a hint;
@@ -371,8 +372,6 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
             v = UserMessageView.from_bytes(view)
             control = control_boxes(v.control, in_message=True)
             ct_hints.setdefault(v.ciphertext, set()).update(control.new_public_path[-1:])
-            for cid, box in v.entries:
-                add_box(box, bot_pk.get(cid))
         elif kind == VIEW_CHATBOT_MESSAGE:
             v = ChatbotMessageView.from_bytes(view)
             ct_hints.setdefault(v.ciphertext, set()).add(v.group_public_key)

@@ -7,9 +7,9 @@ receivers' chatbot records in sync without trusting the sender's addressing
 list.
 
 A registration binds its two long-term public keys (encryption and
-signing) and its trigger, which names the chatbot id, under one signature,
-and it verifies only if its own id is the trigger's, so neither the id,
-the trigger nor the keys can be swapped after publication.
+signing) and its trigger, which names the chatbot id, under one signature.
+The trigger is the one place the id is stated, so neither the id, the
+trigger nor the keys can be swapped after publication.
 """
 
 from __future__ import annotations
@@ -98,29 +98,30 @@ def rules_from_text(text: str) -> tuple[TriggerRule, ...]:
 _TRIGGER = nested(TriggerSpec, "canonical_bytes")
 
 
-@wire(_REGISTRATION_TYPE, ("chatbot_id", TEXT), ("enc_public_key", KEY),
-      ("sig_public_key", KEY), ("trigger", _TRIGGER), ("signature", SIGNATURE))
+@wire(_REGISTRATION_TYPE, ("enc_public_key", KEY), ("sig_public_key", KEY),
+      ("trigger", _TRIGGER), ("signature", SIGNATURE))
 @dataclass(frozen=True)
 class BotRegistration:
     """Immutable published identity of a chatbot."""
 
-    chatbot_id: str
     enc_public_key: bytes
     sig_public_key: bytes
     trigger: TriggerSpec
     signature: bytes
+
+    @property
+    def chatbot_id(self) -> str:
+        return self.trigger.chatbot_id
 
     def signing_context(self) -> bytes:
         return registration_context(self.enc_public_key, self.sig_public_key,
                                     self.trigger)
 
     def verify_signature(self) -> bool:
-        """The signature verifies, and it is for this registration's id."""
-        return (self.chatbot_id == self.trigger.chatbot_id
-                and verify(self.sig_public_key, self.signature, self.signing_context()))
+        return verify(self.sig_public_key, self.signature, self.signing_context())
 
 
-# what a registration's signature covers
+# what a registration's signature covers: its declaration minus the signature
 _REGISTRATION_CONTEXT = Record(("enc_public_key", KEY), ("sig_public_key", KEY),
                                ("trigger", _TRIGGER), type_byte=0x22)
 
@@ -136,6 +137,6 @@ def make_registration(chatbot_id: str, enc_public_key: bytes,
     trigger = TriggerSpec(chatbot_id=chatbot_id, rules=rules)
     signature = sign(sig_secret_key,
                      registration_context(enc_public_key, sig_public_key, trigger))
-    return BotRegistration(chatbot_id=chatbot_id, enc_public_key=enc_public_key,
+    return BotRegistration(enc_public_key=enc_public_key,
                            sig_public_key=sig_public_key, trigger=trigger,
                            signature=signature)

@@ -485,7 +485,7 @@ def test_criterion_10_pseudonymity():
     ctx = pseudonym_context(sender.group_id, out.epoch, b"cloaked hello")
     stale = _encode_pseudonymous(b"cloaked hello", handle,
                                  sign(sender.pseudonym.key.secret_key, ctx))
-    replayed = users["user-01"]._send_raw(lambda _e: stale,
+    replayed = users["user-01"]._send_raw(stale,
                                           trigger_message=b"cloaked hello",
                                           conceal=False, address_all=True)
     try:

@@ -84,12 +84,18 @@ FIRST_FIELD = {"user-view": 2, "public-tree": 8}
 
 def _overruns(blob: bytes, first: int) -> list[bytes]:
     """Copies whose first, and where present last, field length points past
-    the end of the input."""
-    assert first + 4 + struct.unpack_from(">I", blob, first)[0] <= len(blob)
+    the end of the input. The last field is a trailing sealed box, or a
+    byte string that directly follows the first field and ends the input
+    (a user view's ciphertext after its control)."""
+    after_first = first + 4 + struct.unpack_from(">I", blob, first)[0]
+    assert after_first <= len(blob)
     spots = [first]
     last = len(blob) - 4 - SEALED_LEN  # trailing sealed box, if any
     if struct.unpack_from(">I", blob, last)[0] == SEALED_LEN:
         spots.append(last)
+    elif (after_first + 4 <= len(blob) and after_first + 4
+          + struct.unpack_from(">I", blob, after_first)[0] == len(blob)):
+        spots.append(after_first)
     out = []
     for at in spots:
         for length in (len(blob), 0xFFFFFFFF):
@@ -402,10 +408,13 @@ def test_bare_u32_list_one_byte_edits_raise_only_chatgate_errors():
 
 
 def test_width_fields_cover_every_declared_type():
-    assert {name.split(".")[0] for name in WIDTH_FIELDS} >= {
-        "CgkaControl", "UserMessageView", "ChatbotMessageView", "BotMessage",
+    covered = {name.split(".")[0] for name in WIDTH_FIELDS}
+    assert covered >= {
+        "CgkaControl", "ChatbotMessageView", "BotMessage",
         "AddBotControl", "GroupControl", "BotRegistration", "RatchetTree",
         "payload_PSEUDONYMOUS", "payload_REGISTRATION"}
+    # a member's view is flags, control and ciphertext: no sealed box
+    assert "UserMessageView" not in covered
 
 
 @settings(max_examples=300, deadline=None)

@@ -192,6 +192,49 @@ def test_concealed_entries_pad_to_full_roster():
     assert bots["log-bot-03"].receive(plain.chatbot_view) is NOT_ADDRESSED
 
 
+def test_member_view_carries_no_chatbot_box():
+    # Every member got one 80-byte box or dummy per addressed or concealed
+    # bot, though no member ever opens one: the boxes travel only in the
+    # chatbot view.
+    with seeded(7):
+        world = bench.World(16, 4)
+        first = world.users["user-000"].send(b"hello, four bots!", conceal=True)
+        world.attach_bot("quiet-bot-004", "never")
+        out = world.users["user-001"].send(b"hello, five bots!", conceal=True)
+    assert (len(first.user_view), len(first.chatbot_view)) == (622, 516)
+    assert out.concealed == ("quiet-bot-004",)
+    bot_view = ChatbotMessageView.from_bytes(out.chatbot_view)
+    assert len(bot_view.entries) == 5
+    for _, box in bot_view.entries:
+        assert box not in out.user_view
+    (layout,) = UserMessageView.wire_layouts.values()
+    assert [name for name, _ in layout.fields] == ["flags", "control", "ciphertext"]
+    view = UserMessageView.from_bytes(out.user_view)
+    assert view == UserMessageView(flags=0, control=view.control,
+                                   ciphertext=bot_view.ciphertext)
+    assert CgkaControl.from_bytes(view.control).kind == "update"
+    assert view.to_bytes() == out.user_view
+
+
+@pytest.mark.parametrize("message,conceal,role", [
+    (b"@echo hi", False, "addressed"), (b"plain hi", True, "concealed"),
+    (b"plain hi", False, None),
+], ids=["triggered", "concealed", "neither"])
+def test_member_reads_a_send_whose_bot_roster_lags_a_removal(message, conceal, role):
+    # The receiver dropped the bot; the sender did not process the removal.
+    # A member view names no chatbot, so whether the sender still seals to,
+    # or conceals, the removed bot, members read the message alike.
+    users, _, _ = build_group(2, bots=[("echo-bot-01", "mention:@echo")])
+    users["user-01"].remove_chatbot("echo-bot-01")
+    out = users["user-00"].send(message, conceal=conceal)
+    assert {"addressed": out.addressed, "concealed": out.concealed} == {
+        key: ("echo-bot-01",) if key == role else () for key in ("addressed", "concealed")}
+    receiver = users["user-01"]
+    assert receiver.process_user_message(out.user_view) == ReceivedMessage(message)
+    assert receiver.cgka.group_secret == users["user-00"].cgka.group_secret
+    assert "echo-bot-01" not in receiver.records
+
+
 def test_dummy_entries_do_not_leak_to_addressed_bot():
     users, bots, _ = build_group(
         2, bots=[("echo-bot-01", "mention:@echo"), ("log-bot-03", "never")])
@@ -233,15 +276,6 @@ def test_receivers_do_not_trust_entry_list_for_records():
     users["user-01"].process_user_message(out.user_view)
     after = users["user-01"].records["echo-bot-01"].channel_secret_key
     assert after != before
-
-
-def test_entry_for_unknown_chatbot_rejected():
-    users, bots, _ = build_group(2, bots=[("echo-bot-01", "mention:@echo")])
-    # receiver dropped the bot; sender did not process the removal
-    blob = users["user-01"].remove_chatbot("echo-bot-01")
-    out = users["user-00"].send(b"@echo hi")
-    with pytest.raises(UnknownChatbotId):
-        users["user-01"].process_user_message(out.user_view)
 
 
 # -- chatbot channel ----------------------------------------------------------
@@ -415,11 +449,12 @@ def test_misaddressed_view_is_refused_and_leaves_its_party_unchanged(name):
 
 
 def test_add_chatbot_refuses_a_registration_filed_under_another_id():
-    # The signature covers the trigger's chatbot id, not the registration's
-    # own: a copy filed under another id is not signed for that id.
+    # The signed trigger names the chatbot id: a copy whose trigger names
+    # another id is not signed for that id.
     users, _, registry = build_group(2)
     bot = chatbot_init("echo-bot-01", rules_from_text("always"))
-    registry.register(replace(bot.registration, chatbot_id="other-bot-02"))
+    registry.register(replace(bot.registration, trigger=replace(
+        bot.registration.trigger, chatbot_id="other-bot-02")))
     adder = users["user-00"]
     before = snapshot_text(adder)
     with pytest.raises(BadSignature):
@@ -655,20 +690,25 @@ def flip_last_byte(data: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("forge,error", [
-    (lambda v: replace(v, entries=v.entries + (("ghost-bot-99", bytes(SEALED_LEN)),)),
-     UnknownChatbotId),
-    (lambda v: replace(v, ciphertext=flip_last_byte(v.ciphertext)), DecryptFailed),
-], ids=["unknown_chatbot_entry", "flipped_ciphertext"])
+    (lambda v, _next: replace(v, ciphertext=flip_last_byte(v.ciphertext)), DecryptFailed),
+    (lambda v, _next: replace(v, ciphertext=b""), DecryptFailed),
+    (lambda v, next_view: replace(v, ciphertext=next_view.ciphertext), DecryptFailed),
+], ids=["flipped_ciphertext", "empty_ciphertext", "next_message_ciphertext"])
 def test_bad_message_header_is_rejected_before_the_control_commits(forge, error):
     users, bots, _ = build_group(3, bots=[("echo-bot-01", "mention:@echo")])
     out = users["user-00"].send(b"@echo hi")
-    forged = forge(UserMessageView.from_bytes(out.user_view)).to_bytes()
+    # the sender's next message: its ciphertext is sealed under the next
+    # epoch's key, not the one this control derives
+    next_out = users["user-00"].send(b"@echo again")
+    next_view = UserMessageView.from_bytes(next_out.user_view)
+    forged = forge(UserMessageView.from_bytes(out.user_view), next_view).to_bytes()
     receiver = users["user-01"]
     before = json.dumps(receiver.snapshot(), sort_keys=True)
     with pytest.raises(error):
         receiver.process_user_message(forged)
     assert json.dumps(receiver.snapshot(), sort_keys=True) == before
     assert receiver.process_user_message(out.user_view) == ReceivedMessage(b"@echo hi")
+    assert receiver.process_user_message(next_out.user_view) == ReceivedMessage(b"@echo again")
     assert receiver.cgka.group_secret == users["user-00"].cgka.group_secret
     assert receiver.records["echo-bot-01"].channel_secret_key == \
         users["user-00"].records["echo-bot-01"].channel_secret_key
@@ -704,7 +744,7 @@ def test_message_view_carrying_a_membership_control_leaves_members_unchanged(kin
         ctl = sender.remove("user-003")
     message_key = derive(sender._pending.group_secret, MSG_KEY)
     forged = UserMessageView(
-        flags=0, control=ctl.to_bytes(), entries=(),
+        flags=0, control=ctl.to_bytes(),
         ciphertext=sym_encrypt(message_key, group_module._encode_plain(b"hi"))).to_bytes()
     for uid in ("user-001", "user-002", "user-003"):
         user = world.users[uid]
@@ -775,7 +815,7 @@ def test_pseudonym_replay_across_epochs_rejected():
     # identical signed payload in a fresh epoch. The signature binds the
     # epoch it was made for, so the bot rejects it.
     stale_payload = _rebuild_payload(users["user-00"], b"signed once", out.epoch)
-    replayed = users["user-01"]._send_raw(lambda _e: stale_payload,
+    replayed = users["user-01"]._send_raw(stale_payload,
                                           trigger_message=b"signed once",
                                           conceal=False, address_all=True)
     with pytest.raises(BadPseudonymSignature):

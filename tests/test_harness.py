@@ -335,32 +335,32 @@ def test_same_seed_same_transcript():
 PINNED_SEED_7 = {
     "anonymity": {
         "report": "5f42c32fa2e03b4d1426550f356b44055537a570af8bdf27bbca1b1c8b3a63a7",
-        "transcript": "aca748deb9491c20aa088ebab7f6ee7272b7c3fcf512cee65ee6a80a5fe791d3",
+        "transcript": "e3b5ce39246c3175edbbbac9a1377cd8dbea24bdb4149db59b665b2d75acf56b",
         "supersessions": "e257861a55862a74b2e4f5f90621a322fa28828f11ac487e0d3a7d5763ef4aa3",
     },
     "concealment": {
         "report": "8ac5a1c3339295553a23d75da5f8c3776fa3b6699fe8cbba45eecfbc2451f40b",
-        "transcript": "2d4c7b1f706ddf22dd5d17c2a5ff487aaf5d3f97e25690ca3bf79052030428ed",
+        "transcript": "754fec7bb7bee5d5a795ba9d5c54d380e8fe5fd67908d58147a295925569ffc3",
         "supersessions": "b36f9213e0c23068a79546637abc03d0955a4c8f49227649cd3648cf146b2554",
     },
     "demo": {
         "report": "61d28f56d3b6e95e0897eecb6576630cd53ab319cc3eff0d228204b6489e02b4",
-        "transcript": "521dbfa90ef80f3e011584187eb08ba032aea622885d9cf9264709060a61517b",
+        "transcript": "dc5be19868b1e0dc9b436c02ddb24d5feb006949f3abca899d483211918f50b3",
         "supersessions": "4bc0e5a34dc49cbd70ce7d10039a531ecdeb27ee16dc11490fc61ad440458ab9",
     },
     "fs": {
         "report": "963b57d141b33d654fbe13e86ef38340d1085fa54213c23b2d03cf11ac5f6f79",
-        "transcript": "6bc2cf44a5b7d043ab862096467cdc06f46e7580a002d065c94efe026b85837f",
+        "transcript": "6c6631a39b727cb147bbf62f1873094fa1982ccdfc6acb001fb9c48458b20509",
         "supersessions": "10ccd803596c1f0b506e7728ab58f531d8735d6e99b5856535de1f1e2c59e0e0",
     },
     "pcs": {
         "report": "6ac3fd38d7e68878a9e7b1014ea2ab5a10e5c6c365390bd936c2c6ef5a86bfb5",
-        "transcript": "29f5af1c58e568157902310af5caa13c652b3fd78aea31e0667701411fea41e6",
+        "transcript": "77c0fb783ebbf1cfedc6472c79a551acd898f39326322d136a8f4a56d0ceaab7",
         "supersessions": "d020f0ce11eb98925d0609cee325b437e61ce3f277a17bdc66871d6ce4a15a9a",
     },
     "selective": {
         "report": "eeb9470cf3ad523b6fb1e8ebd620e1c380cae5942c9ca5598efd6bd5ceca9161",
-        "transcript": "16f726e7da24ea97099d6b1cc0eae46b390ff92c78b6a081c358bb4070bdb9ba",
+        "transcript": "81031908af13337d9a637abb84c981a184c5b0a95ebdfd677d00cca22cd80f33",
         "supersessions": "51d8d645a522e7e4f97e4beb7556d047d481b2805329d79968a53c303372dbbf",
     },
 }

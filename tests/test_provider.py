@@ -122,22 +122,23 @@ def test_bot_registration_checks():
 
     from chatgate.triggers import BotRegistration
     forged = BotRegistration(
-        chatbot_id="evil-bot-66",
         enc_public_key=bot.registration.enc_public_key,
         sig_public_key=bot.registration.sig_public_key,
-        trigger=bot.registration.trigger,
+        trigger=replace(bot.registration.trigger, chatbot_id="evil-bot-66"),
         signature=b"\x00" * 64)
     with pytest.raises(BadSignature):
         provider.register_bot(forged)
 
 
 def test_register_bot_refuses_a_registration_filed_under_another_id():
-    # The signature covers the trigger's chatbot id; a copy of a genuine
-    # registration under another id verified and was filed under that id.
+    # The signed trigger names the chatbot id; a copy of a genuine
+    # registration whose trigger names another id is not signed for it.
     provider = Provider()
     bot = chatbot_init("echo-bot-01", rules_from_text("always"))
+    swapped = replace(bot.registration,
+                      trigger=replace(bot.registration.trigger, chatbot_id="other-bot-02"))
     with pytest.raises(BadSignature):
-        provider.register_bot(replace(bot.registration, chatbot_id="other-bot-02"))
+        provider.register_bot(swapped)
     with pytest.raises(UnknownChatbot):
         provider.lookup_bot("other-bot-02")
     provider.register_bot(bot.registration)
@@ -542,8 +543,7 @@ def test_adversary_climbs_as_far_as_the_longest_path_on_the_wire(carrier):
     message = UserMessageView(
         flags=0, control=(deep if carrier == "user_message" else shallow).to_bytes(),
         ciphertext=primitives.sym_encrypt(derive(top, MSG_KEY),
-                                          group._encode_plain(b"deep message")),
-        entries=())
+                                          group._encode_plain(b"deep message")))
     views = [message.to_bytes()]
     if carrier == "group_control":
         views.insert(0, GroupControl(control=deep.to_bytes()).to_bytes())
@@ -581,8 +581,7 @@ def test_follower_refuses_a_membership_control_in_a_message_view():
     # Members refuse it, so the follower names none of its entries.
     world = bench.World(4, 0)
     ctl = world.users["user-000"].cgka.remove("user-003")
-    view = UserMessageView(flags=0, control=ctl.to_bytes(), ciphertext=b"",
-                           entries=()).to_bytes()
+    view = UserMessageView(flags=0, control=ctl.to_bytes(), ciphertext=b"").to_bytes()
     world.provider.publish(world.group_id, "user-000", user_view=view)
     hints = _collect_material(world.provider.transcript, world.provider)[0]
     assert ctl.path_entries
@@ -623,10 +622,10 @@ def test_follower_drops_a_group_after_a_control_it_cannot_apply(forgery):
 def _reference_material(transcript):
     """Reference boxes as (hint or None, box), ciphertexts mapped to the
     keys their views name, and the longest tree path (at least 1),
-    independent of the adversary's own scrape. Chatbot entries carry the
-    bot's node key tracked in transcript order; tree entries, bot replies
-    and attach seeds stay unhinted, so the oracle below tries them against
-    every candidate. A member's view names
+    independent of the adversary's own scrape. Chatbot entries, which only
+    chatbot views carry, name the bot's node key tracked in transcript
+    order; tree entries, bot replies and attach seeds stay unhinted, so the
+    oracle below tries them against every candidate. A member's view names
     the root key of its control's path, a chatbot view its group key and a
     bot reply its node key."""
     boxes = {}
@@ -654,8 +653,6 @@ def _reference_material(transcript):
             v = UserMessageView.from_bytes(view)
             control = cgka.CgkaControl.from_bytes(v.control)
             ciphertexts.setdefault(v.ciphertext, set()).add(control.new_public_path[-1])
-            for cid, box in v.entries:
-                add_box(box, bot_pk.get(cid))
             control_boxes(control)
         elif kind == VIEW_CHATBOT_MESSAGE:
             v = ChatbotMessageView.from_bytes(view)

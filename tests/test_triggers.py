@@ -139,22 +139,24 @@ def test_tampered_registration_fails():
     reg = _fresh_registration()
     other = pke_keygen(random_secret())
     swapped_key = BotRegistration(
-        chatbot_id=reg.chatbot_id, enc_public_key=other.public_key,
+        enc_public_key=other.public_key,
         sig_public_key=reg.sig_public_key, trigger=reg.trigger,
         signature=reg.signature)
     assert not swapped_key.verify_signature()
 
     swapped_trigger = BotRegistration(
-        chatbot_id=reg.chatbot_id, enc_public_key=reg.enc_public_key,
+        enc_public_key=reg.enc_public_key,
         sig_public_key=reg.sig_public_key,
         trigger=TriggerSpec(reg.chatbot_id, (TriggerRule("always"),)),
         signature=reg.signature)
     assert not swapped_trigger.verify_signature()
 
     swapped_id = BotRegistration(
-        chatbot_id="other-bot-02", enc_public_key=reg.enc_public_key,
-        sig_public_key=reg.sig_public_key, trigger=reg.trigger,
+        enc_public_key=reg.enc_public_key,
+        sig_public_key=reg.sig_public_key,
+        trigger=TriggerSpec("other-bot-02", reg.trigger.rules),
         signature=reg.signature)
+    assert swapped_id.chatbot_id == "other-bot-02"
     assert not swapped_id.verify_signature()
 
 
