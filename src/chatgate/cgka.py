@@ -30,9 +30,10 @@ control processed, epoch plus exactly one), and a control that is never
 processed leaves the sender as it was.
 
 The tree itself is public. A member's private material sits in one map,
-`CgkaState.path`, and only for the nodes on its own direct path: its init
-key or leaf key, and the chained secrets above it, each with the KeyPair
-that `pke_keygen` returned, so opening reuses the key object. The group
+`CgkaState.path`, and only for the nodes on its own direct path: its leaf
+key and the chained secrets above it, each with the KeyPair that
+`pke_keygen` returned, so opening reuses the key object. Its init key is
+`path[None]` until it joins, then its leaf's entry until replaced. The group
 secret and group key pair are read from the root's entry. A receiver looks
 for its entry among the node indices in `path`, opens exactly one entry,
 and re-derives the path from the merge point up, checking each derived
@@ -182,15 +183,14 @@ class Staged:
 @dataclass
 class CgkaState:
     member_id: str
-    init_key: KeyPair
     directory: InitKeyDirectory
     group_id: str | None = None
     epoch: int = 0
     tree: treemod.RatchetTree | None = None
     own_leaf: int | None = None
-    # node -> (chained secret, key pair), on the own direct path only; the
-    # secret is None at a leaf joined by init key
-    path: dict[int, tuple[bytes | None, KeyPair]] = field(default_factory=dict)
+    # node -> (chained secret, key pair) on the own direct path; the secret
+    # is None at a leaf joined by init key, the node None before joining
+    path: dict[int | None, tuple[bytes | None, KeyPair]] = field(default_factory=dict)
     _pending: Staged | None = None
 
     @property
@@ -319,9 +319,9 @@ class CgkaState:
             if own_leaf is None:
                 raise NotMember(f"create roster does not include {self.member_id!r}")
             own = treemod.leaf_node(own_leaf)
-            if t.nodes[own] != self.init_key.public_key:
+            path = {own: self.path[None]}
+            if t.nodes[own] != path[own][1].public_key:
                 raise MalformedControl("my leaf carries a different init key")
-            path = {own: (None, self.init_key)}
         elif control.kind == "remove" and control.removed_id == self.member_id:
             raise NotMember("removed from the group")
         else:
@@ -344,8 +344,6 @@ class CgkaState:
             "group_id": self.group_id,
             "epoch": self.epoch,
             "own_leaf": self.own_leaf,
-            "init_public_key": hx(self.init_key.public_key),
-            "init_secret_key": hx(self.init_key.secret_key),
             "tree": None,
             "path": {
                 str(x): {"secret": hx(s), "private_key": kp.secret_key.hex()}
@@ -478,4 +476,4 @@ def init(member_id: str, directory: InitKeyDirectory) -> CgkaState:
     """Fresh state with a published init key, ready to create or be added."""
     init_key = pke_keygen(random_secret())
     directory.register(member_id, init_key.public_key)
-    return CgkaState(member_id=member_id, init_key=init_key, directory=directory)
+    return CgkaState(member_id, directory, path={None: (None, init_key)})

@@ -59,23 +59,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-_CANNED_PROBES = {
-    "fs": probes.probe_forward_secrecy,
-    "pcs": probes.probe_post_compromise,
-    "selective": probes.probe_selective_access,
-    "anonymity": lambda r: probes.probe_anonymity(r, expect_uniform=True),
-    "concealment": probes.probe_concealment,
-}
+# each canned scenario named after a probe is checked by that probe
+_CANNED_PROBES = sorted(canned.ALL.keys() & probes.PROBES.keys())
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    names = sorted(_CANNED_PROBES) if args.name == "all" else [args.name]
+    names = _CANNED_PROBES if args.name == "all" else [args.name]
     ok = True
     for name in names:
         text = canned.ALL[name]
         result = run_text(text, seed=args.seed)
         ok = _check("agreement", probes.probe_agreement, result) and ok
-        ok = _check(name, _CANNED_PROBES[name], result) and ok
+        ok = _check(name, probes.PROBES[name], result) and ok
     return 0 if ok else 1
 
 
@@ -127,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser("probe", help="run a canned scenario and check "
                                            "its guarantee")
-    p_probe.add_argument("name", choices=sorted(_CANNED_PROBES) + ["all"])
+    p_probe.add_argument("name", choices=_CANNED_PROBES + ["all"])
     p_probe.add_argument("--seed", type=int, default=None)
     p_probe.set_defaults(fn=_cmd_probe)
 

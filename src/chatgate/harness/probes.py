@@ -183,12 +183,13 @@ def probe_post_compromise(result: RunResult) -> Verdict:
 
 # -- sender anonymity -------------------------------------------------------------
 
-def probe_anonymity(result: RunResult, expect_uniform: bool = False) -> Verdict:
+def probe_anonymity(result: RunResult) -> Verdict:
     """Chatbot views carry no sender identity: no member id appears in any
-    view, and (for scenarios built for it) views of the same message from
-    different senders have identical field-length vectors."""
+    view, and user sends that differ in nothing but their sender (the same
+    message, pseudonymity, addressed and concealed chatbots) give views with
+    identical field-length vectors."""
     violations = []
-    shapes = []
+    shapes = {}  # seq -> shape of its chatbot view
     member_ids = {uid.encode() for uid in result.users}
     rows = [row for row in result.provider.transcript
             if row["recipient_class"] == "chatbot"]
@@ -198,18 +199,21 @@ def probe_anonymity(result: RunResult, expect_uniform: bool = False) -> Verdict:
         if view in seen_views or peek_type(view) != VIEW_CHATBOT_MESSAGE:
             continue  # seen already, or an add/remove control
         seen_views.add(view)
-        shape = chatbot_view_shape(view)
         for uid in sorted(member_ids):
             if uid in view:
                 violations.append({"seq": row["seq"],
                                    "leaked": uid.decode()})
-        shapes.append((row["seq"], shape))
+        shapes[row["seq"]] = chatbot_view_shape(view)
 
-    if expect_uniform:
-        user_send_seqs = {ev.seq for ev in result.sends if ev.kind == "user"}
-        uniform = {shape for seq, shape in shapes if seq in user_send_seqs}
-        if len(uniform) > 1:
-            violations.append({"kind": "shape", "distinct": len(uniform)})
+    groups: dict[tuple, set] = {}
+    for ev in result.sends:
+        if ev.kind == "user" and ev.seq in shapes:
+            key = (ev.message, ev.pseudonymous, ev.addressed, ev.concealed)
+            groups.setdefault(key, set()).add(shapes[ev.seq])
+    for (message, *_), distinct in groups.items():
+        if len(distinct) > 1:
+            violations.append({"kind": "shape", "message": message.hex()[:64],
+                               "distinct": len(distinct)})
     return _verdict("anonymity", violations, views=len(shapes))
 
 

@@ -380,7 +380,7 @@ class Runner:
             current = _node_secrets(res.users[pid].cgka)
             previous = self._prev_secrets.get(pid, {})
             for idx, old in previous.items():
-                if old is not None and current.get(idx) != old:
+                if current.get(idx) != old:
                     res.supersessions.append(Supersession(old, seq))
             self._prev_secrets[pid] = current
         for uid in list(self._prev_secrets):
@@ -404,8 +404,9 @@ def _outcome(result) -> str | None:
 
 
 def _node_secrets(state: cgka.CgkaState) -> dict[int, str]:
-    """node index -> chained secret hex, over a member's own direct path."""
-    return {x: s.hex() for x, (s, _) in sorted(state.path.items()) if s is not None}
+    """node index -> chained secret hex, over a member's own direct path; a
+    leaf joined by init key has none, so its init key's scalar instead."""
+    return {x: (s or kp.secret_key).hex() for x, (s, kp) in sorted(state.path.items())}
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:

@@ -66,8 +66,8 @@ HANDLE = b"handle"      # pseudonym handle from an identity public key
 class KeyPair:
     """A raw-bytes key pair; which algorithm it belongs to is contextual.
 
-    X25519 pairs built here also carry their key object, so `pke_open`
-    skips rebuilding it. The object belongs to the party holding the pair;
+    X25519 pairs built here also carry their key object, which `pke_open`
+    opens with. The object belongs to the party holding the pair;
     it is left out of equality and repr, and dropping the pair drops it.
     """
 
@@ -170,9 +170,9 @@ def derive(seed: bytes, label: bytes = CHAIN) -> bytes:
 def x25519_key_pair(scalar: bytes) -> KeyPair:
     """The X25519 key pair, with its key object, of a raw 32-byte scalar.
 
-    Not a counted op: it is the shared step of `pke_keygen` and of opening
-    with raw bytes, and the adversary uses it to name a candidate's public
-    key. Raises ValueError if the scalar is not 32 bytes.
+    Not a counted op: `pke_keygen` builds its pair with it, and so does the
+    adversary for each candidate scalar, to name its public key and open
+    boxes. Raises ValueError if the scalar is not 32 bytes.
     """
     private = X25519PrivateKey.from_private_bytes(scalar)
     return KeyPair(secret_key=scalar,
@@ -202,17 +202,15 @@ def pke_seal(public_key: bytes, payload: bytes) -> bytes:
     return eph.public_key + ct
 
 
-def pke_open(key: KeyPair | bytes, box: bytes) -> bytes:
-    """Open a sealed box with a KeyPair from `pke_keygen`, or with raw
-    secret-key bytes (any candidate scalar). Any failure is the single
-    error DecryptFailed."""
+def pke_open(pair: KeyPair, box: bytes) -> bytes:
+    """Open a sealed box with an X25519 KeyPair, from `pke_keygen` or
+    `x25519_key_pair`. Any failure is the single error DecryptFailed."""
     counters.record("pke_open")
     if len(box) < PUBLIC_KEY_LEN + 16:
         raise DecryptFailed("sealed box too short")
     eph_public = box[:PUBLIC_KEY_LEN]
     ct = box[PUBLIC_KEY_LEN:]
     try:
-        pair = key if isinstance(key, KeyPair) else x25519_key_pair(key)
         shared = pair.key_object.exchange(X25519PublicKey.from_public_bytes(eph_public))
         box_key = _kdf(b"seal-key", shared, eph_public, pair.public_key)
         return AESGCM(box_key).decrypt(_ZERO_NONCE, ct, None)

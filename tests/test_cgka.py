@@ -247,7 +247,7 @@ def test_path_secrets_never_reach_the_public_tree():
     states, directory = warm_group(8)
 
     def private_values(s):
-        out = [s.init_key.secret_key]
+        out = []
         staged = s._pending.path.values() if s._pending is not None else ()
         for secret, kp in (*s.path.values(), *staged):
             out.append(kp.secret_key)
@@ -386,16 +386,17 @@ def test_remove_errors():
 
 def test_removed_then_readded_with_fresh_init_key():
     states, directory = make_group(3)
-    old_init_pk = states[2].init_key.public_key
+    old_init_pk = directory.lookup("user-02")
     ctl = states[0].remove("user-02")
     states[1].process(ctl)
     states[0].process(ctl)
 
     rejoin = cgka.init("user-02", directory)  # re-publishes a fresh init key
-    assert rejoin.init_key.public_key != old_init_pk
+    init_pk = rejoin.path[None][1].public_key
+    assert init_pk != old_init_pk
     welcome = states[1].tree.to_public_bytes()
     ctl = states[1].add("user-02")
-    assert ctl.new_member_init_pk == rejoin.init_key.public_key
+    assert ctl.new_member_init_pk == init_pk
     states[0].process(ctl)
     states[1].process(ctl)
     rejoin.process(ctl, welcome)
@@ -627,6 +628,36 @@ def rejected_replaced_key_entry():
     return receiver, ctl
 
 
+def rejected_update_without_group():
+    states, directory = make_group(3)
+    return cgka.init("user-03", directory), states[0].update()
+
+
+def rejected_create_in_a_group():
+    states, _ = make_group(3)
+    others, _ = make_states(2)
+    return states[1], others[0].create("grp-other", ["user-00", "user-01"])
+
+
+def rejected_add_without_welcome():
+    states, directory = make_group(3)
+    return cgka.init("user-03", directory), states[0].add("user-03")
+
+
+def rejected_roster_without_me():
+    states, _ = make_states(3)
+    return states[2], states[0].create("g", ["user-00", "user-01"])
+
+
+def rejected_add_of_another_init_key():
+    # the add seats a key the newcomer does not hold; returns its welcome too
+    states, directory = make_group(3)
+    newcomer = cgka.init("user-03", directory)
+    ctl = states[0].add("user-03")
+    ctl.new_member_init_pk = pke_keygen(random_secret()).public_key
+    return newcomer, ctl, states[0].tree.to_public_bytes()
+
+
 @pytest.mark.parametrize("build,error,match", [
     (rejected_remove, DecryptFailed, None),
     (rejected_add, DecryptFailed, None),
@@ -635,13 +666,19 @@ def rejected_replaced_key_entry():
     (rejected_own_leaf, MalformedControl, "unexpected control from own leaf"),
     (rejected_root_entry, MalformedControl, "opened entry does not sit under the path"),
     (rejected_replaced_key_entry, MalformedControl, "does not match path key"),
+    (rejected_update_without_group, NoGroup, "'user-03' has no group to apply control to"),
+    (rejected_create_in_a_group, AlreadyMember, "'user-01' is already in a group"),
+    (rejected_add_without_welcome, MalformedControl, "the newcomer has no welcome to join from"),
+    (rejected_roster_without_me, NotMember, "create roster does not include 'user-02'"),
+    (rejected_add_of_another_init_key, MalformedControl, "my leaf carries a different init key"),
 ], ids=["remove", "add", "root-key", "path-length", "own-leaf", "root-entry",
-        "replaced-key-entry"])
+        "replaced-key-entry", "update-without-group", "create-in-a-group",
+        "add-without-welcome", "roster-without-me", "add-of-another-init-key"])
 def test_rejected_control_leaves_state_unchanged(build, error, match):
-    receiver, ctl = build()
+    receiver, ctl, *welcome = build()
     before = snapshot_text(receiver)
     with pytest.raises(error, match=match):
-        receiver.process(cgka.CgkaControl.from_bytes(ctl.to_bytes()))
+        receiver.process(cgka.CgkaControl.from_bytes(ctl.to_bytes()), *welcome)
     assert snapshot_text(receiver) == before
 
 

@@ -8,6 +8,7 @@ import json
 import random
 import re
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from chatgate.group import (
     GROUP_CONTROL,
     VIEW_CHATBOT_MESSAGE,
     VIEW_USER_MESSAGE,
+    ChatbotMessageView,
     GroupControl,
     UserMessageView,
     UserState,
@@ -45,6 +47,7 @@ from chatgate.harness.scenario import (
     Send,
     parse_scenario,
 )
+from chatgate.primitives import SEALED_LEN, random_bytes
 from chatgate.provider import _collect_material
 
 
@@ -336,32 +339,32 @@ PINNED_SEED_7 = {
     "anonymity": {
         "report": "5f42c32fa2e03b4d1426550f356b44055537a570af8bdf27bbca1b1c8b3a63a7",
         "transcript": "e3b5ce39246c3175edbbbac9a1377cd8dbea24bdb4149db59b665b2d75acf56b",
-        "supersessions": "e257861a55862a74b2e4f5f90621a322fa28828f11ac487e0d3a7d5763ef4aa3",
+        "supersessions": "276bf6b1503b698ddcd1b08f52f0f1aa0add5d624bc5bb955ba4efd191720741",
     },
     "concealment": {
         "report": "8ac5a1c3339295553a23d75da5f8c3776fa3b6699fe8cbba45eecfbc2451f40b",
         "transcript": "754fec7bb7bee5d5a795ba9d5c54d380e8fe5fd67908d58147a295925569ffc3",
-        "supersessions": "b36f9213e0c23068a79546637abc03d0955a4c8f49227649cd3648cf146b2554",
+        "supersessions": "1ccb8e12f401e3f86032b3c6bd9c19f98333677092cc1df77f17edb950d7d73e",
     },
     "demo": {
         "report": "61d28f56d3b6e95e0897eecb6576630cd53ab319cc3eff0d228204b6489e02b4",
         "transcript": "dc5be19868b1e0dc9b436c02ddb24d5feb006949f3abca899d483211918f50b3",
-        "supersessions": "4bc0e5a34dc49cbd70ce7d10039a531ecdeb27ee16dc11490fc61ad440458ab9",
+        "supersessions": "7de4ebec5871dd2e8d9746cdce22acf81fb77c3f77039eed2036caa1f98d9280",
     },
     "fs": {
         "report": "963b57d141b33d654fbe13e86ef38340d1085fa54213c23b2d03cf11ac5f6f79",
         "transcript": "6c6631a39b727cb147bbf62f1873094fa1982ccdfc6acb001fb9c48458b20509",
-        "supersessions": "10ccd803596c1f0b506e7728ab58f531d8735d6e99b5856535de1f1e2c59e0e0",
+        "supersessions": "abb430d6d58dd0f04251f1da815aa1178362955222f00f509515a0b2f6f7a8ea",
     },
     "pcs": {
         "report": "6ac3fd38d7e68878a9e7b1014ea2ab5a10e5c6c365390bd936c2c6ef5a86bfb5",
         "transcript": "77c0fb783ebbf1cfedc6472c79a551acd898f39326322d136a8f4a56d0ceaab7",
-        "supersessions": "d020f0ce11eb98925d0609cee325b437e61ce3f277a17bdc66871d6ce4a15a9a",
+        "supersessions": "f48b04d54a1172cc07a919a17740eb7ad1479273956018b529a173107e1ea859",
     },
     "selective": {
         "report": "eeb9470cf3ad523b6fb1e8ebd620e1c380cae5942c9ca5598efd6bd5ceca9161",
         "transcript": "81031908af13337d9a637abb84c981a184c5b0a95ebdfd677d00cca22cd80f33",
-        "supersessions": "51d8d645a522e7e4f97e4beb7556d047d481b2805329d79968a53c303372dbbf",
+        "supersessions": "2306b23eeb66475f8c91fd805695228321e8fdd84aba0adff65f18d42f6aee08",
     },
 }
 
@@ -390,7 +393,7 @@ def test_seeded_artifacts_are_pinned(name):
     ("fs", probes.probe_forward_secrecy),
     ("pcs", probes.probe_post_compromise),
     ("selective", probes.probe_selective_access),
-    ("anonymity", lambda r: probes.probe_anonymity(r, expect_uniform=True)),
+    ("anonymity", probes.probe_anonymity),
     ("concealment", probes.probe_concealment),
 ])
 def test_canned_probe_passes(name, fn):
@@ -607,11 +610,19 @@ def test_unhealed_compromise_is_actually_readable():
     assert b"leaks to the stale state" in report.plaintexts
 
 
+def _chatbot_rows(result):
+    return [r for r in result.provider.transcript
+            if r["recipient_class"] == "chatbot"
+            and base64.b64decode(r["view_b64"])[0] == VIEW_CHATBOT_MESSAGE]
+
+
+def _reencode(row, view):
+    row["view_b64"] = base64.b64encode(view.to_bytes()).decode("ascii")
+
+
 def test_anonymity_probe_raises_on_a_malformed_message_view():
     result = run_text(canned.ANONYMITY, seed=9)
-    row = next(r for r in result.provider.transcript
-               if r["recipient_class"] == "chatbot"
-               and base64.b64decode(r["view_b64"])[0] == VIEW_CHATBOT_MESSAGE)
+    row = _chatbot_rows(result)[0]
     view = base64.b64decode(row["view_b64"])
     row["view_b64"] = base64.b64encode(view[:-1]).decode("ascii")
     with pytest.raises(MalformedControl):
@@ -619,14 +630,73 @@ def test_anonymity_probe_raises_on_a_malformed_message_view():
 
 
 def test_anonymity_probe_flags_shape_differences():
+    # Two views of the same message from different senders: the probe
+    # passes until one of them carries one more (dummy) entry.
     text = ("group g user-00 user-01\n"
             "bot echo-bot-01 always\n"
             "add_bot user-00 echo-bot-01\n"
-            "send user-00 \"short\"\n"
-            "send user-01 \"a very much longer message body\"\n")
+            "send user-00 \"same words\"\n"
+            "send user-01 \"same words\"\n")
     result = run_text(text, seed=9)
-    verdict = probes.probe_anonymity(result, expect_uniform=True)
+    assert probes.probe_anonymity(result).passed
+    row = _chatbot_rows(result)[-1]
+    view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
+    dummy = ("echo-bot-01", random_bytes(SEALED_LEN))
+    _reencode(row, replace(view, entries=(*view.entries, dummy)))
+    verdict = probes.probe_anonymity(result)
+    assert verdict.detail["violations"] == [
+        {"kind": "shape", "message": b"same words".hex(), "distinct": 2}]
+
+
+def test_agreement_probe_flags_a_member_on_another_epoch():
+    result = run_text(canned.FORWARD_SECRECY, seed=9)
+    result.users["user-01"].cgka.epoch += 1
+    verdict = probes.probe_agreement(result)
     assert not verdict.passed
+    epoch = result.users["user-00"].epoch
+    assert verdict.detail["violations"] == [{"epochs": [epoch, epoch + 1]}]
+
+
+def test_pcs_probe_flags_a_capture_taken_after_the_heal():
+    # The party's last snapshot holds the keys of everything after the
+    # heal: both the later messages and the later group secrets.
+    result = run_text(canned.POST_COMPROMISE, seed=9)
+    event = result.compromises["stolen-device"]
+    last = result.snapshots[event.party][-1][1]
+    result.compromises["stolen-device"] = replace(event, snapshot=last)
+    violations = probes.probe_post_compromise(result).detail["violations"]
+    assert any("plaintext" in v for v in violations)
+    assert any(v.get("kind") == "group_secret" for v in violations)
+
+
+def test_anonymity_probe_flags_a_member_id_in_a_view():
+    result = run_text(canned.ANONYMITY, seed=9)
+    row = _chatbot_rows(result)[0]
+    view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
+    _reencode(row, replace(view, group_id="user-02"))
+    violations = probes.probe_anonymity(result).detail["violations"]
+    assert {"seq": row["seq"], "leaked": "user-02"} in violations
+
+
+def test_concealment_probe_flags_a_missing_entry():
+    result = run_text(canned.CONCEALMENT, seed=9)
+    seq = next(ev.seq for ev in result.sends if ev.concealed)
+    for row in _chatbot_rows(result):
+        if row["seq"] == seq:
+            view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
+            _reencode(row, replace(view, entries=view.entries[1:]))
+    verdict = probes.probe_concealment(result)
+    assert verdict.detail["violations"] == [{"seq": seq, "kind": "roster"}]
+
+
+def test_concealment_probe_flags_a_concealed_bot_that_acted():
+    result = run_text(canned.CONCEALMENT, seed=9)
+    ev = next(ev for ev in result.sends if ev.concealed)
+    cid = ev.concealed[0]
+    result.bot_outcomes[(ev.seq, cid)] = "message"
+    verdict = probes.probe_concealment(result)
+    assert verdict.detail["violations"] == [
+        {"seq": ev.seq, "chatbot": cid, "outcome": "message"}]
 
 
 # -- bench ---------------------------------------------------------------------

@@ -96,7 +96,7 @@ def test_seal_open_roundtrip():
     kp = primitives.pke_keygen(primitives.random_secret())
     payload = primitives.random_secret()
     box = primitives.pke_seal(kp.public_key, payload)
-    assert primitives.pke_open(kp.secret_key, box) == payload
+    assert primitives.pke_open(kp, box) == payload
 
 
 def test_open_with_wrong_key_fails():
@@ -104,7 +104,7 @@ def test_open_with_wrong_key_fails():
     other = primitives.pke_keygen(primitives.random_secret())
     box = primitives.pke_seal(kp.public_key, primitives.random_secret())
     with pytest.raises(DecryptFailed):
-        primitives.pke_open(other.secret_key, box)
+        primitives.pke_open(other, box)
 
 
 def test_sealed_length_constant_for_32_byte_payloads():
@@ -125,15 +125,15 @@ def test_seal_tamper_any_byte_fails():
         pos = rng.randrange(len(box))
         box[pos] ^= rng.randrange(1, 256)
         with pytest.raises(DecryptFailed):
-            primitives.pke_open(kp.secret_key, bytes(box))
+            primitives.pke_open(kp, bytes(box))
 
 
 def test_open_garbage_box_fails_uniformly():
     kp = primitives.pke_keygen(primitives.random_secret())
     with pytest.raises(DecryptFailed):
-        primitives.pke_open(kp.secret_key, primitives.random_bytes(primitives.SEALED_LEN))
+        primitives.pke_open(kp, primitives.random_bytes(primitives.SEALED_LEN))
     with pytest.raises(DecryptFailed):
-        primitives.pke_open(kp.secret_key, b"")
+        primitives.pke_open(kp, b"")
 
 
 def test_open_with_key_pair_matches_raw_secret_key():
@@ -142,7 +142,6 @@ def test_open_with_key_pair_matches_raw_secret_key():
     box = primitives.pke_seal(kp.public_key, payload)
     assert kp.key_object is not None
     assert primitives.pke_open(kp, box) == payload
-    assert primitives.pke_open(kp.secret_key, box) == payload
 
 
 def test_open_with_key_pair_or_raw_bytes_rejects_wrong_key_and_tamper():
@@ -151,7 +150,8 @@ def test_open_with_key_pair_or_raw_bytes_rejects_wrong_key_and_tamper():
     box = primitives.pke_seal(kp.public_key, primitives.random_secret())
     tampered = bytearray(box)
     tampered[-1] ^= 1
-    for wrong, good in ((other, kp), (other.secret_key, kp.secret_key)):
+    raw = primitives.x25519_key_pair
+    for wrong, good in ((other, kp), (raw(other.secret_key), raw(kp.secret_key))):
         with pytest.raises(DecryptFailed):
             primitives.pke_open(wrong, box)
         with pytest.raises(DecryptFailed):
@@ -180,7 +180,7 @@ def test_x25519_key_pair_is_not_a_counted_op():
 @given(seed=secrets32, payload=secrets32)
 def test_seal_roundtrip_property(seed, payload):
     kp = primitives.pke_keygen(seed)
-    assert primitives.pke_open(kp.secret_key, primitives.pke_seal(kp.public_key, payload)) == payload
+    assert primitives.pke_open(kp, primitives.pke_seal(kp.public_key, payload)) == payload
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_seeded_context_makes_seal_reproducible():
     with primitives.seeded(99):
         box2 = primitives.pke_seal(kp.public_key, payload)
     assert box1 == box2
-    assert primitives.pke_open(kp.secret_key, box1) == payload
+    assert primitives.pke_open(kp, box1) == payload
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def test_counters_attribute_exact_counts():
             kp = primitives.pke_keygen(primitives.random_secret())
             box = primitives.pke_seal(kp.public_key, primitives.random_secret())
         with counters.attribute("bob"):
-            primitives.pke_open(kp.secret_key, box)
+            primitives.pke_open(kp, box)
             primitives.derive(primitives.random_secret())
     assert tally.party("alice")["pke_keygen"] == 1
     assert tally.party("alice")["pke_seal"] == 1

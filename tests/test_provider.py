@@ -489,6 +489,31 @@ def test_compromised_user_reads_group_traffic():
     assert b"plain beta" in report.plaintexts
 
 
+def test_newcomer_capture_after_its_first_update_reopens_no_earlier_message():
+    # A newcomer's leaf key is its init key until its own first update,
+    # which replaces that leaf and drops the key with it: a later capture
+    # opens none of the path entries sealed to the leaf before, and still
+    # reads what is sent after.
+    with primitives.seeded(11):
+        world = bench.World(8, 0)
+        blob = add_newcomer(world.provider, world.users, "user-000", "user-new",
+                            world.group_id)
+        world.ids.append("user-new")
+        world.publish("user-000", blob)
+        early = [f"early message {i}".encode() for i in range(3)]
+        for i, message in enumerate(early):
+            world.send_end_to_end(world.ids[i + 1], message)
+        for uid in world.ids:
+            world.publish(uid, world.users[uid].update_keys())
+        world.send_end_to_end("user-001", b"later message")
+    world.provider.register_party("user-new", world.users["user-new"])
+    snap = world.provider.snapshot_state("user-new")
+    report = adversary_decrypt(snap, Adversary(world.provider.transcript,
+                                               world.provider))
+    assert report.plaintexts & set(early) == set()
+    assert b"later message" in report.plaintexts
+
+
 def test_concealment_dummies_do_not_decrypt():
     provider, users, bots = make_world(
         2, bots=(("echo-bot-01", "mention:@echo"), ("log-bot-02", "never")))
@@ -713,12 +738,13 @@ def _all_pairs_adversary(snapshot, transcript):
     replaced, over `_reference_material`, with chains as long as its
     longest path. Each round tries every held secret against every box and
     ciphertext, skips pairs already tried and boxes whose hint names
-    another key, and opens with raw secret bytes. Returns the report and
-    an `_OracleLog` of every trial."""
+    another key, and opens with each secret's X25519 key pair. Returns the
+    report and an `_OracleLog` of every trial."""
     log = _OracleLog()
     seeds = _harvest_hex(json.loads(snapshot))
     boxes, log.ct_hints, depth = _reference_material(transcript)
     secrets = set()
+    pairs = {}
     frontier = set()
     for seed in seeds:
         log.raw.add(seed)
@@ -730,7 +756,8 @@ def _all_pairs_adversary(snapshot, transcript):
     while frontier:
         secrets |= frontier
         for key in frontier:
-            log.pk_of[key] = x25519_key_pair(key).public_key
+            pairs[key] = x25519_key_pair(key)
+            log.pk_of[key] = pairs[key].public_key
         new = set()
         for key in sorted(secrets):
             for hint, box in boxes:
@@ -740,7 +767,7 @@ def _all_pairs_adversary(snapshot, transcript):
                     continue
                 tried_boxes.add((key, box))
                 try:
-                    opened = pke_open(key, box)
+                    opened = pke_open(pairs[key], box)
                 except Exception:
                     continue
                 boxes_opened += 1
