@@ -69,11 +69,8 @@ class DuplicateChatbot(ChatGateError):
 
 
 class NotPresent(ChatGateError):
-    """The chatbot id is not attached to the group."""
-
-
-class UnknownChatbotId(ChatGateError):
-    """A bundle references a chatbot this party has no record of."""
+    """The chatbot id is not attached to the group, or this party holds no
+    record of it."""
 
 
 class PseudonymNotRegistered(ChatGateError):
@@ -82,10 +79,6 @@ class PseudonymNotRegistered(ChatGateError):
 
 class BadPseudonymSignature(ChatGateError):
     """A pseudonymous payload failed verification against the registry."""
-
-
-class NotInGroup(ChatGateError):
-    """The chatbot has no group public key to send under."""
 
 
 class NoChatbots(ChatGateError):

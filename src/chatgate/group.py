@@ -60,10 +60,8 @@ from .errors import (
     MalformedControl,
     NoChatbots,
     NoGroup,
-    NotInGroup,
     NotPresent,
     PseudonymNotRegistered,
-    UnknownChatbotId,
 )
 from .primitives import (
     HANDLE,
@@ -532,7 +530,7 @@ class UserState:
         self._check_group(msg.group_id)
         record = self.records.get(msg.chatbot_id)
         if record is None:
-            raise UnknownChatbotId(f"no record of {msg.chatbot_id!r}")
+            raise NotPresent(f"no record of {msg.chatbot_id!r}")
         if record.channel_secret_key is None:
             raise DecryptFailed("no channel key for this chatbot yet")
         message_key = pke_open(record.channel_secret_key, msg.sealed_key)
@@ -637,7 +635,7 @@ class ChatbotState:
         both return NOT_ADDRESSED (the same object); nothing is retained in
         either case."""
         if self.node_key is None or self.group_public_key is None:
-            raise NotInGroup(f"{self.chatbot_id!r} is not in a group")
+            raise NoGroup(f"{self.chatbot_id!r} is not in a group")
         view = ChatbotMessageView.from_bytes(data)
         if view.group_id != self.group_id:
             raise MalformedControl("view for a different group")
@@ -678,7 +676,7 @@ class ChatbotState:
         """Broadcast under the stored group key; self-heals the channel by
         rotating to a fresh node key, erasing the old one."""
         if self.group_public_key is None:
-            raise NotInGroup(f"{self.chatbot_id!r} has no group key")
+            raise NoGroup(f"{self.chatbot_id!r} has no group key")
         seed = random_secret()
         node = pke_keygen(seed)
         message_key = derive(seed, MSG_KEY)

@@ -10,17 +10,17 @@ Three experiments:
     every member holds a pseudonym (each must re-broadcast a fresh key so
     the new bot can verify them).
 
-Timings go to CSV; run reports never include wall-clock numbers, so the
-CSV is the only artifact that varies across hosts.
+`chatgate bench` prints the rows of all of them as one JSON document; run
+reports never include wall-clock numbers, so its output is the only
+artifact that varies across hosts.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 from .. import cgka, counters
 from ..group import chatbot_init, user_init
@@ -40,17 +40,6 @@ class BenchRow:
     pke_seal: int
     pke_open: int
     derive: int
-
-
-CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
-
-
-def write_csv(rows: list[BenchRow], path: str) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(asdict(row))
 
 
 # -- world construction -------------------------------------------------------

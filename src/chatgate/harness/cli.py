@@ -2,13 +2,13 @@
 
     chatgate run <scenario> [--seed N] [--transcript P] [--report P] [--probe NAME]...
     chatgate probe [all|fs|pcs|selective|anonymity|concealment] [--seed N]
-    chatgate bench-send [--sweep m|n] [--csv P] [--iterations N]
-    chatgate bench-add-bot [--pseudonym] [--csv P] [--iterations N]
+    chatgate bench [--iterations N]
 
 `run` executes a scenario file and prints its report as JSON. `probe` pairs
 each canned scenario with its guarantee and prints one PASS/FAIL line per
-probe. Bench subcommands print CSV (or write it with --csv). Exit status is
-0 only if everything requested passed.
+probe. `bench` runs the send m- and n-sweeps and the plain and pseudonym
+chatbot-attach benches, and prints their rows and the n-sweep's growth fit
+as one JSON document. Exit status is 0 only if everything requested passed.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from ..errors import ProbeFailed, ScenarioParseError
 from . import bench, canned, probes
@@ -74,32 +75,16 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _emit_rows(rows: list[bench.BenchRow], path: str | None) -> None:
-    if path:
-        bench.write_csv(rows, path)
-        print(f"wrote {len(rows)} rows to {path}")
-        return
-    print(",".join(bench.CSV_COLUMNS))
-    for row in rows:
-        print(",".join(str(getattr(row, col)) for col in bench.CSV_COLUMNS))
-
-
-def _cmd_bench_send(args: argparse.Namespace) -> int:
-    if args.sweep == "m":
-        rows = bench.bench_send_m_sweep(iterations=args.iterations)
-    else:
-        rows = bench.bench_send_n_sweep(iterations=args.iterations)
-        ns = [row.n for row in rows]
-        times = [row.p50_ms for row in rows]
-        print(json.dumps(bench.compare_growth(ns, times), sort_keys=True))
-    _emit_rows(rows, args.csv)
-    return 0
-
-
-def _cmd_bench_add_bot(args: argparse.Namespace) -> int:
-    rows = bench.bench_add_bot(iterations=args.iterations,
-                               pseudonym=args.pseudonym)
-    _emit_rows(rows, args.csv)
+def _cmd_bench(args: argparse.Namespace) -> int:
+    iterations = args.iterations
+    m_rows = bench.bench_send_m_sweep(iterations=iterations)
+    n_rows = bench.bench_send_n_sweep(iterations=iterations)
+    rows = (m_rows + n_rows + bench.bench_add_bot(iterations=iterations)
+            + bench.bench_add_bot(iterations=iterations, pseudonym=True))
+    growth = bench.compare_growth([row.n for row in n_rows],
+                                  [row.p50_ms for row in n_rows])
+    print(json.dumps({"rows": [asdict(row) for row in rows],
+                      "n_growth": growth}, indent=2, sort_keys=True))
     return 0
 
 
@@ -126,17 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--seed", type=int, default=None)
     p_probe.set_defaults(fn=_cmd_probe)
 
-    p_send = sub.add_parser("bench-send", help="message cost sweeps")
-    p_send.add_argument("--sweep", choices=["m", "n"], default="m")
-    p_send.add_argument("--iterations", type=int, default=30)
-    p_send.add_argument("--csv")
-    p_send.set_defaults(fn=_cmd_bench_send)
-
-    p_add = sub.add_parser("bench-add-bot", help="chatbot attach cost")
-    p_add.add_argument("--pseudonym", action="store_true")
-    p_add.add_argument("--iterations", type=int, default=30)
-    p_add.add_argument("--csv")
-    p_add.set_defaults(fn=_cmd_bench_add_bot)
+    p_bench = sub.add_parser("bench", help="run every cost sweep as JSON")
+    p_bench.add_argument("--iterations", type=int, default=30)
+    p_bench.set_defaults(fn=_cmd_bench)
     return parser
 
 

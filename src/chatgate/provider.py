@@ -54,6 +54,7 @@ from .errors import (
     DuplicateChatbot,
     DuplicateId,
     MalformedControl,
+    NoGroup,
     NotMember,
     NotPresent,
     UnknownChatbot,
@@ -155,7 +156,9 @@ class Provider:
 
     def detach_chatbot(self, group_id: str, chatbot_id: str) -> None:
         ch = self._channel(group_id)
-        ch.bots.discard(chatbot_id)
+        if chatbot_id not in ch.bots:
+            raise NotPresent(f"{chatbot_id!r} is not attached to {group_id!r}")
+        ch.bots.remove(chatbot_id)
 
     def members(self, group_id: str) -> set[str]:
         return set(self._channel(group_id).members)
@@ -165,7 +168,7 @@ class Provider:
 
     def _channel(self, group_id: str) -> _Channel:
         if group_id not in self._channels:
-            raise UnknownMember(f"no group {group_id!r}")
+            raise NoGroup(f"no group {group_id!r}")
         return self._channels[group_id]
 
     # -- publishing ---------------------------------------------------------------

@@ -23,11 +23,10 @@ from chatgate.errors import (
     FutureEpoch,
     MalformedControl,
     NoChatbots,
-    NotInGroup,
+    NoGroup,
     NotPresent,
     PseudonymNotRegistered,
     UnknownChatbot,
-    UnknownChatbotId,
 )
 from chatgate.group import (
     NOT_ADDRESSED,
@@ -165,7 +164,6 @@ def test_multiple_bots_selective_addressing():
 def test_send_without_group():
     registry = DictRegistry()
     user = user_init(cgka.init("user-00", InitKeyDirectory()), registry)
-    from chatgate.errors import NoGroup
     with pytest.raises(NoGroup):
         user.send(b"hello")
 
@@ -329,9 +327,9 @@ def test_chatbot_reply_uses_latest_group_key():
 
 def test_bot_send_before_add_rejected():
     bot = chatbot_init("echo-bot-01", rules_from_text("always"))
-    with pytest.raises(NotInGroup):
+    with pytest.raises(NoGroup):
         bot.send(b"hello?")
-    with pytest.raises(NotInGroup):
+    with pytest.raises(NoGroup):
         bot.receive(b"\x11junk")
 
 
@@ -347,7 +345,7 @@ def test_removed_bot_loses_state():
 
     assert bots["echo-bot-01"].group_public_key is None
     assert bots["echo-bot-01"].node_key is None
-    with pytest.raises(NotInGroup):
+    with pytest.raises(NoGroup):
         bots["echo-bot-01"].send(b"still here?")
 
     out2 = users["user-00"].send(b"bots are gone")
@@ -415,7 +413,7 @@ MISADDRESSED = {
         *_OTHER_GROUP),
     "member_reply_from_an_unknown_bot": (
         lambda users, bots: (users["user-01"], _reply(bots, chatbot_id="ghost-bot-99")),
-        UnknownChatbotId, "no record of 'ghost-bot-99'"),
+        NotPresent, "no record of 'ghost-bot-99'"),
     "bot_add_for_another_chatbot": (
         lambda users, bots: (bots["note-bot-03"], _memo_add(users).to_bytes()),
         MalformedControl, "add control for a different chatbot"),

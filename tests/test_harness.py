@@ -8,7 +8,7 @@ import json
 import random
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -746,14 +746,6 @@ def test_fit_helpers():
     assert not growth["prefers_log"]
 
 
-def test_bench_csv(tmp_path):
-    rows = bench.bench_send_m_sweep(n=4, m_values=(0,), iterations=2, warmups=0)
-    path = tmp_path / "out.csv"
-    bench.write_csv(rows, str(path))
-    header = path.read_text().splitlines()[0]
-    assert header == ",".join(bench.CSV_COLUMNS)
-
-
 # -- cli ------------------------------------------------------------------------
 
 def test_cli_run_with_report_and_transcript(tmp_path):
@@ -774,34 +766,30 @@ def test_cli_run_with_report_and_transcript(tmp_path):
     assert all("view_b64" in row for row in rows)
 
 
-def test_cli_bench_send_n_sweep(monkeypatch, capsys):
+def test_cli_bench_prints_every_sweep_as_one_json_document(monkeypatch, capsys):
     from chatgate.harness.cli import main
 
+    monkeypatch.setattr(bench, "bench_send_m_sweep", partial(
+        bench.bench_send_m_sweep, n=4, m_values=(0, 1), warmups=0))
     monkeypatch.setattr(bench, "bench_send_n_sweep", partial(
         bench.bench_send_n_sweep, n_values=(4, 8, 16), m=1, warmups=0))
-    assert main(["bench-send", "--sweep", "n", "--iterations", "2"]) == 0
-    fit, header, *rows = capsys.readouterr().out.splitlines()
-    assert set(json.loads(fit)) == {"aic_linear", "aic_log", "r2_linear",
-                                    "r2_log", "prefers_log"}
-    assert header == ("bench,n,m,variant,iterations,p50_ms,mean_ms,"
-                      "pke_seal,pke_open,derive")
-    assert [row.split(",")[:4] for row in rows] == [
-        ["send_n", str(n), "1", "sender"] for n in (4, 8, 16)]
-
-
-def test_cli_bench_add_bot_writes_csv(monkeypatch, capsys, tmp_path):
-    from chatgate.harness.cli import main
-
     monkeypatch.setattr(bench, "bench_add_bot", partial(
         bench.bench_add_bot, n=4, m=1, warmups=0))
-    path = tmp_path / "add_bot.csv"
-    assert main(["bench-add-bot", "--pseudonym", "--iterations", "2",
-                 "--csv", str(path)]) == 0
-    assert capsys.readouterr().out == f"wrote 2 rows to {path}\n"
-    header, *rows = path.read_text().splitlines()
-    assert header == ",".join(bench.CSV_COLUMNS)
-    assert [row.split(",")[3] for row in rows] == ["with_pseudonyms",
-                                                   "reference_send"]
+    assert main(["bench", "--iterations", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"rows", "n_growth"}
+    columns = {f.name for f in fields(bench.BenchRow)}
+    assert all(set(row) == columns and row["iterations"] == 2
+               for row in doc["rows"])
+    assert [(row["bench"], row["n"], row["m"], row["variant"])
+            for row in doc["rows"]] == [
+        ("send_m", 4, 0, "end_to_end"), ("send_m", 4, 1, "end_to_end"),
+        ("send_n", 4, 1, "sender"), ("send_n", 8, 1, "sender"),
+        ("send_n", 16, 1, "sender"),
+        ("add_bot", 4, 1, "plain"), ("add_bot", 4, 1, "reference_send"),
+        ("add_bot", 4, 1, "with_pseudonyms"), ("add_bot", 4, 1, "reference_send")]
+    assert set(doc["n_growth"]) == {"aic_linear", "aic_log", "r2_linear",
+                                    "r2_log", "prefers_log"}
 
 
 def test_cli_rejects_bad_scenario(tmp_path):

@@ -14,6 +14,7 @@ from chatgate.errors import (
     DuplicateChatbot,
     DuplicateId,
     MalformedControl,
+    NoGroup,
     NotMember,
     NotPresent,
     UnknownChatbot,
@@ -180,6 +181,30 @@ def test_group_table_checks():
         provider.add_member("grp-x", "nobody-55")
     with pytest.raises(NotMember):
         provider.remove_member("grp-x", "nobody-55")
+
+
+def test_an_unknown_group_is_refused():
+    provider = Provider()
+    cgka.init("user-00", provider.directory)
+    with pytest.raises(NoGroup, match="no group 'grp-nowhere'"):
+        provider.publish("grp-nowhere", "user-00", user_view=b"\x00")
+    with pytest.raises(NoGroup):
+        provider.members("grp-nowhere")
+    with pytest.raises(NoGroup):
+        provider.add_member("grp-nowhere", "user-00")
+    assert provider.transcript == []
+
+
+def test_detaching_a_bot_that_is_not_attached_is_refused():
+    provider, _, _ = make_world(2)
+    memo = chatbot_init("memo-bot", rules_from_text("always"))
+    provider.register_bot(memo.registration)
+    with pytest.raises(NotPresent, match="'memo-bot' is not attached"):
+        provider.detach_chatbot("grp-main", "memo-bot")
+    provider.create_group("grp-bbb", ["user-00"])
+    with pytest.raises(NotPresent):
+        provider.detach_chatbot("grp-bbb", "echo-bot-01")
+    assert provider.chatbots("grp-main") == {"echo-bot-01"}
 
 
 # -- routing -------------------------------------------------------------------
