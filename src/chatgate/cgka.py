@@ -7,6 +7,10 @@ so exactly the members beneath that copath node can open it and re-derive
 the path up to the root. Each path entry names the node it was sealed to
 by its index, not by its key: every member holds that key in its public
 tree already (RFC 9420's UpdatePathNode carries no recipient key either).
+A control's entries are one batch of boxes (`primitives.pke_seal_batch`):
+its tail is the new public path, the batch's ephemeral public key, once,
+then the entries, each a u32 target node and a BOX_LEN box bound to its
+position in the list.
 The root secret of the current epoch is the group secret; the key pair
 generated from it is the group key pair that the chatbot layer shares
 with addressed chatbots.
@@ -60,7 +64,7 @@ every party from the tree it holds (the newcomer from its welcome).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, count
 from operator import itemgetter
 
 from . import tree as treemod
@@ -77,12 +81,13 @@ from .errors import (
     UnknownMember,
 )
 from .primitives import (
+    NO_EPHEMERAL,
     PUBLIC_KEY_LEN,
     KeyPair,
     derive,
     pke_keygen,
     pke_open,
-    pke_seal,
+    pke_seal_batch,
     random_secret,
 )
 
@@ -91,7 +96,7 @@ CONTROL_ADD = 0x02
 CONTROL_REMOVE = 0x03
 CONTROL_UPDATE = 0x04
 
-# (target node index, sealed chained secret)
+# (target node index, box of the chained secret)
 PathEntry = tuple[int, bytes]
 
 # The control's wire layout: the head, the middle of its type byte, the tail.
@@ -103,7 +108,7 @@ _MIDDLES = {
     CONTROL_REMOVE: ("remove", (("removed_id", TEXT),)),
     CONTROL_UPDATE: ("update", ()),
 }
-_TAIL = (("new_public_path", items(KEY)),
+_TAIL = (("new_public_path", items(KEY)), ("ephemeral", KEY),
          ("path_entries", items(Record(("target", U32), ("box", BOX)))))
 
 
@@ -139,6 +144,7 @@ class CgkaControl:
     epoch: int
     sender_leaf: int
     new_public_path: list[bytes] = field(default_factory=list)
+    ephemeral: bytes = NO_EPHEMERAL  # the path entries' batch ephemeral key
     path_entries: list[PathEntry] = field(default_factory=list)
     # create
     roster: list[tuple[str, bytes]] = field(default_factory=list)
@@ -258,12 +264,13 @@ class CgkaState:
         for x, pk in zip(path, ctl.new_public_path):
             t.nodes[x] = pk
 
-        entries: list[PathEntry] = []
+        targets, sealings = [], []
         for i, c in enumerate(treemod.copath(own_leaf, t.capacity)):
-            chained = secrets[i + 1]
             for r in t.resolution(c):
-                entries.append((r, pke_seal(t.nodes[r], chained)))
-        ctl.path_entries = entries
+                targets.append(r)
+                sealings.append((t.nodes[r], secrets[i + 1]))
+        ctl.ephemeral, boxes = pke_seal_batch(sealings)
+        ctl.path_entries = list(zip(targets, boxes))
 
         self._pending = Staged(ctl, t, own_leaf,
                                {x: (s, kp) for x, s, kp in zip(path, secrets, pairs)})
@@ -447,11 +454,11 @@ def _apply_update_path(control: CgkaControl, sender_path: list[int], own_leaf: i
     # the depth. An index outside the tree is simply in no `path`.
     entries = control.path_entries
     addressed = map(path.__contains__, map(itemgetter(0), entries))
-    entry = next(compress(entries, addressed), None)
-    if entry is None:
+    position = next(compress(count(), addressed), None)
+    if position is None:
         raise DecryptFailed("no path entry addressed to this member")
-    opened_at, box = entry
-    opened = pke_open(path[opened_at][1], box)
+    opened_at, box = entries[position]
+    opened = pke_open(path[opened_at][1], box, control.ephemeral, position)
     if len(opened) != 32:
         raise MalformedControl("path entry payload has wrong size")
 

@@ -9,7 +9,7 @@ makes transcripts reproducible and signatures well-defined.
 A list is a 32-bit item count followed by its items. Where every field of
 every item has one fixed width, a bare u32 or a length-prefixed field of
 one allowed width (a control's path keys, and its path entries: target
-node index and sealed box), `Reader.fixed_items` decodes the whole list in
+node index and box), `Reader.fixed_items` decodes the whole list in
 one step: one bounds check, then C-level unpacking and width checks over
 all items, so the Python work of a decode does not grow with the list. A
 field of any other width is malformed. The bytes are the same as
@@ -30,7 +30,7 @@ from operator import attrgetter
 from typing import Callable, TypeVar
 
 from .errors import MalformedControl
-from .primitives import PUBLIC_KEY_LEN, SEALED_LEN, SIG_LEN
+from .primitives import BOX_LEN, PUBLIC_KEY_LEN, SEALED_LEN, SIG_LEN
 
 T = TypeVar("T")
 
@@ -212,7 +212,8 @@ U32 = Kind("r.u32()", "w.u32({v})", fixed=True)
 TEXT = Kind("r.text()", "w.text({v})")
 BYTES = Kind("r.field()", "w.field({v})")
 KEY = _fixed(PUBLIC_KEY_LEN)  # also a 32-byte handle
-BOX = _fixed(SEALED_LEN)
+BOX = _fixed(BOX_LEN)        # a box of a batch
+SEALED = _fixed(SEALED_LEN)  # a single seal, its ephemeral key ahead of its box
 SIGNATURE = _fixed(SIG_LEN)
 # a tree node: a key, or None written as an empty field
 TREE_NODE = Kind(f"(_v or None) if len(_v := r.field()) in (0, {PUBLIC_KEY_LEN}) "

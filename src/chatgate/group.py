@@ -13,7 +13,13 @@ Chatbot views carry no sender identity and no tree control: they are
 encoded independently of the user view, never sliced out of it. The sealed
 keys travel in the chatbot view alone; a member's view carries no chatbot
 boxes, since members never open them and work out the addressed set from
-the group-public triggers.
+the group-public triggers. A send's chatbot entries are one batch of boxes
+(`primitives.pke_seal_batch`): the view carries the batch's ephemeral
+public key once, then per entry a chatbot id and a BOX_LEN box, bound to
+its position among the entries, or a dummy of the same width. A view with
+entries, dummies only included, carries a genuine ephemeral; one without
+carries NO_EPHEMERAL. A chatbot reply's sealed key and an attach control's
+sealed seed are single seals, SEALED_LEN wide.
 
 Wire types, each declared once by its `wire` decorator below (field
 order and kinds), and the payloads inside the ciphertext as `Record`s:
@@ -42,6 +48,7 @@ from .encoding import (
     BOX,
     BYTES,
     KEY,
+    SEALED,
     SIGNATURE,
     TEXT,
     U8,
@@ -66,13 +73,12 @@ from .errors import (
 from .primitives import (
     HANDLE,
     MSG_KEY,
-    SEALED_LEN,
     KeyPair,
     derive,
     pke_keygen,
     pke_open,
     pke_seal,
-    random_bytes,
+    pke_seal_batch,
     random_secret,
     sign,
     sign_keygen,
@@ -233,9 +239,10 @@ class UserMessageView:
 
 
 # A chatbot view's entries: each box is the message key sealed to the named
-# chatbot, or a concealment dummy of the same width.
+# chatbot under the batch's ephemeral key, or a concealment dummy of the
+# same width.
 @wire(VIEW_CHATBOT_MESSAGE, ("group_id", TEXT), ("epoch", U32),
-      ("ciphertext", BYTES), ("group_public_key", KEY),
+      ("ciphertext", BYTES), ("group_public_key", KEY), ("ephemeral", KEY),
       ("entries", items(Record(("chatbot_id", TEXT), ("box", BOX)), into=tuple)))
 @dataclass(frozen=True)
 class ChatbotMessageView:
@@ -243,7 +250,8 @@ class ChatbotMessageView:
     epoch: int
     ciphertext: bytes
     group_public_key: bytes
-    entries: tuple[tuple[str, bytes], ...]  # (chatbot id, sealed key or dummy)
+    ephemeral: bytes                        # the entries' batch ephemeral key
+    entries: tuple[tuple[str, bytes], ...]  # (chatbot id, box or dummy)
 
 
 def chatbot_view_shape(data: bytes) -> tuple:
@@ -253,7 +261,7 @@ def chatbot_view_shape(data: bytes) -> tuple:
 
 
 @wire(BOT_MESSAGE, ("group_id", TEXT), ("chatbot_id", TEXT), ("ciphertext", BYTES),
-      ("sealed_key", BOX), ("node_public_key", KEY))
+      ("sealed_key", SEALED), ("node_public_key", KEY))
 @dataclass(frozen=True)
 class BotMessage:
     group_id: str
@@ -264,7 +272,7 @@ class BotMessage:
 
 
 @wire(ADD_BOT, ("group_id", TEXT), ("chatbot_id", TEXT), ("group_public_key", KEY),
-      ("node_public_key", KEY), ("sealed_seed", BOX))
+      ("node_public_key", KEY), ("sealed_seed", SEALED))
 @dataclass(frozen=True)
 class AddBotControl:
     group_id: str
@@ -464,27 +472,23 @@ class UserState:
         ciphertext = sym_encrypt(message_key, payload)
 
         fired = self._rotate(trigger_message, address_all, pair)
-        addressed: list[str] = []
-        concealed: list[str] = []
-        entries = []
-        for cid, record in sorted(self.records.items()):
-            if cid in fired:
-                entries.append((cid, pke_seal(record.bot_public_key, message_key)))
-                addressed.append(cid)
-            elif conceal:
-                entries.append((cid, random_bytes(SEALED_LEN)))
-                concealed.append(cid)
+        roster = [(cid, record) for cid, record in sorted(self.records.items())
+                  if cid in fired or conceal]
+        ephemeral, boxes = pke_seal_batch(
+            [(record.bot_public_key, message_key) if cid in fired else None
+             for cid, record in roster])
+        entries = tuple((cid, box) for (cid, _), box in zip(roster, boxes))
 
         flags = _FLAG_ADDRESS_ALL if address_all else 0
         user_view = UserMessageView(flags=flags, control=ctl.to_bytes(),
                                     ciphertext=ciphertext)
         chatbot_view = ChatbotMessageView(
             group_id=self.group_id, epoch=epoch, ciphertext=ciphertext,
-            group_public_key=pair.public_key, entries=tuple(entries))
+            group_public_key=pair.public_key, ephemeral=ephemeral, entries=entries)
         return SendOutcome(user_view=user_view.to_bytes(),
-                           chatbot_view=chatbot_view.to_bytes(),
-                           epoch=epoch, addressed=tuple(addressed),
-                           concealed=tuple(concealed))
+                           chatbot_view=chatbot_view.to_bytes(), epoch=epoch,
+                           addressed=tuple(cid for cid, _ in roster if cid in fired),
+                           concealed=tuple(cid for cid, _ in roster if cid not in fired))
 
     def process_user_message(self, data: bytes) -> ReceiveResult:
         """Apply another user's message: advance the tree, read the payload,
@@ -640,15 +644,13 @@ class ChatbotState:
         if view.group_id != self.group_id:
             raise MalformedControl("view for a different group")
 
-        my_entry = None
-        for cid, box in view.entries:
+        for position, (cid, box) in enumerate(view.entries):
             if cid == self.chatbot_id:
-                my_entry = box
                 break
-        if my_entry is None:
+        else:
             return NOT_ADDRESSED
         try:
-            message_key = pke_open(self.node_key, my_entry)
+            message_key = pke_open(self.node_key, box, view.ephemeral, position)
         except DecryptFailed:
             return NOT_ADDRESSED
 

@@ -38,6 +38,7 @@ class BenchRow:
     p50_ms: float
     mean_ms: float
     pke_seal: int
+    pke_keygen: int
     pke_open: int
     derive: int
 
@@ -132,6 +133,7 @@ def _row(bench: str, n: int, m: int, variant: str, times: list[float],
         p50_ms=round(statistics.median(times), 4),
         mean_ms=round(statistics.fmean(times), 4),
         pke_seal=ops.total("pke_seal"),
+        pke_keygen=ops.total("pke_keygen"),
         pke_open=ops.total("pke_open"),
         derive=ops.total("derive"))
 
@@ -168,7 +170,9 @@ def bench_add_bot(n: int = 50, m: int = 4, iterations: int = 30,
     Plain variant: the attach itself (registration lookup, one seal, the
     control fan-out). Pseudonym variant: the attach plus a fresh pseudonym
     broadcast from every member, since the new bot cannot verify handles it
-    never saw. A reference send row is included for ratio baselines.
+    never saw. A reference send row in the same world, named after the
+    variant (`reference_send_plain`, `reference_send_with_pseudonyms`), is
+    included for ratio baselines.
     """
     world = World(n, m)
     if pseudonym:
@@ -192,7 +196,7 @@ def bench_add_bot(n: int = 50, m: int = 4, iterations: int = 30,
     sender = world.ids[0]
     [(ref_times, ref_ops)] = _measure(
         [lambda: world.send_end_to_end(sender, message)], iterations, warmups)
-    rows.append(_row("add_bot", n, m, "reference_send", ref_times, ref_ops))
+    rows.append(_row("add_bot", n, m, f"reference_send_{variant}", ref_times, ref_ops))
     return rows
 
 

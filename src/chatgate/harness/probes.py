@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from ..encoding import peek_type
 from ..errors import ProbeFailed
 from ..group import VIEW_CHATBOT_MESSAGE, ChatbotMessageView, chatbot_view_shape
+from ..primitives import NO_EPHEMERAL, PUBLIC_KEY_LEN
 from ..provider import Adversary, adversary_decrypt
 from .runner import RunResult
 
@@ -220,9 +221,10 @@ def probe_anonymity(result: RunResult) -> Verdict:
 # -- concealment --------------------------------------------------------------------
 
 def probe_concealment(result: RunResult) -> Verdict:
-    """Concealed sends carry one fixed-size entry per attached chatbot, and
-    every chatbot not addressed reported the uniform not-addressed outcome.
-    Decoding the view refuses any entry box that is not `SEALED_LEN` wide."""
+    """Concealed sends carry one fixed-size entry per attached chatbot
+    under a genuine ephemeral key, and every chatbot not addressed reported
+    the uniform not-addressed outcome. Decoding the view refuses any entry
+    box that is not `BOX_LEN` wide."""
     views_by_seq = {}
     for row in result.provider.transcript:
         if row["recipient_class"] == "chatbot":
@@ -238,12 +240,21 @@ def probe_concealment(result: RunResult) -> Verdict:
         expected = set(ev.addressed) | set(ev.concealed)
         if {cid for cid, _ in view.entries} != expected:
             violations.append({"seq": ev.seq, "kind": "roster"})
+        if view.entries and not _is_public_key(view.ephemeral):
+            violations.append({"seq": ev.seq, "kind": "ephemeral"})
         for cid in ev.concealed:
             outcome = result.bot_outcomes.get((ev.seq, cid))
             if outcome != "not_addressed":
                 violations.append({"seq": ev.seq, "chatbot": cid,
                                    "outcome": outcome})
     return _verdict("concealment", violations, concealed_sends=checked)
+
+
+def _is_public_key(key: bytes) -> bool:
+    """Whether `key` is an X25519 public key as key generation writes it:
+    32 bytes, a field element below 2^255 - 19, and not NO_EPHEMERAL."""
+    return (len(key) == PUBLIC_KEY_LEN and key != NO_EPHEMERAL
+            and int.from_bytes(key, "little") < 2**255 - 19)
 
 
 PROBES = {

@@ -6,8 +6,17 @@ Instantiation choices (all frozen into tests):
   prefix with a per-use label, so tree chaining, message keys and pseudonym
   handles live in disjoint domains.
 * Public-key encryption is a sealed box: ephemeral X25519 + HKDF-style key
-  derivation + AESGCM with a zero nonce (safe because the AEAD key is unique
-  per seal). A sealed 32-byte payload is always SEALED_LEN = 80 bytes.
+  derivation + AESGCM with a zero nonce. Boxes come in batches: every box of
+  a batch is sealed under one ephemeral key pair, drawn by `pke_keygen` and
+  dropped once the batch is sealed, and its AEAD key binds the shared
+  secret, both public keys and the box's position in the batch, so it is
+  unique per box even when a batch names one recipient twice (randomness
+  reuse across recipients is safe for DH-based encryption: Kurosawa,
+  PKC 2002; Bellare, Boldyreva and Staddon, PKC 2003). The batch carries
+  its ephemeral public key once; a box of a 32-byte payload is BOX_LEN = 48
+  bytes, and a concealment dummy is BOX_LEN random bytes, which no one can
+  tell from a box. A single seal is a batch of one that carries its own
+  ephemeral: SEALED_LEN = 80 bytes.
 * Key pairs derive deterministically from a 32-byte seed. The X25519 scalar
   is a hash of the seed rather than the seed itself, so a derived key pair
   never carries the seed's byte pattern into serialized state.
@@ -48,7 +57,9 @@ from .errors import DecryptFailed
 
 SECRET_LEN = 32
 PUBLIC_KEY_LEN = 32
-SEALED_LEN = 80          # eph pk (32) + ct of 32-byte payload (32) + tag (16)
+BOX_LEN = 48             # ct of a 32-byte payload (32) + tag (16)
+SEALED_LEN = 80          # a single seal: eph pk (32) + its box (48)
+NO_EPHEMERAL = bytes(PUBLIC_KEY_LEN)  # the ephemeral of an empty batch
 SYM_OVERHEAD = 28        # nonce (12) + tag (16)
 SIG_LEN = 64
 
@@ -191,29 +202,56 @@ def pke_keygen(seed: bytes) -> KeyPair:
     return x25519_key_pair(_kdf(b"pke-keygen", _check_secret(seed)))
 
 
-def pke_seal(public_key: bytes, payload: bytes) -> bytes:
-    """Seal payload to a recipient public key; fresh ephemeral per call."""
+def _box_key(shared: bytes, eph_public: bytes, recipient_public: bytes,
+             position: int) -> bytes:
+    return _kdf(b"seal-key", shared, eph_public, recipient_public,
+                position.to_bytes(4, "big"))
+
+
+def pke_seal(public_key: bytes, payload: bytes, eph: KeyPair | None = None,
+             position: int = 0) -> bytes:
+    """Seal payload to a recipient public key as the box at `position` of
+    the batch under ephemeral `eph` (see `pke_seal_batch`). Without `eph`,
+    a single seal: a batch of one under a fresh ephemeral, whose public key
+    heads the box."""
     counters.record("pke_seal")
-    recipient = X25519PublicKey.from_public_bytes(public_key)
-    eph = x25519_key_pair(_kdf(b"pke-eph", random_bytes(SECRET_LEN)))
-    shared = eph.key_object.exchange(recipient)
-    key = _kdf(b"seal-key", shared, eph.public_key, public_key)
-    ct = AESGCM(key).encrypt(_ZERO_NONCE, payload, None)
-    return eph.public_key + ct
+    head = b""
+    if eph is None:
+        eph = pke_keygen(random_secret())
+        head = eph.public_key
+    shared = eph.key_object.exchange(X25519PublicKey.from_public_bytes(public_key))
+    key = _box_key(shared, eph.public_key, public_key, position)
+    return head + AESGCM(key).encrypt(_ZERO_NONCE, payload, None)
 
 
-def pke_open(pair: KeyPair, box: bytes) -> bytes:
-    """Open a sealed box with an X25519 KeyPair, from `pke_keygen` or
-    `x25519_key_pair`. Any failure is the single error DecryptFailed."""
+def pke_seal_batch(sealings: list[tuple[bytes, bytes] | None]) -> tuple[
+        bytes, list[bytes]]:
+    """Seal each (recipient public key, payload) under one fresh ephemeral,
+    each box bound to its position; None stands for a concealment dummy,
+    BOX_LEN random bytes. Returns the ephemeral public key, NO_EPHEMERAL for
+    an empty batch, which draws no key pair, and the boxes in order. The
+    ephemeral scalar is dropped on return."""
+    if not sealings:
+        return NO_EPHEMERAL, []
+    eph = pke_keygen(random_secret())
+    return eph.public_key, [
+        random_bytes(BOX_LEN) if sealing is None else pke_seal(*sealing, eph, i)
+        for i, sealing in enumerate(sealings)]
+
+
+def pke_open(pair: KeyPair, box: bytes, eph_public: bytes | None = None,
+             position: int = 0) -> bytes:
+    """Open a box with an X25519 KeyPair, from `pke_keygen` or
+    `x25519_key_pair`: the box at `position` of the batch whose ephemeral
+    public key is `eph_public`, or without it a single seal. Any failure is
+    the single error DecryptFailed."""
     counters.record("pke_open")
-    if len(box) < PUBLIC_KEY_LEN + 16:
-        raise DecryptFailed("sealed box too short")
-    eph_public = box[:PUBLIC_KEY_LEN]
-    ct = box[PUBLIC_KEY_LEN:]
+    if eph_public is None:
+        eph_public, box = box[:PUBLIC_KEY_LEN], box[PUBLIC_KEY_LEN:]
     try:
         shared = pair.key_object.exchange(X25519PublicKey.from_public_bytes(eph_public))
-        box_key = _kdf(b"seal-key", shared, eph_public, pair.public_key)
-        return AESGCM(box_key).decrypt(_ZERO_NONCE, ct, None)
+        box_key = _box_key(shared, eph_public, pair.public_key, position)
+        return AESGCM(box_key).decrypt(_ZERO_NONCE, box, None)
     except (InvalidTag, ValueError) as exc:
         raise DecryptFailed("sealed box did not open") from exc
 

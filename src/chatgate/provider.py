@@ -15,10 +15,11 @@ PKI, it exhaustively combines every 32-byte value it can see or derive
 (chains as long as the deepest tree path on the wire, message keys, key
 pairs) against every sealed box and ciphertext until nothing new falls
 out. A sealed box opens only under the secret of the public key it was
-sealed to, and public data names that key for every box the protocol
-seals: a tree control's entries name their target nodes, whose keys sit in
-the group's public tree, which the adversary follows through the
-transcript as members do; chatbot entries, which only chatbot views carry,
+sealed to, with the ephemeral key and position of its batch, which travel
+next to it (`SealedBox`); public data names that key for every box the
+protocol seals: a tree control's entries name their target nodes, whose
+keys sit in the group's public tree, which the adversary follows through
+the transcript as members do; chatbot entries, which only chatbot views carry,
 name a bot whose node key is on the wire, bot replies go to a group key
 that some chatbot view or attach control carries, and attach seeds go to
 the bot's registered key. Ciphertexts are named too: every AEAD key is
@@ -43,7 +44,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .cgka import CONTROL_ADD, CgkaControl, InitKeyDirectory, advance
 from .encoding import peek_type
@@ -275,6 +276,7 @@ def _split_welcome(user_view: bytes) -> tuple[str | None, bytes]:
 # ---------------------------------------------------------------------------
 
 _HEX32 = re.compile(r"^[0-9a-f]{64}$")
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -299,8 +301,18 @@ def _harvest_hex(node) -> set[bytes]:
     return found
 
 
+class SealedBox(NamedTuple):
+    """A box on the wire as `pke_open` takes it: its bytes, its batch's
+    ephemeral public key and its position in the batch; a single seal
+    carries its own ephemeral (None) and is a batch of one."""
+
+    box: bytes
+    ephemeral: bytes | None = None
+    position: int = 0
+
+
 def _collect_material(transcript, registry: BotLookup) -> tuple[
-        dict[bytes, set[bytes]], dict[bytes, set[bytes]], int]:
+        dict[SealedBox, set[bytes]], dict[bytes, set[bytes]], int]:
     """All sealed boxes and symmetric ciphertexts visible on the wire, each
     once, in wire order, as box -> hints and ciphertext -> hints, and the
     length of the longest `new_public_path` on the wire (at least 1).
@@ -333,17 +345,17 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     view as the root key of its control's path), a bot reply the node key
     of its fresh seed.
     """
-    hints: dict[bytes, set[bytes]] = {}
+    hints: dict[SealedBox, set[bytes]] = {}
     ct_hints: dict[bytes, set[bytes]] = {}
     seen: set[bytes] = set()
     bot_pk: dict[str, bytes] = {}
     group_keys: set[bytes] = set()
-    replies: list[bytes] = []
+    replies: list[SealedBox] = []
     path_lengths = {1}
     groups: dict[str, tuple[RatchetTree, int] | None] = {}
     controls: set[bytes] = set()
 
-    def add_box(box: bytes, hint: bytes | None) -> None:
+    def add_box(box: SealedBox, hint: bytes | None) -> None:
         named = hints.setdefault(box, set())
         if hint is not None:
             named.add(hint)
@@ -355,8 +367,8 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
             controls.add(data)
             path_lengths.add(len(control.new_public_path))
             keys = _entry_keys(groups, control, in_message)
-            for key, (_, box) in zip(keys, control.path_entries):
-                add_box(box, key)
+            for i, (key, (_, box)) in enumerate(zip(keys, control.path_entries)):
+                add_box(SealedBox(box, control.ephemeral, i), key)
         return control
 
     def enc_key(chatbot_id: str) -> bytes | None:
@@ -379,17 +391,17 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
             v = ChatbotMessageView.from_bytes(view)
             ct_hints.setdefault(v.ciphertext, set()).add(v.group_public_key)
             group_keys.add(v.group_public_key)
-            for cid, box in v.entries:
-                add_box(box, bot_pk.get(cid))
+            for i, (cid, box) in enumerate(v.entries):
+                add_box(SealedBox(box, v.ephemeral, i), bot_pk.get(cid))
         elif kind == BOT_MESSAGE:
             v = BotMessage.from_bytes(view)
             ct_hints.setdefault(v.ciphertext, set()).add(v.node_public_key)
-            replies.append(v.sealed_key)
+            replies.append(SealedBox(v.sealed_key))
             bot_pk[v.chatbot_id] = v.node_public_key
         elif kind == ADD_BOT:
             v = AddBotControl.from_bytes(view)
             group_keys.add(v.group_public_key)
-            add_box(v.sealed_seed, enc_key(v.chatbot_id))
+            add_box(SealedBox(v.sealed_seed), enc_key(v.chatbot_id))
             bot_pk[v.chatbot_id] = v.node_public_key
         elif kind == GROUP_CONTROL:
             control_boxes(GroupControl.from_bytes(view).control, in_message=False)
@@ -431,11 +443,10 @@ def _entry_keys(groups: dict[str, tuple[RatchetTree, int] | None],
     return [t.nodes[x] if x < len(t.nodes) else None for x, _ in control.path_entries]
 
 
-def _by_hint(material: dict[bytes, set[bytes]]) -> tuple[
-        dict[bytes, list[bytes]], list[bytes]]:
+def _by_hint(material: dict[T, set[bytes]]) -> tuple[dict[bytes, list[T]], list[T]]:
     """Invert item -> hints: item lists per hint, and the unhinted."""
-    by_hint: dict[bytes, list[bytes]] = {}
-    unhinted: list[bytes] = []
+    by_hint: dict[bytes, list[T]] = {}
+    unhinted: list[T] = []
     for item, hints in material.items():
         if not hints:
             unhinted.append(item)
@@ -465,8 +476,8 @@ def _expand(secret: bytes, depth: int) -> list[tuple[bytes, bytes, KeyPair]]:
 class _Wire(NamedTuple):
     """A transcript's boxes and ciphertexts, indexed for the attack."""
 
-    boxes_for: dict[bytes, list[bytes]]  # hint -> boxes
-    unhinted: list[bytes]                # boxes public data names no key for
+    boxes_for: dict[bytes, list[SealedBox]]  # hint -> boxes
+    unhinted: list[SealedBox]                # boxes public data names no key for
     cts_for: dict[bytes, list[bytes]]    # named key -> ciphertexts
     all_cts: list[bytes]
     depth: int                           # the longest path on the wire
@@ -532,7 +543,7 @@ class Adversary:
             out = []
             for box in (*wire.boxes_for.get(pair.public_key, ()), *wire.unhinted):
                 try:
-                    out.append(pke_open(pair, box))
+                    out.append(pke_open(pair, *box))
                 except DecryptFailed:
                     continue
             opened = self._opened[scalar] = tuple(out)

@@ -22,7 +22,7 @@ from chatgate import counters
 from chatgate.group import ChatbotMessageView, UserMessageView, chatbot_view_shape
 from chatgate.harness import bench, canned, probes
 from chatgate.harness.runner import run_text
-from chatgate.primitives import SEALED_LEN
+from chatgate.primitives import BOX_LEN
 from chatgate.triggers import rules_from_text
 
 from test_group import build_group
@@ -345,7 +345,7 @@ def test_criterion_06_concealment():
     out = users["user-00"].send(b"@echo only you", conceal=True)
     view = ChatbotMessageView.from_bytes(out.chatbot_view)
     exact_m = len(view.entries) == 3
-    all_sealed_len = all(len(box) == SEALED_LEN for _, box in view.entries)
+    all_box_len = all(len(box) == BOX_LEN for _, box in view.entries)
 
     dummy_result = bots["audit-bot-02"].receive(out.chatbot_view)
     plain = users["user-01"].send(b"@echo again, no padding this time")
@@ -354,10 +354,10 @@ def test_criterion_06_concealment():
 
     verdict = probes.probe_concealment(run_text(canned.CONCEALMENT, seed=3))
 
-    ok = exact_m and all_sealed_len and same_singleton and verdict.passed
+    ok = exact_m and all_box_len and same_singleton and verdict.passed
     _announce(6, "trigger concealment", ok,
-              f"entries {len(view.entries)}/3, sealed-length "
-              f"{all_sealed_len}, identical not-addressed {same_singleton}, "
+              f"entries {len(view.entries)}/3, box-length "
+              f"{all_box_len}, identical not-addressed {same_singleton}, "
               f"canned probe {verdict.passed}")
 
 

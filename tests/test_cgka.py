@@ -12,6 +12,7 @@ import base64
 import copy
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,10 +35,10 @@ from chatgate.group import GROUP_CONTROL, VIEW_USER_MESSAGE, GroupControl, UserM
 from chatgate.harness import canned
 from chatgate.harness.runner import run_text
 from chatgate.primitives import (
+    BOX_LEN,
     PUBLIC_KEY_LEN,
-    SEALED_LEN,
     pke_keygen,
-    pke_seal,
+    pke_seal_batch,
     random_secret,
 )
 
@@ -599,6 +600,35 @@ def rejected_own_leaf():
     return states[1], ctl
 
 
+def update_and_entries(sender):
+    """`sender`'s update, and what its entries seal: (target node,
+    recipient key, payload) each, in wire order."""
+    sealings = []
+
+    def logged(batch):
+        sealings.extend(batch)
+        return pke_seal_batch(batch)
+
+    with mock.patch.object(cgka, "pke_seal_batch", logged):
+        ctl = sender.update()
+    return ctl, [(x, *sealing) for (x, _), sealing in zip(ctl.path_entries, sealings)]
+
+
+def seal_anew(ctl, entries):
+    """`ctl` with `entries`, (target node, recipient key, payload) each,
+    sealed as one fresh batch, so each opens at its position."""
+    ctl.ephemeral, boxes = pke_seal_batch([(key, payload) for _, key, payload in entries])
+    ctl.path_entries = [(x, box) for (x, _, _), box in zip(entries, boxes)]
+    return ctl
+
+
+def update_with_entry_first(sender, target, key, payload):
+    """`sender`'s update with one more entry ahead of its own: `payload`
+    sealed to `key`, naming node `target`."""
+    ctl, entries = update_and_entries(sender)
+    return seal_anew(ctl, [(target, key, payload), *entries])
+
+
 def rejected_root_entry():
     # An entry sealed to the root sits under no node of the sender's path.
     # The control keeps the root key the receiver holds, so the receiver
@@ -606,9 +636,9 @@ def rejected_root_entry():
     states, _ = make_group(4)
     receiver = states[1]
     root_key = receiver.tree.nodes[receiver.tree.root]
-    ctl = states[0].update()
+    ctl = update_with_entry_first(states[0], receiver.tree.root, root_key,
+                                  random_secret())
     ctl.new_public_path[-1] = root_key
-    ctl.path_entries.insert(0, (receiver.tree.root, pke_seal(root_key, random_secret())))
     return receiver, ctl
 
 
@@ -622,10 +652,25 @@ def rejected_replaced_key_entry():
     states, _ = make_group(8)
     receiver = states[1]
     forged_root = random_secret()
-    ctl = states[0].update()
+    ctl = update_with_entry_first(states[0], 3, receiver.tree.nodes[3], forged_root)
     ctl.new_public_path[-1] = pke_keygen(forged_root).public_key
-    ctl.path_entries.insert(0, (3, pke_seal(receiver.tree.nodes[3], forged_root)))
     return receiver, ctl
+
+
+def rejected_other_ephemeral():
+    # every box of the control opens only under its own batch's ephemeral
+    states, _ = make_group(4)
+    ctl = states[0].update()
+    ctl.ephemeral = states[0].update().ephemeral
+    return states[1], ctl
+
+
+def rejected_moved_entry():
+    # a box opens only at its own position in the batch
+    states, _ = make_group(4)
+    ctl = states[0].update()
+    ctl.path_entries.reverse()
+    return states[1], ctl
 
 
 def rejected_update_without_group():
@@ -666,14 +711,17 @@ def rejected_add_of_another_init_key():
     (rejected_own_leaf, MalformedControl, "unexpected control from own leaf"),
     (rejected_root_entry, MalformedControl, "opened entry does not sit under the path"),
     (rejected_replaced_key_entry, MalformedControl, "does not match path key"),
+    (rejected_other_ephemeral, DecryptFailed, None),
+    (rejected_moved_entry, DecryptFailed, None),
     (rejected_update_without_group, NoGroup, "'user-03' has no group to apply control to"),
     (rejected_create_in_a_group, AlreadyMember, "'user-01' is already in a group"),
     (rejected_add_without_welcome, MalformedControl, "the newcomer has no welcome to join from"),
     (rejected_roster_without_me, NotMember, "create roster does not include 'user-02'"),
     (rejected_add_of_another_init_key, MalformedControl, "my leaf carries a different init key"),
 ], ids=["remove", "add", "root-key", "path-length", "own-leaf", "root-entry",
-        "replaced-key-entry", "update-without-group", "create-in-a-group",
-        "add-without-welcome", "roster-without-me", "add-of-another-init-key"])
+        "replaced-key-entry", "other-ephemeral", "moved-entry", "update-without-group",
+        "create-in-a-group", "add-without-welcome", "roster-without-me",
+        "add-of-another-init-key"])
 def test_rejected_control_leaves_state_unchanged(build, error, match):
     receiver, ctl, *welcome = build()
     before = snapshot_text(receiver)
@@ -688,12 +736,27 @@ def test_path_entry_payload_of_the_wrong_size_leaves_state_unchanged():
     states, _ = make_group(4)
     receiver = states[1]
     leaf = treemod.leaf_node(receiver.own_leaf)
-    ctl = states[0].update()
-    ctl.path_entries.insert(0, (leaf, pke_seal(receiver.tree.nodes[leaf], bytes(31))))
+    ctl = update_with_entry_first(states[0], leaf, receiver.tree.nodes[leaf], bytes(31))
     before = snapshot_text(receiver)
     with pytest.raises(MalformedControl, match="path entry payload has wrong size"):
         receiver.process(ctl)
     assert snapshot_text(receiver) == before
+
+
+def test_control_naming_one_key_twice_seals_each_box_under_its_own_key():
+    # A forged control can name one recipient key twice. Under the zero
+    # nonce, one AEAD key over one payload gives one ciphertext: the two
+    # boxes differ, so their keys do, and each opens only at its position.
+    states, _ = make_group(4)
+    ctl, entries = update_and_entries(states[0])
+    seal_anew(ctl, [entries[0], *entries])
+    boxes = [box for _, box in ctl.path_entries]
+    assert boxes[0] != boxes[1]
+    assert len(set(boxes)) == len(boxes)
+    receiver = states[1]
+    assert ctl.path_entries[0][0] == treemod.leaf_node(receiver.own_leaf)
+    receiver.process(ctl)
+    assert receiver.group_secret == states[0]._pending.group_secret
 
 
 @pytest.mark.parametrize("kind", ["update", "add", "remove"])
@@ -832,6 +895,7 @@ def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
     elif kind == "remove":
         ctl.removed_id = r.text()
     ctl.new_public_path = r.items(Reader.field)
+    ctl.ephemeral = r.field()
     ctl.path_entries = r.items(lambda rr: (rr.u32(), rr.field()))
     r.finish()
     return ctl
@@ -840,7 +904,8 @@ def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
 def has_wrong_width(ctl: cgka.CgkaControl) -> bool:
     return (any(len(pk) != PUBLIC_KEY_LEN for pk in ctl.new_public_path)
             or any(len(pk) != PUBLIC_KEY_LEN for _, pk in ctl.roster)
-            or any(len(box) != SEALED_LEN for _, box in ctl.path_entries))
+            or len(ctl.ephemeral) != PUBLIC_KEY_LEN
+            or any(len(box) != BOX_LEN for _, box in ctl.path_entries))
 
 
 def transcript_controls(seed: int) -> list[bytes]:
@@ -897,14 +962,20 @@ def resize_key(ctl, i, width):
     ctl.new_public_path[i] = resize(ctl.new_public_path[i], width)
 
 
+def resize_ephemeral(ctl, width):
+    ctl.ephemeral = resize(ctl.ephemeral, width)
+
+
 WRONG_WIDTHS = {
-    "box_short": lambda c: resize_box(c, -1, SEALED_LEN - 1),
-    "box_long": lambda c: resize_box(c, -1, SEALED_LEN + 1),
+    "box_short": lambda c: resize_box(c, -1, BOX_LEN - 1),
+    "box_long": lambda c: resize_box(c, -1, BOX_LEN + 1),
     "path_key_31": lambda c: resize_key(c, 0, 31),
     "path_key_33": lambda c: resize_key(c, -1, 33),
+    "ephemeral_31": lambda c: resize_ephemeral(c, 31),
+    "ephemeral_33": lambda c: resize_ephemeral(c, 33),
     # these keep the list's total length, so only the width check sees them
-    "boxes_long_short": lambda c: (resize_box(c, 0, SEALED_LEN + 1),
-                                   resize_box(c, 1, SEALED_LEN - 1)),
+    "boxes_long_short": lambda c: (resize_box(c, 0, BOX_LEN + 1),
+                                   resize_box(c, 1, BOX_LEN - 1)),
     "path_keys_33_31": lambda c: (resize_key(c, 0, 33), resize_key(c, 1, 31)),
 }
 

@@ -26,7 +26,7 @@ from chatgate.encoding import BOX, TREE_NODE, U32, Reader, Record, items, peek_t
 from chatgate.errors import ChatGateError, MalformedControl
 from chatgate.harness import canned
 from chatgate.harness.runner import run_text
-from chatgate.primitives import SEALED_LEN
+from chatgate.primitives import BOX_LEN
 from chatgate.provider import Provider
 from chatgate.triggers import BotRegistration, TriggerSpec, rules_from_text
 
@@ -84,14 +84,14 @@ FIRST_FIELD = {"user-view": 2, "public-tree": 8}
 
 def _overruns(blob: bytes, first: int) -> list[bytes]:
     """Copies whose first, and where present last, field length points past
-    the end of the input. The last field is a trailing sealed box, or a
+    the end of the input. The last field is a trailing batch box, or a
     byte string that directly follows the first field and ends the input
     (a user view's ciphertext after its control)."""
     after_first = first + 4 + struct.unpack_from(">I", blob, first)[0]
     assert after_first <= len(blob)
     spots = [first]
-    last = len(blob) - 4 - SEALED_LEN  # trailing sealed box, if any
-    if struct.unpack_from(">I", blob, last)[0] == SEALED_LEN:
+    last = len(blob) - 4 - BOX_LEN  # trailing batch box, if any
+    if struct.unpack_from(">I", blob, last)[0] == BOX_LEN:
         spots.append(last)
     elif (after_first + 4 <= len(blob) and after_first + 4
           + struct.unpack_from(">I", blob, after_first)[0] == len(blob)):
@@ -369,13 +369,25 @@ def test_width_sweep_covers_the_path_entry_box():
         assert path == ("path_entries", "box")
 
 
+def test_width_sweep_covers_every_batch_ephemeral_and_box():
+    # each batch's ephemeral key (one per control layout, one per chatbot
+    # view) and box, and each single seal, refuse one byte more or less
+    # like every other fixed-width field: 30 in the sweep
+    for kind in ("create", "add", "remove", "update"):
+        assert f"CgkaControl.{kind}.ephemeral" in WIDTH_FIELDS
+    for name in ("ChatbotMessageView.ephemeral", "ChatbotMessageView.entries",
+                 "BotMessage.sealed_key", "AddBotControl.sealed_seed"):
+        assert name in WIDTH_FIELDS
+    assert len(WIDTH_FIELDS) == 30
+
+
 # -- a bare u32 in a fixed-width list -------------------------------------------
 
-# one entry: a node index written as a bare u32, then a sealed box
+# one entry: a node index written as a bare u32, then a batch box
 U32_ENTRIES = Record(("entries", items(Record(("target", U32), ("box", BOX)))),
                      ("indices", items(U32)))
-U32_SAMPLE = ([(0, bytes(SEALED_LEN)), (254, bytes(range(SEALED_LEN))),
-               (2**32 - 1, b"\xff" * SEALED_LEN)], [7, 0, 2**32 - 1])
+U32_SAMPLE = ([(0, bytes(BOX_LEN)), (254, bytes(range(BOX_LEN))),
+               (2**32 - 1, b"\xff" * BOX_LEN)], [7, 0, 2**32 - 1])
 
 
 def test_bare_u32_list_roundtrips():
@@ -383,7 +395,7 @@ def test_bare_u32_list_roundtrips():
     assert all(kind.layout is not None for kind in U32_ENTRIES.kinds)
     blob = U32_ENTRIES.encode(U32_SAMPLE)
     # count, then per entry u32 target, u32 length, box; count, u32s
-    assert len(blob) == 4 + 3 * (4 + 4 + SEALED_LEN) + 4 + 3 * 4
+    assert len(blob) == 4 + 3 * (4 + 4 + BOX_LEN) + 4 + 3 * 4
     assert U32_ENTRIES.decode(blob) == U32_SAMPLE
     assert U32_ENTRIES.encode(U32_ENTRIES.decode(blob)) == blob
 

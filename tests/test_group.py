@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from chatgate import cgka, counters, group as group_module, tree as treemod
+from chatgate import cgka, counters, group as group_module, primitives, tree as treemod
 from chatgate.cgka import CgkaControl, InitKeyDirectory
 from chatgate.encoding import Writer
 from chatgate.errors import (
@@ -44,8 +44,16 @@ from chatgate.group import (
     chatbot_view_shape,
     user_init,
 )
-from chatgate.harness import bench
-from chatgate.primitives import MSG_KEY, SEALED_LEN, derive, seeded, sym_encrypt
+from chatgate.harness import bench, probes
+from chatgate.primitives import (
+    BOX_LEN,
+    MSG_KEY,
+    NO_EPHEMERAL,
+    derive,
+    pke_open,
+    seeded,
+    sym_encrypt,
+)
 from chatgate.triggers import rules_from_text
 from test_cgka import WRONG_WIDTHS
 
@@ -182,7 +190,7 @@ def test_concealed_entries_pad_to_full_roster():
     from chatgate.group import ChatbotMessageView
     view = ChatbotMessageView.from_bytes(out.chatbot_view)
     assert len(view.entries) == 3
-    assert all(len(box) == SEALED_LEN for _, box in view.entries)
+    assert all(len(box) == BOX_LEN for _, box in view.entries)
 
     # absent entry and dummy entry give back the very same sentinel
     plain = users["user-01"].send(b"@echo hi again")  # no concealment
@@ -190,16 +198,127 @@ def test_concealed_entries_pad_to_full_roster():
     assert bots["log-bot-03"].receive(plain.chatbot_view) is NOT_ADDRESSED
 
 
+def test_concealment_dummies_cannot_be_told_from_boxes():
+    # A box is an AEAD ciphertext and a dummy is random bytes of its width,
+    # so no bit position sets them apart. (A box that began with its own
+    # X25519 key never had the top bit of byte 31 set; half the dummies
+    # did.) 100 concealed sends: 200 boxes and 400 dummies.
+    with seeded(5):
+        world = bench.World(4, 0)
+        for i in range(6):
+            world.attach_bot(f"bot-{i}", "always" if i < 2 else "never")
+        sender = world.users["user-000"]
+        boxes, dummies = [], []
+        for _ in range(100):
+            out = sender.send(b"to two of six", conceal=True)
+            entries = dict(ChatbotMessageView.from_bytes(out.chatbot_view).entries)
+            boxes += [entries[cid] for cid in out.addressed]
+            dummies += [entries[cid] for cid in out.concealed]
+    assert (len(boxes), len(dummies)) == (200, 400)
+    (width,) = {len(entry) for entry in boxes + dummies}
+    for bit in range(8 * width):
+        for entries in (boxes, dummies):
+            share = sum(entry[bit // 8] >> (bit % 8) & 1 for entry in entries)
+            assert 0.3 < share / len(entries) < 0.7, bit
+
+
+def test_view_draws_an_ephemeral_only_for_entries():
+    # A view of dummies only carries a genuine ephemeral, like one with a
+    # box; a view with no entries carries none and draws no key pair. The
+    # sender's 2-node path and its control's one-entry batch draw 3.
+    users, _, _ = build_group(
+        2, bots=[("echo-bot-01", "mention:@echo"), ("log-bot-02", "never")])
+    seen = []
+    for message, conceal in ((b"plain", False), (b"plain", True), (b"@echo hi", False)):
+        ops = counters.OpCounters()
+        with counters.collect(ops):
+            out = users["user-00"].send(message, conceal=conceal)
+        view = ChatbotMessageView.from_bytes(out.chatbot_view)
+        seen.append((len(view.entries), ops.total("pke_keygen"),
+                     probes._is_public_key(view.ephemeral)))
+        if not view.entries:
+            assert view.ephemeral == NO_EPHEMERAL
+    assert seen == [(0, 3, False), (2, 4, True), (1, 4, True)]
+
+
+def test_view_naming_one_bot_key_twice_seals_each_box_under_its_own_key():
+    # A forged bot reply can set one record's channel key to another bot's.
+    # Under the zero nonce, one AEAD key over one payload gives one
+    # ciphertext: the two boxes differ, so their keys do.
+    users, bots, _ = build_group(
+        2, bots=[("echo-bot-01", "always"), ("echo-bot-02", "always")])
+    sender = users["user-00"]
+    sender.records["echo-bot-02"].bot_public_key = (
+        sender.records["echo-bot-01"].bot_public_key)
+    view = ChatbotMessageView.from_bytes(sender.send(b"one key twice").chatbot_view)
+    (_, first), (_, second) = view.entries
+    assert first != second
+    key = bots["echo-bot-01"].node_key
+    assert pke_open(key, first, view.ephemeral, 0) == pke_open(
+        key, second, view.ephemeral, 1)
+    with pytest.raises(DecryptFailed):
+        pke_open(key, first, view.ephemeral, 1)
+
+
+@pytest.mark.parametrize("edit", ["moved_entry", "other_ephemeral"])
+def test_bot_box_opens_only_at_its_position_under_its_ephemeral(edit):
+    users, bots, _ = build_group(
+        2, bots=[("echo-bot-01", "always"), ("memo-bot-02", "always")])
+    out = users["user-00"].send(b"for both")
+    view = ChatbotMessageView.from_bytes(out.chatbot_view)
+    if edit == "moved_entry":
+        # each bot's own box, now at the other's position
+        edited = replace(view, entries=(
+            (view.entries[0][0], view.entries[1][1]),
+            (view.entries[1][0], view.entries[0][1])))
+    else:
+        other = ChatbotMessageView.from_bytes(users["user-00"].send(b"again").chatbot_view)
+        edited = replace(view, ephemeral=other.ephemeral)
+    for bot in bots.values():
+        assert bot.receive(edited.to_bytes()) is NOT_ADDRESSED
+        assert bot.receive(out.chatbot_view) == ReceivedMessage(b"for both")
+
+
+def test_send_keeps_no_batch_ephemeral_scalar(monkeypatch):
+    # The scalar of each batch's ephemeral, the path entries' and the bot
+    # boxes', is in no party's snapshot once the send is delivered.
+    drawn = []
+    real = primitives.pke_keygen
+
+    def logged(seed):
+        drawn.append(real(seed))
+        return drawn[-1]
+
+    with seeded(11):
+        world = bench.World(4, 2)
+        monkeypatch.setattr(primitives, "pke_keygen", logged)
+        out = world.users["user-001"].send(b"two batches")
+        world.publish("user-001", out.user_view, out.chatbot_view)
+    control = CgkaControl.from_bytes(UserMessageView.from_bytes(out.user_view).control)
+    ephemerals = {control.ephemeral,
+                  ChatbotMessageView.from_bytes(out.chatbot_view).ephemeral}
+    scalars = [kp.secret_key.hex() for kp in drawn if kp.public_key in ephemerals]
+    assert len(scalars) == 2
+    snapshots = [json.dumps(party.snapshot())
+                 for party in (*world.users.values(), *world.bots.values())]
+    # the sender keeps the path secrets the same send drew
+    sender = json.dumps(world.users["user-001"].snapshot())
+    assert all(kp.secret_key.hex() in sender
+               for _, kp in world.users["user-001"].cgka.path.values())
+    for scalar in scalars:
+        assert not any(scalar in snapshot for snapshot in snapshots)
+
+
 def test_member_view_carries_no_chatbot_box():
-    # Every member got one 80-byte box or dummy per addressed or concealed
-    # bot, though no member ever opens one: the boxes travel only in the
-    # chatbot view.
+    # Every member got one box or dummy per addressed or concealed bot,
+    # though no member ever opens one: the boxes travel only in the chatbot
+    # view. Each view's batch of four boxes carries one ephemeral key.
     with seeded(7):
         world = bench.World(16, 4)
         first = world.users["user-000"].send(b"hello, four bots!", conceal=True)
         world.attach_bot("quiet-bot-004", "never")
         out = world.users["user-001"].send(b"hello, five bots!", conceal=True)
-    assert (len(first.user_view), len(first.chatbot_view)) == (622, 516)
+    assert (len(first.user_view), len(first.chatbot_view)) == (530, 424)
     assert out.concealed == ("quiet-bot-004",)
     bot_view = ChatbotMessageView.from_bytes(out.chatbot_view)
     assert len(bot_view.entries) == 5

@@ -47,7 +47,7 @@ from chatgate.harness.scenario import (
     Send,
     parse_scenario,
 )
-from chatgate.primitives import SEALED_LEN, random_bytes
+from chatgate.primitives import BOX_LEN, random_bytes
 from chatgate.provider import _collect_material
 
 
@@ -337,34 +337,34 @@ def test_same_seed_same_transcript():
 # show, and say which one moved.
 PINNED_SEED_7 = {
     "anonymity": {
-        "report": "5f42c32fa2e03b4d1426550f356b44055537a570af8bdf27bbca1b1c8b3a63a7",
-        "transcript": "e3b5ce39246c3175edbbbac9a1377cd8dbea24bdb4149db59b665b2d75acf56b",
-        "supersessions": "276bf6b1503b698ddcd1b08f52f0f1aa0add5d624bc5bb955ba4efd191720741",
+        "report": "33a039edef053454de5fe25c5ea510c463f7f0a34dec998d57d2f1674da74bae",
+        "transcript": "41dea3e09a2810994152c03e1ae14494aaa4843d76c54367f687f5deb4725fc2",
+        "supersessions": "c9f1950b7456de3077d5747315a0d599d555a1a5a494ba7c29947912279cf1b4",
     },
     "concealment": {
-        "report": "8ac5a1c3339295553a23d75da5f8c3776fa3b6699fe8cbba45eecfbc2451f40b",
-        "transcript": "754fec7bb7bee5d5a795ba9d5c54d380e8fe5fd67908d58147a295925569ffc3",
-        "supersessions": "1ccb8e12f401e3f86032b3c6bd9c19f98333677092cc1df77f17edb950d7d73e",
+        "report": "9f38c0f1e58b44b36ba40a0cf68c0b1e1951ba526ed56737e1768a8e7a873c5e",
+        "transcript": "cbf82a8508781cfd72a11d3883df6c1079495d7f23b55ad8ad47b124e6d58c37",
+        "supersessions": "8013cf0343010e2b82a8597c514cdd46d3a30b2c128e390864fb4073bb7de908",
     },
     "demo": {
-        "report": "61d28f56d3b6e95e0897eecb6576630cd53ab319cc3eff0d228204b6489e02b4",
-        "transcript": "dc5be19868b1e0dc9b436c02ddb24d5feb006949f3abca899d483211918f50b3",
-        "supersessions": "7de4ebec5871dd2e8d9746cdce22acf81fb77c3f77039eed2036caa1f98d9280",
+        "report": "d8f5c2bb493dc9b106f7edf7476eb25ba4b1b29cefb5f1825b67642c2480fcd4",
+        "transcript": "4036c846565b7f1f3a43dacbbb60ff2498e980a7807ea6a6359f418bccedd16a",
+        "supersessions": "205b0e088372c2fb43267d0bd9e3de8ba5ad0fd3e3f2e35efa6c2de49a3eae85",
     },
     "fs": {
-        "report": "963b57d141b33d654fbe13e86ef38340d1085fa54213c23b2d03cf11ac5f6f79",
-        "transcript": "6c6631a39b727cb147bbf62f1873094fa1982ccdfc6acb001fb9c48458b20509",
-        "supersessions": "abb430d6d58dd0f04251f1da815aa1178362955222f00f509515a0b2f6f7a8ea",
+        "report": "f5fc3c0667dc16fb0aea41e4e96f4c34102a65bec0dad3473568150d44144269",
+        "transcript": "6bc598b014a51d8bfa57dafd9548f8f2637f51e50a89e4a7a6a8aa2bdb885a07",
+        "supersessions": "74ac06911edae041e25207b9c2eecb343284be288079da65870fca61af6ecbbe",
     },
     "pcs": {
-        "report": "6ac3fd38d7e68878a9e7b1014ea2ab5a10e5c6c365390bd936c2c6ef5a86bfb5",
-        "transcript": "77c0fb783ebbf1cfedc6472c79a551acd898f39326322d136a8f4a56d0ceaab7",
-        "supersessions": "f48b04d54a1172cc07a919a17740eb7ad1479273956018b529a173107e1ea859",
+        "report": "82ea222020d3b292b09bbbc0cc364cdb566831f7ab539e887823fc041f0ffed0",
+        "transcript": "dd5ce15e19f95dfcee9b45a2563d96dd2d2f770a694fb39839d2871e3beb3eb1",
+        "supersessions": "861efb5eecf3880a89a078a82919c1804447f71f33be1b035f602f1d2ec3e024",
     },
     "selective": {
-        "report": "eeb9470cf3ad523b6fb1e8ebd620e1c380cae5942c9ca5598efd6bd5ceca9161",
-        "transcript": "81031908af13337d9a637abb84c981a184c5b0a95ebdfd677d00cca22cd80f33",
-        "supersessions": "2306b23eeb66475f8c91fd805695228321e8fdd84aba0adff65f18d42f6aee08",
+        "report": "29ae0d28cc04bd905fe4f306d3828ca4f6bc010b6b84150ac8ac208512bff6a9",
+        "transcript": "26f115be01231ff0d522af150871162bf9e3717d321584ecc0a6b04951a58575",
+        "supersessions": "9438ea1a302fc63b036366778129242e50f03e7291a923d9bfc5b5b7c7bb7e01",
     },
 }
 
@@ -641,7 +641,7 @@ def test_anonymity_probe_flags_shape_differences():
     assert probes.probe_anonymity(result).passed
     row = _chatbot_rows(result)[-1]
     view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
-    dummy = ("echo-bot-01", random_bytes(SEALED_LEN))
+    dummy = ("echo-bot-01", random_bytes(BOX_LEN))
     _reencode(row, replace(view, entries=(*view.entries, dummy)))
     verdict = probes.probe_anonymity(result)
     assert verdict.detail["violations"] == [
@@ -689,6 +689,23 @@ def test_concealment_probe_flags_a_missing_entry():
     assert verdict.detail["violations"] == [{"seq": seq, "kind": "roster"}]
 
 
+@pytest.mark.parametrize("ephemeral", [bytes(32), b"\xff" * 32],
+                         ids=["no_ephemeral", "not_a_field_element"])
+def test_concealment_probe_flags_a_concealed_view_without_a_genuine_ephemeral(
+        ephemeral):
+    # dummies under no key pair, or under bytes no key generation writes,
+    # would tell a concealed view apart from one with an addressed bot
+    result = run_text(canned.CONCEALMENT, seed=9)
+    seq = next(ev.seq for ev in result.sends if ev.concealed)
+    for row in _chatbot_rows(result):
+        if row["seq"] == seq:
+            view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
+            assert probes._is_public_key(view.ephemeral)
+            _reencode(row, replace(view, ephemeral=ephemeral))
+    verdict = probes.probe_concealment(result)
+    assert verdict.detail["violations"] == [{"seq": seq, "kind": "ephemeral"}]
+
+
 def test_concealment_probe_flags_a_concealed_bot_that_acted():
     result = run_text(canned.CONCEALMENT, seed=9)
     ev = next(ev for ev in result.sends if ev.concealed)
@@ -717,12 +734,16 @@ def test_bench_n_sweep_is_sender_side():
     assert all(row.pke_open == 0 for row in rows)
     assert rows[0].pke_seal == 2 + 1  # depth of a 4-leaf tree, plus one bot
     assert rows[1].pke_seal == 3 + 1
+    # one key pair per path node, and one ephemeral per batch: the path
+    # entries' and the bot box's
+    assert rows[0].pke_keygen == 3 + 2
+    assert rows[1].pke_keygen == 4 + 2
 
 
 def test_bench_add_bot_rows():
     rows = bench.bench_add_bot(n=6, m=1, iterations=3, warmups=1)
     variants = {row.variant for row in rows}
-    assert variants == {"plain", "reference_send"}
+    assert variants == {"plain", "reference_send_plain"}
     plain = next(r for r in rows if r.variant == "plain")
     assert plain.pke_seal >= 1
 
@@ -786,8 +807,9 @@ def test_cli_bench_prints_every_sweep_as_one_json_document(monkeypatch, capsys):
         ("send_m", 4, 0, "end_to_end"), ("send_m", 4, 1, "end_to_end"),
         ("send_n", 4, 1, "sender"), ("send_n", 8, 1, "sender"),
         ("send_n", 16, 1, "sender"),
-        ("add_bot", 4, 1, "plain"), ("add_bot", 4, 1, "reference_send"),
-        ("add_bot", 4, 1, "with_pseudonyms"), ("add_bot", 4, 1, "reference_send")]
+        ("add_bot", 4, 1, "plain"), ("add_bot", 4, 1, "reference_send_plain"),
+        ("add_bot", 4, 1, "with_pseudonyms"),
+        ("add_bot", 4, 1, "reference_send_with_pseudonyms")]
     assert set(doc["n_growth"]) == {"aic_linear", "aic_log", "r2_linear",
                                     "r2_log", "prefers_log"}
 

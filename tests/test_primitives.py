@@ -176,6 +176,49 @@ def test_x25519_key_pair_is_not_a_counted_op():
     assert tally.by_party == {}
 
 
+def test_batch_shares_one_ephemeral_and_binds_each_box_to_its_position():
+    kp = primitives.pke_keygen(primitives.random_secret())
+    other = primitives.pke_keygen(primitives.random_secret())
+    payloads = [primitives.random_secret() for _ in range(3)]
+    tally = counters.OpCounters()
+    with counters.collect(tally):
+        eph, boxes = primitives.pke_seal_batch(
+            [(kp.public_key, payloads[0]), None, (other.public_key, payloads[1]),
+             (kp.public_key, payloads[2])])
+    # one key generation for the batch, one counted seal per box
+    assert tally.total("pke_keygen") == 1 and tally.total("pke_seal") == 3
+    assert [len(box) for box in boxes] == [primitives.BOX_LEN] * 4 == [48] * 4
+    assert len(eph) == primitives.PUBLIC_KEY_LEN and eph != primitives.NO_EPHEMERAL
+    assert primitives.pke_open(kp, boxes[0], eph, 0) == payloads[0]
+    assert primitives.pke_open(other, boxes[2], eph, 2) == payloads[1]
+    assert primitives.pke_open(kp, boxes[3], eph, 3) == payloads[2]
+    # another position, or another batch's ephemeral, does not open a box
+    another, _ = primitives.pke_seal_batch([(kp.public_key, payloads[0])])
+    for wrong_eph, position in ((eph, 3), (eph, 1), (another, 0)):
+        with pytest.raises(DecryptFailed):
+            primitives.pke_open(kp, boxes[0], wrong_eph, position)
+    with pytest.raises(DecryptFailed):
+        primitives.pke_open(kp, boxes[1], eph, 1)  # the dummy
+
+
+def test_batch_naming_one_recipient_twice_uses_a_key_per_box():
+    # Under the zero nonce, one AEAD key over one payload gives one
+    # ciphertext: boxes that differ were sealed under different keys.
+    kp = primitives.pke_keygen(primitives.random_secret())
+    payload = primitives.random_secret()
+    eph, boxes = primitives.pke_seal_batch([(kp.public_key, payload)] * 8)
+    assert len(set(boxes)) == 8
+    assert all(primitives.pke_open(kp, box, eph, i) == payload
+               for i, box in enumerate(boxes))
+
+
+def test_empty_batch_draws_no_key_pair():
+    tally = counters.OpCounters()
+    with counters.collect(tally):
+        assert primitives.pke_seal_batch([]) == (primitives.NO_EPHEMERAL, [])
+    assert tally.by_party == {}
+
+
 @settings(max_examples=50)
 @given(seed=secrets32, payload=secrets32)
 def test_seal_roundtrip_property(seed, payload):
@@ -296,7 +339,8 @@ def test_counters_attribute_exact_counts():
         with counters.attribute("bob"):
             primitives.pke_open(kp, box)
             primitives.derive(primitives.random_secret())
-    assert tally.party("alice")["pke_keygen"] == 1
+    # her key pair, and the single seal's own ephemeral
+    assert tally.party("alice")["pke_keygen"] == 2
     assert tally.party("alice")["pke_seal"] == 1
     assert tally.party("alice")["pke_open"] == 0
     assert tally.party("bob")["pke_open"] == 1

@@ -45,6 +45,7 @@ from chatgate.primitives import (
     derive,
     pke_keygen,
     pke_open,
+    pke_seal_batch,
     sym_decrypt,
     x25519_key_pair,
 )
@@ -52,6 +53,7 @@ from chatgate.provider import (
     Adversary,
     AdversaryReport,
     Provider,
+    SealedBox,
     _collect_material,
     _harvest_hex,
     _payload_message,
@@ -581,10 +583,11 @@ def test_adversary_climbs_as_far_as_the_longest_path_on_the_wire(carrier):
         chain.append(derive(chain[-1], CHAIN))
     top = chain[-1]
     target = x25519_key_pair(scalar).public_key
+    ephemeral, [box] = pke_seal_batch([(target, chain[0])])
     deep = cgka.CgkaControl(
         kind="update", group_id="grp-deep", epoch=0, sender_leaf=0,
         new_public_path=[pke_keygen(s).public_key for s in chain],
-        path_entries=[(0, primitives.pke_seal(target, chain[0]))])
+        ephemeral=ephemeral, path_entries=[(0, box)])
     shallow = cgka.CgkaControl(kind="update", group_id="grp-deep", epoch=0,
                                sender_leaf=0)
     if carrier == "group_control":
@@ -621,10 +624,10 @@ def test_entry_naming_a_node_outside_the_tree_is_left_unhinted(target):
     world.provider.publish(world.group_id, "user-000",
                            user_view=replace(wrapped, control=ctl.to_bytes()).to_bytes())
     hints = _collect_material(world.provider.transcript, world.provider)[0]
-    assert hints[forged_box] == frozenset()
+    assert hints[(forged_box, ctl.ephemeral, 0)] == frozenset()
     assert rest
-    for x, box in rest:
-        assert hints[box] == {tree.nodes[x]}
+    for i, (x, box) in enumerate(rest, 1):
+        assert hints[(box, ctl.ephemeral, i)] == {tree.nodes[x]}
 
 
 def test_follower_refuses_a_membership_control_in_a_message_view():
@@ -635,8 +638,8 @@ def test_follower_refuses_a_membership_control_in_a_message_view():
     world.provider.publish(world.group_id, "user-000", user_view=view)
     hints = _collect_material(world.provider.transcript, world.provider)[0]
     assert ctl.path_entries
-    for _, box in ctl.path_entries:
-        assert hints[box] == frozenset()
+    for i, (_, box) in enumerate(ctl.path_entries):
+        assert hints[(box, ctl.ephemeral, i)] == frozenset()
 
 
 @pytest.mark.parametrize("forgery", ["stale_epoch", "empty_sender_leaf"])
@@ -656,21 +659,22 @@ def test_follower_drops_a_group_after_a_control_it_cannot_apply(forgery):
         world.provider.publish(world.group_id, "user-000", user_view=view)
     hints = _collect_material(world.provider.transcript, world.provider)[0]
     assert ctl.path_entries
-    for _, box in ctl.path_entries:
-        assert hints[box] == frozenset()
+    for i, (_, box) in enumerate(ctl.path_entries):
+        assert hints[(box, ctl.ephemeral, i)] == frozenset()
     # followed without the forgery, the same control names every entry
     world = bench.World(4, 0)
     tree = world.users["user-000"].cgka.tree
     genuine = world.users["user-000"].update_keys()
     world.provider.publish(world.group_id, "user-000", user_view=genuine)
     hints = _collect_material(world.provider.transcript, world.provider)[0]
-    for x, box in cgka.CgkaControl.from_bytes(
-            GroupControl.from_bytes(genuine).control).path_entries:
-        assert hints[box] == {tree.nodes[x]}
+    ctl = cgka.CgkaControl.from_bytes(GroupControl.from_bytes(genuine).control)
+    for i, (x, box) in enumerate(ctl.path_entries):
+        assert hints[(box, ctl.ephemeral, i)] == {tree.nodes[x]}
 
 
 def _reference_material(transcript):
-    """Reference boxes as (hint or None, box), ciphertexts mapped to the
+    """Reference boxes as (hint or None, (box, batch ephemeral or None,
+    position)), ciphertexts mapped to the
     keys their views name, and the longest tree path (at least 1),
     independent of the adversary's own scrape. Chatbot entries, which only
     chatbot views carry, name the bot's node key tracked in transcript
@@ -690,8 +694,8 @@ def _reference_material(transcript):
 
     def control_boxes(control):
         depths.append(len(control.new_public_path))
-        for _target, box in control.path_entries:
-            add_box(box, None)
+        for i, (_target, box) in enumerate(control.path_entries):
+            add_box((box, control.ephemeral, i), None)
 
     for row in transcript:
         view = base64.b64decode(row["view_b64"])
@@ -707,16 +711,16 @@ def _reference_material(transcript):
         elif kind == VIEW_CHATBOT_MESSAGE:
             v = ChatbotMessageView.from_bytes(view)
             ciphertexts.setdefault(v.ciphertext, set()).add(v.group_public_key)
-            for cid, box in v.entries:
-                add_box(box, bot_pk.get(cid))
+            for i, (cid, box) in enumerate(v.entries):
+                add_box((box, v.ephemeral, i), bot_pk.get(cid))
         elif kind == BOT_MESSAGE:
             v = BotMessage.from_bytes(view)
             ciphertexts.setdefault(v.ciphertext, set()).add(v.node_public_key)
-            add_box(v.sealed_key, None)
+            add_box((v.sealed_key, None, 0), None)
             bot_pk[v.chatbot_id] = v.node_public_key
         elif kind == ADD_BOT:
             v = AddBotControl.from_bytes(view)
-            add_box(v.sealed_seed, None)
+            add_box((v.sealed_seed, None, 0), None)
             bot_pk[v.chatbot_id] = v.node_public_key
         elif kind == GROUP_CONTROL:
             control_boxes(cgka.CgkaControl.from_bytes(
@@ -792,7 +796,7 @@ def _all_pairs_adversary(snapshot, transcript):
                     continue
                 tried_boxes.add((key, box))
                 try:
-                    opened = pke_open(pairs[key], box)
+                    opened = pke_open(pairs[key], *box)
                 except Exception:
                     continue
                 boxes_opened += 1
@@ -914,17 +918,19 @@ def _audit_scenario_text(monkeypatch, seed):
 
 @pytest.fixture
 def seal_log(monkeypatch):
-    """Every box `pke_seal` makes during the test, mapped to the public key
+    """Every box `pke_seal` makes during the test, as the adversary names
+    it (its bytes, batch ephemeral and position), mapped to the public key
     it was sealed to."""
     log = {}
     real = primitives.pke_seal
 
-    def logged(public_key, payload):
-        box = real(public_key, payload)
-        log[box] = public_key
+    def logged(public_key, payload, eph=None, position=0):
+        box = real(public_key, payload, eph, position)
+        log[SealedBox(box) if eph is None
+            else SealedBox(box, eph.public_key, position)] = public_key
         return box
 
-    for module in (primitives, cgka, group):
+    for module in (primitives, group):
         monkeypatch.setattr(module, "pke_seal", logged)
     return log
 
