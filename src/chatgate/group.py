@@ -86,7 +86,13 @@ from .primitives import (
     sym_encrypt,
     verify,
 )
-from .triggers import BotRegistration, TriggerRule, TriggerSpec, make_registration
+from .triggers import (
+    BotRegistration,
+    TriggerIndex,
+    TriggerRule,
+    TriggerSpec,
+    make_registration,
+)
 
 VIEW_USER_MESSAGE = 0x10
 VIEW_CHATBOT_MESSAGE = 0x11
@@ -323,6 +329,11 @@ class UserState:
     registry: BotLookup
     records: dict[str, ChatbotRecord] = field(default_factory=dict)
     pseudonym: Pseudonym | None = None
+    # derived from `records`; each writer of `records` calls `_reindex`
+    _triggers: TriggerIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._reindex()
 
     @property
     def member_id(self) -> str:
@@ -373,7 +384,9 @@ class UserState:
             roster = {cid: self._admit(cid, bot_pk, None)
                       for cid, bot_pk in welcome.roster}
         self.cgka.process(CgkaControl.from_bytes(wrapped.control), welcome.tree)
-        self.records.update(roster)
+        if roster:
+            self.records.update(roster)
+            self._reindex()
 
     # -- chatbot membership ---------------------------------------------------
 
@@ -393,6 +406,7 @@ class UserState:
         self._check_group(ctl.group_id)
         self.records[ctl.chatbot_id] = self._admit(
             ctl.chatbot_id, ctl.node_public_key, self.cgka.group_key_pair)
+        self._reindex()
 
     def remove_chatbot(self, chatbot_id: str) -> bytes:
         self._require_group()
@@ -405,6 +419,7 @@ class UserState:
         if ctl.chatbot_id not in self.records:
             raise NotPresent(f"{ctl.chatbot_id!r} is not attached")
         del self.records[ctl.chatbot_id]
+        self._reindex()
 
     def _apply(self, bundle: GroupControl | AddBotControl | RemoveBotControl) -> bytes:
         """Apply a control this user built through `process`, the handler
@@ -424,6 +439,11 @@ class UserState:
             raise BadSignature(f"registration for {chatbot_id!r} does not verify")
         return ChatbotRecord(trigger=reg.trigger, channel_secret_key=channel_secret_key,
                              bot_public_key=bot_public_key)
+
+    def _reindex(self) -> None:
+        """Rebuild the trigger index from `records`, after any edit of them."""
+        self._triggers = TriggerIndex({cid: record.trigger
+                                       for cid, record in self.records.items()})
 
     # -- messaging --------------------------------------------------------------
 
@@ -522,9 +542,12 @@ class UserState:
         """The one addressing rule, shared by the sender and its receivers:
         `address_all`, or the record's trigger fires on the message. Moves
         each addressed record's channel to `pair`; returns their ids."""
-        fired = {cid for cid, record in self.records.items()
-                 if address_all or (message is not None
-                                    and record.trigger.matches(message))}
+        if address_all:
+            fired = set(self.records)
+        elif message is None:
+            fired = set()
+        else:
+            fired = self._triggers.fired(message)
         for cid in fired:
             self.records[cid].channel_secret_key = pair
         return fired

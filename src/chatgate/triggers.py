@@ -6,6 +6,13 @@ group-public: every user can re-evaluate them locally, which is what keeps
 receivers' chatbot records in sync without trusting the sender's addressing
 list.
 
+`TriggerIndex` answers the same question for a whole chatbot roster at
+once: it files each rule under its kind when built, so finding the
+chatbots a message fires costs one split of the message for every mention
+rule together, plus one substring or prefix test per contains or prefix
+rule. `TriggerSpec.matches` stays the reference semantics; the index
+returns exactly the ids whose spec matches.
+
 A registration binds its two long-term public keys (encryption and
 signing) and its trigger, which names the chatbot id, under one signature.
 The trigger is the one place the id is stated, so neither the id, the
@@ -14,6 +21,7 @@ trigger nor the keys can be swapped after publication.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .encoding import BYTES, KEY, SIGNATURE, TEXT, U8, Record, items, nested, wire
@@ -75,6 +83,41 @@ class TriggerSpec:
 
     def matches(self, message: bytes) -> bool:
         return any(rule.matches(message) for rule in self.rules)
+
+
+class TriggerIndex:
+    """The rules of `{chatbot id: TriggerSpec}`, filed by kind: the ids of
+    `always` rules, a dict from mention argument to ids, and (argument, id)
+    pairs for `contains` and `prefix`. `never` rules fire nothing."""
+
+    __slots__ = ("_always", "_mentions", "_contains", "_prefixes")
+
+    def __init__(self, specs: Mapping[str, TriggerSpec]) -> None:
+        self._always: set[str] = set()
+        self._mentions: dict[bytes, set[str]] = {}
+        self._contains: list[tuple[bytes, str]] = []
+        self._prefixes: list[tuple[bytes, str]] = []
+        for cid, spec in specs.items():
+            for rule in spec.rules:
+                if rule.kind == "always":
+                    self._always.add(cid)
+                elif rule.kind == "mention":
+                    self._mentions.setdefault(rule.argument, set()).add(cid)
+                elif rule.kind == "contains":
+                    self._contains.append((rule.argument, cid))
+                elif rule.kind == "prefix":
+                    self._prefixes.append((rule.argument, cid))
+
+    def fired(self, message: bytes) -> set[str]:
+        """The ids whose spec matches `message`."""
+        fired = set(self._always)
+        if self._mentions:
+            for token in self._mentions.keys() & message.split():
+                fired |= self._mentions[token]
+        fired.update([cid for argument, cid in self._contains if argument in message])
+        fired.update([cid for argument, cid in self._prefixes
+                      if message.startswith(argument)])
+        return fired
 
 
 def rule_from_text(text: str) -> TriggerRule:

@@ -395,6 +395,59 @@ def test_receivers_do_not_trust_entry_list_for_records():
     assert after != before
 
 
+def test_trigger_index_follows_records():
+    """Each writer of a member's records keeps its trigger index in step: a
+    chatbot attached mid-group, one detached, one re-attached under the same
+    id with another trigger, and a newcomer's roster from the welcome. After
+    each, the sender's addressed set is the set of records every member
+    rotated."""
+    users, _, registry = build_group(3, bots=[("echo-bot-01", "mention:@echo")])
+
+    def apply(sender, blob):
+        for uid, user in users.items():
+            if uid != sender:
+                user.process(blob)
+
+    def send(sender, message):
+        out = users[sender].send(message)
+        apply(sender, out.user_view)
+        for uid, user in users.items():
+            pair = user.cgka.group_key_pair
+            rotated = {cid for cid, record in user.records.items()
+                       if record.channel_secret_key == pair}
+            assert rotated == set(out.addressed), uid
+        return set(out.addressed)
+
+    def attach(actor, cid, rules):
+        bot = chatbot_init(cid, rules_from_text(rules))
+        registry.register(bot.registration)
+        apply(actor, users[actor].add_chatbot(cid))
+
+    attach("user-01", "memo-bot-02", "contains:note")
+    assert send("user-02", b"@echo take a note") == {"echo-bot-01", "memo-bot-02"}
+
+    apply("user-02", users["user-02"].remove_chatbot("echo-bot-01"))
+    assert send("user-00", b"@echo take a note") == {"memo-bot-02"}
+
+    # the same id again with another trigger, and no send in between
+    apply("user-00", users["user-00"].remove_chatbot("memo-bot-02"))
+    attach("user-01", "memo-bot-02", "mention:@memo")
+    assert send("user-01", b"take a note") == set()
+    attach("user-00", "echo-bot-01", "prefix:!echo")
+    assert send("user-01", b"@echo take a note") == set()
+    assert send("user-01", b"!echo hi @memo") == {"echo-bot-01", "memo-bot-02"}
+
+    newcomer = user_init(cgka.init("user-77", users["user-00"].cgka.directory),
+                         registry)
+    blob = users["user-00"].add_user("user-77")
+    apply("user-00", blob)
+    newcomer.process(blob)
+    users["user-77"] = newcomer
+    assert send("user-02", b"!echo a note for @memo") == {"echo-bot-01", "memo-bot-02"}
+    assert send("user-77", b"@echo nothing here") == set()
+    assert send("user-77", b"!echo") == {"echo-bot-01"}
+
+
 # -- chatbot channel ----------------------------------------------------------
 
 def test_chatbot_reply_roundtrip():

@@ -748,6 +748,15 @@ def test_bench_add_bot_rows():
     assert plain.pke_seal >= 1
 
 
+def test_bench_add_bot_reference_send_seals_to_m_chatbots():
+    # the reference send runs before the measured attaches, so it seals to
+    # the same m chatbots as the m-sweep's send
+    [*_, reference] = bench.bench_add_bot(n=8, m=2, iterations=2, warmups=0)
+    [send_m] = bench.bench_send_m_sweep(n=8, m_values=(2,), iterations=2, warmups=0)
+    assert reference.variant == "reference_send_plain"
+    assert reference.pke_seal == send_m.pke_seal
+
+
 def test_world_drain_raises_on_an_unroutable_view():
     world = bench.World(2, 0)
     world.provider.publish(world.group_id, world.ids[0], user_view=b"\x7fjunk")

@@ -1,11 +1,14 @@
 """Trigger rules: matching semantics, canonical encoding, signed registration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatgate.errors import MalformedControl
 from chatgate.primitives import random_secret, pke_keygen, sign_keygen
 from chatgate.triggers import (
     BotRegistration,
+    TriggerIndex,
     TriggerRule,
     TriggerSpec,
     make_registration,
@@ -65,6 +68,54 @@ def test_spec_fires_if_any_rule_fires():
 def test_empty_spec_never_fires():
     spec = TriggerSpec("bot-a", ())
     assert not spec.matches(b"anything")
+
+
+# -- the roster index ----------------------------------------------------------
+
+# One small alphabet for arguments and messages, with every ASCII whitespace
+# byte `bytes.split` splits on, so tokens overlap and prefixes collide.
+_ALPHABET = b"ab@ \t\n\r\x0b\x0c"
+
+
+def _text(min_size, max_size):
+    return st.lists(st.sampled_from(_ALPHABET), min_size=min_size,
+                    max_size=max_size).map(bytes)
+
+
+_RULES = st.one_of(
+    st.builds(TriggerRule, st.sampled_from(("prefix", "contains", "mention")),
+              _text(1, 3)),
+    st.builds(TriggerRule, st.sampled_from(("always", "never"))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rules=st.dictionaries(st.sampled_from([f"bot-{i}" for i in range(6)]),
+                             st.lists(_RULES, max_size=3).map(tuple), max_size=6),
+       messages=st.lists(_text(0, 12), min_size=1, max_size=4))
+def test_index_fires_exactly_the_matching_specs(rules, messages):
+    specs = {cid: TriggerSpec(cid, spec_rules) for cid, spec_rules in rules.items()}
+    index = TriggerIndex(specs)
+    for message in messages:
+        assert index.fired(message) == {cid for cid, spec in specs.items()
+                                        if spec.matches(message)}
+
+
+def test_index_cases():
+    index = TriggerIndex({
+        "all": TriggerSpec("all", (TriggerRule("always"),)),
+        "none": TriggerSpec("none", (TriggerRule("never"),)),
+        "men": TriggerSpec("men", (TriggerRule("mention", b"@a"),
+                                   TriggerRule("mention", b"a b"))),
+        "men2": TriggerSpec("men2", (TriggerRule("mention", b"@a"),)),
+        "pre": TriggerSpec("pre", (TriggerRule("prefix", b"!go"),)),
+        "con": TriggerSpec("con", (TriggerRule("contains", b"b"),)),
+    })
+    assert index.fired(b"") == {"all"}
+    assert index.fired(b"x\t@a\n") == {"all", "men", "men2"}
+    assert index.fired(b"@ab") == {"all", "con"}
+    assert index.fired(b"!go") == {"all", "pre"}
+    assert index.fired(b" !go") == {"all"}
+    assert TriggerIndex({}).fired(b"@a !go") == set()
 
 
 # -- canonical encoding ------------------------------------------------------
