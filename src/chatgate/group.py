@@ -15,11 +15,19 @@ keys travel in the chatbot view alone; a member's view carries no chatbot
 boxes, since members never open them and work out the addressed set from
 the group-public triggers. A send's chatbot entries are one batch of boxes
 (`primitives.pke_seal_batch`): the view carries the batch's ephemeral
-public key once, then per entry a chatbot id and a BOX_LEN box, bound to
-its position among the entries, or a dummy of the same width. A view with
-entries, dummies only included, carries a genuine ephemeral; one without
-carries NO_EPHEMERAL. A chatbot reply's sealed key and an attach control's
-sealed seed are single seals, SEALED_LEN wide.
+public key once, then per entry a chatbot id, the entry's position in the
+batch and a BOX_LEN box bound to that position, or a dummy of the same
+width. A send whose batch has entries, dummies only included, carries a
+genuine ephemeral; one without carries NO_EPHEMERAL. A chatbot reply's
+sealed key and an attach control's sealed seed are single seals,
+SEALED_LEN wide.
+
+The sender builds one chatbot view with every entry; the provider
+delivers each chatbot only the entries that name it
+(`project_chatbot_view`), as it delivers an add's welcome to the newcomer
+alone. So a chatbot's view has the same length whatever the number of
+bots a send reaches, and all a chatbot learns about the others is its
+own entry's position: its rank among the bots of the batch.
 
 Wire types, each declared once by its `wire` decorator below (field
 order and kinds), and the payloads inside the ciphertext as `Record`s:
@@ -40,7 +48,7 @@ what an add costs each of them is its path entries, not the whole tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol, Union
 
 from .cgka import CgkaControl, CgkaState, hx
@@ -54,6 +62,7 @@ from .encoding import (
     U8,
     U32,
     Record,
+    Writer,
     at_most_one,
     items,
     peek_type,
@@ -244,20 +253,42 @@ class UserMessageView:
     ciphertext: bytes
 
 
-# A chatbot view's entries: each box is the message key sealed to the named
-# chatbot under the batch's ephemeral key, or a concealment dummy of the
-# same width.
+# A chatbot view's entry: the box at `position` of the batch, which is the
+# message key sealed to the named chatbot under the batch's ephemeral key
+# and bound to that position, or a concealment dummy of the same width.
+_ENTRY = Record(("chatbot_id", TEXT), ("position", U32), ("box", BOX))
+
+
 @wire(VIEW_CHATBOT_MESSAGE, ("group_id", TEXT), ("epoch", U32),
       ("ciphertext", BYTES), ("group_public_key", KEY), ("ephemeral", KEY),
-      ("entries", items(Record(("chatbot_id", TEXT), ("box", BOX)), into=tuple)))
+      ("entries", items(_ENTRY, into=tuple)))
 @dataclass(frozen=True)
 class ChatbotMessageView:
     group_id: str
     epoch: int
     ciphertext: bytes
     group_public_key: bytes
-    ephemeral: bytes                        # the entries' batch ephemeral key
-    entries: tuple[tuple[str, bytes], ...]  # (chatbot id, box or dummy)
+    ephemeral: bytes                             # the entries' batch ephemeral key
+    entries: tuple[tuple[str, int, bytes], ...]  # (chatbot id, position, box or dummy)
+
+
+def project_chatbot_view(data: bytes) -> tuple[bytes, dict[str, bytes]]:
+    """The view each chatbot gets of a chatbot message view: the same
+    header with only the entries that name it. Returns the projection that
+    every chatbot without an entry shares, and the one of each chatbot with
+    an entry. A box's key binds its position, which the entry keeps, so a
+    projected box opens as it did in the whole view. Decodes `data` once,
+    so a malformed view raises before anything is delivered."""
+    view = ChatbotMessageView.from_bytes(data)
+    shared = replace(view, entries=()).to_bytes()
+    # the entries are the last field: the shared view is the header, then
+    # the 4-byte count of an empty list
+    head = shared[:-4]
+    named: dict[str, list[tuple[str, int, bytes]]] = {}
+    for entry in view.entries:
+        named.setdefault(entry[0], []).append(entry)
+    return shared, {cid: head + Writer().items(own, _ENTRY.write).done()
+                    for cid, own in named.items()}
 
 
 def chatbot_view_shape(data: bytes) -> tuple:
@@ -497,7 +528,8 @@ class UserState:
         ephemeral, boxes = pke_seal_batch(
             [(record.bot_public_key, message_key) if cid in fired else None
              for cid, record in roster])
-        entries = tuple((cid, box) for (cid, _), box in zip(roster, boxes))
+        entries = tuple((cid, position, box)
+                        for position, ((cid, _), box) in enumerate(zip(roster, boxes)))
 
         flags = _FLAG_ADDRESS_ALL if address_all else 0
         user_view = UserMessageView(flags=flags, control=ctl.to_bytes(),
@@ -667,7 +699,7 @@ class ChatbotState:
         if view.group_id != self.group_id:
             raise MalformedControl("view for a different group")
 
-        for position, (cid, box) in enumerate(view.entries):
+        for cid, position, box in view.entries:
             if cid == self.chatbot_id:
                 break
         else:

@@ -76,6 +76,13 @@ class World:
         self.provider.attach_chatbot(self.group_id, cid)
         self.publish(self.ids[0], blob, blob, (cid,))
 
+    def detach_bot(self, cid: str) -> None:
+        """Remove an attached chatbot; the world no longer holds it."""
+        blob = self.users[self.ids[0]].remove_chatbot(cid)
+        self.publish(self.ids[0], blob, blob, (cid,))
+        self.provider.detach_chatbot(self.group_id, cid)
+        del self.bots[cid]
+
     def register_pseudonyms(self) -> None:
         """Every member, in order, registers a fresh pseudonym."""
         for uid in self.ids:
@@ -107,14 +114,22 @@ class World:
         self.users[sender].send(message)
 
 
-def _measure(actions: list, iterations: int,
-             warmups: int) -> list[tuple[list[float], counters.OpCounters]]:
+def _measure(actions: list, iterations: int, warmups: int,
+             undo=None) -> list[tuple[list[float], counters.OpCounters]]:
     """Warm every action, then time them round-robin, one call each per
     round, so drift in the host's speed lands on every action alike.
-    Returns per action its times (ms) and the op counts of its last call."""
+    `undo`, if given, runs after every call, untimed and uncounted, so
+    that each call meets the world the first one met. Returns per action
+    its times (ms) and the op counts of its last call."""
+    def reset() -> None:
+        if undo is not None:
+            with counters.paused():
+                undo()
+
     for action in actions:
         for _ in range(warmups):
             action()
+            reset()
     out = [([], counters.OpCounters()) for _ in actions]
     for i in range(iterations):
         for action, (times, ops) in zip(actions, out):
@@ -123,6 +138,7 @@ def _measure(actions: list, iterations: int,
                 action()
                 elapsed = time.perf_counter_ns() - start
             times.append(elapsed / 1e6)
+            reset()
     return out
 
 
@@ -170,8 +186,10 @@ def bench_add_bot(n: int = 50, m: int = 4, iterations: int = 30,
     Plain variant: the attach itself (registration lookup, one seal, the
     control fan-out). Pseudonym variant: the attach plus a fresh pseudonym
     broadcast from every member, since the new bot cannot verify handles it
-    never saw. A reference send row in the same world, named after the
-    variant (`reference_send_plain`, `reference_send_with_pseudonyms`), is
+    never saw. Each extra chatbot is detached again, untimed, before the
+    next attach, so every attach is timed in a world of m chatbots. A
+    reference send row in the same world, named after the variant
+    (`reference_send_plain`, `reference_send_with_pseudonyms`), is
     included for ratio baselines.
     """
     world = World(n, m)
@@ -184,10 +202,13 @@ def bench_add_bot(n: int = 50, m: int = 4, iterations: int = 30,
     [(ref_times, ref_ops)] = _measure(
         [lambda: world.send_end_to_end(sender, message)], iterations, warmups)
 
+    # each attach registers a chatbot under a fresh id
     counter = iter(range(10_000))
+    extra = []
 
     def attach_plain() -> None:
-        world.attach_bot(f"extra-bot-{next(counter):04d}")
+        extra.append(f"extra-bot-{next(counter):04d}")
+        world.attach_bot(extra[-1])
 
     def attach_with_pseudonyms() -> None:
         attach_plain()
@@ -195,7 +216,8 @@ def bench_add_bot(n: int = 50, m: int = 4, iterations: int = 30,
 
     action = attach_with_pseudonyms if pseudonym else attach_plain
     variant = "with_pseudonyms" if pseudonym else "plain"
-    [(times, ops)] = _measure([action], iterations, warmups)
+    [(times, ops)] = _measure([action], iterations, warmups,
+                              undo=lambda: world.detach_bot(extra.pop()))
     return [_row("add_bot", n, m, variant, times, ops),
             _row("add_bot", n, m, f"reference_send_{variant}", ref_times, ref_ops)]
 

@@ -184,64 +184,78 @@ def probe_post_compromise(result: RunResult) -> Verdict:
 
 # -- sender anonymity -------------------------------------------------------------
 
+def _chatbot_views(result: RunResult) -> list[tuple[int, str, bytes]]:
+    """(seq, chatbot, view) per chatbot message view delivered, in order."""
+    out = []
+    for row in result.provider.transcript:
+        if row["recipient_class"] == "chatbot":
+            view = base64.b64decode(row["view_b64"])
+            if peek_type(view) == VIEW_CHATBOT_MESSAGE:
+                out.append((row["seq"], row["recipient"], view))
+    return out
+
+
 def probe_anonymity(result: RunResult) -> Verdict:
     """Chatbot views carry no sender identity: no member id appears in any
-    view, and user sends that differ in nothing but their sender (the same
-    message, pseudonymity, addressed and concealed chatbots) give views with
-    identical field-length vectors."""
+    view, and each chatbot's views of user sends that differ in nothing but
+    their sender (the same message, pseudonymity, addressed and concealed
+    chatbots) have identical field-length vectors."""
     violations = []
-    shapes = {}  # seq -> shape of its chatbot view
-    member_ids = {uid.encode() for uid in result.users}
-    rows = [row for row in result.provider.transcript
-            if row["recipient_class"] == "chatbot"]
+    member_ids = sorted(uid.encode() for uid in result.users)
+    sends = {ev.seq: ev for ev in result.sends if ev.kind == "user"}
+    groups: dict[tuple, set] = {}  # (chatbot, send class) -> shapes
     seen_views = set()
-    for row in rows:
-        view = base64.b64decode(row["view_b64"])
-        if view in seen_views or peek_type(view) != VIEW_CHATBOT_MESSAGE:
-            continue  # seen already, or an add/remove control
-        seen_views.add(view)
-        for uid in sorted(member_ids):
-            if uid in view:
-                violations.append({"seq": row["seq"],
-                                   "leaked": uid.decode()})
-        shapes[row["seq"]] = chatbot_view_shape(view)
-
-    groups: dict[tuple, set] = {}
-    for ev in result.sends:
-        if ev.kind == "user" and ev.seq in shapes:
-            key = (ev.message, ev.pseudonymous, ev.addressed, ev.concealed)
-            groups.setdefault(key, set()).add(shapes[ev.seq])
-    for (message, *_), distinct in groups.items():
+    views = _chatbot_views(result)
+    for seq, cid, view in views:
+        if view not in seen_views:
+            seen_views.add(view)
+            violations.extend({"seq": seq, "leaked": uid.decode()}
+                              for uid in member_ids if uid in view)
+        ev = sends.get(seq)
+        if ev is not None:
+            key = (cid, ev.message, ev.pseudonymous, ev.addressed, ev.concealed)
+            groups.setdefault(key, set()).add(chatbot_view_shape(view))
+    for (cid, message, *_), distinct in groups.items():
         if len(distinct) > 1:
-            violations.append({"kind": "shape", "message": message.hex()[:64],
+            violations.append({"kind": "shape", "chatbot": cid,
+                               "message": message.hex()[:64],
                                "distinct": len(distinct)})
-    return _verdict("anonymity", violations, views=len(shapes))
+    return _verdict("anonymity", violations, views=len(views))
 
 
 # -- concealment --------------------------------------------------------------------
 
 def probe_concealment(result: RunResult) -> Verdict:
-    """Concealed sends carry one fixed-size entry per attached chatbot
-    under a genuine ephemeral key, and every chatbot not addressed reported
-    the uniform not-addressed outcome. Decoding the view refuses any entry
-    box that is not `BOX_LEN` wide."""
-    views_by_seq = {}
-    for row in result.provider.transcript:
-        if row["recipient_class"] == "chatbot":
-            views_by_seq.setdefault(row["seq"],
-                                    base64.b64decode(row["view_b64"]))
+    """No chatbot view names another chatbot: each carries only its own
+    entries. A concealed send gives every attached chatbot exactly one
+    fixed-size entry under a genuine ephemeral key, and every chatbot not
+    addressed reported the uniform not-addressed outcome. Decoding a view
+    refuses any entry box that is not `BOX_LEN` wide."""
     violations = []
+    entries_by_seq: dict[int, dict[str, tuple]] = {}
+    for seq, cid, data in _chatbot_views(result):
+        view = ChatbotMessageView.from_bytes(data)
+        named = {entry[0] for entry in view.entries}
+        if named - {cid}:
+            violations.append({"seq": seq, "chatbot": cid, "kind": "other_bot",
+                               "named": sorted(named - {cid})})
+        entries_by_seq.setdefault(seq, {})[cid] = (view.ephemeral, view.entries)
     checked = 0
     for ev in result.sends:
         if ev.kind != "user" or not ev.concealed:
             continue
         checked += 1
-        view = ChatbotMessageView.from_bytes(views_by_seq[ev.seq])
-        expected = set(ev.addressed) | set(ev.concealed)
-        if {cid for cid, _ in view.entries} != expected:
+        views = entries_by_seq.get(ev.seq, {})
+        if ({cid for cid, (_, entries) in views.items() if entries}
+                != set(ev.addressed) | set(ev.concealed)):
             violations.append({"seq": ev.seq, "kind": "roster"})
-        if view.entries and not _is_public_key(view.ephemeral):
-            violations.append({"seq": ev.seq, "kind": "ephemeral"})
+        for cid, (ephemeral, entries) in sorted(views.items()):
+            if len(entries) > 1:
+                violations.append({"seq": ev.seq, "chatbot": cid,
+                                   "kind": "entries", "count": len(entries)})
+            if entries and not _is_public_key(ephemeral):
+                violations.append({"seq": ev.seq, "chatbot": cid,
+                                   "kind": "ephemeral"})
         for cid in ev.concealed:
             outcome = result.bot_outcomes.get((ev.seq, cid))
             if outcome != "not_addressed":

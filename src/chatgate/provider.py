@@ -5,9 +5,12 @@ assigns a total order to published bundles, and routes each recipient class
 its own view. Users get the user view, except that an add's welcome goes
 to the newcomer the add names and no one else: every other member gets the
 same wrapped control without it (RFC 9420 sends a Commit to the group and
-a Welcome to new members only). It never sees plaintext or secret keys;
-everything it stores (the transcript) is exactly what a network observer
-would capture.
+a Welcome to new members only). Likewise each chatbot gets the chatbot
+view with only the entries that name it, and every chatbot that no entry
+names gets one shared view with none, so a bot's view does not grow with
+the number of bots a send addresses or conceals. It never sees plaintext
+or secret keys; everything it stores (the transcript) is exactly what a
+network observer would capture.
 
 `adversary_decrypt` plays the compromise game: given one party's serialized
 state and an `Adversary`, which holds the public transcript and the public
@@ -75,6 +78,7 @@ from .group import (
     PseudonymRegistration,
     UserMessageView,
     _parse_payload,
+    project_chatbot_view,
 )
 from .primitives import (
     CHAIN,
@@ -181,7 +185,10 @@ class Provider:
         """Broadcast one logical bundle. Users other than the sender get
         `user_view`, but only the newcomer of an add gets its welcome;
         attached chatbots (or exactly `bot_targets`, each registered and
-        attached) get `bot_view`. Returns the sequence number."""
+        attached) get `bot_view`, but of a chatbot message view only the
+        entries that name them. A malformed wrapped control or chatbot
+        message view is refused before the bundle takes a sequence number,
+        so a refused bundle leaves no trace. Returns the sequence number."""
         ch = self._channel(group_id)
         if sender not in ch.members and sender not in ch.bots:
             raise NotMember(f"{sender!r} may not publish to {group_id!r}")
@@ -200,6 +207,9 @@ class Provider:
                     raise UnknownChatbot(f"no registration for {cid!r}")
                 if cid not in ch.bots:
                     raise NotPresent(f"{cid!r} is not attached to {group_id!r}")
+            shared, own = bot_view, {}
+            if peek_type(bot_view) == VIEW_CHATBOT_MESSAGE:
+                shared, own = project_chatbot_view(bot_view)
         self._seq += 1
         seq = self._seq
         if user_view is not None:
@@ -212,9 +222,14 @@ class Provider:
                     self._deliver(seq, group_id, "user", uid, member_view,
                                   member_b64)
         if bot_view is not None:
-            view_b64 = base64.b64encode(bot_view).decode("ascii")
+            shared_b64 = base64.b64encode(shared).decode("ascii")
             for cid in targets:
-                self._deliver(seq, group_id, "chatbot", cid, bot_view, view_b64)
+                view = own.get(cid)
+                if view is None:
+                    self._deliver(seq, group_id, "chatbot", cid, shared, shared_b64)
+                else:
+                    self._deliver(seq, group_id, "chatbot", cid, view,
+                                  base64.b64encode(view).decode("ascii"))
         return seq
 
     def _deliver(self, seq: int, group_id: str, recipient_class: str,
@@ -391,8 +406,8 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
             v = ChatbotMessageView.from_bytes(view)
             ct_hints.setdefault(v.ciphertext, set()).add(v.group_public_key)
             group_keys.add(v.group_public_key)
-            for i, (cid, box) in enumerate(v.entries):
-                add_box(SealedBox(box, v.ephemeral, i), bot_pk.get(cid))
+            for cid, position, box in v.entries:
+                add_box(SealedBox(box, v.ephemeral, position), bot_pk.get(cid))
         elif kind == BOT_MESSAGE:
             v = BotMessage.from_bytes(view)
             ct_hints.setdefault(v.ciphertext, set()).add(v.node_public_key)

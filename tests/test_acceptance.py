@@ -292,26 +292,30 @@ def test_criterion_05_sender_anonymity(corpus):
         if not verdict.passed:
             violations.append((result.group_id, verdict.detail))
         user_views = {}
-        bot_views = {}
+        bot_views = {}  # seq -> every chatbot's view of it
         for row in result.provider.transcript:
             view = base64.b64decode(row["view_b64"])
             if row["recipient_class"] == "user":
                 user_views.setdefault(row["seq"], view)
             else:
-                bot_views.setdefault(row["seq"], view)
+                bot_views.setdefault(row["seq"], []).append(view)
         for ev in result.sends:
             if ev.kind == "bot" or ev.seq not in bot_views:
                 continue
-            walked += 1
-            bot_view = ChatbotMessageView.from_bytes(bot_views[ev.seq])
-            cids = [cid for cid, _ in bot_view.entries]
-            if cids != sorted(cids):
-                violations.append((result.group_id, ev.seq, "entry order"))
-            # none of the tree-update boxes from the user view may leak
-            # into what chatbots see
             user_view = UserMessageView.from_bytes(user_views[ev.seq])
-            if user_view.control in bot_views[ev.seq]:
-                violations.append((result.group_id, ev.seq, "tree control"))
+            entries = []
+            for data in bot_views[ev.seq]:
+                walked += 1
+                entries += ChatbotMessageView.from_bytes(data).entries
+                # none of the tree-update boxes from the user view may leak
+                # into what chatbots see
+                if user_view.control in data:
+                    violations.append((result.group_id, ev.seq, "tree control"))
+            # each bot holds its own entry; by position, the batch is in id order
+            cids = [cid for cid, _, _ in sorted(entries, key=lambda e: e[1])]
+            if (cids != sorted(cids)
+                    or sorted(e[1] for e in entries) != list(range(len(entries)))):
+                violations.append((result.group_id, ev.seq, "entry order"))
 
     # same plaintext, same group state, different senders: identical shapes
     users, bots, _ = build_group(4, bots=[("echo-bot-01", "always")])
@@ -345,7 +349,7 @@ def test_criterion_06_concealment():
     out = users["user-00"].send(b"@echo only you", conceal=True)
     view = ChatbotMessageView.from_bytes(out.chatbot_view)
     exact_m = len(view.entries) == 3
-    all_box_len = all(len(box) == BOX_LEN for _, box in view.entries)
+    all_box_len = all(len(box) == BOX_LEN for _, _, box in view.entries)
 
     dummy_result = bots["audit-bot-02"].receive(out.chatbot_view)
     plain = users["user-01"].send(b"@echo again, no padding this time")

@@ -42,6 +42,7 @@ from chatgate.group import (
     UserState,
     chatbot_init,
     chatbot_view_shape,
+    project_chatbot_view,
     user_init,
 )
 from chatgate.harness import bench, probes
@@ -190,7 +191,8 @@ def test_concealed_entries_pad_to_full_roster():
     from chatgate.group import ChatbotMessageView
     view = ChatbotMessageView.from_bytes(out.chatbot_view)
     assert len(view.entries) == 3
-    assert all(len(box) == BOX_LEN for _, box in view.entries)
+    assert [position for _, position, _ in view.entries] == [0, 1, 2]
+    assert all(len(box) == BOX_LEN for _, _, box in view.entries)
 
     # absent entry and dummy entry give back the very same sentinel
     plain = users["user-01"].send(b"@echo hi again")  # no concealment
@@ -211,7 +213,8 @@ def test_concealment_dummies_cannot_be_told_from_boxes():
         boxes, dummies = [], []
         for _ in range(100):
             out = sender.send(b"to two of six", conceal=True)
-            entries = dict(ChatbotMessageView.from_bytes(out.chatbot_view).entries)
+            entries = {cid: box for cid, _, box
+                       in ChatbotMessageView.from_bytes(out.chatbot_view).entries}
             boxes += [entries[cid] for cid in out.addressed]
             dummies += [entries[cid] for cid in out.concealed]
     assert (len(boxes), len(dummies)) == (200, 400)
@@ -251,7 +254,7 @@ def test_view_naming_one_bot_key_twice_seals_each_box_under_its_own_key():
     sender.records["echo-bot-02"].bot_public_key = (
         sender.records["echo-bot-01"].bot_public_key)
     view = ChatbotMessageView.from_bytes(sender.send(b"one key twice").chatbot_view)
-    (_, first), (_, second) = view.entries
+    (_, _, first), (_, _, second) = view.entries
     assert first != second
     key = bots["echo-bot-01"].node_key
     assert pke_open(key, first, view.ephemeral, 0) == pke_open(
@@ -267,10 +270,9 @@ def test_bot_box_opens_only_at_its_position_under_its_ephemeral(edit):
     out = users["user-00"].send(b"for both")
     view = ChatbotMessageView.from_bytes(out.chatbot_view)
     if edit == "moved_entry":
-        # each bot's own box, now at the other's position
-        edited = replace(view, entries=(
-            (view.entries[0][0], view.entries[1][1]),
-            (view.entries[1][0], view.entries[0][1])))
+        # each bot's own box, with its position field rewritten to the other's
+        (first, _, first_box), (second, _, second_box) = view.entries
+        edited = replace(view, entries=((first, 1, first_box), (second, 0, second_box)))
     else:
         other = ChatbotMessageView.from_bytes(users["user-00"].send(b"again").chatbot_view)
         edited = replace(view, ephemeral=other.ephemeral)
@@ -318,11 +320,15 @@ def test_member_view_carries_no_chatbot_box():
         first = world.users["user-000"].send(b"hello, four bots!", conceal=True)
         world.attach_bot("quiet-bot-004", "never")
         out = world.users["user-001"].send(b"hello, five bots!", conceal=True)
-    assert (len(first.user_view), len(first.chatbot_view)) == (530, 424)
+    # each of the sender's four entries is a 13-character id, a position
+    # and a box: 4 + 13 + 4 + 4 + 48 = 73 B; each bot is delivered its own
+    assert (len(first.user_view), len(first.chatbot_view)) == (530, 440)
+    shared, own = project_chatbot_view(first.chatbot_view)
+    assert (len(shared), sorted(map(len, own.values()))) == (440 - 4 * 73, [440 - 3 * 73] * 4)
     assert out.concealed == ("quiet-bot-004",)
     bot_view = ChatbotMessageView.from_bytes(out.chatbot_view)
     assert len(bot_view.entries) == 5
-    for _, box in bot_view.entries:
+    for _, _, box in bot_view.entries:
         assert box not in out.user_view
     (layout,) = UserMessageView.wire_layouts.values()
     assert [name for name, _ in layout.fields] == ["flags", "control", "ciphertext"]

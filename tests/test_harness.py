@@ -338,32 +338,32 @@ def test_same_seed_same_transcript():
 PINNED_SEED_7 = {
     "anonymity": {
         "report": "33a039edef053454de5fe25c5ea510c463f7f0a34dec998d57d2f1674da74bae",
-        "transcript": "41dea3e09a2810994152c03e1ae14494aaa4843d76c54367f687f5deb4725fc2",
+        "transcript": "bd61516f92f741329d052febd88486e5b6e7b9b4612ef4f217c24441aeb14bae",
         "supersessions": "c9f1950b7456de3077d5747315a0d599d555a1a5a494ba7c29947912279cf1b4",
     },
     "concealment": {
         "report": "9f38c0f1e58b44b36ba40a0cf68c0b1e1951ba526ed56737e1768a8e7a873c5e",
-        "transcript": "cbf82a8508781cfd72a11d3883df6c1079495d7f23b55ad8ad47b124e6d58c37",
+        "transcript": "d91a11b5b449801014ae3d0df2a792f214ac82601e3bae9f54e8e30eadbad4a3",
         "supersessions": "8013cf0343010e2b82a8597c514cdd46d3a30b2c128e390864fb4073bb7de908",
     },
     "demo": {
         "report": "d8f5c2bb493dc9b106f7edf7476eb25ba4b1b29cefb5f1825b67642c2480fcd4",
-        "transcript": "4036c846565b7f1f3a43dacbbb60ff2498e980a7807ea6a6359f418bccedd16a",
+        "transcript": "23a08394764ba61705fdfb4a791a503c2c43719ef7f1bb54cdbe17bee1eb13dd",
         "supersessions": "205b0e088372c2fb43267d0bd9e3de8ba5ad0fd3e3f2e35efa6c2de49a3eae85",
     },
     "fs": {
         "report": "f5fc3c0667dc16fb0aea41e4e96f4c34102a65bec0dad3473568150d44144269",
-        "transcript": "6bc598b014a51d8bfa57dafd9548f8f2637f51e50a89e4a7a6a8aa2bdb885a07",
+        "transcript": "785571b00ac9adde4e2b381bf5a371b337d585e15350212f9114493d90fc877f",
         "supersessions": "74ac06911edae041e25207b9c2eecb343284be288079da65870fca61af6ecbbe",
     },
     "pcs": {
         "report": "82ea222020d3b292b09bbbc0cc364cdb566831f7ab539e887823fc041f0ffed0",
-        "transcript": "dd5ce15e19f95dfcee9b45a2563d96dd2d2f770a694fb39839d2871e3beb3eb1",
+        "transcript": "f75ee6654b9be1d83a4bfa32e820ba329203127befa2aad8652c3569bccffc39",
         "supersessions": "861efb5eecf3880a89a078a82919c1804447f71f33be1b035f602f1d2ec3e024",
     },
     "selective": {
         "report": "29ae0d28cc04bd905fe4f306d3828ca4f6bc010b6b84150ac8ac208512bff6a9",
-        "transcript": "26f115be01231ff0d522af150871162bf9e3717d321584ecc0a6b04951a58575",
+        "transcript": "3b52b97c3accf16cd1a1d57e3129bf98aa1319e010ebead12825a21bcf01bf00",
         "supersessions": "9438ea1a302fc63b036366778129242e50f03e7291a923d9bfc5b5b7c7bb7e01",
     },
 }
@@ -641,11 +641,12 @@ def test_anonymity_probe_flags_shape_differences():
     assert probes.probe_anonymity(result).passed
     row = _chatbot_rows(result)[-1]
     view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
-    dummy = ("echo-bot-01", random_bytes(BOX_LEN))
+    dummy = ("echo-bot-01", 1, random_bytes(BOX_LEN))
     _reencode(row, replace(view, entries=(*view.entries, dummy)))
     verdict = probes.probe_anonymity(result)
     assert verdict.detail["violations"] == [
-        {"kind": "shape", "message": b"same words".hex(), "distinct": 2}]
+        {"kind": "shape", "chatbot": "echo-bot-01", "message": b"same words".hex(),
+         "distinct": 2}]
 
 
 def test_agreement_probe_flags_a_member_on_another_epoch():
@@ -679,14 +680,56 @@ def test_anonymity_probe_flags_a_member_id_in_a_view():
 
 
 def test_concealment_probe_flags_a_missing_entry():
+    # one attached bot's view of a concealed send loses its one entry
     result = run_text(canned.CONCEALMENT, seed=9)
     seq = next(ev.seq for ev in result.sends if ev.concealed)
-    for row in _chatbot_rows(result):
-        if row["seq"] == seq:
-            view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
-            _reencode(row, replace(view, entries=view.entries[1:]))
+    row = next(row for row in _chatbot_rows(result) if row["seq"] == seq)
+    view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
+    assert len(view.entries) == 1
+    _reencode(row, replace(view, entries=()))
     verdict = probes.probe_concealment(result)
     assert verdict.detail["violations"] == [{"seq": seq, "kind": "roster"}]
+
+
+def test_concealment_probe_flags_a_second_entry_of_a_concealed_send():
+    result = run_text(canned.CONCEALMENT, seed=9)
+    seq = next(ev.seq for ev in result.sends if ev.concealed)
+    row = next(row for row in _chatbot_rows(result) if row["seq"] == seq)
+    view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
+    (cid, position, _), = view.entries
+    extra = (cid, position + 1, random_bytes(BOX_LEN))
+    _reencode(row, replace(view, entries=(*view.entries, extra)))
+    verdict = probes.probe_concealment(result)
+    assert verdict.detail["violations"] == [
+        {"seq": seq, "chatbot": row["recipient"], "kind": "entries", "count": 2}]
+
+
+@pytest.mark.parametrize("name", ["concealment", "demo"])
+def test_concealment_probe_flags_a_view_naming_another_bot(name):
+    # a bot handed another bot's entry learns that the other was reached
+    result = run_text(canned.ALL[name], seed=9)
+    rows = _chatbot_rows(result)
+    row = rows[-1]
+    other = next(r["recipient"] for r in rows if r["recipient"] != row["recipient"])
+    view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
+    entry = (other, len(view.entries), random_bytes(BOX_LEN))
+    _reencode(row, replace(view, entries=(*view.entries, entry)))
+    verdict = probes.probe_concealment(result)
+    assert {"seq": row["seq"], "chatbot": row["recipient"], "kind": "other_bot",
+            "named": [other]} in verdict.detail["violations"]
+
+
+@pytest.mark.parametrize("name", sorted(canned.ALL))
+def test_no_delivered_chatbot_view_names_another_bot(name):
+    result = run_text(canned.ALL[name], seed=7)
+    rows = _chatbot_rows(result)
+    assert rows
+    naming_others = [
+        row["seq"] for row in rows
+        if {entry[0] for entry in ChatbotMessageView.from_bytes(
+            base64.b64decode(row["view_b64"])).entries} - {row["recipient"]}]
+    assert naming_others == []
+    assert probes.probe_concealment(result).passed
 
 
 @pytest.mark.parametrize("ephemeral", [bytes(32), b"\xff" * 32],
@@ -697,13 +740,17 @@ def test_concealment_probe_flags_a_concealed_view_without_a_genuine_ephemeral(
     # would tell a concealed view apart from one with an addressed bot
     result = run_text(canned.CONCEALMENT, seed=9)
     seq = next(ev.seq for ev in result.sends if ev.concealed)
+    rewritten = []
     for row in _chatbot_rows(result):
         if row["seq"] == seq:
             view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
             assert probes._is_public_key(view.ephemeral)
             _reencode(row, replace(view, ephemeral=ephemeral))
+            rewritten.append(row["recipient"])
+    assert len(rewritten) > 1
     verdict = probes.probe_concealment(result)
-    assert verdict.detail["violations"] == [{"seq": seq, "kind": "ephemeral"}]
+    assert verdict.detail["violations"] == [
+        {"seq": seq, "chatbot": cid, "kind": "ephemeral"} for cid in sorted(rewritten)]
 
 
 def test_concealment_probe_flags_a_concealed_bot_that_acted():
@@ -755,6 +802,16 @@ def test_bench_add_bot_reference_send_seals_to_m_chatbots():
     [send_m] = bench.bench_send_m_sweep(n=8, m_values=(2,), iterations=2, warmups=0)
     assert reference.variant == "reference_send_plain"
     assert reference.pke_seal == send_m.pke_seal
+
+
+def test_bench_add_bot_times_every_attach_in_a_world_of_m_chatbots():
+    # each extra chatbot is detached after its timed attach, so the last
+    # iteration's pseudonym broadcasts seal to m + 1 chatbots however many
+    # iterations ran: one attach seed, then per member 3 path entries and
+    # 3 chatbot boxes
+    seals = [bench.bench_add_bot(n=8, m=2, iterations=k, warmups=0,
+                                 pseudonym=True)[0].pke_seal for k in (2, 6)]
+    assert seals == [1 + 8 * (3 + 3)] * 2
 
 
 def test_world_drain_raises_on_an_unroutable_view():

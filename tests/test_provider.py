@@ -1,16 +1,19 @@
 """Provider: PKI checks, routing, transcript shape, and the adversary."""
 
 import base64
+import functools
 import json
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chatgate import cgka, counters, group, primitives
 from chatgate.errors import (
     BadSignature,
+    ChatGateError,
     DuplicateChatbot,
     DuplicateId,
     MalformedControl,
@@ -256,20 +259,27 @@ def test_transcript_rows_carry_no_sender():
 
 
 def test_publish_shares_one_view_string_per_recipient_class():
-    provider, users, bots = make_world(3)
+    # the members share one view, and so do the bots that no entry names;
+    # the one addressed bot gets a view of its own entry
+    provider, users, bots = make_world(3, bots=(("echo-bot-01", "mention:@echo"),
+                                                ("memo-bot-02", "never"),
+                                                ("note-bot-03", "never")))
     out = users["user-00"].send(b"@echo shared")
     seq = provider.publish("grp-main", "user-00", user_view=out.user_view,
                            bot_view=out.chatbot_view)
     rows = [r for r in provider.transcript if r["seq"] == seq]
-    views = {"user": out.user_view, "chatbot": out.chatbot_view}
-    for cls, view in views.items():
-        strings = [r["view_b64"] for r in rows if r["recipient_class"] == cls]
-        assert strings and all(s is strings[0] for s in strings)
+    full = ChatbotMessageView.from_bytes(out.chatbot_view)
+    classes = {("user-01", "user-02"): out.user_view,
+               ("memo-bot-02", "note-bot-03"): replace(full, entries=()).to_bytes(),
+               ("echo-bot-01",): out.chatbot_view}
+    for recipients, view in classes.items():
+        strings = [r["view_b64"] for r in rows if r["recipient"] in recipients]
+        assert len(strings) == len(recipients)
+        assert all(s is strings[0] for s in strings)
         assert base64.b64decode(strings[0]) == view
-    for row in rows:
-        inbox = provider.inbox(row["recipient"])
-        assert inbox == [base64.b64decode(row["view_b64"])]
-    assert {r["recipient"] for r in rows} == {"user-01", "user-02", "echo-bot-01"}
+        inboxes = [provider.inbox(pid) for pid in recipients]
+        assert all(inbox == [view] and inbox[0] is inboxes[0][0] for inbox in inboxes)
+    assert len(rows) == 5
 
 
 def test_transcript_file_roundtrip(tmp_path):
@@ -361,6 +371,98 @@ def test_send_to_an_unregistered_bot_target_is_refused_before_sequencing():
     assert all(provider.inbox(pid) == [] for pid in [*world.ids, *world.bots])
     assert provider.publish(world.group_id, "user-000", user_view=out.user_view,
                             bot_view=out.chatbot_view) == seq + 1
+
+
+def _routing_state(provider):
+    return (provider._seq, len(provider.transcript),
+            {pid: list(views) for pid, views in provider._inboxes.items()})
+
+
+def _width_broken(view: ChatbotMessageView, field: str) -> bytes:
+    """`view` re-encoded with one field a byte short; encoding writes any
+    width, decoding refuses it."""
+    if field == "box":
+        (cid, position, box), *rest = view.entries
+        return replace(view, entries=((cid, position, box[:-1]), *rest)).to_bytes()
+    return replace(view, **{field: getattr(view, field)[:-1]}).to_bytes()
+
+
+@pytest.mark.parametrize("broken", ["truncated", "box", "ephemeral", "group_public_key"])
+def test_a_malformed_chatbot_view_is_refused_before_sequencing(broken):
+    world = bench.World(3, 2)
+    provider = world.provider
+    out = world.users["user-000"].send(b"hello both")
+    view = ChatbotMessageView.from_bytes(out.chatbot_view)
+    bad = (out.chatbot_view[:-1] if broken == "truncated"
+           else _width_broken(view, broken))
+    before = _routing_state(provider)
+    with pytest.raises(MalformedControl):
+        provider.publish(world.group_id, "user-000", user_view=out.user_view,
+                         bot_view=bad)
+    assert _routing_state(provider) == before
+    assert provider.publish(world.group_id, "user-000", user_view=out.user_view,
+                            bot_view=out.chatbot_view) == before[0] + 1
+
+
+@functools.cache
+def _mutation_world():
+    with primitives.seeded(13):
+        world = bench.World(3, 3)
+        out = world.users["user-000"].send(b"to every bot", conceal=True)
+    return world, out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_mutated_chatbot_view_publishes_or_leaves_no_trace(data):
+    world, out = _mutation_world()
+    provider = world.provider
+    blob = out.chatbot_view
+    if data.draw(st.booleans()):
+        mutated = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(1, 255)),
+                                   min_size=1, max_size=3))
+        mutated = bytearray(blob)
+        for i, flip in edits:
+            mutated[i] ^= flip
+        mutated = bytes(mutated)
+    before = _routing_state(provider)
+    try:
+        seq = provider.publish(world.group_id, "user-000", user_view=out.user_view,
+                               bot_view=mutated)
+    except ChatGateError:
+        assert _routing_state(provider) == before
+        return
+    assert seq == before[0] + 1
+    for row in provider.transcript[before[1]:]:
+        if row["recipient_class"] == "chatbot":
+            view = base64.b64decode(row["view_b64"])
+            if peek_type(view) == VIEW_CHATBOT_MESSAGE:
+                entries = ChatbotMessageView.from_bytes(view).entries
+                assert {cid for cid, _, _ in entries} <= {row["recipient"]}
+    for pid in [*world.ids, *world.bots]:
+        provider.inbox(pid)
+
+
+def test_an_addressed_bot_gets_a_view_of_one_length_whatever_the_bot_count():
+    # every bench bot fires on every message, so the sender's view has m
+    # entries; the first bot's delivered view holds its own entry alone
+    views = {}
+    for m in (2, 8, 16):
+        world = bench.World(8, m)
+        out = world.users["user-001"].send(b"one fixed message")
+        world.provider.publish(world.group_id, "user-001", user_view=out.user_view,
+                               bot_view=out.chatbot_view)
+        (views[m],) = world.provider.inbox("bench-bot-000")
+        assert world.bots["bench-bot-000"].process(views[m]) == ReceivedMessage(
+            b"one fixed message")
+    lengths = {m: len(view) for m, view in views.items()}
+    assert len(set(lengths.values())) == 1, lengths
+    for view in views.values():
+        (entry,) = ChatbotMessageView.from_bytes(view).entries
+        assert entry[:2] == ("bench-bot-000", 0)
 
 
 def test_a_bot_target_not_attached_to_the_group_is_refused_before_sequencing():
@@ -711,8 +813,8 @@ def _reference_material(transcript):
         elif kind == VIEW_CHATBOT_MESSAGE:
             v = ChatbotMessageView.from_bytes(view)
             ciphertexts.setdefault(v.ciphertext, set()).add(v.group_public_key)
-            for i, (cid, box) in enumerate(v.entries):
-                add_box((box, v.ephemeral, i), bot_pk.get(cid))
+            for cid, position, box in v.entries:
+                add_box((box, v.ephemeral, position), bot_pk.get(cid))
         elif kind == BOT_MESSAGE:
             v = BotMessage.from_bytes(view)
             ciphertexts.setdefault(v.ciphertext, set()).add(v.node_public_key)
