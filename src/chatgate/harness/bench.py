@@ -22,10 +22,9 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .. import cgka, counters
-from ..group import chatbot_init, user_init
-from ..provider import Provider
+from .. import counters
 from ..triggers import rules_from_text
+from .driver import Group
 
 
 @dataclass(frozen=True)
@@ -45,20 +44,13 @@ class BenchRow:
 
 # -- world construction -------------------------------------------------------
 
-class World:
+class World(Group):
     """A warm provider-mediated group sized for measurements."""
 
     def __init__(self, n: int, m: int) -> None:
-        self.group_id = "grp-bench"
-        self.provider = Provider()
+        super().__init__("grp-bench")
         self.ids = [f"user-{i:03d}" for i in range(n)]
-        self.users = {uid: user_init(cgka.init(uid, self.provider.directory),
-                                     self.provider)
-                      for uid in self.ids}
-        self.bots = {}
-        creator = self.users[self.ids[0]]
-        self.provider.create_group(self.group_id, self.ids)
-        self.publish(self.ids[0], creator.create_group(self.group_id, self.ids))
+        self.publish(self.ids[0], self.create(self.ids[0], self.ids))
 
         for i in range(m):
             self.attach_bot(f"bench-bot-{i:03d}")
@@ -67,48 +59,30 @@ class World:
         # node, so a sender's path costs exactly one box per level.
         for uid in self.ids:
             self.publish(uid, self.users[uid].update_keys())
+            self.deliver()
 
     def attach_bot(self, cid: str, rules_text: str = "always") -> None:
-        bot = chatbot_init(cid, rules_from_text(rules_text))
-        self.bots[cid] = bot
-        self.provider.register_bot(bot.registration)
-        blob = self.users[self.ids[0]].add_chatbot(cid)
-        self.provider.attach_chatbot(self.group_id, cid)
+        self.declare_bot(cid, rules_from_text(rules_text))
+        blob = self.attach(self.ids[0], cid)
         self.publish(self.ids[0], blob, blob, (cid,))
+        self.deliver()
 
     def detach_bot(self, cid: str) -> None:
-        """Remove an attached chatbot; the world no longer holds it."""
-        blob = self.users[self.ids[0]].remove_chatbot(cid)
+        blob = self.detach(self.ids[0], cid)
         self.publish(self.ids[0], blob, blob, (cid,))
-        self.provider.detach_chatbot(self.group_id, cid)
-        del self.bots[cid]
+        self.deliver()
 
     def register_pseudonyms(self) -> None:
         """Every member, in order, registers a fresh pseudonym."""
         for uid in self.ids:
             out = self.users[uid].register_pseudonym()
             self.publish(uid, out.user_view, out.chatbot_view)
-
-    def publish(self, sender: str, user_view: bytes,
-                bot_view: bytes | None = None,
-                bot_targets: tuple[str, ...] | None = None) -> None:
-        """Sequence one bundle, then deliver it to every member and bot."""
-        self.provider.publish(self.group_id, sender, user_view=user_view,
-                              bot_view=bot_view, bot_targets=bot_targets)
-        self.drain()
-
-    def drain(self) -> None:
-        for uid in self.ids:
-            user = self.users[uid]
-            for view in self.provider.inbox(uid):
-                user.process(view)
-        for cid, bot in self.bots.items():
-            for view in self.provider.inbox(cid):
-                bot.process(view)
+            self.deliver()
 
     def send_end_to_end(self, sender: str, message: bytes) -> None:
         out = self.users[sender].send(message)
         self.publish(sender, out.user_view, out.chatbot_view)
+        self.deliver()
 
     def send_sender_only(self, sender: str, message: bytes) -> None:
         self.users[sender].send(message)

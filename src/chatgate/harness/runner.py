@@ -1,15 +1,13 @@
 """Executes a scenario against a fresh provider, one op at a time.
 
 The runner is the measurement boundary. Every op that publishes takes one
-path: its party builds a bundle inside a counter-attribution span, the
-provider sequences it, and the runner drains it to all its recipients
-before the next op starts. Routing edits come before the publish, except a
-chatbot's detach, which comes after delivery so that the chatbot still
-receives its removal. After each op the runner captures party snapshots
-plus the set of secrets that op superseded. Probes consume those records;
-the runner itself asserts only basic sanity (all current members agree on
-the epoch and group secret after every op), and its errors name the
-scenario line, op and party.
+path through `driver.Group`: its party builds a bundle, with its routing
+edit, inside a counter-attribution span, the provider sequences it, and the
+runner drains it to all its recipients before the next op starts. After
+each op the runner captures party snapshots plus the set of secrets that op
+superseded. Probes consume those records; the runner itself asserts only
+basic sanity (all current members agree on the epoch and group secret after
+every op), and its errors name the scenario line, op and party.
 
 Reports are pure function-of-the-scenario: no wall-clock times, no host
 details. Two runs with the same seed produce byte-identical transcripts.
@@ -29,13 +27,12 @@ from ..group import (
     ChatbotState,
     PseudonymRegistration,
     UserState,
-    chatbot_init,
-    user_init,
 )
 from ..primitives import MSG_KEY, derive, seeded
 from ..provider import Provider
 from ..triggers import rules_from_text
 from . import scenario as sc
+from .driver import Group
 from .scenario import Op, Scenario, parse_scenario
 
 
@@ -79,7 +76,6 @@ class _Bundle:
     bot_targets: tuple[str, ...] | None = None
     send: SendEvent | None = None  # its seq is filled in once sequenced
     secret: bytes | None = None    # group secret whose message key dies
-    detach: str | None = None      # chatbot to detach after delivery
 
 
 @dataclass
@@ -145,8 +141,10 @@ class Runner:
     def __init__(self, scenario: Scenario, seed: int | None = None) -> None:
         self.scenario = scenario
         self.seed = seed
+        self.group = Group(scenario.group_id)
         self.result = RunResult(scenario=scenario, seed=seed,
-                                provider=Provider(), users={}, bots={},
+                                provider=self.group.provider,
+                                users=self.group.users, bots=self.group.bots,
                                 counters=counters.OpCounters())
         self._last_seq = 0
         self._prev_secrets: dict[str, dict] = {}  # uid -> {node_idx: hex}
@@ -172,10 +170,8 @@ class Runner:
         if out is None:
             return
         res = self.result
-        seq = res.provider.publish(self.scenario.group_id, out.sender,
-                                   user_view=out.user_view,
-                                   bot_view=out.bot_view,
-                                   bot_targets=out.bot_targets)
+        seq = self.group.publish(out.sender, out.user_view, out.bot_view,
+                                 out.bot_targets)
         if out.send is not None:
             res.sends.append(replace(out.send, seq=seq))
         if out.secret is not None:
@@ -183,61 +179,44 @@ class Runner:
                 key = derive(out.secret, MSG_KEY)
             res.supersessions.append(Supersession(key.hex(), seq))
         self._event(op, seq, **out.event)
-        self._finish(seq, detach=out.detach)
+        self._finish(seq)
 
     def _act(self, op: Op) -> _Bundle | None:
-        """Act as `op`'s party: make its routing edit, then build the bundle
-        it publishes. Ops that publish nothing record their event here."""
+        """Act as `op`'s party: build the bundle it publishes, with its
+        routing edit. Ops that publish nothing record their event here."""
         res = self.result
-        gid = self.scenario.group_id
         who = op.party
 
         match op:
             case sc.GroupOp():
                 members = list(op.members)
-                for uid in members:
-                    self._join(uid)
-                res.provider.create_group(gid, members)
-                with counters.attribute(who):
-                    blob = res.users[who].create_group(gid, members)
+                blob = self.group.create(who, members)
                 return _Bundle(who, blob, {"actor": who, "members": members})
 
             case sc.BotDecl():
-                with counters.attribute(who):
-                    bot = chatbot_init(who, rules_from_text(op.rules))
-                res.bots[who] = bot
-                res.provider.register_bot(bot.registration)
-                res.provider.register_party(who, bot)
+                self.group.declare_bot(who, rules_from_text(op.rules))
                 self._event(op, None, chatbot=who, rules=op.rules)
                 return None
 
             case sc.AddBot():
-                with counters.attribute(who):
-                    blob = res.users[who].add_chatbot(op.chatbot)
-                res.provider.attach_chatbot(gid, op.chatbot)
+                blob = self.group.attach(who, op.chatbot)
                 return _Bundle(who, blob, {"actor": who, "chatbot": op.chatbot},
                                bot_view=blob, bot_targets=(op.chatbot,))
 
             case sc.RemBot():
-                # delivered while the bot is still routed, so it wipes its
-                # state; detached after delivery, before the snapshot pass
-                with counters.attribute(who):
-                    blob = res.users[who].remove_chatbot(op.chatbot)
+                # detached once its removal is drained, before the snapshots
+                blob = self.group.detach(who, op.chatbot)
                 return _Bundle(who, blob, {"actor": who, "chatbot": op.chatbot},
-                               bot_view=blob, bot_targets=(op.chatbot,),
-                               detach=op.chatbot)
+                               bot_view=blob, bot_targets=(op.chatbot,))
 
             case sc.AddUser():
-                self._join(op.member)
-                with counters.attribute(who):
-                    blob = res.users[who].add_user(op.member)
-                res.provider.add_member(gid, op.member)
+                blob = self.group.add_user(who, op.member)
                 return _Bundle(who, blob, {"actor": who, "member": op.member})
 
             case sc.RemUser():
                 with counters.attribute(who):
                     blob = res.users[who].remove_user(op.member)
-                res.provider.remove_member(gid, op.member)
+                res.provider.remove_member(self.group.group_id, op.member)
                 return _Bundle(who, blob, {"actor": who, "member": op.member})
 
             case sc.Update():
@@ -302,35 +281,19 @@ class Runner:
         # the parser only emits the types above
         raise TypeError(f"unhandled op {op!r}")  # pragma: no cover
 
-    def _join(self, uid: str) -> None:
-        """A fresh user, initialised as itself, that the provider can route to."""
-        res = self.result
-        with counters.attribute(uid):
-            res.users[uid] = user_init(cgka.init(uid, res.provider.directory),
-                                       res.provider)
-        res.provider.register_party(uid, res.users[uid])
-
     # -- delivery ---------------------------------------------------------------
 
-    def _finish(self, seq: int, detach: str | None = None) -> None:
+    def _finish(self, seq: int) -> None:
         self._last_seq = seq
         self._drain(seq)
-        if detach is not None:
-            self.result.provider.detach_chatbot(self.scenario.group_id, detach)
         self._post_op(seq)
 
     def _drain(self, seq: int) -> None:
-        res = self.result
-        for uid in res.current_members():
-            user = res.users[uid]
-            for view in res.provider.inbox(uid):
-                with counters.attribute(uid):
-                    self._deliver_to_user(seq, uid, user, view)
-        for cid in res.current_bots():
-            bot = res.bots[cid]
-            for view in res.provider.inbox(cid):
-                with counters.attribute(cid):
-                    self._deliver_to_bot(seq, cid, bot, view)
+        for pid, party, view in self.group.pending():
+            deliver = (self._deliver_to_user if isinstance(party, UserState)
+                       else self._deliver_to_bot)
+            with counters.attribute(pid):
+                deliver(seq, pid, party, view)
 
     def _deliver_to_user(self, seq: int, uid: str, user: UserState,
                          view: bytes) -> None:

@@ -65,9 +65,12 @@ from .errors import (
     UnknownMember,
 )
 from .group import (
+    _BOT_HANDLERS,
+    _USER_HANDLERS,
     ADD_BOT,
     BOT_MESSAGE,
     GROUP_CONTROL,
+    REMOVE_BOT,
     VIEW_CHATBOT_MESSAGE,
     VIEW_USER_MESSAGE,
     AddBotControl,
@@ -76,6 +79,7 @@ from .group import (
     ChatbotMessageView,
     GroupControl,
     PseudonymRegistration,
+    RemoveBotControl,
     UserMessageView,
     _parse_payload,
     project_chatbot_view,
@@ -186,9 +190,9 @@ class Provider:
         `user_view`, but only the newcomer of an add gets its welcome;
         attached chatbots (or exactly `bot_targets`, each registered and
         attached) get `bot_view`, but of a chatbot message view only the
-        entries that name them. A malformed wrapped control or chatbot
-        message view is refused before the bundle takes a sequence number,
-        so a refused bundle leaves no trace. Returns the sequence number."""
+        entries that name them. A view that its recipients cannot read is
+        refused before the bundle takes a sequence number, so a refused
+        bundle leaves no trace. Returns the sequence number."""
         ch = self._channel(group_id)
         if sender not in ch.members and sender not in ch.bots:
             raise NotMember(f"{sender!r} may not publish to {group_id!r}")
@@ -207,8 +211,11 @@ class Provider:
                     raise UnknownChatbot(f"no registration for {cid!r}")
                 if cid not in ch.bots:
                     raise NotPresent(f"{cid!r} is not attached to {group_id!r}")
+            kind = peek_type(bot_view)
+            if kind not in _BOT_HANDLERS:
+                raise MalformedControl(f"no chatbot handles view type 0x{kind:02x}")
             shared, own = bot_view, {}
-            if peek_type(bot_view) == VIEW_CHATBOT_MESSAGE:
+            if kind == VIEW_CHATBOT_MESSAGE:
                 shared, own = project_chatbot_view(bot_view)
         self._seq += 1
         seq = self._seq
@@ -269,14 +276,24 @@ class Provider:
                           separators=(",", ":")).encode("ascii")
 
 
+# the outer record of each view type that members handle
+_USER_RECORDS = {GROUP_CONTROL: GroupControl, VIEW_USER_MESSAGE: UserMessageView,
+                 ADD_BOT: AddBotControl, REMOVE_BOT: RemoveBotControl,
+                 BOT_MESSAGE: BotMessage}
+
+
 def _split_welcome(user_view: bytes) -> tuple[str | None, bytes]:
     """The newcomer an add's user view names, and the view every other
     member gets: the same wrapped control without the welcome. Any other
     view names no newcomer and goes to every member unchanged. A welcome
-    without an add, or an add without a welcome, is malformed."""
-    if peek_type(user_view) != GROUP_CONTROL:
+    without an add, an add without a welcome, or a view whose outer record
+    does not decode, is malformed."""
+    kind = peek_type(user_view)
+    if kind not in _USER_HANDLERS:
+        raise MalformedControl(f"no member handles view type 0x{kind:02x}")
+    wrapped = _USER_RECORDS[kind].from_bytes(user_view)
+    if kind != GROUP_CONTROL:
         return None, user_view
-    wrapped = GroupControl.from_bytes(user_view)
     is_add = peek_type(wrapped.control) == CONTROL_ADD
     if is_add != (wrapped.welcome is not None):
         raise MalformedControl("a welcome goes with an add, and only with one")

@@ -318,16 +318,10 @@ def test_criterion_05_sender_anonymity(corpus):
                 violations.append((result.group_id, ev.seq, "entry order"))
 
     # same plaintext, same group state, different senders: identical shapes
-    users, bots, _ = build_group(4, bots=[("echo-bot-01", "always")])
-    for uid in list(users):
-        blob = users[uid].update_keys()
-        for other, state in users.items():
-            if other != uid:
-                state.process_group_control(blob)
+    world = bench.World(4, 1)
     shapes = set()
-    for uid in users:
-        fork = copy.deepcopy(users[uid])
-        out = fork.send(b"same words from every sender")
+    for uid in world.ids:
+        out = copy.deepcopy(world.users[uid]).send(b"same words from every sender")
         shapes.add(chatbot_view_shape(out.chatbot_view))
     if len(shapes) != 1:
         violations.append(("fork", sorted(shapes)))
@@ -372,6 +366,7 @@ def _sender_seals(world: bench.World, message: bytes) -> int:
     with counters.collect(ops), counters.attribute("sender"):
         out = world.users["user-000"].send(message)
     world.publish("user-000", out.user_view, out.chatbot_view)
+    world.deliver()
     return ops.party("sender")["pke_seal"]
 
 

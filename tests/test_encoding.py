@@ -25,9 +25,9 @@ from chatgate import cgka, group, tree
 from chatgate.encoding import BOX, TREE_NODE, U32, Reader, Record, items, peek_type
 from chatgate.errors import ChatGateError, MalformedControl
 from chatgate.harness import canned
+from chatgate.harness.driver import Group
 from chatgate.harness.runner import run_text
 from chatgate.primitives import BOX_LEN
-from chatgate.provider import Provider
 from chatgate.triggers import BotRegistration, TriggerSpec, rules_from_text
 
 GROUP_ID = "grp-main"
@@ -38,29 +38,23 @@ NAMES = ("control-create", "control-add", "control-remove", "control-update",
 @pytest.fixture(scope="module")
 def samples() -> dict[str, tuple]:
     """name -> (decoder, valid encoding) for the wire objects under test."""
-    provider = Provider()
-    users = [group.user_init(cgka.init(f"user-{i:02d}", provider.directory),
-                             provider) for i in range(3)]
-    bot = group.chatbot_init("echo-bot-01", rules_from_text("mention:@echo"))
-    provider.register_bot(bot.registration)
-
-    def to_others(sender, blob, process):
-        for u in users:
-            if u is not sender and u.cgka.tree is not None:
-                getattr(u, process)(blob)
-
-    create = users[0].create_group(GROUP_ID, ["user-00", "user-01"])
-    users[1].process_group_control(create)
-    to_others(users[0], users[0].add_chatbot("echo-bot-01"), "process_add_chatbot")
-    add = users[0].add_user("user-02")
+    world = Group(GROUP_ID)
+    users = world.users
+    world.declare_bot("echo-bot-01", rules_from_text("mention:@echo"))
+    create = world.create("user-00", ["user-00", "user-01"])
+    world.publish("user-00", create)
+    world.publish("user-00", world.attach("user-00", "echo-bot-01"))
+    add = world.add_user("user-00", "user-02")
     assert group.GroupControl.from_bytes(add).welcome.roster  # the chatbot roster
-    to_others(users[0], add, "process_group_control")
-    users[2].process_group_control(add)
-    update = users[1].update_keys()
-    to_others(users[1], update, "process_group_control")
-    view = users[2].send(b"@echo over here").user_view
-    to_others(users[2], view, "process_user_message")
-    remove = users[0].remove_user("user-02")
+    world.publish("user-00", add)
+    world.deliver()
+    update = users["user-01"].update_keys()
+    world.publish("user-01", update)
+    world.deliver()
+    view = users["user-02"].send(b"@echo over here").user_view
+    world.publish("user-02", view)
+    world.deliver()
+    remove = users["user-00"].remove_user("user-02")
 
     def control(blob: bytes) -> bytes:
         return group.GroupControl.from_bytes(blob).control
@@ -73,7 +67,7 @@ def samples() -> dict[str, tuple]:
         "user-view": (group.UserMessageView.from_bytes, view),
         "group-control": (group.GroupControl.from_bytes, add),
         "public-tree": (tree.RatchetTree.from_public_bytes,
-                        users[0].cgka.tree.to_public_bytes()),
+                        users["user-00"].cgka.tree.to_public_bytes()),
     }
 
 

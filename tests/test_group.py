@@ -296,6 +296,7 @@ def test_send_keeps_no_batch_ephemeral_scalar(monkeypatch):
         monkeypatch.setattr(primitives, "pke_keygen", logged)
         out = world.users["user-001"].send(b"two batches")
         world.publish("user-001", out.user_view, out.chatbot_view)
+        world.deliver()
     control = CgkaControl.from_bytes(UserMessageView.from_bytes(out.user_view).control)
     ephemerals = {control.ephemeral,
                   ChatbotMessageView.from_bytes(out.chatbot_view).ephemeral}
@@ -818,6 +819,7 @@ def test_payload_field_of_the_wrong_width_leaves_the_bot_unchanged(name, monkeyp
     if name != "registration_key":
         out = user.register_pseudonym()
         world.publish("user-001", out.user_view, out.chatbot_view)
+        world.deliver()
     encoder, cut = SHORT_PAYLOAD_FIELDS[name]
     monkeypatch.setattr(group_module, encoder, cut(getattr(group_module, encoder)))
     if name == "registration_key":

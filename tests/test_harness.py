@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chatgate import counters
 from chatgate.cgka import CgkaControl
 from chatgate.encoding import peek_type
 from chatgate.errors import (
@@ -814,11 +815,38 @@ def test_bench_add_bot_times_every_attach_in_a_world_of_m_chatbots():
     assert seals == [1 + 8 * (3 + 3)] * 2
 
 
-def test_world_drain_raises_on_an_unroutable_view():
+def test_world_refuses_an_unroutable_view_at_publish():
     world = bench.World(2, 0)
-    world.provider.publish(world.group_id, world.ids[0], user_view=b"\x7fjunk")
-    with pytest.raises(MalformedControl):
-        world.drain()
+    rows = len(world.provider.transcript)
+    with pytest.raises(MalformedControl, match="view type 0x7f"):
+        world.publish(world.ids[0], b"\x7fjunk")
+    assert len(world.provider.transcript) == rows
+    assert world.pending() == []
+
+
+def test_the_driver_routes_by_the_providers_tables():
+    world = bench.World(4, 1)
+    for pid in [*world.users, *world.bots]:
+        json.loads(world.provider.snapshot_state(pid))
+    # a newcomer is delivered to from its add on, with no list to extend
+    world.publish("user-000", world.add_user("user-000", "user-002a"))
+    world.attach_bot("a-bot")
+    assert world.users["user-002a"].epoch == world.users["user-000"].epoch
+    # members, then chatbots, each in id order, not in join or attach order
+    out = world.users["user-001"].send(b"to all")
+    world.publish("user-001", out.user_view, out.chatbot_view)
+    with counters.collect(counters.OpCounters()) as ops:
+        world.deliver()
+    assert list(ops.by_party) == ["user-000", "user-002", "user-002a",
+                                  "user-003", "a-bot", "bench-bot-000"]
+    # a detached chatbot gets its removal, then nothing
+    world.detach_bot("a-bot")
+    assert world.bots["a-bot"].snapshot()["group_id"] is None
+    removal = world.provider.transcript[-1]["seq"]
+    world.send_end_to_end("user-000", b"after the removal")
+    assert max(row["seq"] for row in world.provider.transcript
+               if row["recipient"] == "a-bot") == removal
+    assert world.provider.chatbots(world.group_id) == {"bench-bot-000"}
 
 
 def test_fit_helpers():

@@ -38,9 +38,9 @@ from chatgate.group import (
     RemoveBotControl,
     UserMessageView,
     chatbot_init,
-    user_init,
 )
 from chatgate.harness import bench, canned
+from chatgate.harness.driver import Group
 from chatgate.harness.runner import run_text
 from chatgate.primitives import (
     CHAIN,
@@ -66,52 +66,23 @@ from chatgate.triggers import make_registration, rules_from_text
 
 
 def make_world(n=3, bots=(("echo-bot-01", "mention:@echo"),), group_id="grp-main"):
-    """Provider-mediated group: every view travels through publish/inbox."""
-    provider = Provider()
+    """`n` members and `bots`, each attached; every view travels through
+    publish and the provider's inboxes."""
+    world = Group(group_id)
     ids = [f"user-{i:02d}" for i in range(n)]
-    users = {uid: user_init(cgka.init(uid, provider.directory), provider)
-             for uid in ids}
-    bot_states = {}
+    world.publish(ids[0], world.create(ids[0], ids))
     for cid, rules_text in bots:
-        bot = chatbot_init(cid, rules_from_text(rules_text))
-        provider.register_bot(bot.registration)
-        bot_states[cid] = bot
-
-    for uid, user in users.items():
-        provider.register_party(uid, user)
-    for cid, bot in bot_states.items():
-        provider.register_party(cid, bot)
-
-    creator = users[ids[0]]
-    provider.create_group(group_id, ids)
-    blob = creator.create_group(group_id, ids)
-    provider.publish(group_id, ids[0], user_view=blob)
-    drain(provider, users, bot_states)
-
-    for cid in bot_states:
-        blob = creator.add_chatbot(cid)
-        provider.attach_chatbot(group_id, cid)
-        provider.publish(group_id, ids[0], user_view=blob, bot_view=blob,
-                         bot_targets=(cid,))
-        drain(provider, users, bot_states)
-    return provider, users, bot_states
+        world.declare_bot(cid, rules_from_text(rules_text))
+        blob = world.attach(ids[0], cid)
+        world.publish(ids[0], blob, blob, (cid,))
+    world.deliver()
+    return world
 
 
-def drain(provider, users, bots):
-    """Deliver every pending view to its party."""
-    for uid, user in users.items():
-        for view in provider.inbox(uid):
-            user.process(view)
-    for cid, bot in bots.items():
-        for view in provider.inbox(cid):
-            bot.process(view)
-
-
-def user_send(provider, users, bots, sender, message, **kw):
-    out = users[sender].send(message, **kw)
-    provider.publish(users[sender].group_id, sender,
-                     user_view=out.user_view, bot_view=out.chatbot_view)
-    drain(provider, users, bots)
+def user_send(world, sender, message, **kw):
+    out = world.users[sender].send(message, **kw)
+    world.publish(sender, out.user_view, out.chatbot_view)
+    world.deliver()
     return out
 
 
@@ -201,9 +172,9 @@ def test_an_unknown_group_is_refused():
 
 
 def test_detaching_a_bot_that_is_not_attached_is_refused():
-    provider, _, _ = make_world(2)
-    memo = chatbot_init("memo-bot", rules_from_text("always"))
-    provider.register_bot(memo.registration)
+    world = make_world(2)
+    provider = world.provider
+    world.declare_bot("memo-bot", rules_from_text("always"))
     with pytest.raises(NotPresent, match="'memo-bot' is not attached"):
         provider.detach_chatbot("grp-main", "memo-bot")
     provider.create_group("grp-bbb", ["user-00"])
@@ -215,45 +186,44 @@ def test_detaching_a_bot_that_is_not_attached_is_refused():
 # -- routing -------------------------------------------------------------------
 
 def test_views_route_by_recipient_class():
-    provider, users, bots = make_world(3)
-    user_send(provider, users, bots, "user-01", b"@echo hello")
+    world = make_world(3)
+    user_send(world, "user-01", b"@echo hello")
 
     by_class = {}
-    for row in provider.transcript:
+    for row in world.provider.transcript:
         by_class.setdefault(row["recipient_class"], set()).add(row["recipient"])
-    assert by_class["user"] <= set(users)
+    assert by_class["user"] <= set(world.users)
     assert by_class["chatbot"] == {"echo-bot-01"}
 
 
 def test_sender_not_delivered_to_self():
-    provider, users, bots = make_world(3)
-    seq = provider.publish("grp-main", "user-01",
-                           user_view=users["user-01"].update_keys())
-    recipients = [r["recipient"] for r in provider.transcript if r["seq"] == seq]
+    world = make_world(3)
+    seq = world.publish("user-01", world.users["user-01"].update_keys())
+    recipients = [r["recipient"] for r in world.provider.transcript if r["seq"] == seq]
     assert "user-01" not in recipients
     assert set(recipients) == {"user-00", "user-02"}
-    drain(provider, users, bots)
+    world.deliver()
 
 
 def test_nonmember_cannot_publish():
-    provider, users, bots = make_world(2)
+    provider = make_world(2).provider
     with pytest.raises(NotMember):
         provider.publish("grp-main", "stranger-99", user_view=b"\x15junk")
 
 
 def test_removed_member_stops_receiving():
-    provider, users, bots = make_world(3)
-    blob = users["user-00"].remove_user("user-02")
-    provider.remove_member("grp-main", "user-02")
-    seq = provider.publish("grp-main", "user-00", user_view=blob)
-    recipients = [r["recipient"] for r in provider.transcript if r["seq"] == seq]
+    world = make_world(3)
+    blob = world.users["user-00"].remove_user("user-02")
+    world.provider.remove_member("grp-main", "user-02")
+    seq = world.publish("user-00", blob)
+    recipients = [r["recipient"] for r in world.provider.transcript if r["seq"] == seq]
     assert recipients == ["user-01"]
 
 
 def test_transcript_rows_carry_no_sender():
-    provider, users, bots = make_world(2)
-    user_send(provider, users, bots, "user-00", b"@echo hi")
-    for row in provider.transcript:
+    world = make_world(2)
+    user_send(world, "user-00", b"@echo hi")
+    for row in world.provider.transcript:
         assert sorted(row) == ["group_id", "recipient", "recipient_class",
                                "seq", "view_b64"]
 
@@ -261,12 +231,11 @@ def test_transcript_rows_carry_no_sender():
 def test_publish_shares_one_view_string_per_recipient_class():
     # the members share one view, and so do the bots that no entry names;
     # the one addressed bot gets a view of its own entry
-    provider, users, bots = make_world(3, bots=(("echo-bot-01", "mention:@echo"),
-                                                ("memo-bot-02", "never"),
-                                                ("note-bot-03", "never")))
-    out = users["user-00"].send(b"@echo shared")
-    seq = provider.publish("grp-main", "user-00", user_view=out.user_view,
-                           bot_view=out.chatbot_view)
+    world = make_world(3, bots=(("echo-bot-01", "mention:@echo"),
+                                ("memo-bot-02", "never"), ("note-bot-03", "never")))
+    provider = world.provider
+    out = world.users["user-00"].send(b"@echo shared")
+    seq = world.publish("user-00", out.user_view, out.chatbot_view)
     rows = [r for r in provider.transcript if r["seq"] == seq]
     full = ChatbotMessageView.from_bytes(out.chatbot_view)
     classes = {("user-01", "user-02"): out.user_view,
@@ -283,42 +252,34 @@ def test_publish_shares_one_view_string_per_recipient_class():
 
 
 def test_transcript_file_roundtrip(tmp_path):
-    provider, users, bots = make_world(2)
-    user_send(provider, users, bots, "user-00", b"@echo hi")
+    world = make_world(2)
+    user_send(world, "user-00", b"@echo hi")
     path = tmp_path / "transcript.jsonl"
-    provider.write_transcript(str(path))
+    world.provider.write_transcript(str(path))
     rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert rows == provider.transcript
+    assert rows == world.provider.transcript
 
 
 def test_inbox_drains_once():
-    provider, users, bots = make_world(2)
-    out = users["user-00"].send(b"plain")
-    provider.publish("grp-main", "user-00", user_view=out.user_view,
-                     bot_view=out.chatbot_view)
-    assert provider.inbox("user-01")
-    assert provider.inbox("user-01") == []
+    world = make_world(2)
+    out = world.users["user-00"].send(b"plain")
+    world.publish("user-00", out.user_view, out.chatbot_view)
+    assert world.provider.inbox("user-01")
+    assert world.provider.inbox("user-01") == []
 
 
 # -- an add's welcome goes to its newcomer only ------------------------------------
-
-def add_newcomer(provider, users, adder, uid, group_id="grp-main"):
-    """A fresh `uid`, routed in the group; returns the add's user view."""
-    users[uid] = user_init(cgka.init(uid, provider.directory), provider)
-    blob = users[adder].add_user(uid)
-    provider.add_member(group_id, uid)
-    return blob
-
 
 def member_view(blob):
     return replace(GroupControl.from_bytes(blob), welcome=None).to_bytes()
 
 
 def test_welcome_reaches_the_newcomer_alone():
-    provider, users, bots = make_world(3)
-    blob = add_newcomer(provider, users, "user-00", "user-03")
+    world = make_world(3)
+    provider, users = world.provider, world.users
+    blob = world.add_user("user-00", "user-03")
     assert GroupControl.from_bytes(blob).welcome is not None
-    seq = provider.publish("grp-main", "user-00", user_view=blob)
+    seq = world.publish("user-00", blob)
     rows = {r["recipient"]: r for r in provider.transcript if r["seq"] == seq}
     assert sorted(rows) == ["user-01", "user-02", "user-03"]
     for uid, row in rows.items():
@@ -336,41 +297,37 @@ def test_member_view_leaves_a_member_as_the_full_view_does():
     snapshots = []
     for view_of in (member_view, lambda blob: blob):
         with primitives.seeded(b"welcome routing"):
-            provider, users, bots = make_world(3)
-            blob = add_newcomer(provider, users, "user-00", "user-03")
-        users["user-01"].process(view_of(blob))
-        snapshots.append(json.dumps(users["user-01"].snapshot(), sort_keys=True))
+            world = make_world(3)
+            blob = world.add_user("user-00", "user-03")
+        world.users["user-01"].process(view_of(blob))
+        snapshots.append(json.dumps(world.users["user-01"].snapshot(), sort_keys=True))
     assert snapshots[0] == snapshots[1]
 
 
 def test_add_naming_an_unrouted_newcomer_is_refused():
-    provider, users, bots = make_world(3)
-    users["user-03"] = user_init(cgka.init("user-03", provider.directory), provider)
-    blob = users["user-00"].add_user("user-03")  # never routed in the group
+    world = make_world(3)
+    provider = world.provider
+    world.join("user-03")
+    blob = world.users["user-00"].add_user("user-03")  # never routed in the group
     rows = len(provider.transcript)
     with pytest.raises(NotMember):
-        provider.publish("grp-main", "user-00", user_view=blob)
+        world.publish("user-00", blob)
     assert len(provider.transcript) == rows
-    assert all(provider.inbox(uid) == [] for uid in users)
+    assert all(provider.inbox(uid) == [] for uid in world.users)
     provider.add_member("grp-main", "user-03")
-    seq = provider.publish("grp-main", "user-00", user_view=blob)
+    seq = world.publish("user-00", blob)
     assert seq == provider.transcript[rows - 1]["seq"] + 1
     assert provider.inbox("user-03") == [blob]
 
 
 def test_send_to_an_unregistered_bot_target_is_refused_before_sequencing():
     world = bench.World(3, 1)
-    provider = world.provider
-    rows, seq = len(provider.transcript), provider._seq
+    before = _routing_state(world.provider)
     out = world.users["user-000"].send(b"hello ghost")
     with pytest.raises(UnknownChatbot):
-        provider.publish(world.group_id, "user-000", user_view=out.user_view,
-                         bot_view=out.chatbot_view, bot_targets=("ghost-bot",))
-    assert len(provider.transcript) == rows
-    assert provider._seq == seq
-    assert all(provider.inbox(pid) == [] for pid in [*world.ids, *world.bots])
-    assert provider.publish(world.group_id, "user-000", user_view=out.user_view,
-                            bot_view=out.chatbot_view) == seq + 1
+        world.publish("user-000", out.user_view, out.chatbot_view, ("ghost-bot",))
+    assert _routing_state(world.provider) == before
+    assert world.publish("user-000", out.user_view, out.chatbot_view) == before[0] + 1
 
 
 def _routing_state(provider):
@@ -387,21 +344,27 @@ def _width_broken(view: ChatbotMessageView, field: str) -> bytes:
     return replace(view, **{field: getattr(view, field)[:-1]}).to_bytes()
 
 
-@pytest.mark.parametrize("broken", ["truncated", "box", "ephemeral", "group_public_key"])
-def test_a_malformed_chatbot_view_is_refused_before_sequencing(broken):
+@pytest.mark.parametrize("broken", ["truncated", "box", "ephemeral", "group_public_key",
+                                    "user_view", "tree_control"])
+def test_a_view_no_recipient_can_read_is_refused_before_sequencing(broken):
+    # a member view that lost its last byte, and a tree control passed as
+    # the chatbot view, were each sequenced and delivered
     world = bench.World(3, 2)
-    provider = world.provider
     out = world.users["user-000"].send(b"hello both")
-    view = ChatbotMessageView.from_bytes(out.chatbot_view)
-    bad = (out.chatbot_view[:-1] if broken == "truncated"
-           else _width_broken(view, broken))
-    before = _routing_state(provider)
+    user_view, bot_view = out.user_view, out.chatbot_view
+    if broken == "user_view":
+        user_view = user_view[:-1]
+    elif broken == "tree_control":
+        bot_view = GroupControl(UserMessageView.from_bytes(user_view).control).to_bytes()
+    elif broken == "truncated":
+        bot_view = bot_view[:-1]
+    else:
+        bot_view = _width_broken(ChatbotMessageView.from_bytes(bot_view), broken)
+    before = _routing_state(world.provider)
     with pytest.raises(MalformedControl):
-        provider.publish(world.group_id, "user-000", user_view=out.user_view,
-                         bot_view=bad)
-    assert _routing_state(provider) == before
-    assert provider.publish(world.group_id, "user-000", user_view=out.user_view,
-                            bot_view=out.chatbot_view) == before[0] + 1
+        world.publish("user-000", user_view, bot_view)
+    assert _routing_state(world.provider) == before
+    assert world.publish("user-000", out.user_view, out.chatbot_view) == before[0] + 1
 
 
 @functools.cache
@@ -430,8 +393,7 @@ def test_a_mutated_chatbot_view_publishes_or_leaves_no_trace(data):
         mutated = bytes(mutated)
     before = _routing_state(provider)
     try:
-        seq = provider.publish(world.group_id, "user-000", user_view=out.user_view,
-                               bot_view=mutated)
+        seq = world.publish("user-000", out.user_view, mutated)
     except ChatGateError:
         assert _routing_state(provider) == before
         return
@@ -453,8 +415,7 @@ def test_an_addressed_bot_gets_a_view_of_one_length_whatever_the_bot_count():
     for m in (2, 8, 16):
         world = bench.World(8, m)
         out = world.users["user-001"].send(b"one fixed message")
-        world.provider.publish(world.group_id, "user-001", user_view=out.user_view,
-                               bot_view=out.chatbot_view)
+        world.publish("user-001", out.user_view, out.chatbot_view)
         (views[m],) = world.provider.inbox("bench-bot-000")
         assert world.bots["bench-bot-000"].process(views[m]) == ReceivedMessage(
             b"one fixed message")
@@ -468,34 +429,22 @@ def test_an_addressed_bot_gets_a_view_of_one_length_whatever_the_bot_count():
 def test_a_bot_target_not_attached_to_the_group_is_refused_before_sequencing():
     # memo-bot is attached to grp-bbb only; a member of grp-main names it as
     # the target of a removal in grp-main, which would wipe its state
-    provider, users, _ = make_world(2, bots=())
-    others = {uid: user_init(cgka.init(uid, provider.directory), provider)
-              for uid in ("user-10", "user-11")}
-    memo = chatbot_init("memo-bot", rules_from_text("always"))
-    provider.register_bot(memo.registration)
-    provider.create_group("grp-bbb", list(others))
-    provider.publish("grp-bbb", "user-10",
-                     user_view=others["user-10"].create_group("grp-bbb", list(others)))
-    provider.attach_chatbot("grp-bbb", "memo-bot")
-    blob = others["user-10"].add_chatbot("memo-bot")
-    provider.publish("grp-bbb", "user-10", user_view=blob, bot_view=blob,
-                     bot_targets=("memo-bot",))
-    drain(provider, others, {"memo-bot": memo})
+    world = make_world(2, bots=(("memo-bot", "always"),), group_id="grp-bbb")
+    provider, memo = world.provider, world.bots["memo-bot"]
+    cgka.init("user-main", provider.directory)
+    provider.create_group("grp-main", ["user-main"])
 
-    rows, seq = len(provider.transcript), provider._seq
-    before = json.dumps(memo.snapshot(), sort_keys=True)
+    before = _routing_state(provider)
+    snapshot = json.dumps(memo.snapshot(), sort_keys=True)
     forged = RemoveBotControl(group_id="grp-main", chatbot_id="memo-bot").to_bytes()
     with pytest.raises(NotPresent):
-        provider.publish("grp-main", "user-00", user_view=forged, bot_view=forged,
+        provider.publish("grp-main", "user-main", user_view=forged, bot_view=forged,
                          bot_targets=("memo-bot",))
-    assert len(provider.transcript) == rows
-    assert provider._seq == seq
-    assert all(provider.inbox(pid) == [] for pid in [*users, *others, "memo-bot"])
-    assert json.dumps(memo.snapshot(), sort_keys=True) == before
+    assert _routing_state(provider) == before
+    assert json.dumps(memo.snapshot(), sort_keys=True) == snapshot
 
-    out = others["user-11"].send(b"still attached")
-    assert provider.publish("grp-bbb", "user-11", user_view=out.user_view,
-                            bot_view=out.chatbot_view) == seq + 1
+    out = world.users["user-01"].send(b"still attached")
+    assert world.publish("user-01", out.user_view, out.chatbot_view) == before[0] + 1
     assert [memo.process(view) for view in provider.inbox("memo-bot")] == [
         ReceivedMessage(b"still attached")]
 
@@ -503,13 +452,10 @@ def test_a_bot_target_not_attached_to_the_group_is_refused_before_sequencing():
 def test_a_bot_attached_to_one_group_is_refused_by_another():
     # echo-bot-01 is attached to grp-main; attached to grp-bbb as well, its
     # add there would replace the group the bot holds
-    provider, users, bots = make_world(2)
-    others = {uid: user_init(cgka.init(uid, provider.directory), provider)
-              for uid in ("user-10", "user-11")}
-    provider.create_group("grp-bbb", list(others))
-    provider.publish("grp-bbb", "user-10",
-                     user_view=others["user-10"].create_group("grp-bbb", list(others)))
-    drain(provider, others, {})
+    world = make_world(2)
+    provider, users, bots = world.provider, world.users, world.bots
+    cgka.init("user-10", provider.directory)
+    provider.create_group("grp-bbb", ["user-10"])
     with pytest.raises(DuplicateChatbot):
         provider.attach_chatbot("grp-bbb", "echo-bot-01")
     assert provider.chatbots("grp-bbb") == set()
@@ -526,13 +472,13 @@ def test_a_bot_attached_to_one_group_is_refused_by_another():
 
 
 def test_welcome_goes_with_an_add_and_only_with_one():
-    provider, users, bots = make_world(3)
-    update = GroupControl.from_bytes(users["user-01"].update_keys())
-    add = GroupControl.from_bytes(add_newcomer(provider, users, "user-00", "user-03"))
+    world = make_world(3)
+    update = GroupControl.from_bytes(world.users["user-01"].update_keys())
+    add = GroupControl.from_bytes(world.add_user("user-00", "user-03"))
     for forged in (replace(add, welcome=None), replace(update, welcome=add.welcome)):
         with pytest.raises(MalformedControl):
-            provider.publish("grp-main", "user-00", user_view=forged.to_bytes())
-    assert provider.transcript[-1]["seq"] == provider._seq
+            world.publish("user-00", forged.to_bytes())
+    assert world.provider.transcript[-1]["seq"] == world.provider._seq
 
 
 def test_add_bytes_to_members_grow_with_the_path_not_the_tree():
@@ -545,8 +491,8 @@ def test_add_bytes_to_members_grow_with_the_path_not_the_tree():
         world = bench.World(n, m=4)
         adder, uid = world.ids[0], "user-new"
         tree = world.users[adder].cgka.tree.to_public_bytes()
-        blob = add_newcomer(world.provider, world.users, adder, uid, world.group_id)
-        seq = world.provider.publish(world.group_id, adder, user_view=blob)
+        blob = world.add_user(adder, uid)
+        seq = world.publish(adder, blob)
         views = {r["recipient"]: base64.b64decode(r["view_b64"])
                  for r in world.provider.transcript if r["seq"] == seq}
         welcome = GroupControl.from_bytes(views.pop(uid)).welcome
@@ -556,22 +502,20 @@ def test_add_bytes_to_members_grow_with_the_path_not_the_tree():
         assert all(GroupControl.from_bytes(v).welcome is None for v in views.values())
         per_member[n] = sum(map(len, views.values())) / n
 
-        world.ids.append(uid)
-        world.drain()
+        world.deliver()
         newcomer, sender = world.users[uid], world.users[world.ids[1]]
         assert newcomer.epoch == sender.epoch
         assert newcomer.cgka.group_secret == sender.cgka.group_secret
         out = sender.send(b"hello newcomer")
-        world.provider.publish(world.group_id, world.ids[1],
-                               user_view=out.user_view, bot_view=out.chatbot_view)
+        world.publish(world.ids[1], out.user_view, out.chatbot_view)
         [view] = world.provider.inbox(uid)
         assert newcomer.process(view) == group.ReceivedMessage(b"hello newcomer")
-        world.drain()
+        world.deliver()
     assert max(per_member.values()) < 1.6 * min(per_member.values()), per_member
 
 
 def test_snapshot_state_is_canonical():
-    provider, users, bots = make_world(2)
+    provider = make_world(2).provider
     a = provider.snapshot_state("user-00")
     b = provider.snapshot_state("user-00")
     assert a == b
@@ -581,16 +525,18 @@ def test_snapshot_state_is_canonical():
 # -- adversary ------------------------------------------------------------------
 
 def test_adversary_with_empty_state_recovers_nothing():
-    provider, users, bots = make_world(3)
+    world = make_world(3)
     for i, msg in enumerate([b"@echo alpha", b"plain beta", b"@echo gamma"]):
-        user_send(provider, users, bots, f"user-{i:02d}", msg)
-    report = adversary_decrypt(b"{}", Adversary(provider.transcript, provider))
+        user_send(world, f"user-{i:02d}", msg)
+    report = adversary_decrypt(b"{}", Adversary(world.provider.transcript,
+                                                world.provider))
     assert report.plaintexts == frozenset()
     assert report.secrets == frozenset()
 
 
 def test_compromised_chatbot_reads_exactly_addressed_messages():
-    provider, users, bots = make_world(3)
+    world = make_world(3)
+    provider = world.provider
     sent = {
         b"@echo alpha": True,
         b"plain beta": False,
@@ -598,7 +544,7 @@ def test_compromised_chatbot_reads_exactly_addressed_messages():
         b"hidden delta": False,
     }
     for i, msg in enumerate(sent):
-        user_send(provider, users, bots, f"user-{i % 3:02d}", msg)
+        user_send(world, f"user-{i % 3:02d}", msg)
 
     snap = provider.snapshot_state("echo-bot-01")
     report = adversary_decrypt(snap, Adversary(provider.transcript, provider))
@@ -609,9 +555,10 @@ def test_compromised_chatbot_reads_exactly_addressed_messages():
 
 
 def test_compromised_user_reads_group_traffic():
-    provider, users, bots = make_world(3)
-    user_send(provider, users, bots, "user-00", b"@echo alpha")
-    user_send(provider, users, bots, "user-01", b"plain beta")
+    world = make_world(3)
+    provider = world.provider
+    user_send(world, "user-00", b"@echo alpha")
+    user_send(world, "user-01", b"plain beta")
     snap = provider.snapshot_state("user-02")
     report = adversary_decrypt(snap, Adversary(provider.transcript, provider))
     # current group secret decrypts the latest message directly
@@ -625,17 +572,15 @@ def test_newcomer_capture_after_its_first_update_reopens_no_earlier_message():
     # reads what is sent after.
     with primitives.seeded(11):
         world = bench.World(8, 0)
-        blob = add_newcomer(world.provider, world.users, "user-000", "user-new",
-                            world.group_id)
-        world.ids.append("user-new")
-        world.publish("user-000", blob)
+        world.publish("user-000", world.add_user("user-000", "user-new"))
+        world.deliver()
         early = [f"early message {i}".encode() for i in range(3)]
         for i, message in enumerate(early):
             world.send_end_to_end(world.ids[i + 1], message)
-        for uid in world.ids:
+        for uid in world.users:
             world.publish(uid, world.users[uid].update_keys())
+            world.deliver()
         world.send_end_to_end("user-001", b"later message")
-    world.provider.register_party("user-new", world.users["user-new"])
     snap = world.provider.snapshot_state("user-new")
     report = adversary_decrypt(snap, Adversary(world.provider.transcript,
                                                world.provider))
@@ -644,9 +589,10 @@ def test_newcomer_capture_after_its_first_update_reopens_no_earlier_message():
 
 
 def test_concealment_dummies_do_not_decrypt():
-    provider, users, bots = make_world(
-        2, bots=(("echo-bot-01", "mention:@echo"), ("log-bot-02", "never")))
-    user_send(provider, users, bots, "user-00", b"@echo only you", conceal=True)
+    world = make_world(2, bots=(("echo-bot-01", "mention:@echo"),
+                                ("log-bot-02", "never")))
+    provider = world.provider
+    user_send(world, "user-00", b"@echo only you", conceal=True)
     snap = provider.snapshot_state("log-bot-02")
     report = adversary_decrypt(snap, Adversary(provider.transcript, provider))
     assert b"@echo only you" not in report.plaintexts
@@ -656,11 +602,11 @@ def test_unnamed_recipient_leaves_box_unhinted_and_tried():
     # Without the bot's registration, public data cannot name who its
     # attach seed was sealed to: that box meets every candidate instead,
     # and the adversary recovers exactly the same.
-    provider, users, bots = make_world(3)
-    user_send(provider, users, bots, "user-00", b"@echo alpha")
-    provider.publish("grp-main", "echo-bot-01",
-                     user_view=bots["echo-bot-01"].send(b"echo reply"))
-    drain(provider, users, bots)
+    world = make_world(3)
+    provider, bots = world.provider, world.bots
+    user_send(world, "user-00", b"@echo alpha")
+    world.publish("echo-bot-01", bots["echo-bot-01"].send(b"echo reply"))
+    world.deliver()
     unknown = Provider()
     named = _collect_material(provider.transcript, provider)[0]
     unhinted = [box for box, hints in
@@ -723,8 +669,7 @@ def test_entry_naming_a_node_outside_the_tree_is_left_unhinted(target):
     bad = {"past_the_tree": len(tree.nodes), "u32_max": 2**32 - 1}[target]
     (_, forged_box), *rest = ctl.path_entries
     ctl.path_entries[0] = (bad, forged_box)
-    world.provider.publish(world.group_id, "user-000",
-                           user_view=replace(wrapped, control=ctl.to_bytes()).to_bytes())
+    world.publish("user-000", replace(wrapped, control=ctl.to_bytes()).to_bytes())
     hints = _collect_material(world.provider.transcript, world.provider)[0]
     assert hints[(forged_box, ctl.ephemeral, 0)] == frozenset()
     assert rest
@@ -737,7 +682,7 @@ def test_follower_refuses_a_membership_control_in_a_message_view():
     world = bench.World(4, 0)
     ctl = world.users["user-000"].cgka.remove("user-003")
     view = UserMessageView(flags=0, control=ctl.to_bytes(), ciphertext=b"").to_bytes()
-    world.provider.publish(world.group_id, "user-000", user_view=view)
+    world.publish("user-000", view)
     hints = _collect_material(world.provider.transcript, world.provider)[0]
     assert ctl.path_entries
     for i, (_, box) in enumerate(ctl.path_entries):
@@ -758,7 +703,7 @@ def test_follower_drops_a_group_after_a_control_it_cannot_apply(forgery):
     else:
         forged = replace(ctl, sender_leaf=2**32 - 1)
     for view in (replace(wrapped, control=forged.to_bytes()).to_bytes(), genuine):
-        world.provider.publish(world.group_id, "user-000", user_view=view)
+        world.publish("user-000", view)
     hints = _collect_material(world.provider.transcript, world.provider)[0]
     assert ctl.path_entries
     for i, (_, box) in enumerate(ctl.path_entries):
@@ -767,7 +712,7 @@ def test_follower_drops_a_group_after_a_control_it_cannot_apply(forgery):
     world = bench.World(4, 0)
     tree = world.users["user-000"].cgka.tree
     genuine = world.users["user-000"].update_keys()
-    world.provider.publish(world.group_id, "user-000", user_view=genuine)
+    world.publish("user-000", genuine)
     hints = _collect_material(world.provider.transcript, world.provider)[0]
     ctl = cgka.CgkaControl.from_bytes(GroupControl.from_bytes(genuine).control)
     for i, (x, box) in enumerate(ctl.path_entries):
