@@ -174,10 +174,11 @@ def _wrong_width():
     raise MalformedControl("field of the wrong width")
 
 
-def _at_most_one(values: list):
-    if len(values) > 1:
+def _at_most_one(r: Reader, read_one: Callable[[Reader], T]) -> T | None:
+    count = r.u32()
+    if count > 1:
         raise MalformedControl("more than one item in a list of at most one")
-    return values[0] if values else None
+    return read_one(r) if count else None
 
 
 # what the expressions of the kinds call
@@ -246,7 +247,7 @@ def items(item: "Kind | Record", into: type = list) -> Kind:
 
 def at_most_one(item: "Record") -> Kind:
     """A list of at most one `item`, decoded to that item or None."""
-    return Kind("_at_most_one(r.items({k}.item.read))",
+    return Kind("_at_most_one(r, {k}.item.read)",
                 "w.items([] if {v} is None else [{v}], {k}.item.write)", item=item)
 
 
@@ -287,7 +288,7 @@ class Record:
     def shape(self, item) -> tuple:
         """(name, shape) per field: the structure of an encoding, not its
         content. A field's shape is its encoded length; a list's, the shape
-        of each item."""
+        of each item, and a list of at most one holds its item or none."""
         values = self.values(item) if self.build else item
         return tuple((name, _shape(kind, value))
                      for (name, kind), value in zip(self.fields, values))
@@ -296,8 +297,9 @@ class Record:
 def _shape(kind: "Kind | Record", value):
     if isinstance(kind, Record):
         return kind.shape(value)
-    if hasattr(kind, "into"):
-        return tuple(_shape(kind.item, item) for item in value)
+    if hasattr(kind, "item"):
+        values = value if hasattr(kind, "into") else () if value is None else (value,)
+        return tuple(_shape(kind.item, item) for item in values)
     w = Writer()
     kind.write(w, value)
     return len(w.done())

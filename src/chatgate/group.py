@@ -22,22 +22,29 @@ genuine ephemeral; one without carries NO_EPHEMERAL. A chatbot reply's
 sealed key and an attach control's sealed seed are single seals,
 SEALED_LEN wide.
 
-The sender builds one chatbot view with every entry; the provider
-delivers each chatbot only the entries that name it
-(`project_chatbot_view`), as it delivers an add's welcome to the newcomer
-alone. So a chatbot's view has the same length whatever the number of
-bots a send reaches, and all a chatbot learns about the others is its
-own entry's position: its rank among the bots of the batch.
+A chatbot view is a header (group id, epoch) and a list of at most one
+body: the ciphertext, the group public key, the batch ephemeral and the
+entries. The sender builds one chatbot view, its body holding every
+entry; the provider delivers each chatbot that an entry names the header
+and a body with only its own entries (`project_chatbot_view`), as it
+delivers an add's welcome to the newcomer alone. Every other chatbot gets
+one shared notice, the header without a body: it could open nothing in
+the body, so it is not sent the ciphertext at all. So a chatbot's view
+has the same length whatever the number of bots a send reaches, and all
+a chatbot learns about the others is its own entry's position: its rank
+among the bots of the batch.
 
 Wire types, each declared once by its `wire` decorator below (field
 order and kinds), and the payloads inside the ciphertext as `Record`s:
-    0x10 user message, user view      0x11 user message, chatbot view
+    0x10 user message, user view      0x11 user message, chatbot view:
+                                           header, at most one body
     0x12 chatbot message              0x13 add-chatbot control
     0x14 remove-chatbot control       0x15 wrapped tree control
 
 A member reads each group fact (group id, epoch, group public key) from
 the tree control alone: its user views and wrapped controls carry no copy.
-The chatbot view, which has no control, states them itself.
+The chatbot view, which has no control, states them itself: the group id
+and epoch in its header, the group public key in its body.
 
 A wrapped tree control ends in a list of at most one newcomer section;
 only an add's has one: the welcome (the public tree the add was built on)
@@ -259,35 +266,53 @@ class UserMessageView:
 _ENTRY = Record(("chatbot_id", TEXT), ("position", U32), ("box", BOX))
 
 
-@wire(VIEW_CHATBOT_MESSAGE, ("group_id", TEXT), ("epoch", U32),
-      ("ciphertext", BYTES), ("group_public_key", KEY), ("ephemeral", KEY),
-      ("entries", items(_ENTRY, into=tuple)))
 @dataclass(frozen=True)
-class ChatbotMessageView:
-    group_id: str
-    epoch: int
+class ChatbotViewBody:
+    """What an addressed chatbot reads: the message and the keys to open
+    its entry and to reply."""
+
     ciphertext: bytes
     group_public_key: bytes
     ephemeral: bytes                             # the entries' batch ephemeral key
     entries: tuple[tuple[str, int, bytes], ...]  # (chatbot id, position, box or dummy)
 
 
+_BODY = Record(("ciphertext", BYTES), ("group_public_key", KEY), ("ephemeral", KEY),
+               ("entries", items(_ENTRY, into=tuple)), build=ChatbotViewBody)
+
+
+@wire(VIEW_CHATBOT_MESSAGE, ("group_id", TEXT), ("epoch", U32),
+      ("body", at_most_one(_BODY)))
+@dataclass(frozen=True)
+class ChatbotMessageView:
+    """A chatbot's view of a message: the header, then a body for a
+    chatbot that an entry names. Every other chatbot gets the header alone,
+    a notice that a message was sent, with nothing it could open."""
+
+    group_id: str
+    epoch: int
+    body: ChatbotViewBody | None = None
+
+
 def project_chatbot_view(data: bytes) -> tuple[bytes, dict[str, bytes]]:
-    """The view each chatbot gets of a chatbot message view: the same
-    header with only the entries that name it. Returns the projection that
-    every chatbot without an entry shares, and the one of each chatbot with
-    an entry. A box's key binds its position, which the entry keeps, so a
-    projected box opens as it did in the whole view. Decodes `data` once,
-    so a malformed view raises before anything is delivered."""
+    """The view each chatbot gets of a chatbot message view: the header
+    and the body with only the entries that name it. Returns the notice
+    that every chatbot without an entry shares, the header alone, and the
+    view of each chatbot with an entry. A box's key binds its position,
+    which the entry keeps, so a projected box opens as it did in the whole
+    view. Decodes `data` once, so a malformed view raises before anything
+    is delivered."""
     view = ChatbotMessageView.from_bytes(data)
-    shared = replace(view, entries=()).to_bytes()
-    # the entries are the last field: the shared view is the header, then
-    # the 4-byte count of an empty list
-    head = shared[:-4]
+    notice = ChatbotMessageView(group_id=view.group_id, epoch=view.epoch).to_bytes()
+    if view.body is None:
+        return notice, {}
+    # the entries are the last field: without them the view ends in the
+    # 4-byte count of an empty list
+    head = replace(view, body=replace(view.body, entries=())).to_bytes()[:-4]
     named: dict[str, list[tuple[str, int, bytes]]] = {}
-    for entry in view.entries:
+    for entry in view.body.entries:
         named.setdefault(entry[0], []).append(entry)
-    return shared, {cid: head + Writer().items(own, _ENTRY.write).done()
+    return notice, {cid: head + Writer().items(own, _ENTRY.write).done()
                     for cid, own in named.items()}
 
 
@@ -535,8 +560,9 @@ class UserState:
         user_view = UserMessageView(flags=flags, control=ctl.to_bytes(),
                                     ciphertext=ciphertext)
         chatbot_view = ChatbotMessageView(
-            group_id=self.group_id, epoch=epoch, ciphertext=ciphertext,
-            group_public_key=pair.public_key, ephemeral=ephemeral, entries=entries)
+            group_id=self.group_id, epoch=epoch, body=ChatbotViewBody(
+                ciphertext=ciphertext, group_public_key=pair.public_key,
+                ephemeral=ephemeral, entries=entries))
         return SendOutcome(user_view=user_view.to_bytes(),
                            chatbot_view=chatbot_view.to_bytes(), epoch=epoch,
                            addressed=tuple(cid for cid, _ in roster if cid in fired),
@@ -690,26 +716,29 @@ class ChatbotState:
         self.pseudonyms.clear()
 
     def receive(self, data: bytes) -> ReceiveResult:
-        """Read a user message view. Absent entry and undecryptable entry
-        both return NOT_ADDRESSED (the same object); nothing is retained in
-        either case."""
+        """Read a user message view. A notice without a body, an absent
+        entry and an undecryptable entry all return NOT_ADDRESSED (the same
+        object); nothing is retained in any of these cases."""
         if self.node_key is None or self.group_public_key is None:
             raise NoGroup(f"{self.chatbot_id!r} is not in a group")
         view = ChatbotMessageView.from_bytes(data)
         if view.group_id != self.group_id:
             raise MalformedControl("view for a different group")
+        body = view.body
+        if body is None:
+            return NOT_ADDRESSED
 
-        for cid, position, box in view.entries:
+        for cid, position, box in body.entries:
             if cid == self.chatbot_id:
                 break
         else:
             return NOT_ADDRESSED
         try:
-            message_key = pke_open(self.node_key, box, view.ephemeral, position)
+            message_key = pke_open(self.node_key, box, body.ephemeral, position)
         except DecryptFailed:
             return NOT_ADDRESSED
 
-        result, signature = _parse_payload(sym_decrypt(message_key, view.ciphertext))
+        result, signature = _parse_payload(sym_decrypt(message_key, body.ciphertext))
         if isinstance(result, ReceivedMessage) and result.pseudonym is not None:
             self._verify_pseudonymous(view.epoch, result, signature)
         elif isinstance(result, PseudonymRegistration):
@@ -717,7 +746,7 @@ class ChatbotState:
             self.pseudonyms[handle] = result.public_key
             result = PseudonymRegistration(public_key=result.public_key,
                                            handle=handle)
-        self.group_public_key = view.group_public_key
+        self.group_public_key = body.group_public_key
         return result
 
     def _verify_pseudonymous(self, epoch: int, result: ReceivedMessage,

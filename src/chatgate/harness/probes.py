@@ -227,19 +227,24 @@ def probe_anonymity(result: RunResult) -> Verdict:
 
 def probe_concealment(result: RunResult) -> Verdict:
     """No chatbot view names another chatbot: each carries only its own
-    entries. A concealed send gives every attached chatbot exactly one
-    fixed-size entry under a genuine ephemeral key, and every chatbot not
-    addressed reported the uniform not-addressed outcome. Decoding a view
-    refuses any entry box that is not `BOX_LEN` wide."""
+    entries, and it carries a body exactly when it carries an entry, so a
+    chatbot that no entry names gets no ciphertext. A concealed send gives
+    every attached chatbot exactly one fixed-size entry under a genuine
+    ephemeral key, and every chatbot not addressed reported the uniform
+    not-addressed outcome. Decoding a view refuses any entry box that is
+    not `BOX_LEN` wide."""
     violations = []
     entries_by_seq: dict[int, dict[str, tuple]] = {}
     for seq, cid, data in _chatbot_views(result):
-        view = ChatbotMessageView.from_bytes(data)
-        named = {entry[0] for entry in view.entries}
+        body = ChatbotMessageView.from_bytes(data).body
+        ephemeral, entries = (body.ephemeral, body.entries) if body else (None, ())
+        if body is not None and not entries:
+            violations.append({"seq": seq, "chatbot": cid, "kind": "body"})
+        named = {entry[0] for entry in entries}
         if named - {cid}:
             violations.append({"seq": seq, "chatbot": cid, "kind": "other_bot",
                                "named": sorted(named - {cid})})
-        entries_by_seq.setdefault(seq, {})[cid] = (view.ephemeral, view.entries)
+        entries_by_seq.setdefault(seq, {})[cid] = (ephemeral, entries)
     checked = 0
     for ev in result.sends:
         if ev.kind != "user" or not ev.concealed:

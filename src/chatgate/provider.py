@@ -5,12 +5,14 @@ assigns a total order to published bundles, and routes each recipient class
 its own view. Users get the user view, except that an add's welcome goes
 to the newcomer the add names and no one else: every other member gets the
 same wrapped control without it (RFC 9420 sends a Commit to the group and
-a Welcome to new members only). Likewise each chatbot gets the chatbot
-view with only the entries that name it, and every chatbot that no entry
-names gets one shared view with none, so a bot's view does not grow with
-the number of bots a send addresses or conceals. It never sees plaintext
-or secret keys; everything it stores (the transcript) is exactly what a
-network observer would capture.
+a Welcome to new members only). Likewise each chatbot that an entry
+names gets the chatbot view with only the entries that name it, and every
+other chatbot gets one shared notice, the view's header without its body:
+no ciphertext, group key or ephemeral, none of which it could use. So a
+bot's view does not grow with the number of bots a send addresses or
+conceals, and a bot that no entry names is not sent the message. The
+provider never sees plaintext or secret keys; everything it stores (the
+transcript) is exactly what a network observer would capture.
 
 `adversary_decrypt` plays the compromise game: given one party's serialized
 state and an `Adversary`, which holds the public transcript and the public
@@ -22,15 +24,16 @@ sealed to, with the ephemeral key and position of its batch, which travel
 next to it (`SealedBox`); public data names that key for every box the
 protocol seals: a tree control's entries name their target nodes, whose
 keys sit in the group's public tree, which the adversary follows through
-the transcript as members do; chatbot entries, which only chatbot views carry,
-name a bot whose node key is on the wire, bot replies go to a group key
-that some chatbot view or attach control carries, and attach seeds go to
-the bot's registered key. Ciphertexts are named too: every AEAD key is
-`derive(x, MSG_KEY)`, and the view carrying the ciphertext names
-`pke_keygen(x).public_key` (chatbot views their group key, member views
-the root key of their control, bot replies their node key). Derivation
-domains are disjoint, so a chain link or `pke_keygen` scalar is never a
-message key, and a message key or chain link is never a recipient scalar.
+the transcript as members do; chatbot entries, which only chatbot view
+bodies carry, name a bot whose node key is on the wire, bot replies go to
+a group key that some chatbot view body or attach control carries, and
+attach seeds go to the bot's registered key. Ciphertexts are named too:
+every AEAD key is `derive(x, MSG_KEY)`, and the view carrying the
+ciphertext names `pke_keygen(x).public_key` (chatbot view bodies their
+group key, member views the root key of their control, bot replies their
+node key). Derivation domains are disjoint, so a chain link or
+`pke_keygen` scalar is never a message key, and a message key or chain
+link is never a recipient scalar.
 So each candidate meets only the boxes and ciphertexts it could open, and
 the search stays exhaustive, barring a SHA-256 or X25519 clamping
 collision. Security claims in the probes are statements about its output.
@@ -190,9 +193,11 @@ class Provider:
         `user_view`, but only the newcomer of an add gets its welcome;
         attached chatbots (or exactly `bot_targets`, each registered and
         attached) get `bot_view`, but of a chatbot message view only the
-        entries that name them. A view that its recipients cannot read is
-        refused before the bundle takes a sequence number, so a refused
-        bundle leaves no trace. Returns the sequence number."""
+        entries that name them, and a chatbot no entry names only its
+        header. A view that its recipients cannot read, or whose outer
+        record does not decode, is refused before the bundle takes a
+        sequence number, so a refused bundle leaves no trace. Returns the
+        sequence number."""
         ch = self._channel(group_id)
         if sender not in ch.members and sender not in ch.bots:
             raise NotMember(f"{sender!r} may not publish to {group_id!r}")
@@ -214,9 +219,11 @@ class Provider:
             kind = peek_type(bot_view)
             if kind not in _BOT_HANDLERS:
                 raise MalformedControl(f"no chatbot handles view type 0x{kind:02x}")
-            shared, own = bot_view, {}
             if kind == VIEW_CHATBOT_MESSAGE:
                 shared, own = project_chatbot_view(bot_view)
+            else:
+                _RECORDS[kind].from_bytes(bot_view)
+                shared, own = bot_view, {}
         self._seq += 1
         seq = self._seq
         if user_view is not None:
@@ -276,10 +283,10 @@ class Provider:
                           separators=(",", ":")).encode("ascii")
 
 
-# the outer record of each view type that members handle
-_USER_RECORDS = {GROUP_CONTROL: GroupControl, VIEW_USER_MESSAGE: UserMessageView,
-                 ADD_BOT: AddBotControl, REMOVE_BOT: RemoveBotControl,
-                 BOT_MESSAGE: BotMessage}
+# the outer record of each view type
+_RECORDS = {GROUP_CONTROL: GroupControl, VIEW_USER_MESSAGE: UserMessageView,
+            VIEW_CHATBOT_MESSAGE: ChatbotMessageView, ADD_BOT: AddBotControl,
+            REMOVE_BOT: RemoveBotControl, BOT_MESSAGE: BotMessage}
 
 
 def _split_welcome(user_view: bytes) -> tuple[str | None, bytes]:
@@ -291,7 +298,7 @@ def _split_welcome(user_view: bytes) -> tuple[str | None, bytes]:
     kind = peek_type(user_view)
     if kind not in _USER_HANDLERS:
         raise MalformedControl(f"no member handles view type 0x{kind:02x}")
-    wrapped = _USER_RECORDS[kind].from_bytes(user_view)
+    wrapped = _RECORDS[kind].from_bytes(user_view)
     if kind != GROUP_CONTROL:
         return None, user_view
     is_add = peek_type(wrapped.control) == CONTROL_ADD
@@ -357,13 +364,14 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     * tree controls, whose path entries name their target nodes: each is
       named by the key at that node in the group's public tree, which
       `_entry_keys` follows through the transcript;
-    * chatbot entries, which travel in chatbot views only (a member's view
-      carries no chatbot boxes) and name a chatbot id whose current node key
-      is on the wire (attach controls announce it, every chatbot reply
-      announces the rotated one), tracked in transcript order;
+    * chatbot entries, which travel in chatbot view bodies only (a
+      member's view carries no chatbot boxes, a notice no body) and name a
+      chatbot id whose current node key is on the wire (attach controls
+      announce it, every chatbot reply announces the rotated one), tracked
+      in transcript order;
     * bot replies, sealed to the bot's group public key, which it only ever
-      takes from an attach control or a chatbot view: every such key on the
-      transcript is a hint;
+      takes from an attach control or the body of a chatbot view that names
+      it: every such key on the transcript is a hint;
     * attach seeds, sealed to the named chatbot's registered encryption
       key, which the registry publishes.
 
@@ -374,8 +382,9 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     A ciphertext's hints are the `pke_keygen` public keys of the seed its
     key was derived from (`derive(seed, MSG_KEY)`): a message view names
     the group key pair of the group secret it was sent under (a member's
-    view as the root key of its control's path), a bot reply the node key
-    of its fresh seed.
+    view as the root key of its control's path, a chatbot view in its
+    body), a bot reply the node key of its fresh seed. A notice carries no
+    ciphertext and no key: it adds nothing.
     """
     hints: dict[SealedBox, set[bytes]] = {}
     ct_hints: dict[bytes, set[bytes]] = {}
@@ -420,11 +429,13 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
             control = control_boxes(v.control, in_message=True)
             ct_hints.setdefault(v.ciphertext, set()).update(control.new_public_path[-1:])
         elif kind == VIEW_CHATBOT_MESSAGE:
-            v = ChatbotMessageView.from_bytes(view)
-            ct_hints.setdefault(v.ciphertext, set()).add(v.group_public_key)
-            group_keys.add(v.group_public_key)
-            for cid, position, box in v.entries:
-                add_box(SealedBox(box, v.ephemeral, position), bot_pk.get(cid))
+            body = ChatbotMessageView.from_bytes(view).body
+            if body is None:
+                continue  # a notice: the header alone
+            ct_hints.setdefault(body.ciphertext, set()).add(body.group_public_key)
+            group_keys.add(body.group_public_key)
+            for cid, position, box in body.entries:
+                add_box(SealedBox(box, body.ephemeral, position), bot_pk.get(cid))
         elif kind == BOT_MESSAGE:
             v = BotMessage.from_bytes(view)
             ct_hints.setdefault(v.ciphertext, set()).add(v.node_public_key)

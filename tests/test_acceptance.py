@@ -306,7 +306,8 @@ def test_criterion_05_sender_anonymity(corpus):
             entries = []
             for data in bot_views[ev.seq]:
                 walked += 1
-                entries += ChatbotMessageView.from_bytes(data).entries
+                body = ChatbotMessageView.from_bytes(data).body
+                entries += body.entries if body else ()
                 # none of the tree-update boxes from the user view may leak
                 # into what chatbots see
                 if user_view.control in data:
@@ -341,7 +342,7 @@ def test_criterion_06_concealment():
                  ("memo-bot-03", "contains:note")])
 
     out = users["user-00"].send(b"@echo only you", conceal=True)
-    view = ChatbotMessageView.from_bytes(out.chatbot_view)
+    view = ChatbotMessageView.from_bytes(out.chatbot_view).body
     exact_m = len(view.entries) == 3
     all_box_len = all(len(box) == BOX_LEN for _, _, box in view.entries)
 

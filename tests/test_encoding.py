@@ -369,7 +369,7 @@ def test_width_sweep_covers_every_batch_ephemeral_and_box():
     # like every other fixed-width field: 30 in the sweep
     for kind in ("create", "add", "remove", "update"):
         assert f"CgkaControl.{kind}.ephemeral" in WIDTH_FIELDS
-    for name in ("ChatbotMessageView.ephemeral", "ChatbotMessageView.entries",
+    for name in ("ChatbotMessageView.body.ephemeral", "ChatbotMessageView.body.entries",
                  "BotMessage.sealed_key", "AddBotControl.sealed_seed"):
         assert name in WIDTH_FIELDS
     assert len(WIDTH_FIELDS) == 30

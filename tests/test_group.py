@@ -189,7 +189,7 @@ def test_concealed_entries_pad_to_full_roster():
     assert set(out.concealed) == {"memo-bot-02", "log-bot-03"}
 
     from chatgate.group import ChatbotMessageView
-    view = ChatbotMessageView.from_bytes(out.chatbot_view)
+    view = ChatbotMessageView.from_bytes(out.chatbot_view).body
     assert len(view.entries) == 3
     assert [position for _, position, _ in view.entries] == [0, 1, 2]
     assert all(len(box) == BOX_LEN for _, _, box in view.entries)
@@ -214,7 +214,7 @@ def test_concealment_dummies_cannot_be_told_from_boxes():
         for _ in range(100):
             out = sender.send(b"to two of six", conceal=True)
             entries = {cid: box for cid, _, box
-                       in ChatbotMessageView.from_bytes(out.chatbot_view).entries}
+                       in ChatbotMessageView.from_bytes(out.chatbot_view).body.entries}
             boxes += [entries[cid] for cid in out.addressed]
             dummies += [entries[cid] for cid in out.concealed]
     assert (len(boxes), len(dummies)) == (200, 400)
@@ -236,7 +236,7 @@ def test_view_draws_an_ephemeral_only_for_entries():
         ops = counters.OpCounters()
         with counters.collect(ops):
             out = users["user-00"].send(message, conceal=conceal)
-        view = ChatbotMessageView.from_bytes(out.chatbot_view)
+        view = ChatbotMessageView.from_bytes(out.chatbot_view).body
         seen.append((len(view.entries), ops.total("pke_keygen"),
                      probes._is_public_key(view.ephemeral)))
         if not view.entries:
@@ -253,7 +253,7 @@ def test_view_naming_one_bot_key_twice_seals_each_box_under_its_own_key():
     sender = users["user-00"]
     sender.records["echo-bot-02"].bot_public_key = (
         sender.records["echo-bot-01"].bot_public_key)
-    view = ChatbotMessageView.from_bytes(sender.send(b"one key twice").chatbot_view)
+    view = ChatbotMessageView.from_bytes(sender.send(b"one key twice").chatbot_view).body
     (_, _, first), (_, _, second) = view.entries
     assert first != second
     key = bots["echo-bot-01"].node_key
@@ -269,13 +269,15 @@ def test_bot_box_opens_only_at_its_position_under_its_ephemeral(edit):
         2, bots=[("echo-bot-01", "always"), ("memo-bot-02", "always")])
     out = users["user-00"].send(b"for both")
     view = ChatbotMessageView.from_bytes(out.chatbot_view)
+    body = view.body
     if edit == "moved_entry":
         # each bot's own box, with its position field rewritten to the other's
-        (first, _, first_box), (second, _, second_box) = view.entries
-        edited = replace(view, entries=((first, 1, first_box), (second, 0, second_box)))
+        (first, _, first_box), (second, _, second_box) = body.entries
+        body = replace(body, entries=((first, 1, first_box), (second, 0, second_box)))
     else:
         other = ChatbotMessageView.from_bytes(users["user-00"].send(b"again").chatbot_view)
-        edited = replace(view, ephemeral=other.ephemeral)
+        body = replace(body, ephemeral=other.body.ephemeral)
+    edited = replace(view, body=body)
     for bot in bots.values():
         assert bot.receive(edited.to_bytes()) is NOT_ADDRESSED
         assert bot.receive(out.chatbot_view) == ReceivedMessage(b"for both")
@@ -299,7 +301,7 @@ def test_send_keeps_no_batch_ephemeral_scalar(monkeypatch):
         world.deliver()
     control = CgkaControl.from_bytes(UserMessageView.from_bytes(out.user_view).control)
     ephemerals = {control.ephemeral,
-                  ChatbotMessageView.from_bytes(out.chatbot_view).ephemeral}
+                  ChatbotMessageView.from_bytes(out.chatbot_view).body.ephemeral}
     scalars = [kp.secret_key.hex() for kp in drawn if kp.public_key in ephemerals]
     assert len(scalars) == 2
     snapshots = [json.dumps(party.snapshot())
@@ -322,12 +324,13 @@ def test_member_view_carries_no_chatbot_box():
         world.attach_bot("quiet-bot-004", "never")
         out = world.users["user-001"].send(b"hello, five bots!", conceal=True)
     # each of the sender's four entries is a 13-character id, a position
-    # and a box: 4 + 13 + 4 + 4 + 48 = 73 B; each bot is delivered its own
-    assert (len(first.user_view), len(first.chatbot_view)) == (530, 440)
+    # and a box: 4 + 13 + 4 + 4 + 48 = 73 B; each bot is delivered its own,
+    # and a bot with none would get the header alone: 1 + 13 + 4 + 4 B
+    assert (len(first.user_view), len(first.chatbot_view)) == (530, 444)
     shared, own = project_chatbot_view(first.chatbot_view)
-    assert (len(shared), sorted(map(len, own.values()))) == (440 - 4 * 73, [440 - 3 * 73] * 4)
+    assert (len(shared), sorted(map(len, own.values()))) == (22, [444 - 3 * 73] * 4)
     assert out.concealed == ("quiet-bot-004",)
-    bot_view = ChatbotMessageView.from_bytes(out.chatbot_view)
+    bot_view = ChatbotMessageView.from_bytes(out.chatbot_view).body
     assert len(bot_view.entries) == 5
     for _, _, box in bot_view.entries:
         assert box not in out.user_view
@@ -751,7 +754,8 @@ def test_chatbot_view_with_a_short_group_key_leaves_the_bot_unchanged():
     bot = world.bots["bench-bot-000"]
     genuine = world.users["user-001"].send(b"hello bot").chatbot_view
     view = ChatbotMessageView.from_bytes(genuine)
-    forged = replace(view, group_public_key=view.group_public_key[:5]).to_bytes()
+    forged = replace(view, body=replace(
+        view.body, group_public_key=view.body.group_public_key[:5])).to_bytes()
     before = json.dumps(bot.snapshot(), sort_keys=True)
     with pytest.raises(MalformedControl):
         bot.receive(forged)

@@ -339,32 +339,32 @@ def test_same_seed_same_transcript():
 PINNED_SEED_7 = {
     "anonymity": {
         "report": "33a039edef053454de5fe25c5ea510c463f7f0a34dec998d57d2f1674da74bae",
-        "transcript": "bd61516f92f741329d052febd88486e5b6e7b9b4612ef4f217c24441aeb14bae",
+        "transcript": "f9639539181f5965662ba22e020e6cba789c31db15daf4ff35834d6439c7bdd5",
         "supersessions": "c9f1950b7456de3077d5747315a0d599d555a1a5a494ba7c29947912279cf1b4",
     },
     "concealment": {
         "report": "9f38c0f1e58b44b36ba40a0cf68c0b1e1951ba526ed56737e1768a8e7a873c5e",
-        "transcript": "d91a11b5b449801014ae3d0df2a792f214ac82601e3bae9f54e8e30eadbad4a3",
+        "transcript": "3ea00fd55d539e7699ed829df86c90fe864e019fc2d0a53d7442d024ab39ad02",
         "supersessions": "8013cf0343010e2b82a8597c514cdd46d3a30b2c128e390864fb4073bb7de908",
     },
     "demo": {
         "report": "d8f5c2bb493dc9b106f7edf7476eb25ba4b1b29cefb5f1825b67642c2480fcd4",
-        "transcript": "23a08394764ba61705fdfb4a791a503c2c43719ef7f1bb54cdbe17bee1eb13dd",
+        "transcript": "6ed9ae45c5a6e6313826880ae27f6ebfa89b956cfe9033220ebb618758f708a9",
         "supersessions": "205b0e088372c2fb43267d0bd9e3de8ba5ad0fd3e3f2e35efa6c2de49a3eae85",
     },
     "fs": {
         "report": "f5fc3c0667dc16fb0aea41e4e96f4c34102a65bec0dad3473568150d44144269",
-        "transcript": "785571b00ac9adde4e2b381bf5a371b337d585e15350212f9114493d90fc877f",
+        "transcript": "e4a4a4572a9dcfb1466063825ee63ae270624edf37026dec94a7a1ced784f912",
         "supersessions": "74ac06911edae041e25207b9c2eecb343284be288079da65870fca61af6ecbbe",
     },
     "pcs": {
         "report": "82ea222020d3b292b09bbbc0cc364cdb566831f7ab539e887823fc041f0ffed0",
-        "transcript": "f75ee6654b9be1d83a4bfa32e820ba329203127befa2aad8652c3569bccffc39",
+        "transcript": "14cf33aa1bba60706d38cbf1ffcbccf02f8281ac6618de44aff71406ee091bda",
         "supersessions": "861efb5eecf3880a89a078a82919c1804447f71f33be1b035f602f1d2ec3e024",
     },
     "selective": {
         "report": "29ae0d28cc04bd905fe4f306d3828ca4f6bc010b6b84150ac8ac208512bff6a9",
-        "transcript": "3b52b97c3accf16cd1a1d57e3129bf98aa1319e010ebead12825a21bcf01bf00",
+        "transcript": "b816b187db7756330da109a2aa587a39b12372bb0135d5554a9b164a1e2daf1a",
         "supersessions": "9438ea1a302fc63b036366778129242e50f03e7291a923d9bfc5b5b7c7bb7e01",
     },
 }
@@ -617,8 +617,16 @@ def _chatbot_rows(result):
             and base64.b64decode(r["view_b64"])[0] == VIEW_CHATBOT_MESSAGE]
 
 
-def _reencode(row, view):
+def _reencode(row, view, **body):
+    """Write `view` into `row`, with the fields `body` names of its body
+    changed."""
+    if body:
+        view = replace(view, body=replace(view.body, **body))
     row["view_b64"] = base64.b64encode(view.to_bytes()).decode("ascii")
+
+
+def _view(row):
+    return ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
 
 
 def test_anonymity_probe_raises_on_a_malformed_message_view():
@@ -641,9 +649,9 @@ def test_anonymity_probe_flags_shape_differences():
     result = run_text(text, seed=9)
     assert probes.probe_anonymity(result).passed
     row = _chatbot_rows(result)[-1]
-    view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
+    view = _view(row)
     dummy = ("echo-bot-01", 1, random_bytes(BOX_LEN))
-    _reencode(row, replace(view, entries=(*view.entries, dummy)))
+    _reencode(row, view, entries=(*view.body.entries, dummy))
     verdict = probes.probe_anonymity(result)
     assert verdict.detail["violations"] == [
         {"kind": "shape", "chatbot": "echo-bot-01", "message": b"same words".hex(),
@@ -681,25 +689,41 @@ def test_anonymity_probe_flags_a_member_id_in_a_view():
 
 
 def test_concealment_probe_flags_a_missing_entry():
-    # one attached bot's view of a concealed send loses its one entry
+    # one attached bot's view of a concealed send loses its one entry, and
+    # with it the body: the notice a bot that no entry names gets
     result = run_text(canned.CONCEALMENT, seed=9)
     seq = next(ev.seq for ev in result.sends if ev.concealed)
     row = next(row for row in _chatbot_rows(result) if row["seq"] == seq)
-    view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
-    assert len(view.entries) == 1
-    _reencode(row, replace(view, entries=()))
+    view = _view(row)
+    assert len(view.body.entries) == 1
+    _reencode(row, replace(view, body=None))
     verdict = probes.probe_concealment(result)
     assert verdict.detail["violations"] == [{"seq": seq, "kind": "roster"}]
+
+
+def test_concealment_probe_flags_a_body_without_an_entry():
+    # a bot that no entry names handed the message's body anyway: a
+    # ciphertext and keys it cannot use, which its notice leaves out
+    result = run_text(canned.SELECTIVE_ACCESS, seed=9)
+    assert probes.probe_concealment(result).passed
+    rows = _chatbot_rows(result)
+    notice = next(row for row in rows if _view(row).body is None)
+    full = next(_view(row) for row in rows
+                if row["seq"] == notice["seq"] and _view(row).body is not None)
+    _reencode(notice, replace(_view(notice), body=replace(full.body, entries=())))
+    verdict = probes.probe_concealment(result)
+    assert verdict.detail["violations"] == [
+        {"seq": notice["seq"], "chatbot": notice["recipient"], "kind": "body"}]
 
 
 def test_concealment_probe_flags_a_second_entry_of_a_concealed_send():
     result = run_text(canned.CONCEALMENT, seed=9)
     seq = next(ev.seq for ev in result.sends if ev.concealed)
     row = next(row for row in _chatbot_rows(result) if row["seq"] == seq)
-    view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
-    (cid, position, _), = view.entries
+    view = _view(row)
+    (cid, position, _), = view.body.entries
     extra = (cid, position + 1, random_bytes(BOX_LEN))
-    _reencode(row, replace(view, entries=(*view.entries, extra)))
+    _reencode(row, view, entries=(*view.body.entries, extra))
     verdict = probes.probe_concealment(result)
     assert verdict.detail["violations"] == [
         {"seq": seq, "chatbot": row["recipient"], "kind": "entries", "count": 2}]
@@ -710,11 +734,11 @@ def test_concealment_probe_flags_a_view_naming_another_bot(name):
     # a bot handed another bot's entry learns that the other was reached
     result = run_text(canned.ALL[name], seed=9)
     rows = _chatbot_rows(result)
-    row = rows[-1]
+    row = next(row for row in reversed(rows) if _view(row).body is not None)
     other = next(r["recipient"] for r in rows if r["recipient"] != row["recipient"])
-    view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
-    entry = (other, len(view.entries), random_bytes(BOX_LEN))
-    _reencode(row, replace(view, entries=(*view.entries, entry)))
+    view = _view(row)
+    entry = (other, len(view.body.entries), random_bytes(BOX_LEN))
+    _reencode(row, view, entries=(*view.body.entries, entry))
     verdict = probes.probe_concealment(result)
     assert {"seq": row["seq"], "chatbot": row["recipient"], "kind": "other_bot",
             "named": [other]} in verdict.detail["violations"]
@@ -725,10 +749,8 @@ def test_no_delivered_chatbot_view_names_another_bot(name):
     result = run_text(canned.ALL[name], seed=7)
     rows = _chatbot_rows(result)
     assert rows
-    naming_others = [
-        row["seq"] for row in rows
-        if {entry[0] for entry in ChatbotMessageView.from_bytes(
-            base64.b64decode(row["view_b64"])).entries} - {row["recipient"]}]
+    naming_others = [row["seq"] for row in rows if (body := _view(row).body)
+                     and {entry[0] for entry in body.entries} - {row["recipient"]}]
     assert naming_others == []
     assert probes.probe_concealment(result).passed
 
@@ -744,9 +766,9 @@ def test_concealment_probe_flags_a_concealed_view_without_a_genuine_ephemeral(
     rewritten = []
     for row in _chatbot_rows(result):
         if row["seq"] == seq:
-            view = ChatbotMessageView.from_bytes(base64.b64decode(row["view_b64"]))
-            assert probes._is_public_key(view.ephemeral)
-            _reencode(row, replace(view, ephemeral=ephemeral))
+            view = _view(row)
+            assert probes._is_public_key(view.body.ephemeral)
+            _reencode(row, view, ephemeral=ephemeral)
             rewritten.append(row["recipient"])
     assert len(rewritten) > 1
     verdict = probes.probe_concealment(result)

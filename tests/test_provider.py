@@ -38,6 +38,7 @@ from chatgate.group import (
     RemoveBotControl,
     UserMessageView,
     chatbot_init,
+    chatbot_view_shape,
 )
 from chatgate.harness import bench, canned
 from chatgate.harness.driver import Group
@@ -239,7 +240,7 @@ def test_publish_shares_one_view_string_per_recipient_class():
     rows = [r for r in provider.transcript if r["seq"] == seq]
     full = ChatbotMessageView.from_bytes(out.chatbot_view)
     classes = {("user-01", "user-02"): out.user_view,
-               ("memo-bot-02", "note-bot-03"): replace(full, entries=()).to_bytes(),
+               ("memo-bot-02", "note-bot-03"): replace(full, body=None).to_bytes(),
                ("echo-bot-01",): out.chatbot_view}
     for recipients, view in classes.items():
         strings = [r["view_b64"] for r in rows if r["recipient"] in recipients]
@@ -336,23 +337,35 @@ def _routing_state(provider):
 
 
 def _width_broken(view: ChatbotMessageView, field: str) -> bytes:
-    """`view` re-encoded with one field a byte short; encoding writes any
-    width, decoding refuses it."""
+    """`view` re-encoded with one field of its body a byte short; encoding
+    writes any width, decoding refuses it."""
+    body = view.body
     if field == "box":
-        (cid, position, box), *rest = view.entries
-        return replace(view, entries=((cid, position, box[:-1]), *rest)).to_bytes()
-    return replace(view, **{field: getattr(view, field)[:-1]}).to_bytes()
+        (cid, position, box), *rest = body.entries
+        body = replace(body, entries=((cid, position, box[:-1]), *rest))
+    else:
+        body = replace(body, **{field: getattr(body, field)[:-1]})
+    return replace(view, body=body).to_bytes()
 
 
 @pytest.mark.parametrize("broken", ["truncated", "box", "ephemeral", "group_public_key",
-                                    "user_view", "tree_control"])
+                                    "user_view", "tree_control", "add_bot_short",
+                                    "remove_bot_short"])
 def test_a_view_no_recipient_can_read_is_refused_before_sequencing(broken):
-    # a member view that lost its last byte, and a tree control passed as
-    # the chatbot view, were each sequenced and delivered
+    # a member view that lost its last byte, a tree control passed as the
+    # chatbot view, and an attach or detach control whose chatbot copy lost
+    # its last byte, were each sequenced and delivered
     world = bench.World(3, 2)
     out = world.users["user-000"].send(b"hello both")
     user_view, bot_view = out.user_view, out.chatbot_view
-    if broken == "user_view":
+    if broken == "add_bot_short":
+        world.declare_bot("extra-bot", rules_from_text("always"))
+        user_view = world.users["user-000"].add_chatbot("extra-bot")
+        bot_view = user_view[:-1]
+    elif broken == "remove_bot_short":
+        user_view = world.users["user-000"].remove_chatbot("bench-bot-000")
+        bot_view = user_view[:-1]
+    elif broken == "user_view":
         user_view = user_view[:-1]
     elif broken == "tree_control":
         bot_view = GroupControl(UserMessageView.from_bytes(user_view).control).to_bytes()
@@ -402,8 +415,9 @@ def test_a_mutated_chatbot_view_publishes_or_leaves_no_trace(data):
         if row["recipient_class"] == "chatbot":
             view = base64.b64decode(row["view_b64"])
             if peek_type(view) == VIEW_CHATBOT_MESSAGE:
-                entries = ChatbotMessageView.from_bytes(view).entries
-                assert {cid for cid, _, _ in entries} <= {row["recipient"]}
+                body = ChatbotMessageView.from_bytes(view).body
+                assert body is None or {cid for cid, _, _ in body.entries} <= {
+                    row["recipient"]}
     for pid in [*world.ids, *world.bots]:
         provider.inbox(pid)
 
@@ -422,8 +436,36 @@ def test_an_addressed_bot_gets_a_view_of_one_length_whatever_the_bot_count():
     lengths = {m: len(view) for m, view in views.items()}
     assert len(set(lengths.values())) == 1, lengths
     for view in views.values():
-        (entry,) = ChatbotMessageView.from_bytes(view).entries
+        (entry,) = ChatbotMessageView.from_bytes(view).body.entries
         assert entry[:2] == ("bench-bot-000", 0)
+
+
+def test_an_unaddressed_bot_gets_a_22_byte_notice():
+    # the header alone, 1 + (4 + 9) + 4 + 4 B for "grp-bench", whatever the
+    # message length, pseudonymity or bot count; it opens to nothing
+    lengths = set()
+    for m in (2, 8, 16):
+        world = bench.World(8, m)
+        world.attach_bot("quiet-bot", "never")
+        world.register_pseudonyms()
+        quiet = world.bots["quiet-bot"]
+        for message, pseudonymous in ((b"short", False), (b"long " * 200, False),
+                                      (b"signed", True), (b"signed " * 200, True)):
+            out = world.users["user-001"].send(message, pseudonymous=pseudonymous)
+            world.publish("user-001", out.user_view, out.chatbot_view)
+            (notice,) = world.provider.inbox("quiet-bot")
+            lengths.add(len(notice))
+            before = json.dumps(quiet.snapshot(), sort_keys=True)
+            assert quiet.process(notice) is group.NOT_ADDRESSED
+            assert json.dumps(quiet.snapshot(), sort_keys=True) == before
+            world.deliver()
+        assert chatbot_view_shape(notice) == (("group_id", 13), ("epoch", 4), ("body", ()))
+        assert group.project_chatbot_view(notice) == (notice, {})
+        elsewhere = replace(ChatbotMessageView.from_bytes(notice), group_id="grp-other")
+        with pytest.raises(MalformedControl):
+            quiet.process(elsewhere.to_bytes())
+        assert json.dumps(quiet.snapshot(), sort_keys=True) == before
+    assert lengths == {22}
 
 
 def test_a_bot_target_not_attached_to_the_group_is_refused_before_sequencing():
@@ -727,8 +769,9 @@ def _reference_material(transcript):
     chatbot views carry, name the bot's node key tracked in transcript
     order; tree entries, bot replies and attach seeds stay unhinted, so the
     oracle below tries them against every candidate. A member's view names
-    the root key of its control's path, a chatbot view its group key and a
-    bot reply its node key."""
+    the root key of its control's path, a chatbot view's body its group
+    key and a bot reply its node key; a notice, which has no body, names
+    nothing."""
     boxes = {}
     ciphertexts = {}
     seen = set()
@@ -756,7 +799,9 @@ def _reference_material(transcript):
             ciphertexts.setdefault(v.ciphertext, set()).add(control.new_public_path[-1])
             control_boxes(control)
         elif kind == VIEW_CHATBOT_MESSAGE:
-            v = ChatbotMessageView.from_bytes(view)
+            v = ChatbotMessageView.from_bytes(view).body
+            if v is None:
+                continue
             ciphertexts.setdefault(v.ciphertext, set()).add(v.group_public_key)
             for cid, position, box in v.entries:
                 add_box((box, v.ephemeral, position), bot_pk.get(cid))
