@@ -25,11 +25,12 @@ SEALED_LEN wide.
 A chatbot view is a header (group id, epoch) and a list of at most one
 body: the ciphertext, the group public key, the batch ephemeral and the
 entries. The sender builds one chatbot view, its body holding every
-entry; the provider delivers each chatbot that an entry names the header
-and a body with only its own entries (`project_chatbot_view`), as it
-delivers an add's welcome to the newcomer alone. Every other chatbot gets
-one shared notice, the header without a body: it could open nothing in
-the body, so it is not sent the ciphertext at all. So a chatbot's view
+entry. Which view each recipient of a bundle is sent is decided here,
+by `project_view`, and the provider delivers what it returns: each
+chatbot that an entry names gets the header and a body with only its own
+entries, as an add's newcomer alone gets its welcome. Every other chatbot
+gets one shared notice, the header without a body: it could open nothing
+in the body, so it is not sent the ciphertext at all. So a chatbot's view
 has the same length whatever the number of bots a send reaches, and all
 a chatbot learns about the others is its own entry's position: its rank
 among the bots of the batch.
@@ -48,7 +49,7 @@ and epoch in its header, the group public key in its body.
 
 A wrapped tree control ends in a list of at most one newcomer section;
 only an add's has one: the welcome (the public tree the add was built on)
-and the chatbot roster. The provider delivers that section to the newcomer
+and the chatbot roster. `project_view` gives that section to the newcomer
 alone; every other member gets the same control with an empty list, so
 what an add costs each of them is its path entries, not the whole tree.
 """
@@ -58,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Protocol, Union
 
-from .cgka import CgkaControl, CgkaState, hx
+from .cgka import CONTROL_ADD, CgkaControl, CgkaState, hx
 from .encoding import (
     BOX,
     BYTES,
@@ -119,22 +120,6 @@ GROUP_CONTROL = 0x15
 
 _FLAG_ADDRESS_ALL = 0x01
 
-# type byte -> name of the handler each party kind runs on a delivered view;
-# looked up on the instance, so a handler replaced on the class is called
-_USER_HANDLERS = {
-    GROUP_CONTROL: "process_group_control",
-    VIEW_USER_MESSAGE: "process_user_message",
-    ADD_BOT: "process_add_chatbot",
-    REMOVE_BOT: "process_remove_chatbot",
-    BOT_MESSAGE: "receive_from_chatbot",
-}
-_BOT_HANDLERS = {
-    VIEW_CHATBOT_MESSAGE: "receive",
-    ADD_BOT: "process_add",
-    REMOVE_BOT: "process_remove",
-}
-
-
 class BotLookup(Protocol):
     """Where registrations come from; the provider implements this."""
 
@@ -177,11 +162,18 @@ class PseudonymRegistration:
 ReceiveResult = Union[ReceivedMessage, PseudonymRegistration, _NotAddressed]
 
 
-def _dispatch(party, handlers: dict[int, str], view: bytes):
+def _handler(handlers: dict[int, str], view: bytes) -> tuple[int, str]:
+    """The type byte of `view` and the name of the handler `handlers` runs
+    on it; a type the party kind does not handle is malformed."""
     kind = peek_type(view)
     name = handlers.get(kind)
     if name is None:
         raise MalformedControl(f"no handler for view type 0x{kind:02x}")
+    return kind, name
+
+
+def _dispatch(party, handlers: dict[int, str], view: bytes):
+    _, name = _handler(handlers, view)
     return getattr(party, name)(view)
 
 
@@ -294,28 +286,6 @@ class ChatbotMessageView:
     body: ChatbotViewBody | None = None
 
 
-def project_chatbot_view(data: bytes) -> tuple[bytes, dict[str, bytes]]:
-    """The view each chatbot gets of a chatbot message view: the header
-    and the body with only the entries that name it. Returns the notice
-    that every chatbot without an entry shares, the header alone, and the
-    view of each chatbot with an entry. A box's key binds its position,
-    which the entry keeps, so a projected box opens as it did in the whole
-    view. Decodes `data` once, so a malformed view raises before anything
-    is delivered."""
-    view = ChatbotMessageView.from_bytes(data)
-    notice = ChatbotMessageView(group_id=view.group_id, epoch=view.epoch).to_bytes()
-    if view.body is None:
-        return notice, {}
-    # the entries are the last field: without them the view ends in the
-    # 4-byte count of an empty list
-    head = replace(view, body=replace(view.body, entries=())).to_bytes()[:-4]
-    named: dict[str, list[tuple[str, int, bytes]]] = {}
-    for entry in view.body.entries:
-        named.setdefault(entry[0], []).append(entry)
-    return notice, {cid: head + Writer().items(own, _ENTRY.write).done()
-                    for cid, own in named.items()}
-
-
 def chatbot_view_shape(data: bytes) -> tuple:
     """Field-length vector of a chatbot view, for structural comparison."""
     (layout,) = ChatbotMessageView.wire_layouts.values()
@@ -373,6 +343,61 @@ class GroupControl:
 
     control: bytes
     welcome: Welcome | None = None
+
+
+# type byte -> name of the handler each party kind runs on a delivered view;
+# looked up on the instance, so a handler replaced on the class is called
+_USER_HANDLERS = {
+    GROUP_CONTROL: "process_group_control",
+    VIEW_USER_MESSAGE: "process_user_message",
+    ADD_BOT: "process_add_chatbot",
+    REMOVE_BOT: "process_remove_chatbot",
+    BOT_MESSAGE: "receive_from_chatbot",
+}
+_BOT_HANDLERS = {
+    VIEW_CHATBOT_MESSAGE: "receive",
+    ADD_BOT: "process_add",
+    REMOVE_BOT: "process_remove",
+}
+# the outer record of each view type
+_RECORDS = {GROUP_CONTROL: GroupControl, VIEW_USER_MESSAGE: UserMessageView,
+            VIEW_CHATBOT_MESSAGE: ChatbotMessageView, ADD_BOT: AddBotControl,
+            REMOVE_BOT: RemoveBotControl, BOT_MESSAGE: BotMessage}
+
+
+def project_view(data: bytes, handlers: dict[int, str]) -> tuple[bytes, dict[str, bytes]]:
+    """What each recipient of `data` is sent, for the party kind that runs
+    `handlers`: the view all recipients share, and each recipient's own
+    view where it gets another. An add's newcomer alone gets the welcome
+    (RFC 9420 sends a Welcome to new members only); the other members share
+    the control without it. Of a chatbot message view, each chatbot with an
+    entry gets the header and a body with only its own entries, whose boxes
+    open as in the whole view since the entry keeps its position; the rest
+    share the notice, the header alone. Any other view goes to all alike.
+    Decodes the outer record once, so a type no such party handles, or a
+    view that does not decode, raises before anything is delivered."""
+    kind, _ = _handler(handlers, data)
+    view = _RECORDS[kind].from_bytes(data)
+    if kind == GROUP_CONTROL:
+        is_add = peek_type(view.control) == CONTROL_ADD
+        if is_add != (view.welcome is not None):
+            raise MalformedControl("a welcome goes with an add, and only with one")
+        if is_add:
+            newcomer = CgkaControl.from_bytes(view.control).new_member_id
+            return replace(view, welcome=None).to_bytes(), {newcomer: data}
+    elif kind == VIEW_CHATBOT_MESSAGE:
+        notice = ChatbotMessageView(group_id=view.group_id, epoch=view.epoch).to_bytes()
+        if view.body is None:
+            return notice, {}
+        # the entries are the last field: without them the view ends in the
+        # 4-byte count of an empty list
+        head = replace(view, body=replace(view.body, entries=())).to_bytes()[:-4]
+        named: dict[str, list[tuple[str, int, bytes]]] = {}
+        for entry in view.body.entries:
+            named.setdefault(entry[0], []).append(entry)
+        return notice, {cid: head + Writer().items(own, _ENTRY.write).done()
+                        for cid, own in named.items()}
+    return data, {}
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,12 @@ class Group:
         self.provider.add_member(self.group_id, uid)
         return blob
 
+    def remove_user(self, remover: str, uid: str) -> bytes:
+        with counters.attribute(remover):
+            blob = self.users[remover].remove_user(uid)
+        self.provider.remove_member(self.group_id, uid)
+        return blob
+
     def attach(self, adder: str, cid: str) -> bytes:
         with counters.attribute(adder):
             blob = self.users[adder].add_chatbot(cid)

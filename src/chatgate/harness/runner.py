@@ -214,9 +214,7 @@ class Runner:
                 return _Bundle(who, blob, {"actor": who, "member": op.member})
 
             case sc.RemUser():
-                with counters.attribute(who):
-                    blob = res.users[who].remove_user(op.member)
-                res.provider.remove_member(self.group.group_id, op.member)
+                blob = self.group.remove_user(who, op.member)
                 return _Bundle(who, blob, {"actor": who, "member": op.member})
 
             case sc.Update():

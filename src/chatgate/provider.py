@@ -2,17 +2,12 @@
 
 The provider is honest-but-curious infrastructure. It validates registrations,
 assigns a total order to published bundles, and routes each recipient class
-its own view. Users get the user view, except that an add's welcome goes
-to the newcomer the add names and no one else: every other member gets the
-same wrapped control without it (RFC 9420 sends a Commit to the group and
-a Welcome to new members only). Likewise each chatbot that an entry
-names gets the chatbot view with only the entries that name it, and every
-other chatbot gets one shared notice, the view's header without its body:
-no ciphertext, group key or ephemeral, none of which it could use. So a
-bot's view does not grow with the number of bots a send addresses or
-conceals, and a bot that no entry names is not sent the message. The
-provider never sees plaintext or secret keys; everything it stores (the
-transcript) is exactly what a network observer would capture.
+its own view. Which view each recipient gets the group layer decides
+(`group.project_view`): an add's welcome goes to its newcomer alone, and a
+chatbot gets only the entries that name it, or a header-only notice when
+none does. The provider delivers what it returns. It never sees plaintext
+or secret keys; everything it stores (the transcript) is exactly what a
+network observer would capture.
 
 `adversary_decrypt` plays the compromise game: given one party's serialized
 state and an `Adversary`, which holds the public transcript and the public
@@ -48,11 +43,11 @@ from __future__ import annotations
 import base64
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, TypeVar
 
-from .cgka import CONTROL_ADD, CgkaControl, InitKeyDirectory, advance
+from .cgka import CgkaControl, InitKeyDirectory, advance
 from .encoding import peek_type
 from .errors import (
     BadSignature,
@@ -73,7 +68,6 @@ from .group import (
     ADD_BOT,
     BOT_MESSAGE,
     GROUP_CONTROL,
-    REMOVE_BOT,
     VIEW_CHATBOT_MESSAGE,
     VIEW_USER_MESSAGE,
     AddBotControl,
@@ -82,10 +76,9 @@ from .group import (
     ChatbotMessageView,
     GroupControl,
     PseudonymRegistration,
-    RemoveBotControl,
     UserMessageView,
     _parse_payload,
-    project_chatbot_view,
+    project_view,
 )
 from .primitives import (
     CHAIN,
@@ -185,64 +178,48 @@ class Provider:
 
     # -- publishing ---------------------------------------------------------------
 
-    def publish(self, group_id: str, sender: str, *,
-                user_view: bytes | None = None,
+    def publish(self, group_id: str, sender: str, *, user_view: bytes,
                 bot_view: bytes | None = None,
                 bot_targets: tuple[str, ...] | None = None) -> int:
-        """Broadcast one logical bundle. Users other than the sender get
-        `user_view`, but only the newcomer of an add gets its welcome;
-        attached chatbots (or exactly `bot_targets`, each registered and
-        attached) get `bot_view`, but of a chatbot message view only the
-        entries that name them, and a chatbot no entry names only its
-        header. A view that its recipients cannot read, or whose outer
-        record does not decode, is refused before the bundle takes a
-        sequence number, so a refused bundle leaves no trace. Returns the
-        sequence number."""
+        """Broadcast one logical bundle: `user_view` to the members other
+        than the sender, `bot_view` to the attached chatbots or to exactly
+        `bot_targets`, each registered, attached and named once. The group
+        layer decides which view of either each recipient gets
+        (`group.project_view`). A bundle that is refused, for its routing
+        or for a view its recipients cannot read or decode, takes no
+        sequence number and leaves no trace. Returns the sequence number."""
         ch = self._channel(group_id)
         if sender not in ch.members and sender not in ch.bots:
             raise NotMember(f"{sender!r} may not publish to {group_id!r}")
-        newcomer = None
-        if user_view is not None:
-            newcomer, member_view = _split_welcome(user_view)
-            if newcomer is not None and (newcomer == sender
-                                         or newcomer not in ch.members):
+        shared, own = project_view(user_view, _USER_HANDLERS)
+        for newcomer in own:
+            if newcomer == sender or newcomer not in ch.members:
                 raise NotMember(f"the add's newcomer {newcomer!r} is not "
                                 f"routed in {group_id!r}")
+        routes = [("user", [uid for uid in sorted(ch.members) if uid != sender],
+                   shared, own)]
         if bot_view is not None:
             targets = [cid for cid in (sorted(ch.bots) if bot_targets is None
                                        else bot_targets) if cid != sender]
+            if len(set(targets)) != len(targets):
+                raise DuplicateChatbot(f"bot targets {targets!r} name a chatbot twice")
             for cid in targets:
                 if cid not in self._bots:
                     raise UnknownChatbot(f"no registration for {cid!r}")
                 if cid not in ch.bots:
                     raise NotPresent(f"{cid!r} is not attached to {group_id!r}")
-            kind = peek_type(bot_view)
-            if kind not in _BOT_HANDLERS:
-                raise MalformedControl(f"no chatbot handles view type 0x{kind:02x}")
-            if kind == VIEW_CHATBOT_MESSAGE:
-                shared, own = project_chatbot_view(bot_view)
-            else:
-                _RECORDS[kind].from_bytes(bot_view)
-                shared, own = bot_view, {}
+            routes.append(("chatbot", targets, *project_view(bot_view, _BOT_HANDLERS)))
         self._seq += 1
         seq = self._seq
-        if user_view is not None:
-            member_b64 = base64.b64encode(member_view).decode("ascii")
-            for uid in sorted(ch.members):
-                if uid == newcomer:
-                    self._deliver(seq, group_id, "user", uid, user_view,
-                                  base64.b64encode(user_view).decode("ascii"))
-                elif uid != sender:
-                    self._deliver(seq, group_id, "user", uid, member_view,
-                                  member_b64)
-        if bot_view is not None:
+        for recipient_class, recipients, shared, own in routes:
             shared_b64 = base64.b64encode(shared).decode("ascii")
-            for cid in targets:
-                view = own.get(cid)
+            for pid in recipients:
+                view = own.get(pid)
                 if view is None:
-                    self._deliver(seq, group_id, "chatbot", cid, shared, shared_b64)
+                    self._deliver(seq, group_id, recipient_class, pid, shared,
+                                  shared_b64)
                 else:
-                    self._deliver(seq, group_id, "chatbot", cid, view,
+                    self._deliver(seq, group_id, recipient_class, pid, view,
                                   base64.b64encode(view).decode("ascii"))
         return seq
 
@@ -281,33 +258,6 @@ class Provider:
         party = self._parties[party_id]
         return json.dumps(party.snapshot(), sort_keys=True,
                           separators=(",", ":")).encode("ascii")
-
-
-# the outer record of each view type
-_RECORDS = {GROUP_CONTROL: GroupControl, VIEW_USER_MESSAGE: UserMessageView,
-            VIEW_CHATBOT_MESSAGE: ChatbotMessageView, ADD_BOT: AddBotControl,
-            REMOVE_BOT: RemoveBotControl, BOT_MESSAGE: BotMessage}
-
-
-def _split_welcome(user_view: bytes) -> tuple[str | None, bytes]:
-    """The newcomer an add's user view names, and the view every other
-    member gets: the same wrapped control without the welcome. Any other
-    view names no newcomer and goes to every member unchanged. A welcome
-    without an add, an add without a welcome, or a view whose outer record
-    does not decode, is malformed."""
-    kind = peek_type(user_view)
-    if kind not in _USER_HANDLERS:
-        raise MalformedControl(f"no member handles view type 0x{kind:02x}")
-    wrapped = _RECORDS[kind].from_bytes(user_view)
-    if kind != GROUP_CONTROL:
-        return None, user_view
-    is_add = peek_type(wrapped.control) == CONTROL_ADD
-    if is_add != (wrapped.welcome is not None):
-        raise MalformedControl("a welcome goes with an add, and only with one")
-    if not is_add:
-        return None, user_view
-    newcomer = CgkaControl.from_bytes(wrapped.control).new_member_id
-    return newcomer, replace(wrapped, welcome=None).to_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from chatgate.errors import (
     UnknownChatbot,
 )
 from chatgate.group import (
+    _BOT_HANDLERS,
     NOT_ADDRESSED,
     AddBotControl,
     BotMessage,
@@ -42,7 +43,7 @@ from chatgate.group import (
     UserState,
     chatbot_init,
     chatbot_view_shape,
-    project_chatbot_view,
+    project_view,
     user_init,
 )
 from chatgate.harness import bench, probes
@@ -327,7 +328,7 @@ def test_member_view_carries_no_chatbot_box():
     # and a box: 4 + 13 + 4 + 4 + 48 = 73 B; each bot is delivered its own,
     # and a bot with none would get the header alone: 1 + 13 + 4 + 4 B
     assert (len(first.user_view), len(first.chatbot_view)) == (530, 444)
-    shared, own = project_chatbot_view(first.chatbot_view)
+    shared, own = project_view(first.chatbot_view, _BOT_HANDLERS)
     assert (len(shared), sorted(map(len, own.values()))) == (22, [444 - 3 * 73] * 4)
     assert out.concealed == ("quiet-bot-004",)
     bot_view = ChatbotMessageView.from_bytes(out.chatbot_view).body

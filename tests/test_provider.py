@@ -214,8 +214,7 @@ def test_nonmember_cannot_publish():
 
 def test_removed_member_stops_receiving():
     world = make_world(3)
-    blob = world.users["user-00"].remove_user("user-02")
-    world.provider.remove_member("grp-main", "user-02")
+    blob = world.remove_user("user-00", "user-02")
     seq = world.publish("user-00", blob)
     recipients = [r["recipient"] for r in world.provider.transcript if r["seq"] == seq]
     assert recipients == ["user-01"]
@@ -331,6 +330,19 @@ def test_send_to_an_unregistered_bot_target_is_refused_before_sequencing():
     assert world.publish("user-000", out.user_view, out.chatbot_view) == before[0] + 1
 
 
+def test_a_bot_target_named_twice_is_refused_before_sequencing():
+    # it was sequenced with one row per naming, and the second delivery
+    # raised DuplicateChatbot at the bot
+    world = bench.World(3, 0)
+    world.declare_bot("b1", rules_from_text("always"))
+    blob = world.attach("user-000", "b1")
+    before = _routing_state(world.provider)
+    with pytest.raises(DuplicateChatbot):
+        world.publish("user-000", blob, blob, ("b1", "b1"))
+    assert _routing_state(world.provider) == before
+    assert world.publish("user-000", blob, blob, ("b1",)) == before[0] + 1
+
+
 def _routing_state(provider):
     return (provider._seq, len(provider.transcript),
             {pid: list(views) for pid, views in provider._inboxes.items()})
@@ -350,11 +362,12 @@ def _width_broken(view: ChatbotMessageView, field: str) -> bytes:
 
 @pytest.mark.parametrize("broken", ["truncated", "box", "ephemeral", "group_public_key",
                                     "user_view", "tree_control", "add_bot_short",
-                                    "remove_bot_short"])
+                                    "remove_bot_short", "chatbot_view_as_user_view"])
 def test_a_view_no_recipient_can_read_is_refused_before_sequencing(broken):
     # a member view that lost its last byte, a tree control passed as the
     # chatbot view, and an attach or detach control whose chatbot copy lost
-    # its last byte, were each sequenced and delivered
+    # its last byte, were each sequenced and delivered; no member handles a
+    # chatbot view
     world = bench.World(3, 2)
     out = world.users["user-000"].send(b"hello both")
     user_view, bot_view = out.user_view, out.chatbot_view
@@ -367,6 +380,8 @@ def test_a_view_no_recipient_can_read_is_refused_before_sequencing(broken):
         bot_view = user_view[:-1]
     elif broken == "user_view":
         user_view = user_view[:-1]
+    elif broken == "chatbot_view_as_user_view":
+        user_view = bot_view
     elif broken == "tree_control":
         bot_view = GroupControl(UserMessageView.from_bytes(user_view).control).to_bytes()
     elif broken == "truncated":
@@ -460,7 +475,7 @@ def test_an_unaddressed_bot_gets_a_22_byte_notice():
             assert json.dumps(quiet.snapshot(), sort_keys=True) == before
             world.deliver()
         assert chatbot_view_shape(notice) == (("group_id", 13), ("epoch", 4), ("body", ()))
-        assert group.project_chatbot_view(notice) == (notice, {})
+        assert group.project_view(notice, group._BOT_HANDLERS) == (notice, {})
         elsewhere = replace(ChatbotMessageView.from_bytes(notice), group_id="grp-other")
         with pytest.raises(MalformedControl):
             quiet.process(elsewhere.to_bytes())
