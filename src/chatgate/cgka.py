@@ -9,8 +9,15 @@ by its index, not by its key: every member holds that key in its public
 tree already (RFC 9420's UpdatePathNode carries no recipient key either).
 A control's entries are one batch of boxes (`primitives.pke_seal_batch`):
 its tail is the new public path, the batch's ephemeral public key, once,
-then the entries, each a u32 target node and a BOX_LEN box bound to its
-position in the list.
+a bare u32 `first`, then the entries, each a u32 target node and a BOX_LEN
+box bound to its position in the batch. The sender's control holds the
+whole batch, `first` 0. A member can open only the entries sealed into the
+subtree of its copath level of the sender, a contiguous run of the batch,
+so it is sent a slice (`slices_by_level`): the same control with that run
+alone, `first` naming the batch position of the run's first entry. Entry
+i of a control sits at batch position `first + i`, whole or sliced, so
+receivers and the adversary open both alike. The entries are the last
+field, ENTRY_LEN each, so a slice is cut from the control's bytes.
 The root secret of the current epoch is the group secret; the key pair
 generated from it is the group key pair that the chatbot layer shares
 with addressed chatbots.
@@ -63,6 +70,7 @@ every party from the tree it holds (the newcomer from its welcome).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import itemgetter
@@ -81,6 +89,7 @@ from .errors import (
     UnknownMember,
 )
 from .primitives import (
+    BOX_LEN,
     NO_EPHEMERAL,
     PUBLIC_KEY_LEN,
     KeyPair,
@@ -108,8 +117,12 @@ _MIDDLES = {
     CONTROL_REMOVE: ("remove", (("removed_id", TEXT),)),
     CONTROL_UPDATE: ("update", ()),
 }
-_TAIL = (("new_public_path", items(KEY)), ("ephemeral", KEY),
+_TAIL = (("new_public_path", items(KEY)), ("ephemeral", KEY), ("first", U32),
          ("path_entries", items(Record(("target", U32), ("box", BOX)))))
+# the width of a path entry on the wire: its u32 target node and its
+# length-prefixed box; a slice's `first` and entry count, ahead of them
+ENTRY_LEN = 4 + 4 + BOX_LEN
+_RUN = struct.Struct(">II")
 
 
 class InitKeyDirectory:
@@ -145,6 +158,7 @@ class CgkaControl:
     sender_leaf: int
     new_public_path: list[bytes] = field(default_factory=list)
     ephemeral: bytes = NO_EPHEMERAL  # the path entries' batch ephemeral key
+    first: int = 0  # the batch position of the first of `path_entries`
     path_entries: list[PathEntry] = field(default_factory=list)
     # create
     roster: list[tuple[str, bytes]] = field(default_factory=list)
@@ -153,18 +167,6 @@ class CgkaControl:
     new_member_init_pk: bytes = b""
     # remove
     removed_id: str = ""
-
-
-def _capacity_for(members: int) -> int:
-    """The smallest power of two that seats every member."""
-    return 1 << max(members - 1, 0).bit_length()
-
-
-def _newcomer_leaf(t: treemod.RatchetTree) -> int:
-    """The leaf an add seats its newcomer at: the leftmost blank one, or the
-    first leaf past the capacity when the tree is full and must grow."""
-    leaf = t.leftmost_blank_leaf()
-    return t.capacity if leaf is None else leaf
 
 
 @dataclass
@@ -392,7 +394,7 @@ def edit_membership(control: CgkaControl, t: treemod.RatchetTree | None) -> tupl
         ids = [mid for mid, _ in control.roster]
         if len(set(ids)) != len(ids):
             raise AlreadyMember("create roster lists an id twice")
-        t = treemod.RatchetTree.blank_tree(_capacity_for(len(ids)))
+        t = treemod.RatchetTree.blank_tree(treemod.capacity_for(len(ids)))
         for leaf, (mid, init_pk) in enumerate(control.roster):
             t.members[leaf] = mid
             if leaf != control.sender_leaf:
@@ -402,8 +404,8 @@ def edit_membership(control: CgkaControl, t: treemod.RatchetTree | None) -> tupl
     if control.kind == "add":
         if t.leaf_of(control.new_member_id) is not None:
             raise AlreadyMember(f"{control.new_member_id!r} already present")
-        leaf = _newcomer_leaf(t)
-        if leaf == t.capacity:
+        leaf, capacity = treemod.newcomer_seat(t.members, t.capacity)
+        if capacity != t.capacity:
             t.grow()
         t.nodes[treemod.leaf_node(leaf)] = control.new_member_init_pk
         t.members[leaf] = control.new_member_id
@@ -439,6 +441,48 @@ def advance(control: CgkaControl, t: treemod.RatchetTree | None) -> tuple[
     return t, leaf, sender_path
 
 
+def copath_level(leaf: int, sender_leaf: int) -> int:
+    """The level of the sender's copath node above `leaf`, into whose
+    subtree the entries `leaf` can open were sealed; -1 for the sender's
+    own leaf. It needs no tree: two leaves' direct paths meet one level
+    above the highest bit in which the leaves differ."""
+    return (leaf ^ sender_leaf).bit_length() - 1
+
+
+def slice_start(data: bytes, control: CgkaControl) -> int:
+    """Where `data`, the encoding of `control`, reaches its `first` field:
+    the entries are its last field, ENTRY_LEN each, so every slice of one
+    control shares all of its encoding before that point."""
+    return len(data) - _RUN.size - ENTRY_LEN * len(control.path_entries)
+
+
+def slices_by_level(data: bytes) -> tuple[CgkaControl, dict[int | None, bytes]]:
+    """The control `data` encodes and, per copath level of its sender,
+    that control with only the entries sealed into the level's subtree: a
+    contiguous run of the batch, its `first` the batch position of the
+    run's first entry. None maps to the control with no entries. An
+    entry's level is its target node's, and `target >> 1` is a leaf below
+    that node, so this needs no tree either. The slices are cut from
+    `data`, not re-encoded. Entries of one level that are not contiguous
+    are malformed."""
+    control = CgkaControl.from_bytes(data)
+    runs: dict[int, tuple[int, int]] = {}
+    for position, (target, _) in enumerate(control.path_entries):
+        level = copath_level(target >> 1, control.sender_leaf)
+        start, count = runs.setdefault(level, (position, 0))
+        if start + count != position:
+            raise MalformedControl("a copath level's path entries are not contiguous")
+        runs[level] = (start, count + 1)
+    cut = slice_start(data, control)
+    head, entries = data[:cut], cut + _RUN.size
+    slices: dict[int | None, bytes] = {None: head + _RUN.pack(control.first, 0)}
+    for level, (start, count) in runs.items():
+        at = entries + ENTRY_LEN * start
+        slices[level] = (head + _RUN.pack(control.first + start, count)
+                         + data[at:at + ENTRY_LEN * count])
+    return control, slices
+
+
 def _apply_update_path(control: CgkaControl, sender_path: list[int], own_leaf: int,
                        path: dict[int, tuple[bytes | None, KeyPair]]) -> None:
     """Open the one entry whose target node is in `path` and re-derive the
@@ -458,7 +502,8 @@ def _apply_update_path(control: CgkaControl, sender_path: list[int], own_leaf: i
     if position is None:
         raise DecryptFailed("no path entry addressed to this member")
     opened_at, box = entries[position]
-    opened = pke_open(path[opened_at][1], box, control.ephemeral, position)
+    opened = pke_open(path[opened_at][1], box, control.ephemeral,
+                      control.first + position)
     if len(opened) != 32:
         raise MalformedControl("path entry payload has wrong size")
 

@@ -35,12 +35,22 @@ has the same length whatever the number of bots a send reaches, and all
 a chatbot learns about the others is its own entry's position: its rank
 among the bots of the batch.
 
+A member is sent only the path entries it could open, in the same way.
+Every view that carries a tree control (a user view, a wrapped control)
+reaches each member with the control cut to the entries sealed into that
+member's copath level of the sender (`cgka.slices_by_level`); the
+provider names each member's level by its seat, the leaf the member's
+tree gives it. Members of one level share one view. On a full tree each
+level is one entry, so a member's view has one length whatever the
+group's size.
+
 Wire types, each declared once by its `wire` decorator below (field
 order and kinds), and the payloads inside the ciphertext as `Record`s:
-    0x10 user message, user view      0x11 user message, chatbot view:
-                                           header, at most one body
+    0x10 user message, user view:     0x11 user message, chatbot view:
+         control sliced per level          header, at most one body
     0x12 chatbot message              0x13 add-chatbot control
-    0x14 remove-chatbot control       0x15 wrapped tree control
+    0x14 remove-chatbot control       0x15 wrapped tree control, sliced
+                                           per level, at most one welcome
 
 A member reads each group fact (group id, epoch, group public key) from
 the tree control alone: its user views and wrapped controls carry no copy.
@@ -50,8 +60,9 @@ and epoch in its header, the group public key in its body.
 A wrapped tree control ends in a list of at most one newcomer section;
 only an add's has one: the welcome (the public tree the add was built on)
 and the chatbot roster. `project_view` gives that section to the newcomer
-alone; every other member gets the same control with an empty list, so
-what an add costs each of them is its path entries, not the whole tree.
+alone, with the newcomer's slice; every other member gets its slice with
+an empty list, so what an add costs each of them is the path entries of
+its level, not the whole tree.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Protocol, Union
 
-from .cgka import CONTROL_ADD, CgkaControl, CgkaState, hx
+from .cgka import CgkaControl, CgkaState, copath_level, hx, slices_by_level
 from .encoding import (
     BOX,
     BYTES,
@@ -84,6 +95,7 @@ from .errors import (
     MalformedControl,
     NoChatbots,
     NoGroup,
+    NotMember,
     NotPresent,
     PseudonymNotRegistered,
 )
@@ -365,27 +377,33 @@ _RECORDS = {GROUP_CONTROL: GroupControl, VIEW_USER_MESSAGE: UserMessageView,
             REMOVE_BOT: RemoveBotControl, BOT_MESSAGE: BotMessage}
 
 
-def project_view(data: bytes, handlers: dict[int, str]) -> tuple[bytes, dict[str, bytes]]:
+# where a view that carries a tree control holds the control's length
+# prefix: after the type byte, and after a user message's flags
+_CONTROL_AT = {VIEW_USER_MESSAGE: 2, GROUP_CONTROL: 1}
+_NO_WELCOME = bytes(4)  # a wrapped control's empty list of newcomer sections
+
+
+def project_view(data: bytes, handlers: dict[int, str],
+                 seats: dict[int, str] | None = None) -> tuple[bytes, dict[str, bytes]]:
     """What each recipient of `data` is sent, for the party kind that runs
     `handlers`: the view all recipients share, and each recipient's own
-    view where it gets another. An add's newcomer alone gets the welcome
-    (RFC 9420 sends a Welcome to new members only); the other members share
-    the control without it. Of a chatbot message view, each chatbot with an
-    entry gets the header and a body with only its own entries, whose boxes
-    open as in the whole view since the entry keeps its position; the rest
-    share the notice, the header alone. Any other view goes to all alike.
-    Decodes the outer record once, so a type no such party handles, or a
-    view that does not decode, raises before anything is delivered."""
+    view where it gets another. A view that carries a tree control goes to
+    each member of `seats` (leaf -> member id) but the control's sender
+    with only the path entries it could open: those sealed into its copath
+    level's subtree (`cgka.slices_by_level`); members of one level share
+    one view, and the shared view holds no entries. An add's newcomer alone
+    also gets the welcome (RFC 9420 sends a Welcome to new members only).
+    Of a chatbot message view, each chatbot with an entry gets the header
+    and a body with only its own entries, whose boxes open as in the whole
+    view since the entry keeps its position; the rest share the notice,
+    the header alone. Any other view goes to all alike. Decodes the outer
+    record once, so a type no such party handles, or a view that does not
+    decode, raises before anything is delivered."""
     kind, _ = _handler(handlers, data)
     view = _RECORDS[kind].from_bytes(data)
-    if kind == GROUP_CONTROL:
-        is_add = peek_type(view.control) == CONTROL_ADD
-        if is_add != (view.welcome is not None):
-            raise MalformedControl("a welcome goes with an add, and only with one")
-        if is_add:
-            newcomer = CgkaControl.from_bytes(view.control).new_member_id
-            return replace(view, welcome=None).to_bytes(), {newcomer: data}
-    elif kind == VIEW_CHATBOT_MESSAGE:
+    if kind in _CONTROL_AT:
+        return _project_control(kind, data, view, seats or {})
+    if kind == VIEW_CHATBOT_MESSAGE:
         notice = ChatbotMessageView(group_id=view.group_id, epoch=view.epoch).to_bytes()
         if view.body is None:
             return notice, {}
@@ -398,6 +416,38 @@ def project_view(data: bytes, handlers: dict[int, str]) -> tuple[bytes, dict[str
         return notice, {cid: head + Writer().items(own, _ENTRY.write).done()
                         for cid, own in named.items()}
     return data, {}
+
+
+def _project_control(kind: int, data: bytes, view: UserMessageView | GroupControl,
+                     seats: dict[int, str]) -> tuple[bytes, dict[str, bytes]]:
+    """`project_view` of a view carrying a tree control: each view is `data`
+    with the control's bytes swapped for a slice, and a wrapped control's
+    newcomer section kept for the newcomer alone."""
+    control, slices = slices_by_level(view.control)
+    at = _CONTROL_AT[kind]
+    tail = newcomer_tail = data[at + 4 + len(view.control):]
+    newcomer = None
+    if kind == GROUP_CONTROL:
+        is_add = control.kind == "add"
+        if is_add != (view.welcome is not None):
+            raise MalformedControl("a welcome goes with an add, and only with one")
+        newcomer = control.new_member_id if is_add else None
+        tail = _NO_WELCOME
+
+    def wrap(level: int | None, tail: bytes = tail) -> bytes:
+        part = slices.get(level, slices[None])
+        return data[:at] + len(part).to_bytes(4, "big") + part + tail
+
+    sender = control.sender_leaf
+    levels = {uid: copath_level(leaf, sender) for leaf, uid in seats.items()
+              if leaf != sender}
+    views = {level: wrap(level) for level in set(levels.values())}
+    own = {uid: views[level] for uid, level in levels.items()}
+    if newcomer is not None:
+        if newcomer not in own:
+            raise NotMember(f"the add's newcomer {newcomer!r} has no seat")
+        own[newcomer] = wrap(levels[newcomer], newcomer_tail)
+    return wrap(None), own
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +589,7 @@ class UserState:
         if pseudonymous:
             ctx = pseudonym_context(self.group_id, self.epoch + 1, message)
             payload = _encode_pseudonymous(message, self.pseudonym.handle,
-                                           sign(self.pseudonym.key.secret_key, ctx))
+                                           sign(self.pseudonym.key, ctx))
         else:
             payload = _encode_plain(message)
         return self._send_raw(payload, trigger_message=message,
@@ -826,8 +876,7 @@ def chatbot_init(chatbot_id: str, rules: tuple[TriggerRule, ...]) -> ChatbotStat
     enc_identity = pke_keygen(random_secret())
     sig_identity = sign_keygen(random_secret())
     registration = make_registration(chatbot_id, enc_identity.public_key,
-                                     sig_identity.secret_key,
-                                     sig_identity.public_key, rules)
+                                     sig_identity, rules)
     return ChatbotState(chatbot_id=chatbot_id, enc_identity=enc_identity,
                         sig_identity=sig_identity, registration=registration)
 

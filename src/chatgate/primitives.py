@@ -20,8 +20,9 @@ Instantiation choices (all frozen into tests):
 * Key pairs derive deterministically from a 32-byte seed. The X25519 scalar
   is a hash of the seed rather than the seed itself, so a derived key pair
   never carries the seed's byte pattern into serialized state.
-* An X25519 KeyPair carries the key object it was built with, so a party
-  that keeps its KeyPair opens boxes without rebuilding the key from bytes.
+* A KeyPair carries the key object it was built with, so a party that
+  keeps its KeyPair opens boxes, or signs, without rebuilding the key from
+  bytes.
 * Signatures are Ed25519 (64 bytes, deterministic).
 * Symmetric encryption is AESGCM with a random 12-byte nonce prepended;
   overhead is a constant SYM_OVERHEAD = 28 bytes. `sym_key` builds the
@@ -77,14 +78,15 @@ HANDLE = b"handle"      # pseudonym handle from an identity public key
 class KeyPair:
     """A raw-bytes key pair; which algorithm it belongs to is contextual.
 
-    X25519 pairs built here also carry their key object, which `pke_open`
-    opens with. The object belongs to the party holding the pair;
-    it is left out of equality and repr, and dropping the pair drops it.
+    Pairs built here also carry their key object, which `pke_open` opens
+    with and `sign` signs with. The object belongs to the party holding
+    the pair; it is left out of equality, repr and snapshots, and dropping
+    the pair drops it.
     """
 
     secret_key: bytes
     public_key: bytes
-    key_object: X25519PrivateKey | None = field(
+    key_object: X25519PrivateKey | Ed25519PrivateKey | None = field(
         default=None, compare=False, repr=False)
 
 
@@ -261,18 +263,20 @@ def pke_open(pair: KeyPair, box: bytes, eph_public: bytes | None = None,
 # ---------------------------------------------------------------------------
 
 def sign_keygen(seed: bytes) -> KeyPair:
-    """Deterministic Ed25519 key pair from a 32-byte seed."""
+    """Deterministic Ed25519 key pair, with its key object, from a 32-byte
+    seed."""
     raw = _kdf(b"sign-keygen", _check_secret(seed))
     private = Ed25519PrivateKey.from_private_bytes(raw)
     public = private.public_key().public_bytes(
         serialization.Encoding.Raw, serialization.PublicFormat.Raw
     )
-    return KeyPair(secret_key=raw, public_key=public)
+    return KeyPair(secret_key=raw, public_key=public, key_object=private)
 
 
-def sign(secret_key: bytes, message: bytes) -> bytes:
+def sign(pair: KeyPair, message: bytes) -> bytes:
+    """Sign with a `sign_keygen` pair's key object."""
     counters.record("sign")
-    return Ed25519PrivateKey.from_private_bytes(secret_key).sign(message)
+    return pair.key_object.sign(message)
 
 
 def verify(public_key: bytes, signature: bytes, message: bytes) -> bool:

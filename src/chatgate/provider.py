@@ -3,11 +3,15 @@
 The provider is honest-but-curious infrastructure. It validates registrations,
 assigns a total order to published bundles, and routes each recipient class
 its own view. Which view each recipient gets the group layer decides
-(`group.project_view`): an add's welcome goes to its newcomer alone, and a
+(`group.project_view`): a member gets only the path entries of its copath
+level of the sender, an add's welcome goes to its newcomer alone, and a
 chatbot gets only the entries that name it, or a header-only notice when
-none does. The provider delivers what it returns. It never sees plaintext
-or secret keys; everything it stores (the transcript) is exactly what a
-network observer would capture.
+none does. The provider delivers what it returns. For the first it keeps
+each group's seats: the leaf each member sits at, and the capacity, which
+it edits as every member's tree does (a create seats its roster in order,
+an add the leftmost free leaf, doubling a full tree, a remove frees one).
+It never sees plaintext or secret keys; everything it stores (the
+transcript) is exactly what a network observer would capture.
 
 `adversary_decrypt` plays the compromise game: given one party's serialized
 state and an `Adversary`, which holds the public transcript and the public
@@ -19,7 +23,8 @@ sealed to, with the ephemeral key and position of its batch, which travel
 next to it (`SealedBox`); public data names that key for every box the
 protocol seals: a tree control's entries name their target nodes, whose
 keys sit in the group's public tree, which the adversary follows through
-the transcript as members do; chatbot entries, which only chatbot view
+the transcript as members do, once per control however many slices of it
+the members were sent; chatbot entries, which only chatbot view
 bodies carry, name a bot whose node key is on the wire, bot replies go to
 a group key that some chatbot view body or attach control carries, and
 attach seeds go to the bot's registered key. Ciphertexts are named too:
@@ -47,9 +52,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, TypeVar
 
-from .cgka import CgkaControl, InitKeyDirectory, advance
+from .cgka import CgkaControl, InitKeyDirectory, advance, slice_start
 from .encoding import peek_type
 from .errors import (
+    AlreadyMember,
     BadSignature,
     ChatGateError,
     DecryptFailed,
@@ -91,14 +97,23 @@ from .primitives import (
     sym_key,
     x25519_key_pair,
 )
-from .tree import RatchetTree
+from .tree import RatchetTree, capacity_for, newcomer_seat
 from .triggers import BotRegistration
 
 
 @dataclass
 class _Channel:
-    members: set[str] = field(default_factory=set)
+    # leaf -> member id, and the capacity: each member's seat in the tree
+    # its members hold, which is all `project_view` needs to slice a control
+    seats: dict[int, str]
+    capacity: int
     bots: set[str] = field(default_factory=set)
+
+    def seat_of(self, member_id: str) -> int | None:
+        for leaf, uid in self.seats.items():
+            if uid == member_id:
+                return leaf
+        return None
 
 
 class Provider:
@@ -131,24 +146,33 @@ class Provider:
     # -- group routing tables --------------------------------------------------
 
     def create_group(self, group_id: str, member_ids: list[str]) -> None:
+        """Seat `member_ids` in roster order, as a create's tree does."""
         if group_id in self._channels:
             raise DuplicateId(f"group {group_id!r} already exists")
         for uid in member_ids:
             if uid not in self.directory:
                 raise UnknownMember(f"{uid!r} has no registered init key")
-        self._channels[group_id] = _Channel(members=set(member_ids))
+        if len(set(member_ids)) != len(member_ids):
+            raise AlreadyMember("the roster lists an id twice")
+        self._channels[group_id] = _Channel(seats=dict(enumerate(member_ids)),
+                                            capacity=capacity_for(len(member_ids)))
 
     def add_member(self, group_id: str, member_id: str) -> None:
+        """Seat `member_id` where an add seats its newcomer."""
         ch = self._channel(group_id)
         if member_id not in self.directory:
             raise UnknownMember(f"{member_id!r} has no registered init key")
-        ch.members.add(member_id)
+        if ch.seat_of(member_id) is not None:
+            raise AlreadyMember(f"{member_id!r} already has a seat in {group_id!r}")
+        leaf, ch.capacity = newcomer_seat(ch.seats, ch.capacity)
+        ch.seats[leaf] = member_id
 
     def remove_member(self, group_id: str, member_id: str) -> None:
         ch = self._channel(group_id)
-        if member_id not in ch.members:
+        leaf = ch.seat_of(member_id)
+        if leaf is None:
             raise NotMember(f"{member_id!r} is not in {group_id!r}")
-        ch.members.discard(member_id)
+        del ch.seats[leaf]
 
     def attach_chatbot(self, group_id: str, chatbot_id: str) -> None:
         ch = self._channel(group_id)
@@ -166,7 +190,7 @@ class Provider:
         ch.bots.remove(chatbot_id)
 
     def members(self, group_id: str) -> set[str]:
-        return set(self._channel(group_id).members)
+        return set(self._channel(group_id).seats.values())
 
     def chatbots(self, group_id: str) -> set[str]:
         return set(self._channel(group_id).bots)
@@ -185,19 +209,16 @@ class Provider:
         than the sender, `bot_view` to the attached chatbots or to exactly
         `bot_targets`, each registered, attached and named once. The group
         layer decides which view of either each recipient gets
-        (`group.project_view`). A bundle that is refused, for its routing
-        or for a view its recipients cannot read or decode, takes no
-        sequence number and leaves no trace. Returns the sequence number."""
+        (`group.project_view`, handed the members' seats). A bundle that is
+        refused, for its routing or for a view its recipients cannot read
+        or decode, takes no sequence number and leaves no trace. Returns
+        the sequence number."""
         ch = self._channel(group_id)
-        if sender not in ch.members and sender not in ch.bots:
+        members = sorted(ch.seats.values())
+        if sender not in members and sender not in ch.bots:
             raise NotMember(f"{sender!r} may not publish to {group_id!r}")
-        shared, own = project_view(user_view, _USER_HANDLERS)
-        for newcomer in own:
-            if newcomer == sender or newcomer not in ch.members:
-                raise NotMember(f"the add's newcomer {newcomer!r} is not "
-                                f"routed in {group_id!r}")
-        routes = [("user", [uid for uid in sorted(ch.members) if uid != sender],
-                   shared, own)]
+        routes = [("user", [uid for uid in members if uid != sender],
+                   *project_view(user_view, _USER_HANDLERS, ch.seats))]
         if bot_view is not None:
             targets = [cid for cid in (sorted(ch.bots) if bot_targets is None
                                        else bot_targets) if cid != sender]
@@ -211,21 +232,19 @@ class Provider:
             routes.append(("chatbot", targets, *project_view(bot_view, _BOT_HANDLERS)))
         self._seq += 1
         seq = self._seq
+        encoded: dict[bytes, str] = {}
         for recipient_class, recipients, shared, own in routes:
-            shared_b64 = base64.b64encode(shared).decode("ascii")
             for pid in recipients:
-                view = own.get(pid)
-                if view is None:
-                    self._deliver(seq, group_id, recipient_class, pid, shared,
-                                  shared_b64)
-                else:
-                    self._deliver(seq, group_id, recipient_class, pid, view,
-                                  base64.b64encode(view).decode("ascii"))
+                view = own.get(pid, shared)
+                view_b64 = encoded.get(view)
+                if view_b64 is None:
+                    view_b64 = encoded[view] = base64.b64encode(view).decode("ascii")
+                self._deliver(seq, group_id, recipient_class, pid, view, view_b64)
         return seq
 
     def _deliver(self, seq: int, group_id: str, recipient_class: str,
                  recipient: str, view: bytes, view_b64: str) -> None:
-        """One transcript row per recipient; every row of a view shares
+        """One transcript row per recipient; every row of one view shares
         the one `view_b64` string encoded by `publish`."""
         self.transcript.append({
             "seq": seq,
@@ -313,7 +332,10 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
 
     * tree controls, whose path entries name their target nodes: each is
       named by the key at that node in the group's public tree, which
-      `_entry_keys` follows through the transcript;
+      `_follow` follows through the transcript. A control reaches members
+      in slices, each the entries of one copath level from batch position
+      `first`: it is followed at its first slice, and that one tree names
+      the entries of every slice, so the boxes are the whole control's;
     * chatbot entries, which travel in chatbot view bodies only (a
       member's view carries no chatbot boxes, a notice no body) and name a
       chatbot id whose current node key is on the wire (attach controls
@@ -344,7 +366,7 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     replies: list[SealedBox] = []
     path_lengths = {1}
     groups: dict[str, tuple[RatchetTree, int] | None] = {}
-    controls: set[bytes] = set()
+    followed: dict[bytes, RatchetTree | None] = {}
 
     def add_box(box: SealedBox, hint: bytes | None) -> None:
         named = hints.setdefault(box, set())
@@ -352,14 +374,20 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
             named.add(hint)
 
     def control_boxes(data: bytes, in_message: bool) -> CgkaControl:
-        # an add reaches its newcomer and the other members in two views
+        # A control reaches the members of each copath level in a slice of
+        # its own, and an add's newcomer in one more view: every slice
+        # shares the control's encoding up to its entries, so the control
+        # is followed once, at its first slice, and its tree names the
+        # entries of every slice.
         control = CgkaControl.from_bytes(data)
-        if data not in controls:
-            controls.add(data)
+        shared = data[:slice_start(data, control)]
+        if shared not in followed:
             path_lengths.add(len(control.new_public_path))
-            keys = _entry_keys(groups, control, in_message)
-            for i, (key, (_, box)) in enumerate(zip(keys, control.path_entries)):
-                add_box(SealedBox(box, control.ephemeral, i), key)
+            followed[shared] = _follow(groups, control, in_message)
+        t = followed[shared]
+        for i, (x, box) in enumerate(control.path_entries, control.first):
+            add_box(SealedBox(box, control.ephemeral, i),
+                    t.nodes[x] if t is not None and x < len(t.nodes) else None)
         return control
 
     def enc_key(chatbot_id: str) -> bytes | None:
@@ -403,22 +431,22 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     return hints, ct_hints, max(path_lengths)
 
 
-def _entry_keys(groups: dict[str, tuple[RatchetTree, int] | None],
-                control: CgkaControl, in_message: bool) -> list[bytes | None]:
-    """The public key each path entry of `control` was sealed to, or None
-    where that cannot be read: the key at the entry's target node, in the
-    tree the control leaves. `groups` follows each group's public tree and
-    epoch in transcript order, from its create, through the public step
-    members run (`advance`: the membership edit, the sender path checks
-    and the new path); a member's message view carries only an update. An
-    entry's target lies in a copath resolution, off the sender's path, so
-    its key is the same before and after the new path. A control that
-    fails any of that names no key, and its group is dropped (None) for
-    the rest of the transcript, since the follower can no longer tell
-    which tree the group's members hold. The checks that need a member's
-    secrets (the opened box, the derived path keys) it cannot make: a
-    control that members refuse for those is followed, and the group's
-    next control, an epoch behind the follower, drops the group."""
+def _follow(groups: dict[str, tuple[RatchetTree, int] | None],
+            control: CgkaControl, in_message: bool) -> RatchetTree | None:
+    """The tree `control` leaves, in which each of its entries' target
+    nodes holds the key the entry was sealed to, or None where that cannot
+    be read. `groups` follows each group's public tree and epoch in
+    transcript order, from its create, through the public step members run
+    (`advance`: the membership edit, the sender path checks and the new
+    path); a member's message view carries only an update. An entry's
+    target lies in a copath resolution, off the sender's path, so its key
+    is the same before and after the new path. A control that fails any of
+    that names no key, and its group is dropped (None) for the rest of the
+    transcript, since the follower can no longer tell which tree the
+    group's members hold. The checks that need a member's secrets (the
+    opened box, the derived path keys) it cannot make: a control that
+    members refuse for those is followed, and the group's next control, an
+    epoch behind the follower, drops the group."""
     group_id = control.group_id
     if control.kind == "create":
         base, applies = None, group_id not in groups
@@ -427,13 +455,13 @@ def _entry_keys(groups: dict[str, tuple[RatchetTree, int] | None],
         applies = base is not None and control.epoch == epoch
     groups[group_id] = None  # dropped, unless the control applies
     if not applies or (in_message and control.kind != "update"):
-        return [None] * len(control.path_entries)
+        return None
     try:
         t, _, _ = advance(control, base)
     except ChatGateError:
-        return [None] * len(control.path_entries)
+        return None
     groups[group_id] = (t, control.epoch + 1)
-    return [t.nodes[x] if x < len(t.nodes) else None for x, _ in control.path_entries]
+    return t
 
 
 def _by_hint(material: dict[T, set[bytes]]) -> tuple[dict[bytes, list[T]], list[T]]:

@@ -14,6 +14,7 @@ generation belong to the CGKA layer.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from .encoding import TEXT, TREE_NODE, U32, Record, items
@@ -83,6 +84,23 @@ def is_ancestor(a: int, x: int) -> bool:
     return a != x and lo <= x <= hi
 
 
+# seats ------------------------------------------------------------------------
+
+def capacity_for(members: int) -> int:
+    """The smallest power of two that seats every member."""
+    return 1 << max(members - 1, 0).bit_length()
+
+
+def newcomer_seat(seated: Container[int], capacity: int) -> tuple[int, int]:
+    """Where an add seats its newcomer, and the capacity it leaves: the
+    leftmost leaf not in `seated`, or, when every leaf is taken, the first
+    leaf past `capacity`, which then doubles."""
+    for leaf in range(capacity):
+        if leaf not in seated:
+            return leaf, capacity
+    return capacity, 2 * capacity
+
+
 # tree -----------------------------------------------------------------------
 
 # The public tree's wire layout: node keys, then (leaf, member id) by leaf.
@@ -116,10 +134,9 @@ class RatchetTree:
         return None
 
     def leftmost_blank_leaf(self) -> int | None:
-        for leaf in range(self.capacity):
-            if self.nodes[leaf_node(leaf)] is None and leaf not in self.members:
-                return leaf
-        return None
+        """The leftmost leaf no member sits at, or None when all are taken."""
+        leaf, capacity = newcomer_seat(self.members, self.capacity)
+        return leaf if capacity == self.capacity else None
 
     def copy(self) -> "RatchetTree":
         return RatchetTree(self.capacity, list(self.nodes), dict(self.members))

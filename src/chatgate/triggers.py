@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .encoding import BYTES, KEY, SIGNATURE, TEXT, U8, Record, items, nested, wire
 from .errors import MalformedControl
-from .primitives import sign, verify
+from .primitives import KeyPair, sign, verify
 
 RULE_KINDS = ("prefix", "contains", "mention", "always", "never")
 
@@ -174,12 +174,11 @@ def registration_context(enc_public_key: bytes, sig_public_key: bytes,
     return _REGISTRATION_CONTEXT.encode((enc_public_key, sig_public_key, trigger))
 
 
-def make_registration(chatbot_id: str, enc_public_key: bytes,
-                      sig_secret_key: bytes, sig_public_key: bytes,
+def make_registration(chatbot_id: str, enc_public_key: bytes, sig_identity: KeyPair,
                       rules: tuple[TriggerRule, ...]) -> BotRegistration:
     trigger = TriggerSpec(chatbot_id=chatbot_id, rules=rules)
-    signature = sign(sig_secret_key,
-                     registration_context(enc_public_key, sig_public_key, trigger))
+    signature = sign(sig_identity, registration_context(
+        enc_public_key, sig_identity.public_key, trigger))
     return BotRegistration(enc_public_key=enc_public_key,
-                           sig_public_key=sig_public_key, trigger=trigger,
+                           sig_public_key=sig_identity.public_key, trigger=trigger,
                            signature=signature)

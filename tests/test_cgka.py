@@ -896,6 +896,7 @@ def reference_from_bytes(data: bytes) -> cgka.CgkaControl:
         ctl.removed_id = r.text()
     ctl.new_public_path = r.items(Reader.field)
     ctl.ephemeral = r.field()
+    ctl.first = r.u32()
     ctl.path_entries = r.items(lambda rr: (rr.u32(), rr.field()))
     r.finish()
     return ctl

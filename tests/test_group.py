@@ -326,8 +326,9 @@ def test_member_view_carries_no_chatbot_box():
         out = world.users["user-001"].send(b"hello, five bots!", conceal=True)
     # each of the sender's four entries is a 13-character id, a position
     # and a box: 4 + 13 + 4 + 4 + 48 = 73 B; each bot is delivered its own,
-    # and a bot with none would get the header alone: 1 + 13 + 4 + 4 B
-    assert (len(first.user_view), len(first.chatbot_view)) == (530, 444)
+    # and a bot with none would get the header alone: 1 + 13 + 4 + 4 B.
+    # The sender's member view holds its control whole, `first` 0 included
+    assert (len(first.user_view), len(first.chatbot_view)) == (534, 444)
     shared, own = project_view(first.chatbot_view, _BOT_HANDLERS)
     assert (len(shared), sorted(map(len, own.values()))) == (22, [444 - 3 * 73] * 4)
     assert out.concealed == ("quiet-bot-004",)
@@ -1011,7 +1012,7 @@ def _rebuild_payload(sender, message, epoch):
     from chatgate.group import _encode_pseudonymous, pseudonym_context
     from chatgate.primitives import sign
     ctx = pseudonym_context(sender.group_id, epoch, message)
-    sig = sign(sender.pseudonym.key.secret_key, ctx)
+    sig = sign(sender.pseudonym.key, ctx)
     return _encode_pseudonymous(message, sender.pseudonym.handle, sig)
 
 

@@ -339,32 +339,32 @@ def test_same_seed_same_transcript():
 PINNED_SEED_7 = {
     "anonymity": {
         "report": "33a039edef053454de5fe25c5ea510c463f7f0a34dec998d57d2f1674da74bae",
-        "transcript": "f9639539181f5965662ba22e020e6cba789c31db15daf4ff35834d6439c7bdd5",
+        "transcript": "15ba791ebf3cbbfce6f5e431293a65ceba73617c8d2880774138548ae57c2f07",
         "supersessions": "c9f1950b7456de3077d5747315a0d599d555a1a5a494ba7c29947912279cf1b4",
     },
     "concealment": {
         "report": "9f38c0f1e58b44b36ba40a0cf68c0b1e1951ba526ed56737e1768a8e7a873c5e",
-        "transcript": "3ea00fd55d539e7699ed829df86c90fe864e019fc2d0a53d7442d024ab39ad02",
+        "transcript": "fec3c28c4df8dbfebe1a2e1abfe05efc1b24129e79e9e430576b673da89f088f",
         "supersessions": "8013cf0343010e2b82a8597c514cdd46d3a30b2c128e390864fb4073bb7de908",
     },
     "demo": {
         "report": "d8f5c2bb493dc9b106f7edf7476eb25ba4b1b29cefb5f1825b67642c2480fcd4",
-        "transcript": "6ed9ae45c5a6e6313826880ae27f6ebfa89b956cfe9033220ebb618758f708a9",
+        "transcript": "c5378e90a569cea3f0a112bb5e121efb2d85e9ff4279eeb775074ca631faea8a",
         "supersessions": "205b0e088372c2fb43267d0bd9e3de8ba5ad0fd3e3f2e35efa6c2de49a3eae85",
     },
     "fs": {
         "report": "f5fc3c0667dc16fb0aea41e4e96f4c34102a65bec0dad3473568150d44144269",
-        "transcript": "e4a4a4572a9dcfb1466063825ee63ae270624edf37026dec94a7a1ced784f912",
+        "transcript": "0e1ac01b2884a25c7f7e0a8d655ddca9433bf8f829041acdeb9930e3a81d8909",
         "supersessions": "74ac06911edae041e25207b9c2eecb343284be288079da65870fca61af6ecbbe",
     },
     "pcs": {
         "report": "82ea222020d3b292b09bbbc0cc364cdb566831f7ab539e887823fc041f0ffed0",
-        "transcript": "14cf33aa1bba60706d38cbf1ffcbccf02f8281ac6618de44aff71406ee091bda",
+        "transcript": "bc179ca5bd771d0836556ce691cb4cc740d8b49032fbe1e02ac7e3c96c533d19",
         "supersessions": "861efb5eecf3880a89a078a82919c1804447f71f33be1b035f602f1d2ec3e024",
     },
     "selective": {
         "report": "29ae0d28cc04bd905fe4f306d3828ca4f6bc010b6b84150ac8ac208512bff6a9",
-        "transcript": "b816b187db7756330da109a2aa587a39b12372bb0135d5554a9b164a1e2daf1a",
+        "transcript": "7e5d24cbeecff281a376a5f0c9d96a523497ec819e7b6d320810ce3d3959a30d",
         "supersessions": "9438ea1a302fc63b036366778129242e50f03e7291a923d9bfc5b5b7c7bb7e01",
     },
 }
@@ -1000,14 +1000,22 @@ def test_traced_demo_run_counts_every_built_control(tracing):
     finally:
         tracer.uninstall()
 
-    controls = set()
+    # each member is sent a slice of a control's entries: a control is one
+    # sequence number, and its entries are the batch positions its slices
+    # cover
+    controls: dict[int, dict[int, tuple]] = {}
     for row in result.provider.transcript:
         view = base64.b64decode(row["view_b64"])
         if peek_type(view) == VIEW_USER_MESSAGE:
-            controls.add(UserMessageView.from_bytes(view).control)
+            data = UserMessageView.from_bytes(view).control
         elif peek_type(view) == GROUP_CONTROL:
-            controls.add(GroupControl.from_bytes(view).control)
-    entries = sum(len(CgkaControl.from_bytes(c).path_entries) for c in controls)
+            data = GroupControl.from_bytes(view).control
+        else:
+            continue
+        control = CgkaControl.from_bytes(data)
+        controls.setdefault(row["seq"], {}).update(
+            enumerate(control.path_entries, control.first))
+    entries = sum(len(placed) for placed in controls.values())
     # group, add_user, rem_user, register_pseudonym and six sends
     assert len(controls) == 10
     assert tracer.counts["cgka.controls"] == len(controls)

@@ -158,12 +158,14 @@ def test_open_with_key_pair_or_raw_bytes_rejects_wrong_key_and_tamper():
             primitives.pke_open(good, bytes(tampered))
 
 
-def test_keygen_key_object_is_outside_equality_and_repr():
-    kp = primitives.pke_keygen(primitives.random_secret())
+@pytest.mark.parametrize("keygen", ["pke_keygen", "sign_keygen"])
+def test_keygen_key_object_is_outside_equality_and_repr(keygen):
+    kp = getattr(primitives, keygen)(primitives.random_secret())
     bare = primitives.KeyPair(secret_key=kp.secret_key, public_key=kp.public_key)
+    assert kp.key_object is not None
     assert kp == bare
     assert repr(kp) == repr(bare)
-    assert "key_object" not in repr(kp) and "X25519" not in repr(kp)
+    assert "key_object" not in repr(kp) and "25519" not in repr(kp)
 
 
 def test_x25519_key_pair_is_not_a_counted_op():
@@ -232,7 +234,7 @@ def test_seal_roundtrip_property(seed, payload):
 
 def test_sign_verify_roundtrip():
     kp = primitives.sign_keygen(primitives.random_secret())
-    sig = primitives.sign(kp.secret_key, b"the message")
+    sig = primitives.sign(kp, b"the message")
     assert len(sig) == primitives.SIG_LEN
     assert primitives.verify(kp.public_key, sig, b"the message")
     assert not primitives.verify(kp.public_key, sig, b"the messagf")
@@ -242,7 +244,7 @@ def test_verify_flip_scan():
     rng = random.Random(11)
     kp = primitives.sign_keygen(primitives.random_secret())
     msg = b"payload under test"
-    sig = primitives.sign(kp.secret_key, msg)
+    sig = primitives.sign(kp, msg)
     for _ in range(200):
         bad = bytearray(sig)
         bad[rng.randrange(len(bad))] ^= rng.randrange(1, 256)

@@ -3,6 +3,7 @@
 import base64
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from chatgate import cgka, counters, group, primitives
 from chatgate.errors import (
+    AlreadyMember,
     BadSignature,
     ChatGateError,
     DuplicateChatbot,
@@ -42,7 +44,7 @@ from chatgate.group import (
 )
 from chatgate.harness import bench, canned
 from chatgate.harness.driver import Group
-from chatgate.harness.runner import run_text
+from chatgate.harness.runner import Runner, run_text
 from chatgate.primitives import (
     CHAIN,
     MSG_KEY,
@@ -137,8 +139,7 @@ def test_register_bot_refuses_a_key_of_the_wrong_width():
     provider = Provider()
     bot = chatbot_init("short-bot-01", rules_from_text("always"))
     short = make_registration("short-bot-01", bot.enc_identity.public_key[:5],
-                              bot.sig_identity.secret_key,
-                              bot.sig_identity.public_key, bot.registration.trigger.rules)
+                              bot.sig_identity, bot.registration.trigger.rules)
     assert short.verify_signature()
     with pytest.raises(MalformedControl):
         provider.register_bot(short)
@@ -158,6 +159,11 @@ def test_group_table_checks():
         provider.add_member("grp-x", "nobody-55")
     with pytest.raises(NotMember):
         provider.remove_member("grp-x", "nobody-55")
+    # a roster seats each id once, as a create's tree does
+    with pytest.raises(AlreadyMember):
+        provider.create_group("grp-z", ["user-00", "user-00"])
+    with pytest.raises(NoGroup):
+        provider.members("grp-z")
 
 
 def test_an_unknown_group_is_refused():
@@ -229,16 +235,21 @@ def test_transcript_rows_carry_no_sender():
 
 
 def test_publish_shares_one_view_string_per_recipient_class():
-    # the members share one view, and so do the bots that no entry names;
-    # the one addressed bot gets a view of its own entry
-    world = make_world(3, bots=(("echo-bot-01", "mention:@echo"),
+    # the members of one copath level of the sender share one view, which
+    # holds that level's path entries alone, and so do the bots that no
+    # entry names; the one addressed bot gets a view of its own entry
+    world = make_world(5, bots=(("echo-bot-01", "mention:@echo"),
                                 ("memo-bot-02", "never"), ("note-bot-03", "never")))
     provider = world.provider
     out = world.users["user-00"].send(b"@echo shared")
+    # leaf 0's copath: leaf 1, then leaves 2 and 3, then leaf 4
+    assert [x for x, _ in _control_of(out.user_view).path_entries] == [2, 4, 6, 8]
     seq = world.publish("user-00", out.user_view, out.chatbot_view)
     rows = [r for r in provider.transcript if r["seq"] == seq]
     full = ChatbotMessageView.from_bytes(out.chatbot_view)
-    classes = {("user-01", "user-02"): out.user_view,
+    classes = {("user-01",): member_view(out.user_view, 0, 1),
+               ("user-02", "user-03"): member_view(out.user_view, 1, 2),
+               ("user-04",): member_view(out.user_view, 3, 1),
                ("memo-bot-02", "note-bot-03"): replace(full, body=None).to_bytes(),
                ("echo-bot-01",): out.chatbot_view}
     for recipients, view in classes.items():
@@ -248,7 +259,7 @@ def test_publish_shares_one_view_string_per_recipient_class():
         assert base64.b64decode(strings[0]) == view
         inboxes = [provider.inbox(pid) for pid in recipients]
         assert all(inbox == [view] and inbox[0] is inboxes[0][0] for inbox in inboxes)
-    assert len(rows) == 5
+    assert len(rows) == 7
 
 
 def test_transcript_file_roundtrip(tmp_path):
@@ -270,20 +281,46 @@ def test_inbox_drains_once():
 
 # -- an add's welcome goes to its newcomer only ------------------------------------
 
-def member_view(blob):
-    return replace(GroupControl.from_bytes(blob), welcome=None).to_bytes()
+def _control_of(view: bytes) -> cgka.CgkaControl | None:
+    """The tree control a message view or a wrapped control carries."""
+    record = {VIEW_USER_MESSAGE: UserMessageView, GROUP_CONTROL: GroupControl}.get(
+        peek_type(view))
+    return None if record is None else cgka.CgkaControl.from_bytes(
+        record.from_bytes(view).control)
+
+
+def member_view(blob, first=0, count=None, welcome=False):
+    """`blob`, a wrapped control or a message view, re-encoded field by
+    field with only `count` of its control's path entries from batch
+    position `first` (all by default), and a wrapped control's welcome
+    only if `welcome`."""
+    record = GroupControl if peek_type(blob) == GROUP_CONTROL else UserMessageView
+    view = record.from_bytes(blob)
+    ctl = cgka.CgkaControl.from_bytes(view.control)
+    last = None if count is None else first + count
+    view = replace(view, control=replace(ctl, first=ctl.first + first,
+                                         path_entries=ctl.path_entries[first:last]).to_bytes())
+    if record is GroupControl and not welcome:
+        view = replace(view, welcome=None)
+    return view.to_bytes()
 
 
 def test_welcome_reaches_the_newcomer_alone():
+    # each member gets the entries of its copath level of the sender at
+    # leaf 0: user-01 the first, user-02 and the newcomer, seated at leaf 3,
+    # the other two; the newcomer alone also gets the welcome
     world = make_world(3)
     provider, users = world.provider, world.users
     blob = world.add_user("user-00", "user-03")
     assert GroupControl.from_bytes(blob).welcome is not None
+    assert [x for x, _ in _control_of(blob).path_entries] == [2, 4, 6]
     seq = world.publish("user-00", blob)
     rows = {r["recipient"]: r for r in provider.transcript if r["seq"] == seq}
     assert sorted(rows) == ["user-01", "user-02", "user-03"]
+    wants = {"user-01": member_view(blob, 0, 1), "user-02": member_view(blob, 1, 2),
+             "user-03": member_view(blob, 1, 2, welcome=True)}
     for uid, row in rows.items():
-        want = blob if uid == "user-03" else member_view(blob)
+        want = wants[uid]
         assert row["recipient_class"] == "user"
         assert base64.b64decode(row["view_b64"]) == want
         assert provider.inbox(uid) == [want]
@@ -317,7 +354,7 @@ def test_add_naming_an_unrouted_newcomer_is_refused():
     provider.add_member("grp-main", "user-03")
     seq = world.publish("user-00", blob)
     assert seq == provider.transcript[rows - 1]["seq"] + 1
-    assert provider.inbox("user-03") == [blob]
+    assert provider.inbox("user-03") == [member_view(blob, 1, 2, welcome=True)]
 
 
 def test_send_to_an_unregistered_bot_target_is_refused_before_sequencing():
@@ -343,6 +380,116 @@ def test_a_bot_target_named_twice_is_refused_before_sequencing():
     assert world.publish("user-000", blob, blob, ("b1",)) == before[0] + 1
 
 
+def test_a_second_seat_is_refused():
+    # adding a member already routed in the group did nothing and raised
+    # nothing; with seats it would seat one id twice
+    world = make_world(3)
+    provider = world.provider
+    before = _routing_state(provider), provider.members("grp-main")
+    with pytest.raises(AlreadyMember):
+        provider.add_member("grp-main", "user-01")
+    assert (_routing_state(provider), provider.members("grp-main")) == before
+    world.publish("user-00", world.add_user("user-00", "user-03"))
+    world.deliver()
+    assert world.users["user-03"].cgka.tree.members == {
+        0: "user-00", 1: "user-01", 2: "user-02", 3: "user-03"}
+
+
+def _check_seats(provider, group_id, users):
+    """The provider seats each member where every member's tree does."""
+    channel = provider._channel(group_id)
+    for uid in provider.members(group_id):
+        tree = users[uid].cgka.tree
+        assert (tree.members, tree.capacity) == (channel.seats, channel.capacity), uid
+
+
+@pytest.mark.parametrize("name", sorted(canned.ALL))
+def test_seats_follow_the_tree_and_slices_rebuild_each_control(monkeypatch, name):
+    # After every op the provider's seats are each member's committed tree.
+    # Of every sequenced tree control, the members' slices, each placed at
+    # its `first`, rebuild the sender's entries exactly, and each member's
+    # slice holds an entry that it opens.
+    sent, checked = {}, []
+    real_publish, real_post_op = Provider.publish, Runner._post_op
+
+    def publish(self, group_id, sender, *, user_view, **routing):
+        seq = real_publish(self, group_id, sender, user_view=user_view, **routing)
+        sent[seq] = user_view
+        return seq
+
+    def post_op(self, seq):
+        real_post_op(self, seq)
+        res = self.result
+        _check_seats(res.provider, self.group.group_id, res.users)
+        whole = _control_of(sent[seq])
+        if whole is None:
+            return
+        placed = {}
+        for row in res.provider.transcript:
+            if row["seq"] != seq or row["recipient_class"] != "user":
+                continue
+            part = _control_of(base64.b64decode(row["view_b64"]))
+            assert replace(part, first=0, path_entries=whole.path_entries) == whole
+            path = res.users[row["recipient"]].cgka.path
+            with counters.paused():
+                opened = [pke_open(path[x][1], box, part.ephemeral, i)
+                          for i, (x, box) in enumerate(part.path_entries, part.first)
+                          if x in path]
+            assert opened, row["recipient"]
+            for i, entry in enumerate(part.path_entries, part.first):
+                assert placed.setdefault(i, entry) == entry
+        assert [placed.get(i) for i in range(len(placed))] == whole.path_entries
+        checked.append(seq)
+
+    monkeypatch.setattr(Provider, "publish", publish)
+    monkeypatch.setattr(Runner, "_post_op", post_op)
+    run_text(canned.ALL[name], seed=7)
+    assert checked
+
+
+def test_seats_follow_the_tree_through_churn():
+    # each remove frees a leaf that the next add refills; the add past the
+    # capacity doubles it, at the provider as in every tree
+    with primitives.seeded(5):
+        world = bench.World(6, 1)
+        _check_seats(world.provider, world.group_id, world.users)
+        steps = [("remove", "user-002"), ("add", "new-0"), ("remove", "user-004"),
+                 ("add", "new-1"), ("add", "new-2"), ("add", "new-3"), ("add", "new-4")]
+        for kind, uid in steps:
+            blob = (world.remove_user if kind == "remove" else world.add_user)(
+                "user-001", uid)
+            world.publish("user-001", blob)
+            world.deliver()
+            _check_seats(world.provider, world.group_id, world.users)
+            world.send_end_to_end("user-003", f"after {kind} {uid}".encode())
+            _check_seats(world.provider, world.group_id, world.users)
+    channel = world.provider._channel(world.group_id)
+    assert channel.capacity == 16
+    assert channel.seats[2] == "new-0" and channel.seats[4] == "new-1"
+    assert channel.seats[8] == "new-4"
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_a_warm_member_view_carries_one_entry(n):
+    # every copath node of a warm tree resolves to itself, so each member's
+    # view carries the one entry of its level, and all have one length;
+    # the sender still seals log2(n) path entries and one box per bot
+    world = bench.World(n, 4)
+    ops = counters.OpCounters()
+    with counters.collect(ops), counters.attribute("sender"):
+        out = world.users["user-001"].send(b"one entry each")
+    seq = world.publish("user-001", out.user_view, out.chatbot_view)
+    views = [base64.b64decode(r["view_b64"]) for r in world.provider.transcript
+             if r["seq"] == seq and r["recipient_class"] == "user"]
+    assert len(views) == n - 1
+    assert {len(_control_of(view).path_entries) for view in views} == {1}
+    depth = int(math.log2(n))
+    assert {len(view) for view in views} == {
+        len(out.user_view) - cgka.ENTRY_LEN * (depth - 1)}
+    assert ops.party("sender")["pke_seal"] == depth + 4
+    world.deliver()
+
+
 def _routing_state(provider):
     return (provider._seq, len(provider.transcript),
             {pid: list(views) for pid, views in provider._inboxes.items()})
@@ -362,12 +509,14 @@ def _width_broken(view: ChatbotMessageView, field: str) -> bytes:
 
 @pytest.mark.parametrize("broken", ["truncated", "box", "ephemeral", "group_public_key",
                                     "user_view", "tree_control", "add_bot_short",
-                                    "remove_bot_short", "chatbot_view_as_user_view"])
+                                    "remove_bot_short", "chatbot_view_as_user_view",
+                                    "split_level"])
 def test_a_view_no_recipient_can_read_is_refused_before_sequencing(broken):
     # a member view that lost its last byte, a tree control passed as the
     # chatbot view, and an attach or detach control whose chatbot copy lost
     # its last byte, were each sequenced and delivered; no member handles a
-    # chatbot view
+    # chatbot view, and a copath level whose entries are not contiguous
+    # cannot be cut into one slice
     world = bench.World(3, 2)
     out = world.users["user-000"].send(b"hello both")
     user_view, bot_view = out.user_view, out.chatbot_view
@@ -382,6 +531,11 @@ def test_a_view_no_recipient_can_read_is_refused_before_sequencing(broken):
         user_view = user_view[:-1]
     elif broken == "chatbot_view_as_user_view":
         user_view = bot_view
+    elif broken == "split_level":
+        view = UserMessageView.from_bytes(user_view)
+        ctl = cgka.CgkaControl.from_bytes(view.control)
+        ctl.path_entries.append(ctl.path_entries[0])
+        user_view = replace(view, control=ctl.to_bytes()).to_bytes()
     elif broken == "tree_control":
         bot_view = GroupControl(UserMessageView.from_bytes(user_view).control).to_bytes()
     elif broken == "truncated":
@@ -718,7 +872,10 @@ def test_adversary_climbs_as_far_as_the_longest_path_on_the_wire(carrier):
 
 @pytest.mark.parametrize("target", ["past_the_tree", "u32_max"])
 def test_entry_naming_a_node_outside_the_tree_is_left_unhinted(target):
-    # the follower names every other entry of the control by its true key
+    # the follower names every other entry of the control by its true key.
+    # The forged control travels whole, in a row of its own: a provider
+    # that slices by copath level sends no member an entry whose level
+    # seats none, as the u32_max one's does not.
     world = bench.World(4, 0)
     wrapped = GroupControl.from_bytes(world.users["user-000"].update_keys())
     tree = world.users["user-000"].cgka.tree
@@ -726,8 +883,12 @@ def test_entry_naming_a_node_outside_the_tree_is_left_unhinted(target):
     bad = {"past_the_tree": len(tree.nodes), "u32_max": 2**32 - 1}[target]
     (_, forged_box), *rest = ctl.path_entries
     ctl.path_entries[0] = (bad, forged_box)
-    world.publish("user-000", replace(wrapped, control=ctl.to_bytes()).to_bytes())
-    hints = _collect_material(world.provider.transcript, world.provider)[0]
+    forged = replace(wrapped, control=ctl.to_bytes()).to_bytes()
+    transcript = [*world.provider.transcript, {
+        "seq": world.provider._seq + 1, "group_id": world.group_id,
+        "recipient_class": "user", "recipient": "user-001",
+        "view_b64": base64.b64encode(forged).decode("ascii")}]
+    hints = _collect_material(transcript, world.provider)[0]
     assert hints[(forged_box, ctl.ephemeral, 0)] == frozenset()
     assert rest
     for i, (x, box) in enumerate(rest, 1):
@@ -798,8 +959,9 @@ def _reference_material(transcript):
             boxes[box] = hint
 
     def control_boxes(control):
+        # a member's slice holds the entries from batch position `first`
         depths.append(len(control.new_public_path))
-        for i, (_target, box) in enumerate(control.path_entries):
+        for i, (_target, box) in enumerate(control.path_entries, control.first):
             add_box((box, control.ephemeral, i), None)
 
     for row in transcript:

@@ -170,8 +170,8 @@ def test_rule_from_text_errors():
 def _fresh_registration(cid="echo-bot-01"):
     enc = pke_keygen(random_secret())
     sig = sign_keygen(random_secret())
-    return make_registration(cid, enc.public_key, sig.secret_key,
-                             sig.public_key, (TriggerRule("mention", b"@echo"),))
+    return make_registration(cid, enc.public_key, sig,
+                             (TriggerRule("mention", b"@echo"),))
 
 
 def test_registration_verifies():
