@@ -18,9 +18,18 @@ alone, `first` naming the batch position of the run's first entry. Entry
 i of a control sits at batch position `first + i`, whole or sliced, so
 receivers and the adversary open both alike. The entries are the last
 field, ENTRY_LEN each, so a slice is cut from the control's bytes.
-The root secret of the current epoch is the group secret; the key pair
-generated from it is the group key pair that the chatbot layer shares
-with addressed chatbots.
+The root secret of the current epoch is the group secret. The root's
+slot of a new public path, in the control and then in the tree, holds no
+public key but the secret's confirmation, `derive(root secret, CONFIRM)`,
+as RFC 9420 binds members to an epoch by a confirmation derived from its
+secrets (§6.1 and §8). No copath resolution names the root, so nothing
+is ever sealed to it, and a receiver checks the root by one hash instead
+of one X25519 base multiplication. The key pair generated from the group
+secret is the group key pair that the chatbot layer shares with
+addressed chatbots. `group_key_pair` builds it on first use and caches it
+in the root's entry of `path` for that epoch, so a member builds it only
+in an epoch that it sends or attaches a chatbot in; a member whose
+chatbot a message fires keeps the pair's secret key alone (`group`).
 
 A control's public step is `advance`, on a copy of the tree: its
 membership edit (`edit_membership`), the checks that its sender leaf seats
@@ -45,11 +54,13 @@ The tree itself is public. A member's private material sits in one map,
 key and the chained secrets above it, each with the KeyPair that
 `pke_keygen` returned, so opening reuses the key object. Its init key is
 `path[None]` until it joins, then its leaf's entry until replaced. The group
-secret and group key pair are read from the root's entry. A receiver looks
-for its entry among the node indices in `path`, opens exactly one entry,
+secret and group key pair are read from the root's entry, which holds no
+key pair until `group_key_pair` builds one. A receiver looks for its entry
+among the node indices in `path` but the root, opens exactly one entry,
 and re-derives the path from the merge point up, checking each derived
-public key against the control. A node whose key the control blanks or
-replaces leaves `path` too.
+public key against the control, and at the root the confirmation. A node
+whose key the control blanks or replaces leaves `path` too, and so does
+the old root's entry.
 
 Adds place the newcomer at the leftmost blank leaf (doubling capacity in
 place when full), blank the newcomer's path, and embed an immediate update.
@@ -90,6 +101,7 @@ from .errors import (
 )
 from .primitives import (
     BOX_LEN,
+    CONFIRM,
     NO_EPHEMERAL,
     PUBLIC_KEY_LEN,
     KeyPair,
@@ -177,15 +189,11 @@ class Staged:
     control: CgkaControl
     tree: treemod.RatchetTree
     own_leaf: int
-    path: dict[int, tuple[bytes | None, KeyPair]]
+    path: dict[int, tuple[bytes | None, KeyPair | None]]
 
     @property
     def group_secret(self) -> bytes:
         return self.path[self.tree.root][0]
-
-    @property
-    def group_key_pair(self) -> KeyPair:
-        return self.path[self.tree.root][1]
 
 
 @dataclass
@@ -197,22 +205,30 @@ class CgkaState:
     tree: treemod.RatchetTree | None = None
     own_leaf: int | None = None
     # node -> (chained secret, key pair) on the own direct path; the secret
-    # is None at a leaf joined by init key, the node None before joining
-    path: dict[int | None, tuple[bytes | None, KeyPair]] = field(default_factory=dict)
+    # is None at a leaf joined by init key, the node None before joining,
+    # the root's key pair None until `group_key_pair` builds it
+    path: dict[int | None, tuple[bytes | None, KeyPair | None]] = field(
+        default_factory=dict)
     _pending: Staged | None = None
 
     @property
     def group_secret(self) -> bytes | None:
-        return self._root_entry()[0]
+        if self.tree is None:
+            return None
+        return self.path[self.tree.root][0]
 
     @property
     def group_key_pair(self) -> KeyPair | None:
-        return self._root_entry()[1]
-
-    def _root_entry(self) -> tuple[bytes | None, KeyPair | None]:
+        """`pke_keygen(group_secret)`, built on first use and cached in the
+        root's entry for the epoch."""
         if self.tree is None:
-            return None, None
-        return self.path.get(self.tree.root, (None, None))
+            return None
+        root = self.tree.root
+        secret, pair = self.path[root]
+        if pair is None:
+            pair = pke_keygen(secret)
+            self.path[root] = (secret, pair)
+        return pair
 
     # -- senders ------------------------------------------------------------
 
@@ -261,8 +277,10 @@ class CgkaState:
         secrets = [random_secret()]
         for _ in path[1:]:
             secrets.append(derive(secrets[-1]))
-        pairs = [pke_keygen(s) for s in secrets]
+        # a public key below the root, the confirmation at it
+        pairs = [pke_keygen(s) for s in secrets[:-1]]
         ctl.new_public_path = [kp.public_key for kp in pairs]
+        ctl.new_public_path.append(derive(secrets[-1], CONFIRM))
         for x, pk in zip(path, ctl.new_public_path):
             t.nodes[x] = pk
 
@@ -275,7 +293,7 @@ class CgkaState:
         ctl.path_entries = list(zip(targets, boxes))
 
         self._pending = Staged(ctl, t, own_leaf,
-                               {x: (s, kp) for x, s, kp in zip(path, secrets, pairs)})
+                               dict(zip(path, zip(secrets, [*pairs, None]))))
         return ctl
 
     # -- receivers ------------------------------------------------------------
@@ -335,8 +353,11 @@ class CgkaState:
             raise NotMember("removed from the group")
         else:
             own_leaf = self.own_leaf
-            # a node whose key the control blanked or replaced leaves `path`
-            path = {x: v for x, v in self.path.items() if t.nodes[x] == v[1].public_key}
+            # a node whose key the control blanked or replaced leaves `path`,
+            # and so does the old root's entry, which no entry is sealed to
+            root = self.tree.root
+            path = {x: v for x, v in self.path.items()
+                    if x != root and t.nodes[x] == v[1].public_key}
         _apply_update_path(control, sender_path, own_leaf, path)
         return Staged(control, t, own_leaf, path)
 
@@ -354,10 +375,7 @@ class CgkaState:
             "epoch": self.epoch,
             "own_leaf": self.own_leaf,
             "tree": None,
-            "path": {
-                str(x): {"secret": hx(s), "private_key": kp.secret_key.hex()}
-                for x, (s, kp) in sorted(self.path.items())
-            },
+            "path": _path_snapshot(self.path, self.tree),
             "pending": None,
         }
         if self.tree is not None:
@@ -367,16 +385,24 @@ class CgkaState:
                 "nodes": [hx(pk) for pk in self.tree.nodes],
             }
         if self._pending is not None:
-            state["pending"] = {
-                str(x): {"secret": s.hex(), "private_key": kp.secret_key.hex()}
-                for x, (s, kp) in sorted(self._pending.path.items())
-            }
+            state["pending"] = _path_snapshot(self._pending.path, self._pending.tree)
         return state
 
 
 def hx(b: bytes | None) -> str | None:
     """`b` as hex, or None: the spelling of optional bytes in snapshots."""
     return b.hex() if b is not None else None
+
+
+def _path_snapshot(path: dict, t: treemod.RatchetTree | None) -> dict:
+    """`path` as snapshots spell it. The root's private key is null: its
+    key pair, the group key pair, is a function of the root secret written
+    beside it, built on first use, so no snapshot depends on whether it
+    has been built yet, and writing one builds nothing."""
+    root = -1 if t is None else t.root  # before joining, `path` holds no root
+    return {str(x): {"secret": hx(s),
+                     "private_key": None if x == root else kp.secret_key.hex()}
+            for x, (s, kp) in sorted(path.items())}
 
 
 def edit_membership(control: CgkaControl, t: treemod.RatchetTree | None) -> tuple[
@@ -484,10 +510,11 @@ def slices_by_level(data: bytes) -> tuple[CgkaControl, dict[int | None, bytes]]:
 
 
 def _apply_update_path(control: CgkaControl, sender_path: list[int], own_leaf: int,
-                       path: dict[int, tuple[bytes | None, KeyPair]]) -> None:
-    """Open the one entry whose target node is in `path` and re-derive the
-    sender's path from the merge point up into `path`, checking each key
-    against the control's new path."""
+                       path: dict[int, tuple[bytes | None, KeyPair | None]]) -> None:
+    """Open the one entry whose target node is in `path`, which holds no
+    root, and re-derive the sender's path from the merge point up into
+    `path`, checking each key, and the root's confirmation, against the
+    control's new path. The root's entry gets the secret alone."""
     if control.sender_leaf == own_leaf:
         raise MalformedControl("unexpected control from own leaf")
 
@@ -515,13 +542,16 @@ def _apply_update_path(control: CgkaControl, sender_path: list[int], own_leaf: i
     if merge_idx is None:
         raise MalformedControl("opened entry does not sit under the path")
 
-    for i in range(merge_idx, len(sender_path)):
+    root = len(sender_path) - 1
+    for i in range(merge_idx, root):
         kp = pke_keygen(opened)
         if kp.public_key != control.new_public_path[i]:
             raise MalformedControl("chained secret does not match path key")
         path[sender_path[i]] = (opened, kp)
-        if i + 1 < len(sender_path):
-            opened = derive(opened)
+        opened = derive(opened)
+    if derive(opened, CONFIRM) != control.new_public_path[root]:
+        raise MalformedControl("chained secret does not match path key at the root")
+    path[sender_path[root]] = (opened, None)
 
 
 def init(member_id: str, directory: InitKeyDirectory) -> CgkaState:

@@ -52,10 +52,14 @@ order and kinds), and the payloads inside the ciphertext as `Record`s:
     0x14 remove-chatbot control       0x15 wrapped tree control, sliced
                                            per level, at most one welcome
 
-A member reads each group fact (group id, epoch, group public key) from
-the tree control alone: its user views and wrapped controls carry no copy.
-The chatbot view, which has no control, states them itself: the group id
-and epoch in its header, the group public key in its body.
+A member reads the group id and epoch from the tree control alone: its
+user views and wrapped controls carry no copy. The control's root slot is
+no key but the confirmation of the group secret (see `cgka`), and a
+member builds the group key pair from that secret only when it uses it:
+to send or to attach a chatbot. A fired chatbot's record keeps the group
+secret key alone, and builds its pair only to open a reply. The
+chatbot view, which has no control, states each group fact itself: the
+group id and epoch in its header, the group public key in its body.
 
 A wrapped tree control ends in a list of at most one newcomer section;
 only an add's has one: the welcome (the public tree the add was built on)
@@ -104,10 +108,12 @@ from .primitives import (
     MSG_KEY,
     KeyPair,
     derive,
+    pke_key_pair,
     pke_keygen,
     pke_open,
     pke_seal,
     pke_seal_batch,
+    pke_secret_key,
     random_secret,
     sign,
     sign_keygen,
@@ -191,11 +197,17 @@ def _dispatch(party, handlers: dict[int, str], view: bytes):
 
 @dataclass
 class ChatbotRecord:
-    """A user's per-chatbot bookkeeping: O(1) per chatbot."""
+    """A user's per-chatbot bookkeeping: O(1) per chatbot. It keeps the
+    group secret key of the last epoch that addressed the chatbot, a hash
+    of that epoch's group secret, and builds its key pair only to open a
+    reply: the base multiplication is paid by a member that reads a reply,
+    not by every member for every message that fires a chatbot."""
 
     trigger: TriggerSpec
-    channel_secret_key: KeyPair | None  # group key pair at last addressing
+    channel_secret_key: bytes | None  # group secret key at last addressing
     bot_public_key: bytes             # the chatbot's current channel key
+    # the key pair of `channel_secret_key`, once a reply has been opened
+    channel_pair: KeyPair | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -254,14 +266,21 @@ def pseudonym_context(group_id: str, epoch: int, message: bytes) -> bytes:
 @wire(VIEW_USER_MESSAGE, ("flags", U8), ("control", BYTES), ("ciphertext", BYTES))
 @dataclass(frozen=True)
 class UserMessageView:
-    """A member's view of a message. The group id, epoch and group public
-    key are the embedded control's: its group id, its epoch plus one, and
-    the root of its `new_public_path`. It carries no chatbot boxes: members
-    work out the addressed chatbots from the group-public triggers."""
+    """A member's view of a message. The group id and epoch are the
+    embedded control's: its group id and its epoch plus one. The root slot
+    of its `new_public_path` confirms the group secret; the group public
+    key is no field of it, since a member builds that key pair from the
+    secret. It carries no chatbot boxes: members work out the addressed
+    chatbots from the group-public triggers. A flag bit that is not
+    defined is malformed, so the flags byte has one meaning."""
 
     flags: int
     control: bytes
     ciphertext: bytes
+
+    def __post_init__(self) -> None:
+        if self.flags & ~_FLAG_ADDRESS_ALL:
+            raise MalformedControl(f"undefined message flags 0x{self.flags:02x}")
 
 
 # A chatbot view's entry: the box at `position` of the batch, which is the
@@ -536,7 +555,7 @@ class UserState:
         ctl = AddBotControl.from_bytes(data)
         self._check_group(ctl.group_id)
         self.records[ctl.chatbot_id] = self._admit(
-            ctl.chatbot_id, ctl.node_public_key, self.cgka.group_key_pair)
+            ctl.chatbot_id, ctl.node_public_key, pke_secret_key(self.cgka.group_secret))
         self._reindex()
 
     def remove_chatbot(self, chatbot_id: str) -> bytes:
@@ -560,7 +579,7 @@ class UserState:
         return data
 
     def _admit(self, chatbot_id: str, bot_public_key: bytes,
-               channel_secret_key: KeyPair | None) -> ChatbotRecord:
+               channel_secret_key: bytes | None) -> ChatbotRecord:
         """The one chatbot admission: not yet attached, registered, and its
         registration signed."""
         if chatbot_id in self.records:
@@ -618,11 +637,10 @@ class UserState:
         ctl = self.cgka.update()
         group_key = self.cgka.process(ctl)
         epoch = self.cgka.epoch
-        pair = self.cgka.group_key_pair
         message_key = derive(group_key, MSG_KEY)
         ciphertext = sym_encrypt(message_key, payload)
 
-        fired = self._rotate(trigger_message, address_all, pair)
+        fired = self._rotate(trigger_message, address_all)
         roster = [(cid, record) for cid, record in sorted(self.records.items())
                   if cid in fired or conceal]
         ephemeral, boxes = pke_seal_batch(
@@ -636,7 +654,8 @@ class UserState:
                                     ciphertext=ciphertext)
         chatbot_view = ChatbotMessageView(
             group_id=self.group_id, epoch=epoch, body=ChatbotViewBody(
-                ciphertext=ciphertext, group_public_key=pair.public_key,
+                ciphertext=ciphertext,
+                group_public_key=self.cgka.group_key_pair.public_key,
                 ephemeral=ephemeral, entries=entries))
         return SendOutcome(user_view=user_view.to_bytes(),
                            chatbot_view=chatbot_view.to_bytes(), epoch=epoch,
@@ -658,31 +677,33 @@ class UserState:
         if control.kind != "update":
             raise MalformedControl(f"a message embeds an update, not a {control.kind}")
         # `stage` refuses another group or epoch, and checks every key the
-        # control's path derives, up to the group key pair at its root
+        # control's path derives, up to the confirmation at its root
         staged = self.cgka.stage(control)
-        pair = staged.group_key_pair
-
         message_key = derive(staged.group_secret, MSG_KEY)
         payload = sym_decrypt(message_key, view.ciphertext)
         result, _signature = _parse_payload(payload)
         self.cgka.commit(staged)
         message = result.message if isinstance(result, ReceivedMessage) else None
-        self._rotate(message, bool(view.flags & _FLAG_ADDRESS_ALL), pair)
+        self._rotate(message, bool(view.flags & _FLAG_ADDRESS_ALL))
         return result
 
-    def _rotate(self, message: bytes | None, address_all: bool,
-                pair: KeyPair) -> set[str]:
+    def _rotate(self, message: bytes | None, address_all: bool) -> set[str]:
         """The one addressing rule, shared by the sender and its receivers:
         `address_all`, or the record's trigger fires on the message. Moves
-        each addressed record's channel to `pair`; returns their ids."""
+        each addressed record's channel to the group secret key of the
+        epoch just committed; returns their ids."""
         if address_all:
             fired = set(self.records)
         elif message is None:
             fired = set()
         else:
             fired = self._triggers.fired(message)
-        for cid in fired:
-            self.records[cid].channel_secret_key = pair
+        if fired:
+            secret_key = pke_secret_key(self.cgka.group_secret)
+            for cid in fired:
+                # the old key's pair goes with it
+                record = self.records[cid]
+                record.channel_secret_key, record.channel_pair = secret_key, None
         return fired
 
     def receive_from_chatbot(self, data: bytes) -> bytes:
@@ -693,7 +714,9 @@ class UserState:
             raise NotPresent(f"no record of {msg.chatbot_id!r}")
         if record.channel_secret_key is None:
             raise DecryptFailed("no channel key for this chatbot yet")
-        message_key = pke_open(record.channel_secret_key, msg.sealed_key)
+        if record.channel_pair is None:
+            record.channel_pair = pke_key_pair(record.channel_secret_key)
+        message_key = pke_open(record.channel_pair, msg.sealed_key)
         message = sym_decrypt(message_key, msg.ciphertext)
         record.bot_public_key = msg.node_public_key
         return message
@@ -717,8 +740,7 @@ class UserState:
             "records": {
                 cid: {
                     "trigger": rec.trigger.canonical_bytes().hex(),
-                    "channel_secret_key": None if rec.channel_secret_key is None
-                    else hx(rec.channel_secret_key.secret_key),
+                    "channel_secret_key": hx(rec.channel_secret_key),
                     "bot_public_key": hx(rec.bot_public_key),
                 }
                 for cid, rec in sorted(self.records.items())

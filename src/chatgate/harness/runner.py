@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from .. import cgka, counters
 from ..encoding import peek_type
-from ..errors import BadPseudonymSignature, DecryptFailed, GroupDiverged
+from ..errors import BadPseudonymSignature, ChatGateError, DecryptFailed, GroupDiverged
 from ..group import (
     BOT_MESSAGE,
     NOT_ADDRESSED,
@@ -287,11 +287,18 @@ class Runner:
         self._post_op(seq)
 
     def _drain(self, seq: int) -> None:
+        """Deliver every pending view; an error a recipient raises is noted
+        with that recipient and the view's sequence number, ahead of the
+        note `run` adds for the op."""
         for pid, party, view in self.group.pending():
             deliver = (self._deliver_to_user if isinstance(party, UserState)
                        else self._deliver_to_bot)
-            with counters.attribute(pid):
-                deliver(seq, pid, party, view)
+            try:
+                with counters.attribute(pid):
+                    deliver(seq, pid, party, view)
+            except ChatGateError as exc:
+                exc.add_note(f"delivering seq {seq} to {pid}")
+                raise
 
     def _deliver_to_user(self, seq: int, uid: str, user: UserState,
                          view: bytes) -> None:

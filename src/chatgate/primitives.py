@@ -3,8 +3,8 @@
 Instantiation choices (all frozen into tests):
 
 * 32-byte secrets throughout; derivation is SHA-256 under a package domain
-  prefix with a per-use label, so tree chaining, message keys and pseudonym
-  handles live in disjoint domains.
+  prefix with a per-use label, so tree chaining, message keys, root
+  confirmations and pseudonym handles live in disjoint domains.
 * Public-key encryption is a sealed box: ephemeral X25519 + HKDF-style key
   derivation + AESGCM with a zero nonce. Boxes come in batches: every box of
   a batch is sealed under one ephemeral key pair, drawn by `pke_keygen` and
@@ -71,6 +71,7 @@ _ZERO_NONCE = bytes(12)
 # domain; mixing them up is a key-reuse bug, not a tunable.
 CHAIN = b"chain"        # parent secret from child secret in the tree
 MSG_KEY = b"msgkey"     # per-message symmetric key from a fresh group/channel key
+CONFIRM = b"confirm"    # public confirmation of a tree root secret
 HANDLE = b"handle"      # pseudonym handle from an identity public key
 
 
@@ -183,7 +184,7 @@ def derive(seed: bytes, label: bytes = CHAIN) -> bytes:
 def x25519_key_pair(scalar: bytes) -> KeyPair:
     """The X25519 key pair, with its key object, of a raw 32-byte scalar.
 
-    Not a counted op: `pke_keygen` builds its pair with it, and so does the
+    Not a counted op: `pke_key_pair` builds its pair with it, and so does the
     adversary for each candidate scalar, to name its public key and open
     boxes. Raises ValueError if the scalar is not 32 bytes.
     """
@@ -200,8 +201,21 @@ def pke_keygen(seed: bytes) -> KeyPair:
     legitimately retains a derived secret key must not thereby retain the
     seed's byte pattern (the seed is typically a group key).
     """
+    return pke_key_pair(pke_secret_key(seed))
+
+
+def pke_secret_key(seed: bytes) -> bytes:
+    """The scalar of `pke_keygen(seed)`. Not a counted op: a hash, for a
+    party that keeps the secret key to open with later and builds its pair
+    (`pke_key_pair`) only when it does."""
+    return _kdf(b"pke-keygen", _check_secret(seed))
+
+
+def pke_key_pair(secret_key: bytes) -> KeyPair:
+    """The X25519 key pair of a `pke_secret_key` scalar: one counted
+    `pke_keygen`, the base multiplication."""
     counters.record("pke_keygen")
-    return x25519_key_pair(_kdf(b"pke-keygen", _check_secret(seed)))
+    return x25519_key_pair(secret_key)
 
 
 def _box_key(shared: bytes, eph_public: bytes, recipient_public: bytes,

@@ -30,10 +30,11 @@ a group key that some chatbot view body or attach control carries, and
 attach seeds go to the bot's registered key. Ciphertexts are named too:
 every AEAD key is `derive(x, MSG_KEY)`, and the view carrying the
 ciphertext names `pke_keygen(x).public_key` (chatbot view bodies their
-group key, member views the root key of their control, bot replies their
-node key). Derivation domains are disjoint, so a chain link or
-`pke_keygen` scalar is never a message key, and a message key or chain
-link is never a recipient scalar.
+group key, bot replies their node key) or, a member view, the root slot
+of its control's path: the confirmation `derive(x, CONFIRM)`.
+Derivation domains are disjoint, so a chain link or `pke_keygen` scalar
+is never a message key, a message key or chain link is never a recipient
+scalar, and a confirmation, which is public, is none of them.
 So each candidate meets only the boxes and ciphertexts it could open, and
 the search stays exhaustive, barring a SHA-256 or X25519 clamping
 collision. Security claims in the probes are statements about its output.
@@ -88,6 +89,7 @@ from .group import (
 )
 from .primitives import (
     CHAIN,
+    CONFIRM,
     MSG_KEY,
     KeyPair,
     derive,
@@ -351,12 +353,14 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     against every candidate: so is each entry of a control that the
     follower cannot apply.
 
-    A ciphertext's hints are the `pke_keygen` public keys of the seed its
-    key was derived from (`derive(seed, MSG_KEY)`): a message view names
-    the group key pair of the group secret it was sent under (a member's
-    view as the root key of its control's path, a chatbot view in its
-    body), a bot reply the node key of its fresh seed. A notice carries no
-    ciphertext and no key: it adds nothing.
+    A ciphertext's hints name the seed its key was derived from
+    (`derive(seed, MSG_KEY)`), by the seed's `pke_keygen` public key or
+    its confirmation `derive(seed, CONFIRM)`: a member's view names the
+    group secret it was sent under by the root slot of its control's path,
+    which is that secret's confirmation; a chatbot view names it by the
+    group public key in its body, and a bot reply names its fresh seed by
+    the node key. A notice carries no ciphertext and no key: it adds
+    nothing.
     """
     hints: dict[SealedBox, set[bytes]] = {}
     ct_hints: dict[bytes, set[bytes]] = {}
@@ -476,11 +480,21 @@ def _by_hint(material: dict[T, set[bytes]]) -> tuple[dict[bytes, list[T]], list[
     return by_hint, unhinted
 
 
-def _expand(secret: bytes, depth: int) -> list[tuple[bytes, bytes, KeyPair]]:
+class _Link(NamedTuple):
+    """One link of a chain: the value, its message key, its `pke_keygen`
+    key pair, and the names a ciphertext under the message key may carry:
+    the pair's public key and the value's confirmation."""
+
+    secret: bytes
+    message_key: bytes
+    pair: KeyPair
+    names: tuple[bytes, bytes]
+
+
+def _expand(secret: bytes, depth: int) -> list[_Link]:
     """The chain above one 32-byte value (as a possible tree path secret),
-    starting at the value itself and `depth` links long: each link with its
-    message key and its `pke_keygen` key pair."""
-    links: list[tuple[bytes, bytes, KeyPair]] = []
+    starting at the value itself and `depth` links long."""
+    links: list[_Link] = []
     seen: set[bytes] = set()
     s = secret
     for _ in range(depth):
@@ -488,7 +502,7 @@ def _expand(secret: bytes, depth: int) -> list[tuple[bytes, bytes, KeyPair]]:
             break
         message_key = derive(s, MSG_KEY)
         pair = pke_keygen(s)
-        links.append((s, message_key, pair))
+        links.append(_Link(s, message_key, pair, (pair.public_key, derive(s, CONFIRM))))
         seen.update((s, message_key, pair.secret_key))
         s = derive(s, CHAIN)
     return links
@@ -524,9 +538,9 @@ class Adversary:
 
     def __init__(self, transcript, registry: BotLookup) -> None:
         self._source = (transcript, registry)
-        self._links: dict[bytes, list[tuple[bytes, bytes, KeyPair]]] = {}
+        self._links: dict[bytes, list[_Link]] = {}
         self._opened: dict[bytes, tuple[bytes, ...]] = {}
-        self._read: dict[tuple[bytes, bytes | None], tuple[bytes, ...]] = {}
+        self._read: dict[tuple[bytes, tuple[bytes, ...] | None], tuple[bytes, ...]] = {}
 
     @cached_property
     def _wire(self) -> _Wire:
@@ -546,7 +560,7 @@ class Adversary:
             raise ValueError("the transcript grew after this Adversary "
                              "collected it; build a new one")
 
-    def links(self, value: bytes) -> list[tuple[bytes, bytes, KeyPair]]:
+    def links(self, value: bytes) -> list[_Link]:
         """`_expand(value)`, as deep as the longest path on the wire."""
         links = self._links.get(value)
         if links is None:
@@ -570,21 +584,24 @@ class Adversary:
             opened = self._opened[scalar] = tuple(out)
         return opened
 
-    def read(self, key: bytes, link: bytes | None) -> tuple[bytes, ...]:
+    def read(self, key: bytes, names: tuple[bytes, ...] | None) -> tuple[bytes, ...]:
         """The payloads `key` decrypts: from every ciphertext for a raw
-        value (`link` None), else from those that name `link`, the public
-        key of the chain link whose message key it is."""
-        payloads = self._read.get((key, link))
+        value (`names` None), else from those that name one of `names`, the
+        names of the chain link whose message key it is, each ciphertext
+        once."""
+        payloads = self._read.get((key, names))
         if payloads is None:
             wire = self._wire
             aead = sym_key(key)
             out = []
-            for ct in wire.all_cts if link is None else wire.cts_for.get(link, ()):
+            cts = wire.all_cts if names is None else dict.fromkeys(
+                ct for name in names for ct in wire.cts_for.get(name, ()))
+            for ct in cts:
                 try:
                     out.append(sym_decrypt(aead, ct))
                 except DecryptFailed:
                     continue
-            payloads = self._read[(key, link)] = tuple(out)
+            payloads = self._read[(key, names)] = tuple(out)
         return payloads
 
 
@@ -598,10 +615,11 @@ def adversary_decrypt(snapshot: bytes, adversary: Adversary) -> AdversaryReport:
     # or the plaintext of an opened box) could be any key: it meets every
     # ciphertext, and as a scalar the boxes hinted with its public key plus
     # the unhinted ones. A link's message key `derive(s, MSG_KEY)` opens
-    # only ciphertexts that name `pke_keygen(s)`; the link's key pair only
-    # boxes hinted with its public key, or unhinted. Chain links above a
-    # raw value and `pke_keygen` scalars are neither keys nor recipient
-    # scalars in any other domain, so they meet nothing more.
+    # only ciphertexts that name `pke_keygen(s)` or `derive(s, CONFIRM)`;
+    # the link's key pair only boxes hinted with its public key, or
+    # unhinted. Chain links above a raw value and `pke_keygen` scalars are
+    # neither keys nor recipient scalars in any other domain, so they meet
+    # nothing more. Confirmations are public: they are no candidate.
     adversary.check_current()
     secrets: set[bytes] = set()
     raw = _harvest_hex(json.loads(snapshot))
@@ -612,12 +630,12 @@ def adversary_decrypt(snapshot: bytes, adversary: Adversary) -> AdversaryReport:
     # round it first appears tries every pair it could open exactly once.
     while raw:
         pairs: dict[bytes, KeyPair | None] = dict.fromkeys(raw)
-        message_keys: dict[bytes, bytes] = {}  # message key -> link public key
+        message_keys: dict[bytes, tuple[bytes, ...]] = {}  # message key -> link names
         frontier: set[bytes] = set()
         for value in raw:
-            for s, message_key, pair in adversary.links(value):
+            for s, message_key, pair, names in adversary.links(value):
                 frontier.update((s, message_key, pair.secret_key))
-                message_keys[message_key] = pair.public_key
+                message_keys[message_key] = names
                 pairs[pair.secret_key] = pair
         frontier -= secrets
         secrets |= frontier
@@ -629,12 +647,12 @@ def adversary_decrypt(snapshot: bytes, adversary: Adversary) -> AdversaryReport:
                 new.update(plain for plain in opened
                            if len(plain) == 32 and plain not in secrets)
             if key in raw:
-                link = None
+                names = None
             elif key in message_keys:
-                link = message_keys[key]
+                names = message_keys[key]
             else:
                 continue
-            read = adversary.read(key, link)
+            read = adversary.read(key, names)
             cts_opened += len(read)
             payloads.update(read)
         raw = new

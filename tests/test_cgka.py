@@ -36,7 +36,9 @@ from chatgate.harness import canned
 from chatgate.harness.runner import run_text
 from chatgate.primitives import (
     BOX_LEN,
+    CONFIRM,
     PUBLIC_KEY_LEN,
+    derive,
     pke_keygen,
     pke_seal_batch,
     random_secret,
@@ -165,12 +167,13 @@ def test_update_entry_count_in_warm_full_tree(n, expected):
 
 
 def test_update_derive_count_in_warm_full_tree():
-    # Exactly k derivation steps above the leaf for capacity 2^k.
+    # Exactly k derivation steps above the leaf for capacity 2^k, and one
+    # more for the root's confirmation.
     states, _ = warm_group(8)
     tally = counters.OpCounters()
     with counters.collect(tally), counters.attribute("sender"):
         states[0].update()
-    assert tally.party("sender")["derive"] == 3
+    assert tally.party("sender")["derive"] == 3 + 1
 
 
 def test_update_rotates_group_secret_and_epoch():
@@ -199,15 +202,22 @@ def assert_private_only_on_own_path(states):
     is complete only if no member holds private material anywhere else."""
     for s in states:
         own = set(treemod.direct_path(s.own_leaf, s.tree.capacity))
+        root = s.tree.root
         for x, (secret, kp) in s.path.items():
             assert x in own, (s.member_id, x)
+            if x == root:
+                # the root's slot confirms its secret and names no key
+                assert s.tree.nodes[x] == derive(secret, CONFIRM), s.member_id
+                continue
             # a node blanked by an add or remove has left `path` as well
             assert kp.public_key == s.tree.nodes[x], (s.member_id, x)
             assert kp.key_object is not None
             if secret is None:
                 assert x == treemod.leaf_node(s.own_leaf)
-        assert s.group_key_pair is s.path[s.tree.root][1]
-        assert s.group_secret is s.path[s.tree.root][0]
+        assert s.group_secret is s.path[root][0]
+        # built from the group secret on first use, then kept at the root
+        assert s.group_key_pair == pke_keygen(s.group_secret)
+        assert s.group_key_pair is s.path[root][1]
 
 
 def test_private_material_only_on_own_direct_path():
@@ -251,7 +261,8 @@ def test_path_secrets_never_reach_the_public_tree():
         out = []
         staged = s._pending.path.values() if s._pending is not None else ()
         for secret, kp in (*s.path.values(), *staged):
-            out.append(kp.secret_key)
+            # the root's key pair, the group key pair, may be unbuilt
+            out.append((kp or pke_keygen(secret)).secret_key)
             if secret is not None:
                 out.append(secret)
         return out
@@ -631,14 +642,27 @@ def update_with_entry_first(sender, target, key, payload):
 
 def rejected_root_entry():
     # An entry sealed to the root sits under no node of the sender's path.
-    # The control keeps the root key the receiver holds, so the receiver
-    # still looks the root up, and the entry comes first on the wire.
+    # The control keeps the root slot the receiver holds, and the entry
+    # comes first on the wire; but a receiver never looks the root up, so
+    # it opens its own entry and finds the root slot confirms another secret.
     states, _ = make_group(4)
     receiver = states[1]
-    root_key = receiver.tree.nodes[receiver.tree.root]
-    ctl = update_with_entry_first(states[0], receiver.tree.root, root_key,
+    root_slot = receiver.tree.nodes[receiver.tree.root]
+    ctl = update_with_entry_first(states[0], receiver.tree.root, root_slot,
                                   random_secret())
-    ctl.new_public_path[-1] = root_key
+    ctl.new_public_path[-1] = root_slot
+    return receiver, ctl
+
+
+def rejected_group_key_entry():
+    # The same, sealed to the group key pair the receiver has built, whose
+    # public key the forged control puts in the root slot.
+    states, _ = make_group(4)
+    receiver = states[1]
+    group_key = receiver.group_key_pair.public_key
+    ctl = update_with_entry_first(states[0], receiver.tree.root, group_key,
+                                  random_secret())
+    ctl.new_public_path[-1] = group_key
     return receiver, ctl
 
 
@@ -653,7 +677,7 @@ def rejected_replaced_key_entry():
     receiver = states[1]
     forged_root = random_secret()
     ctl = update_with_entry_first(states[0], 3, receiver.tree.nodes[3], forged_root)
-    ctl.new_public_path[-1] = pke_keygen(forged_root).public_key
+    ctl.new_public_path[-1] = derive(forged_root, CONFIRM)
     return receiver, ctl
 
 
@@ -709,7 +733,8 @@ def rejected_add_of_another_init_key():
     (rejected_root_key, MalformedControl, "does not match path key"),
     (rejected_path_length, MalformedControl, "path length does not match tree shape"),
     (rejected_own_leaf, MalformedControl, "unexpected control from own leaf"),
-    (rejected_root_entry, MalformedControl, "opened entry does not sit under the path"),
+    (rejected_root_entry, MalformedControl, "does not match path key at the root"),
+    (rejected_group_key_entry, MalformedControl, "does not match path key at the root"),
     (rejected_replaced_key_entry, MalformedControl, "does not match path key"),
     (rejected_other_ephemeral, DecryptFailed, None),
     (rejected_moved_entry, DecryptFailed, None),
@@ -719,7 +744,7 @@ def rejected_add_of_another_init_key():
     (rejected_roster_without_me, NotMember, "create roster does not include 'user-02'"),
     (rejected_add_of_another_init_key, MalformedControl, "my leaf carries a different init key"),
 ], ids=["remove", "add", "root-key", "path-length", "own-leaf", "root-entry",
-        "replaced-key-entry", "other-ephemeral", "moved-entry", "update-without-group",
+        "group-key-entry", "replaced-key-entry", "other-ephemeral", "moved-entry", "update-without-group",
         "create-in-a-group", "add-without-welcome", "roster-without-me",
         "add-of-another-init-key"])
 def test_rejected_control_leaves_state_unchanged(build, error, match):

@@ -39,6 +39,7 @@ from chatgate.group import (
     PseudonymRegistration,
     ReceivedMessage,
     RemoveBotControl,
+    SendOutcome,
     UserMessageView,
     UserState,
     chatbot_init,
@@ -426,7 +427,7 @@ def test_trigger_index_follows_records():
         for uid, user in users.items():
             pair = user.cgka.group_key_pair
             rotated = {cid for cid, record in user.records.items()
-                       if record.channel_secret_key == pair}
+                       if record.channel_secret_key == pair.secret_key}
             assert rotated == set(out.addressed), uid
         return set(out.addressed)
 
@@ -939,6 +940,23 @@ def test_message_view_carrying_a_membership_control_leaves_members_unchanged(kin
         assert user.cgka.members() == world.ids
 
 
+def test_message_view_with_an_undefined_flag_leaves_members_unchanged():
+    # Only bit 0, address_all, is defined; the other seven were accepted
+    # and ignored. A view with any of them set is refused, changing nothing.
+    world = bench.World(4, 1)
+    out = world.users["user-000"].send(b"hello", address_all=True)
+    for bit in range(1, 8):
+        flagged = out.user_view[:1] + bytes([out.user_view[1] | 1 << bit]) + out.user_view[2:]
+        for uid in world.ids[1:]:
+            user = world.users[uid]
+            before = snapshot_text(user)
+            with pytest.raises(MalformedControl, match="undefined message flags"):
+                user.process(flagged)
+            assert snapshot_text(user) == before
+    for uid in world.ids[1:]:
+        assert world.users[uid].process(out.user_view) == ReceivedMessage(b"hello")
+
+
 @pytest.mark.parametrize("target", ["past_the_tree", "u32_max"])
 def test_entries_naming_a_node_outside_the_tree_leave_members_unchanged(target):
     world = bench.World(8, 0)
@@ -1138,7 +1156,7 @@ def test_sender_and_receivers_agree_on_records_and_addressing():
         for m in members:
             pair = users[m].cgka.group_key_pair
             moved = {cid for cid, r in users[m].records.items()
-                     if r.channel_secret_key == pair}
+                     if r.channel_secret_key == pair.secret_key}
             assert moved == set(out.addressed), m
         check_records()
         addressed.append(out.addressed)
@@ -1261,6 +1279,50 @@ def test_process_matches_calling_the_named_handler():
     assert {kind for kind, _ in results} == set(USER_ROUTES) | set(BOT_ROUTES)
     assert NOT_ADDRESSED in [r for _, r in results]
     assert b"a reply" in [r for _, r in results]
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_members_build_the_channel_key_pair_only_to_read_a_reply(n):
+    # A member checks the sender's path from its merge point up: one key
+    # pair per level below the root, and one hash for the root's
+    # confirmation, so 0 key pairs at the top copath level. A send that
+    # fires a bot costs it no more: the bot's record keeps the group secret
+    # key, and builds its pair at the first reply it opens. The sender's
+    # count is what it was: one key pair per path node, the root's now
+    # being the group key pair its chatbot view names, and one ephemeral
+    # per batch.
+    world = bench.World(n, 0)
+    for i in range(4):
+        world.attach_bot(f"token-bot-{i}", f"mention:@bot{i}")
+    depth = n.bit_length() - 1
+
+    def tally(sender, act):
+        with counters.collect(counters.OpCounters()) as ops:
+            with counters.attribute("sender"):
+                out = act()
+            world.publish(sender, *((out.user_view, out.chatbot_view)
+                                    if isinstance(out, SendOutcome) else (out,)))
+            world.deliver()
+        return ops, out
+
+    for sender, message, fired in (("user-000", b"no token here", 0),
+                                   ("user-005", b"@bot2 wake up", 1),
+                                   ("user-003", b"@bot1 and @bot3", 2),
+                                   ("user-000", b"quiet again", 0)):
+        ops, out = tally(sender, lambda: world.users[sender].send(message))
+        assert len(out.addressed) == fired
+        assert ops.party("sender")["pke_keygen"] == depth + 2 + (fired > 0)
+        assert ops.party("sender")["pke_seal"] == depth + fired
+        sender_leaf = world.users[sender].cgka.own_leaf
+        for uid in world.ids:
+            if uid != sender:
+                level = cgka.copath_level(world.users[uid].cgka.own_leaf, sender_leaf)
+                assert ops.party(uid)["pke_keygen"] == depth - 1 - level, uid
+
+    # each record builds its pair at its first reply, then keeps it
+    for cid, built in (("token-bot-1", 1), ("token-bot-1", 0), ("token-bot-3", 1)):
+        ops, _ = tally(cid, lambda: world.bots[cid].send(b"a reply"))
+        assert all(ops.party(uid)["pke_keygen"] == built for uid in world.ids), cid
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

@@ -213,6 +213,25 @@ def test_runner_notes_a_divergence_with_line_op_and_party(monkeypatch):
     assert info.value.__notes__ == ["scenario line 2: update by user-00"]
 
 
+def test_runner_notes_a_delivery_error_with_its_recipient_and_seq(monkeypatch):
+    # user-01 refuses user-00's message: the error keeps its type and text,
+    # and names the recipient and sequence number before the sender's op
+    process = UserState.process_user_message
+
+    def refusing(self, data):
+        if self.member_id == "user-01":
+            raise MalformedControl("refused by this member")
+        return process(self, data)
+
+    monkeypatch.setattr(UserState, "process_user_message", refusing)
+    with pytest.raises(MalformedControl) as info:
+        run_text('group g user-00 user-01 user-02\nsend user-00 "hi"\n', seed=5)
+    assert type(info.value) is MalformedControl
+    assert str(info.value) == "refused by this member"
+    assert info.value.__notes__ == ["delivering seq 2 to user-01",
+                                    "scenario line 2: send by user-00"]
+
+
 # one line of every op kind, and the party each line names as acting
 EVERY_OP = [
     ("group g user-00 user-01 user-02", "user-00"),
@@ -338,33 +357,33 @@ def test_same_seed_same_transcript():
 # show, and say which one moved.
 PINNED_SEED_7 = {
     "anonymity": {
-        "report": "33a039edef053454de5fe25c5ea510c463f7f0a34dec998d57d2f1674da74bae",
-        "transcript": "15ba791ebf3cbbfce6f5e431293a65ceba73617c8d2880774138548ae57c2f07",
+        "report": "a67d197fa2339956929bede4cbf7e2da308617804763bda92dd0efd0b7d77cfd",
+        "transcript": "1037f3f9b81ae1626851927ae2af177f2b1cbfdeca94473b8de9b1e4eaefad0d",
         "supersessions": "c9f1950b7456de3077d5747315a0d599d555a1a5a494ba7c29947912279cf1b4",
     },
     "concealment": {
-        "report": "9f38c0f1e58b44b36ba40a0cf68c0b1e1951ba526ed56737e1768a8e7a873c5e",
-        "transcript": "fec3c28c4df8dbfebe1a2e1abfe05efc1b24129e79e9e430576b673da89f088f",
+        "report": "25a8179278a1370342a6b78c77dd90c6659aeaa0236a6725551c2220657f7c00",
+        "transcript": "e5f1ae3c16443b492a384afb8209c7ae53e5cdc7abf1799f928f180658ca9dd3",
         "supersessions": "8013cf0343010e2b82a8597c514cdd46d3a30b2c128e390864fb4073bb7de908",
     },
     "demo": {
-        "report": "d8f5c2bb493dc9b106f7edf7476eb25ba4b1b29cefb5f1825b67642c2480fcd4",
-        "transcript": "c5378e90a569cea3f0a112bb5e121efb2d85e9ff4279eeb775074ca631faea8a",
+        "report": "ca71aa346f4154f0ba6a9c66357abaf8b49172aecd4fb1b06b03ea5236bf16a2",
+        "transcript": "5f890c758838c015367890c190a9f61b2fbb90e560f731da0af5548cf7121f8e",
         "supersessions": "205b0e088372c2fb43267d0bd9e3de8ba5ad0fd3e3f2e35efa6c2de49a3eae85",
     },
     "fs": {
-        "report": "f5fc3c0667dc16fb0aea41e4e96f4c34102a65bec0dad3473568150d44144269",
-        "transcript": "0e1ac01b2884a25c7f7e0a8d655ddca9433bf8f829041acdeb9930e3a81d8909",
+        "report": "17eb0d155de2053f3e3f36183cc8869216991adf2e2b05cbb5fca3134d669b1b",
+        "transcript": "7974cfbda3ebeae3fceda3dea8047add906f52a713230bc5b4a35c56ba357f18",
         "supersessions": "74ac06911edae041e25207b9c2eecb343284be288079da65870fca61af6ecbbe",
     },
     "pcs": {
-        "report": "82ea222020d3b292b09bbbc0cc364cdb566831f7ab539e887823fc041f0ffed0",
-        "transcript": "bc179ca5bd771d0836556ce691cb4cc740d8b49032fbe1e02ac7e3c96c533d19",
+        "report": "2e00b8161fa9ed574151bfcca2869798771265ddeccdd5459097789d50947ad3",
+        "transcript": "534f4eaa70dc5476b9a8e88673262a56daa6a050532b00c1fd92f7c7456c857b",
         "supersessions": "861efb5eecf3880a89a078a82919c1804447f71f33be1b035f602f1d2ec3e024",
     },
     "selective": {
-        "report": "29ae0d28cc04bd905fe4f306d3828ca4f6bc010b6b84150ac8ac208512bff6a9",
-        "transcript": "7e5d24cbeecff281a376a5f0c9d96a523497ec819e7b6d320810ce3d3959a30d",
+        "report": "3093954872dd47250466052bf71ccdbeefb442a368e5e74c954bc9db55425496",
+        "transcript": "872a8892719c1575f8d04d05093bd5ed3dad6e78f8929dd87af12861ddf94ecf",
         "supersessions": "9438ea1a302fc63b036366778129242e50f03e7291a923d9bfc5b5b7c7bb7e01",
     },
 }

@@ -47,6 +47,7 @@ from chatgate.harness.driver import Group
 from chatgate.harness.runner import Runner, run_text
 from chatgate.primitives import (
     CHAIN,
+    CONFIRM,
     MSG_KEY,
     derive,
     pke_keygen,
@@ -549,6 +550,24 @@ def test_a_view_no_recipient_can_read_is_refused_before_sequencing(broken):
     assert world.publish("user-000", out.user_view, out.chatbot_view) == before[0] + 1
 
 
+def _with_flag_bit(user_view: bytes, bit: int) -> bytes:
+    """`user_view` with bit `bit` of its flags byte, after the type byte, set."""
+    return user_view[:1] + bytes([user_view[1] | 1 << bit]) + user_view[2:]
+
+
+def test_a_user_view_with_an_undefined_flag_is_refused_before_sequencing():
+    # only bit 0, address_all, is defined: a flags byte with any other bit
+    # set has no one meaning, so no member is sent it
+    world = bench.World(3, 1)
+    out = world.users["user-000"].send(b"hello")
+    before = _routing_state(world.provider)
+    for bit in range(1, 8):
+        with pytest.raises(MalformedControl, match="undefined message flags"):
+            world.publish("user-000", _with_flag_bit(out.user_view, bit), out.chatbot_view)
+        assert _routing_state(world.provider) == before
+    assert world.publish("user-000", out.user_view, out.chatbot_view) == before[0] + 1
+
+
 @functools.cache
 def _mutation_world():
     with primitives.seeded(13):
@@ -945,9 +964,9 @@ def _reference_material(transcript):
     chatbot views carry, name the bot's node key tracked in transcript
     order; tree entries, bot replies and attach seeds stay unhinted, so the
     oracle below tries them against every candidate. A member's view names
-    the root key of its control's path, a chatbot view's body its group
-    key and a bot reply its node key; a notice, which has no body, names
-    nothing."""
+    the root slot of its control's path, the group secret's confirmation,
+    a chatbot view's body its group key and a bot reply its node key; a
+    notice, which has no body, names nothing."""
     boxes = {}
     ciphertexts = {}
     seen = set()
@@ -1006,7 +1025,7 @@ class _OracleLog:
     ct_trials: list = field(default_factory=list)    # (candidate, ciphertext)
     raw: set = field(default_factory=set)            # harvested or opened
     scalars: set = field(default_factory=set)        # pke_keygen secret keys
-    links: dict = field(default_factory=dict)        # message key -> link pk
+    links: dict = field(default_factory=dict)        # message key -> link names
     pk_of: dict = field(default_factory=dict)        # candidate -> X25519 pk
     ct_hints: dict = field(default_factory=dict)     # ciphertext -> named pks
 
@@ -1014,7 +1033,8 @@ class _OracleLog:
 def _reference_expand(secret, depth, log):
     """The set-valued expansion the oracle feeds on: the chain above one
     value, each link's message key and `pke_keygen` secret key. Logs the
-    class of each value it derives."""
+    class of each value it derives, and the names of each link: its public
+    key and its confirmation, which is public and no candidate."""
     out = set()
     s = secret
     for _ in range(depth):
@@ -1025,7 +1045,7 @@ def _reference_expand(secret, depth, log):
         pair = pke_keygen(s)
         out.add(message_key)
         out.add(pair.secret_key)
-        log.links[message_key] = pair.public_key
+        log.links[message_key] = {pair.public_key, derive(s, CONFIRM)}
         log.scalars.add(pair.secret_key)
         s = derive(s, CHAIN)
     return out
@@ -1120,10 +1140,10 @@ def test_indexed_adversary_matches_all_pairs_loop(name):
         # The types only drop trials that fail with certainty. The
         # adversary makes exactly the oracle's ciphertext trials whose
         # candidate is a raw value, or a message key whose link's public
-        # key the ciphertext names...
+        # key or confirmation the ciphertext names...
         kept_cts = sum(1 for key, ct in log.ct_trials
                        if key in log.raw
-                       or (key in log.links and log.links[key] in log.ct_hints[ct]))
+                       or (key in log.links and log.links[key] & log.ct_hints[ct]))
         assert ops.total("sym_decrypt") == kept_cts, who
         # ...and exactly its box trials whose candidate is a raw value or a
         # link's scalar, on boxes left unhinted or hinted with its key.
@@ -1253,8 +1273,9 @@ def key_log(monkeypatch):
 def test_ciphertext_hints_name_the_message_key_seed(monkeypatch, key_log,
                                                     name, seed):
     # Every AEAD key is `derive(x, MSG_KEY)`, and the view carrying the
-    # ciphertext names `pke_keygen(x).public_key`: the adversary tries a
-    # link's message key only on ciphertexts that name that link.
+    # ciphertext names `pke_keygen(x).public_key` or, a member's view,
+    # `derive(x, CONFIRM)`: the adversary tries a link's message key only
+    # on ciphertexts that name that link.
     seeds, keys = key_log
     text = (_audit_scenario_text(monkeypatch, seed) if name == "audit"
             else canned.ALL[name])
@@ -1263,8 +1284,8 @@ def test_ciphertext_hints_name_the_message_key_seed(monkeypatch, key_log,
                                                     result.provider)
     assert ciphertexts
     for ct, hints in ciphertexts.items():
-        key = keys[ct]
-        assert pke_keygen(seeds[key]).public_key in hints
+        seed = seeds[keys[ct]]
+        assert {pke_keygen(seed).public_key, derive(seed, CONFIRM)} & hints
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])
