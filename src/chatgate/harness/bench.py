@@ -45,12 +45,13 @@ class BenchRow:
 # -- world construction -------------------------------------------------------
 
 class World(Group):
-    """A warm provider-mediated group sized for measurements."""
+    """A warm provider-mediated group sized for measurements; its helpers
+    run each op through the driver and deliver it."""
 
     def __init__(self, n: int, m: int) -> None:
         super().__init__("grp-bench")
         self.ids = [f"user-{i:03d}" for i in range(n)]
-        self.publish(self.ids[0], self.create(self.ids[0], self.ids))
+        self.create(self.ids[0], self.ids)
 
         for i in range(m):
             self.attach_bot(f"bench-bot-{i:03d}")
@@ -58,33 +59,30 @@ class World(Group):
         # Warm the tree: one self-update per member fills every internal
         # node, so a sender's path costs exactly one box per level.
         for uid in self.ids:
-            self.publish(uid, self.users[uid].update_keys())
+            self.update(uid)
             self.deliver()
 
     def attach_bot(self, cid: str, rules_text: str = "always") -> None:
         self.declare_bot(cid, rules_from_text(rules_text))
-        blob = self.attach(self.ids[0], cid)
-        self.publish(self.ids[0], blob, blob, (cid,))
+        self.attach(self.ids[0], cid)
         self.deliver()
 
     def detach_bot(self, cid: str) -> None:
-        blob = self.detach(self.ids[0], cid)
-        self.publish(self.ids[0], blob, blob, (cid,))
+        self.detach(self.ids[0], cid)
         self.deliver()
 
     def register_pseudonyms(self) -> None:
         """Every member, in order, registers a fresh pseudonym."""
         for uid in self.ids:
-            out = self.users[uid].register_pseudonym()
-            self.publish(uid, out.user_view, out.chatbot_view)
+            self.register_pseudonym(uid)
             self.deliver()
 
     def send_end_to_end(self, sender: str, message: bytes) -> None:
-        out = self.users[sender].send(message)
-        self.publish(sender, out.user_view, out.chatbot_view)
+        self.send(sender, message)
         self.deliver()
 
     def send_sender_only(self, sender: str, message: bytes) -> None:
+        """Builds the send and publishes nothing."""
         self.users[sender].send(message)
 
 

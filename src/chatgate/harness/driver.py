@@ -1,15 +1,19 @@
-"""One group on its own provider: how every harness sets up parties, builds
-with routing edits, publishes and delivers.
+"""One group on its own provider: how every harness sets up parties and
+runs each op.
 
-Delivery follows the provider's routing: the current members, then the
-attached chatbots, each in id order. A chatbot stays attached until its
-removal has left its inbox, so it gets that removal and no later view.
+Each op method does the whole op: its party builds the bundle inside a
+counter-attribution span, the op makes its routing edit, and the bundle is
+published to the recipients its views go to. It returns the sequence
+number, a send also its `SendOutcome`. Delivery waits for `deliver`, and
+follows the provider's routing: the current members, then the attached
+chatbots, each in id order. A chatbot stays attached until its removal
+has left its inbox, so it gets that removal and no later view.
 """
 
 from __future__ import annotations
 
 from .. import cgka, counters
-from ..group import ChatbotState, UserState, chatbot_init, user_init
+from ..group import ChatbotState, SendOutcome, UserState, chatbot_init, user_init
 from ..provider import Provider
 from ..triggers import TriggerRule
 
@@ -35,40 +39,64 @@ class Group:
         self.provider.register_bot(bot.registration)
         self.provider.register_party(cid, bot)
 
-    def create(self, creator: str, members: list[str]) -> bytes:
+    def create(self, creator: str, members: list[str]) -> int:
         for uid in members:
             self.join(uid)
         self.provider.create_group(self.group_id, members)
         with counters.attribute(creator):
-            return self.users[creator].create_group(self.group_id, members)
+            blob = self.users[creator].create_group(self.group_id, members)
+        return self.publish(creator, blob)
 
-    def add_user(self, adder: str, uid: str) -> bytes:
+    def add_user(self, adder: str, uid: str) -> int:
         self.join(uid)
         with counters.attribute(adder):
             blob = self.users[adder].add_user(uid)
         self.provider.add_member(self.group_id, uid)
-        return blob
+        return self.publish(adder, blob)
 
-    def remove_user(self, remover: str, uid: str) -> bytes:
+    def remove_user(self, remover: str, uid: str) -> int:
         with counters.attribute(remover):
             blob = self.users[remover].remove_user(uid)
         self.provider.remove_member(self.group_id, uid)
-        return blob
+        return self.publish(remover, blob)
 
-    def attach(self, adder: str, cid: str) -> bytes:
+    def update(self, uid: str) -> int:
+        with counters.attribute(uid):
+            blob = self.users[uid].update_keys()
+        return self.publish(uid, blob)
+
+    def attach(self, adder: str, cid: str) -> int:
         with counters.attribute(adder):
             blob = self.users[adder].add_chatbot(cid)
         self.provider.attach_chatbot(self.group_id, cid)
-        return blob
+        return self.publish(adder, blob, blob, (cid,))
 
-    def detach(self, remover: str, cid: str) -> bytes:
+    def detach(self, remover: str, cid: str) -> int:
         with counters.attribute(remover):
             blob = self.users[remover].remove_chatbot(cid)
-        self._detaching.append(cid)
-        return blob
+        seq = self.publish(remover, blob, blob, (cid,))
+        self._detaching.append(cid)  # only once the removal is sequenced
+        return seq
+
+    def send(self, sender: str, message: bytes, **flags) -> tuple[int, SendOutcome]:
+        """`flags` are `UserState.send`'s keyword flags."""
+        with counters.attribute(sender):
+            out = self.users[sender].send(message, **flags)
+        return self.publish(sender, out.user_view, out.chatbot_view), out
+
+    def register_pseudonym(self, uid: str) -> tuple[int, SendOutcome]:
+        with counters.attribute(uid):
+            out = self.users[uid].register_pseudonym()
+        return self.publish(uid, out.user_view, out.chatbot_view), out
+
+    def bot_send(self, cid: str, message: bytes) -> int:
+        with counters.attribute(cid):
+            blob = self.bots[cid].send(message)
+        return self.publish(cid, blob)
 
     def publish(self, sender: str, user_view: bytes, bot_view: bytes | None = None,
                 bot_targets: tuple[str, ...] | None = None) -> int:
+        """Publish bytes as they are, such as forged or hand-built ones."""
         return self.provider.publish(self.group_id, sender, user_view=user_view,
                                      bot_view=bot_view, bot_targets=bot_targets)
 

@@ -1,13 +1,13 @@
 """Executes a scenario against a fresh provider, one op at a time.
 
-The runner is the measurement boundary. Every op that publishes takes one
-path through `driver.Group`: its party builds a bundle, with its routing
-edit, inside a counter-attribution span, the provider sequences it, and the
-runner drains it to all its recipients before the next op starts. After
-each op the runner captures party snapshots plus the set of secrets that op
-superseded. Probes consume those records; the runner itself asserts only
-basic sanity (all current members agree on the epoch and group secret after
-every op), and its errors name the scenario line, op and party.
+The runner is the measurement boundary. Every op that publishes is one
+call of a `driver.Group` op method, which builds, routes and publishes its
+bundle; the runner records what the call returns and drains the bundle to
+all its recipients before the next op starts. After each op the runner
+captures party snapshots plus the set of secrets that op superseded.
+Probes consume those records; the runner itself asserts only basic sanity
+(all current members agree on the epoch and group secret after every op),
+and its errors name the scenario line, op and party.
 
 Reports are pure function-of-the-scenario: no wall-clock times, no host
 details. Two runs with the same seed produce byte-identical transcripts.
@@ -16,7 +16,7 @@ details. Two runs with the same seed produce byte-identical transcripts.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .. import cgka, counters
 from ..encoding import peek_type
@@ -63,19 +63,6 @@ class Supersession:
     in-scope snapshot at seq >= dead_from."""
     value_hex: str
     dead_from: int
-
-
-@dataclass(frozen=True)
-class _Bundle:
-    """What one op publishes: `Runner._apply` sequences it, logs it and
-    delivers it, the same way for every op kind."""
-    sender: str
-    user_view: bytes
-    event: dict                    # the op's report fields
-    bot_view: bytes | None = None
-    bot_targets: tuple[str, ...] | None = None
-    send: SendEvent | None = None  # its seq is filled in once sequenced
-    secret: bytes | None = None    # group secret whose message key dies
 
 
 @dataclass
@@ -166,118 +153,78 @@ class Runner:
         return self.result
 
     def _apply(self, op: Op) -> None:
-        out = self._act(op)
-        if out is None:
-            return
-        res = self.result
-        seq = self.group.publish(out.sender, out.user_view, out.bot_view,
-                                 out.bot_targets)
-        if out.send is not None:
-            res.sends.append(replace(out.send, seq=seq))
-        if out.secret is not None:
-            with counters.paused():
-                key = derive(out.secret, MSG_KEY)
-            res.supersessions.append(Supersession(key.hex(), seq))
-        self._event(op, seq, **out.event)
-        self._finish(seq)
-
-    def _act(self, op: Op) -> _Bundle | None:
-        """Act as `op`'s party: build the bundle it publishes, with its
-        routing edit. Ops that publish nothing record their event here."""
-        res = self.result
-        who = op.party
-
+        """Run `op` through the driver as its party. Record its event, and
+        of a send its `SendEvent` and the message key it supersedes, from
+        what the driver returns; drain what it published."""
+        res, group, who = self.result, self.group, op.party
+        seq = secret = None
         match op:
             case sc.GroupOp():
-                members = list(op.members)
-                blob = self.group.create(who, members)
-                return _Bundle(who, blob, {"actor": who, "members": members})
-
+                detail = {"actor": who, "members": list(op.members)}
+                seq = group.create(who, detail["members"])
             case sc.BotDecl():
-                self.group.declare_bot(who, rules_from_text(op.rules))
-                self._event(op, None, chatbot=who, rules=op.rules)
-                return None
-
+                group.declare_bot(who, rules_from_text(op.rules))
+                detail = {"chatbot": who, "rules": op.rules}
             case sc.AddBot():
-                blob = self.group.attach(who, op.chatbot)
-                return _Bundle(who, blob, {"actor": who, "chatbot": op.chatbot},
-                               bot_view=blob, bot_targets=(op.chatbot,))
-
+                seq = group.attach(who, op.chatbot)
+                detail = {"actor": who, "chatbot": op.chatbot}
             case sc.RemBot():
                 # detached once its removal is drained, before the snapshots
-                blob = self.group.detach(who, op.chatbot)
-                return _Bundle(who, blob, {"actor": who, "chatbot": op.chatbot},
-                               bot_view=blob, bot_targets=(op.chatbot,))
-
+                seq = group.detach(who, op.chatbot)
+                detail = {"actor": who, "chatbot": op.chatbot}
             case sc.AddUser():
-                blob = self.group.add_user(who, op.member)
-                return _Bundle(who, blob, {"actor": who, "member": op.member})
-
+                seq = group.add_user(who, op.member)
+                detail = {"actor": who, "member": op.member}
             case sc.RemUser():
-                blob = self.group.remove_user(who, op.member)
-                return _Bundle(who, blob, {"actor": who, "member": op.member})
-
+                seq = group.remove_user(who, op.member)
+                detail = {"actor": who, "member": op.member}
             case sc.Update():
-                with counters.attribute(who):
-                    blob = res.users[who].update_keys()
-                return _Bundle(who, blob, {"actor": who})
-
+                seq = group.update(who)
+                detail = {"actor": who}
             case sc.Send():
-                sender = res.users[who]
-                with counters.attribute(who):
-                    out = sender.send(op.message, conceal=op.conceal,
+                seq, out = group.send(who, op.message, conceal=op.conceal,
                                       address_all=op.address_all,
                                       pseudonymous=op.pseudonymous)
-                return _Bundle(
-                    who, out.user_view,
-                    {"sender": who, "addressed": list(out.addressed),
-                     "concealed": list(out.concealed),
-                     "pseudonymous": op.pseudonymous, "epoch": out.epoch},
-                    bot_view=out.chatbot_view,
-                    send=SendEvent(
-                        seq=0, line_no=op.line_no, kind="user", sender=who,
-                        epoch=out.epoch, message=op.message,
-                        addressed=out.addressed, concealed=out.concealed,
-                        pseudonymous=op.pseudonymous),
-                    secret=sender.cgka.group_secret)
-
+                res.sends.append(SendEvent(
+                    seq=seq, line_no=op.line_no, kind="user", sender=who,
+                    epoch=out.epoch, message=op.message,
+                    addressed=out.addressed, concealed=out.concealed,
+                    pseudonymous=op.pseudonymous))
+                secret = res.users[who].cgka.group_secret
+                detail = {"sender": who, "addressed": list(out.addressed),
+                          "concealed": list(out.concealed),
+                          "pseudonymous": op.pseudonymous, "epoch": out.epoch}
             case sc.BotSend():
-                with counters.attribute(who):
-                    blob = res.bots[who].send(op.message)
-                return _Bundle(
-                    who, blob, {"sender": who},
-                    send=SendEvent(
-                        seq=0, line_no=op.line_no, kind="bot", sender=who,
-                        epoch=None, message=op.message,
-                        addressed=tuple(res.current_members())))
-
+                seq = group.bot_send(who, op.message)
+                res.sends.append(SendEvent(
+                    seq=seq, line_no=op.line_no, kind="bot", sender=who, epoch=None,
+                    message=op.message, addressed=tuple(res.current_members())))
+                detail = {"sender": who}
             case sc.RegisterPseudonym():
+                seq, out = group.register_pseudonym(who)
                 user = res.users[who]
-                with counters.attribute(who):
-                    out = user.register_pseudonym()
-                return _Bundle(
-                    who, out.user_view,
-                    {"actor": who, "handle": user.pseudonym.handle.hex(),
-                     "epoch": out.epoch},
-                    bot_view=out.chatbot_view,
-                    # the payload the group sees is the fresh pseudonym public key
-                    send=SendEvent(
-                        seq=0, line_no=op.line_no, kind="registration",
-                        sender=who, epoch=out.epoch,
-                        message=user.pseudonym.key.public_key,
-                        addressed=out.addressed),
-                    secret=user.cgka.group_secret)
-
+                # the payload the group sees is the fresh pseudonym public key
+                res.sends.append(SendEvent(
+                    seq=seq, line_no=op.line_no, kind="registration",
+                    sender=who, epoch=out.epoch,
+                    message=user.pseudonym.key.public_key, addressed=out.addressed))
+                secret = user.cgka.group_secret
+                detail = {"actor": who, "handle": user.pseudonym.handle.hex(),
+                          "epoch": out.epoch}
             case sc.Compromise():
-                snap = res.provider.snapshot_state(who)
                 res.compromises[op.label] = CompromiseEvent(
                     label=op.label, party=who, seq=self._last_seq,
-                    snapshot=snap)
-                self._event(op, None, party=who, label=op.label)
-                return None
-
-        # the parser only emits the types above
-        raise TypeError(f"unhandled op {op!r}")  # pragma: no cover
+                    snapshot=res.provider.snapshot_state(who))
+                detail = {"party": who, "label": op.label}
+            case _:  # the parser only emits the types above
+                raise TypeError(f"unhandled op {op!r}")  # pragma: no cover
+        if secret is not None:
+            with counters.paused():
+                key = derive(secret, MSG_KEY)
+            res.supersessions.append(Supersession(key.hex(), seq))
+        self._event(op, seq, **detail)
+        if seq is not None:
+            self._finish(seq)
 
     # -- delivery ---------------------------------------------------------------
 

@@ -209,7 +209,8 @@ class Provider:
                 bot_targets: tuple[str, ...] | None = None) -> int:
         """Broadcast one logical bundle: `user_view` to the members other
         than the sender, `bot_view` to the attached chatbots or to exactly
-        `bot_targets`, each registered, attached and named once. The group
+        `bot_targets`, each registered, attached and named once. A chatbot
+        publishes only its own replies, and no member publishes one. The group
         layer decides which view of either each recipient gets
         (`group.project_view`, handed the members' seats). A bundle that is
         refused, for its routing or for a view its recipients cannot read
@@ -219,11 +220,16 @@ class Provider:
         members = sorted(ch.seats.values())
         if sender not in members and sender not in ch.bots:
             raise NotMember(f"{sender!r} may not publish to {group_id!r}")
+        reply = peek_type(user_view) == BOT_MESSAGE
+        if sender in members and reply:
+            raise NotMember(f"member {sender!r} may not publish a chatbot reply")
+        if sender not in members and (bot_view is not None or not reply or
+                                      BotMessage.from_bytes(user_view).chatbot_id != sender):
+            raise NotMember(f"chatbot {sender!r} may publish only its own replies")
         routes = [("user", [uid for uid in members if uid != sender],
                    *project_view(user_view, _USER_HANDLERS, ch.seats))]
         if bot_view is not None:
-            targets = [cid for cid in (sorted(ch.bots) if bot_targets is None
-                                       else bot_targets) if cid != sender]
+            targets = sorted(ch.bots) if bot_targets is None else list(bot_targets)
             if len(set(targets)) != len(targets):
                 raise DuplicateChatbot(f"bot targets {targets!r} name a chatbot twice")
             for cid in targets:

@@ -41,13 +41,21 @@ def samples() -> dict[str, tuple]:
     world = Group(GROUP_ID)
     users = world.users
     world.declare_bot("echo-bot-01", rules_from_text("mention:@echo"))
-    create = world.create("user-00", ["user-00", "user-01"])
+    # the create and the add are built by hand, with the driver's routing
+    # edits, to keep their bytes
+    for uid in ("user-00", "user-01"):
+        world.join(uid)
+    world.provider.create_group(GROUP_ID, ["user-00", "user-01"])
+    create = users["user-00"].create_group(GROUP_ID, ["user-00", "user-01"])
     world.publish("user-00", create)
-    world.publish("user-00", world.attach("user-00", "echo-bot-01"))
-    add = world.add_user("user-00", "user-02")
+    world.attach("user-00", "echo-bot-01")
+    world.join("user-02")
+    add = users["user-00"].add_user("user-02")
+    world.provider.add_member(GROUP_ID, "user-02")
     assert group.GroupControl.from_bytes(add).welcome.roster  # the chatbot roster
     world.publish("user-00", add)
     world.deliver()
+    assert world.bots["echo-bot-01"].group_id == GROUP_ID  # the attach reached it
     update = users["user-01"].update_keys()
     world.publish("user-01", update)
     world.deliver()

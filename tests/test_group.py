@@ -824,8 +824,7 @@ def test_payload_field_of_the_wrong_width_leaves_the_bot_unchanged(name, monkeyp
     world = bench.World(3, 1)
     bot, user = world.bots["bench-bot-000"], world.users["user-001"]
     if name != "registration_key":
-        out = user.register_pseudonym()
-        world.publish("user-001", out.user_view, out.chatbot_view)
+        world.register_pseudonym("user-001")
         world.deliver()
     encoder, cut = SHORT_PAYLOAD_FIELDS[name]
     monkeypatch.setattr(group_module, encoder, cut(getattr(group_module, encoder)))

@@ -33,10 +33,12 @@ from chatgate.group import (
     VIEW_USER_MESSAGE,
     ChatbotMessageView,
     GroupControl,
+    ReceivedMessage,
     UserMessageView,
     UserState,
 )
 from chatgate.harness import bench, canned, probes
+from chatgate.harness.driver import Group
 from chatgate.harness.runner import Runner, Supersession, run_scenario, run_text
 from chatgate.harness.scenario import (
     OPS,
@@ -50,6 +52,7 @@ from chatgate.harness.scenario import (
 )
 from chatgate.primitives import BOX_LEN, random_bytes
 from chatgate.provider import _collect_material
+from chatgate.triggers import rules_from_text
 
 
 # -- scenario parsing -----------------------------------------------------------
@@ -254,14 +257,14 @@ def test_every_op_kind_is_exercised_once():
 
 @pytest.mark.parametrize("line_no", range(1, len(EVERY_OP) + 1))
 def test_runner_error_notes_name_each_op_kind(monkeypatch, line_no):
-    act = Runner._act
+    apply = Runner._apply
 
     def failing(self, op):
         if op.line_no == line_no:
             raise RuntimeError("boom")
-        return act(self, op)
+        return apply(self, op)
 
-    monkeypatch.setattr(Runner, "_act", failing)
+    monkeypatch.setattr(Runner, "_apply", failing)
     line, party = EVERY_OP[line_no - 1]
     with pytest.raises(RuntimeError) as info:
         run_text("\n".join(line for line, _ in EVERY_OP) + "\n", seed=5)
@@ -870,12 +873,11 @@ def test_the_driver_routes_by_the_providers_tables():
     for pid in [*world.users, *world.bots]:
         json.loads(world.provider.snapshot_state(pid))
     # a newcomer is delivered to from its add on, with no list to extend
-    world.publish("user-000", world.add_user("user-000", "user-002a"))
+    world.add_user("user-000", "user-002a")
     world.attach_bot("a-bot")
     assert world.users["user-002a"].epoch == world.users["user-000"].epoch
     # members, then chatbots, each in id order, not in join or attach order
-    out = world.users["user-001"].send(b"to all")
-    world.publish("user-001", out.user_view, out.chatbot_view)
+    world.send("user-001", b"to all")
     with counters.collect(counters.OpCounters()) as ops:
         world.deliver()
     assert list(ops.by_party) == ["user-000", "user-002", "user-002a",
@@ -888,6 +890,72 @@ def test_the_driver_routes_by_the_providers_tables():
     assert max(row["seq"] for row in world.provider.transcript
                if row["recipient"] == "a-bot") == removal
     assert world.provider.chatbots(world.group_id) == {"bench-bot-000"}
+
+
+def _declared_and_attached(world, adder, cid):
+    world.declare_bot(cid, rules_from_text("always"))
+    return world.attach(adder, cid)
+
+
+MEMBERS = {"user-000", "user-001", "user-002", "user-003"}
+BENCH_BOTS = {"bench-bot-000", "bench-bot-001"}
+
+# op method -> how to run it on bench.World(4, 2), and the recipients of the
+# bundle: every member but the sender, plus an add's newcomer, the target
+# bot alone of an attach or detach, or every attached bot of a send or
+# registration; a chatbot's reply goes to every member
+ROUTED = {
+    "create": (lambda w: 1, MEMBERS - {"user-000"}),  # the World's first bundle
+    "add_user": (lambda w: w.add_user("user-001", "user-new"),
+                 MEMBERS - {"user-001"} | {"user-new"}),
+    "remove_user": (lambda w: w.remove_user("user-001", "user-003"),
+                    MEMBERS - {"user-001", "user-003"}),
+    "update": (lambda w: w.update("user-001"), MEMBERS - {"user-001"}),
+    "attach": (lambda w: _declared_and_attached(w, "user-001", "extra-bot"),
+               MEMBERS - {"user-001"} | {"extra-bot"}),
+    "detach": (lambda w: w.detach("user-001", "bench-bot-001"),
+               MEMBERS - {"user-001"} | {"bench-bot-001"}),
+    "send": (lambda w: w.send("user-001", b"hello")[0],
+             MEMBERS - {"user-001"} | BENCH_BOTS),
+    "register_pseudonym": (lambda w: w.register_pseudonym("user-001")[0],
+                           MEMBERS - {"user-001"} | BENCH_BOTS),
+    "bot_send": (lambda w: w.bot_send("bench-bot-000", b"a reply"), MEMBERS),
+}
+
+
+def test_every_op_method_of_the_driver_is_routed():
+    ops = {name for name, _ in inspect.getmembers(Group, inspect.isfunction)
+           if not name.startswith("_")}
+    assert ops - {"join", "declare_bot", "publish", "pending", "deliver"} == set(ROUTED)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTED))
+def test_each_op_method_publishes_to_its_views_recipients(name):
+    run, recipients = ROUTED[name]
+    world = bench.World(4, 2)
+    seq = run(world)
+    got = [(r["recipient_class"], r["recipient"]) for r in world.provider.transcript
+           if r["seq"] == seq]
+    assert sorted(got) == sorted(
+        ("user" if pid.startswith("user") else "chatbot", pid) for pid in recipients)
+    world.deliver()
+
+
+def test_a_refused_detach_leaves_the_bot_attached():
+    # the removed user-003 still holds its old tree and builds a detach,
+    # which is refused at publish; it was queued when built, so the next
+    # delivery detached the bot at the provider, and no send reached it
+    world = bench.World(4, 1)
+    world.remove_user("user-000", "user-003")
+    world.deliver()
+    with pytest.raises(NotMember):
+        world.detach("user-003", "bench-bot-000")
+    world.deliver()
+    assert world.provider.chatbots(world.group_id) == {"bench-bot-000"}
+    world.send("user-001", b"still for the bot")
+    [view] = world.provider.inbox("bench-bot-000")
+    assert world.bots["bench-bot-000"].process(view) == ReceivedMessage(
+        b"still for the bot")
 
 
 def test_fit_helpers():

@@ -74,20 +74,28 @@ def make_world(n=3, bots=(("echo-bot-01", "mention:@echo"),), group_id="grp-main
     publish and the provider's inboxes."""
     world = Group(group_id)
     ids = [f"user-{i:02d}" for i in range(n)]
-    world.publish(ids[0], world.create(ids[0], ids))
+    world.create(ids[0], ids)
     for cid, rules_text in bots:
         world.declare_bot(cid, rules_from_text(rules_text))
-        blob = world.attach(ids[0], cid)
-        world.publish(ids[0], blob, blob, (cid,))
+        world.attach(ids[0], cid)
     world.deliver()
     return world
 
 
 def user_send(world, sender, message, **kw):
-    out = world.users[sender].send(message, **kw)
-    world.publish(sender, out.user_view, out.chatbot_view)
+    _, out = world.send(sender, message, **kw)
     world.deliver()
     return out
+
+
+def hand_built_add(world, adder, uid):
+    """`adder`'s add of `uid` with the driver's routing edit, built as the
+    driver builds it but not published, so its bytes can be inspected or
+    forged first."""
+    world.join(uid)
+    blob = world.users[adder].add_user(uid)
+    world.provider.add_member(world.group_id, uid)
+    return blob
 
 
 # -- PKI ----------------------------------------------------------------------
@@ -206,7 +214,7 @@ def test_views_route_by_recipient_class():
 
 def test_sender_not_delivered_to_self():
     world = make_world(3)
-    seq = world.publish("user-01", world.users["user-01"].update_keys())
+    seq = world.update("user-01")
     recipients = [r["recipient"] for r in world.provider.transcript if r["seq"] == seq]
     assert "user-01" not in recipients
     assert set(recipients) == {"user-00", "user-02"}
@@ -221,8 +229,7 @@ def test_nonmember_cannot_publish():
 
 def test_removed_member_stops_receiving():
     world = make_world(3)
-    blob = world.remove_user("user-00", "user-02")
-    seq = world.publish("user-00", blob)
+    seq = world.remove_user("user-00", "user-02")
     recipients = [r["recipient"] for r in world.provider.transcript if r["seq"] == seq]
     assert recipients == ["user-01"]
 
@@ -274,8 +281,7 @@ def test_transcript_file_roundtrip(tmp_path):
 
 def test_inbox_drains_once():
     world = make_world(2)
-    out = world.users["user-00"].send(b"plain")
-    world.publish("user-00", out.user_view, out.chatbot_view)
+    world.send("user-00", b"plain")
     assert world.provider.inbox("user-01")
     assert world.provider.inbox("user-01") == []
 
@@ -312,7 +318,7 @@ def test_welcome_reaches_the_newcomer_alone():
     # the other two; the newcomer alone also gets the welcome
     world = make_world(3)
     provider, users = world.provider, world.users
-    blob = world.add_user("user-00", "user-03")
+    blob = hand_built_add(world, "user-00", "user-03")
     assert GroupControl.from_bytes(blob).welcome is not None
     assert [x for x, _ in _control_of(blob).path_entries] == [2, 4, 6]
     seq = world.publish("user-00", blob)
@@ -336,7 +342,7 @@ def test_member_view_leaves_a_member_as_the_full_view_does():
     for view_of in (member_view, lambda blob: blob):
         with primitives.seeded(b"welcome routing"):
             world = make_world(3)
-            blob = world.add_user("user-00", "user-03")
+            blob = hand_built_add(world, "user-00", "user-03")
         world.users["user-01"].process(view_of(blob))
         snapshots.append(json.dumps(world.users["user-01"].snapshot(), sort_keys=True))
     assert snapshots[0] == snapshots[1]
@@ -373,7 +379,8 @@ def test_a_bot_target_named_twice_is_refused_before_sequencing():
     # raised DuplicateChatbot at the bot
     world = bench.World(3, 0)
     world.declare_bot("b1", rules_from_text("always"))
-    blob = world.attach("user-000", "b1")
+    blob = world.users["user-000"].add_chatbot("b1")
+    world.provider.attach_chatbot(world.group_id, "b1")
     before = _routing_state(world.provider)
     with pytest.raises(DuplicateChatbot):
         world.publish("user-000", blob, blob, ("b1", "b1"))
@@ -390,7 +397,7 @@ def test_a_second_seat_is_refused():
     with pytest.raises(AlreadyMember):
         provider.add_member("grp-main", "user-01")
     assert (_routing_state(provider), provider.members("grp-main")) == before
-    world.publish("user-00", world.add_user("user-00", "user-03"))
+    world.add_user("user-00", "user-03")
     world.deliver()
     assert world.users["user-03"].cgka.tree.members == {
         0: "user-00", 1: "user-01", 2: "user-02", 3: "user-03"}
@@ -457,9 +464,7 @@ def test_seats_follow_the_tree_through_churn():
         steps = [("remove", "user-002"), ("add", "new-0"), ("remove", "user-004"),
                  ("add", "new-1"), ("add", "new-2"), ("add", "new-3"), ("add", "new-4")]
         for kind, uid in steps:
-            blob = (world.remove_user if kind == "remove" else world.add_user)(
-                "user-001", uid)
-            world.publish("user-001", blob)
+            (world.remove_user if kind == "remove" else world.add_user)("user-001", uid)
             world.deliver()
             _check_seats(world.provider, world.group_id, world.users)
             world.send_end_to_end("user-003", f"after {kind} {uid}".encode())
@@ -616,8 +621,7 @@ def test_an_addressed_bot_gets_a_view_of_one_length_whatever_the_bot_count():
     views = {}
     for m in (2, 8, 16):
         world = bench.World(8, m)
-        out = world.users["user-001"].send(b"one fixed message")
-        world.publish("user-001", out.user_view, out.chatbot_view)
+        world.send("user-001", b"one fixed message")
         (views[m],) = world.provider.inbox("bench-bot-000")
         assert world.bots["bench-bot-000"].process(views[m]) == ReceivedMessage(
             b"one fixed message")
@@ -639,8 +643,7 @@ def test_an_unaddressed_bot_gets_a_22_byte_notice():
         quiet = world.bots["quiet-bot"]
         for message, pseudonymous in ((b"short", False), (b"long " * 200, False),
                                       (b"signed", True), (b"signed " * 200, True)):
-            out = world.users["user-001"].send(message, pseudonymous=pseudonymous)
-            world.publish("user-001", out.user_view, out.chatbot_view)
+            world.send("user-001", message, pseudonymous=pseudonymous)
             (notice,) = world.provider.inbox("quiet-bot")
             lengths.add(len(notice))
             before = json.dumps(quiet.snapshot(), sort_keys=True)
@@ -673,8 +676,7 @@ def test_a_bot_target_not_attached_to_the_group_is_refused_before_sequencing():
     assert _routing_state(provider) == before
     assert json.dumps(memo.snapshot(), sort_keys=True) == snapshot
 
-    out = world.users["user-01"].send(b"still attached")
-    assert world.publish("user-01", out.user_view, out.chatbot_view) == before[0] + 1
+    assert world.send("user-01", b"still attached")[0] == before[0] + 1
     assert [memo.process(view) for view in provider.inbox("memo-bot")] == [
         ReceivedMessage(b"still attached")]
 
@@ -683,7 +685,7 @@ def test_a_bot_attached_to_one_group_is_refused_by_another():
     # echo-bot-01 is attached to grp-main; attached to grp-bbb as well, its
     # add there would replace the group the bot holds
     world = make_world(2)
-    provider, users, bots = world.provider, world.users, world.bots
+    provider, bots = world.provider, world.bots
     cgka.init("user-10", provider.directory)
     provider.create_group("grp-bbb", ["user-10"])
     with pytest.raises(DuplicateChatbot):
@@ -691,9 +693,7 @@ def test_a_bot_attached_to_one_group_is_refused_by_another():
     assert provider.chatbots("grp-bbb") == set()
     assert provider.chatbots("grp-main") == {"echo-bot-01"}
 
-    out = users["user-00"].send(b"@echo still attached")
-    provider.publish("grp-main", "user-00", user_view=out.user_view,
-                     bot_view=out.chatbot_view)
+    world.send("user-00", b"@echo still attached")
     assert [bots["echo-bot-01"].process(view) for view in provider.inbox("echo-bot-01")] == [
         ReceivedMessage(b"@echo still attached")]
     provider.detach_chatbot("grp-main", "echo-bot-01")
@@ -701,10 +701,69 @@ def test_a_bot_attached_to_one_group_is_refused_by_another():
     assert provider.chatbots("grp-bbb") == {"echo-bot-01"}
 
 
+def _left_alone(world, victims):
+    """The provider's routing state and the victims' snapshots, after every
+    pending view is delivered."""
+    world.deliver()
+    return _routing_state(world.provider), [
+        world.provider.snapshot_state(pid) for pid in victims]
+
+
+def test_a_chatbot_publishes_no_chatbot_view():
+    # bench-bot-000's reply went out with a removal of bench-bot-001 as its
+    # chatbot view: it was sequenced, and bench-bot-001 wiped its group
+    # state while members and the provider still routed to it
+    world = bench.World(4, 2)
+    reply = world.bots["bench-bot-000"].send(b"a reply")
+    removal = RemoveBotControl(group_id=world.group_id,
+                               chatbot_id="bench-bot-001").to_bytes()
+    before = _left_alone(world, ["bench-bot-001"])
+    with pytest.raises(NotMember, match="only its own replies"):
+        world.publish("bench-bot-000", reply, removal)
+    assert _left_alone(world, ["bench-bot-001"]) == before
+    assert world.publish("bench-bot-000", reply) == before[0][0] + 1
+
+
+def test_a_chatbot_publishes_only_replies_naming_itself():
+    # bot-a re-encoded its reply as bot-b's: every member set bot-b's key to
+    # bot-a's node key, so bot-a's state opened what was sent to bot-b alone
+    world = bench.World(4, 0)
+    world.attach_bot("bot-a", "mention:@a")
+    world.attach_bot("bot-b", "mention:@b")
+    world.send_end_to_end("user-000", b"@a @b hello both")
+    reply = BotMessage.from_bytes(world.bots["bot-a"].send(b"a reply"))
+    forged = replace(reply, chatbot_id="bot-b").to_bytes()
+    # nor any view a member sends, such as the removal of bot-b
+    removal = RemoveBotControl(group_id=world.group_id, chatbot_id="bot-b").to_bytes()
+    before = _left_alone(world, [*world.ids, "bot-b"])
+    for view in (forged, removal):
+        with pytest.raises(NotMember, match="only its own replies"):
+            world.publish("bot-a", view)
+    assert _left_alone(world, [*world.ids, "bot-b"]) == before
+    world.send_end_to_end("user-000", b"@b secret for b only")
+    snap = world.provider.snapshot_state("bot-a")
+    report = adversary_decrypt(snap, Adversary(world.provider.transcript,
+                                               world.provider))
+    assert b"@b secret for b only" not in report.plaintexts
+
+
+def test_a_member_publishes_no_chatbot_reply():
+    # user-001 relayed bench-bot-000's reply as its own bundle, and every
+    # member processed it as the bot's
+    world = bench.World(4, 2)
+    world.send_end_to_end("user-000", b"for the bots")
+    reply = world.bots["bench-bot-000"].send(b"a reply")
+    before = _left_alone(world, world.ids)
+    with pytest.raises(NotMember, match="may not publish a chatbot reply"):
+        world.publish("user-001", reply)
+    assert _left_alone(world, world.ids) == before
+    assert world.publish("bench-bot-000", reply) == before[0][0] + 1
+
+
 def test_welcome_goes_with_an_add_and_only_with_one():
     world = make_world(3)
     update = GroupControl.from_bytes(world.users["user-01"].update_keys())
-    add = GroupControl.from_bytes(world.add_user("user-00", "user-03"))
+    add = GroupControl.from_bytes(hand_built_add(world, "user-00", "user-03"))
     for forged in (replace(add, welcome=None), replace(update, welcome=add.welcome)):
         with pytest.raises(MalformedControl):
             world.publish("user-00", forged.to_bytes())
@@ -721,8 +780,7 @@ def test_add_bytes_to_members_grow_with_the_path_not_the_tree():
         world = bench.World(n, m=4)
         adder, uid = world.ids[0], "user-new"
         tree = world.users[adder].cgka.tree.to_public_bytes()
-        blob = world.add_user(adder, uid)
-        seq = world.publish(adder, blob)
+        seq = world.add_user(adder, uid)
         views = {r["recipient"]: base64.b64decode(r["view_b64"])
                  for r in world.provider.transcript if r["seq"] == seq}
         welcome = GroupControl.from_bytes(views.pop(uid)).welcome
@@ -736,8 +794,7 @@ def test_add_bytes_to_members_grow_with_the_path_not_the_tree():
         newcomer, sender = world.users[uid], world.users[world.ids[1]]
         assert newcomer.epoch == sender.epoch
         assert newcomer.cgka.group_secret == sender.cgka.group_secret
-        out = sender.send(b"hello newcomer")
-        world.publish(world.ids[1], out.user_view, out.chatbot_view)
+        world.send(world.ids[1], b"hello newcomer")
         [view] = world.provider.inbox(uid)
         assert newcomer.process(view) == group.ReceivedMessage(b"hello newcomer")
         world.deliver()
@@ -802,13 +859,13 @@ def test_newcomer_capture_after_its_first_update_reopens_no_earlier_message():
     # reads what is sent after.
     with primitives.seeded(11):
         world = bench.World(8, 0)
-        world.publish("user-000", world.add_user("user-000", "user-new"))
+        world.add_user("user-000", "user-new")
         world.deliver()
         early = [f"early message {i}".encode() for i in range(3)]
         for i, message in enumerate(early):
             world.send_end_to_end(world.ids[i + 1], message)
         for uid in world.users:
-            world.publish(uid, world.users[uid].update_keys())
+            world.update(uid)
             world.deliver()
         world.send_end_to_end("user-001", b"later message")
     snap = world.provider.snapshot_state("user-new")
@@ -835,7 +892,7 @@ def test_unnamed_recipient_leaves_box_unhinted_and_tried():
     world = make_world(3)
     provider, bots = world.provider, world.bots
     user_send(world, "user-00", b"@echo alpha")
-    world.publish("echo-bot-01", bots["echo-bot-01"].send(b"echo reply"))
+    world.bot_send("echo-bot-01", b"echo reply")
     world.deliver()
     unknown = Provider()
     named = _collect_material(provider.transcript, provider)[0]
