@@ -31,19 +31,29 @@ in the root's entry of `path` for that epoch, so a member builds it only
 in an epoch that it sends or attaches a chatbot in; a member whose
 chatbot a message fires keeps the pair's secret key alone (`group`).
 
-A control's public step is `advance`, on a copy of the tree: its
-membership edit (`edit_membership`), the checks that its sender leaf seats
-a member and its new path fits that leaf's direct path, and that path
-written into the tree. Receivers, the newcomer and the adversary's
-follower in `provider` all run it, so a check added there reaches each.
+A control's public step is `public_step`: its membership edit
+(`edit_membership`), the checks that its sender leaf seats a member and
+its new path fits that leaf's direct path, and that path. It changes no
+tree: it returns the control's `tree.TreeEdit`, the node writes (the new
+path, a blanked path), seat edits and capacity, which
+`RatchetTree.edited` makes in a tree. Receivers, the newcomer and the
+adversary's follower in `provider` (through `advance`, which makes the
+edit on a copy) all run it, so a check added there reaches each.
 
-A control takes effect in two steps. `stage` works out, on copies, what
-it leaves behind: the tree `advance` returns, the own leaf, and the own
-`path`. `commit` installs that `Staged` and is the only writer of the
-tree, own leaf, path, group id and epoch, so a control that fails any
-check changes nothing, and a caller can check more (the group layer opens
-the message sealed under the staged root) before it commits.
-A sender builds its control over the same membership edit and keeps the
+A control takes effect in two steps. `stage` works out what it leaves
+behind, reading the tree through the edit and copying none of it: the
+edit, the own leaf, and the own `path`, less each node that the edit
+blanks or gives another key. A joiner, which holds no tree yet,
+stages the whole tree it joins with. `commit` makes that `Staged` so: it
+makes the edit in the member's own tree, in place, and is the only writer
+of the tree, own leaf, path, group id and epoch, so a control that fails
+any check changes nothing, and a caller can check more (the group layer
+opens the message sealed under the staged root) before it commits. A
+member's receive is so O(log n) work, as RFC 9420's path update is, with
+no O(n) copy of the tree. A `Staged` from another epoch of the member's
+tree is refused on commit.
+A sender builds its control over the same membership edit, made on a copy
+of its tree for the copath resolutions it seals to, and keeps the
 resulting `Staged` as pending; staging a control equal to it returns it,
 so sender and receivers advance through the same epoch sequence (one
 control processed, epoch plus exactly one), and a control that is never
@@ -72,7 +82,7 @@ that tree as every member does on its own, and opens the ordinary path
 entry addressed to its init key.
 Removes blank the target's leaf and path before the embedded update, so
 sealed entries can no longer reach the removed member. The only tree
-indices a control carries are the sender leaf, checked in `advance`
+indices a control carries are the sender leaf, checked in `public_step`
 before it is used, and the entries' target nodes, which a receiver only
 looks up in its own `path`; the create's capacity, the add's newcomer
 leaf and the remove's removed leaf are derived in `edit_membership` by
@@ -183,17 +193,21 @@ class CgkaControl:
 
 @dataclass
 class Staged:
-    """What one control leaves behind, computed on copies; `commit`
-    installs it. The group id and epoch follow from the control."""
+    """What one control leaves behind, worked out without changing
+    anything; `commit` makes it so. `edit` is the control's change to the
+    public tree, which a member makes in its own tree; a joiner's `tree` is
+    the whole tree it joins with. The group id and epoch follow from the
+    control."""
 
     control: CgkaControl
-    tree: treemod.RatchetTree
+    edit: treemod.TreeEdit
     own_leaf: int
     path: dict[int, tuple[bytes | None, KeyPair | None]]
+    tree: treemod.RatchetTree | None = None
 
     @property
     def group_secret(self) -> bytes:
-        return self.path[self.tree.root][0]
+        return self.path[treemod.root_index(self.edit.capacity)][0]
 
 
 @dataclass
@@ -271,7 +285,10 @@ class CgkaState:
         """Fresh leaf secret, chained path and sealed entries over the
         control's membership edit; the outcome is staged in `_pending`, and
         nothing else changes."""
-        t, _ = edit_membership(ctl, self.tree)
+        edit, _ = edit_membership(ctl, self.tree)
+        # the membership edit made on a copy, whose copath resolutions the
+        # entries are sealed to; no copath subtree holds a node of the path
+        t = _edited_copy(self.tree, edit)
         own_leaf = ctl.sender_leaf
         path = treemod.direct_path(own_leaf, t.capacity)
         secrets = [random_secret()]
@@ -281,8 +298,7 @@ class CgkaState:
         pairs = [pke_keygen(s) for s in secrets[:-1]]
         ctl.new_public_path = [kp.public_key for kp in pairs]
         ctl.new_public_path.append(derive(secrets[-1], CONFIRM))
-        for x, pk in zip(path, ctl.new_public_path):
-            t.nodes[x] = pk
+        edit.nodes.update(zip(path, ctl.new_public_path))
 
         targets, sealings = [], []
         for i, c in enumerate(treemod.copath(own_leaf, t.capacity)):
@@ -292,8 +308,10 @@ class CgkaState:
         ctl.ephemeral, boxes = pke_seal_batch(sealings)
         ctl.path_entries = list(zip(targets, boxes))
 
-        self._pending = Staged(ctl, t, own_leaf,
-                               dict(zip(path, zip(secrets, [*pairs, None]))))
+        # a create's sender joins with the whole tree, its path written too
+        self._pending = Staged(ctl, edit, own_leaf,
+                               dict(zip(path, zip(secrets, [*pairs, None]))),
+                               t.edited(edit) if self.tree is None else None)
         return ctl
 
     # -- receivers ------------------------------------------------------------
@@ -304,9 +322,18 @@ class CgkaState:
         return self.commit(self.stage(control, welcome))
 
     def commit(self, staged: Staged) -> bytes:
-        """Install what `stage` returned, with no other commit in between;
-        returns the new group secret."""
-        self.tree, self.own_leaf, self.path = staged.tree, staged.own_leaf, staged.path
+        """Make what `stage` returned, with no other commit in between: a
+        member makes the staged edit in its own tree, in place, and a
+        joiner takes the tree it joins with. Returns the new group secret.
+        A member's `Staged` from another epoch raises, changing nothing."""
+        if self.tree is None:
+            self.tree = staged.tree
+        elif staged.control.epoch != self.epoch:
+            raise StaleEpoch(
+                f"staged at epoch {staged.control.epoch}, local {self.epoch}")
+        else:
+            self.tree.edited(staged.edit)
+        self.own_leaf, self.path = staged.own_leaf, staged.path
         self.group_id = staged.control.group_id
         self.epoch = staged.control.epoch + 1
         self._pending = None
@@ -339,9 +366,12 @@ class CgkaState:
             base = treemod.RatchetTree.from_public_bytes(welcome)
         else:
             base = self.tree
-        t, leaf, sender_path = advance(control, base)
+        edit, leaf, sender_path = public_step(control, base)
 
+        joined = None
         if self.tree is None:  # joining, from a create's roster or an add's welcome
+            # the welcome's tree is the newcomer's own, edited in place
+            t = joined = _edited_copy(None, edit) if base is None else base.edited(edit)
             own_leaf = t.leaf_of(self.member_id) if control.kind == "create" else leaf
             if own_leaf is None:
                 raise NotMember(f"create roster does not include {self.member_id!r}")
@@ -353,13 +383,18 @@ class CgkaState:
             raise NotMember("removed from the group")
         else:
             own_leaf = self.own_leaf
-            # a node whose key the control blanked or replaced leaves `path`,
-            # and so does the old root's entry, which no entry is sealed to
-            root = self.tree.root
-            path = {x: v for x, v in self.path.items()
-                    if x != root and t.nodes[x] == v[1].public_key}
+            # a node whose key the control blanks or replaces leaves `path`,
+            # and so does the old root's entry, which no entry is sealed to.
+            # Every other entry's key is its node's, as commit leaves them,
+            # so only the nodes the edit writes are compared, and the tree
+            # is left as it is
+            written, path = edit.written(), dict(self.path)
+            path.pop(self.tree.root, None)
+            for x in written.keys() & path.keys():
+                if written[x] != path[x][1].public_key:
+                    del path[x]
         _apply_update_path(control, sender_path, own_leaf, path)
-        return Staged(control, t, own_leaf, path)
+        return Staged(control, edit, own_leaf, path, joined)
 
     # -- inspection -------------------------------------------------------------
 
@@ -375,7 +410,7 @@ class CgkaState:
             "epoch": self.epoch,
             "own_leaf": self.own_leaf,
             "tree": None,
-            "path": _path_snapshot(self.path, self.tree),
+            "path": _path_snapshot(self.path, -1 if self.tree is None else self.tree.root),
             "pending": None,
         }
         if self.tree is not None:
@@ -385,7 +420,9 @@ class CgkaState:
                 "nodes": [hx(pk) for pk in self.tree.nodes],
             }
         if self._pending is not None:
-            state["pending"] = _path_snapshot(self._pending.path, self._pending.tree)
+            pending = self._pending
+            state["pending"] = _path_snapshot(
+                pending.path, treemod.root_index(pending.edit.capacity))
         return state
 
 
@@ -394,77 +431,89 @@ def hx(b: bytes | None) -> str | None:
     return b.hex() if b is not None else None
 
 
-def _path_snapshot(path: dict, t: treemod.RatchetTree | None) -> dict:
-    """`path` as snapshots spell it. The root's private key is null: its
-    key pair, the group key pair, is a function of the root secret written
-    beside it, built on first use, so no snapshot depends on whether it
-    has been built yet, and writing one builds nothing."""
-    root = -1 if t is None else t.root  # before joining, `path` holds no root
+def _path_snapshot(path: dict, root: int) -> dict:
+    """`path` as snapshots spell it, `root` the tree's root (-1 before
+    joining, when `path` holds no root). The root's private key is null:
+    its key pair, the group key pair, is a function of the root secret
+    written beside it, built on first use, so no snapshot depends on
+    whether it has been built yet, and writing one builds nothing."""
     return {str(x): {"secret": hx(s),
                      "private_key": None if x == root else kp.secret_key.hex()}
             for x, (s, kp) in sorted(path.items())}
 
 
 def edit_membership(control: CgkaControl, t: treemod.RatchetTree | None) -> tuple[
-        treemod.RatchetTree, int | None]:
-    """The control's membership edit, on a copy of `t`: seat a create's
-    roster on a fresh tree, seat an add's newcomer, or blank a removed
-    leaf. Returns the edited tree and the leaf an add seated or a remove
+        treemod.TreeEdit, int | None]:
+    """The control's membership edit of `t`, which stays as it is: seat a
+    create's roster on a blank tree, seat an add's newcomer, or blank a
+    removed leaf. Returns the edit and the leaf an add seated or a remove
     blanked (None for a create or an update). Senders run it, and
-    receivers and the adversary's follower run it inside `advance`, so it
-    alone works out the tree indices a control does not carry and enforces
-    the membership rules."""
+    receivers and the adversary's follower run it inside `public_step`,
+    so it alone works out the tree indices a control does not carry and
+    enforces the membership rules."""
     if control.kind == "create":
         if control.epoch != 0:
             raise MalformedControl("create at an epoch other than 0")
         ids = [mid for mid, _ in control.roster]
         if len(set(ids)) != len(ids):
             raise AlreadyMember("create roster lists an id twice")
-        t = treemod.RatchetTree.blank_tree(treemod.capacity_for(len(ids)))
+        edit = treemod.TreeEdit(treemod.capacity_for(len(ids)))
         for leaf, (mid, init_pk) in enumerate(control.roster):
-            t.members[leaf] = mid
+            edit.seats[leaf] = mid
             if leaf != control.sender_leaf:
-                t.nodes[treemod.leaf_node(leaf)] = init_pk
-        return t, None
-    t = t.copy()
+                edit.nodes[treemod.leaf_node(leaf)] = init_pk
+        return edit, None
     if control.kind == "add":
         if t.leaf_of(control.new_member_id) is not None:
             raise AlreadyMember(f"{control.new_member_id!r} already present")
         leaf, capacity = treemod.newcomer_seat(t.members, t.capacity)
-        if capacity != t.capacity:
-            t.grow()
-        t.nodes[treemod.leaf_node(leaf)] = control.new_member_init_pk
-        t.members[leaf] = control.new_member_id
-        t.blank_path(leaf)
-        return t, leaf
+        return treemod.TreeEdit(
+            capacity, blank=leaf,
+            nodes={treemod.leaf_node(leaf): control.new_member_init_pk},
+            seats={leaf: control.new_member_id}), leaf
     if control.kind == "remove":
         leaf = t.leaf_of(control.removed_id)
         if leaf is None:
             raise NotMember(f"{control.removed_id!r} occupies no leaf")
-        t.nodes[treemod.leaf_node(leaf)] = None
-        del t.members[leaf]
-        t.blank_path(leaf)
-        return t, leaf
-    return t, None
+        return treemod.TreeEdit(t.capacity, blank=leaf,
+                                nodes={treemod.leaf_node(leaf): None},
+                                seats={leaf: None}), leaf
+    return treemod.TreeEdit(t.capacity), None
+
+
+def public_step(control: CgkaControl, t: treemod.RatchetTree | None) -> tuple[
+        treemod.TreeEdit, int | None, list[int]]:
+    """The public step of a control, as an edit of `t`, which stays as it
+    is: its membership edit (`edit_membership`), then its sender's new
+    path, once the sender leaf seats a member and the path fits that
+    leaf's direct path. Returns the edit, the leaf an add seated or a
+    remove blanked (None for a create or an update), and the sender's
+    direct path. Members run it and make the edit in their own tree on
+    commit; the adversary's follower makes it on a copy (`advance`)."""
+    edit, leaf = edit_membership(control, t)
+    if not edit.seats_member(t, control.sender_leaf):
+        raise MalformedControl("sender leaf seats no member")
+    sender_path = treemod.direct_path(control.sender_leaf, edit.capacity)
+    if len(control.new_public_path) != len(sender_path):
+        raise MalformedControl("path length does not match tree shape")
+    edit.nodes.update(zip(sender_path, control.new_public_path))
+    return edit, leaf, sender_path
 
 
 def advance(control: CgkaControl, t: treemod.RatchetTree | None) -> tuple[
         treemod.RatchetTree, int | None, list[int]]:
-    """The public step of a control, on a copy of `t`: its membership edit
-    (`edit_membership`), then its sender's new path, once the sender leaf
-    seats a member and the path fits that leaf's direct path. Returns the
-    new tree, the leaf an add seated or a remove blanked (None for a create
-    or an update), and the sender's direct path. Members and the
-    adversary's follower both run it."""
-    t, leaf = edit_membership(control, t)
-    if control.sender_leaf not in t.members:
-        raise MalformedControl("sender leaf seats no member")
-    sender_path = treemod.direct_path(control.sender_leaf, t.capacity)
-    if len(control.new_public_path) != len(sender_path):
-        raise MalformedControl("path length does not match tree shape")
-    for x, pk in zip(sender_path, control.new_public_path):
-        t.nodes[x] = pk
-    return t, leaf, sender_path
+    """`public_step`, its edit made on a copy of `t`: returns the new tree,
+    the leaf an add seated or a remove blanked, and the sender's direct
+    path."""
+    edit, leaf, sender_path = public_step(control, t)
+    return _edited_copy(t, edit), leaf, sender_path
+
+
+def _edited_copy(t: treemod.RatchetTree | None,
+                 edit: treemod.TreeEdit) -> treemod.RatchetTree:
+    """`edit` made on a copy of `t`, or on a blank tree for a create."""
+    base = treemod.RatchetTree.blank_tree(edit.capacity) if t is None else t.copy()
+    return base.edited(edit)
 
 
 def copath_level(leaf: int, sender_leaf: int) -> int:
@@ -534,12 +583,11 @@ def _apply_update_path(control: CgkaControl, sender_path: list[int], own_leaf: i
     if len(opened) != 32:
         raise MalformedControl("path entry payload has wrong size")
 
-    merge_idx = None
-    for i, p in enumerate(sender_path):
-        if treemod.is_ancestor(p, opened_at):
-            merge_idx = i
-            break
-    if merge_idx is None:
+    # the lowest node of the sender's path above the opened node, by
+    # arithmetic; one ancestry test confirms that the path reaches it
+    merge_idx = treemod.merge_index(opened_at, control.sender_leaf)
+    if merge_idx >= len(sender_path) or not treemod.is_ancestor(
+            sender_path[merge_idx], opened_at):
         raise MalformedControl("opened entry does not sit under the path")
 
     root = len(sender_path) - 1

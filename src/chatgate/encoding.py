@@ -10,10 +10,14 @@ A list is a 32-bit item count followed by its items. Where every field of
 every item has one fixed width, a bare u32 or a length-prefixed field of
 one allowed width (a control's path keys, and its path entries: target
 node index and box), `Reader.fixed_items` decodes the whole list in
-one step: one bounds check, then C-level unpacking and width checks over
-all items, so the Python work of a decode does not grow with the list. A
-field of any other width is malformed. The bytes are the same as
-`Writer.items` writes.
+one step: one bounds check, one unpack of all items by a layout kept per
+item count, and the width checks over the unpacked prefixes, so the Python
+work of a decode does not grow with the list. A field of any other width
+is malformed. The bytes are the same as `Writer.items` writes. Likewise a
+run of adjacent fields of that sort in a record (a control's epoch and
+sender leaf; its ephemeral key and `first`) is read by one unpack
+(`Reader.run`); where that unpack falls short or finds a wrong width, the
+fields are read one by one, so each raises as it would alone.
 
 A wire type's layout is one `Record`: its (name, kind) fields in wire
 order. Its encoder, decoder and width checks are compiled from that list;
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from functools import partial
+from functools import lru_cache, partial
 from operator import attrgetter
 from typing import Callable, TypeVar
 
@@ -82,6 +86,8 @@ class Reader:
     check and unpacks straight from the original buffer.
     """
 
+    __slots__ = ("_data", "_pos")
+
     def __init__(self, data: bytes, expect_type: int | None = None):
         self._data = data
         self._pos = 0
@@ -127,37 +133,107 @@ class Reader:
             raise MalformedControl("implausible item count")
         return [read_one(self) for _ in range(count)]
 
-    def fixed_items(self, record: "FixedRecord") -> list[tuple]:
+    def fixed_items(self, record: "FixedRecord") -> list:
         """An `items` list whose every item is `record`'s fields, each a
-        bare u32 or length-prefixed and exactly its width; one tuple of
-        fields per item."""
-        count = self.u32()
-        start = self._pos
-        end = start + count * record.fields.size
-        if end > len(self._data):
-            raise MalformedControl("truncated input")
-        data = self._data[start:end]
-        if list(record.lengths.iter_unpack(data)).count(record.widths) != count:
-            raise MalformedControl("field of the wrong width")
-        self._pos = end
-        return list(record.fields.iter_unpack(data))
+        bare u32 or length-prefixed and exactly its width; per item, its
+        one field's value, or the tuple of its fields."""
+        items, self._pos = record.read(self._data, self._pos)
+        return items
+
+    def run(self, run: "FixedRun") -> tuple:
+        """The values of `run`'s adjacent fields, by one unpack; where the
+        input falls short or a prefix is not its field's width, `run.read`
+        reads them one by one, and raises as those reads do."""
+        values = run.unpack(self._data, self._pos)
+        if values is None:
+            return run.read(self)
+        self._pos += run.size
+        return values
 
     def finish(self) -> None:
         if self._pos != len(self._data):
             raise MalformedControl("trailing bytes")
 
 
+def _unpacked(widths: tuple[int | None, ...]) -> tuple[str, list[tuple[int, int]], list[int]]:
+    """The struct format of fields of `widths` (per field, a length-prefixed
+    field of that width, or a bare u32 for None), and where the unpacked
+    tuple holds each length prefix, with its width, and each value."""
+    fmt, prefixes, values = "", [], []
+    for width in widths:
+        if width is not None:
+            prefixes.append((len(prefixes) + len(values), width))
+            fmt += f"I{width}s"
+        else:
+            fmt += "I"
+        values.append(len(prefixes) + len(values))
+    return fmt, prefixes, values
+
+
 class FixedRecord:
     """The layout of one item of a fixed-width list: per field, a
     length-prefixed field of the given width, or a bare u32 for None.
-    `lengths` reads only the prefixes, `fields` only the values."""
+    `read(data, pos)` reads such a list at `pos`, its count and then all
+    its items by one unpack, and returns per item its fields' tuple, or
+    for `tuples=False` its one field's value, and the end of the list."""
 
-    def __init__(self, *widths: int | None):
-        self.widths = tuple(w for w in widths if w is not None)
-        self.lengths = struct.Struct(">" + "".join(
-            "4x" if w is None else f"I{w}x" for w in widths))
-        self.fields = struct.Struct(">" + "".join(
-            "I" if w is None else f"4x{w}s" for w in widths))
+    # layouts are kept for the 64 counts last used, up to this many items
+    # (a path's keys and a member's slice of entries at n <= 128): a
+    # layout takes about 100 bytes per item, and building one a few
+    # microseconds, next to the milliseconds a whole control's fan-out takes
+    _KEPT = 64
+
+    def __init__(self, *widths: int | None, tuples: bool = True):
+        fmt, prefixes, values = _unpacked(widths)
+        size = struct.calcsize(">" + fmt)
+
+        def layout(count: int) -> struct.Struct:
+            return struct.Struct(">" + fmt * count)
+
+        # each prefix and each value, across all items: one item apart
+        step = len(prefixes) + len(values)
+        held = " and ".join(f"got[{at}::{step}].count({width}) == count"
+                            for at, width in prefixes) or "True"
+        columns = ", ".join(f"got[{at}::{step}]" for at in values)
+        items = f"list(zip({columns}))" if tuples else f"list({columns})"
+        env = {"U32": _U32, "struct": struct, "MalformedControl": MalformedControl,
+               "layout": layout, "kept": lru_cache(maxsize=64)(layout)}
+        exec("def read(data, pos):\n"
+             "    try:\n"
+             "        (count,) = U32.unpack_from(data, pos)\n"
+             "    except struct.error:\n"
+             "        raise MalformedControl('truncated input') from None\n"
+             f"    end = pos + 4 + count * {size}\n"
+             "    if end > len(data):\n"
+             "        raise MalformedControl('truncated input')\n"
+             f"    got = (kept if count <= {self._KEPT} else layout)(count).unpack_from(\n"
+             "        data, pos + 4)\n"
+             f"    if not ({held}):\n"
+             "        raise MalformedControl('field of the wrong width')\n"
+             f"    return {items}, end\n", env)
+        self.read = env["read"]
+
+
+class FixedRun:
+    """Adjacent fields of a record, each a bare u32 or a length-prefixed
+    field of one width, `size` bytes in all: `unpack(data, pos)` returns
+    their values at `pos` by one unpack, or None if the input falls short
+    or a prefix is not its width; `read` reads them one by one instead."""
+
+    def __init__(self, kinds: tuple["Kind", ...], read: Callable[["Reader"], tuple]):
+        fmt, prefixes, values = _unpacked(tuple(kind.width for kind in kinds))
+        layout = struct.Struct(">" + fmt)
+        self.size, self.read = layout.size, read
+        picked = "".join(f"got[{at}], " for at in values)
+        held = " and ".join(f"got[{at}] == {width}" for at, width in prefixes) or "True"
+        env = {"layout": layout, "struct": struct}
+        exec("def unpack(data, pos):\n"
+             "    try:\n"
+             "        got = layout.unpack_from(data, pos)\n"
+             "    except struct.error:\n"
+             "        return None\n"
+             f"    return ({picked}) if {held} else None\n", env)
+        self.unpack = env["unpack"]
 
 
 def peek_type(data: bytes) -> int:
@@ -234,9 +310,9 @@ def items(item: "Kind | Record", into: type = list) -> Kind:
     kinds = item.kinds if isinstance(item, Record) else (item,)
     layout = None
     if all(kind.fixed for kind in kinds) and not getattr(item, "build", None):
-        layout = FixedRecord(*(kind.width for kind in kinds))
-        read = ("r.fixed_items({k}.layout)" if isinstance(item, Record) else
-                "[value for (value,) in r.fixed_items({k}.layout)]")
+        layout = FixedRecord(*(kind.width for kind in kinds),
+                             tuples=isinstance(item, Record))
+        read = "r.fixed_items({k}.layout)"
     else:
         read = "r.items({k}.item.read)"
     if into is not list:
@@ -257,7 +333,8 @@ class Record:
     values; it encodes such a tuple, or the object's attributes of the
     fields' names. Its `read`, `write`, `decode` and `encode` are compiled
     once, each kind's expressions inlined: no loop and no dispatch on
-    kinds, as a hand-written codec would be."""
+    kinds, as a hand-written codec would be. Each run of two or more
+    adjacent fixed fields is read by one `Reader.run`."""
 
     def __init__(self, *fields: tuple[str, Kind], type_byte: int | None = None,
                  build: Callable | None = None):
@@ -269,8 +346,16 @@ class Record:
         env = {"build": build, "values": self.values, "Reader": Reader, "Writer": Writer,
                "type_byte": type_byte, **_HELPERS}
         env.update((f"k{i}", kind) for i, kind in enumerate(self.kinds))
-        reads = "".join(kind.read_expr.format(k=f"k{i}") + ", "
-                        for i, kind in enumerate(self.kinds))
+        reads = ""
+        for run in _runs(self.kinds):
+            exprs = "".join(self.kinds[i].read_expr.format(k=f"k{i}") + ", " for i in run)
+            if len(run) == 1:
+                reads += exprs
+                continue
+            name = f"run{run[0]}"
+            env[name] = FixedRun(tuple(self.kinds[i] for i in run),
+                                 eval(f"lambda r: ({exprs})", env))
+            reads += f"*r.run({name}), "
         item = f"{'build' if build else ''}({reads})"
         unpack = "".join(f"v{i}, " for i in range(len(fields)))
         write = f"    {unpack}= {'values(item)' if build else 'item'}\n" + "".join(
@@ -292,6 +377,18 @@ class Record:
         values = self.values(item) if self.build else item
         return tuple((name, _shape(kind, value))
                      for (name, kind), value in zip(self.fields, values))
+
+
+def _runs(kinds: tuple[Kind, ...]) -> list[range]:
+    """The indices of `kinds` in runs: each maximal run of adjacent fixed
+    fields (a bare u32 or of one width), and each other field alone."""
+    runs: list[range] = []
+    for i, kind in enumerate(kinds):
+        if runs and kind.fixed and kinds[runs[-1][-1]].fixed:
+            runs[-1] = range(runs[-1].start, i + 1)
+        else:
+            runs.append(range(i, i + 1))
+    return runs
 
 
 def _shape(kind: "Kind | Record", value):

@@ -652,11 +652,12 @@ class UserState:
         flags = _FLAG_ADDRESS_ALL if address_all else 0
         user_view = UserMessageView(flags=flags, control=ctl.to_bytes(),
                                     ciphertext=ciphertext)
-        chatbot_view = ChatbotMessageView(
-            group_id=self.group_id, epoch=epoch, body=ChatbotViewBody(
-                ciphertext=ciphertext,
-                group_public_key=self.cgka.group_key_pair.public_key,
-                ephemeral=ephemeral, entries=entries))
+        # with no entry, every chatbot is sent the notice, the header
+        # alone, so the view has no body and the group key pair is not built
+        body = None if not roster else ChatbotViewBody(
+            ciphertext=ciphertext, group_public_key=self.cgka.group_key_pair.public_key,
+            ephemeral=ephemeral, entries=entries)
+        chatbot_view = ChatbotMessageView(group_id=self.group_id, epoch=epoch, body=body)
         return SendOutcome(user_view=user_view.to_bytes(),
                            chatbot_view=chatbot_view.to_bytes(), epoch=epoch,
                            addressed=tuple(cid for cid, _ in roster if cid in fired),
@@ -687,7 +688,7 @@ class UserState:
         self._rotate(message, bool(view.flags & _FLAG_ADDRESS_ALL))
         return result
 
-    def _rotate(self, message: bytes | None, address_all: bool) -> set[str]:
+    def _rotate(self, message: bytes | None, address_all: bool) -> set[str] | frozenset[str]:
         """The one addressing rule, shared by the sender and its receivers:
         `address_all`, or the record's trigger fires on the message. Moves
         each addressed record's channel to the group secret key of the

@@ -154,18 +154,27 @@ def seeded(seed: int | bytes) -> Iterator[None]:
 # derivation
 # ---------------------------------------------------------------------------
 
+# label -> the hash state after `_DOMAIN + label`, which every `_kdf` of
+# that label starts from; there are a handful of labels
+_LABEL_STATES: dict[bytes, "hashlib._Hash"] = {}
+
+
 def _kdf(label: bytes, *parts: bytes) -> bytes:
-    """Internal hash with unambiguous input framing. Not a counted op."""
-    h = hashlib.sha256()
-    h.update(_DOMAIN)
-    h.update(label)
+    """Internal hash with unambiguous input framing: SHA-256 over
+    `_DOMAIN + label`, then each part after its 4-byte length. Not a
+    counted op."""
+    state = _LABEL_STATES.get(label)
+    if state is None:
+        state = _LABEL_STATES[label] = hashlib.sha256(_DOMAIN + label)
+    h = state.copy()
     for part in parts:
-        h.update(len(part).to_bytes(4, "big"))
-        h.update(part)
+        h.update(len(part).to_bytes(4, "big") + part)
     return h.digest()
 
 
 def _check_secret(value: bytes, what: str = "secret") -> bytes:
+    if type(value) is bytes and len(value) == SECRET_LEN:
+        return value
     if not isinstance(value, (bytes, bytearray)) or len(value) != SECRET_LEN:
         raise ValueError(f"{what} must be {SECRET_LEN} bytes")
     return bytes(value)

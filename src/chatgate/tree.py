@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Container
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .encoding import TEXT, TREE_NODE, U32, Record, items
 from .errors import MalformedControl
@@ -36,10 +37,9 @@ def is_leaf(x: int) -> bool:
 
 
 def level(x: int) -> int:
-    k = 0
-    while (x >> k) & 1:
-        k += 1
-    return k
+    """The number of trailing one bits of x: the trailing zero bits of
+    x + 1, whose lowest set bit alone `(x + 1) & -(x + 1)` keeps."""
+    return ((x + 1) & -(x + 1)).bit_length() - 1
 
 
 def root_index(capacity: int) -> int:
@@ -55,16 +55,20 @@ def right(x: int) -> int:
 
 
 def direct_path(leaf: int, capacity: int) -> list[int]:
-    """Node indices from the leaf up to and including the root."""
-    x = leaf_node(leaf)
-    root = root_index(capacity)
-    path = [x]
-    k = 0  # level of x, one level per step
-    while x != root:
-        x = (x | (1 << k)) ^ (((x >> (k + 1)) & 1) << (k + 1))
-        k += 1
-        path.append(x)
-    return path
+    """Node indices from the leaf up to and including the root, for a leaf
+    below `capacity`: the node at level k above leaf i is the one whose
+    2^(k+1)-wide span of indices, the (i >> k)-th, it centres. Worked out
+    once per leaf and capacity (see `_direct_path`); each caller gets a
+    list of its own."""
+    return list(_direct_path(leaf, capacity))
+
+
+# a path for each of the last 4,096 (leaf, capacity) pairs asked for: every
+# leaf of a 4,096-leaf tree, about 1 MB at most
+@lru_cache(maxsize=4096)
+def _direct_path(leaf: int, capacity: int) -> tuple[int, ...]:
+    return tuple(((leaf >> k) << (k + 1)) + (1 << k) - 1
+                 for k in range(capacity.bit_length()))
 
 
 def copath(leaf: int, capacity: int) -> list[int]:
@@ -73,15 +77,19 @@ def copath(leaf: int, capacity: int) -> list[int]:
     return [x ^ (2 << i) for i, x in enumerate(direct_path(leaf, capacity)[:-1])]
 
 
-def subtree_range(x: int) -> tuple[int, int]:
-    spread = (1 << level(x)) - 1
-    return x - spread, x + spread
-
-
 def is_ancestor(a: int, x: int) -> bool:
-    """Strict: a is above x."""
-    lo, hi = subtree_range(a)
-    return a != x and lo <= x <= hi
+    """Strict: a is above x, within the 2^(level(a)+1) - 1 indices that a
+    centres."""
+    spread = (a + 1) & -(a + 1)
+    return a != x and a - spread < x < a + spread
+
+
+def merge_index(x: int, sender_leaf: int) -> int:
+    """The level of the lowest node strictly above x on `sender_leaf`'s
+    direct path, and so its index in that path, if the path reaches it:
+    a level above x's own (`level(x) + 1`), and at least where the direct
+    paths of the sender's leaf and of `x >> 1`, a leaf below x, meet."""
+    return max(((x + 1) & -(x + 1)).bit_length(), ((x >> 1) ^ sender_leaf).bit_length())
 
 
 # seats ------------------------------------------------------------------------
@@ -102,6 +110,36 @@ def newcomer_seat(seated: Container[int], capacity: int) -> tuple[int, int]:
 
 
 # tree -----------------------------------------------------------------------
+
+@dataclass(slots=True)
+class TreeEdit:
+    """A change to a public tree, not yet made: the capacity it leaves
+    (grown in place), the leaf above which it blanks the path (None for
+    none), then the nodes it writes, and the seats it fills with a member
+    id or empties (None). Reading a tree through it (`written`,
+    `seats_member`) gives what the edited tree would hold, so a change can
+    be checked and worked with before any tree is touched, and made with
+    `RatchetTree.edited` on the tree itself or on a copy."""
+
+    capacity: int
+    blank: int | None = None
+    nodes: dict[int, bytes | None] = field(default_factory=dict)
+    seats: dict[int, str | None] = field(default_factory=dict)
+
+    def written(self) -> dict[int, bytes | None]:
+        """Every node the edit writes, with the value it leaves: the
+        blanked path's nodes None, unless written after the blanking."""
+        if self.blank is None:
+            return self.nodes
+        return dict.fromkeys(direct_path(self.blank, self.capacity)[1:]) | self.nodes
+
+    def seats_member(self, t: RatchetTree | None, leaf: int) -> bool:
+        """Whether `leaf` seats a member of `t`, or of a blank tree, once
+        edited."""
+        if leaf in self.seats:
+            return self.seats[leaf] is not None
+        return t is not None and leaf in t.members
+
 
 # The public tree's wire layout: node keys, then (leaf, member id) by leaf.
 _PUBLIC_TREE = Record(("capacity", U32), ("nodes", items(TREE_NODE)),
@@ -137,6 +175,22 @@ class RatchetTree:
         """The leftmost leaf no member sits at, or None when all are taken."""
         leaf, capacity = newcomer_seat(self.members, self.capacity)
         return leaf if capacity == self.capacity else None
+
+    def edited(self, edit: "TreeEdit") -> "RatchetTree":
+        """Make `edit` in this tree, in place; returns the tree."""
+        while self.capacity < edit.capacity:
+            self.grow()
+        if edit.blank is not None:
+            self.blank_path(edit.blank)
+        nodes = self.nodes
+        for x, pk in edit.nodes.items():
+            nodes[x] = pk
+        for leaf, member_id in edit.seats.items():
+            if member_id is None:
+                self.members.pop(leaf, None)
+            else:
+                self.members[leaf] = member_id
+        return self
 
     def copy(self) -> "RatchetTree":
         return RatchetTree(self.capacity, list(self.nodes), dict(self.members))

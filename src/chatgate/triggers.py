@@ -7,11 +7,14 @@ receivers' chatbot records in sync without trusting the sender's addressing
 list.
 
 `TriggerIndex` answers the same question for a whole chatbot roster at
-once: it files each rule under its kind when built, so finding the
-chatbots a message fires costs one split of the message for every mention
-rule together, plus one substring or prefix test per contains or prefix
-rule. `TriggerSpec.matches` stays the reference semantics; the index
-returns exactly the ids whose spec matches.
+once: it files each rule under its kind when built, with one scan per
+kind for any of its arguments (a regular expression over the mention and
+the contains arguments, a `startswith` over a tuple of the prefixes), so a
+message that fires no rule of a kind costs that one C-level scan and
+allocates nothing for it. Only a kind whose scan hits splits the message
+(mentions) or tests its rules one by one. `TriggerSpec.matches` stays the
+reference semantics; the index returns exactly the ids whose spec
+matches.
 
 A registration binds its two long-term public keys (encryption and
 signing) and its trigger, which names the chatbot id, under one signature.
@@ -21,6 +24,7 @@ trigger nor the keys can be swapped after publication.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -85,38 +89,57 @@ class TriggerSpec:
         return any(rule.matches(message) for rule in self.rules)
 
 
+def _finds_any(arguments) -> "re.Pattern[bytes] | None":
+    """A pattern that finds any of `arguments` in a message; None for
+    none."""
+    arguments = sorted(set(arguments))
+    return re.compile(b"|".join(map(re.escape, arguments))) if arguments else None
+
+
 class TriggerIndex:
     """The rules of `{chatbot id: TriggerSpec}`, filed by kind: the ids of
     `always` rules, a dict from mention argument to ids, and (argument, id)
-    pairs for `contains` and `prefix`. `never` rules fire nothing."""
+    pairs for `contains` and `prefix`, each kind with its scan for any of
+    its arguments. `never` rules fire nothing."""
 
-    __slots__ = ("_always", "_mentions", "_contains", "_prefixes")
+    __slots__ = ("_always", "_mentions", "_contains", "_prefixes",
+                 "_any_mention", "_any_contained", "_any_prefix")
 
     def __init__(self, specs: Mapping[str, TriggerSpec]) -> None:
-        self._always: set[str] = set()
+        always: set[str] = set()
         self._mentions: dict[bytes, set[str]] = {}
         self._contains: list[tuple[bytes, str]] = []
         self._prefixes: list[tuple[bytes, str]] = []
         for cid, spec in specs.items():
             for rule in spec.rules:
                 if rule.kind == "always":
-                    self._always.add(cid)
+                    always.add(cid)
                 elif rule.kind == "mention":
                     self._mentions.setdefault(rule.argument, set()).add(cid)
                 elif rule.kind == "contains":
                     self._contains.append((rule.argument, cid))
                 elif rule.kind == "prefix":
                     self._prefixes.append((rule.argument, cid))
+        self._always = frozenset(always)
+        # a mention is a whitespace-delimited token, so it is also a substring
+        self._any_mention = _finds_any(self._mentions)
+        self._any_contained = _finds_any(argument for argument, _ in self._contains)
+        self._any_prefix = tuple(argument for argument, _ in self._prefixes)
 
-    def fired(self, message: bytes) -> set[str]:
-        """The ids whose spec matches `message`."""
-        fired = set(self._always)
-        if self._mentions:
+    def fired(self, message: bytes) -> frozenset[str]:
+        """The ids whose spec matches `message`. A set is built only when a
+        scan hits: a message that fires no rule gets the `always` ids back
+        as they are."""
+        fired = self._always
+        if self._any_mention is not None and self._any_mention.search(message):
             for token in self._mentions.keys() & message.split():
-                fired |= self._mentions[token]
-        fired.update([cid for argument, cid in self._contains if argument in message])
-        fired.update([cid for argument, cid in self._prefixes
-                      if message.startswith(argument)])
+                fired = fired.union(self._mentions[token])
+        if self._any_contained is not None and self._any_contained.search(message):
+            fired = fired.union([cid for argument, cid in self._contains
+                                 if argument in message])
+        if message.startswith(self._any_prefix):
+            fired = fired.union([cid for argument, cid in self._prefixes
+                                 if message.startswith(argument)])
         return fired
 
 

@@ -272,11 +272,11 @@ def test_path_secrets_never_reach_the_public_tree():
             assert value not in blob, s.member_id
 
     def churn(sender, ctl, newcomer=None):
-        # the sender's new path is staged, with the tree it leaves, but
-        # not yet installed
+        # the sender's new path is staged, with the edit of the tree it
+        # leaves, but not yet made
         assert sender._pending is not None
         check(sender, sender.tree.to_public_bytes())
-        check(sender, sender._pending.tree.to_public_bytes())
+        check(sender, sender.tree.copy().edited(sender._pending.edit).to_public_bytes())
         broadcast(states, sender, ctl, newcomer)
         if newcomer is not None:
             states.append(newcomer)
@@ -768,6 +768,19 @@ def test_path_entry_payload_of_the_wrong_size_leaves_state_unchanged():
     assert snapshot_text(receiver) == before
 
 
+def test_commit_refuses_a_staged_control_of_another_epoch():
+    # commit makes a member's staged edit in its own tree, so a `Staged`
+    # from an earlier epoch of that tree is refused and changes nothing
+    states, _ = make_group(4)
+    receiver = states[1]
+    stale = receiver.stage(states[0].update())
+    broadcast(states, states[2], states[2].update())
+    before = snapshot_text(receiver)
+    with pytest.raises(StaleEpoch, match="staged at epoch 1, local 2"):
+        receiver.commit(stale)
+    assert snapshot_text(receiver) == before
+
+
 def test_control_naming_one_key_twice_seals_each_box_under_its_own_key():
     # A forged control can name one recipient key twice. Under the zero
     # nonce, one AEAD key over one payload gives one ciphertext: the two
@@ -835,6 +848,16 @@ def mutation_cases():
     return _MUTATION_CASES
 
 
+def independent(base: cgka.CgkaState) -> cgka.CgkaState:
+    """A receiver independent of `base`: `process` replaces the path and
+    pending instead of changing them, and makes its edit in the tree
+    itself, so a shallow copy with a tree of its own."""
+    receiver = copy.copy(base)
+    if base.tree is not None:
+        receiver.tree = base.tree.copy()
+    return receiver
+
+
 def flip_bytes(data, blob: bytes) -> bytes:
     """`blob` with one to three bytes XORed with nonzero values."""
     edits = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
@@ -854,9 +877,7 @@ def test_mutated_control_is_rejected_unchanged_or_applies(data):
         data.draw(st.sampled_from(["add", "remove", "update"]))]
     base, base_text = data.draw(st.sampled_from(receivers))
     mutated = flip_bytes(data, blob)
-    # `process` replaces the tree, path and pending instead of changing
-    # them, so a shallow copy is a receiver independent of `base`
-    receiver = copy.copy(base)
+    receiver = independent(base)
     try:
         ctl = cgka.CgkaControl.from_bytes(mutated)
         receiver.process(ctl, welcome)
@@ -875,7 +896,7 @@ def test_mutated_control_is_rejected_unchanged_or_applies(data):
 def test_mutated_welcome_is_rejected_unchanged_or_applies(data):
     blob, receivers, welcome = mutation_cases()["add"]
     base, base_text = receivers[-1]  # the newcomer
-    receiver = copy.copy(base)
+    receiver = independent(base)
     try:
         receiver.process(cgka.CgkaControl.from_bytes(blob), flip_bytes(data, welcome))
     except ChatGateError:
@@ -889,7 +910,7 @@ def test_mutated_welcome_is_rejected_unchanged_or_applies(data):
 def test_unmutated_fuzz_controls_apply():
     for kind, (blob, receivers, welcome) in mutation_cases().items():
         for base, _ in receivers:
-            receiver = copy.copy(base)
+            receiver = independent(base)
             if kind == "remove" and base.member_id == "user-04":
                 with pytest.raises(NotMember):
                     receiver.process(cgka.CgkaControl.from_bytes(blob))
@@ -1040,13 +1061,13 @@ def update_after_create(n: int):
 
 
 def test_decode_reader_calls_do_not_grow_with_entries(monkeypatch):
-    calls = {"field": 0, "u32": 0}
+    calls = {"field": 0, "u32": 0, "run": 0, "fixed_items": 0}
     for name in calls:
         original = getattr(Reader, name)
 
-        def counted(self, _name=name, _original=original):
+        def counted(self, *args, _name=name, _original=original):
             calls[_name] += 1
-            return _original(self)
+            return _original(self, *args)
         monkeypatch.setattr(Reader, name, counted)
 
     seen = []
@@ -1058,8 +1079,11 @@ def test_decode_reader_calls_do_not_grow_with_entries(monkeypatch):
         seen.append((len(ctl.path_entries), dict(calls)))
     assert [entries for entries, _ in seen] == [1, 7, 127]
     assert seen[0][1] == seen[1][1] == seen[2][1]
-    # a decoder that bound the Reader methods ahead of time would count none
-    assert all(seen[0][1].values())
+    # a decoder that bound the Reader methods ahead of time would count
+    # none: the group id is a field, its epoch and sender leaf one run, the
+    # ephemeral and `first` another, and each u32 is read inside those
+    # runs or inside the two fixed-width lists
+    assert seen[0][1] == {"field": 1, "u32": 0, "run": 2, "fixed_items": 2}
 
 
 def test_warm_up_receiver_opens_one_of_127_entries():

@@ -229,8 +229,10 @@ def test_concealment_dummies_cannot_be_told_from_boxes():
 
 def test_view_draws_an_ephemeral_only_for_entries():
     # A view of dummies only carries a genuine ephemeral, like one with a
-    # box; a view with no entries carries none and draws no key pair. The
-    # sender's 2-node path and its control's one-entry batch draw 3.
+    # box; a view with no entries has no body, so it carries no ephemeral
+    # and draws no key pair, and the sender builds no group key pair for
+    # it. The sender's 2-node path and its control's one-entry batch draw
+    # 2; a body adds its ephemeral and the group key pair it names.
     users, _, _ = build_group(
         2, bots=[("echo-bot-01", "mention:@echo"), ("log-bot-02", "never")])
     seen = []
@@ -238,12 +240,14 @@ def test_view_draws_an_ephemeral_only_for_entries():
         ops = counters.OpCounters()
         with counters.collect(ops):
             out = users["user-00"].send(message, conceal=conceal)
-        view = ChatbotMessageView.from_bytes(out.chatbot_view).body
-        seen.append((len(view.entries), ops.total("pke_keygen"),
-                     probes._is_public_key(view.ephemeral)))
-        if not view.entries:
-            assert view.ephemeral == NO_EPHEMERAL
-    assert seen == [(0, 3, False), (2, 4, True), (1, 4, True)]
+        body = ChatbotMessageView.from_bytes(out.chatbot_view).body
+        assert (body is None) == (not out.addressed and not out.concealed)
+        entries, ephemeral = (body.entries, body.ephemeral) if body else ((), NO_EPHEMERAL)
+        seen.append((len(entries), ops.total("pke_keygen"),
+                     probes._is_public_key(ephemeral)))
+        if not entries:
+            assert ephemeral == NO_EPHEMERAL
+    assert seen == [(0, 2, False), (2, 4, True), (1, 4, True)]
 
 
 def test_view_naming_one_bot_key_twice_seals_each_box_under_its_own_key():
@@ -1286,10 +1290,11 @@ def test_members_build_the_channel_key_pair_only_to_read_a_reply(n):
     # pair per level below the root, and one hash for the root's
     # confirmation, so 0 key pairs at the top copath level. A send that
     # fires a bot costs it no more: the bot's record keeps the group secret
-    # key, and builds its pair at the first reply it opens. The sender's
-    # count is what it was: one key pair per path node, the root's now
-    # being the group key pair its chatbot view names, and one ephemeral
-    # per batch.
+    # key, and builds its pair at the first reply it opens. The sender
+    # builds one key pair per path node below the root, one ephemeral per
+    # batch, and the group key pair only for a chatbot view with a body,
+    # which names it: a send that fires no bot builds neither of the last
+    # two for its chatbot view.
     world = bench.World(n, 0)
     for i in range(4):
         world.attach_bot(f"token-bot-{i}", f"mention:@bot{i}")
@@ -1310,7 +1315,7 @@ def test_members_build_the_channel_key_pair_only_to_read_a_reply(n):
                                    ("user-000", b"quiet again", 0)):
         ops, out = tally(sender, lambda: world.users[sender].send(message))
         assert len(out.addressed) == fired
-        assert ops.party("sender")["pke_keygen"] == depth + 2 + (fired > 0)
+        assert ops.party("sender")["pke_keygen"] == depth + 1 + 2 * (fired > 0)
         assert ops.party("sender")["pke_seal"] == depth + fired
         sender_leaf = world.users[sender].cgka.own_leaf
         for uid in world.ids:
@@ -1322,6 +1327,39 @@ def test_members_build_the_channel_key_pair_only_to_read_a_reply(n):
     for cid, built in (("token-bot-1", 1), ("token-bot-1", 0), ("token-bot-3", 1)):
         ops, _ = tally(cid, lambda: world.bots[cid].send(b"a reply"))
         assert all(ops.party(uid)["pke_keygen"] == built for uid in world.ids), cid
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_a_members_receive_copies_no_tree(n, monkeypatch):
+    # A member's receive makes the control's edit in its own tree, in
+    # place: no copy of the 2n - 1 nodes, the same tree object after as
+    # before, and only the sender's direct path written. A message view
+    # and an update view both go through it.
+    world = bench.World(n, 2)
+    sender = world.ids[1]
+    copies = []
+    copy = treemod.RatchetTree.copy
+
+    def counted(tree):
+        copies.append(tree)
+        return copy(tree)
+
+    for act in (lambda: world.send(sender, b"no copy here"), lambda: world.update(sender)):
+        before = {uid: (user.cgka.tree, list(user.cgka.tree.nodes))
+                  for uid, user in world.users.items() if uid != sender}
+        act()  # the sender builds over a copy of its tree
+        with monkeypatch.context() as patch:
+            patch.setattr(treemod.RatchetTree, "copy", counted)
+            world.deliver()
+        assert copies == []
+        state = world.users[sender].cgka
+        path = set(treemod.direct_path(state.own_leaf, state.tree.capacity))
+        for uid, (tree, nodes) in before.items():
+            after = world.users[uid].cgka.tree
+            assert after is tree, uid
+            assert {x for x, (old, new) in enumerate(zip(nodes, after.nodes))
+                    if old != new} == path, uid
+
 
 if __name__ == "__main__":
     pytest.main([__file__, "-v"])

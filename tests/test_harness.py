@@ -375,17 +375,17 @@ PINNED_SEED_7 = {
         "supersessions": "205b0e088372c2fb43267d0bd9e3de8ba5ad0fd3e3f2e35efa6c2de49a3eae85",
     },
     "fs": {
-        "report": "17eb0d155de2053f3e3f36183cc8869216991adf2e2b05cbb5fca3134d669b1b",
+        "report": "fa1852fb353140a17691c544cbb3a49188fc1f704451402418f78d4eeaa5f070",
         "transcript": "7974cfbda3ebeae3fceda3dea8047add906f52a713230bc5b4a35c56ba357f18",
         "supersessions": "74ac06911edae041e25207b9c2eecb343284be288079da65870fca61af6ecbbe",
     },
     "pcs": {
-        "report": "2e00b8161fa9ed574151bfcca2869798771265ddeccdd5459097789d50947ad3",
+        "report": "0919041c332b2a98fa2adf7f12b85624d5d60547bdc23cc0413bcab2d3399a89",
         "transcript": "534f4eaa70dc5476b9a8e88673262a56daa6a050532b00c1fd92f7c7456c857b",
         "supersessions": "861efb5eecf3880a89a078a82919c1804447f71f33be1b035f602f1d2ec3e024",
     },
     "selective": {
-        "report": "3093954872dd47250466052bf71ccdbeefb442a368e5e74c954bc9db55425496",
+        "report": "8a6bf8a6f72d7b231ed08a39886ff056be2bce410d7dc9ad49cc4fe29c6967ed",
         "transcript": "872a8892719c1575f8d04d05093bd5ed3dad6e78f8929dd87af12861ddf94ecf",
         "supersessions": "9438ea1a302fc63b036366778129242e50f03e7291a923d9bfc5b5b7c7bb7e01",
     },

@@ -184,3 +184,52 @@ def test_blank_tree_rejects_bad_capacity():
     for bad in (0, 3, 5, 6, 12):
         with pytest.raises(ValueError):
             tree.RatchetTree.blank_tree(bad)
+
+
+# -- arithmetic against the loops it replaced ------------------------------------
+
+def _trailing_ones(x: int) -> int:
+    k = 0
+    while (x >> k) & 1:
+        k += 1
+    return k
+
+
+def _is_ancestor(a: int, x: int) -> bool:
+    spread = (1 << _trailing_ones(a)) - 1
+    return a != x and a - spread <= x <= a + spread
+
+
+def _first_ancestor_on(path: list[int], x: int) -> int | None:
+    for i, p in enumerate(path):
+        if _is_ancestor(p, x):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("capacity", CAPACITIES)
+def test_level_and_ancestry_are_the_loops(capacity):
+    # past the tree too: the arithmetic holds for every index
+    nodes = range(2 * tree.node_count(capacity) + 2)
+    for x in nodes:
+        assert tree.level(x) == _trailing_ones(x), x
+        for a in nodes:
+            assert tree.is_ancestor(a, x) == _is_ancestor(a, x), (a, x)
+
+
+@pytest.mark.parametrize("capacity", CAPACITIES)
+def test_merge_index_is_the_first_ancestor_on_the_senders_path(capacity):
+    # The receiver confirms the arithmetic index with one ancestry test and
+    # refuses where it fails or runs past the root: exactly where the scan
+    # along the path finds no ancestor. Nodes past the tree are refusals.
+    root = tree.root_index(capacity)
+    for sender in range(capacity):
+        path = tree.direct_path(sender, capacity)
+        for x in range(2 * tree.node_count(capacity) + 2):
+            if x == root or x in path:
+                continue
+            i = tree.merge_index(x, sender)
+            confirmed = i < len(path) and tree.is_ancestor(path[i], x)
+            assert (i if confirmed else None) == _first_ancestor_on(path, x), (sender, x)
+            if x < tree.node_count(capacity):
+                assert confirmed, (sender, x)

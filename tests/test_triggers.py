@@ -100,6 +100,39 @@ def test_index_fires_exactly_the_matching_specs(rules, messages):
                                         if spec.matches(message)}
 
 
+def test_index_scans_read_arguments_as_bytes_not_patterns():
+    # Each kind's scan is one regular expression over its arguments,
+    # escaped: a metacharacter in an argument matches only itself.
+    specs = {
+        "dot": TriggerSpec("dot", (TriggerRule("contains", b"a.b"),)),
+        "alt": TriggerSpec("alt", (TriggerRule("mention", b"x|y"),)),
+        "group": TriggerSpec("group", (TriggerRule("contains", b"(*"),
+                                       TriggerRule("prefix", b"[^"))),
+    }
+    index = TriggerIndex(specs)
+    for message in (b"axb", b"a.b", b"x", b"y", b"x|y", b"say x|y now", b"((*",
+                    b"(", b"[^x", b"x[^", b""):
+        assert index.fired(message) == {cid for cid, spec in specs.items()
+                                        if spec.matches(message)}, message
+    assert index.fired(b"a.b x|y [^") == {"dot", "alt"}
+
+
+def test_index_builds_no_set_for_a_message_that_fires_nothing():
+    # A message whose scans all miss gets the `always` ids back as they
+    # are: no set is built, and each call returns the same one.
+    index = TriggerIndex({
+        "all": TriggerSpec("all", (TriggerRule("always"),)),
+        "men": TriggerSpec("men", (TriggerRule("mention", b"@a"),)),
+        "con": TriggerSpec("con", (TriggerRule("contains", b"#t"),)),
+        "pre": TriggerSpec("pre", (TriggerRule("prefix", b"!go"),)),
+    })
+    quiet = index.fired(b"nothing to see")
+    assert quiet == {"all"}
+    assert index.fired(b"still nothing, not even @ab") is quiet
+    assert index.fired(b"x @a #t") == {"all", "men", "con"}
+    assert index.fired(b"nothing to see") is quiet
+
+
 def test_index_cases():
     index = TriggerIndex({
         "all": TriggerSpec("all", (TriggerRule("always"),)),
