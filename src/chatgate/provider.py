@@ -11,7 +11,10 @@ each group's seats: the leaf each member sits at, and the capacity, which
 it edits as every member's tree does (a create seats its roster in order,
 an add the leftmost free leaf, doubling a full tree, a remove frees one).
 It never sees plaintext or secret keys; everything it stores (the
-transcript) is exactly what a network observer would capture.
+transcript, a `Transcript`) is exactly what a network observer would
+capture. That log keeps one record per route of each bundle and one
+base64 string per distinct view of it, and reads as one row dict per
+delivery, built on read; its readers take any sequence of such rows.
 
 `adversary_decrypt` plays the compromise game: given one party's serialized
 state and an `Adversary`, which holds the public transcript and the public
@@ -49,6 +52,8 @@ from __future__ import annotations
 import base64
 import json
 import re
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, TypeVar
@@ -118,6 +123,79 @@ class _Channel:
         return None
 
 
+class _Route(NamedTuple):
+    # one route of one published bundle: its recipients, in delivery order,
+    # and the base64 of the view each of them was sent
+    seq: int
+    group_id: str
+    recipient_class: str
+    recipients: tuple[str, ...]
+    views_b64: tuple[str, ...]
+
+
+class Transcript(Sequence):
+    """The provider's delivery log: one row per recipient of each published
+    bundle, in delivery order, as a read-only sequence of dicts with the
+    keys `seq`, `group_id`, `recipient_class`, `recipient` and `view_b64`.
+
+    It stores one record per route of a bundle, not a row per delivery,
+    and one base64 string per distinct view of a bundle: every row of one
+    view, across both recipient classes, holds that one string. A row is
+    built when it is read, so a reader may keep or edit a row it was
+    handed, but an edit does not reach the transcript; one that tampers
+    with the wire edits `list(transcript)` and reads that instead. `len`,
+    indexing (negative too), slicing (a list), iteration and `==` against
+    any list of rows see exactly the rows."""
+
+    def __init__(self) -> None:
+        self._routes: list[_Route] = []
+        self._ends: list[int] = []  # rows up to and including each route
+
+    def record(self, seq: int, group_id: str,
+               routes: list[tuple[str, list[str], list[bytes]]]) -> None:
+        """Log one bundle's routes: (recipient class, recipients, the view
+        each was sent)."""
+        encoded: dict[bytes, str] = {}
+        for recipient_class, recipients, views in routes:
+            for view in set(views).difference(encoded):
+                encoded[view] = base64.b64encode(view).decode("ascii")
+            self._routes.append(_Route(seq, group_id, recipient_class, tuple(recipients),
+                                       tuple(map(encoded.__getitem__, views))))
+            self._ends.append(len(self) + len(recipients))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = index + len(self) if index < 0 else index
+        if not 0 <= i < len(self):
+            raise IndexError("transcript index out of range")
+        r = bisect_right(self._ends, i)
+        return _row(self._routes[r], i - (self._ends[r - 1] if r else 0))
+
+    def __iter__(self):
+        for route in self._routes:
+            for k in range(len(route.recipients)):
+                yield _row(route, k)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Transcript, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _row(route: _Route, k: int) -> dict:
+    return {
+        "seq": route.seq,
+        "group_id": route.group_id,
+        "recipient_class": route.recipient_class,
+        "recipient": route.recipients[k],
+        "view_b64": route.views_b64[k],
+    }
+
+
 class Provider:
     """PKI plus an ordered broadcast channel per group."""
 
@@ -128,7 +206,7 @@ class Provider:
         self._inboxes: dict[str, list[bytes]] = {}
         self._parties: dict[str, object] = {}
         self._seq = 0
-        self.transcript: list[dict] = []
+        self.transcript = Transcript()
 
     # -- PKI -----------------------------------------------------------------
 
@@ -214,8 +292,11 @@ class Provider:
         layer decides which view of either each recipient gets
         (`group.project_view`, handed the members' seats). A bundle that is
         refused, for its routing or for a view its recipients cannot read
-        or decode, takes no sequence number and leaves no trace. Returns
-        the sequence number."""
+        or decode, takes no sequence number and leaves no trace. One that
+        passes every check goes to each recipient's inbox, and each of its
+        routes is recorded once in the transcript, whose rows (one per
+        recipient, built on read) share one string per distinct view.
+        Returns the sequence number."""
         ch = self._channel(group_id)
         members = sorted(ch.seats.values())
         if sender not in members and sender not in ch.bots:
@@ -239,29 +320,14 @@ class Provider:
                     raise NotPresent(f"{cid!r} is not attached to {group_id!r}")
             routes.append(("chatbot", targets, *project_view(bot_view, _BOT_HANDLERS)))
         self._seq += 1
-        seq = self._seq
-        encoded: dict[bytes, str] = {}
+        delivered = []
         for recipient_class, recipients, shared, own in routes:
-            for pid in recipients:
-                view = own.get(pid, shared)
-                view_b64 = encoded.get(view)
-                if view_b64 is None:
-                    view_b64 = encoded[view] = base64.b64encode(view).decode("ascii")
-                self._deliver(seq, group_id, recipient_class, pid, view, view_b64)
-        return seq
-
-    def _deliver(self, seq: int, group_id: str, recipient_class: str,
-                 recipient: str, view: bytes, view_b64: str) -> None:
-        """One transcript row per recipient; every row of one view shares
-        the one `view_b64` string encoded by `publish`."""
-        self.transcript.append({
-            "seq": seq,
-            "group_id": group_id,
-            "recipient_class": recipient_class,
-            "recipient": recipient,
-            "view_b64": view_b64,
-        })
-        self._inboxes.setdefault(recipient, []).append(view)
+            views = [own.get(pid, shared) for pid in recipients]
+            for pid, view in zip(recipients, views):
+                self._inboxes.setdefault(pid, []).append(view)
+            delivered.append((recipient_class, recipients, views))
+        self.transcript.record(self._seq, group_id, delivered)
+        return self._seq
 
     def inbox(self, party_id: str) -> list[bytes]:
         """Drain and return the party's pending views, oldest first."""
@@ -370,7 +436,7 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
     """
     hints: dict[SealedBox, set[bytes]] = {}
     ct_hints: dict[bytes, set[bytes]] = {}
-    seen: set[bytes] = set()
+    seen: set[str] = set()
     bot_pk: dict[str, bytes] = {}
     group_keys: set[bytes] = set()
     replies: list[SealedBox] = []
@@ -406,11 +472,14 @@ def _collect_material(transcript, registry: BotLookup) -> tuple[
         except UnknownChatbot:
             return None
 
+    # One view has one encoding, which every row of it in a bundle shares:
+    # a string seen before is skipped undecoded.
     for row in transcript:
-        view = base64.b64decode(row["view_b64"])
-        if view in seen:
+        view_b64 = row["view_b64"]
+        if view_b64 in seen:
             continue
-        seen.add(view)
+        seen.add(view_b64)
+        view = base64.b64decode(view_b64)
         kind = peek_type(view)
         if kind == VIEW_USER_MESSAGE:
             v = UserMessageView.from_bytes(view)

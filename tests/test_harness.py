@@ -634,7 +634,11 @@ def test_unhealed_compromise_is_actually_readable():
 
 
 def _chatbot_rows(result):
-    return [r for r in result.provider.transcript
+    """The delivered chatbot message views' rows, writable: the provider
+    builds its rows on read, so the result's transcript becomes a list of
+    them, which the probes then read, edits included."""
+    rows = result.provider.transcript = list(result.provider.transcript)
+    return [r for r in rows
             if r["recipient_class"] == "chatbot"
             and base64.b64decode(r["view_b64"])[0] == VIEW_CHATBOT_MESSAGE]
 

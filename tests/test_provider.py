@@ -5,13 +5,15 @@ import functools
 import json
 import math
 import random
+import sys
+import tracemalloc
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chatgate import cgka, counters, group, primitives
+from chatgate import cgka, counters, group, primitives, provider as provider_module
 from chatgate.errors import (
     AlreadyMember,
     BadSignature,
@@ -61,6 +63,7 @@ from chatgate.provider import (
     AdversaryReport,
     Provider,
     SealedBox,
+    Transcript,
     _collect_material,
     _harvest_hex,
     _payload_message,
@@ -277,6 +280,86 @@ def test_transcript_file_roundtrip(tmp_path):
     world.provider.write_transcript(str(path))
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert rows == world.provider.transcript
+
+
+def _delivery_rows(seq, group_id, routes):
+    """The rows `publish` once appended, one dict per delivery, frozen
+    here: each view of a bundle encoded once, its rows sharing the string."""
+    rows, encoded = [], {}
+    for recipient_class, recipients, views in routes:
+        for pid, view in zip(recipients, views):
+            view_b64 = encoded.get(view)
+            if view_b64 is None:
+                view_b64 = encoded[view] = base64.b64encode(view).decode("ascii")
+            rows.append({"seq": seq, "group_id": group_id,
+                         "recipient_class": recipient_class, "recipient": pid,
+                         "view_b64": view_b64})
+    return rows
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+@pytest.mark.parametrize("name", sorted(canned.ALL))
+def test_transcript_reads_as_one_row_per_delivery(monkeypatch, name, seed):
+    expected = []
+    record = Transcript.record
+
+    def logged(self, seq, group_id, routes):
+        expected.extend(_delivery_rows(seq, group_id, routes))
+        record(self, seq, group_id, routes)
+
+    monkeypatch.setattr(Transcript, "record", logged)
+    t = run_text(canned.ALL[name], seed=seed).provider.transcript
+    n = len(t)
+    assert n == len(expected) > 0
+    assert list(t) == expected
+    assert [t[i] for i in range(n)] == expected
+    assert [t[i] for i in range(-n, 0)] == expected
+    for cut in (slice(0, 5), slice(3, -2), slice(-7, None), slice(None),
+                slice(n, None), slice(None, None, 3), slice(None, None, -1)):
+        assert t[cut] == expected[cut]
+    assert t == list(t) and t == expected and expected == t
+    assert t != expected[:-1] and t != expected[::-1]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            t[i]
+    # the rows of one view of a bundle share one string, across classes
+    strings = {}
+    for row in t:
+        key = (row["seq"], row["view_b64"])
+        assert strings.setdefault(key, row["view_b64"]) is row["view_b64"]
+    attaches = [row for row in t if row["recipient_class"] == "chatbot"
+                and peek_type(base64.b64decode(row["view_b64"])) == ADD_BOT]
+    assert attaches
+    for bot_row in attaches:
+        members = [r for r in t if r["seq"] == bot_row["seq"]
+                   and r["recipient_class"] == "user"]
+        assert members and all(r["view_b64"] is bot_row["view_b64"] for r in members)
+
+
+def test_transcript_stores_a_few_bytes_per_delivery():
+    # Beyond the views' own strings, a delivery costs the two references
+    # of its route's recipient and view tuples, and a share of the route's
+    # record: not a dict of its own, which is about 190 B with its list slot.
+    world = bench.World(32, 2)
+    for uid in world.ids[:4]:
+        world.send_end_to_end(uid, b"warm")
+    transcript = world.provider.transcript
+    start = len(transcript)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for i in range(40):
+            world.send_end_to_end(world.ids[7 * i % 32], b"message %d" % i)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    only = [tracemalloc.Filter(True, provider_module.__file__)]
+    grown = sum(stat.size_diff for stat in after.filter_traces(only).compare_to(
+        before.filter_traces(only), "filename"))
+    rows = transcript[start:]
+    strings = {id(row["view_b64"]): row["view_b64"] for row in rows}
+    views = sum(sys.getsizeof(s) for s in strings.values())
+    assert (grown - views) / len(rows) < 48
 
 
 def test_inbox_drains_once():
@@ -1011,6 +1094,28 @@ def test_follower_drops_a_group_after_a_control_it_cannot_apply(forgery):
     ctl = cgka.CgkaControl.from_bytes(GroupControl.from_bytes(genuine).control)
     for i, (x, box) in enumerate(ctl.path_entries):
         assert hints[(box, ctl.ephemeral, i)] == {tree.nodes[x]}
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+def test_adversary_decodes_each_distinct_view_once(monkeypatch, seed):
+    decoded = []
+    decode = base64.b64decode
+
+    def counted(s, *args, **kwargs):
+        decoded.append(s)
+        return decode(s, *args, **kwargs)
+
+    for name in sorted(canned.ALL):
+        result = run_text(canned.ALL[name], seed=seed)
+        rows = list(result.provider.transcript)
+        expected = _collect_material(rows, result.provider)
+        # the same rows, each with a string of its own
+        copies = [{**row, "view_b64": "".join(row["view_b64"])} for row in rows]
+        decoded.clear()
+        with monkeypatch.context() as m:
+            m.setattr(provider_module.base64, "b64decode", counted)
+            assert _collect_material(copies, result.provider) == expected
+        assert len(decoded) == len({row["view_b64"] for row in rows}) < len(rows)
 
 
 def _reference_material(transcript):
